@@ -30,7 +30,6 @@ from .channel import (
     ChannelParams,
     RankDistribution,
     binomial_packets_model,
-    build_error_model,
     conditional_entropy,
     constant_rank_model,
     count_spanning_tuples,
@@ -59,7 +58,6 @@ __all__ = [
     "SolverConfig",
     "bdp_check",
     "binomial_packets_model",
-    "build_error_model",
     "c_count",
     "c_prime",
     "conditional_entropy",

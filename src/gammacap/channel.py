@@ -436,11 +436,6 @@ def parse_error_model(spec: str, q: int, n: int, m: int) -> RankDistribution:
     return result
 
 
-def build_error_model(spec: str, q: int, n: int, m: int) -> RankDistribution:
-    """Alias of :func:`parse_error_model` (the mini-language front door)."""
-    return parse_error_model(spec, q, n, m)
-
-
 def uniform_rank_distribution(n: int, m: int) -> RankDistribution:
     """Uniform distribution over ranks 0..min(n, m)."""
     _check_dims(n=n, m=m)

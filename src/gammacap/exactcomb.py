@@ -101,58 +101,3 @@ def count_rank_matrices(n: int, m: int, r: int, q: int) -> int:
     for i in range(r):
         out *= q**n - q**i
     return out
-
-
-def count_fix_int_and_image(dU: int, dV1: int, dV2: int, q: int) -> int:
-    """Subspaces U with prescribed intersection with V1 and image in V/V1.
-
-    For nested reference spaces V2 <= V1 <= V and a prescribed image of U in
-    the quotient V/V1, exactly q^{(dU-dV2)(dV1-dV2)} subspaces U satisfy
-    U cap V1 = V2 together with the prescribed image.
-    """
-    _check_dims(dU=dU, dV1=dV1, dV2=dV2)
-    validate_field_order(q)
-    if dV2 > min(dV1, dU):
-        raise ValueError(
-            f"dV2 = {dV2} must not exceed min(dV1, dU) = {min(dV1, dU)}"
-        )
-    return q ** ((dU - dV2) * (dV1 - dV2))
-
-
-def count_fixed_intersection(dV: int, dV1: int, dV2: int, dU: int, q: int) -> int:
-    """Subspaces U <= V of dimension dU with U cap V1 = V2 (V2 <= V1 <= V)."""
-    _check_dims(dV=dV, dV1=dV1, dV2=dV2, dU=dU)
-    validate_field_order(q)
-    if dV2 > min(dV1, dU) or dV1 > dV or dU > dV:
-        return 0
-    return q ** ((dU - dV2) * (dV1 - dV2)) * qbinom_ext(dV - dV1, dU - dV2, q)
-
-
-def count_fixed_image(dV1: int, dU: int, dUimg: int, q: int) -> int:
-    """Subspaces U of V with a fixed dUimg-dimensional image in V/V1."""
-    _check_dims(dV1=dV1, dU=dU, dUimg=dUimg)
-    validate_field_order(q)
-    binom = qbinom_ext(dV1, dU - dUimg, q)
-    if binom == 0:
-        return 0
-    return q ** (dUimg * (dV1 - (dU - dUimg))) * binom
-
-
-def count_fixed_dim_intersection(dV: int, dV1: int, dU: int, dUV1: int, q: int) -> int:
-    """Subspaces U <= V of dimension dU with dim(U cap V1) = dUV1."""
-    _check_dims(dV=dV, dV1=dV1, dU=dU, dUV1=dUV1)
-    validate_field_order(q)
-    binoms = qbinom_ext(dV - dV1, dU - dUV1, q) * qbinom_ext(dV1, dUV1, q)
-    if binoms == 0:
-        return 0
-    return q ** ((dU - dUV1) * (dV1 - dUV1)) * binoms
-
-
-def mobius_subspace(dV: int, dU: int, q: int) -> int:
-    """Moebius coefficient mu(V, U) = (-1)^(dU-dV) q^C(dU-dV,2) for V <= U."""
-    _check_dims(dV=dV, dU=dU)
-    validate_field_order(q)
-    if dV > dU:
-        raise ValueError(f"mobius_subspace needs dV <= dU, got dV={dV} > dU={dU}")
-    k = dU - dV
-    return (-1) ** k * q ** (k * (k - 1) // 2)

@@ -159,10 +159,6 @@ def _mat_mul(a: Matrix, b: Matrix, q: int) -> Matrix:
     )
 
 
-def _span_eq(vectors: Sequence[Sequence[int]], basis: Matrix, q: int) -> bool:
-    return rref_basis(vectors, q) == basis
-
-
 def count_gl(n: int, q: int) -> int:
     """|GL(n,q)| by the closed product (used only to weight, not to verify)."""
     return math.prod(q**n - q**i for i in range(n))

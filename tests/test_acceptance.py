@@ -249,7 +249,7 @@ def test_criterion_09_gradient_matches_finite_differences():
 
 def test_criterion_10_concavity_and_monotone_ascent():
     """Concavity inequality within 1e-10 on 100 seeded pairs at three mixing
-    weights, and Frank-Wolfe iterate values never decrease by more than
+    weights, and solver iterate values never decrease by more than
     1e-12."""
     params = _params(2, 3, 3, "binomial:T=2,p=0.2")
     rng = random.Random(9)

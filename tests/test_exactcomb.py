@@ -1,4 +1,4 @@
-"""Exact combinatorics layer: Gaussian binomials and subspace counts.
+"""Exact combinatorics layer: Gaussian binomials and rank-class counts.
 
 Every closed form here is checked against direct enumeration over small
 fields, where enumeration is feasible, and against classical identities
@@ -9,32 +9,12 @@ import pytest
 
 from gammacap import oracle
 from gammacap.exactcomb import (
-    count_fix_int_and_image,
-    count_fixed_dim_intersection,
-    count_fixed_image,
-    count_fixed_intersection,
     count_rank_matrices,
     is_prime_power,
-    mobius_subspace,
     qbinom,
     qbinom_ext,
     validate_field_order,
 )
-
-
-def _coordinate_subspace(coords, m):
-    """Basis of the span of the given coordinate axes inside F_q^m."""
-    return tuple(
-        tuple(1 if j == c else 0 for j in range(m)) for c in sorted(coords)
-    )
-
-
-def _join_dim(a, b, q):
-    return len(oracle.rref_basis(list(a) + list(b), q))
-
-
-def _meet_dim(a, b, q):
-    return len(a) + len(b) - _join_dim(a, b, q)
 
 
 class TestFieldOrder:
@@ -105,105 +85,3 @@ class TestRankMatrixCounts:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             count_rank_matrices(2, 2, -1, 2)
-
-
-class TestPrescribedMeetCounts:
-    """Closed-form subspace counts vs direct enumeration."""
-
-    def test_fixed_dim_intersection(self):
-        for q, dV in ((2, 3), (2, 4), (3, 3)):
-            subs = oracle.enumerate_subspaces(dV, q)
-            for dV1 in range(dV + 1):
-                v1 = _coordinate_subspace(range(dV1), dV)
-                for dU in range(dV + 1):
-                    for dUV1 in range(min(dU, dV1) + 1):
-                        got = count_fixed_dim_intersection(dV, dV1, dU, dUV1, q)
-                        want = sum(
-                            1
-                            for u in subs
-                            if len(u) == dU and _meet_dim(u, v1, q) == dUV1
-                        )
-                        assert got == want
-
-    def test_fixed_intersection(self):
-        """U cap V1 equal to a fixed V2, not merely of the right dimension."""
-        q, dV = 2, 4
-        subs = oracle.enumerate_subspaces(dV, q)
-        for dV1 in range(dV + 1):
-            v1 = _coordinate_subspace(range(dV1), dV)
-            for dV2 in range(dV1 + 1):
-                v2 = _coordinate_subspace(range(dV2), dV)
-                for dU in range(dV2, dV + 1):
-                    want = 0
-                    for u in subs:
-                        if len(u) != dU:
-                            continue
-                        contains = _join_dim(u, v2, q) == dU
-                        if contains and _meet_dim(u, v1, q) == dV2:
-                            want += 1
-                    assert count_fixed_intersection(dV, dV1, dV2, dU, q) == want
-
-    def test_fixed_image(self):
-        """Image in the quotient by V1 prescribed to be the full quotient."""
-        for q in (2, 3):
-            for dV1 in range(3):
-                for dUimg in range(3):
-                    ambient = dV1 + dUimg
-                    if ambient == 0:
-                        continue
-                    v1 = _coordinate_subspace(range(dV1), ambient)
-                    subs = oracle.enumerate_subspaces(ambient, q)
-                    for dU in range(dUimg, min(ambient, dV1 + dUimg) + 1):
-                        want = sum(
-                            1
-                            for u in subs
-                            if len(u) == dU and _join_dim(u, v1, q) == ambient
-                        )
-                        assert count_fixed_image(dV1, dU, dUimg, q) == want
-
-    def test_fixed_intersection_and_image(self):
-        """Both the meet with V1 and the image mod V1 pinned exactly."""
-        q = 2
-        for dV1 in range(3):
-            for dV2 in range(dV1 + 1):
-                for extra in range(3):
-                    dU = dV2 + extra
-                    ambient = dV1 + extra
-                    if ambient == 0:
-                        continue
-                    v1 = _coordinate_subspace(range(dV1), ambient)
-                    v2 = _coordinate_subspace(range(dV2), ambient)
-                    want = 0
-                    for u in oracle.enumerate_subspaces(ambient, q):
-                        if len(u) != dU:
-                            continue
-                        if _join_dim(u, v2, q) != dU:
-                            continue
-                        if _meet_dim(u, v1, q) != dV2:
-                            continue
-                        if _join_dim(u, v1, q) != ambient:
-                            continue
-                        want += 1
-                    assert count_fix_int_and_image(dU, dV1, dV2, q) == want
-
-    def test_fix_int_and_image_domain(self):
-        with pytest.raises(ValueError):
-            count_fix_int_and_image(1, 2, 2, 2)
-
-
-class TestMobius:
-    def test_inversion_identity(self):
-        """Summing mu over an interval detects equality of its endpoints."""
-        for q in (2, 3):
-            for d_low in range(4):
-                for d_high in range(d_low, 5):
-                    total = sum(
-                        qbinom(d_high - d_low, k - d_low, q)
-                        * mobius_subspace(k, d_high, q)
-                        for k in range(d_low, d_high + 1)
-                    )
-                    assert total == (1 if d_low == d_high else 0)
-
-    def test_requires_nested_dims(self):
-        with pytest.raises(ValueError):
-            mobius_subspace(3, 2, 2)

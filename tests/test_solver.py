@@ -34,6 +34,14 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             maximize(params, SolverConfig(start_distribution=start))
 
+    def test_start_distribution_must_have_full_support(self):
+        """Multiplicative updates cannot move mass onto a rank that starts
+        at zero, so such a start is refused up front."""
+        params = _params(2, 3, 3, "binomial:T=2,p=0.2")
+        start = RankDistribution([1.0, 0, 0, 0])
+        with pytest.raises(ValueError, match="every rank positive mass"):
+            maximize(params, SolverConfig(start_distribution=start))
+
 
 class TestNoErrorClosedForm:
     def test_capacity_and_argmax(self):
@@ -92,6 +100,44 @@ class TestCertificates:
         assert isinstance(res.optimal_input, RankDistribution)
         assert isinstance(res.output_ranks, RankDistribution)
         assert abs(sum(res.optimal_input.as_floats()) - 1) <= 1e-9
+
+
+_NO_ERROR_16 = math.log2(sum(qbinom(16, u, 16) for u in range(17)))
+
+
+class TestRegressionPins:
+    """Channels on which earlier solvers stalled, lost precision or crawled.
+
+    Each case is (channel, iteration cap, expected capacity or None, and
+    the allowed deviation from it).
+    """
+
+    CASES = [
+        # Away-step Frank-Wolfe froze at gap 0.099 bits here.
+        ((2, 16, 16, "binomial:T=4,p=0.1"), 500, None, None),
+        # Away-step Frank-Wolfe stopped uncertified, 3.4 bits low.
+        ((2, 6, 14, "constant:t=1"), 100000, 36.3614004652, 1e-8),
+        # No error: log2 of the number of row spaces.  The cap used to stop
+        # away-step Frank-Wolfe at 237.10 bits.
+        ((16, 16, 16, "constant:t=0"), 500, _NO_ERROR_16, 1e-9),
+        # A relative-tolerance line search gave a NaN gap here.
+        ((4, 6, 4, "constant:t=4"), 100000, None, None),
+        # Plain Blahut-Arimoto needs about 34 000 steps here.
+        ((2, 1, 6, "constant:t=1"), 50, None, None),
+        ((3, 6, 10, "iid:t=3"), 100000, None, None),
+    ]
+
+    @pytest.mark.parametrize(
+        "channel, max_iterations, capacity, tol",
+        CASES,
+        ids=[",".join(map(str, case[0])) for case in CASES],
+    )
+    def test_certifies(self, channel, max_iterations, capacity, tol):
+        res = maximize(_params(*channel), SolverConfig(max_iterations=max_iterations))
+        assert res.converged
+        assert 0 <= res.optimality_gap_bits <= 1e-9
+        if capacity is not None:
+            assert res.capacity_bits == pytest.approx(capacity, abs=tol)
 
 
 class TestAgainstBlahutArimoto:
