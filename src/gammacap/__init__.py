@@ -18,7 +18,6 @@ from .matrixfn import (
     c_count,
     c_prime,
     f0,
-    f0_product,
     f1,
     f2,
     f_small,
@@ -66,7 +65,6 @@ __all__ = [
     "count_spanning_tuples",
     "empirical_model",
     "f0",
-    "f0_product",
     "f1",
     "f2",
     "f_small",

@@ -143,13 +143,34 @@ def rho_given_ranks(r: int, rX: int, rB: int, params: ChannelParams) -> Fraction
     return Fraction(f2(r, rX, rB, n, m, q), count_rank_matrices(n, m, rB, q))
 
 
-def rho_avg(r: int, rX: int, params: ChannelParams) -> Numeric:
-    """P(rank(X+B) = r) for fixed rank(X) = rX, averaged over error ranks."""
-    _check_rank(params, r=r, rX=rX)
-    return sum(
-        params.error_dist[rB] * rho_given_ranks(r, rX, rB, params)
-        for rB in range(params.rank_count)
+@lru_cache(maxsize=None)
+def _support_weights(params: ChannelParams) -> Tuple[Tuple[int, Fraction], ...]:
+    """(rB, P(rB) / N_rB) for every error rank rB of positive probability.
+
+    N_rB is the rank class size.  Law sums run over this table only: a term
+    of probability 0 is an exact zero, so skipping it changes no value.
+    Weights are exact even for a float law (a float converts exactly), since
+    a float P(rB) / N_rB overflows once N_rB leaves the float range.
+    """
+    q, n, m = params.q, params.n, params.m
+    return tuple(
+        (rB, Fraction(p) / count_rank_matrices(n, m, rB, q))
+        for rB, p in enumerate(params.error_dist)
+        if p != 0
     )
+
+
+def rho_avg(r: int, rX: int, params: ChannelParams) -> Numeric:
+    """P(rank(X+B) = r) for fixed rank(X) = rX, averaged over error ranks.
+
+    Exact for an exact error law, a float otherwise.
+    """
+    _check_rank(params, r=r, rX=rX)
+    q, n, m = params.q, params.n, params.m
+    total = sum(
+        weight * f2(r, rX, rB, n, m, q) for rB, weight in _support_weights(params)
+    )
+    return total if params.error_dist.is_exact else float(total)
 
 
 def output_rank_distribution(
@@ -180,8 +201,10 @@ def output_rank_distribution(
 def _h_r_cached(r: int, params: ChannelParams) -> float:
     q, n, m = params.q, params.n, params.m
     mn = params.max_rank
+    support = _support_weights(params)
     total = 0.0
     for v in range(mn + 1):
+        log_count_v = None
         # h = dim((U+V)/V) runs from max(0, r-v) (forced by
         # dim(U cap V) <= v) up to r; out-of-range weights vanish.
         for h in range(max(0, r - v), r + 1):
@@ -195,19 +218,15 @@ def _h_r_cached(r: int, params: ChannelParams) -> float:
             if weight == 0:
                 continue
             p_vh = sum(
-                (
-                    Fraction(params.error_dist[rB])
-                    if _is_exact(params.error_dist[rB])
-                    else params.error_dist[rB]
-                )
-                * f1(r, v, h, rB, n, m, q)
-                / count_rank_matrices(n, m, rB, q)
-                for rB in range(h, min(mn, v + h) + 1)
+                w * f1(r, v, h, rB, n, m, q)
+                for rB, w in support
+                if h <= rB <= v + h
             )
             if p_vh == 0:
                 continue
-            count_v = f0(v, n, m, q)
-            total += weight * float(p_vh) * (log2_exact(count_v) - log2_exact(p_vh))
+            if log_count_v is None:
+                log_count_v = log2_exact(f0(v, n, m, q))
+            total += weight * float(p_vh) * (log_count_v - log2_exact(p_vh))
     return total
 
 

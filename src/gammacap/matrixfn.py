@@ -447,23 +447,11 @@ def c_prime(
 def f0(u: int, n: int, m: int, q: int) -> int:
     """Matrices in F_q^{n x m} whose row space is a fixed u-dim subspace.
 
-    Alternating-sum form: sum_v (-1)^(u-v) q^(nv + C(u-v,2)) qbinom(u, v).
-    Must equal :func:`f0_product` (a tested identity).
+    Product form prod_{i<u} (q^n - q^i): such a matrix is C times a fixed
+    basis of the space, with the n x u coefficient matrix C of full column
+    rank.  The alternating sum
+    sum_v (-1)^(u-v) q^(nv + C(u-v,2)) qbinom(u, v) is the tested identity.
     """
-    _check_dims(u=u, n=n, m=m)
-    validate_field_order(q)
-    if u > min(n, m):
-        raise ValueError(f"u = {u} exceeds min(n, m) = {min(n, m)}")
-    total = 0
-    for v in range(u + 1):
-        k = u - v
-        term = q ** (n * v + k * (k - 1) // 2) * qbinom_ext(u, v, q)
-        total += -term if k % 2 else term
-    return total
-
-
-def f0_product(u: int, n: int, m: int, q: int) -> int:
-    """Product form of :func:`f0`: prod_{i<u} (q^n - q^i)."""
     _check_dims(u=u, n=n, m=m)
     validate_field_order(q)
     if u > min(n, m):

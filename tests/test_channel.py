@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gammacap import oracle
+from gammacap import channel, oracle, solver
 from gammacap.channel import (
     ChannelParams,
     RankDistribution,
@@ -26,8 +26,8 @@ from gammacap.channel import (
     rho_given_ranks,
     uniform_rank_distribution,
 )
-from gammacap.exactcomb import count_rank_matrices
-from gammacap.matrixfn import f0
+from gammacap.exactcomb import count_rank_matrices, qbinom_ext
+from gammacap.matrixfn import f0, f1, f2
 
 
 def _params(q, n, m, spec):
@@ -54,6 +54,43 @@ def _oracle_mutual_information(table, input_rank_probs, q):
         for y, pr in table[x].items():
             if pr:
                 total += float(w * pr) * log2_exact(pr / marginal[y])
+    return total
+
+
+def _rho_avg_every_rank(r, rx, params):
+    """rho_avg summed over every error rank, zero-probability ones included."""
+    return sum(
+        params.error_dist[rb] * rho_given_ranks(r, rx, rb, params)
+        for rb in range(params.rank_count)
+    )
+
+
+def _h_r_every_rank(r, params):
+    """h_r with each p(v, h) summed over every error rank, in the float
+    operation order of the channel module."""
+    q, n, m, mn = params.q, params.n, params.m, params.max_rank
+    total = 0.0
+    for v in range(mn + 1):
+        for h in range(max(0, r - v), r + 1):
+            if v + h > m:
+                continue
+            weight = (
+                q ** ((v - r + h) * h)
+                * qbinom_ext(m - r, v - r + h, q)
+                * qbinom_ext(r, r - h, q)
+            )
+            if weight == 0:
+                continue
+            p_vh = 0
+            for rb in range(h, min(mn, v + h) + 1):
+                p = params.error_dist[rb]
+                p = Fraction(p) if isinstance(p, (int, Fraction)) else p
+                p_vh += p * f1(r, v, h, rb, n, m, q) / count_rank_matrices(n, m, rb, q)
+            if p_vh == 0:
+                continue
+            total += weight * float(p_vh) * (
+                log2_exact(f0(v, n, m, q)) - log2_exact(p_vh)
+            )
     return total
 
 
@@ -114,11 +151,7 @@ class TestTransitionLaw:
         params = _params(2, 2, 2, "binomial:T=2,p=0.3")
         for rx in range(3):
             for r in range(3):
-                want = sum(
-                    params.error_dist[rb] * rho_given_ranks(r, rx, rb, params)
-                    for rb in range(3)
-                )
-                assert rho_avg(r, rx, params) == want
+                assert rho_avg(r, rx, params) == _rho_avg_every_rank(r, rx, params)
 
 
 class TestOutputRankLaw:
@@ -210,6 +243,88 @@ class TestMutualInformation:
         lhs = mutual_information(dist, params)
         rhs = output_entropy(dist, params) - conditional_entropy(dist, params)
         assert lhs == pytest.approx(rhs, abs=1e-14)
+
+
+_STALL_CHANNEL = (2, 16, 16, "binomial:T=4,p=0.1")
+
+
+class TestSupportPruning:
+    """Law sums skip error ranks of probability 0; their terms are exact
+    zeros, so nothing may change."""
+
+    @pytest.mark.parametrize("shape", [(2, 5, 7), (3, 4, 4), (5, 3, 6)])
+    @pytest.mark.parametrize(
+        "spec", ["constant:t=2", "iid:t=2", "binomial:T=3,p=0.2", "empirical:1/4,0,0,3/4"]
+    )
+    def test_exact_laws_match_every_rank_sum(self, shape, spec):
+        params = _params(*shape, spec)
+        for r in range(params.rank_count):
+            assert h_r(r, params) == _h_r_every_rank(r, params)
+            for rx in range(params.rank_count):
+                assert rho_avg(r, rx, params) == _rho_avg_every_rank(r, rx, params)
+
+    def test_float_law_matches_every_rank_sum(self):
+        params = ChannelParams(2, 5, 7, empirical_model([0.25, 0.0, 0.0, 0.75], 5, 7))
+        for r in range(params.rank_count):
+            assert h_r(r, params) == pytest.approx(_h_r_every_rank(r, params), abs=1e-12)
+            for rx in range(params.rank_count):
+                want = _rho_avg_every_rank(r, rx, params)
+                assert rho_avg(r, rx, params) == pytest.approx(want, abs=1e-12)
+
+    def test_float_law_beyond_float_range(self):
+        """Rank classes of a 33 x 33 binary matrix pass 2^1024, so a float
+        weight P(rB) / N_rB would overflow."""
+        law = empirical_model([0.5] + [0.0] * 32 + [0.5], 33, 33)
+        params = ChannelParams(2, 33, 33, law)
+        assert rho_avg(0, 0, params) == 0.5
+        assert rho_avg(33, 0, params) == 0.5
+
+    def test_workspace_calls_no_zero_weight_rank(self, monkeypatch):
+        params = _params(*_STALL_CHANNEL)
+        error_ranks = []
+
+        def recording(fn, rank_arg):
+            def wrapper(*args):
+                error_ranks.append(args[rank_arg])
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(channel, "f1", recording(channel.f1, 3))
+        monkeypatch.setattr(channel, "f2", recording(channel.f2, 2))
+        solver._workspace.cache_clear()
+        channel._h_r_cached.cache_clear()
+        solver._workspace(params)
+        assert error_ranks
+        assert all(params.error_dist[rb] != 0 for rb in error_ranks)
+
+
+class TestExactLawAtScale:
+    """Exact-law identities beyond the oracle's enumeration budget."""
+
+    def test_partition_identity(self):
+        q, n, m, _ = _STALL_CHANNEL
+        params = _params(*_STALL_CHANNEL)
+        ranks = range(params.rank_count)
+        for rb in ranks:
+            if params.error_dist[rb] == 0:
+                continue
+            for rx in ranks:
+                total = sum(f2(r, rx, rb, n, m, q) for r in ranks)
+                assert total == count_rank_matrices(n, m, rb, q)
+
+    def test_kernel_columns_sum_to_one(self):
+        params = _params(*_STALL_CHANNEL)
+        ranks = range(params.rank_count)
+        for rx in ranks:
+            assert sum(rho_avg(r, rx, params) for r in ranks) == 1
+
+    def test_mutual_information_matches_solver_objective(self):
+        params = _params(*_STALL_CHANNEL)
+        uniform = uniform_rank_distribution(params.n, params.m)
+        assert mutual_information(uniform, params) == pytest.approx(
+            solver.objective(uniform, params), abs=1e-9
+        )
 
 
 def _all_tuples(q, dim, t):

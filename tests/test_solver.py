@@ -1,5 +1,6 @@
 """Capacity solver: certificates, closed forms and cross-checks."""
 
+import logging
 import math
 import random
 
@@ -103,6 +104,20 @@ class TestCertificates:
 
 
 _NO_ERROR_16 = math.log2(sum(qbinom(16, u, 16) for u in range(17)))
+
+
+class TestTimingLog:
+    def test_maximize_logs_where_time_went(self, caplog):
+        params = _params(2, 3, 3, "iid:t=1")
+        with caplog.at_level(logging.INFO, logger="gammacap.solver"):
+            res = maximize(params)
+        (record,) = [r for r in caplog.records if r.name == "gammacap.solver"]
+        assert record.levelno == logging.INFO
+        message = record.getMessage()
+        assert "workspace build " in message and " s, solve " in message
+        assert f"{res.iterations} iterations" in message
+        assert f"gap {res.optimality_gap_bits:.3e} bits" in message
+        assert message.endswith(f"converged={res.converged}")
 
 
 class TestRegressionPins:
