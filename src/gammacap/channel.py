@@ -14,9 +14,8 @@ convention applies throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence, Tuple, Union
 
 from .exactcomb import (
@@ -54,8 +53,8 @@ class RankDistribution:
     """Probability distribution over matrix ranks 0..len(probs)-1.
 
     Entries are exact rationals when built from counts and floats otherwise.
-    An all-exact distribution must sum to exactly 1; a float-bearing one to
-    1 within 1e-12.
+    Every entry must be finite and non-negative.  An all-exact distribution
+    must sum to exactly 1; a float-bearing one to 1 within 1e-12.
     """
 
     probs: Tuple[Numeric, ...]
@@ -67,6 +66,8 @@ class RankDistribution:
         for i, p in enumerate(self.probs):
             if isinstance(p, bool) or not isinstance(p, (int, float, Fraction)):
                 raise ValueError(f"entry {i} is not a number: {p!r}")
+            if isinstance(p, float) and not math.isfinite(p):
+                raise ValueError(f"entry {i} is not finite: {p}")
             if p < 0:
                 raise ValueError(f"entry {i} is negative: {p}")
         total = sum(self.probs)
@@ -96,12 +97,21 @@ class RankDistribution:
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Field order, matrix shape and error rank distribution of a channel."""
+    """Field order, matrix shape and error rank distribution of a channel.
+
+    ``support`` holds (rB, P(rB) / N_rB) for every error rank rB of positive
+    probability, N_rB being the rank class size.  Law sums run over it only:
+    a term of probability 0 is an exact zero, so skipping it changes no
+    value.  Weights are exact even for a float law (a float converts
+    exactly), since a float P(rB) / N_rB overflows once N_rB leaves the
+    float range.
+    """
 
     q: int
     n: int
     m: int
     error_dist: RankDistribution
+    support: Tuple[Tuple[int, Fraction], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         validate_field_order(self.q)
@@ -111,6 +121,12 @@ class ChannelParams:
                 f"error distribution has {len(self.error_dist)} entries, "
                 f"need min(n, m) + 1 = {self.rank_count}"
             )
+        support = tuple(
+            (rB, Fraction(p) / count_rank_matrices(self.n, self.m, rB, self.q))
+            for rB, p in enumerate(self.error_dist)
+            if p != 0
+        )
+        object.__setattr__(self, "support", support)
 
     @property
     def max_rank(self) -> int:
@@ -143,23 +159,6 @@ def rho_given_ranks(r: int, rX: int, rB: int, params: ChannelParams) -> Fraction
     return Fraction(f2(r, rX, rB, n, m, q), count_rank_matrices(n, m, rB, q))
 
 
-@lru_cache(maxsize=None)
-def _support_weights(params: ChannelParams) -> Tuple[Tuple[int, Fraction], ...]:
-    """(rB, P(rB) / N_rB) for every error rank rB of positive probability.
-
-    N_rB is the rank class size.  Law sums run over this table only: a term
-    of probability 0 is an exact zero, so skipping it changes no value.
-    Weights are exact even for a float law (a float converts exactly), since
-    a float P(rB) / N_rB overflows once N_rB leaves the float range.
-    """
-    q, n, m = params.q, params.n, params.m
-    return tuple(
-        (rB, Fraction(p) / count_rank_matrices(n, m, rB, q))
-        for rB, p in enumerate(params.error_dist)
-        if p != 0
-    )
-
-
 def rho_avg(r: int, rX: int, params: ChannelParams) -> Numeric:
     """P(rank(X+B) = r) for fixed rank(X) = rX, averaged over error ranks.
 
@@ -167,9 +166,7 @@ def rho_avg(r: int, rX: int, params: ChannelParams) -> Numeric:
     """
     _check_rank(params, r=r, rX=rX)
     q, n, m = params.q, params.n, params.m
-    total = sum(
-        weight * f2(r, rX, rB, n, m, q) for rB, weight in _support_weights(params)
-    )
+    total = sum(weight * f2(r, rX, rB, n, m, q) for rB, weight in params.support)
     return total if params.error_dist.is_exact else float(total)
 
 
@@ -197,13 +194,19 @@ def output_rank_distribution(
     return RankDistribution(probs)
 
 
-@lru_cache(maxsize=None)
-def _h_r_cached(r: int, params: ChannelParams) -> float:
+def h_r(r: int, params: ChannelParams) -> float:
+    """Output entropy H(A(M+B)) in bits for a fixed input M of rank r.
+
+    The sum runs over row-space classes of the output, labelled by
+    (v, h) = (dim V, dim((U+V)/V)) against U = row(M): each class holds
+    weight-many spaces V, each reached with the same probability p(v, h),
+    and conditioned on row(A(M+B)) = V the output is uniform over the
+    f0(v) matrices with that row space.
+    """
+    _check_rank(params, r=r)
     q, n, m = params.q, params.n, params.m
-    mn = params.max_rank
-    support = _support_weights(params)
     total = 0.0
-    for v in range(mn + 1):
+    for v in range(params.max_rank + 1):
         log_count_v = None
         # h = dim((U+V)/V) runs from max(0, r-v) (forced by
         # dim(U cap V) <= v) up to r; out-of-range weights vanish.
@@ -219,7 +222,7 @@ def _h_r_cached(r: int, params: ChannelParams) -> float:
                 continue
             p_vh = sum(
                 w * f1(r, v, h, rB, n, m, q)
-                for rB, w in support
+                for rB, w in params.support
                 if h <= rB <= v + h
             )
             if p_vh == 0:
@@ -228,19 +231,6 @@ def _h_r_cached(r: int, params: ChannelParams) -> float:
                 log_count_v = log2_exact(f0(v, n, m, q))
             total += weight * float(p_vh) * (log_count_v - log2_exact(p_vh))
     return total
-
-
-def h_r(r: int, params: ChannelParams) -> float:
-    """Output entropy H(A(M+B)) in bits for a fixed input M of rank r.
-
-    The sum runs over row-space classes of the output, labelled by
-    (v, h) = (dim V, dim((U+V)/V)) against U = row(M): each class holds
-    weight-many spaces V, each reached with the same probability p(v, h),
-    and conditioned on row(A(M+B)) = V the output is uniform over the
-    f0(v) matrices with that row space.
-    """
-    _check_rank(params, r=r)
-    return _h_r_cached(r, params)
 
 
 def conditional_entropy(

@@ -53,17 +53,21 @@ def _check_dims(**dims: int) -> None:
             )
 
 
+def _falling(a: int, k: int, q: int, start: int = 0) -> int:
+    """prod_{start <= i < start + k} (q^a - q^i); 1 when k = 0."""
+    qa = q**a
+    out = 1
+    for i in range(start, start + k):
+        out *= qa - q**i
+    return out
+
+
 @lru_cache(maxsize=None)
 def _qbinom_checked(m: int, d: int, q: int) -> int:
     if d > m:
         return 0
     d = min(d, m - d)
-    num = 1
-    den = 1
-    for i in range(d):
-        num *= q**m - q**i
-        den *= q**d - q**i
-    quotient, remainder = divmod(num, den)
+    quotient, remainder = divmod(_falling(m, d, q), _falling(d, d, q))
     assert remainder == 0, "Gaussian binomial division must be exact"
     return quotient
 
@@ -97,7 +101,4 @@ def count_rank_matrices(n: int, m: int, r: int, q: int) -> int:
     validate_field_order(q)
     if r > min(n, m):
         return 0
-    out = _qbinom_checked(m, r, q)
-    for i in range(r):
-        out *= q**n - q**i
-    return out
+    return _qbinom_checked(m, r, q) * _falling(n, r, q)

@@ -27,6 +27,7 @@ from .exactcomb import (
     qbinom_ext,
     validate_field_order,
     _check_dims,
+    _falling,
 )
 
 
@@ -62,6 +63,16 @@ class DimProfile2(NamedTuple):
     dUVpWp: int
 
 
+def _meet_count(N: int, k: int, d: int, a: int, q: int) -> int:
+    """d-dim subspaces of an N-space meeting a fixed k-space in dimension a.
+
+    q^((d-a)(k-a)) * qbinom(N-k, d-a) * qbinom(k, a): the a-dim meet inside
+    the k-space, the (d-a)-dim image in the quotient by the k-space, and one
+    of q^((d-a)(k-a)) lifts of that image.  Callers keep 0 <= a <= min(d, k).
+    """
+    return q ** ((d - a) * (k - a)) * qbinom_ext(N - k, d - a, q) * qbinom_ext(k, a, q)
+
+
 def f_small(dU: int, dV: int, dW: int, q: int) -> int:
     """Subspaces W of U + V (direct sum) meeting both U and V trivially.
 
@@ -72,10 +83,7 @@ def f_small(dU: int, dV: int, dW: int, q: int) -> int:
     validate_field_order(q)
     if dW < 0 or dW > min(dU, dV):
         return 0
-    out = qbinom_ext(dU, dW, q)
-    for i in range(dW):
-        out *= q**dV - q**i
-    return out
+    return qbinom_ext(dU, dW, q) * _falling(dV, dW, q)
 
 
 def g_count(dU: int, dV: int, dW: int, dUW: int, dVW: int, q: int) -> int:
@@ -312,11 +320,7 @@ def _c_trivial_intersection(p1: DimProfile1, p2: DimProfile2, m: int, q: int) ->
             for s in range(p2.dWVp + 1):
                 sign = (-1) ** s * q ** (s * (s - 1) // 2)
                 for a_s in range(min(s, p2.dUWVp) + 1):
-                    choose_s = (
-                        q ** ((s - a_s) * (p2.dUWVp - a_s))
-                        * qbinom_ext(p2.dWVp - p2.dUWVp, s - a_s, q)
-                        * qbinom_ext(p2.dUWVp, a_s, q)
-                    )
+                    choose_s = _meet_count(p2.dWVp, p2.dUWVp, s, a_s, q)
                     if choose_s == 0:
                         continue
                     inner = _l_count(
@@ -352,11 +356,7 @@ def _c_count(d1: DimProfile1, d2: DimProfile2, m: int, q: int) -> int:
     # the factor counts the choices of S1 with dim(S1 cap U) = dUVpWp.
     k = d2.dVpWp
     ku = d2.dUVpWp
-    factor = (
-        q ** ((k - ku) * (dUVW - ku))
-        * qbinom_ext(dVW - dUVW, k - ku, q)
-        * qbinom_ext(dUVW, ku, q)
-    )
+    factor = _meet_count(dVW, dUVW, k, ku, q)
     if factor == 0:
         return 0
     d1_q = DimProfile1(
@@ -456,10 +456,7 @@ def f0(u: int, n: int, m: int, q: int) -> int:
     validate_field_order(q)
     if u > min(n, m):
         raise ValueError(f"u = {u} exceeds min(n, m) = {min(n, m)}")
-    out = 1
-    for i in range(u):
-        out *= q**n - q**i
-    return out
+    return _falling(n, u, q)
 
 
 def _phi(n: int, m: int, w: int, s: int, r: int, q: int) -> int:
@@ -470,13 +467,7 @@ def _phi(n: int, m: int, w: int, s: int, r: int, q: int) -> int:
     """
     if s < 0 or r < s or r > s + w or s > m - w:
         return 0
-    binom = qbinom_ext(w, r - s, q)
-    if binom == 0:
-        return 0
-    out = q ** (s * (w - (r - s))) * binom
-    for i in range(r - s):
-        out *= q**n - q ** (s + i)
-    return out
+    return q ** (s * (w - (r - s))) * qbinom_ext(w, r - s, q) * _falling(n, r - s, q, s)
 
 
 @lru_cache(maxsize=None)
@@ -492,17 +483,10 @@ def _f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:
         sign = (-1) ** ((v - w) % 2)
         mob = q ** ((v - w) * (v - w - 1) // 2)
         for a in range(max(0, w - (v - duv)), min(w, duv) + 1):
-            strata = (
-                q ** ((w - a) * (duv - a))
-                * qbinom_ext(v - duv, w - a, q)
-                * qbinom_ext(duv, a, q)
-            )
-            if strata == 0:
-                continue
             phi = _phi(n, m, w, u - a, r, q)
             if phi == 0:
                 continue
-            total += sign * mob * strata * phi
+            total += sign * mob * _meet_count(v, duv, w, a, q) * phi
     return total
 
 
@@ -521,32 +505,19 @@ def f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:
     return _f1(u, v, h, r, n, m, q)
 
 
-@lru_cache(maxsize=None)
-def _f2(r: int, rX: int, rB: int, n: int, m: int, q: int) -> int:
-    mn = min(n, m)
-    if r > mn or rX > mn or rB > mn:
-        return 0
-    total = 0
-    for hp in range(min(r, rX) + 1):
-        # hp = dim(V cap row X) over target row spaces V of X + B.
-        weight = q ** ((r - hp) * (rX - hp)) * qbinom_ext(m - rX, r - hp, q) * qbinom_ext(
-            rX, hp, q
-        )
-        if weight == 0:
-            continue
-        inner = _f1(rX, r, rX - hp, rB, n, m, q)
-        if inner:
-            total += weight * inner
-    return total
-
-
 def f2(r: int, rX: int, rB: int, n: int, m: int, q: int) -> int:
     """Rank-rB matrices B with rank(X + B) = r, for a fixed rank-rX matrix X.
 
-    Splits the target row space V = row(X+B) by hp = dim(V cap row X); the
-    number of such V is a fixed-dimension-intersection count and each
-    contributes f1(rX, r, rX - hp; rB).
+    Splits the target row space V = row(X+B) by hp = dim(V cap row X): there
+    are _meet_count(m, rX, r, hp) such V, and each contributes
+    f1(rX, r, rX - hp; rB).  Below hp = r + rX - m that count is 0, so the
+    sum starts there and never asks f1 for a term it would multiply by 0.
     """
     _check_dims(r=r, rX=rX, rB=rB, n=n, m=m)
     validate_field_order(q)
-    return _f2(r, rX, rB, n, m, q)
+    if max(r, rX, rB) > min(n, m):
+        return 0
+    return sum(
+        _meet_count(m, rX, r, hp, q) * _f1(rX, r, rX - hp, rB, n, m, q)
+        for hp in range(max(0, r + rX - m), min(r, rX) + 1)
+    )

@@ -126,6 +126,9 @@ def _as_vector(input_ranks: InputVector, size: int) -> List[float]:
         values = tuple(float(v) for v in input_ranks)
     if len(values) != size:
         raise ValueError(f"expected {size} entries, got {len(values)}")
+    for i, v in enumerate(values):
+        if not math.isfinite(v):
+            raise ValueError(f"input rank probability {i} is not finite: {v}")
     if any(v < 0 for v in values):
         raise ValueError("input rank probabilities must be non-negative")
     return list(values)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gammacap import channel, oracle, solver
+from gammacap import channel, matrixfn, oracle, solver
 from gammacap.channel import (
     ChannelParams,
     RankDistribution,
@@ -114,6 +114,17 @@ class TestRankDistribution:
             RankDistribution([True, 0])
         with pytest.raises(ValueError):
             RankDistribution(["0.5", "0.5"])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        """nan < 0 and abs(nan - 1) > tol are both false, so only an
+        explicit check keeps a NaN out of the law."""
+        with pytest.raises(ValueError, match="entry 0 is not finite"):
+            RankDistribution([bad, 1.0])
+
+    def test_nan_error_law_is_refused_up_front(self):
+        with pytest.raises(ValueError, match="entry 0 is not finite"):
+            empirical_model([math.nan, 1.0], 1, 1)
 
     def test_accessors(self):
         dist = RankDistribution([Fraction(1, 4), Fraction(3, 4)])
@@ -293,10 +304,31 @@ class TestSupportPruning:
         monkeypatch.setattr(channel, "f1", recording(channel.f1, 3))
         monkeypatch.setattr(channel, "f2", recording(channel.f2, 2))
         solver._workspace.cache_clear()
-        channel._h_r_cached.cache_clear()
         solver._workspace(params)
         assert error_ranks
         assert all(params.error_dist[rb] != 0 for rb in error_ranks)
+
+    def test_f2_calls_f1_only_at_nonzero_meet_counts(self, monkeypatch):
+        """Each f1 term of f2 is weighted by the number of target row spaces
+        meeting row X in dimension rX - h; where that number is 0, f1 must
+        not be asked (it would fill f1's cache with unused entries)."""
+        calls = []
+        original = matrixfn._f1
+
+        def recording(u, v, h, r, n, m, q):
+            calls.append((u, v, h, n, m, q))
+            return original(u, v, h, r, n, m, q)
+
+        monkeypatch.setattr(matrixfn, "_f1", recording)
+        for q, n, m in ((2, 2, 3), (2, 5, 3), (3, 4, 4), (2, 3, 6), (3, 6, 2)):
+            mn = min(n, m)
+            for r in range(mn + 1):
+                for rx in range(mn + 1):
+                    for rb in range(mn + 1):
+                        f2(r, rx, rb, n, m, q)
+        assert calls
+        for rx, r, h, n, m, q in calls:
+            assert matrixfn._meet_count(m, rx, r, rx - h, q) != 0
 
 
 class TestExactLawAtScale:

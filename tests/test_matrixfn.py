@@ -15,6 +15,7 @@ from gammacap.exactcomb import qbinom
 from gammacap.matrixfn import (
     DimProfile1,
     DimProfile2,
+    _meet_count,
     bdp_check,
     c_count,
     c_prime,
@@ -255,6 +256,35 @@ class TestPairCountAggregates:
             for (dVp, dWp, dVpWp), want in marginals.items():
                 got = c_prime(*d1, dVp, dWp, dVpWp, m, q)
                 assert got == want
+
+
+class TestMeetCount:
+    """Subspaces of an N-space by their meet with a fixed k-space."""
+
+    def test_meet_dimensions_partition_all_subspaces(self):
+        for q in (2, 3, 4):
+            for N in range(9):
+                for k in range(N + 1):
+                    for d in range(N + 1):
+                        total = sum(
+                            _meet_count(N, k, d, a, q) for a in range(min(k, d) + 1)
+                        )
+                        assert total == qbinom(N, d, q), (N, k, d, q)
+
+    @pytest.mark.parametrize("q, max_n", [(2, 4), (3, 3)])
+    def test_matches_enumeration(self, q, max_n):
+        for N in range(max_n + 1):
+            spaces = oracle.enumerate_subspaces(N, q)
+            for k in range(N + 1):
+                fixed = oracle.enumerate_subspaces(N, q, k)[-1]
+                counts = {}
+                for b in spaces:
+                    d = len(b)
+                    meet = k + d - len(oracle.rref_basis(list(fixed) + list(b), q))
+                    counts[d, meet] = counts.get((d, meet), 0) + 1
+                for d in range(N + 1):
+                    for a in range(min(k, d) + 1):
+                        assert _meet_count(N, k, d, a, q) == counts.get((d, a), 0)
 
 
 class TestRowSpaceCount:

@@ -43,6 +43,14 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="every rank positive mass"):
             maximize(params, SolverConfig(start_distribution=start))
 
+    def test_start_distribution_must_be_finite(self):
+        """A NaN start passed the sum and support checks and then emptied the
+        Blahut-Arimoto step's support, failing inside max()."""
+        params = _params(2, 1, 1, "constant:t=0")
+        start = [math.nan, 1.0]
+        with pytest.raises(ValueError, match="probability 0 is not finite"):
+            maximize(params, SolverConfig(start_distribution=start))
+
 
 class TestNoErrorClosedForm:
     def test_capacity_and_argmax(self):
@@ -207,6 +215,12 @@ class TestObjectiveAndGradient:
             gradient([0.5, 0.5], params)
         with pytest.raises(ValueError):
             gradient([1.0, -0.25, 0.25], params)
+
+    @pytest.mark.parametrize("evaluate", [objective, gradient])
+    def test_rejects_non_finite_vectors(self, evaluate):
+        params = _params(2, 1, 1, "constant:t=0")
+        with pytest.raises(ValueError, match="probability 0 is not finite"):
+            evaluate([math.nan, 1.0], params)
 
     def test_concavity_on_segments(self):
         params = _params(2, 2, 2, "binomial:T=2,p=0.3")
