@@ -99,10 +99,12 @@ class RankDistribution:
 class ChannelParams:
     """Field order, matrix shape and error rank distribution of a channel.
 
-    ``support`` holds (rB, P(rB) / N_rB) for every error rank rB of positive
-    probability, N_rB being the rank class size.  Law sums run over it only:
-    a term of probability 0 is an exact zero, so skipping it changes no
-    value.  Weights are exact even for a float law (a float converts
+    ``support`` holds (rB, c_rB) for every error rank rB of positive
+    probability: the weight P(rB) / N_rB (N_rB the rank class size) is the
+    integer numerator c_rB over the common denominator ``denominator``, the
+    lcm of the weights' denominators.  Law sums run over it only, since a
+    term of probability 0 is an exact zero, and add integers before making
+    one Fraction.  Weights are exact even for a float law (a float converts
     exactly), since a float P(rB) / N_rB overflows once N_rB leaves the
     float range.
     """
@@ -111,7 +113,8 @@ class ChannelParams:
     n: int
     m: int
     error_dist: RankDistribution
-    support: Tuple[Tuple[int, Fraction], ...] = field(init=False, repr=False, compare=False)
+    support: Tuple[Tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         validate_field_order(self.q)
@@ -121,12 +124,17 @@ class ChannelParams:
                 f"error distribution has {len(self.error_dist)} entries, "
                 f"need min(n, m) + 1 = {self.rank_count}"
             )
-        support = tuple(
+        weights = [
             (rB, Fraction(p) / count_rank_matrices(self.n, self.m, rB, self.q))
             for rB, p in enumerate(self.error_dist)
             if p != 0
+        ]
+        denominator = math.lcm(*(w.denominator for _, w in weights))
+        support = tuple(
+            (rB, w.numerator * (denominator // w.denominator)) for rB, w in weights
         )
         object.__setattr__(self, "support", support)
+        object.__setattr__(self, "denominator", denominator)
 
     @property
     def max_rank(self) -> int:
@@ -166,7 +174,9 @@ def rho_avg(r: int, rX: int, params: ChannelParams) -> Numeric:
     """
     _check_rank(params, r=r, rX=rX)
     q, n, m = params.q, params.n, params.m
-    total = sum(weight * f2(r, rX, rB, n, m, q) for rB, weight in params.support)
+    total = Fraction(
+        sum(c * f2(r, rX, rB, n, m, q) for rB, c in params.support), params.denominator
+    )
     return total if params.error_dist.is_exact else float(total)
 
 
@@ -176,22 +186,19 @@ def output_rank_distribution(
     """Rank distribution of the channel output A(X+B).
 
     A is invertible so rank(Y) = rank(X+B); the output law is the input law
-    pushed through the rank transition kernel.
+    pushed through the rank transition kernel.  Input ranks of probability 0
+    are skipped: their terms are exact zeros.
     """
     if len(input_ranks) != params.rank_count:
         raise ValueError(
             f"input distribution has {len(input_ranks)} entries, "
             f"need {params.rank_count}"
         )
-    probs = []
-    for r in range(params.rank_count):
-        probs.append(
-            sum(
-                input_ranks[rX] * rho_avg(r, rX, params)
-                for rX in range(params.rank_count)
-            )
-        )
-    return RankDistribution(probs)
+    support = [(rX, p) for rX, p in enumerate(input_ranks.probs) if p != 0]
+    return RankDistribution(
+        sum(p * rho_avg(r, rX, params) for rX, p in support)
+        for r in range(params.rank_count)
+    )
 
 
 def h_r(r: int, params: ChannelParams) -> float:
@@ -220,13 +227,14 @@ def h_r(r: int, params: ChannelParams) -> float:
             )
             if weight == 0:
                 continue
-            p_vh = sum(
-                w * f1(r, v, h, rB, n, m, q)
-                for rB, w in params.support
+            numerator = sum(
+                c * f1(r, v, h, rB, n, m, q)
+                for rB, c in params.support
                 if h <= rB <= v + h
             )
-            if p_vh == 0:
+            if numerator == 0:
                 continue
+            p_vh = Fraction(numerator, params.denominator)
             if log_count_v is None:
                 log_count_v = log2_exact(f0(v, n, m, q))
             total += weight * float(p_vh) * (log_count_v - log2_exact(p_vh))

@@ -21,7 +21,7 @@ u - h.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, Tuple
 
 from .exactcomb import (
     qbinom_ext,
@@ -470,6 +470,22 @@ def _phi(n: int, m: int, w: int, s: int, r: int, q: int) -> int:
     return q ** (s * (w - (r - s))) * qbinom_ext(w, r - s, q) * _falling(n, r - s, q, s)
 
 
+@lru_cache(maxsize=128)
+def _f1_terms(v: int, duv: int, q: int) -> Tuple[Tuple[int, int, int], ...]:
+    """Moebius terms (w, a, coefficient) of f1 for dim V = v, dim(U cap V) = duv.
+
+    The coefficient (-1)^(v-w) q^C(v-w,2) _meet_count(v, duv, w, a) covers the
+    w-dim V'' <= V meeting U cap V in dimension a; it depends on neither the
+    error rank nor the matrix shape, so one table serves every f1 call.
+    """
+    return tuple(
+        (w, a, (-1) ** ((v - w) % 2) * q ** ((v - w) * (v - w - 1) // 2)
+         * _meet_count(v, duv, w, a, q))
+        for w in range(v + 1)
+        for a in range(max(0, w - (v - duv)), min(w, duv) + 1)
+    )
+
+
 @lru_cache(maxsize=None)
 def _f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:
     mn = min(n, m)
@@ -477,17 +493,7 @@ def _f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:
         return 0
     if h > u or v + h > m or v < u - h or r < h or r > v + h:
         return 0
-    duv = u - h
-    total = 0
-    for w in range(v + 1):
-        sign = (-1) ** ((v - w) % 2)
-        mob = q ** ((v - w) * (v - w - 1) // 2)
-        for a in range(max(0, w - (v - duv)), min(w, duv) + 1):
-            phi = _phi(n, m, w, u - a, r, q)
-            if phi == 0:
-                continue
-            total += sign * mob * _meet_count(v, duv, w, a, q) * phi
-    return total
+    return sum(c * _phi(n, m, w, u - a, r, q) for w, a, c in _f1_terms(v, u - h, q))
 
 
 def f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 from .channel import (
     ChannelParams,
@@ -46,8 +47,8 @@ class SolverConfig:
     start_distribution: Optional[RankDistribution] = None
 
     def __post_init__(self) -> None:
-        if not self.tolerance_bits > 0:
-            raise ValueError("tolerance_bits must be positive")
+        if not 0 < self.tolerance_bits < math.inf:
+            raise ValueError("tolerance_bits must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -65,52 +66,44 @@ class CapacityResult:
 
 
 class _Workspace:
-    """Per-channel precomputation: h_r vector and the rank transition kernel."""
+    """Per-channel precomputation: h_r vector and the rank transition kernel.
+
+    Only nonzero kernel entries are kept, as (index, T) pairs by output row
+    and by input column; sums keep their order and differ from dense ones
+    only by exact 0.0 terms, so every value is unchanged."""
 
     def __init__(self, params: ChannelParams):
-        k = params.rank_count
-        self.size = k
-        self.h_vec: Tuple[float, ...] = tuple(h_r(r, params) for r in range(k))
-        self.kernel: Tuple[Tuple[float, ...], ...] = tuple(
-            tuple(float(rho_avg(ry, rx, params)) for rx in range(k))
-            for ry in range(k)
-        )
-        self.log_class: Tuple[float, ...] = tuple(
-            log2_exact(rank_class_size(params, r)) for r in range(k)
-        )
+        k = self.size = params.rank_count
+        self.h_vec = tuple(h_r(r, params) for r in range(k))
+        kernel = [[float(rho_avg(ry, rx, params)) for rx in range(k)] for ry in range(k)]
+        self.rows = [[(a, t) for a, t in enumerate(row) if t] for row in kernel]
+        self.columns = [[(ry, t) for ry, t in enumerate(col) if t] for col in zip(*kernel)]
+        self.log_class = tuple(log2_exact(rank_class_size(params, r)) for r in range(k))
 
     def output_probs(self, x: Sequence[float]) -> List[float]:
-        return [
-            sum(row[a] * x[a] for a in range(self.size) if x[a] != 0)
-            for row in self.kernel
-        ]
+        return [sum([t * x[a] for a, t in row], 0.0) for row in self.rows]
 
     def objective(self, x: Sequence[float]) -> float:
         h_y = 0.0
-        for ry, p in enumerate(self.output_probs(x)):
+        for p, log_class in zip(self.output_probs(x), self.log_class):
             if p > 0:
-                h_y -= p * (math.log2(p) - self.log_class[ry])
-        h_y_given_x = sum(x[a] * self.h_vec[a] for a in range(self.size))
-        return h_y - h_y_given_x
+                h_y -= p * (math.log2(p) - log_class)
+        return h_y - sum(map(operator.mul, x, self.h_vec))
 
     def gradient(self, x: Sequence[float]) -> List[float]:
-        out = self.output_probs(x)
         log_terms = [
-            (math.log2(p) - self.log_class[ry] + _LOG2E) if p > 0 else None
-            for ry, p in enumerate(out)
+            (math.log2(p) - log_class + _LOG2E) if p > 0 else None
+            for p, log_class in zip(self.output_probs(x), self.log_class)
         ]
         grad = []
-        for a in range(self.size):
+        for h, column in zip(self.h_vec, self.columns):
             acc = 0.0
-            for ry in range(self.size):
-                t = self.kernel[ry][a]
-                if t == 0:
-                    continue
+            for ry, t in column:
                 if log_terms[ry] is None:
                     acc = -math.inf
                     break
                 acc += t * log_terms[ry]
-            grad.append(-self.h_vec[a] - acc)
+            grad.append(-h - acc)
         return grad
 
 

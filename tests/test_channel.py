@@ -94,6 +94,44 @@ def _h_r_every_rank(r, params):
     return total
 
 
+def _rho_avg_exact_weights(r, rx, params):
+    """rho_avg as a sum of per-rank Fraction terms P(rB) f2 / N_rB over every
+    error rank (a float P(rB) converted exactly), rounded once for a float
+    law."""
+    total = sum(
+        Fraction(params.error_dist[rb]) * rho_given_ranks(r, rx, rb, params)
+        for rb in range(params.rank_count)
+    )
+    return total if params.error_dist.is_exact else float(total)
+
+
+def _h_r_exact_weights(r, params):
+    """h_r with each p(v, h) a sum of per-rank Fraction terms over every
+    error rank, in the float operation order of the channel module."""
+    q, n, m, mn = params.q, params.n, params.m, params.max_rank
+    total = 0.0
+    for v in range(mn + 1):
+        for h in range(max(0, r - v), r + 1):
+            weight = (
+                q ** ((v - r + h) * h)
+                * qbinom_ext(m - r, v - r + h, q)
+                * qbinom_ext(r, r - h, q)
+            )
+            if v + h > m or weight == 0:
+                continue
+            p_vh = sum(
+                Fraction(params.error_dist[rb])
+                * Fraction(f1(r, v, h, rb, n, m, q), count_rank_matrices(n, m, rb, q))
+                for rb in range(h, min(mn, v + h) + 1)
+            )
+            if p_vh == 0:
+                continue
+            total += weight * float(p_vh) * (
+                log2_exact(f0(v, n, m, q)) - log2_exact(p_vh)
+            )
+    return total
+
+
 class TestRankDistribution:
     def test_exact_sum_enforced(self):
         with pytest.raises(ValueError):
@@ -188,6 +226,36 @@ class TestOutputRankLaw:
         out_m = output_rank_distribution(mixed, params)
         for r in range(3):
             assert out_m[r] == lam * out_a[r] + (1 - lam) * out_b[r]
+
+    @pytest.mark.parametrize(
+        "law", [[Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)], [0.5, 0.3, 0.2]]
+    )
+    def test_zero_input_ranks_cost_nothing(self, monkeypatch, law):
+        """A point-mass input needs one kernel column, k rho_avg calls, and
+        skipping the other columns changes no value, exact or float."""
+        params = ChannelParams(2, 3, 2, empirical_model(law, 3, 2))
+        k = params.rank_count
+        inputs = [
+            RankDistribution([Fraction(0), Fraction(1), Fraction(0)]),
+            RankDistribution([0.0, 0.25, 0.75]),
+        ]
+        every_column = [
+            [sum(x[rx] * rho_avg(r, rx, params) for rx in range(k)) for r in range(k)]
+            for x in inputs
+        ]
+        calls = []
+
+        def counting(r, rx, p):
+            calls.append((r, rx))
+            return rho_avg(r, rx, p)
+
+        monkeypatch.setattr(channel, "rho_avg", counting)
+        output_rank_distribution(inputs[0], params)
+        assert sorted(calls) == [(r, 1) for r in range(k)]
+        for x, want in zip(inputs, every_column):
+            got = list(output_rank_distribution(x, params).probs)
+            assert [type(p) for p in got] == [type(p) for p in want]
+            assert got == want
 
     def test_delta_input_delta_error(self):
         """A zero input under exactly-t errors outputs rank t surely."""
@@ -289,6 +357,36 @@ class TestSupportPruning:
         params = ChannelParams(2, 33, 33, law)
         assert rho_avg(0, 0, params) == 0.5
         assert rho_avg(33, 0, params) == 0.5
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            _params(2, 5, 7, "binomial:T=3,p=0.2"),
+            _params(3, 4, 4, "empirical:1/4,0,0,3/4"),
+            ChannelParams(2, 5, 7, empirical_model([0.1, 0.0, 0.3, 0.6], 5, 7)),
+            ChannelParams(3, 6, 4, empirical_model([0.0, 1 / 3, 0.0, 0.2, 7 / 15], 6, 4)),
+        ],
+        ids=["exact", "exact-sparse", "float", "float-thirds"],
+    )
+    def test_common_denominator_is_bit_identical(self, params):
+        """Numerators over one denominator give the same Fraction, and the
+        same rounded float, as per-rank Fraction weights."""
+        ranks = range(params.rank_count)
+        for r in ranks:
+            assert float.hex(h_r(r, params)) == float.hex(_h_r_exact_weights(r, params))
+            for rx in ranks:
+                got, want = rho_avg(r, rx, params), _rho_avg_exact_weights(r, rx, params)
+                assert type(got) is type(want)
+                assert got == want
+                if isinstance(want, float):
+                    assert float.hex(got) == float.hex(want)
+
+    def test_common_denominator_beyond_float_range(self):
+        law = empirical_model([0.5] + [0.0] * 32 + [0.5], 33, 33)
+        params = ChannelParams(2, 33, 33, law)
+        for r in (0, 1, 32, 33):
+            want = _rho_avg_exact_weights(r, 0, params)
+            assert float.hex(rho_avg(r, 0, params)) == float.hex(want)
 
     def test_workspace_calls_no_zero_weight_rank(self, monkeypatch):
         params = _params(*_STALL_CHANNEL)

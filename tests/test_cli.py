@@ -101,6 +101,19 @@ class TestCapacityCommand:
         assert code == 2 and out == ""
         assert stderr_diagnostic(err)["exit_code"] == 2
 
+    @pytest.mark.parametrize("tolerance", ["inf", "nan"])
+    def test_non_finite_tolerance_exit_2(self, capsys, tolerance):
+        """--tol inf used to report "converged": true and write the
+        tolerance as Infinity, which is not JSON."""
+        code, out, err = run_cli(
+            capsys, "capacity", "--q", "2", "--n", "3", "--m", "3",
+            "--error", "constant:t=1", "--tol", tolerance,
+        )
+        assert code == 2 and out == ""
+        diagnostic = stderr_diagnostic(err)
+        assert diagnostic["exit_code"] == 2
+        assert "finite" in diagnostic["error"]
+
     def test_bad_error_model_exit_2(self, capsys):
         code, out, err = run_cli(
             capsys, "capacity", "--q", "2", "--n", "2", "--m", "2",

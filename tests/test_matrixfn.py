@@ -10,12 +10,13 @@ import random
 
 import pytest
 
-from gammacap import oracle
+from gammacap import matrixfn, oracle
 from gammacap.exactcomb import qbinom
 from gammacap.matrixfn import (
     DimProfile1,
     DimProfile2,
     _meet_count,
+    _phi,
     bdp_check,
     c_count,
     c_prime,
@@ -285,6 +286,47 @@ class TestMeetCount:
                 for d in range(N + 1):
                     for a in range(min(k, d) + 1):
                         assert _meet_count(N, k, d, a, q) == counts.get((d, a), 0)
+
+
+def _f1_per_call_mobius(u, v, h, r, n, m, q):
+    """f1 with its Moebius coefficients recomputed on every call."""
+    mn = min(n, m)
+    if u > mn or v > mn or r > mn:
+        return 0
+    if h > u or v + h > m or v < u - h or r < h or r > v + h:
+        return 0
+    duv = u - h
+    total = 0
+    for w in range(v + 1):
+        sign = (-1) ** ((v - w) % 2)
+        mob = q ** ((v - w) * (v - w - 1) // 2)
+        for a in range(max(0, w - (v - duv)), min(w, duv) + 1):
+            phi = _phi(n, m, w, u - a, r, q)
+            if phi == 0:
+                continue
+            total += sign * mob * _meet_count(v, duv, w, a, q) * phi
+    return total
+
+
+class TestF1TermTable:
+    """f1 reads its Moebius coefficients from a bounded table keyed on
+    (dim V, dim(U cap V), q); the counts must not change."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_matches_per_call_mobius_sum(self, q):
+        uncached_f1 = matrixfn._f1.__wrapped__
+        for n in range(1, 7):
+            for m in range(1, 7):
+                ranks = range(min(n, m) + 2)
+                for u in ranks:
+                    for v in ranks:
+                        for h in range(u + 1):
+                            for r in ranks:
+                                want = _f1_per_call_mobius(u, v, h, r, n, m, q)
+                                assert uncached_f1(u, v, h, r, n, m, q) == want
+
+    def test_table_is_bounded(self):
+        assert matrixfn._f1_terms.cache_info().maxsize == 128
 
 
 class TestRowSpaceCount:

@@ -6,13 +6,14 @@ import random
 
 import pytest
 
-from gammacap import oracle
+from gammacap import oracle, solver
 from gammacap.channel import (
     ChannelParams,
     RankDistribution,
     constant_rank_model,
     mutual_information,
     parse_error_model,
+    rho_avg,
 )
 from gammacap.exactcomb import qbinom
 from gammacap.solver import CapacityResult, SolverConfig, gradient, maximize, objective
@@ -28,6 +29,13 @@ class TestSolverConfig:
             SolverConfig(tolerance_bits=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=0)
+
+    @pytest.mark.parametrize("tolerance", [math.inf, math.nan])
+    def test_tolerance_must_be_finite(self, tolerance):
+        """An infinite tolerance certified any point after one iteration (a
+        0.45-bit gap on a 3 x 3 channel counted as converged)."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolverConfig(tolerance_bits=tolerance)
 
     def test_start_distribution_must_match_alphabet(self):
         params = _params(2, 2, 2, "constant:t=0")
@@ -234,6 +242,105 @@ class TestObjectiveAndGradient:
                 mid = [lam * x + (1 - lam) * y for x, y in zip(a, b)]
                 bound = lam * objective(a, params) + (1 - lam) * objective(b, params)
                 assert objective(mid, params) >= bound - 1e-10
+
+
+class _DenseWorkspace:
+    """The solver workspace's formulas over the full k x k kernel, zero
+    entries included."""
+
+    def __init__(self, params):
+        ws = solver._workspace(params)
+        k = self.size = params.rank_count
+        self.h_vec, self.log_class = ws.h_vec, ws.log_class
+        self.kernel = [[float(rho_avg(ry, rx, params)) for rx in range(k)] for ry in range(k)]
+
+    def output_probs(self, x):
+        return [
+            sum(row[a] * x[a] for a in range(self.size) if x[a] != 0)
+            for row in self.kernel
+        ]
+
+    def objective(self, x):
+        h_y = 0.0
+        for ry, p in enumerate(self.output_probs(x)):
+            if p > 0:
+                h_y -= p * (math.log2(p) - self.log_class[ry])
+        h_y_given_x = sum(x[a] * self.h_vec[a] for a in range(self.size))
+        return h_y - h_y_given_x
+
+    def gradient(self, x):
+        out = self.output_probs(x)
+        log_terms = [
+            (math.log2(p) - self.log_class[ry] + math.log2(math.e)) if p > 0 else None
+            for ry, p in enumerate(out)
+        ]
+        grad = []
+        for a in range(self.size):
+            acc = 0.0
+            for ry in range(self.size):
+                t = self.kernel[ry][a]
+                if t == 0:
+                    continue
+                if log_terms[ry] is None:
+                    acc = -math.inf
+                    break
+                acc += t * log_terms[ry]
+            grad.append(-self.h_vec[a] - acc)
+        return grad
+
+
+def _hex(values):
+    return [float.hex(v) for v in values]
+
+
+class TestSparseWorkspace:
+    """The workspace keeps only nonzero kernel entries; output law,
+    objective and gradient must equal the dense sums bit for bit."""
+
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            (2, 2, 2, "constant:t=0"),
+            (2, 3, 5, "constant:t=1"),
+            (3, 4, 4, "iid:t=2"),
+            (2, 5, 3, "binomial:T=2,p=0.2"),
+            (4, 6, 4, "constant:t=4"),
+            (2, 6, 14, "constant:t=1"),
+        ],
+    )
+    def test_matches_dense_kernel_sums(self, channel):
+        params = _params(*channel)
+        ws, dense = solver._workspace(params), _DenseWorkspace(params)
+        k = params.rank_count
+        assert any(t == 0 for row in dense.kernel for t in row)
+        rng = random.Random(5)
+        points = [[1.0 / k] * k]
+        points += [[float(a == b) for b in range(k)] for a in range(k)]
+        for _ in range(10):
+            raw = [rng.random() * (rng.random() < 0.7) for _ in range(k)]
+            raw[rng.randrange(k)] += 0.5
+            # Off the simplex as well as on it.
+            points.append(raw)
+            points.append([v / sum(raw) for v in raw])
+        for x in points:
+            assert _hex(ws.output_probs(x)) == _hex(dense.output_probs(x))
+            assert float.hex(ws.objective(x)) == float.hex(dense.objective(x))
+            assert _hex(ws.gradient(x)) == _hex(dense.gradient(x))
+
+    def test_maximize_runs_unchanged(self, monkeypatch):
+        params = _params(4, 6, 4, "constant:t=4")
+        config = SolverConfig(max_iterations=300)
+        sparse = maximize(params, config)
+        dense = _DenseWorkspace(params)
+        monkeypatch.setattr(solver, "_workspace", lambda _: dense)
+        assert maximize(params, config) == sparse
+
+    def test_infinite_gradient_toward_unreached_class(self):
+        params = _params(2, 2, 2, "constant:t=0")
+        ws, dense = solver._workspace(params), _DenseWorkspace(params)
+        x = [1.0, 0.0, 0.0]
+        assert _hex(ws.gradient(x)) == _hex(dense.gradient(x))
+        assert ws.gradient(x)[1:] == [math.inf, math.inf]
 
 
 class TestFlatChannel:
