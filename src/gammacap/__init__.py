@@ -14,7 +14,6 @@ from .exactcomb import count_rank_matrices, is_prime_power, qbinom, validate_fie
 from .matrixfn import (
     DimProfile1,
     DimProfile2,
-    bdp_check,
     c_count,
     c_prime,
     f0,
@@ -55,7 +54,6 @@ __all__ = [
     "DimProfile2",
     "RankDistribution",
     "SolverConfig",
-    "bdp_check",
     "binomial_packets_model",
     "c_count",
     "c_prime",

@@ -58,6 +58,7 @@ class RankDistribution:
     """
 
     probs: Tuple[Numeric, ...]
+    is_exact: bool = field(init=False, repr=False, compare=False)
 
     def __init__(self, probs: Iterable[Numeric]):
         object.__setattr__(self, "probs", tuple(probs))
@@ -71,15 +72,12 @@ class RankDistribution:
             if p < 0:
                 raise ValueError(f"entry {i} is negative: {p}")
         total = sum(self.probs)
+        object.__setattr__(self, "is_exact", all(_is_exact(p) for p in self.probs))
         if self.is_exact:
             if total != 1:
                 raise ValueError(f"exact probabilities sum to {total}, not 1")
         elif abs(total - 1) > _SUM_TOLERANCE:
             raise ValueError(f"probabilities sum to {float(total)!r}, not 1")
-
-    @property
-    def is_exact(self) -> bool:
-        return all(_is_exact(p) for p in self.probs)
 
     @property
     def max_rank(self) -> int:

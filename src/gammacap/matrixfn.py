@@ -12,7 +12,10 @@ subspaces or subspace pairs with prescribed dimension profiles.
 
 Everything is exact integer arithmetic.  Well-formed but combinatorially
 impossible profiles count zero configurations and return 0; negative
-dimensions are programming errors and raise.
+dimensions are programming errors and raise.  :func:`c_count` and
+:func:`c_prime` check once, at entry, that the triple profile is realizable
+(and :func:`c_count` that d2 lies in :func:`c_prime`'s loop box); below
+them the recursion counts 0 for every other infeasible profile unfiltered.
 
 ``h`` throughout is the quotient dimension dim((U+V)/V), so dim(U cap V) is
 u - h.
@@ -164,38 +167,6 @@ def l_count(
     return _l_count(m, dU, dV, dW, dUV, dUW, dVW, dUVW, q)
 
 
-_BDP2_CHAINS = (
-    # Each row: (A, B1, B2, C) evaluated on (d1, d2); encodes the chain
-    # A <= B1, A <= B2, B1 <= C, B2 <= C.  Every expression is the dimension
-    # of a join (of subspaces or of pairwise meets), monotone under
-    # shrinking V -> V' and W -> W'.
-    lambda d1, d2: (
-        d2.dVp + d2.dWp - d2.dVpWp,
-        d1.dV + d2.dWp - d2.dVWp,
-        d1.dW + d2.dVp - d2.dWVp,
-        d1.dV + d1.dW - d1.dVW,
-    ),
-    lambda d1, d2: (
-        d2.dUVp + d2.dVpWp - d2.dUVpWp,
-        d1.dUV + d2.dVWp - d2.dUVWp,
-        d2.dUVp + d2.dWVp - d2.dUWVp,
-        d1.dUV + d1.dVW - d1.dUVW,
-    ),
-    lambda d1, d2: (
-        d2.dUWp + d2.dVpWp - d2.dUVpWp,
-        d2.dUWp + d2.dVWp - d2.dUVWp,
-        d1.dUW + d2.dWVp - d2.dUWVp,
-        d1.dUW + d1.dVW - d1.dUVW,
-    ),
-    lambda d1, d2: (
-        d2.dUVp + d2.dUWp - d2.dUVpWp,
-        d1.dUV + d2.dUWp - d2.dUVWp,
-        d2.dUVp + d1.dUW - d2.dUWVp,
-        d1.dUV + d1.dUW - d1.dUVW,
-    ),
-)
-
-
 def _as_profile1(d1: Sequence[int]) -> DimProfile1:
     p = DimProfile1(*d1)
     _check_dims(**p._asdict())
@@ -206,57 +177,6 @@ def _as_profile2(d2: Sequence[int]) -> DimProfile2:
     p = DimProfile2(*d2)
     _check_dims(**p._asdict())
     return p
-
-
-def bdp_check(d1: Sequence[int], d2: Sequence[int], m: int) -> bool:
-    """Whether (d1, d2) satisfies every basic dimension inequality.
-
-    These are the inequalities any genuine configuration of subspaces
-    (U, V, W) with pair (V' <= V, W' <= W) must satisfy; profiles failing any
-    of them cannot be realized and count zero pairs.
-    """
-    p1 = _as_profile1(d1)
-    p2 = _as_profile2(d2)
-    _check_dims(m=m)
-    dU, dV, dW, dUV, dUW, dVW, dUVW = p1
-    if max(dU, dV, dW) > m:
-        return False
-    if dUV > min(dU, dV) or dUW > min(dU, dW) or dVW > min(dV, dW):
-        return False
-    if dUVW > min(dUV, dUW, dVW):
-        return False
-    joins = (
-        dU + dV - dUV,
-        dU + dW - dUW,
-        dV + dW - dVW,
-        dUV + dVW - dUVW,
-        dUW + dVW - dUVW,
-        dUV + dUW - dUVW,
-    )
-    if any(j > m for j in joins):
-        return False
-
-    if p2.dVp > dV or p2.dWp > dW:
-        return False
-    if p2.dVp - p2.dUVp > dV - dUV or p2.dWp - p2.dUWp > dW - dUW:
-        return False
-    if p2.dUVp > min(dUV, p2.dVp) or p2.dUWp > min(dUW, p2.dWp):
-        return False
-    if p2.dVWp > min(dVW, p2.dWp) or p2.dWVp > min(dVW, p2.dVp):
-        return False
-    if p2.dVpWp > min(p2.dVWp, p2.dWVp):
-        return False
-    if p2.dUVWp > min(dUVW, p2.dUWp, p2.dVWp):
-        return False
-    if p2.dUWVp > min(dUVW, p2.dUVp, p2.dWVp):
-        return False
-    if p2.dUVpWp > min(p2.dUVWp, p2.dUWVp, p2.dVpWp):
-        return False
-    for chain in _BDP2_CHAINS:
-        a, b1, b2, c = chain(p1, p2)
-        if a > b1 or a > b2 or b1 > c or b2 > c:
-            return False
-    return True
 
 
 def _realizable_with_sum_condition(p1: DimProfile1, m: int) -> bool:
@@ -339,12 +259,8 @@ def _c_trivial_intersection(p1: DimProfile1, p2: DimProfile2, m: int, q: int) ->
     return total
 
 
-@lru_cache(maxsize=None)
 def _c_count(d1: DimProfile1, d2: DimProfile2, m: int, q: int) -> int:
-    if not bdp_check(d1, d2, m):
-        return 0
-    if not _realizable_with_sum_condition(d1, m):
-        return 0
+    """c_count for a realizable d1 and a d2 inside c_prime's loop box."""
     dU, dV, dW, dUV, dUW, dVW, dUVW = d1
     if d2.dVp == 0:
         # V' = 0 forces W' = U, so U <= W and the whole profile is pinned.
@@ -382,12 +298,25 @@ def c_count(d1: Sequence[int], d2: Sequence[int], m: int, q: int) -> int:
 
     (U, V, W) is any triple with profile ``d1`` satisfying W + V = U + V;
     the count depends only on the profiles and the ambient dimension.
-    Returns 0 when no such triple exists or any dimension inequality fails.
+    Returns 0 unless such a triple exists and d2 keeps every meet inside
+    the meets it refines (the seven bounds of :func:`c_prime`'s loops, e.g.
+    dUVpWp <= min(dUVWp, dUWVp, dVpWp)); every other infeasible d2 counts
+    zero through the recursion itself.
     """
     p1 = _as_profile1(d1)
     p2 = _as_profile2(d2)
     _check_dims(m=m)
     validate_field_order(q)
+    if not _realizable_with_sum_condition(p1, m) or (
+        p2.dUVp > min(p1.dUV, p2.dVp)
+        or p2.dUWp > min(p1.dUW, p2.dWp)
+        or p2.dVWp > min(p1.dVW, p2.dWp)
+        or p2.dWVp > min(p1.dVW, p2.dVp)
+        or p2.dUVWp > min(p1.dUVW, p2.dUWp, p2.dVWp)
+        or p2.dUWVp > min(p1.dUVW, p2.dUVp, p2.dWVp)
+        or p2.dUVpWp > min(p2.dUVWp, p2.dUWVp, p2.dVpWp)
+    ):
+        return 0
     return _c_count(p1, p2, m, q)
 
 
@@ -409,11 +338,14 @@ def c_prime(
 
     Sums :func:`c_count` over the seven remaining profile entries.  Ranges
     are pruned to where the dimension inequalities can hold; all excluded
-    terms are zero by definition.
+    terms are zero by definition.  Realizability of d1 is checked once here,
+    so each term skips :func:`c_count`'s entry checks.
     """
     p1 = _as_profile1((dU, dV, dW, dUV, dUW, dVW, dUVW))
     _check_dims(dVp=dVp, dWp=dWp, dVpWp=dVpWp, m=m)
     validate_field_order(q)
+    if not _realizable_with_sum_condition(p1, m):
+        return 0
     total = 0
     for dUVp in range(min(dUV, dVp) + 1):
         for dUWp in range(min(dUW, dWp) + 1):

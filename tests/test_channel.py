@@ -172,6 +172,20 @@ class TestRankDistribution:
         assert dist[1] == Fraction(3, 4)
         assert dist.as_floats() == (0.25, 0.75)
 
+    def test_exactness_is_fixed_at_construction(self, monkeypatch):
+        """is_exact is a stored field outside repr, equality and hash, so
+        rho_avg reads it without rescanning the law."""
+        exact = RankDistribution([Fraction(1, 4), Fraction(3, 4)])
+        floats = RankDistribution([0.25, 0.75])
+        assert exact.is_exact and not floats.is_exact
+        assert repr(exact) == "RankDistribution(probs=(Fraction(1, 4), Fraction(3, 4)))"
+        assert exact == floats and hash(exact) == hash(floats)
+        params = ChannelParams(2, 2, 2, RankDistribution([Fraction(1, 2), 0, Fraction(1, 2)]))
+        calls = []
+        monkeypatch.setattr(channel, "_is_exact", lambda v: calls.append(v) or True)
+        assert isinstance(rho_avg(1, 1, params), Fraction)
+        assert calls == []
+
 
 class TestChannelParams:
     def test_validates_shape_against_error_length(self):

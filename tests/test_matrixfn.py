@@ -6,6 +6,7 @@ subspace-pair counts (c_count, c_prime) and the three matrix counts
 fields, where every closed form can be checked case by case.
 """
 
+import itertools
 import random
 
 import pytest
@@ -17,7 +18,6 @@ from gammacap.matrixfn import (
     DimProfile2,
     _meet_count,
     _phi,
-    bdp_check,
     c_count,
     c_prime,
     f0,
@@ -203,11 +203,17 @@ class TestPairCounts:
             assert checked == picks
 
     def test_unrealizable_profile_counts_zero(self):
-        """Profiles violating the span condition admit no pairs at all."""
-        d1 = (2, 1, 1, 1, 1, 1, 1)
-        assert oracle.realize_configuration(d1, 3, 2) is None
-        for d2 in _pruned_d2(DimProfile1(*d1)):
-            assert c_count(d1, d2, 3, 2) == 0
+        """Profiles violating the span condition admit no pairs at all.
+
+        For (0, 2, 1, 0, 0, 0, 0), a line W off a plane V with U = 0, the
+        recursion alone gives c_prime(..., 1, 0, 0) = 3, so c_prime must
+        check realizability at entry."""
+        for d1 in ((2, 1, 1, 1, 1, 1, 1), (0, 2, 1, 0, 0, 0, 0)):
+            assert oracle.realize_configuration(d1, 3, 2) is None
+            for d2 in _pruned_d2(DimProfile1(*d1)):
+                assert c_count(d1, d2, 3, 2) == 0, (d1, d2)
+            for coarse in itertools.product(range(4), repeat=3):
+                assert c_prime(*d1, *coarse, 3, 2) == 0, (d1, coarse)
 
     def test_triple_overcount_profile_kept(self):
         """Three distinct lines of F_2^2: the naive seven-term alternating
@@ -215,7 +221,6 @@ class TestPairCounts:
         (V', W') = (V, W) pair exists and must be counted."""
         d1 = (1, 1, 1, 0, 0, 0, 0)
         d2 = DimProfile2(1, 1, 0, 0, 0, 0, 0, 0, 0, 0)
-        assert bdp_check(d1, d2, 2)
         assert c_count(d1, tuple(d2), 2, 2) == 1
         table = oracle.pair_counts(d1, 2, 2)
         assert table[tuple(d2)] == 1
@@ -226,18 +231,22 @@ class TestPairCounts:
         the enumerated count for this profile is positive."""
         d1 = (1, 2, 2, 1, 1, 2, 1)
         d2 = DimProfile2(1, 1, 0, 0, 1, 1, 0, 0, 0, 0)
-        assert bdp_check(d1, d2, 2)
         got = c_count(d1, tuple(d2), 2, 2)
         assert got == 2
         table = oracle.pair_counts(d1, 2, 2)
         assert table[tuple(d2)] == 2
 
-    def test_bdp_rejects_simple_violations(self):
+    def test_infeasible_pairs_count_zero(self):
+        """The last two profiles put dim(U cap V' cap W') above
+        dim(V' cap W') = 0; the recursion alone counts one pair for each, so
+        c_count must reject them at entry."""
         d1 = (1, 1, 1, 0, 0, 0, 0)
         too_big = DimProfile2(2, 1, 0, 0, 0, 0, 0, 0, 0, 0)
-        assert not bdp_check(d1, too_big, 2)
+        assert c_count(d1, too_big, 2, 2) == 0
         meet_above = DimProfile2(1, 1, 1, 0, 0, 0, 0, 0, 0, 0)
-        assert not bdp_check(d1, meet_above, 2)
+        assert c_count(d1, meet_above, 2, 2) == 0
+        assert c_count((0, 1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 1, 2) == 0
+        assert c_count((1, 1, 1, 1, 1, 1, 1), (1, 0, 1, 0, 0, 1, 0, 0, 1, 1), 1, 2) == 0
 
 
 class TestPairCountAggregates:
@@ -247,16 +256,21 @@ class TestPairCountAggregates:
         assert c_prime(2, 2, 2, 2, 2, 2, 2, 1, 1, 1, 2, 2) == 0
 
     def test_c_prime_matches_enumerated_marginals(self):
-        for d1, m, q in (((1, 2, 1, 1, 0, 1, 0), 3, 2), ((1, 1, 1, 1, 1, 1, 1), 2, 3)):
+        """c_prime sums c_count's terms without its entry checks, so every
+        realizable profile at m = 2, q = 2 is compared, plus two others, on
+        every (dV', dW', dV'W') up to m + 1, zero marginals included."""
+        cases = [(d1, 2, 2) for d1 in _realizable_profiles(2)]
+        cases += [((1, 2, 1, 1, 0, 1, 0), 3, 2), ((1, 1, 1, 1, 1, 1, 1), 2, 3)]
+        for d1, m, q in cases:
             table = oracle.pair_counts(d1, m, q)
             assert table is not None
             marginals = {}
             for key, cnt in table.items():
                 coarse = (key[0], key[1], key[6])
                 marginals[coarse] = marginals.get(coarse, 0) + cnt
-            for (dVp, dWp, dVpWp), want in marginals.items():
-                got = c_prime(*d1, dVp, dWp, dVpWp, m, q)
-                assert got == want
+            for coarse in itertools.product(range(m + 2), repeat=3):
+                got = c_prime(*d1, *coarse, m, q)
+                assert got == marginals.get(coarse, 0), (d1, m, q, coarse)
 
 
 class TestMeetCount:
