@@ -198,7 +198,11 @@ def _cmd_capacity(spec: RunSpec, args: argparse.Namespace) -> Tuple[Dict, int]:
             "optimality_gap_bits": res.optimality_gap_bits,
             "iterations": res.iterations,
         },
-        "diagnostics": {"converged": res.converged},
+        "diagnostics": {
+            "converged": res.converged,
+            "newton_steps": res.newton_steps,
+            "stop_reason": res.stop_reason,
+        },
     }
     if not res.converged:
         log.warning(

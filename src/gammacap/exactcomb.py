@@ -18,8 +18,11 @@ from functools import lru_cache
 MAX_DIMENSION = 64
 
 
+@lru_cache(maxsize=256)
 def is_prime_power(q: int) -> bool:
-    """True iff q = p**k for a prime p and k >= 1, by trial division."""
+    """True iff q = p**k for a prime p and k >= 1, by trial division.
+
+    Memoized: every exact count validates its field order on entry."""
     if q < 2:
         return False
     d = 2
@@ -42,6 +45,13 @@ def validate_field_order(q: int) -> int:
 
 
 def _check_dims(**dims: int) -> None:
+    # Fast path for plain in-range ints; the loop below finds and reports the
+    # first bad value.
+    for value in dims.values():
+        if type(value) is not int or not 0 <= value <= MAX_DIMENSION:
+            break
+    else:
+        return
     for name, value in dims.items():
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{name} must be an int, got {value!r}")

@@ -3,8 +3,12 @@
 The mutual information is concave on the simplex of input rank
 distributions.  The solver runs Blahut-Arimoto on the rank kernel, x_a <-
 x_a 2^{grad_a} renormalized, accelerated by SQUAREM extrapolation (Varadhan
-and Roland, 2008); it ascends monotonically and keeps full support.  The
-Frank-Wolfe duality gap max_a grad_a - grad . x certifies the result.
+and Roland, 2008).  When that stalls (the gap has not halved over five
+iterations) it tries an active-set Newton step on the simplex and keeps it
+only if it ascends or halves the gap.  A rank the Newton step would empty
+keeps 1e-3 of its mass, and a mass that underflows keeps the smallest
+positive float, so every iterate keeps full support.  The Frank-Wolfe
+duality gap max_a grad_a - grad . x certifies the result.
 
 The objective and gradient accept plain float vectors in addition to
 RankDistribution values: finite-difference checks evaluate them slightly
@@ -19,7 +23,7 @@ import operator
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .channel import (
     ChannelParams,
@@ -31,6 +35,15 @@ from .channel import (
 )
 
 _LOG2E = math.log2(math.e)
+_LN2 = math.log(2)
+# Newton polish: a stall is _STALL_WINDOW iterations without halving the gap;
+# a rank the step would empty keeps _FLOOR of its mass; the damping mu moves
+# by factors of 10 within [_MU_MIN, _MU_MAX]; a rejected step skips the polish
+# for 1, 2, 4, ... _MAX_SKIP iterations; a pivot of the unit-diagonal system
+# at or below _PIVOT_MIN counts as zero.
+_STALL_WINDOW, _FLOOR, _MAX_SKIP, _PIVOT_MIN = 5, 1e-3, 16, 1e-13
+_MIN_MASS = math.ulp(0.0)
+_MU_START, _MU_MIN, _MU_MAX = 1e-4, 1e-9, 0.1
 
 log = logging.getLogger("gammacap.solver")
 
@@ -55,7 +68,10 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class CapacityResult:
-    """Outcome of a capacity run; converged=False flags a gap above tolerance."""
+    """Outcome of a capacity run; converged=False flags a gap above tolerance.
+
+    stop_reason is "certified" or "iteration_cap"; newton_steps counts the
+    accepted Newton polish steps among the iterations."""
 
     optimal_input: RankDistribution
     capacity_bits: float
@@ -63,6 +79,8 @@ class CapacityResult:
     iterations: int
     output_ranks: RankDistribution
     converged: bool
+    stop_reason: str
+    newton_steps: int
 
 
 class _Workspace:
@@ -159,8 +177,94 @@ def _ba_step(x: Sequence[float], grad: Sequence[float]) -> List[float]:
 
 
 def _normalized(y: Sequence[float]) -> List[float]:
+    """y / sum(y), with every entry at least the smallest positive float: a
+    Blahut-Arimoto factor 2^{grad_a - top} can underflow a tiny mass to 0."""
     total = sum(y)
-    return [v / total for v in y]
+    return [max(v / total, _MIN_MASS) for v in y]
+
+
+def _gap(grad: Sequence[float], x: Sequence[float]) -> float:
+    return max(grad) - sum(g * p for g, p in zip(grad, x) if p > 0)
+
+
+def _squarem_step(ws: _Workspace, x: List[float], grad: List[float]) -> Tuple[List[float], float]:
+    """SQUAREM: two Blahut-Arimoto steps x1, x2 from x, extrapolated along
+    them (alpha = -1 gives x2).  The clamp keeps full support; the test
+    against x2 keeps ascent."""
+    x1 = _ba_step(x, grad)
+    x2 = _ba_step(x1, ws.gradient(x1))
+    value = ws.objective(x2)
+    r = [b - a for a, b in zip(x, x1)]
+    v = [c - 2 * b + a for a, b, c in zip(x, x1, x2)]
+    norm_r, norm_v = math.hypot(*r), math.hypot(*v)
+    if norm_r > norm_v > 0:
+        alpha = -norm_r / norm_v
+        point = _normalized([
+            max(a - 2 * alpha * dr + alpha * alpha * dv, 0.5 * c)
+            for a, dr, dv, c in zip(x, r, v, x2)
+        ])
+        point_value = ws.objective(point)
+        if point_value >= value:
+            return point, point_value
+    return x2, value
+
+
+def _newton_point(
+    ws: _Workspace, x: Sequence[float], grad: Sequence[float], mu: float
+) -> Optional[List[float]]:
+    """Active-set Newton step from x; None when the KKT system is singular or
+    the step is not finite.
+
+    Maximizes grad . d + d H d / 2 subject to sum_a d_a = 0, H's diagonal
+    damped by (1 + mu); ranks at 0 stay fixed.  While d_a < -x_a for some
+    rank, the first to hit that bound (least d_a / x_a) is fixed at
+    d_a = (_FLOOR - 1) x_a and the rest is solved again; _normalized lifts a
+    mass that rounds to 0 to the smallest positive float.  Curvatures span up
+    to 30 orders of magnitude: scaled to unit diagonal (Jacobi), elimination
+    needs no pivoting and keeps the step's digits, which it loses unscaled.
+    """
+    k = ws.size
+    curv = [[0.0] * k for _ in range(k)]  # -H_ab = sum_y T(y|a) T(y|b) / (p_y ln 2)
+    for p, row in zip(ws.output_probs(x), ws.rows):
+        if p > 0:
+            for a, ta in row:
+                w, line = ta / (p * _LN2), curv[a]
+                for b, tb in row:
+                    line[b] += w * tb
+    scale = [1 / math.sqrt(line[a]) if line[a] > 0 else 0.0 for a, line in enumerate(curv)]
+    step = [0.0] * k
+    free = [a for a in range(k) if x[a] > 0 and scale[a] > 0]
+    fixed: List[int] = []
+    while free:
+        # [M w; w' 0] [z; nu] = [u; -sum of fixed d], with d_a = scale_a z_a.
+        size = len(free)
+        rows = [
+            [curv[a][b] * scale[a] * scale[b] if a != b else 1 + mu for b in free]
+            + [scale[a], (grad[a] - sum(curv[a][b] * step[b] for b in fixed)) * scale[a]]
+            for a in free
+        ]
+        rows.append([scale[b] for b in free] + [0.0, -sum(step[b] for b in fixed)])
+        for i, top in enumerate(rows):
+            if not abs(top[i]) > _PIVOT_MIN:
+                return None
+            for row in rows[i + 1:]:
+                f = row[i] / top[i]
+                for j in range(i, size + 2):
+                    row[j] -= f * top[j]
+        z = [0.0] * (size + 1)
+        for i in reversed(range(size + 1)):
+            row = rows[i]
+            z[i] = (row[-1] - sum(row[j] * z[j] for j in range(i + 1, size + 1))) / row[i]
+        for a, za in zip(free, z):
+            step[a] = za * scale[a]
+        blocking = min(free, key=lambda a: step[a] / x[a])
+        if step[blocking] >= -x[blocking]:
+            point = [p + d for p, d in zip(x, step)]
+            return _normalized(point) if all(map(math.isfinite, point)) else None
+        step[blocking] = (_FLOOR - 1) * x[blocking]
+        free.remove(blocking)
+        fixed.append(blocking)
+    return None
 
 
 def maximize(
@@ -171,10 +275,11 @@ def maximize(
 ) -> CapacityResult:
     """Maximize mutual information over input rank distributions.
 
-    SQUAREM-accelerated Blahut-Arimoto.  Stops when the Frank-Wolfe gap
-    max_a grad_a - grad . x (an upper bound on the remaining suboptimality,
-    in bits) drops to config.tolerance_bits; hitting max_iterations first
-    returns the best iterate with converged=False.
+    SQUAREM-accelerated Blahut-Arimoto with a Newton polish once it stalls.
+    Stops when the Frank-Wolfe gap max_a grad_a - grad . x (an upper bound on
+    the remaining suboptimality, in bits) drops to config.tolerance_bits;
+    hitting max_iterations first returns the best iterate with
+    converged=False.
 
     ``observer``, when given, is called after every iteration with
     (iteration, objective_bits, gap_bits).  Where the time went (workspace
@@ -197,50 +302,52 @@ def maximize(
     else:
         x = [1.0 / k] * k
 
-    best_value = ws.objective(x)
-    gap = math.inf
+    value = best_value = ws.objective(x)
+    grad = ws.gradient(x)
+    gaps: List[float] = []
+    mu, skip, backoff, newton_steps, polished = _MU_START, 0, 1, 0, False
     iterations = 0
     converged = False
     for iterations in range(1, config.max_iterations + 1):
-        grad = ws.gradient(x)
-        gap = max(grad) - sum(g * p for g, p in zip(grad, x) if p > 0)
+        gap = _gap(grad, x)
         if gap <= config.tolerance_bits:
             converged = True
             if observer is not None:
                 observer(iterations, best_value, gap)
             break
 
-        x1 = _ba_step(x, grad)
-        x2 = _ba_step(x1, ws.gradient(x1))
-        value = ws.objective(x2)
-        # SQUAREM: extrapolate along the two steps (alpha = -1 gives x2).
-        # The clamp keeps full support; the test against x2 keeps ascent.
-        r = [b - a for a, b in zip(x, x1)]
-        v = [c - 2 * b + a for a, b, c in zip(x, x1, x2)]
-        norm_r, norm_v = math.hypot(*r), math.hypot(*v)
-        if norm_r > norm_v > 0:
-            alpha = -norm_r / norm_v
-            point = _normalized([
-                max(a - 2 * alpha * dr + alpha * alpha * dv, 0.5 * c)
-                for a, dr, dv, c in zip(x, r, v, x2)
-            ])
-            point_value = ws.objective(point)
-            if point_value >= value:
-                x2, value = point, point_value
-        x = x2
-        if value > best_value:
-            best_value = value
+        # Try a Newton step after an accepted one, or once no gap of the last
+        # _STALL_WINDOW iterations is half the gap before them.  Keep it if it
+        # ascends beyond rounding, or stays within rounding and halves the gap.
+        gaps.append(gap)
+        del gaps[:-1 - _STALL_WINDOW]
+        attempt = not skip and (
+            polished or len(gaps) > _STALL_WINDOW and min(gaps[1:]) > 0.5 * gaps[0]
+        )
+        skip, polished = max(skip - 1, 0), False
+        point = _newton_point(ws, x, grad, mu) if attempt else None
+        if point is not None:
+            point_value, point_grad = ws.objective(point), ws.gradient(point)
+            rounding = 4e-16 * k * max(1.0, abs(value))
+            polished = point_value > value + rounding or (
+                point_value >= value - rounding and _gap(point_grad, point) <= 0.5 * gap
+            )
+        if polished:
+            x, value, grad = point, point_value, point_grad
+            mu, backoff, newton_steps = max(mu / 10, _MU_MIN), 1, newton_steps + 1
+        else:
+            if attempt:
+                mu, skip, backoff = min(mu * 10, _MU_MAX), backoff, min(2 * backoff, _MAX_SKIP)
+            x, value = _squarem_step(ws, x, grad)
+            grad = ws.gradient(x)
+        best_value = max(best_value, value)
         if observer is not None:
             observer(iterations, value, gap)
 
     log.info(
-        "workspace build %.6f s, solve %.6f s, %d iterations, gap %.3e bits, "
-        "converged=%s",
-        build_s,
-        time.perf_counter() - start - build_s,
-        iterations,
-        gap,
-        converged,
+        "workspace build %.6f s, solve %.6f s, %d iterations, newton_steps=%d, "
+        "gap %.3e bits, converged=%s",
+        build_s, time.perf_counter() - start - build_s, iterations, newton_steps, gap, converged,
     )
     return CapacityResult(
         optimal_input=RankDistribution(x),
@@ -249,4 +356,6 @@ def maximize(
         iterations=iterations,
         output_ranks=RankDistribution(ws.output_probs(x)),
         converged=converged,
+        stop_reason="certified" if converged else "iteration_cap",
+        newton_steps=newton_steps,
     )

@@ -47,6 +47,11 @@ class TestReportSchema:
         assert doc["command"] == "capacity"
         assert doc["params"]["q"] == 2
         assert doc["diagnostics"]["converged"] is True
+        assert doc["diagnostics"] == {
+            "converged": True,
+            "newton_steps": 0,
+            "stop_reason": "certified",
+        }
 
     def test_byte_identical_reruns(self, capsys):
         args = (
@@ -92,6 +97,24 @@ class TestCapacityCommand:
         doc = json.loads(out)
         assert doc["diagnostics"]["converged"] is False
         assert doc["result"]["iterations"] == 2
+        assert doc["diagnostics"]["stop_reason"] == "iteration_cap"
+        assert doc["diagnostics"]["newton_steps"] == 0
+
+    def test_stalled_channel_certifies_with_newton_steps(self, capsys):
+        """SQUAREM alone stopped here at the 500 cap with a 4.9e-5-bit gap
+        (exit 3); the Newton polish certifies it, and the report, including
+        both diagnostics, is the same on every run."""
+        args = (
+            "capacity", "--q", "5", "--n", "11", "--m", "11",
+            "--error", "constant:t=8", "--max-iters", "500",
+        )
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["diagnostics"]["stop_reason"] == "certified"
+        assert doc["diagnostics"]["newton_steps"] > 0
+        assert doc["result"]["optimality_gap_bits"] <= 1e-9
+        assert run_cli(capsys, *args)[1] == out
 
     def test_invalid_params_exit_2(self, capsys):
         code, out, err = run_cli(

@@ -5,9 +5,11 @@ fields, where enumeration is feasible, and against classical identities
 otherwise.
 """
 
+import enum
+
 import pytest
 
-from gammacap import oracle
+from gammacap import exactcomb, matrixfn, oracle
 from gammacap.exactcomb import (
     count_rank_matrices,
     is_prime_power,
@@ -28,6 +30,51 @@ class TestFieldOrder:
             assert not is_prime_power(q)
             with pytest.raises(ValueError):
                 validate_field_order(q)
+
+
+class TestEntryChecks:
+    """f1 and f2 check their arguments on every call; the checks take a fast
+    path for plain in-range ints and word their errors as before."""
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (True, "n must be an int, got True"),
+            (3.0, "n must be an int, got 3.0"),
+            ("3", "n must be an int, got '3'"),
+            (-1, "n must be non-negative, got -1"),
+            (65, "n = 65 exceeds MAX_DIMENSION = 64"),
+        ],
+    )
+    def test_error_messages(self, bad, message):
+        for call in (
+            lambda: matrixfn.f1(0, 0, 0, 0, bad, 3, 2),
+            lambda: matrixfn.f2(0, 0, 0, bad, 3, 2),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
+
+    def test_first_bad_argument_is_reported(self):
+        with pytest.raises(ValueError, match="^h must be non-negative, got -2$"):
+            matrixfn.f1(1, 1, -2, 99, 3, 3, 2)
+
+    def test_int_subclasses_and_raised_bound_still_pass(self, monkeypatch):
+        class Dim(enum.IntEnum):
+            THREE = 3
+
+        assert matrixfn.f2(1, 1, 0, Dim.THREE, 3, 2) == matrixfn.f2(1, 1, 0, 3, 3, 2)
+        monkeypatch.setattr(exactcomb, "MAX_DIMENSION", 70)
+        assert count_rank_matrices(65, 1, 1, 2) == 2**65 - 1
+
+    def test_field_order_check_is_memoized(self):
+        is_prime_power.cache_clear()
+        for _ in range(3):
+            matrixfn.f1(1, 1, 0, 1, 2, 2, 4)
+        info = is_prime_power.cache_info()
+        assert info.misses == 1 and info.hits >= 2
+        with pytest.raises(ValueError, match="prime power >= 2, got 6"):
+            matrixfn.f1(1, 1, 0, 1, 2, 2, 6)
 
 
 class TestQbinom:

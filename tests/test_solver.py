@@ -3,6 +3,7 @@
 import logging
 import math
 import random
+import sys
 
 import pytest
 
@@ -133,7 +134,17 @@ class TestTimingLog:
         assert "workspace build " in message and " s, solve " in message
         assert f"{res.iterations} iterations" in message
         assert f"gap {res.optimality_gap_bits:.3e} bits" in message
+        assert f"newton_steps={res.newton_steps}" in message
         assert message.endswith(f"converged={res.converged}")
+
+
+# Python 3.12 made sum() of floats compensated, so the last bits of a solver
+# answer depend on the interpreter; bit-exact pins keep one answer for each.
+_COMPENSATED_SUM = sys.version_info >= (3, 12)
+
+
+def _channel_id(channel):
+    return ",".join(map(str, channel))
 
 
 class TestRegressionPins:
@@ -169,6 +180,148 @@ class TestRegressionPins:
         assert 0 <= res.optimality_gap_bits <= 1e-9
         if capacity is not None:
             assert res.capacity_bits == pytest.approx(capacity, abs=tol)
+
+    # SQUAREM alone stopped uncertified here at the benchmark's cap of 500
+    # (gaps 5.9e-6 to 5.2e-5 bits), or needed 1 156 iterations on (4,6,4):
+    # the optimum lies on a face of the simplex, along nearly flat directions.
+    BENCHMARK_CAP_CASES = [
+        (2, 15, 8, "constant:t=8"),
+        (5, 16, 11, "constant:t=9"),
+        (8, 6, 3, "iid:t=4"),
+        (5, 11, 11, "constant:t=8"),
+        (4, 6, 4, "constant:t=4"),
+    ]
+
+    @pytest.mark.parametrize("channel", BENCHMARK_CAP_CASES, ids=_channel_id)
+    def test_certifies_at_benchmark_cap(self, channel):
+        res = maximize(_params(*channel), SolverConfig(max_iterations=500))
+        assert res.converged and res.stop_reason == "certified"
+        assert 0 <= res.optimality_gap_bits <= 1e-9
+        assert res.newton_steps > 0
+
+    # Answers of the solver before the Newton polish existed, as hex floats:
+    # (capacity, gap, iterations, optimal input), before and from Python 3.12.
+    UNPOLISHED = {
+        (2, 3, 3, "binomial:T=2,p=0.2"): (
+            ("0x1.39f2d58ca51b8p+1", "0x1.35c1000000000p-33", 10, (
+                "0x1.ef3deca964ebbp-5", "0x1.e87fce10b9e12p-2",
+                "0x1.b16d5d8d87cb9p-2", "0x1.4158b6648dae8p-5",
+            )),
+            ("0x1.39f2d58ca51b6p+1", "0x1.35c0a00000000p-33", 10, (
+                "0x1.ef3deca964ebap-5", "0x1.e87fce10b9e0fp-2",
+                "0x1.b16d5d8d87cbap-2", "0x1.4158b6648daf4p-5",
+            )),
+        ),
+        (3, 2, 2, "iid:t=1"): (
+            ("0x1.f6e27cbfddfe0p-2", "0x1.6c76b40000000p-31", 34, (
+                "0x1.23fcfc2d81c49p-1", "0x1.aeb7f27615dbdp-29", "0x1.b806076f2578ap-2",
+            )),
+            ("0x1.f6e27cbfddff0p-2", "0x1.6c769c0000000p-31", 34, (
+                "0x1.23fcfc2d81c4ap-1", "0x1.aeb7e1443a163p-29", "0x1.b806076f257abp-2",
+            )),
+        ),
+    }
+
+    @pytest.mark.parametrize("channel", list(UNPOLISHED), ids=_channel_id)
+    def test_channels_that_never_stall_keep_their_answers(self, channel, monkeypatch):
+        """The polish runs only after a stall; until then every step, and so
+        every answer, is the one SQUAREM alone gives, bit for bit."""
+        calls = []
+        newton_point = solver._newton_point
+        monkeypatch.setattr(
+            solver, "_newton_point", lambda *args: calls.append(1) or newton_point(*args)
+        )
+        res = maximize(_params(*channel))
+        capacity, gap, iterations, probs = self.UNPOLISHED[channel][_COMPENSATED_SUM]
+        assert calls == []
+        assert res.capacity_bits.hex() == capacity
+        assert res.optimality_gap_bits.hex() == gap
+        assert res.iterations == iterations
+        assert tuple(float(p).hex() for p in res.optimal_input.probs) == probs
+        assert res.newton_steps == 0 and res.stop_reason == "certified"
+
+
+_POLISHED = TestRegressionPins.BENCHMARK_CAP_CASES + [
+    (3, 6, 10, "iid:t=3"),
+    (2, 16, 16, "binomial:T=4,p=0.1"),
+    # Blahut-Arimoto used to underflow ranks here to exactly 0.
+    (16, 16, 16, "empirical:2/22,0/22,5/22,5/22,1/22,3/22,6/22"),
+    # SQUAREM alone stopped at a 5.6e-3-bit gap; a Newton point here puts a
+    # rank at 0.0 before the underflow floor lifts it.
+    (16, 9, 12, "constant:t=1"),
+]
+
+
+class TestNewtonPolish:
+    def test_blahut_arimoto_step_never_empties_a_rank(self):
+        """x_a 2^{grad_a - top} underflowed to 0.0 for a tiny mass far below
+        the top; the rank now keeps the smallest positive float."""
+        assert solver._ba_step([1.0, 1e-320], [0.0, -100.0]) == [1.0, math.ulp(0.0)]
+
+    @pytest.mark.parametrize("point", [[1 / 3] * 3, [0.2, 0.5, 0.3]])
+    def test_singular_kkt_system_gives_no_step(self, point):
+        """Every input rank of the full-noise channel has the same output law,
+        so the undamped Hessian has rank one."""
+        params = _params(2, 2, 2, "iid:t=2")
+        ws = solver._workspace(params)
+        assert solver._newton_point(ws, point, ws.gradient(point), 0.0) is None
+
+    @pytest.mark.parametrize(
+        "channel", [(2, 2, 2, "iid:t=2"), (16, 16, 16, "constant:t=0"), (2, 15, 8, "constant:t=8")],
+        ids=_channel_id,
+    )
+    def test_singular_kkt_systems_fall_back_to_squarem(self, channel, monkeypatch):
+        """With every pivot counted as zero, each Newton attempt gives no step
+        and the solver takes the SQUAREM step; (2,15,8) then stalls exactly as
+        SQUAREM alone did."""
+        monkeypatch.setattr(solver, "_PIVOT_MIN", math.inf)
+        params = _params(*channel)
+        ws = solver._workspace(params)
+        uniform = [1 / ws.size] * ws.size
+        assert solver._newton_point(ws, uniform, ws.gradient(uniform), 1e-4) is None
+        seen = []
+        res = maximize(
+            params,
+            SolverConfig(max_iterations=500),
+            observer=lambda it, val, gap: seen.append((val, gap)),
+        )
+        assert not any(math.isnan(v) for pair in seen for v in pair)
+        assert not math.isnan(res.capacity_bits) and not math.isnan(res.optimality_gap_bits)
+        assert res.newton_steps == 0
+        if channel == (2, 15, 8, "constant:t=8"):
+            stalled = {False: ("0x1.0ecc8b084c000p-8", "0x1.89fc1a52c0000p-18"),
+                       True: ("0x1.0ecc8b084c000p-8", "0x1.89fc1a57c0000p-18")}
+            assert (res.capacity_bits.hex(), res.optimality_gap_bits.hex()) == (
+                stalled[_COMPENSATED_SUM]
+            )
+            assert res.stop_reason == "iteration_cap" and res.iterations == 500
+        else:
+            assert res.converged
+
+    @pytest.mark.parametrize("channel", _POLISHED, ids=_channel_id)
+    def test_iterates_keep_full_support_and_ascend(self, channel, monkeypatch):
+        """Every point the solver evaluates gives every rank positive mass,
+        the iterate values never fall by more than 1e-12, and no value or gap
+        is NaN."""
+        masses = []
+        gradient_of = solver._Workspace.gradient
+
+        def recording_gradient(ws, x):
+            masses.append(min(x))
+            return gradient_of(ws, x)
+
+        monkeypatch.setattr(solver._Workspace, "gradient", recording_gradient)
+        values = []
+        res = maximize(
+            _params(*channel),
+            SolverConfig(max_iterations=500),
+            observer=lambda it, val, gap: values.append((val, gap)),
+        )
+        assert res.converged and res.newton_steps > 0
+        assert min(masses) > 0 and min(res.optimal_input.as_floats()) > 0
+        for (earlier, _), (later, _) in zip(values, values[1:]):
+            assert later >= earlier - 1e-12
+        assert not any(math.isnan(v) for pair in values for v in pair)
 
 
 class TestAgainstBlahutArimoto:
@@ -253,6 +406,8 @@ class _DenseWorkspace:
         k = self.size = params.rank_count
         self.h_vec, self.log_class = ws.h_vec, ws.log_class
         self.kernel = [[float(rho_avg(ry, rx, params)) for rx in range(k)] for ry in range(k)]
+        # Every (input rank, T) pair by output row, for the Newton Hessian.
+        self.rows = [list(enumerate(row)) for row in self.kernel]
 
     def output_probs(self, x):
         return [
