@@ -35,57 +35,39 @@ def _require_prime(q: int) -> None:
         raise ValueError(f"oracle requires a prime field order, got q={q}")
 
 
-def rank_of(mat: Sequence[Sequence[int]], q: int) -> int:
-    """Rank of a matrix over F_q (q prime) by Gaussian elimination."""
+def _rref(vectors: Sequence[Sequence[int]], q: int) -> Tuple[List[List[int]], List[int]]:
+    """Gauss-Jordan over F_q (q prime): the nonzero rows of the reduced row
+    echelon form of ``vectors`` and their pivot columns."""
     _require_prime(q)
-    rows = [list(r) for r in mat]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % q), None)
+    rows = [[x % q for x in r] for r in vectors]
+    ncols = len(rows[0]) if rows else 0
+    pivots: List[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pivot is None:
-            col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = pow(rows[rank][col], q - 2, q)
-        rows[rank] = [(x * inv) % q for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % q:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+        top = rows[rank] = [(x * inv) % q for x in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                f = row[col]
+                rows[i] = [(a - f * b) % q for a, b in zip(row, top)]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def rank_of(mat: Sequence[Sequence[int]], q: int) -> int:
+    """Rank of a matrix over F_q (q prime) by Gaussian elimination."""
+    return len(_rref(mat, q)[1])
 
 
 def rref_basis(vectors: Sequence[Sequence[int]], q: int) -> Matrix:
     """Canonical RREF basis (tuple of rows) of the span of ``vectors``."""
-    rows = [list(r) for r in vectors]
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    out: List[List[int]] = []
-    for v in rows:
-        v = [x % q for x in v]
-        for b in out:
-            lead = next(i for i, x in enumerate(b) if x)
-            if v[lead]:
-                f = v[lead]
-                v = [(a - f * c) % q for a, c in zip(v, b)]
-        if any(v):
-            lead = next(i for i, x in enumerate(v) if x)
-            inv = pow(v[lead], q - 2, q)
-            v = [(x * inv) % q for x in v]
-            for b in out:
-                if b[lead]:
-                    f = b[lead]
-                    b[:] = [(a - f * c) % q for a, c in zip(b, v)]
-            out.append(v)
-    out.sort(key=lambda b: next(i for i, x in enumerate(b) if x))
-    return tuple(tuple(r) for r in out)
+    return tuple(tuple(r) for r in _rref(vectors, q)[0])
 
 
 def enumerate_matrices(n: int, m: int, q: int) -> Iterator[Matrix]:
@@ -164,11 +146,6 @@ def count_gl(n: int, q: int) -> int:
     return math.prod(q**n - q**i for i in range(n))
 
 
-def matrices_with_rowspace(n: int, m: int, q: int, basis: Matrix) -> List[Matrix]:
-    """All n x m matrices whose row space is exactly ``basis``'s span."""
-    return [mat for mat in enumerate_matrices(n, m, q) if rref_basis(mat, q) == basis]
-
-
 def brute_f_functions(
     n: int,
     m: int,
@@ -195,15 +172,13 @@ def brute_f_functions(
         )
     mn = min(n, m)
     all_mats = list(enumerate_matrices(n, m, q))
+    # Each matrix is reduced once; its rank is the length of its row space.
+    rowspace = {mat: rref_basis(mat, q) for mat in all_mats}
     by_rank: Dict[int, List[Matrix]] = {r: [] for r in range(mn + 1)}
-    rank_cache: Dict[Matrix, int] = {}
-    rowspace_cache: Dict[Matrix, Matrix] = {}
-    for mat in all_mats:
-        rs = rref_basis(mat, q)
-        rowspace_cache[mat] = rs
-        r = len(rs)
-        rank_cache[mat] = r
-        by_rank[r].append(mat)
+    by_rowspace: Dict[Matrix, List[Matrix]] = {}
+    for mat, rs in rowspace.items():
+        by_rank[len(rs)].append(mat)
+        by_rowspace.setdefault(rs, []).append(mat)
 
     subspaces = enumerate_subspaces(m, q)
 
@@ -211,7 +186,7 @@ def brute_f_functions(
     f0: Dict[int, int] = {}
     for u in range(mn + 1):
         target = next(s for s in subspaces if len(s) == u)
-        f0[u] = sum(1 for mat in all_mats if rowspace_cache[mat] == target)
+        f0[u] = len(by_rowspace.get(target, []))
 
     # f1: group (U, V) pairs by (u, v, h) with h = dim((U+V)/V).
     f1: Dict[Tuple[int, int, int, int], int] = {}
@@ -220,7 +195,7 @@ def brute_f_functions(
         u = len(U)
         if u > mn:
             continue
-        mats_U = matrices_with_rowspace(n, m, q, U)
+        mats_U = by_rowspace.get(U, [])
         for V in subspaces:
             v = len(V)
             if v > mn:
@@ -234,8 +209,8 @@ def brute_f_functions(
             for M in mats_U[:representatives_per_class]:
                 counts = {r: 0 for r in range(mn + 1)}
                 for B in all_mats:
-                    if rowspace_cache[_mat_add(M, B, q)] == V:
-                        counts[rank_cache[B]] += 1
+                    if rowspace[_mat_add(M, B, q)] == V:
+                        counts[len(rowspace[B])] += 1
                 for r, cnt in counts.items():
                     key = (u, v, h, r)
                     if key in f1:
@@ -251,7 +226,7 @@ def brute_f_functions(
         for X in by_rank[rx][:representatives_per_class]:
             counts: Dict[Tuple[int, int], int] = {}
             for B in all_mats:
-                key2 = (rank_cache[_mat_add(X, B, q)], rank_cache[B])
+                key2 = (len(rowspace[_mat_add(X, B, q)]), len(rowspace[B]))
                 counts[key2] = counts.get(key2, 0) + 1
             for r in range(mn + 1):
                 for rb in range(mn + 1):
@@ -391,32 +366,13 @@ def _intersect(a: Matrix, b: Matrix, q: int, m: int) -> Matrix:
 
 def _right_kernel(mat: List[List[int]], q: int, ncols: int) -> List[List[int]]:
     """Basis of {x : mat @ x = 0} over F_q for a dense list-of-rows matrix."""
-    rows = [list(r) for r in mat]
-    nrows = len(rows)
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] % q), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], q - 2, q)
-        rows[r] = [(x * inv) % q for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] % q:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    rows, pivots = _rref(mat, q)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         x = [0] * ncols
         x[fc] = 1
-        for i, pc in enumerate(pivots):
-            x[pc] = (-rows[i][fc]) % q
+        for row, pc in zip(rows, pivots):
+            x[pc] = (-row[fc]) % q
         basis.append(x)
     return basis
 
@@ -518,21 +474,20 @@ def channel_output_rank_marginal(
     q: int,
 ) -> List[Fraction]:
     """Exact output rank law for a rank-uniform input over ``table``'s alphabet."""
-    inputs = list(table)
+    outputs = set().union(*table.values())
+    rank = {mat: rank_of(mat, q) for mat in outputs.union(table)}
     by_rank: Dict[int, List[Matrix]] = {}
-    for X in inputs:
-        by_rank.setdefault(rank_of(X, q), []).append(X)
-    max_rank = max(
-        max((rank_of(Y, q) for Y in row), default=0) for row in table.values()
-    )
-    out = [Fraction(0)] * (max(len(input_rank_probs), max_rank + 1))
+    for X in table:
+        by_rank.setdefault(rank[X], []).append(X)
+    max_rank = max((rank[Y] for Y in outputs), default=0)
+    out = [Fraction(0)] * max(len(input_rank_probs), max_rank + 1)
     for rx, p in enumerate(input_rank_probs):
         if p == 0 or rx not in by_rank:
             continue
         class_weight = Fraction(p) / len(by_rank[rx])
         for X in by_rank[rx]:
             for Y, pyx in table[X].items():
-                out[rank_of(Y, q)] += class_weight * pyx
+                out[rank[Y]] += class_weight * pyx
     return out
 
 

@@ -109,9 +109,14 @@ class _Workspace:
         return h_y - sum(map(operator.mul, x, self.h_vec))
 
     def gradient(self, x: Sequence[float]) -> List[float]:
+        # A class that a positive-mass rank reaches but whose probability
+        # underflows to 0.0 takes the smallest positive float, as masses do.
         log_terms = [
-            (math.log2(p) - log_class + _LOG2E) if p > 0 else None
-            for p, log_class in zip(self.output_probs(x), self.log_class)
+            (math.log2(p) - log_class + _LOG2E) if p > 0
+            else (math.log2(_MIN_MASS) - log_class + _LOG2E)
+            if p == 0 and any(x[a] > 0 for a, _ in row)
+            else None
+            for p, row, log_class in zip(self.output_probs(x), self.rows, self.log_class)
         ]
         grad = []
         for h, column in zip(self.h_vec, self.columns):
@@ -160,10 +165,11 @@ def gradient(input_ranks: InputVector, params: ChannelParams) -> List[float]:
     """Partial derivatives of the objective, in bits per unit probability.
 
     Component a is -h_a - sum_rY T(rY|a)(log2(R_Y(rY)/N_rY) + log2 e).
-    Output rank classes with zero probability but positive transition weight
-    make the component +inf: feeding them any mass strictly improves the
+    An output class that no rank of positive mass reaches, but rank a does,
+    makes the component +inf: feeding it any mass strictly improves the
     objective.  The maximizer never meets such a component, because its
-    iterates give every rank positive mass.
+    iterates give every rank positive mass.  A reached class whose
+    probability underflows to 0.0 counts as the smallest positive float.
     """
     ws = _workspace(params)
     return ws.gradient(_as_vector(input_ranks, ws.size))
@@ -278,8 +284,8 @@ def maximize(
     SQUAREM-accelerated Blahut-Arimoto with a Newton polish once it stalls.
     Stops when the Frank-Wolfe gap max_a grad_a - grad . x (an upper bound on
     the remaining suboptimality, in bits) drops to config.tolerance_bits;
-    hitting max_iterations first returns the best iterate with
-    converged=False.
+    hitting max_iterations first returns the last iterate with its own gap
+    (converged=False unless that gap meets the tolerance).
 
     ``observer``, when given, is called after every iteration with
     (iteration, objective_bits, gap_bits).  Where the time went (workspace
@@ -306,12 +312,9 @@ def maximize(
     grad = ws.gradient(x)
     gaps: List[float] = []
     mu, skip, backoff, newton_steps, polished = _MU_START, 0, 1, 0, False
-    iterations = 0
-    converged = False
     for iterations in range(1, config.max_iterations + 1):
         gap = _gap(grad, x)
         if gap <= config.tolerance_bits:
-            converged = True
             if observer is not None:
                 observer(iterations, best_value, gap)
             break
@@ -344,6 +347,9 @@ def maximize(
         if observer is not None:
             observer(iterations, value, gap)
 
+    # At the cap the last step has moved x: report the gap of the point returned.
+    gap = _gap(grad, x)
+    converged = gap <= config.tolerance_bits
     log.info(
         "workspace build %.6f s, solve %.6f s, %d iterations, newton_steps=%d, "
         "gap %.3e bits, converged=%s",
