@@ -6,9 +6,14 @@ bases, probabilities are exact :class:`fractions.Fraction` values.  The point
 is independence: nothing in this module calls the closed-form counting code,
 so agreement between the two is evidence, not circularity.
 
-Scope is deliberately small (n, m <= 3, q prime).  Budgets are enforced with
-an explicit refusal (:class:`BudgetExceededError`) so callers can distinguish
-"too big by policy" from "wrong input".
+The field must be prime; the scope is set by two budgets, not by n and m:
+``MATRIX_ENUM_BUDGET`` caps the q**(n*m) matrices of a grid enumeration and
+``CHANNEL_TERM_BUDGET`` caps the |GL(n,q)| * q**(2*n*m) terms of a channel
+law.  A shape over budget is refused explicitly
+(:class:`BudgetExceededError`) so callers can distinguish "too big by
+policy" from "wrong input".  Work shared between terms (the images A*Z of
+one matrix Z, the row spaces reached from one representative M) is
+enumerated once per call and kept for no longer.
 """
 
 from __future__ import annotations
@@ -180,7 +185,20 @@ def brute_f_functions(
         by_rank[len(rs)].append(mat)
         by_rowspace.setdefault(rs, []).append(mat)
 
-    subspaces = enumerate_subspaces(m, q)
+    # Row spaces of n x m matrices have dimension at most mn.
+    subspaces = [s for d in range(mn + 1) for s in enumerate_subspaces(m, q, d)]
+
+    # tally(M): (rowspace(M + B), rank B) -> number of B, one pass over B per M.
+    tallies: Dict[Matrix, Dict[Tuple[Matrix, int], int]] = {}
+
+    def tally(M: Matrix) -> Dict[Tuple[Matrix, int], int]:
+        if M not in tallies:
+            counts: Dict[Tuple[Matrix, int], int] = {}
+            for B in all_mats:
+                key = (rowspace[_mat_add(M, B, q)], len(rowspace[B]))
+                counts[key] = counts.get(key, 0) + 1
+            tallies[M] = counts
+        return tallies[M]
 
     # f0: matrices with one fixed rowspace per dimension.
     f0: Dict[int, int] = {}
@@ -193,13 +211,9 @@ def brute_f_functions(
     reps_seen: Dict[Tuple[int, int, int], int] = {}
     for U in subspaces:
         u = len(U)
-        if u > mn:
-            continue
         mats_U = by_rowspace.get(U, [])
         for V in subspaces:
             v = len(V)
-            if v > mn:
-                continue
             h = len(rref_basis(list(U) + list(V), q)) - v
             key3 = (u, v, h)
             seen = reps_seen.get(key3, 0)
@@ -207,11 +221,9 @@ def brute_f_functions(
                 continue
             reps_seen[key3] = seen + 1
             for M in mats_U[:representatives_per_class]:
-                counts = {r: 0 for r in range(mn + 1)}
-                for B in all_mats:
-                    if rowspace[_mat_add(M, B, q)] == V:
-                        counts[len(rowspace[B])] += 1
-                for r, cnt in counts.items():
+                counts = tally(M)
+                for r in range(mn + 1):
+                    cnt = counts.get((V, r), 0)
                     key = (u, v, h, r)
                     if key in f1:
                         assert f1[key] == cnt, (
@@ -220,17 +232,16 @@ def brute_f_functions(
                     else:
                         f1[key] = cnt
 
-    # f2: for representative X of each rank, bucket B by (rank B, rank(X+B)).
+    # f2: for representative X of each rank, bucket B by (rank(X+B), rank B).
     f2: Dict[Tuple[int, int, int], int] = {}
     for rx in range(mn + 1):
         for X in by_rank[rx][:representatives_per_class]:
-            counts: Dict[Tuple[int, int], int] = {}
-            for B in all_mats:
-                key2 = (len(rowspace[_mat_add(X, B, q)]), len(rowspace[B]))
-                counts[key2] = counts.get(key2, 0) + 1
+            by_ranks: Dict[Tuple[int, int], int] = {}
+            for (rs, rb), cnt in tally(X).items():
+                by_ranks[len(rs), rb] = by_ranks.get((len(rs), rb), 0) + cnt
             for r in range(mn + 1):
                 for rb in range(mn + 1):
-                    cnt = counts.get((r, rb), 0)
+                    cnt = by_ranks.get((r, rb), 0)
                     key = (r, rx, rb)
                     if key in f2:
                         assert f2[key] == cnt, (
@@ -429,8 +440,10 @@ def build_channel(params) -> Dict[Matrix, Dict[Matrix, Fraction]]:
     """Exact transition law P(Y | X) for every input matrix X.
 
     ``params`` provides q (prime), n, m and an error rank distribution whose
-    entries must be exact rationals.  The law is assembled term by term:
-    P(Y|X) = (1/|GL|) * sum_A sum_rB R(rB)/N_rB * sum_{B of rank rB} [A(X+B)=Y].
+    entries must be exact rationals.  The law is
+    P(Y|X) = (1/|GL|) * sum_rB R(rB)/N_rB * sum_{B of rank rB} #{A in GL : A(X+B) = Y}.
+    The images A*Z over all of GL are tallied once per matrix Z; a row adds
+    the tallies of every X+B as integers and builds one Fraction per output.
     """
     q, n, m = params.q, params.n, params.m
     _require_prime(q)
@@ -450,21 +463,30 @@ def build_channel(params) -> Dict[Matrix, Dict[Matrix, Fraction]]:
     by_rank: Dict[int, List[Matrix]] = {}
     for mat in all_mats:
         by_rank.setdefault(rank_of(mat, q), []).append(mat)
-    inv_gl = Fraction(1, len(gl))
+    # R(rB) / (N_rB * |GL|) as integer numerators over one denominator.
+    per_term = {
+        rb: Fraction(w) / (len(by_rank[rb]) * len(gl))
+        for rb, w in enumerate(weights)
+        if w != 0 and rb in by_rank
+    }
+    den = math.lcm(*(t.denominator for t in per_term.values()))
+    nums = {rb: t.numerator * (den // t.denominator) for rb, t in per_term.items()}
+    # images[Z]: Y -> #{A in GL : A*Z = Y}, keyed in order of first appearance.
+    images: Dict[Matrix, Dict[Matrix, int]] = {}
+    for Z in all_mats:
+        tally: Dict[Matrix, int] = {}
+        for A in gl:
+            Y = _mat_mul(A, Z, q)
+            tally[Y] = tally.get(Y, 0) + 1
+        images[Z] = tally
     table: Dict[Matrix, Dict[Matrix, Fraction]] = {}
     for X in all_mats:
-        row: Dict[Matrix, Fraction] = {}
-        for rb, rb_weight in enumerate(weights):
-            if rb_weight == 0 or rb not in by_rank:
-                continue
-            per_b = Fraction(rb_weight) / len(by_rank[rb])
+        counts: Dict[Matrix, int] = {}
+        for rb, num in nums.items():
             for B in by_rank[rb]:
-                Z = _mat_add(X, B, q)
-                w = per_b * inv_gl
-                for A in gl:
-                    Y = _mat_mul(A, Z, q)
-                    row[Y] = row.get(Y, Fraction(0)) + w
-        table[X] = row
+                for Y, mult in images[_mat_add(X, B, q)].items():
+                    counts[Y] = counts.get(Y, 0) + num * mult
+        table[X] = {Y: Fraction(c, den) for Y, c in counts.items()}
     return table
 
 
@@ -484,10 +506,15 @@ def channel_output_rank_marginal(
     for rx, p in enumerate(input_rank_probs):
         if p == 0 or rx not in by_rank:
             continue
-        class_weight = Fraction(p) / len(by_rank[rx])
+        # Output rank -> denominator -> summed numerators of P(Y|X) over the class.
+        sums: Dict[int, Dict[int, int]] = {}
         for X in by_rank[rx]:
             for Y, pyx in table[X].items():
-                out[rank[Y]] += class_weight * pyx
+                by_den = sums.setdefault(rank[Y], {})
+                by_den[pyx.denominator] = by_den.get(pyx.denominator, 0) + pyx.numerator
+        class_weight = Fraction(p) / len(by_rank[rx])
+        for r, by_den in sums.items():
+            out[r] += class_weight * sum(Fraction(a, d) for d, a in by_den.items())
     return out
 
 
@@ -518,8 +545,13 @@ def blahut_arimoto(
 
     Returns (capacity bits, optimizing input distribution) once the standard
     upper and lower capacity bounds agree within ``tol`` bits; the reported
-    capacity is their midpoint.
+    capacity is their midpoint.  A ``tol`` that is not positive and finite,
+    or a ``max_iter`` below 1, raises ValueError.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     inputs = list(table)
     outputs = sorted({y for row in table.values() for y in row})
     y_index = {y: j for j, y in enumerate(outputs)}

@@ -141,6 +141,175 @@ class TestConfigurations:
         assert oracle.realize_configuration((2, 2, 2, 0, 0, 0, 0), 3, 2) is None
 
 
+# The benchmark's verify shapes (q, n, m) at q in {2, 3, 5}, plus the two
+# shapes the CI runs end to end.
+VERIFY_SHAPES = (
+    (2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 1, 5), (2, 1, 6),
+    (2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 3, 1),
+    (3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 2, 1),
+    (5, 1, 1), (5, 1, 2),
+)
+CI_SHAPES = ((3, 2, 2), (5, 1, 3))
+
+
+def _every_kind(q, n, m):
+    """One ChannelParams per error kind, each giving weight to a different rank mix."""
+    k = min(n, m)
+    total = (k + 1) * (k + 2) // 2
+    specs = (
+        f"constant:t={k}",
+        "iid:t=1",
+        f"binomial:T={n},p=0.3",
+        "empirical:" + ",".join(f"{r + 1}/{total}" for r in range(k + 1)),
+    )
+    return [ChannelParams(q, n, m, parse_error_model(s, q, n, m)) for s in specs]
+
+
+def _per_term_channel(params, inputs=None):
+    """The channel law by one Fraction add per (X, B, A) term: the plain loop
+    that the oracle's shared image tallies must reproduce.  ``inputs`` limits
+    the rows built."""
+    q, n, m = params.q, params.n, params.m
+    gl = list(oracle.enumerate_gl(n, q))
+    all_mats = list(oracle.enumerate_matrices(n, m, q))
+    by_rank = {}
+    for mat in all_mats:
+        by_rank.setdefault(oracle.rank_of(mat, q), []).append(mat)
+    inv_gl = Fraction(1, len(gl))
+    table = {}
+    for X in all_mats if inputs is None else inputs:
+        row = {}
+        for rb, rb_weight in enumerate(params.error_dist):
+            if rb_weight == 0 or rb not in by_rank:
+                continue
+            per_b = Fraction(rb_weight) / len(by_rank[rb])
+            for B in by_rank[rb]:
+                Z = oracle._mat_add(X, B, q)
+                w = per_b * inv_gl
+                for A in gl:
+                    Y = oracle._mat_mul(A, Z, q)
+                    row[Y] = row.get(Y, Fraction(0)) + w
+        table[X] = row
+    return table
+
+
+def _per_v_f_functions(n, m, q, reps=3):
+    """f0/f1/f2 with the whole B loop rerun for every (U, V) pair: the plain
+    loop that the oracle's one tally per representative must reproduce."""
+    mn = min(n, m)
+    all_mats = list(oracle.enumerate_matrices(n, m, q))
+    rowspace = {mat: oracle.rref_basis(mat, q) for mat in all_mats}
+    by_rank = {r: [] for r in range(mn + 1)}
+    by_rowspace = {}
+    for mat, rs in rowspace.items():
+        by_rank[len(rs)].append(mat)
+        by_rowspace.setdefault(rs, []).append(mat)
+    subspaces = oracle.enumerate_subspaces(m, q)
+    f0 = {}
+    for u in range(mn + 1):
+        target = next(s for s in subspaces if len(s) == u)
+        f0[u] = len(by_rowspace.get(target, []))
+    f1 = {}
+    reps_seen = {}
+    for U in subspaces:
+        if len(U) > mn:
+            continue
+        for V in subspaces:
+            if len(V) > mn:
+                continue
+            h = len(oracle.rref_basis(list(U) + list(V), q)) - len(V)
+            key3 = (len(U), len(V), h)
+            if reps_seen.get(key3, 0) >= reps:
+                continue
+            reps_seen[key3] = reps_seen.get(key3, 0) + 1
+            for M in by_rowspace.get(U, [])[:reps]:
+                counts = {r: 0 for r in range(mn + 1)}
+                for B in all_mats:
+                    if rowspace[oracle._mat_add(M, B, q)] == V:
+                        counts[len(rowspace[B])] += 1
+                for r, cnt in counts.items():
+                    assert f1.setdefault(key3 + (r,), cnt) == cnt
+    f2 = {}
+    for rx in range(mn + 1):
+        for X in by_rank[rx][:reps]:
+            counts = {}
+            for B in all_mats:
+                key2 = (len(rowspace[oracle._mat_add(X, B, q)]), len(rowspace[B]))
+                counts[key2] = counts.get(key2, 0) + 1
+            for r in range(mn + 1):
+                for rb in range(mn + 1):
+                    cnt = counts.get((r, rb), 0)
+                    assert f2.setdefault((r, rx, rb), cnt) == cnt
+    return {"f0": f0, "f1": f1, "f2": f2}
+
+
+def _per_entry_marginal(table, input_rank_probs, q):
+    """The output rank law with the class weight applied to every P(Y|X)."""
+    outputs = set().union(*table.values())
+    rank = {mat: oracle.rank_of(mat, q) for mat in outputs.union(table)}
+    by_rank = {}
+    for X in table:
+        by_rank.setdefault(rank[X], []).append(X)
+    max_rank = max((rank[Y] for Y in outputs), default=0)
+    out = [Fraction(0)] * max(len(input_rank_probs), max_rank + 1)
+    for rx, p in enumerate(input_rank_probs):
+        if p == 0 or rx not in by_rank:
+            continue
+        class_weight = Fraction(p) / len(by_rank[rx])
+        for X in by_rank[rx]:
+            for Y, pyx in table[X].items():
+                out[rank[Y]] += class_weight * pyx
+    return out
+
+
+_SHAPE_IDS = [f"q{q}-n{n}-m{m}" for q, n, m in VERIFY_SHAPES + CI_SHAPES]
+
+
+class TestAgainstPerTermReferences:
+    """The oracle's shared tallies give exactly the tables of the plain loops."""
+
+    @pytest.mark.parametrize("shape", VERIFY_SHAPES + CI_SHAPES, ids=_SHAPE_IDS)
+    def test_build_channel(self, shape, channel_tables):
+        q, n, m = shape
+        all_mats = list(oracle.enumerate_matrices(n, m, q))
+        # The per-term law costs |GL| * q^(2nm) Fraction adds; at the CI
+        # shapes it is built for the first and last input of every rank.
+        inputs = None
+        if shape in CI_SHAPES:
+            by_rank = {}
+            for X in all_mats:
+                by_rank.setdefault(oracle.rank_of(X, q), []).append(X)
+            inputs = [X for cls in by_rank.values() for X in (cls[0], cls[-1])]
+        for params in _every_kind(q, n, m):
+            got = channel_tables(params)
+            assert list(got) == all_mats
+            want = _per_term_channel(params, inputs)
+            assert {X: got[X] for X in want} == want, params.error_dist
+
+    @pytest.mark.parametrize("shape", VERIFY_SHAPES + CI_SHAPES, ids=_SHAPE_IDS)
+    def test_brute_f_functions(self, shape):
+        q, n, m = shape
+        got = oracle.brute_f_functions(n, m, q)
+        want = _per_v_f_functions(n, m, q)
+        for name in ("f0", "f1", "f2"):
+            assert list(got[name].items()) == list(want[name].items()), name
+
+    @pytest.mark.parametrize("shape", VERIFY_SHAPES + CI_SHAPES, ids=_SHAPE_IDS)
+    def test_channel_output_rank_marginal(self, shape, channel_tables):
+        q, n, m = shape
+        k = min(n, m) + 1
+        laws = [
+            [Fraction(int(i == 0)) for i in range(k)],
+            [Fraction(int(i == k - 1)) for i in range(k)],
+            [Fraction(2 * i + 1, k * k) for i in range(k)],
+        ]
+        for params in _every_kind(q, n, m):
+            table = channel_tables(params)
+            for law in laws:
+                got = oracle.channel_output_rank_marginal(table, law, q)
+                assert got == _per_entry_marginal(table, law, q)
+
+
 class TestEntropyAndBlahutArimoto:
     def test_entropy_bits(self):
         assert oracle.entropy_bits([Fraction(1, 8)] * 8) == pytest.approx(3.0)
@@ -151,3 +320,15 @@ class TestEntropyAndBlahutArimoto:
         cap, probs = oracle.blahut_arimoto(channel_tables(params), tol=1e-9)
         assert cap == pytest.approx(math.log2(5), abs=1e-6)
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"max_iter": 0}, {"tol": math.nan}, {"tol": 0.0}, {"tol": -1e-9}],
+        ids=["max_iter=0", "tol=nan", "tol=0", "tol<0"],
+    )
+    def test_blahut_arimoto_refuses_bad_settings(self, kwargs, channel_tables):
+        """max_iter=0 used to fail on an unbound bound, and a NaN or
+        non-positive tol ran silently to the cap."""
+        params = ChannelParams(2, 2, 2, constant_rank_model(0, 2, 2))
+        with pytest.raises(ValueError):
+            oracle.blahut_arimoto(channel_tables(params), **kwargs)
