@@ -168,12 +168,19 @@ def rho_given_ranks(r: int, rX: int, rB: int, params: ChannelParams) -> Fraction
 def rho_avg(r: int, rX: int, params: ChannelParams) -> Numeric:
     """P(rank(X+B) = r) for fixed rank(X) = rX, averaged over error ranks.
 
-    Exact for an exact error law, a float otherwise.
+    Exact for an exact error law, a float otherwise.  Rank is a metric
+    (|rank X - rank B| <= rank(X+B) <= rank X + rank B), so f2 is 0 unless
+    |r - rX| <= rB <= r + rX and the sum runs over those error ranks only.
     """
     _check_rank(params, r=r, rX=rX)
     q, n, m = params.q, params.n, params.m
     total = Fraction(
-        sum(c * f2(r, rX, rB, n, m, q) for rB, c in params.support), params.denominator
+        sum(
+            c * f2(r, rX, rB, n, m, q)
+            for rB, c in params.support
+            if abs(r - rX) <= rB <= r + rX
+        ),
+        params.denominator,
     )
     return total if params.error_dist.is_exact else float(total)
 
@@ -206,7 +213,9 @@ def h_r(r: int, params: ChannelParams) -> float:
     (v, h) = (dim V, dim((U+V)/V)) against U = row(M): each class holds
     weight-many spaces V, each reached with the same probability p(v, h),
     and conditioned on row(A(M+B)) = V the output is uniform over the
-    f0(v) matrices with that row space.
+    f0(v) matrices with that row space.  A class is reached only by error
+    ranks max(h, v + h - r) <= rB <= v + h: row B lies in U + V, while
+    U <= V + row B and V <= U + row B; f1 is 0 for every other rB.
     """
     _check_rank(params, r=r)
     q, n, m = params.q, params.n, params.m
@@ -214,24 +223,21 @@ def h_r(r: int, params: ChannelParams) -> float:
     for v in range(params.max_rank + 1):
         log_count_v = None
         # h = dim((U+V)/V) runs from max(0, r-v) (forced by
-        # dim(U cap V) <= v) up to r; out-of-range weights vanish.
-        for h in range(max(0, r - v), r + 1):
-            if v + h > m:
+        # dim(U cap V) <= v) up to r, with v + h <= m; every such class
+        # has positive weight.
+        for h in range(max(0, r - v), min(r, m - v) + 1):
+            numerator = sum(
+                c * f1(r, v, h, rB, n, m, q)
+                for rB, c in params.support
+                if max(h, v + h - r) <= rB <= v + h
+            )
+            if numerator == 0:
                 continue
             weight = (
                 q ** ((v - r + h) * h)
                 * qbinom_ext(m - r, v - r + h, q)
                 * qbinom_ext(r, r - h, q)
             )
-            if weight == 0:
-                continue
-            numerator = sum(
-                c * f1(r, v, h, rB, n, m, q)
-                for rB, c in params.support
-                if h <= rB <= v + h
-            )
-            if numerator == 0:
-                continue
             p_vh = Fraction(numerator, params.denominator)
             if log_count_v is None:
                 log_count_v = log2_exact(f0(v, n, m, q))

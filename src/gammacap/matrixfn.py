@@ -391,11 +391,14 @@ def f0(u: int, n: int, m: int, q: int) -> int:
     return _falling(n, u, q)
 
 
+@lru_cache(maxsize=4096)
 def _phi(n: int, m: int, w: int, s: int, r: int, q: int) -> int:
     """Rank-r matrices with a fixed rank-s image in the quotient by a w-space.
 
     Counts n x m matrices B of rank r such that the induced matrix of B in
-    F_q^m / V'' equals a fixed matrix of rank s, where dim V'' = w.
+    F_q^m / V'' equals a fixed matrix of rank s, where dim V'' = w.  The
+    same few thousand values recur across every f1 sum of a channel, so the
+    4096 most recent are kept.
     """
     if s < 0 or r < s or r > s + w or s > m - w:
         return 0
@@ -423,9 +426,14 @@ def _f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:
     mn = min(n, m)
     if u > mn or v > mn or r > mn:
         return 0
-    if h > u or v + h > m or v < u - h or r < h or r > v + h:
+    if h > u or v + h > m or v < u - h or r < max(h, v + h - u) or r > v + h:
         return 0
-    return sum(c * _phi(n, m, w, u - a, r, q) for w, a, c in _f1_terms(v, u - h, q))
+    # _phi(n, m, w, u - a, r) is 0 unless u - r <= a and r - u + a <= w.
+    return sum(
+        c * _phi(n, m, w, u - a, r, q)
+        for w, a, c in _f1_terms(v, u - h, q)
+        if a >= u - r and w >= r - u + a
+    )
 
 
 def f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:
@@ -436,7 +444,9 @@ def f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:
     by Moebius inversion over the subspaces V'' <= V, grouped by
     (dim V'', dim(U cap V'')): the matrices with row(M+B) <= V'' are exactly
     those whose image in F_q^m / V'' cancels the image of M, a fixed matrix of
-    rank u - dim(U cap V'').
+    rank u - dim(U cap V'').  Zero unless max(h, v + h - u) <= r <= v + h
+    (row B <= U + V, U <= V + row B, V <= U + row B); within that band only
+    the (V'', a) terms whose _phi factor can be nonzero are summed.
     """
     _check_dims(u=u, v=v, h=h, r=r, n=n, m=m)
     validate_field_order(q)
@@ -450,6 +460,9 @@ def f2(r: int, rX: int, rB: int, n: int, m: int, q: int) -> int:
     are _meet_count(m, rX, r, hp) such V, and each contributes
     f1(rX, r, rX - hp; rB).  Below hp = r + rX - m that count is 0, so the
     sum starts there and never asks f1 for a term it would multiply by 0.
+    f1's support band max(h, v + h - u) <= rB <= v + h reads
+    max(rX, r) - rB <= hp <= r + rX - rB here, so f2 is 0 unless
+    |r - rX| <= rB <= r + rX, and only that hp range is summed.
     """
     _check_dims(r=r, rX=rX, rB=rB, n=n, m=m)
     validate_field_order(q)
@@ -457,5 +470,7 @@ def f2(r: int, rX: int, rB: int, n: int, m: int, q: int) -> int:
         return 0
     return sum(
         _meet_count(m, rX, r, hp, q) * _f1(rX, r, rX - hp, rB, n, m, q)
-        for hp in range(max(0, r + rX - m), min(r, rX) + 1)
+        for hp in range(
+            max(0, r + rX - m, max(r, rX) - rB), min(r, rX, r + rX - rB) + 1
+        )
     )

@@ -420,6 +420,40 @@ class TestSupportPruning:
         assert error_ranks
         assert all(params.error_dist[rb] != 0 for rb in error_ranks)
 
+    @pytest.mark.parametrize(
+        "channel_args",
+        [
+            _STALL_CHANNEL,
+            (3, 6, 10, "iid:t=3"),
+            (5, 11, 11, "constant:t=8"),
+            (2, 5, 7, "empirical:1/8,1/8,1/8,1/8,1/8,3/8"),
+            (16, 9, 12, "constant:t=1"),
+            (16, 16, 16, "empirical:2/22,0/22,5/22,5/22,1/22,3/22,6/22"),
+        ],
+        ids=lambda args: ",".join(map(str, args)),
+    )
+    def test_law_sums_ask_only_for_nonzero_counts(self, monkeypatch, channel_args):
+        """h_r and rho_avg sum f1 and f2 over the rank-distance bands only;
+        every count outside them is 0, so none may be asked for."""
+        params = _params(*channel_args)
+        values = []
+
+        def recording(fn):
+            def wrapper(*args):
+                values.append(fn(*args))
+                return values[-1]
+
+            return wrapper
+
+        monkeypatch.setattr(channel, "f1", recording(channel.f1))
+        monkeypatch.setattr(channel, "f2", recording(channel.f2))
+        for r in range(params.rank_count):
+            h_r(r, params)
+            for rx in range(params.rank_count):
+                rho_avg(r, rx, params)
+        assert values
+        assert 0 not in values
+
     def test_f2_calls_f1_only_at_nonzero_meet_counts(self, monkeypatch):
         """Each f1 term of f2 is weighted by the number of target row spaces
         meeting row X in dimension rX - h; where that number is 0, f1 must

@@ -137,6 +137,18 @@ class TestCapacityCommand:
         assert diagnostic["exit_code"] == 2
         assert "finite" in diagnostic["error"]
 
+    def test_float_overflow_exit_2(self, capsys):
+        """An OverflowError used to escape main: a traceback and exit 1,
+        the code of a verify mismatch."""
+        code, out, err = run_cli(
+            capsys, "capacity", "--q", "256", "--n", "16", "--m", "64",
+            "--error", "binomial:T=4,p=0.1",
+        )
+        assert code == 2 and out == ""
+        diagnostic = stderr_diagnostic(err)
+        assert diagnostic["exit_code"] == 2
+        assert "float" in diagnostic["error"]
+
     def test_bad_error_model_exit_2(self, capsys):
         code, out, err = run_cli(
             capsys, "capacity", "--q", "2", "--n", "2", "--m", "2",

@@ -343,6 +343,62 @@ class TestF1TermTable:
         assert matrixfn._f1_terms.cache_info().maxsize == 128
 
 
+def _f1_unpruned(u, v, h, r, n, m, q):
+    """f1 as the full Moebius sum, guarded only by the dimensions of U, V."""
+    if max(u, v, r) > min(n, m) or h > u or v + h > m or v < u - h:
+        return 0
+    duv = u - h
+    return sum(
+        (-1) ** (v - w) * q ** ((v - w) * (v - w - 1) // 2)
+        * _meet_count(v, duv, w, a, q) * _phi(n, m, w, u - a, r, q)
+        for w in range(v + 1)
+        for a in range(max(0, w - (v - duv)), min(w, duv) + 1)
+    )
+
+
+class TestSupportBands:
+    """rank(X + B) is a metric, so f2 vanishes unless |r - rX| <= rB <= r + rX;
+    f1 vanishes unless max(h, v + h - u) <= r <= v + h, since row B lies in
+    U + V, U <= V + row B and V <= U + row B.  The unpruned sums must be 0
+    outside the bands and equal the pruned f1, f2 inside them."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_f1_band(self, q):
+        outside = 0
+        for n in range(1, 8):
+            for m in range(1, 8):
+                ranks = range(min(n, m) + 1)
+                for u, v, r in itertools.product(ranks, repeat=3):
+                    for h in range(u + 1):
+                        want = _f1_unpruned(u, v, h, r, n, m, q)
+                        if not max(h, v + h - u) <= r <= v + h:
+                            assert want == 0, (u, v, h, r, n, m)
+                            outside += 1
+                        assert f1(u, v, h, r, n, m, q) == want
+        assert outside
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_f2_band(self, q):
+        outside = 0
+        for n in range(1, 8):
+            for m in range(1, 8):
+                ranks = range(min(n, m) + 1)
+                for r, rx, rb in itertools.product(ranks, repeat=3):
+                    want = sum(
+                        _meet_count(m, rx, r, hp, q)
+                        * _f1_unpruned(rx, r, rx - hp, rb, n, m, q)
+                        for hp in range(max(0, r + rx - m), min(r, rx) + 1)
+                    )
+                    if not abs(r - rx) <= rb <= r + rx:
+                        assert want == 0, (r, rx, rb, n, m)
+                        outside += 1
+                    assert f2(r, rx, rb, n, m, q) == want
+        assert outside
+
+    def test_phi_table_is_bounded(self):
+        assert matrixfn._phi.cache_info().maxsize == 4096
+
+
 class TestRowSpaceCount:
     def test_dual_formula_small(self):
         """f0's product form equals the Moebius alternating sum

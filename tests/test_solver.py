@@ -204,6 +204,22 @@ class TestRegressionPins:
         assert 0 <= res.optimality_gap_bits <= 1e-9
         assert res.newton_steps > 0
 
+    # A 64 x 64 binary channel, whose f1 and f2 tables are mostly zeros
+    # outside the rank-distance bands: (capacity, gap, iterations) as hex
+    # floats from before the workspace build kept to the bands, before and
+    # from Python 3.12.
+    LARGE_SHAPE = {
+        False: ("0x1.d1c31e5866b40p+9", "0x1.0000000000000p-43", 2),
+        True: ("0x1.d1c31e5866b44p+9", "0x1.0000000000000p-43", 3),
+    }
+
+    def test_large_shape_keeps_its_answer(self):
+        res = maximize(_params(2, 64, 64, "constant:t=3"), SolverConfig(max_iterations=500))
+        assert (
+            res.capacity_bits.hex(), res.optimality_gap_bits.hex(), res.iterations
+        ) == self.LARGE_SHAPE[_COMPENSATED_SUM]
+        assert res.stop_reason == "certified"
+
     # Answers of the solver before the Newton polish existed, as hex floats:
     # (capacity, gap, iterations, optimal input), before and from Python 3.12.
     UNPOLISHED = {
