@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -99,7 +100,10 @@ def _fraction_str(x) -> str:
     return str(Fraction(x)) if not isinstance(x, float) else repr(x)
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first call rather than at import
+    and then kept: parse_args leaves no state on it between calls."""
     parser = _Parser(prog="gammacap", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -466,9 +470,8 @@ def _build_spec(args: argparse.Namespace) -> RunSpec:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     _configure_logging()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

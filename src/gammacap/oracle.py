@@ -13,7 +13,11 @@ law.  A shape over budget is refused explicitly
 (:class:`BudgetExceededError`) so callers can distinguish "too big by
 policy" from "wrong input".  Work shared between terms (the images A*Z of
 one matrix Z, the row spaces reached from one representative M) is
-enumerated once per call and kept for no longer.
+enumerated once per call and kept for no longer.  Work whose result would
+be thrown away is not done: the f-function tables skip a subspace pair
+without reducing U+V once every class (u, v, h) its dimensions can reach
+holds its representatives, and Blahut-Arimoto computes one divergence per
+set of exactly equal rows, over their nonzero entries only.
 """
 
 from __future__ import annotations
@@ -209,17 +213,30 @@ def brute_f_functions(
     # f1: group (U, V) pairs by (u, v, h) with h = dim((U+V)/V).
     f1: Dict[Tuple[int, int, int, int], int] = {}
     reps_seen: Dict[Tuple[int, int, int], int] = {}
+    # Dimension pairs (u, v) whose every class holds its representatives:
+    # max(u, v) <= dim(U+V) <= min(u + v, m) bounds the classes a pair can
+    # reach, and any further pair of them would be reduced only to be dropped.
+    full: set[Tuple[int, int]] = set()
     for U in subspaces:
         u = len(U)
+        if all((u, v) in full for v in range(mn + 1)):
+            continue
         mats_U = by_rowspace.get(U, [])
         for V in subspaces:
             v = len(V)
+            if (u, v) in full:
+                continue
             h = len(rref_basis(list(U) + list(V), q)) - v
             key3 = (u, v, h)
             seen = reps_seen.get(key3, 0)
             if seen >= representatives_per_class:
                 continue
             reps_seen[key3] = seen + 1
+            if all(
+                reps_seen.get((u, v, g), 0) >= representatives_per_class
+                for g in range(max(0, u - v), min(u, m - v) + 1)
+            ):
+                full.add((u, v))
             for M in mats_U[:representatives_per_class]:
                 counts = tally(M)
                 for r in range(mn + 1):
@@ -555,30 +572,31 @@ def blahut_arimoto(
     inputs = list(table)
     outputs = sorted({y for row in table.values() for y in row})
     y_index = {y: j for j, y in enumerate(outputs)}
-    p_y_x = [[0.0] * len(outputs) for _ in inputs]
-    for i, x in enumerate(inputs):
-        for y, pr in table[x].items():
-            p_y_x[i][y_index[y]] = float(pr)
+    # Each row as its (j, P(y_j|x)) pairs with P > 0 in j order: a zero
+    # entry adds pi * 0.0 to qy[j] and nothing to d, so skipping it changes
+    # no float.  Inputs with exactly equal rows share one divergence.
+    rows: List[Tuple[Tuple[int, float], ...]] = []
+    for x in inputs:
+        entries = sorted((y_index[y], float(pr)) for y, pr in table[x].items())
+        rows.append(tuple((j, pyx) for j, pyx in entries if pyx > 0.0))
+    distinct: Dict[Tuple[Tuple[int, float], ...], int] = {}
+    group = [distinct.setdefault(row, len(distinct)) for row in rows]
     k = len(inputs)
     p = [1.0 / k] * k
     for _ in range(max_iter):
         qy = [0.0] * len(outputs)
-        for i in range(k):
-            pi = p[i]
+        for pi, row in zip(p, rows):
             if pi == 0.0:
                 continue
-            row = p_y_x[i]
-            for j in range(len(outputs)):
-                qy[j] += pi * row[j]
-        d = [0.0] * k
-        for i in range(k):
+            for j, pyx in row:
+                qy[j] += pi * pyx
+        d_row = []
+        for row in distinct:
             acc = 0.0
-            row = p_y_x[i]
-            for j in range(len(outputs)):
-                pyx = row[j]
-                if pyx > 0.0:
-                    acc += pyx * math.log2(pyx / qy[j])
-            d[i] = acc
+            for j, pyx in row:
+                acc += pyx * math.log2(pyx / qy[j])
+            d_row.append(acc)
+        d = [d_row[g] for g in group]
         lower = sum(p[i] * d[i] for i in range(k))
         upper = max(d)
         if upper - lower <= tol:

@@ -30,6 +30,14 @@ def run_json(capsys, *args):
     return code, json.loads(out)
 
 
+def env_with_this_gammacap():
+    """The environment for a child process importing this session's gammacap."""
+    env = dict(os.environ)
+    src = str(Path(gammacap.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def stderr_diagnostic(err):
     lines = err.strip().splitlines()
     assert len(lines) == 1
@@ -351,6 +359,30 @@ class TestFormatsAndOutput:
         assert stderr_diagnostic(err)["exit_code"] == 2
 
 
+class TestRepeatedMain:
+    """main builds its parser once per process and keeps it."""
+
+    RUNS = (
+        ["capacity", "--q", "3", "--n", "2", "--m", "2", "--error", "iid:t=1",
+         "--tol", "1e-6", "--format", "text"],
+        ["verify", "--q", "2", "--n", "2", "--m", "1"],
+        ["verify", "--q", "2", "--n", "2"],
+    )
+
+    def test_each_run_matches_a_fresh_process(self, capsys):
+        """Runs after other runs in one process print what each prints alone."""
+        env = env_with_this_gammacap()
+        for argv in self.RUNS:
+            alone = subprocess.run(
+                [sys.executable, "-m", "gammacap.cli", *argv],
+                capture_output=True, text=True, timeout=120, env=env,
+            )
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (alone.returncode, alone.stdout), argv
+        assert code == 2
+        assert stderr_diagnostic(err) == stderr_diagnostic(alone.stderr)
+
+
 class TestInstalledEntryPoint:
     """The `gammacap` command declared in pyproject.toml, run as a process.
 
@@ -396,11 +428,7 @@ class TestInstalledEntryPoint:
         # importing the same gammacap as this session.
         module, attr = scripts["gammacap"].split(":")
         launcher = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-        env = dict(os.environ)
-        src = str(Path(gammacap.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
+        env = env_with_this_gammacap()
         self.check_command([sys.executable, "-c", launcher], env)
 
         # Where the package is installed, the installer's script must agree.

@@ -262,6 +262,47 @@ def _per_entry_marginal(table, input_rank_probs, q):
     return out
 
 
+def _dense_blahut_arimoto(table, tol=1e-9, max_iter=200000):
+    """Blahut-Arimoto over dense float rows, every output of every input,
+    with one divergence per input: the plain loop that the oracle's sparse
+    rows and shared divergences must reproduce float for float."""
+    inputs = list(table)
+    outputs = sorted({y for row in table.values() for y in row})
+    y_index = {y: j for j, y in enumerate(outputs)}
+    p_y_x = [[0.0] * len(outputs) for _ in inputs]
+    for i, x in enumerate(inputs):
+        for y, pr in table[x].items():
+            p_y_x[i][y_index[y]] = float(pr)
+    k = len(inputs)
+    p = [1.0 / k] * k
+    for _ in range(max_iter):
+        qy = [0.0] * len(outputs)
+        for i in range(k):
+            pi = p[i]
+            if pi == 0.0:
+                continue
+            row = p_y_x[i]
+            for j in range(len(outputs)):
+                qy[j] += pi * row[j]
+        d = [0.0] * k
+        for i in range(k):
+            acc = 0.0
+            row = p_y_x[i]
+            for j in range(len(outputs)):
+                pyx = row[j]
+                if pyx > 0.0:
+                    acc += pyx * math.log2(pyx / qy[j])
+            d[i] = acc
+        lower = sum(p[i] * d[i] for i in range(k))
+        upper = max(d)
+        if upper - lower <= tol:
+            return (upper + lower) / 2.0, p
+        z = [p[i] * 2.0 ** d[i] for i in range(k)]
+        s = sum(z)
+        p = [zi / s for zi in z]
+    return (upper + lower) / 2.0, p
+
+
 _SHAPE_IDS = [f"q{q}-n{n}-m{m}" for q, n, m in VERIFY_SHAPES + CI_SHAPES]
 
 
@@ -308,6 +349,47 @@ class TestAgainstPerTermReferences:
             for law in laws:
                 got = oracle.channel_output_rank_marginal(table, law, q)
                 assert got == _per_entry_marginal(table, law, q)
+
+
+    @pytest.mark.parametrize("shape", VERIFY_SHAPES + CI_SHAPES, ids=_SHAPE_IDS)
+    def test_blahut_arimoto(self, shape, channel_tables):
+        # Most laws certify within the cap; the few slow ones (4 096
+        # iterations at q5-n1-m3 with a full-rank error) are compared at it.
+        q, n, m = shape
+        for params in _every_kind(q, n, m):
+            table = channel_tables(params)
+            got = oracle.blahut_arimoto(table, tol=1e-9, max_iter=500)
+            want = _dense_blahut_arimoto(table, tol=1e-9, max_iter=500)
+            assert got == want, params.error_dist
+
+
+class TestDiscardedWork:
+    def test_brute_f_functions_skips_full_classes(self, monkeypatch):
+        """U+V used to be reduced for each of the 4 096 subspace pairs at
+        (n, m, q) = (1, 6, 2), 4 160 eliminations with the 64 row spaces,
+        though at most 3 pairs per class (u, v, h) are kept.  Each pair the
+        plain loop keeps must still be reduced and read."""
+        n, m, q = 1, 6, 2
+        reduced = []
+        reduce = oracle.rref_basis
+
+        def recording(vectors, q):
+            reduced.append(tuple(map(tuple, vectors)))
+            return reduce(vectors, q)
+
+        monkeypatch.setattr(oracle, "rref_basis", recording)
+        oracle.brute_f_functions(n, m, q)
+        monkeypatch.undo()
+        assert len(reduced) <= 400
+        subspaces = [s for s in oracle.enumerate_subspaces(m, q) if len(s) <= min(n, m)]
+        kept, seen = [], {}
+        for U in subspaces:
+            for V in subspaces:
+                key3 = (len(U), len(V), len(reduce(U + V, q)) - len(V))
+                if seen.get(key3, 0) < 3:
+                    seen[key3] = seen.get(key3, 0) + 1
+                    kept.append(U + V)
+        assert set(kept) <= set(reduced)
 
 
 class TestEntropyAndBlahutArimoto:
