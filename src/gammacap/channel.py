@@ -241,7 +241,10 @@ def h_r(r: int, params: ChannelParams) -> float:
             p_vh = Fraction(numerator, params.denominator)
             if log_count_v is None:
                 log_count_v = log2_exact(f0(v, n, m, q))
-            total += weight * float(p_vh) * (log_count_v - log2_exact(p_vh))
+            # The class mass weight * p_vh by one correctly rounded integer
+            # division: weight alone can pass the float range.
+            mass = (weight * numerator) / params.denominator
+            total += mass * (log_count_v - log2_exact(p_vh))
     return total
 
 

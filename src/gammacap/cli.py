@@ -11,8 +11,8 @@ verify      cross-check the closed forms against the enumeration oracle
 Reports are written as JSON (default), CSV or plain text, to stdout or to
 the path given with --out.  Every error path prints a single-line JSON
 diagnostic to stderr.  Exit codes: 0 success, 1 verification failure,
-2 bad input (also a channel whose numbers overflow a float), 3 solver
-non-convergence (the report is still emitted), 4 enumeration budget refusal.
+2 bad input, 3 solver non-convergence (the report is still emitted),
+4 enumeration budget refusal.
 
 The JSON report always has the four top-level keys ``command``, ``params``,
 ``result`` and ``diagnostics``, with keys sorted, so identical invocations

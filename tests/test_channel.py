@@ -88,7 +88,7 @@ def _h_r_every_rank(r, params):
                 p_vh += p * f1(r, v, h, rb, n, m, q) / count_rank_matrices(n, m, rb, q)
             if p_vh == 0:
                 continue
-            total += weight * float(p_vh) * (
+            total += float(weight * p_vh) * (
                 log2_exact(f0(v, n, m, q)) - log2_exact(p_vh)
             )
     return total
@@ -126,7 +126,7 @@ def _h_r_exact_weights(r, params):
             )
             if p_vh == 0:
                 continue
-            total += weight * float(p_vh) * (
+            total += float(weight * p_vh) * (
                 log2_exact(f0(v, n, m, q)) - log2_exact(p_vh)
             )
     return total

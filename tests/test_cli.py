@@ -124,6 +124,18 @@ class TestCapacityCommand:
         assert doc["result"]["optimality_gap_bits"] <= 1e-9
         assert run_cli(capsys, *args)[1] == out
 
+    def test_class_weight_beyond_float_range(self, capsys):
+        """At q = 256 an output class of h_r holds more than 2^1024 row
+        spaces, and weight * float(p) raised OverflowError (exit 2)."""
+        code, doc = run_json(
+            capsys, "capacity", "--q", "256", "--n", "16", "--m", "64",
+            "--error", "binomial:T=4,p=0.1",
+        )
+        assert code == 0
+        assert doc["result"]["capacity_bits"] == pytest.approx(5942.20, abs=5e-3)
+        assert doc["result"]["iterations"] == 2
+        assert doc["diagnostics"]["stop_reason"] == "certified"
+
     def test_invalid_params_exit_2(self, capsys):
         code, out, err = run_cli(
             capsys, "capacity", "--q", "6", "--n", "2", "--m", "2",
@@ -145,12 +157,17 @@ class TestCapacityCommand:
         assert diagnostic["exit_code"] == 2
         assert "finite" in diagnostic["error"]
 
-    def test_float_overflow_exit_2(self, capsys):
+    def test_float_overflow_exit_2(self, capsys, monkeypatch):
         """An OverflowError used to escape main: a traceback and exit 1,
         the code of a verify mismatch."""
+
+        def overflow(params, config):
+            raise OverflowError("int too large to convert to float")
+
+        monkeypatch.setattr(cli, "maximize", overflow)
         code, out, err = run_cli(
-            capsys, "capacity", "--q", "256", "--n", "16", "--m", "64",
-            "--error", "binomial:T=4,p=0.1",
+            capsys, "capacity", "--q", "2", "--n", "2", "--m", "2",
+            "--error", "constant:t=0",
         )
         assert code == 2 and out == ""
         diagnostic = stderr_diagnostic(err)
