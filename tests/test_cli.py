@@ -124,16 +124,19 @@ class TestCapacityCommand:
         assert doc["result"]["optimality_gap_bits"] <= 1e-9
         assert run_cli(capsys, *args)[1] == out
 
-    def test_class_weight_beyond_float_range(self, capsys):
+    @pytest.mark.parametrize(
+        "n, bits, iterations", [(16, 5942.20, 2), (32, 8070.42, 11)]
+    )
+    def test_class_weight_beyond_float_range(self, capsys, n, bits, iterations):
         """At q = 256 an output class of h_r holds more than 2^1024 row
         spaces, and weight * float(p) raised OverflowError (exit 2)."""
         code, doc = run_json(
-            capsys, "capacity", "--q", "256", "--n", "16", "--m", "64",
+            capsys, "capacity", "--q", "256", "--n", str(n), "--m", "64",
             "--error", "binomial:T=4,p=0.1",
         )
         assert code == 0
-        assert doc["result"]["capacity_bits"] == pytest.approx(5942.20, abs=5e-3)
-        assert doc["result"]["iterations"] == 2
+        assert doc["result"]["capacity_bits"] == pytest.approx(bits, abs=5e-3)
+        assert doc["result"]["iterations"] == iterations
         assert doc["diagnostics"]["stop_reason"] == "certified"
 
     def test_invalid_params_exit_2(self, capsys):
