@@ -30,7 +30,6 @@ from .channel import (
     binomial_packets_model,
     conditional_entropy,
     constant_rank_model,
-    count_spanning_tuples,
     empirical_model,
     h_r,
     iid_vectors_model,
@@ -60,7 +59,6 @@ __all__ = [
     "conditional_entropy",
     "constant_rank_model",
     "count_rank_matrices",
-    "count_spanning_tuples",
     "empirical_model",
     "f0",
     "f1",

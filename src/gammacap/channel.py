@@ -20,7 +20,6 @@ from typing import Iterable, Sequence, Tuple, Union
 
 from .exactcomb import (
     count_rank_matrices,
-    qbinom,
     qbinom_ext,
     validate_field_order,
     _check_dims,
@@ -291,24 +290,6 @@ def mutual_information(
     )
 
 
-def count_spanning_tuples(t: int, r: int, q: int) -> int:
-    """Ordered t-tuples of vectors spanning a fixed r-dimensional space.
-
-    Inclusion-exclusion over the subspaces the tuple actually spans:
-    sum_j (-1)^(r-j) q^(C(r-j,2)) qbinom(r,j) q^(jt).
-    """
-    _check_dims(t=t, r=r)
-    validate_field_order(q)
-    if r > t:
-        return 0
-    total = 0
-    for j in range(r + 1):
-        k = r - j
-        term = q ** (k * (k - 1) // 2) * qbinom(r, j, q) * q ** (j * t)
-        total += -term if k % 2 else term
-    return total
-
-
 def constant_rank_model(rank: int, n: int, m: int) -> RankDistribution:
     """Point mass: the error matrix always has the given rank."""
     _check_dims(rank=rank, n=n, m=m)
@@ -322,11 +303,10 @@ def constant_rank_model(rank: int, n: int, m: int) -> RankDistribution:
 def iid_vectors_model(num_vectors: int, q: int, n: int, m: int) -> RankDistribution:
     """Error rank distribution of num_vectors uniform i.i.d. rows.
 
-    The rank is the dimension spanned by the random vectors in F_q^m:
-    R(r) = qbinom(m, r) * count_spanning_tuples(t, r) / q^(mt).  The support
-    never exceeds min(n, m, t) and the entries already sum to exactly 1, so
-    no renormalization happens; num_vectors > n is rejected because an
-    n x m error matrix cannot carry that many independent rows.
+    The rank is that of a uniform t x m matrix, t = num_vectors:
+    R(r) = N_r(t x m) / q^(mt), which is 0 above min(t, m) and sums to
+    exactly 1.  num_vectors > n is rejected because an n x m error matrix
+    cannot carry that many independent rows.
     """
     _check_dims(num_vectors=num_vectors, n=n, m=m)
     validate_field_order(q)
@@ -335,14 +315,11 @@ def iid_vectors_model(num_vectors: int, q: int, n: int, m: int) -> RankDistribut
             f"num_vectors = {num_vectors} exceeds n = {n}; the error matrix "
             f"has only n rows"
         )
-    t = num_vectors
-    denom = q ** (m * t)
-    probs = [
-        Fraction(qbinom(m, r, q) * count_spanning_tuples(t, r, q), denom)
-        for r in range(min(n, m, t) + 1)
-    ]
-    probs += [Fraction(0)] * (min(n, m) - min(n, m, t))
-    return RankDistribution(probs)
+    denom = q ** (m * num_vectors)
+    return RankDistribution(
+        Fraction(count_rank_matrices(num_vectors, m, r, q), denom)
+        for r in range(min(n, m) + 1)
+    )
 
 
 def binomial_packets_model(
@@ -351,7 +328,8 @@ def binomial_packets_model(
     """Mixture of iid_vectors models with Binomial(num_packets, p) count.
 
     Each of num_packets packets is corrupted independently with probability
-    p; the corrupted packets contribute uniform i.i.d. error vectors.
+    p; the corrupted packets contribute uniform i.i.d. error vectors, so
+    R(r) = sum_t C(T, t) p^t (1-p)^(T-t) N_r(t x m) / q^(mt).
     """
     _check_dims(num_packets=num_packets, n=n, m=m)
     validate_field_order(q)
@@ -366,14 +344,14 @@ def binomial_packets_model(
         )
     probs = [Fraction(0)] * (min(n, m) + 1)
     for t in range(num_packets + 1):
-        weight = (
-            math.comb(num_packets, t) * p**t * (1 - p) ** (num_packets - t)
+        weight = Fraction(
+            math.comb(num_packets, t) * p**t * (1 - p) ** (num_packets - t),
+            q ** (m * t),
         )
         if weight == 0:
             continue
-        component = iid_vectors_model(t, q, n, m)
-        for r in range(len(probs)):
-            probs[r] += weight * component[r]
+        for r in range(min(t, m) + 1):
+            probs[r] += weight * count_rank_matrices(t, m, r, q)
     return RankDistribution(probs)
 
 

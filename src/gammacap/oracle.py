@@ -33,6 +33,9 @@ Matrix = Tuple[Tuple[int, ...], ...]
 MATRIX_ENUM_BUDGET = 2**20
 #: Hard cap on |GL(n,q)| * q**(2*n*m) elementary channel terms.
 CHANNEL_TERM_BUDGET = 2**24
+#: Representatives of each f1 class (u, v, h) and of each f2 input rank
+#: that brute_f_functions counts and checks against each other.
+REPRESENTATIVES_PER_CLASS = 3
 
 
 class BudgetExceededError(RuntimeError):
@@ -155,30 +158,20 @@ def count_gl(n: int, q: int) -> int:
     return math.prod(q**n - q**i for i in range(n))
 
 
-def brute_f_functions(
-    n: int,
-    m: int,
-    q: int,
-    budget: int = MATRIX_ENUM_BUDGET,
-    representatives_per_class: int = 3,
-) -> Dict[str, Dict]:
+def brute_f_functions(n: int, m: int, q: int) -> Dict[str, Dict]:
     """Enumerated tables of the three matrix-counting functions.
 
     Returns ``{"f0": {u: count}, "f1": {(u,v,h,r): count}, "f2": {(r,rX,rB): count}}``
     computed purely by iterating matrices.  For f1 the count is computed for
-    several distinct representatives (U, V, M) of each (u, v, h) class and the
-    function raises AssertionError if any two representatives disagree, which
-    checks the well-definedness claim rather than assuming it.  Likewise f2 is
-    checked across representative matrices X of each rank.
+    REPRESENTATIVES_PER_CLASS distinct representatives (U, V, M) of each
+    (u, v, h) class and the function raises AssertionError if any two
+    representatives disagree, which checks the well-definedness claim rather
+    than assuming it.  Likewise f2 is checked across representative matrices
+    X of each rank.  enumerate_matrices refuses a non-prime q and a shape
+    over MATRIX_ENUM_BUDGET.
 
     ``h`` here is dim((U+V)/V), matching the closed-form convention.
     """
-    _require_prime(q)
-    total = q ** (n * m)
-    if total > budget:
-        raise BudgetExceededError(
-            f"q^(n*m) = {total} exceeds the requested budget {budget}"
-        )
     mn = min(n, m)
     all_mats = list(enumerate_matrices(n, m, q))
     # Each matrix is reduced once; its rank is the length of its row space.
@@ -229,15 +222,15 @@ def brute_f_functions(
             h = len(rref_basis(list(U) + list(V), q)) - v
             key3 = (u, v, h)
             seen = reps_seen.get(key3, 0)
-            if seen >= representatives_per_class:
+            if seen >= REPRESENTATIVES_PER_CLASS:
                 continue
             reps_seen[key3] = seen + 1
             if all(
-                reps_seen.get((u, v, g), 0) >= representatives_per_class
+                reps_seen.get((u, v, g), 0) >= REPRESENTATIVES_PER_CLASS
                 for g in range(max(0, u - v), min(u, m - v) + 1)
             ):
                 full.add((u, v))
-            for M in mats_U[:representatives_per_class]:
+            for M in mats_U[:REPRESENTATIVES_PER_CLASS]:
                 counts = tally(M)
                 for r in range(mn + 1):
                     cnt = counts.get((V, r), 0)
@@ -252,7 +245,7 @@ def brute_f_functions(
     # f2: for representative X of each rank, bucket B by (rank(X+B), rank B).
     f2: Dict[Tuple[int, int, int], int] = {}
     for rx in range(mn + 1):
-        for X in by_rank[rx][:representatives_per_class]:
+        for X in by_rank[rx][:REPRESENTATIVES_PER_CLASS]:
             by_ranks: Dict[Tuple[int, int], int] = {}
             for (rs, rb), cnt in tally(X).items():
                 by_ranks[len(rs), rb] = by_ranks.get((len(rs), rb), 0) + cnt

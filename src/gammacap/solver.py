@@ -322,6 +322,8 @@ def maximize(
         # Try a Newton step after an accepted one, or once no gap of the last
         # _STALL_WINDOW iterations is half the gap before them.  Keep it if it
         # ascends beyond rounding, or stays within rounding and halves the gap.
+        # Rounding scales with the terms H(Y) and sum_a x_a h_a that the
+        # objective cancels, which can be hundreds of bits for a small |I|.
         gaps.append(gap)
         del gaps[:-1 - _STALL_WINDOW]
         attempt = not skip and (
@@ -331,7 +333,7 @@ def maximize(
         point = _newton_point(ws, x, grad, mu) if attempt else None
         if point is not None:
             point_value, point_grad = ws.objective(point), ws.gradient(point)
-            rounding = 4e-16 * k * max(1.0, abs(value))
+            rounding = 4e-16 * k * max(1.0, abs(value), sum(map(operator.mul, x, ws.h_vec)))
             polished = point_value > value + rounding or (
                 point_value >= value - rounding and _gap(point_grad, point) <= 0.5 * gap
             )

@@ -12,7 +12,6 @@ from gammacap.channel import (
     binomial_packets_model,
     conditional_entropy,
     constant_rank_model,
-    count_spanning_tuples,
     empirical_model,
     h_r,
     iid_vectors_model,
@@ -26,7 +25,7 @@ from gammacap.channel import (
     rho_given_ranks,
     uniform_rank_distribution,
 )
-from gammacap.exactcomb import count_rank_matrices, qbinom_ext
+from gammacap.exactcomb import _falling, count_rank_matrices, qbinom, qbinom_ext
 from gammacap.matrixfn import f0, f1, f2
 
 
@@ -516,25 +515,51 @@ def _all_tuples(q, dim, t):
     return tuples
 
 
-class TestSpanningTuples:
+class TestIidRankLaw:
     def test_matches_enumeration(self):
-        """Tuples spanning all of F_q^r, counted directly."""
+        """Every t-tuple of vectors in F_q^m, tallied by the dimension it
+        spans, against the iid law scaled by q^(tm); n = 3 >= t leaves
+        zeros above min(t, m) for the law to get right."""
+        n = 3
         for q in (2, 3):
-            for r in range(1, 3):
-                for t in range(4):
-                    want = sum(
-                        1
-                        for tup in _all_tuples(q, r, t)
-                        if len(oracle.rref_basis(list(tup), q)) == r
+            for m in range(1, 4):
+                for t in range(n + 1):
+                    if q ** (m * t) > 2**12:
+                        continue
+                    tally = [0] * (min(n, m) + 1)
+                    for tup in _all_tuples(q, m, t):
+                        tally[len(oracle.rref_basis(list(tup), q))] += 1
+                    law = iid_vectors_model(t, q, n, m)
+                    assert [p * q ** (m * t) for p in law.probs] == tally, (q, m, t)
+
+    def test_inclusion_exclusion_identity(self):
+        """The t-tuples spanning a fixed r-space, by inclusion-exclusion
+        over the subspaces they span, sum_j (-1)^(r-j) q^(C(r-j,2))
+        qbinom(r, j) q^(jt), equal the falling product
+        prod_{i<r} (q^t - q^i); times qbinom(m, r) that is N_r(t x m)."""
+        for q in (2, 3, 4, 5):
+            for t in range(7):
+                for r in range(7):
+                    alternating = sum(
+                        (-1) ** (r - j)
+                        * q ** ((r - j) * (r - j - 1) // 2 + j * t)
+                        * qbinom(r, j, q)
+                        for j in range(r + 1)
                     )
-                    assert count_spanning_tuples(t, r, q) == want
+                    assert alternating == _falling(t, r, q), (q, t, r)
 
-    def test_zero_dimensional_space(self):
-        for t in range(4):
-            assert count_spanning_tuples(t, 0, 2) == 1
-
-    def test_zero_above_tuple_count(self):
-        assert count_spanning_tuples(1, 2, 2) == 0
+    def test_binomial_is_the_mixture_of_iid_laws(self):
+        for q, n, m, big_t, p in (
+            (2, 3, 3, 3, Fraction(1, 10)),
+            (3, 4, 2, 4, Fraction(3, 10)),
+            (5, 2, 5, 2, Fraction(1, 2)),
+        ):
+            want = [Fraction(0)] * (min(n, m) + 1)
+            for t in range(big_t + 1):
+                weight = math.comb(big_t, t) * p**t * (1 - p) ** (big_t - t)
+                for r, prob in enumerate(iid_vectors_model(t, q, n, m).probs):
+                    want[r] += weight * prob
+            assert list(binomial_packets_model(big_t, p, q, n, m).probs) == want
 
 
 class TestErrorModels:
