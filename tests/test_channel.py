@@ -562,6 +562,21 @@ class TestIidRankLaw:
             assert list(binomial_packets_model(big_t, p, q, n, m).probs) == want
 
 
+class TestSpanningTuples:
+    """The t-tuples spanning all of F_q^r number prod_{i<r} (q^t - q^i);
+    the iid law is that count over q^(rt) at r = m."""
+
+    def test_zero_dimensional_space(self):
+        for t in range(4):
+            assert _falling(t, 0, 2) == 1
+            # Only the zero tuple spans {0} in F_2^2.
+            assert iid_vectors_model(t, 2, 3, 2).probs[0] == Fraction(1, 4**t)
+
+    def test_zero_above_tuple_count(self):
+        assert _falling(1, 2, 2) == 0
+        assert iid_vectors_model(1, 2, 2, 2).probs[2] == 0
+
+
 class TestErrorModels:
     def test_constant(self):
         dist = constant_rank_model(1, 2, 3)
