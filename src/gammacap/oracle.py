@@ -154,7 +154,7 @@ def _mat_mul(a: Matrix, b: Matrix, q: int) -> Matrix:
 
 
 def count_gl(n: int, q: int) -> int:
-    """|GL(n,q)| by the closed product (used only to weight, not to verify)."""
+    """|GL(n,q)| by the closed product; the tests check enumerate_gl against it."""
     return math.prod(q**n - q**i for i in range(n))
 
 
@@ -556,12 +556,12 @@ def blahut_arimoto(
     Returns (capacity bits, optimizing input distribution) once the standard
     upper and lower capacity bounds agree within ``tol`` bits; the reported
     capacity is their midpoint.  A ``tol`` that is not positive and finite,
-    or a ``max_iter`` below 1, raises ValueError.
+    or a ``max_iter`` that is not an int of at least 1, raises ValueError.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    if type(max_iter) is not int or max_iter < 1:
+        raise ValueError("max_iter must be an int of at least 1")
     inputs = list(table)
     outputs = sorted({y for row in table.values() for y in row})
     y_index = {y: j for j, y in enumerate(outputs)}

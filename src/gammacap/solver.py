@@ -4,8 +4,9 @@ The mutual information is concave on the simplex of input rank
 distributions.  The solver runs Blahut-Arimoto on the rank kernel, x_a <-
 x_a 2^{grad_a} renormalized, accelerated by SQUAREM extrapolation (Varadhan
 and Roland, 2008).  When that stalls (the gap has not halved over five
-iterations) it tries an active-set Newton step on the simplex and keeps it
-only if it ascends or halves the gap.  A rank the Newton step would empty
+iterations) it tries an active-set Newton step on the simplex, keeps it if
+it loses no more than rounding and shrinks the gap, and otherwise raises the
+damping and waits for a fresh stall.  A rank the Newton step would empty
 keeps 1e-3 of its mass, and a mass that underflows keeps the smallest
 positive float, so every iterate keeps full support.  The Frank-Wolfe
 duality gap max_a grad_a - grad . x certifies the result.
@@ -37,13 +38,11 @@ from .channel import (
 _LOG2E = math.log2(math.e)
 _LN2 = math.log(2)
 # Newton polish: a stall is _STALL_WINDOW iterations without halving the gap;
-# a rank the step would empty keeps _FLOOR of its mass; the damping mu moves
-# by factors of 10 within [_MU_MIN, _MU_MAX]; a rejected step skips the polish
-# for 1, 2, 4, ... _MAX_SKIP iterations; a pivot of the unit-diagonal system
-# at or below _PIVOT_MIN counts as zero.
-_STALL_WINDOW, _FLOOR, _MAX_SKIP, _PIVOT_MIN = 5, 1e-3, 16, 1e-13
+# a rank the step would empty keeps _FLOOR of its mass; the damping mu starts
+# at _MU_START, falls by 10 on a kept step and rises by 10 on a refused one; a
+# pivot of the unit-diagonal system at or below _PIVOT_MIN counts as zero.
+_STALL_WINDOW, _FLOOR, _PIVOT_MIN, _MU_START = 5, 1e-3, 1e-13, 1e-4
 _MIN_MASS = math.ulp(0.0)
-_MU_START, _MU_MIN, _MU_MAX = 1e-4, 1e-9, 0.1
 
 log = logging.getLogger("gammacap.solver")
 
@@ -62,8 +61,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not 0 < self.tolerance_bits < math.inf:
             raise ValueError("tolerance_bits must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        if type(self.max_iterations) is not int or self.max_iterations < 1:
+            raise ValueError("max_iterations must be an int of at least 1")
 
 
 @dataclass(frozen=True)
@@ -281,7 +280,8 @@ def maximize(
 ) -> CapacityResult:
     """Maximize mutual information over input rank distributions.
 
-    SQUAREM-accelerated Blahut-Arimoto with a Newton polish once it stalls.
+    SQUAREM-accelerated Blahut-Arimoto with a Newton polish once it stalls,
+    whose step is kept when it loses no more than rounding and shrinks the gap.
     Stops when the Frank-Wolfe gap max_a grad_a - grad . x (an upper bound on
     the remaining suboptimality, in bits) drops to config.tolerance_bits;
     hitting max_iterations first returns the last iterate with its own gap
@@ -311,7 +311,7 @@ def maximize(
     value = best_value = ws.objective(x)
     grad = ws.gradient(x)
     gaps: List[float] = []
-    mu, skip, backoff, newton_steps, polished = _MU_START, 0, 1, 0, False
+    mu, newton_steps, polished = _MU_START, 0, False
     for iterations in range(1, config.max_iterations + 1):
         gap = _gap(grad, x)
         if gap <= config.tolerance_bits:
@@ -321,28 +321,26 @@ def maximize(
 
         # Try a Newton step after an accepted one, or once no gap of the last
         # _STALL_WINDOW iterations is half the gap before them.  Keep it if it
-        # ascends beyond rounding, or stays within rounding and halves the gap.
-        # Rounding scales with the terms H(Y) and sum_a x_a h_a that the
-        # objective cancels, which can be hundreds of bits for a small |I|.
+        # loses no more than rounding and shrinks the gap.  Rounding scales
+        # with the terms H(Y) and sum_a x_a h_a that the objective cancels,
+        # which can be hundreds of bits for a small |I|.
         gaps.append(gap)
         del gaps[:-1 - _STALL_WINDOW]
-        attempt = not skip and (
-            polished or len(gaps) > _STALL_WINDOW and min(gaps[1:]) > 0.5 * gaps[0]
-        )
-        skip, polished = max(skip - 1, 0), False
+        attempt = polished or len(gaps) > _STALL_WINDOW and min(gaps[1:]) > 0.5 * gaps[0]
+        polished = False
         point = _newton_point(ws, x, grad, mu) if attempt else None
         if point is not None:
-            point_value, point_grad = ws.objective(point), ws.gradient(point)
+            point_value = ws.objective(point)
             rounding = 4e-16 * k * max(1.0, abs(value), sum(map(operator.mul, x, ws.h_vec)))
-            polished = point_value > value + rounding or (
-                point_value >= value - rounding and _gap(point_grad, point) <= 0.5 * gap
-            )
+            if point_value >= value - rounding:
+                point_grad = ws.gradient(point)
+                polished = _gap(point_grad, point) < gap
         if polished:
             x, value, grad = point, point_value, point_grad
-            mu, backoff, newton_steps = max(mu / 10, _MU_MIN), 1, newton_steps + 1
+            mu, newton_steps = mu / 10, newton_steps + 1
         else:
             if attempt:
-                mu, skip, backoff = min(mu * 10, _MU_MAX), backoff, min(2 * backoff, _MAX_SKIP)
+                mu, gaps = mu * 10, []
             x, value = _squarem_step(ws, x, grad)
             grad = ws.gradient(x)
         best_value = max(best_value, value)

@@ -405,12 +405,16 @@ class TestEntropyAndBlahutArimoto:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"max_iter": 0}, {"tol": math.nan}, {"tol": 0.0}, {"tol": -1e-9}],
-        ids=["max_iter=0", "tol=nan", "tol=0", "tol<0"],
+        [
+            {"max_iter": 0}, {"max_iter": 3.5}, {"max_iter": True},
+            {"tol": math.nan}, {"tol": 0.0}, {"tol": -1e-9},
+        ],
+        ids=["max_iter=0", "max_iter=3.5", "max_iter=True", "tol=nan", "tol=0", "tol<0"],
     )
     def test_blahut_arimoto_refuses_bad_settings(self, kwargs, channel_tables):
-        """max_iter=0 used to fail on an unbound bound, and a NaN or
-        non-positive tol ran silently to the cap."""
+        """max_iter=0 used to fail on an unbound bound, max_iter=3.5 in range()
+        with a bare TypeError, and a NaN or non-positive tol ran silently to
+        the cap."""
         params = ChannelParams(2, 2, 2, constant_rank_model(0, 2, 2))
         with pytest.raises(ValueError):
             oracle.blahut_arimoto(channel_tables(params), **kwargs)

@@ -31,6 +31,13 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=0)
 
+    @pytest.mark.parametrize("cap", [10.0, True], ids=["float", "bool"])
+    def test_iteration_cap_must_be_an_int(self, cap):
+        """A float cap passed validation and then failed in range() with a
+        bare TypeError; True ran one iteration as if it were 1."""
+        with pytest.raises(ValueError, match="must be an int"):
+            SolverConfig(max_iterations=cap)
+
     @pytest.mark.parametrize("tolerance", [math.inf, math.nan])
     def test_tolerance_must_be_finite(self, tolerance):
         """An infinite tolerance certified any point after one iteration (a
@@ -208,6 +215,18 @@ class TestRegressionPins:
         assert 0 <= res.optimality_gap_bits <= 1e-9
         assert res.newton_steps > 0
 
+    # Near-zero capacities (2.6e-9 and 0.033 bits) where a Newton step's
+    # ascent falls below rounding while the gap does not halve: a keep test
+    # that asked for ascent or a halved gap refused the steps and took 48 and
+    # 78 iterations.
+    SHRINKING_GAP_CASES = [(5, 16, 5, "constant:t=5"), (2, 13, 9, "constant:t=9")]
+
+    @pytest.mark.parametrize("channel", SHRINKING_GAP_CASES, ids=_channel_id)
+    def test_polish_keeps_steps_that_shrink_the_gap(self, channel):
+        res = maximize(_params(*channel), SolverConfig(max_iterations=500))
+        assert res.converged and res.stop_reason == "certified"
+        assert res.iterations <= 30 and res.newton_steps > 0
+
     # A 64 x 64 binary channel, whose f1 and f2 tables are mostly zeros
     # outside the rank-distance bands: (capacity, gap, iterations) as hex
     # floats from before the workspace build kept to the bands, before and
@@ -266,9 +285,8 @@ class TestRegressionPins:
         assert res.newton_steps == 0 and res.stop_reason == "certified"
 
 
-_POLISHED = TestRegressionPins.BENCHMARK_CAP_CASES + [
+_POLISHED = TestRegressionPins.BENCHMARK_CAP_CASES + TestRegressionPins.SHRINKING_GAP_CASES + [
     (3, 6, 10, "iid:t=3"),
-    (2, 16, 16, "binomial:T=4,p=0.1"),
     # Blahut-Arimoto used to underflow ranks here to exactly 0.
     (16, 16, 16, "empirical:2/22,0/22,5/22,5/22,1/22,3/22,6/22"),
     # SQUAREM alone stopped at a 5.6e-3-bit gap; a Newton point here puts a
@@ -290,6 +308,23 @@ class TestNewtonPolish:
         params = _params(2, 2, 2, "iid:t=2")
         ws = solver._workspace(params)
         assert solver._newton_point(ws, point, ws.gradient(point), 0.0) is None
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-300, solver._MU_START, 1e300, math.inf])
+    @pytest.mark.parametrize("channel", _POLISHED[:3], ids=_channel_id)
+    def test_any_damping_gives_no_step_or_a_full_support_point(self, channel, mu, monkeypatch):
+        """The damping has no bounds: from the first point the solver polishes,
+        any mu gives None or a finite point that keeps every rank."""
+        attempts = []
+        newton_point = solver._newton_point
+        monkeypatch.setattr(
+            solver, "_newton_point", lambda *args: attempts.append(args) or newton_point(*args)
+        )
+        maximize(_params(*channel), SolverConfig(max_iterations=500))
+        ws, x, grad, _ = attempts[0]
+        point = newton_point(ws, x, grad, mu)
+        if point is not None:
+            assert len(point) == ws.size and all(map(math.isfinite, point))
+            assert min(point) > 0
 
     @pytest.mark.parametrize(
         "channel", [(2, 2, 2, "iid:t=2"), (16, 16, 16, "constant:t=0"), (2, 15, 8, "constant:t=8")],
