@@ -300,6 +300,8 @@ def _verify_checks(spec: RunSpec) -> List[Dict[str, Any]]:
 
     checks: List[Dict[str, Any]] = []
 
+    # A shape over budget is refused before any enumeration starts.
+    oracle.check_budgets(p.n, p.m, p.q)
     tables = oracle.brute_f_functions(p.n, p.m, p.q)
     mismatches = 0
     cases = 0
@@ -322,6 +324,7 @@ def _verify_checks(spec: RunSpec) -> List[Dict[str, Any]]:
     )
 
     table = oracle.build_channel(p)
+    kernel = oracle.rank_kernel(table, p.q)
     rank_count = p.rank_count
     marg_dev = 0.0
     marg_cases = 0
@@ -331,7 +334,7 @@ def _verify_checks(spec: RunSpec) -> List[Dict[str, Any]]:
         [Fraction(1, rank_count) for _ in range(rank_count)],
     ]
     for probs in trial_inputs:
-        want = oracle.channel_output_rank_marginal(table, probs, p.q)
+        want = oracle.rank_marginal(kernel, probs)
         got = output_rank_distribution(RankDistribution(probs), p)
         for r in range(rank_count):
             marg_cases += 1

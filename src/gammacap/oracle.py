@@ -11,19 +11,27 @@ The field must be prime; the scope is set by two budgets, not by n and m:
 ``CHANNEL_TERM_BUDGET`` caps the |GL(n,q)| * q**(2*n*m) terms of a channel
 law.  A shape over budget is refused explicitly
 (:class:`BudgetExceededError`) so callers can distinguish "too big by
-policy" from "wrong input".  Work shared between terms (the images A*Z of
-one matrix Z, the row spaces reached from one representative M) is
-enumerated once per call and kept for no longer.  Work whose result would
-be thrown away is not done: the f-function tables skip a subspace pair
-without reducing U+V once every class (u, v, h) its dimensions can reach
-holds its representatives, and Blahut-Arimoto computes one divergence per
-set of exactly equal rows, over their nonzero entries only.
+policy" from "wrong input"; :func:`check_budgets` refuses such a shape
+before anything is enumerated.  Work shared between terms (the images A*Z
+of one matrix Z, the row spaces reached from one representative M) is
+enumerated once per call and kept for no longer.  The inner loops read
+matrices by their index in enumerate_matrices order: adding a fixed X is a
+permutation of those indices (:func:`_translation`), built entry by entry
+with no matrix formed.  A channel table is ranked once, into the exact rank
+transition of :func:`rank_kernel`, from which every output rank law of a
+rank-uniform input follows.  Work whose result would be thrown away is not
+done: the f-function tables skip a subspace pair without reducing U+V once
+every class (u, v, h) its dimensions can reach holds its representatives,
+and Blahut-Arimoto computes one divergence per set of exactly equal rows,
+over their nonzero entries only.  The elimination itself trusts its caller
+to have checked that q is prime.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -49,8 +57,8 @@ def _require_prime(q: int) -> None:
 
 def _rref(vectors: Sequence[Sequence[int]], q: int) -> Tuple[List[List[int]], List[int]]:
     """Gauss-Jordan over F_q (q prime): the nonzero rows of the reduced row
-    echelon form of ``vectors`` and their pivot columns."""
-    _require_prime(q)
+    echelon form of ``vectors`` and their pivot columns.  Callers check that
+    q is prime, once per public call rather than once per elimination."""
     rows = [[x % q for x in r] for r in vectors]
     ncols = len(rows[0]) if rows else 0
     pivots: List[int] = []
@@ -74,21 +82,46 @@ def _rref(vectors: Sequence[Sequence[int]], q: int) -> Tuple[List[List[int]], Li
 
 def rank_of(mat: Sequence[Sequence[int]], q: int) -> int:
     """Rank of a matrix over F_q (q prime) by Gaussian elimination."""
+    _require_prime(q)
     return len(_rref(mat, q)[1])
 
 
 def rref_basis(vectors: Sequence[Sequence[int]], q: int) -> Matrix:
     """Canonical RREF basis (tuple of rows) of the span of ``vectors``."""
+    _require_prime(q)
     return tuple(tuple(r) for r in _rref(vectors, q)[0])
+
+
+def _check_grid(rows: int, cols: int, q: int, label: str) -> None:
+    if q ** (rows * cols) > MATRIX_ENUM_BUDGET:
+        raise BudgetExceededError(
+            f"{label} = {q ** (rows * cols)} exceeds the enumeration budget {MATRIX_ENUM_BUDGET}"
+        )
+
+
+def _check_channel(n: int, m: int, q: int) -> None:
+    _check_grid(n, n, q, "q^(n^2)")
+    n_terms = count_gl(n, q) * q ** (2 * n * m)
+    if n_terms > CHANNEL_TERM_BUDGET:
+        raise BudgetExceededError(
+            f"|GL|*q^(2nm) = {n_terms} exceeds the channel budget {CHANNEL_TERM_BUDGET}"
+        )
+
+
+def check_budgets(n: int, m: int, q: int) -> None:
+    """Refuse, before any enumeration, a shape that brute_f_functions or
+    build_channel would refuse: a non-prime q (ValueError), then the q**(n*m)
+    grid, the q**(n*n) grid of GL(n, q) and the channel's terms
+    (BudgetExceededError), in the order those two calls meet them."""
+    _require_prime(q)
+    _check_grid(n, m, q, "q^(n*m)")
+    _check_channel(n, m, q)
 
 
 def enumerate_matrices(n: int, m: int, q: int) -> Iterator[Matrix]:
     """All q**(n*m) matrices in F_q^{n x m}, in lexicographic entry order."""
     _require_prime(q)
-    if q ** (n * m) > MATRIX_ENUM_BUDGET:
-        raise BudgetExceededError(
-            f"q^(n*m) = {q ** (n * m)} exceeds the enumeration budget {MATRIX_ENUM_BUDGET}"
-        )
+    _check_grid(n, m, q, "q^(n*m)")
     for flat in itertools.product(range(q), repeat=n * m):
         yield tuple(flat[i * m : (i + 1) * m] for i in range(n))
 
@@ -96,12 +129,9 @@ def enumerate_matrices(n: int, m: int, q: int) -> Iterator[Matrix]:
 def enumerate_gl(n: int, q: int) -> Iterator[Matrix]:
     """All invertible n x n matrices over F_q (q prime), by filtering."""
     _require_prime(q)
-    if q ** (n * n) > MATRIX_ENUM_BUDGET:
-        raise BudgetExceededError(
-            f"q^(n^2) = {q ** (n * n)} exceeds the enumeration budget {MATRIX_ENUM_BUDGET}"
-        )
+    _check_grid(n, n, q, "q^(n^2)")
     for mat in enumerate_matrices(n, n, q):
-        if rank_of(mat, q) == n:
+        if len(_rref(mat, q)[1]) == n:
             yield mat
 
 
@@ -139,18 +169,24 @@ def enumerate_subspaces(m: int, q: int, dim: int | None = None) -> List[Matrix]:
 
 
 def _mat_add(a: Matrix, b: Matrix, q: int) -> Matrix:
-    return tuple(
-        tuple((x + y) % q for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
+    return tuple([tuple([(x + y) % q for x, y in zip(ra, rb)]) for ra, rb in zip(a, b)])
 
 
 def _mat_mul(a: Matrix, b: Matrix, q: int) -> Matrix:
-    cols = len(b[0])
-    inner = len(b)
+    cols = list(zip(*b))
     return tuple(
-        tuple(sum(ra[k] * b[k][j] for k in range(inner)) % q for j in range(cols))
-        for ra in a
+        [tuple([sum([x * y for x, y in zip(ra, col)]) % q for col in cols]) for ra in a]
     )
+
+
+def _translation(X: Matrix, q: int) -> List[int]:
+    """``perm[b]`` is the index of X + B for the matrix B of index b, both in
+    enumerate_matrices order, built one entry of X at a time."""
+    perm = [0]
+    for x in itertools.chain.from_iterable(X):
+        digits = [(x + d) % q for d in range(q)]
+        perm = [p * q + s for p in perm for s in digits]
+    return perm
 
 
 def count_gl(n: int, q: int) -> int:
@@ -175,33 +211,35 @@ def brute_f_functions(n: int, m: int, q: int) -> Dict[str, Dict]:
     mn = min(n, m)
     all_mats = list(enumerate_matrices(n, m, q))
     # Each matrix is reduced once; its rank is the length of its row space.
-    rowspace = {mat: rref_basis(mat, q) for mat in all_mats}
-    by_rank: Dict[int, List[Matrix]] = {r: [] for r in range(mn + 1)}
-    by_rowspace: Dict[Matrix, List[Matrix]] = {}
-    for mat, rs in rowspace.items():
-        by_rank[len(rs)].append(mat)
-        by_rowspace.setdefault(rs, []).append(mat)
+    # Matrices are read by their index in all_mats, row spaces by a number.
+    space_id: Dict[Matrix, int] = {}
+    space_of = [space_id.setdefault(rref_basis(mat, q), len(space_id)) for mat in all_mats]
+    space_dim = [len(rs) for rs in space_id]
+    ranks = [space_dim[s] for s in space_of]
+    by_rank: Dict[int, List[int]] = {r: [] for r in range(mn + 1)}
+    by_rowspace: Dict[int, List[int]] = {}
+    for i, s in enumerate(space_of):
+        by_rank[ranks[i]].append(i)
+        by_rowspace.setdefault(s, []).append(i)
 
     # Row spaces of n x m matrices have dimension at most mn.
     subspaces = [s for d in range(mn + 1) for s in enumerate_subspaces(m, q, d)]
 
-    # tally(M): (rowspace(M + B), rank B) -> number of B, one pass over B per M.
-    tallies: Dict[Matrix, Dict[Tuple[Matrix, int], int]] = {}
+    # tally(i): (rowspace(M + B), rank B) -> number of B for M = all_mats[i],
+    # one pass over the translation of M per representative.
+    tallies: Dict[int, Counter] = {}
 
-    def tally(M: Matrix) -> Dict[Tuple[Matrix, int], int]:
-        if M not in tallies:
-            counts: Dict[Tuple[Matrix, int], int] = {}
-            for B in all_mats:
-                key = (rowspace[_mat_add(M, B, q)], len(rowspace[B]))
-                counts[key] = counts.get(key, 0) + 1
-            tallies[M] = counts
-        return tallies[M]
+    def tally(i: int) -> Counter:
+        if i not in tallies:
+            perm = _translation(all_mats[i], q)
+            tallies[i] = Counter(zip([space_of[z] for z in perm], ranks))
+        return tallies[i]
 
     # f0: matrices with one fixed rowspace per dimension.
     f0: Dict[int, int] = {}
     for u in range(mn + 1):
         target = next(s for s in subspaces if len(s) == u)
-        f0[u] = len(by_rowspace.get(target, []))
+        f0[u] = len(by_rowspace.get(space_id.get(target), []))
 
     # f1: group (U, V) pairs by (u, v, h) with h = dim((U+V)/V).
     f1: Dict[Tuple[int, int, int, int], int] = {}
@@ -214,7 +252,7 @@ def brute_f_functions(n: int, m: int, q: int) -> Dict[str, Dict]:
         u = len(U)
         if all((u, v) in full for v in range(mn + 1)):
             continue
-        mats_U = by_rowspace.get(U, [])
+        mats_U = by_rowspace.get(space_id.get(U), [])
         for V in subspaces:
             v = len(V)
             if (u, v) in full:
@@ -230,10 +268,11 @@ def brute_f_functions(n: int, m: int, q: int) -> Dict[str, Dict]:
                 for g in range(max(0, u - v), min(u, m - v) + 1)
             ):
                 full.add((u, v))
+            V_id = space_id.get(V)
             for M in mats_U[:REPRESENTATIVES_PER_CLASS]:
                 counts = tally(M)
                 for r in range(mn + 1):
-                    cnt = counts.get((V, r), 0)
+                    cnt = counts.get((V_id, r), 0)
                     key = (u, v, h, r)
                     if key in f1:
                         assert f1[key] == cnt, (
@@ -247,8 +286,9 @@ def brute_f_functions(n: int, m: int, q: int) -> Dict[str, Dict]:
     for rx in range(mn + 1):
         for X in by_rank[rx][:REPRESENTATIVES_PER_CLASS]:
             by_ranks: Dict[Tuple[int, int], int] = {}
-            for (rs, rb), cnt in tally(X).items():
-                by_ranks[len(rs), rb] = by_ranks.get((len(rs), rb), 0) + cnt
+            for (s, rb), cnt in tally(X).items():
+                key2 = (space_dim[s], rb)
+                by_ranks[key2] = by_ranks.get(key2, 0) + cnt
             for r in range(mn + 1):
                 for rb in range(mn + 1):
                     cnt = by_ranks.get((r, rb), 0)
@@ -452,8 +492,12 @@ def build_channel(params) -> Dict[Matrix, Dict[Matrix, Fraction]]:
     ``params`` provides q (prime), n, m and an error rank distribution whose
     entries must be exact rationals.  The law is
     P(Y|X) = (1/|GL|) * sum_rB R(rB)/N_rB * sum_{B of rank rB} #{A in GL : A(X+B) = Y}.
-    The images A*Z over all of GL are tallied once per matrix Z; a row adds
-    the tallies of every X+B as integers and builds one Fraction per output.
+    A shape over the channel budget is refused before GL is enumerated.
+    The images A*Z over all of GL are tallied once per matrix Z, by output
+    index; a row reads the tally of X+B through the translation of X, adds
+    the tallies as integers and builds one Fraction per distinct numerator.
+    Rows come in enumerate_matrices order, and a row's outputs in order of
+    first appearance.
     """
     q, n, m = params.q, params.n, params.m
     _require_prime(q)
@@ -463,16 +507,13 @@ def build_channel(params) -> Dict[Matrix, Dict[Matrix, Fraction]]:
             raise ValueError(
                 "oracle channel law needs exact rational error probabilities"
             )
+    _check_channel(n, m, q)
     gl = list(enumerate_gl(n, q))
-    n_terms = len(gl) * q ** (2 * n * m)
-    if n_terms > CHANNEL_TERM_BUDGET:
-        raise BudgetExceededError(
-            f"|GL|*q^(2nm) = {n_terms} exceeds the channel budget {CHANNEL_TERM_BUDGET}"
-        )
     all_mats = list(enumerate_matrices(n, m, q))
-    by_rank: Dict[int, List[Matrix]] = {}
-    for mat in all_mats:
-        by_rank.setdefault(rank_of(mat, q), []).append(mat)
+    index = {mat: i for i, mat in enumerate(all_mats)}
+    by_rank: Dict[int, List[int]] = {}
+    for i, mat in enumerate(all_mats):
+        by_rank.setdefault(len(_rref(mat, q)[1]), []).append(i)
     # R(rB) / (N_rB * |GL|) as integer numerators over one denominator.
     per_term = {
         rb: Fraction(w) / (len(by_rank[rb]) * len(gl))
@@ -480,24 +521,80 @@ def build_channel(params) -> Dict[Matrix, Dict[Matrix, Fraction]]:
         if w != 0 and rb in by_rank
     }
     den = math.lcm(*(t.denominator for t in per_term.values()))
-    nums = {rb: t.numerator * (den // t.denominator) for rb, t in per_term.items()}
-    # images[Z]: Y -> #{A in GL : A*Z = Y}, keyed in order of first appearance.
-    images: Dict[Matrix, Dict[Matrix, int]] = {}
+    # (index of B, numerator of its term) for every supported error matrix B.
+    terms = [
+        (b, t.numerator * (den // t.denominator))
+        for rb, t in per_term.items()
+        for b in by_rank[rb]
+    ]
+    # images[z]: index of Y -> #{A in GL : A*Z = Y} for Z = all_mats[z],
+    # keyed in order of first appearance.
+    images: List[Dict[int, int]] = []
     for Z in all_mats:
-        tally: Dict[Matrix, int] = {}
+        tally: Dict[int, int] = {}
         for A in gl:
-            Y = _mat_mul(A, Z, q)
-            tally[Y] = tally.get(Y, 0) + 1
-        images[Z] = tally
+            y = index[_mat_mul(A, Z, q)]
+            tally[y] = tally.get(y, 0) + 1
+        images.append(tally)
+    # One Fraction per distinct numerator, shared by every entry that has it.
+    fractions: Dict[int, Fraction] = {}
     table: Dict[Matrix, Dict[Matrix, Fraction]] = {}
     for X in all_mats:
-        counts: Dict[Matrix, int] = {}
-        for rb, num in nums.items():
-            for B in by_rank[rb]:
-                for Y, mult in images[_mat_add(X, B, q)].items():
-                    counts[Y] = counts.get(Y, 0) + num * mult
-        table[X] = {Y: Fraction(c, den) for Y, c in counts.items()}
+        perm = _translation(X, q)
+        counts: Dict[int, int] = {}
+        for b, num in terms:
+            for y, mult in images[perm[b]].items():
+                counts[y] = counts.get(y, 0) + num * mult
+        for c in counts.values():
+            if c not in fractions:
+                fractions[c] = Fraction(c, den)
+        table[X] = {all_mats[y]: fractions[c] for y, c in counts.items()}
     return table
+
+
+def rank_kernel(
+    table: Dict[Matrix, Dict[Matrix, Fraction]], q: int
+) -> Dict[int, List[Fraction]]:
+    """Exact rank transition ``K[rx][ry]`` of ``table``: the probability that
+    an input drawn uniformly from the inputs of rank rx gives an output of
+    rank ry.  Keyed by the input ranks present; every row has one entry per
+    output rank up to the largest one reached.  Each matrix of the table is
+    ranked once and each P(Y|X) read once.
+    """
+    outputs = set().union(*table.values())
+    rank = {mat: rank_of(mat, q) for mat in outputs.union(table)}
+    width = max((rank[Y] for Y in outputs), default=0) + 1
+    # Input rank -> output rank -> denominator -> summed numerators of P(Y|X).
+    sums: Dict[int, List[Dict[int, int]]] = {}
+    sizes: Dict[int, int] = {}
+    for X, row in table.items():
+        rx = rank[X]
+        sizes[rx] = sizes.get(rx, 0) + 1
+        cells = sums.setdefault(rx, [{} for _ in range(width)])
+        for Y, pyx in row.items():
+            by_den = cells[rank[Y]]
+            by_den[pyx.denominator] = by_den.get(pyx.denominator, 0) + pyx.numerator
+    return {
+        rx: [
+            sum((Fraction(a, d) for d, a in by_den.items()), Fraction(0)) / sizes[rx]
+            for by_den in cells
+        ]
+        for rx, cells in sums.items()
+    }
+
+
+def rank_marginal(
+    kernel: Dict[int, List[Fraction]], input_rank_probs: Sequence
+) -> List[Fraction]:
+    """Exact output rank law of a rank-uniform input through a rank_kernel."""
+    width = max((len(row) for row in kernel.values()), default=1)
+    out = [Fraction(0)] * max(len(input_rank_probs), width)
+    for rx, p in enumerate(input_rank_probs):
+        if p == 0 or rx not in kernel:
+            continue
+        for ry, k in enumerate(kernel[rx]):
+            out[ry] += Fraction(p) * k
+    return out
 
 
 def channel_output_rank_marginal(
@@ -505,27 +602,10 @@ def channel_output_rank_marginal(
     input_rank_probs: Sequence,
     q: int,
 ) -> List[Fraction]:
-    """Exact output rank law for a rank-uniform input over ``table``'s alphabet."""
-    outputs = set().union(*table.values())
-    rank = {mat: rank_of(mat, q) for mat in outputs.union(table)}
-    by_rank: Dict[int, List[Matrix]] = {}
-    for X in table:
-        by_rank.setdefault(rank[X], []).append(X)
-    max_rank = max((rank[Y] for Y in outputs), default=0)
-    out = [Fraction(0)] * max(len(input_rank_probs), max_rank + 1)
-    for rx, p in enumerate(input_rank_probs):
-        if p == 0 or rx not in by_rank:
-            continue
-        # Output rank -> denominator -> summed numerators of P(Y|X) over the class.
-        sums: Dict[int, Dict[int, int]] = {}
-        for X in by_rank[rx]:
-            for Y, pyx in table[X].items():
-                by_den = sums.setdefault(rank[Y], {})
-                by_den[pyx.denominator] = by_den.get(pyx.denominator, 0) + pyx.numerator
-        class_weight = Fraction(p) / len(by_rank[rx])
-        for r, by_den in sums.items():
-            out[r] += class_weight * sum(Fraction(a, d) for d, a in by_den.items())
-    return out
+    """Exact output rank law for a rank-uniform input over ``table``'s
+    alphabet, through the table's rank_kernel.  A caller with several input
+    laws for one table builds the kernel once and calls rank_marginal."""
+    return rank_marginal(rank_kernel(table, q), input_rank_probs)
 
 
 def entropy_bits(probs) -> float:

@@ -337,6 +337,23 @@ class TestVerifyCommand:
         assert code == 4 and out == ""
         assert stderr_diagnostic(err)["exit_code"] == 4
 
+    def test_budget_refusal_before_enumerating(self, capsys, monkeypatch):
+        """(q, n, m) = (2, 4, 4) used to spend about 22 s enumerating its
+        65 536 matrices in brute_f_functions before build_channel refused it."""
+        def enumerate_nothing(*args):
+            raise AssertionError("enumerated a shape over budget")
+
+        for name in ("brute_f_functions", "enumerate_matrices", "enumerate_gl"):
+            monkeypatch.setattr(cli.oracle, name, enumerate_nothing)
+        code, out, err = run_cli(
+            capsys, "verify", "--q", "2", "--n", "4", "--m", "4", "--error", "iid:t=1",
+        )
+        assert code == 4 and out == ""
+        assert stderr_diagnostic(err) == {
+            "error": "|GL|*q^(2nm) = 86586540687360 exceeds the channel budget 16777216",
+            "exit_code": 4,
+        }
+
 
 class TestFormatsAndOutput:
     def test_csv_one_row_per_rank(self, capsys):

@@ -85,6 +85,38 @@ class TestEnumeration:
         with pytest.raises(oracle.BudgetExceededError):
             oracle.build_channel(ChannelParams(2, 3, 3, constant_rank_model(0, 3, 3)))
 
+    @pytest.mark.parametrize(
+        "shape",
+        [(2, 5, 5), (2, 5, 1), (2, 3, 3), (4, 1, 1), (3, 1, 2)],
+        ids=["matrix-grid", "gl-grid", "channel", "not-prime", "within"],
+    )
+    def test_check_budgets_refuses_as_the_enumerations_do(self, shape):
+        """check_budgets raises what brute_f_functions and then build_channel
+        would raise, message included, and nothing for a shape within."""
+        q, n, m = shape
+        params = ChannelParams(q, n, m, constant_rank_model(0, n, m))
+        try:
+            oracle.brute_f_functions(n, m, q)
+            oracle.build_channel(params)
+        except (ValueError, oracle.BudgetExceededError) as exc:
+            with pytest.raises(type(exc)) as refused:
+                oracle.check_budgets(n, m, q)
+            assert str(refused.value) == str(exc)
+        else:
+            oracle.check_budgets(n, m, q)
+
+    def test_build_channel_refuses_before_enumerating(self, monkeypatch):
+        """(n, m, q) = (4, 4, 2) used to enumerate GL(4, 2), 65 536 matrices,
+        before its channel budget refused it."""
+        def enumerate_nothing(*args):
+            raise AssertionError("enumerated a shape over budget")
+
+        monkeypatch.setattr(oracle, "enumerate_gl", enumerate_nothing)
+        monkeypatch.setattr(oracle, "enumerate_matrices", enumerate_nothing)
+        params = ChannelParams(2, 4, 4, constant_rank_model(0, 4, 4))
+        with pytest.raises(oracle.BudgetExceededError, match="channel budget"):
+            oracle.build_channel(params)
+
     def test_requires_prime_field(self):
         with pytest.raises(ValueError):
             oracle.brute_f_functions(2, 2, 4)
@@ -109,6 +141,18 @@ class TestChannelTable:
             table, [Fraction(1), Fraction(0), Fraction(0)], 2
         )
         assert marginal == [Fraction(0), Fraction(1), Fraction(0)]
+
+
+class TestIndexTranslation:
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 1, 2), (5, 1, 2), (2, 1, 4)])
+    def test_translation_matches_mat_add(self, shape):
+        q, n, m = shape
+        all_mats = list(oracle.enumerate_matrices(n, m, q))
+        for X in all_mats:
+            perm = oracle._translation(X, q)
+            assert [all_mats[z] for z in perm] == [
+                oracle._mat_add(X, B, q) for B in all_mats
+            ]
 
 
 class TestConfigurations:
@@ -363,7 +407,63 @@ class TestAgainstPerTermReferences:
             assert got == want, params.error_dist
 
 
+def _per_entry_rank_kernel(table, q):
+    """K[rx][ry] by one Fraction add per P(Y|X), the class size divided out
+    of every entry."""
+    rank = {mat: oracle.rank_of(mat, q) for row in table.values() for mat in row}
+    rank.update((X, oracle.rank_of(X, q)) for X in table)
+    sizes = {}
+    for X in table:
+        sizes[rank[X]] = sizes.get(rank[X], 0) + 1
+    width = max(rank[Y] for row in table.values() for Y in row) + 1
+    kernel = {}
+    for X, row in table.items():
+        rx = rank[X]
+        cells = kernel.setdefault(rx, [Fraction(0)] * width)
+        for Y, pyx in row.items():
+            cells[rank[Y]] += pyx / sizes[rx]
+    return kernel
+
+
+class TestRankKernel:
+    @pytest.mark.parametrize("shape", VERIFY_SHAPES + CI_SHAPES, ids=_SHAPE_IDS)
+    def test_matches_per_entry_reference(self, shape, channel_tables):
+        q, n, m = shape
+        for params in _every_kind(q, n, m):
+            kernel = oracle.rank_kernel(channel_tables(params), q)
+            assert kernel == _per_entry_rank_kernel(channel_tables(params), q)
+            assert sorted(kernel) == list(range(min(n, m) + 1))
+            assert all(sum(row) == 1 for row in kernel.values())
+
+
 class TestDiscardedWork:
+    def test_verify_ranks_each_table_matrix_once(self, monkeypatch, capsys):
+        """verify used to rank every input and output matrix of the channel
+        table again for each of its three trial input laws."""
+        from gammacap import cli
+
+        reduced = []
+        built = []
+        build, reduce = oracle.build_channel, oracle._rref
+
+        def recording_build(params):
+            table = build(params)
+            built.append(table)
+            return table
+
+        def recording_reduce(vectors, q):
+            if built:
+                reduced.append(tuple(map(tuple, vectors)))
+            return reduce(vectors, q)
+
+        monkeypatch.setattr(oracle, "build_channel", recording_build)
+        # rank_of and rref_basis both reduce by _rref.
+        monkeypatch.setattr(oracle, "_rref", recording_reduce)
+        code = cli.main(["verify", "--q", "2", "--n", "2", "--m", "2", "--error", "iid:t=1"])
+        capsys.readouterr()
+        assert code == 0 and len(built) == 1
+        assert reduced and len(reduced) == len(set(reduced)) <= len(built[0])
+
     def test_brute_f_functions_skips_full_classes(self, monkeypatch):
         """U+V used to be reduced for each of the 4 096 subspace pairs at
         (n, m, q) = (1, 6, 2), 4 160 eliminations with the 64 row spaces,
