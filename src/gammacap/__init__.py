@@ -12,9 +12,6 @@ so the closed forms are testable rather than trusted.
 
 from .exactcomb import count_rank_matrices, is_prime_power, qbinom, validate_field_order
 from .matrixfn import (
-    DimProfile1,
-    DimProfile2,
-    c_count,
     c_prime,
     f0,
     f1,
@@ -49,12 +46,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityResult",
     "ChannelParams",
-    "DimProfile1",
-    "DimProfile2",
     "RankDistribution",
     "SolverConfig",
     "binomial_packets_model",
-    "c_count",
     "c_prime",
     "conditional_entropy",
     "constant_rank_model",

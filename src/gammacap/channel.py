@@ -392,7 +392,10 @@ def parse_error_model(spec: str, q: int, n: int, m: int) -> RankDistribution:
     if kind == "empirical":
         if not argpart:
             raise ValueError("empirical model needs probabilities")
-        values = [Fraction(tok.strip()) for tok in argpart.split(",")]
+        try:
+            values = [Fraction(tok.strip()) for tok in argpart.split(",")]
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"probabilities must be numbers in {spec!r}") from None
         return empirical_model(values, n, m)
     kwargs = {}
     if argpart:

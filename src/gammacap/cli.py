@@ -191,12 +191,14 @@ def _params_block(spec: RunSpec, *, with_error: bool = True) -> Dict[str, Any]:
 def _cmd_capacity(spec: RunSpec, args: argparse.Namespace) -> Tuple[Dict, int]:
     res: CapacityResult = maximize(spec.params, spec.solver)
     p = spec.params
+    bits_per_use = p.n * p.m * math.log2(p.q)
     payload = {
         "command": "capacity",
         "params": _params_block(spec),
         "result": {
             "capacity_bits": res.capacity_bits,
-            "normalized_rate": res.capacity_bits / (p.n * p.m * math.log2(p.q)),
+            # An empty (n*m = 0) matrix carries nothing: rate 0, not 0/0.
+            "normalized_rate": res.capacity_bits / bits_per_use if bits_per_use else 0.0,
             "optimal_input": list(res.optimal_input.as_floats()),
             "output_ranks": list(res.output_ranks.as_floats()),
             "optimality_gap_bits": res.optimality_gap_bits,

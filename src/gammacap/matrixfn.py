@@ -7,15 +7,15 @@ The three top-level counts:
 - :func:`f2` — rank-rB matrices B with rank(X+B) = r for a fixed X,
 
 plus the subspace-configuration counts (:func:`f_small`, :func:`g_count`,
-:func:`h_count`, :func:`l_count`, :func:`c_count`, :func:`c_prime`) that count
-subspaces or subspace pairs with prescribed dimension profiles.
+:func:`h_count`, :func:`l_count`) that count subspaces with prescribed meets,
+and :func:`c_prime`, which counts subspace pairs (V', W') by one sum over V'
+whose terms are :func:`l_count` values.
 
 Everything is exact integer arithmetic.  Well-formed but combinatorially
 impossible profiles count zero configurations and return 0; negative
-dimensions are programming errors and raise.  :func:`c_count` and
-:func:`c_prime` check once, at entry, that the triple profile is realizable
-(and :func:`c_count` that d2 lies in :func:`c_prime`'s loop box); below
-them the recursion counts 0 for every other infeasible profile unfiltered.
+dimensions are programming errors and raise.  :func:`c_prime` checks once,
+at entry, that the triple profile is realizable; below that its sum counts
+0 for every other infeasible profile unfiltered.
 
 ``h`` throughout is the quotient dimension dim((U+V)/V), so dim(U cap V) is
 u - h.
@@ -24,7 +24,7 @@ u - h.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .exactcomb import (
     qbinom_ext,
@@ -32,38 +32,6 @@ from .exactcomb import (
     _check_dims,
     _falling,
 )
-
-
-class DimProfile1(NamedTuple):
-    """Dimension profile of a subspace triple (U, V, W) and its meets."""
-
-    dU: int
-    dV: int
-    dW: int
-    dUV: int
-    dUW: int
-    dVW: int
-    dUVW: int
-
-
-class DimProfile2(NamedTuple):
-    """Dimension profile of a pair (V', W') relative to (U, V, W).
-
-    Primes in the mathematical names become a ``p`` suffix: ``dVp`` is the
-    dimension of V', ``dWVp`` is dim(W cap V'), ``dUVpWp`` is
-    dim(U cap V' cap W'), and so on.
-    """
-
-    dVp: int
-    dWp: int
-    dUVp: int
-    dUWp: int
-    dVWp: int
-    dWVp: int
-    dVpWp: int
-    dUVWp: int
-    dUWVp: int
-    dUVpWp: int
 
 
 def _meet_count(N: int, k: int, d: int, a: int, q: int) -> int:
@@ -167,19 +135,7 @@ def l_count(
     return _l_count(m, dU, dV, dW, dUV, dUW, dVW, dUVW, q)
 
 
-def _as_profile1(d1: Sequence[int]) -> DimProfile1:
-    p = DimProfile1(*d1)
-    _check_dims(**p._asdict())
-    return p
-
-
-def _as_profile2(d2: Sequence[int]) -> DimProfile2:
-    p = DimProfile2(*d2)
-    _check_dims(**p._asdict())
-    return p
-
-
-def _realizable_with_sum_condition(p1: DimProfile1, m: int) -> bool:
+def _realizable_with_sum_condition(p1: Sequence[int], m: int) -> bool:
     """Whether a triple (U, V, W) with profile p1 and W + V = U + V exists.
 
     The three-subspace lattice decomposes into indecomposable blocks; the
@@ -202,124 +158,6 @@ def _realizable_with_sum_condition(p1: DimProfile1, m: int) -> bool:
     return dU + dV - dUV <= m
 
 
-def _c_trivial_intersection(p1: DimProfile1, p2: DimProfile2, m: int, q: int) -> int:
-    """c_count base case: pairs with V' cap W' = 0 (and dV' > 0).
-
-    V' is stratified by theta = dim(V' cap ((U cap V) + (V cap W))) and
-    eta = dim(V' cap ((U+W) cap V)); for each stratum the number of admissible
-    W' inside W cap (U+V') is obtained by Moebius inversion over subspaces S
-    of V' cap W (forcing W' cap (V' cap W) = 0), where quotienting by S
-    collapses the three reference spaces to a two-subspace lattice so that
-    :func:`l_count` applies.
-    """
-    dU, dV, dW, dUV, dUW, dVW, dUVW = p1
-    tau = dU - p2.dUVp
-    if p2.dWp != tau:
-        return 0
-    dAB = dUV + dVW - dUVW  # dim((U cap V) + (V cap W))
-    dP = dW - dUW + dUV  # dim((U + W) cap V), using W + V = U + V
-    total = 0
-    for eta in range(min(p2.dVp, dP) + 1):
-        outer_tail = q ** ((p2.dVp - eta) * (dP - eta)) * qbinom_ext(
-            dV - dP, p2.dVp - eta, q
-        )
-        if outer_tail == 0:
-            continue
-        zeta = dUW - p2.dUVp + eta  # dim(W cap (U + V'))
-        for theta in range(min(eta, dAB) + 1):
-            n_vp = (
-                _l_count(dAB, dUV, dVW, theta, dUVW, p2.dUVp, p2.dWVp, p2.dUWVp, q)
-                * q ** ((eta - theta) * (dAB - theta))
-                * qbinom_ext(dP - dAB, eta - theta, q)
-                * outer_tail
-            )
-            if n_vp == 0:
-                continue
-            beta = dUVW - p2.dUVp + theta  # dim((V cap W) cap (U + V'))
-            w_count = 0
-            for s in range(p2.dWVp + 1):
-                sign = (-1) ** s * q ** (s * (s - 1) // 2)
-                for a_s in range(min(s, p2.dUWVp) + 1):
-                    choose_s = _meet_count(p2.dWVp, p2.dUWVp, s, a_s, q)
-                    if choose_s == 0:
-                        continue
-                    inner = _l_count(
-                        zeta - s,
-                        dUW - a_s,
-                        beta - s,
-                        tau - s,
-                        dUVW - a_s,
-                        p2.dUWp - a_s,
-                        p2.dVWp - s,
-                        p2.dUVWp - a_s,
-                        q,
-                    )
-                    w_count += sign * choose_s * inner
-            total += n_vp * w_count
-    return total
-
-
-def _c_count(d1: DimProfile1, d2: DimProfile2, m: int, q: int) -> int:
-    """c_count for a realizable d1 and a d2 inside c_prime's loop box."""
-    dU, dV, dW, dUV, dUW, dVW, dUVW = d1
-    if d2.dVp == 0:
-        # V' = 0 forces W' = U, so U <= W and the whole profile is pinned.
-        forced = DimProfile2(0, dU, 0, dU, dUV, 0, 0, dUV, 0, 0)
-        return 1 if (dUW == dU and dUVW == dUV and d2 == forced) else 0
-    if d2.dVpWp == 0:
-        return _c_trivial_intersection(d1, d2, m, q)
-    # General case: quotient by S1 = V' cap W' (which sits inside V cap W);
-    # the factor counts the choices of S1 with dim(S1 cap U) = dUVpWp.
-    k = d2.dVpWp
-    ku = d2.dUVpWp
-    factor = _meet_count(dVW, dUVW, k, ku, q)
-    if factor == 0:
-        return 0
-    d1_q = DimProfile1(
-        dU - ku, dV - k, dW - k, dUV - ku, dUW - ku, dVW - k, dUVW - ku
-    )
-    d2_q = DimProfile2(
-        d2.dVp - k,
-        d2.dWp - k,
-        d2.dUVp - ku,
-        d2.dUWp - ku,
-        d2.dVWp - k,
-        d2.dWVp - k,
-        0,
-        d2.dUVWp - ku,
-        d2.dUWVp - ku,
-        0,
-    )
-    return factor * _c_count(d1_q, d2_q, m - k, q)
-
-
-def c_count(d1: Sequence[int], d2: Sequence[int], m: int, q: int) -> int:
-    """Pairs (V', W') with V' <= V, W' <= W, W' + V' = U + V' and profile d2.
-
-    (U, V, W) is any triple with profile ``d1`` satisfying W + V = U + V;
-    the count depends only on the profiles and the ambient dimension.
-    Returns 0 unless such a triple exists and d2 keeps every meet inside
-    the meets it refines (the seven bounds of :func:`c_prime`'s loops, e.g.
-    dUVpWp <= min(dUVWp, dUWVp, dVpWp)); every other infeasible d2 counts
-    zero through the recursion itself.
-    """
-    p1 = _as_profile1(d1)
-    p2 = _as_profile2(d2)
-    _check_dims(m=m)
-    validate_field_order(q)
-    if not _realizable_with_sum_condition(p1, m) or (
-        p2.dUVp > min(p1.dUV, p2.dVp)
-        or p2.dUWp > min(p1.dUW, p2.dWp)
-        or p2.dVWp > min(p1.dVW, p2.dWp)
-        or p2.dWVp > min(p1.dVW, p2.dVp)
-        or p2.dUVWp > min(p1.dUVW, p2.dUWp, p2.dVWp)
-        or p2.dUWVp > min(p1.dUVW, p2.dUVp, p2.dWVp)
-        or p2.dUVpWp > min(p2.dUVWp, p2.dUWVp, p2.dVpWp)
-    ):
-        return 0
-    return _c_count(p1, p2, m, q)
-
-
 def c_prime(
     dU: int,
     dV: int,
@@ -334,45 +172,55 @@ def c_prime(
     m: int,
     q: int,
 ) -> int:
-    """Pairs (V', W') as in :func:`c_count` with only (dV', dW', dV'W') fixed.
+    """Pairs (V', W') with V' <= V, W' <= W and W' + V' = U + V'.
 
-    Sums :func:`c_count` over the seven remaining profile entries.  Ranges
-    are pruned to where the dimension inequalities can hold; all excluded
-    terms are zero by definition.  Realizability of d1 is checked once here,
-    so each term skips :func:`c_count`'s entry checks.
+    (U, V, W) is any triple with profile (dU, ..., dUVW) inside F_q^m
+    satisfying W + V = U + V; the count fixes dim V' = dVp, dim W' = dWp
+    and dim(V' cap W') = dVpWp and depends only on these numbers.  It is 0
+    unless such a triple exists, which is checked once at entry.
+
+    One sum over V'.  For a given V' put j = dim(W cap V').  A valid W' lies
+    in W cap (U + V') and maps onto (U + V')/V', whose dimension is
+    dWp - dVpWp, so dim(U cap V') = i = dU - dWp + dVpWp.  Choosing the
+    kernel W' cap V' inside W cap V' and then the lift gives
+    qbinom(j, dVpWp) * q^((dWp - dVpWp)(j - dVpWp)) such W'.  They exist
+    iff W cap (U + V') + V' = U + V', which holds iff
+    dim(V' cap P) = y = j + dP - dVW for P = (U + W) cap V, of dimension
+    dP = dU + dVW - dUW.  Both U cap V and V cap W lie in P, so V' is counted
+    by its meet Y = V' cap P: Y is a y-space of P meeting U cap V in
+    dimension i, V cap W in dimension j and U cap V cap W in dimension k
+    (an :func:`l_count` inside P, summed over k), and V' is one of the
+    q^((dVp - y)(dP - y)) * qbinom(dV - dP, dVp - y) dVp-spaces of V that
+    meet P in exactly Y.  j runs from dVpWp to min(dVW, dVp) and stops once
+    y exceeds dVp.
     """
-    p1 = _as_profile1((dU, dV, dW, dUV, dUW, dVW, dUVW))
-    _check_dims(dVp=dVp, dWp=dWp, dVpWp=dVpWp, m=m)
+    _check_dims(
+        dU=dU, dV=dV, dW=dW, dUV=dUV, dUW=dUW, dVW=dVW, dUVW=dUVW,
+        dVp=dVp, dWp=dWp, dVpWp=dVpWp, m=m,
+    )
     validate_field_order(q)
-    if not _realizable_with_sum_condition(p1, m):
+    d1 = (dU, dV, dW, dUV, dUW, dVW, dUVW)
+    # dVpWp > dWp admits no W' and would make the lift exponent negative.
+    if not _realizable_with_sum_condition(d1, m) or dVpWp > dWp:
         return 0
+    i = dU - dWp + dVpWp
+    dP = dU + dVW - dUW
     total = 0
-    for dUVp in range(min(dUV, dVp) + 1):
-        for dUWp in range(min(dUW, dWp) + 1):
-            for dVWp in range(min(dVW, dWp) + 1):
-                for dWVp in range(min(dVW, dVp) + 1):
-                    for dUVWp in range(min(dUVW, dUWp, dVWp) + 1):
-                        for dUWVp in range(min(dUVW, dUVp, dWVp) + 1):
-                            for dUVpWp in range(
-                                min(dUVWp, dUWVp, dVpWp) + 1
-                            ):
-                                total += _c_count(
-                                    p1,
-                                    DimProfile2(
-                                        dVp,
-                                        dWp,
-                                        dUVp,
-                                        dUWp,
-                                        dVWp,
-                                        dWVp,
-                                        dVpWp,
-                                        dUVWp,
-                                        dUWVp,
-                                        dUVpWp,
-                                    ),
-                                    m,
-                                    q,
-                                )
+    for j in range(dVpWp, min(dVW, dVp) + 1):
+        y = j + dP - dVW
+        if y > dVp:
+            break
+        meets = sum(
+            _l_count(dP, dUV, dVW, y, dUVW, i, j, k, q)
+            for k in range(min(i, j, dUVW) + 1)
+        )
+        total += (
+            meets
+            * q ** ((dVp - y) * (dP - y))
+            * qbinom_ext(dV - dP, dVp - y, q)
+            * qbinom_ext(j, dVpWp, q)
+            * q ** ((dWp - dVpWp) * (j - dVpWp))
+        )
     return total
 
 

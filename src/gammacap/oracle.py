@@ -168,10 +168,6 @@ def enumerate_subspaces(m: int, q: int, dim: int | None = None) -> List[Matrix]:
     return out
 
 
-def _mat_add(a: Matrix, b: Matrix, q: int) -> Matrix:
-    return tuple([tuple([(x + y) % q for x, y in zip(ra, rb)]) for ra, rb in zip(a, b)])
-
-
 def _mat_mul(a: Matrix, b: Matrix, q: int) -> Matrix:
     cols = list(zip(*b))
     return tuple(

@@ -664,6 +664,7 @@ class TestErrorModelGrammar:
             "empirical:0.5,0.6",
             "empirical:",
             "empirical:0.5,0.3,0.1,0.2",
+            "empirical:1/0",
         ]
         for spec in bad:
             with pytest.raises(ValueError):

@@ -185,6 +185,31 @@ class TestCapacityCommand:
         assert code == 2 and out == ""
         assert "exceeds" in stderr_diagnostic(err)["error"]
 
+    def test_zero_denominator_probability_exit_2(self, capsys):
+        """empirical:1/0 used to escape main as a ZeroDivisionError: a
+        traceback and exit 1."""
+        code, out, err = run_cli(
+            capsys, "capacity", "--q", "2", "--n", "2", "--m", "2",
+            "--error", "empirical:1/0",
+        )
+        assert code == 2 and out == ""
+        diagnostic = stderr_diagnostic(err)
+        assert diagnostic["exit_code"] == 2
+        assert "1/0" in diagnostic["error"]
+
+    @pytest.mark.parametrize("n, m", [(0, 2), (2, 0)])
+    def test_empty_matrix_rate_is_zero(self, capsys, n, m):
+        """With n*m = 0 the normalized rate divided by zero: a traceback and
+        exit 1, where maximize certifies capacity 0."""
+        code, doc = run_json(
+            capsys, "capacity", "--q", "2", "--n", str(n), "--m", str(m),
+            "--error", "constant:t=0",
+        )
+        assert code == 0
+        assert doc["result"]["capacity_bits"] == 0.0
+        assert doc["result"]["normalized_rate"] == 0.0
+        assert doc["diagnostics"]["stop_reason"] == "certified"
+
 
 class TestMatrixfnCommand:
     def test_f0_value(self, capsys):

@@ -1,9 +1,10 @@
 """Matrix-counting functions versus exhaustive enumeration.
 
 The layered subspace counts (f_small, g_count, h_count, l_count), the
-subspace-pair counts (c_count, c_prime) and the three matrix counts
-(f0, f1, f2) are all compared against the enumeration oracle on small
-fields, where every closed form can be checked case by case.
+subspace-pair count c_prime and the three matrix counts (f0, f1, f2) are
+all compared against the enumeration oracle on small fields, where every
+closed form can be checked case by case; c_prime is also pinned at
+ambient dimensions 6 to 8, beyond the oracle's reach.
 """
 
 import itertools
@@ -14,11 +15,8 @@ import pytest
 from gammacap import matrixfn, oracle
 from gammacap.exactcomb import qbinom
 from gammacap.matrixfn import (
-    DimProfile1,
-    DimProfile2,
     _meet_count,
     _phi,
-    c_count,
     c_prime,
     f0,
     f1,
@@ -39,36 +37,6 @@ def _overlapping_pair(dU, dV, dUV, m):
         for c in range(dU - dUV, dU - dUV + dV)
     )
     return u, v
-
-
-def _pruned_d2(p1):
-    """All d2 profiles not excluded by the simple dimension bounds."""
-    for dVp in range(p1.dV + 1):
-        for dWp in range(p1.dW + 1):
-            for dUVp in range(min(p1.dUV, dVp) + 1):
-                for dUWp in range(min(p1.dUW, dWp) + 1):
-                    for dVWp in range(min(p1.dVW, dWp) + 1):
-                        for dWVp in range(min(p1.dVW, dVp) + 1):
-                            for dVpWp in range(min(dVp, dWp) + 1):
-                                for dUVWp in range(min(p1.dUVW, dUWp, dVWp) + 1):
-                                    for dUWVp in range(
-                                        min(p1.dUVW, dUVp, dWVp) + 1
-                                    ):
-                                        for dUVpWp in range(
-                                            min(dUVWp, dUWVp, dVpWp) + 1
-                                        ):
-                                            yield DimProfile2(
-                                                dVp,
-                                                dWp,
-                                                dUVp,
-                                                dUWp,
-                                                dVWp,
-                                                dWVp,
-                                                dVpWp,
-                                                dUVWp,
-                                                dUWVp,
-                                                dUVpWp,
-                                            )
 
 
 def _realizable_profiles(m):
@@ -157,110 +125,74 @@ class TestLayeredCounts:
                 assert total == qbinom(m, dW, q)
 
 
-class TestPairCounts:
-    """c_count against enumerated (V', W') pair censuses."""
+def _sampled_profiles(q, m, picks, rng):
+    """The first ``picks`` realizable profiles of a seeded shuffle of every
+    profile whose U + V fits in F_q^m."""
+    profiles = []
+    for dU in range(m + 1):
+        for dV in range(m + 1):
+            for dW in range(m + 1):
+                for dUV in range(min(dU, dV) + 1):
+                    if dU + dV - dUV > m:
+                        continue
+                    for dUW in range(min(dU, dW) + 1):
+                        for dVW in range(min(dV, dW) + 1):
+                            for dUVW in range(min(dUV, dUW, dVW) + 1):
+                                profiles.append((dU, dV, dW, dUV, dUW, dVW, dUVW))
+    rng.shuffle(profiles)
+    found = [d1 for d1 in profiles if oracle.realize_configuration(d1, m, q)]
+    assert len(found) >= picks
+    return [(d1, m, q) for d1 in found[:picks]]
 
-    def test_full_grid_m2_q2(self):
-        for d1 in _realizable_profiles(2):
-            table = oracle.pair_counts(d1, 2, 2)
-            assert table is not None
-            p1 = DimProfile1(*d1)
-            box = set(_pruned_d2(p1))
-            assert set(table) <= box
-            for d2 in box:
-                assert c_count(d1, d2, 2, 2) == table.get(tuple(d2), 0), (d1, d2)
 
-    def test_sampled_profiles_larger_ambients(self):
-        rng = random.Random(20260818)
-        for q, m, picks in ((2, 3, 4), (3, 2, 3)):
-            profiles = []
-            for dU in range(m + 1):
-                for dV in range(m + 1):
-                    for dW in range(m + 1):
-                        for dUV in range(min(dU, dV) + 1):
-                            if dU + dV - dUV > m:
-                                continue
-                            for dUW in range(min(dU, dW) + 1):
-                                for dVW in range(min(dV, dW) + 1):
-                                    for dUVW in range(min(dUV, dUW, dVW) + 1):
-                                        profiles.append(
-                                            (dU, dV, dW, dUV, dUW, dVW, dUVW)
-                                        )
-            rng.shuffle(profiles)
-            checked = 0
-            for d1 in profiles:
-                table = oracle.pair_counts(d1, m, q)
-                if table is None:
-                    continue
-                p1 = DimProfile1(*d1)
-                box = set(_pruned_d2(p1))
-                assert set(table) <= box
-                for d2 in box:
-                    assert c_count(d1, d2, m, q) == table.get(tuple(d2), 0), (d1, d2)
-                checked += 1
-                if checked == picks:
-                    break
-            assert checked == picks
-
-    def test_unrealizable_profile_counts_zero(self):
-        """Profiles violating the span condition admit no pairs at all.
-
-        For (0, 2, 1, 0, 0, 0, 0), a line W off a plane V with U = 0, the
-        recursion alone gives c_prime(..., 1, 0, 0) = 3, so c_prime must
-        check realizability at entry."""
-        for d1 in ((2, 1, 1, 1, 1, 1, 1), (0, 2, 1, 0, 0, 0, 0)):
-            assert oracle.realize_configuration(d1, 3, 2) is None
-            for d2 in _pruned_d2(DimProfile1(*d1)):
-                assert c_count(d1, d2, 3, 2) == 0, (d1, d2)
-            for coarse in itertools.product(range(4), repeat=3):
-                assert c_prime(*d1, *coarse, 3, 2) == 0, (d1, coarse)
-
-    def test_triple_overcount_profile_kept(self):
-        """Three distinct lines of F_2^2: the naive seven-term alternating
-        dimension estimate exceeds the ambient dimension, yet exactly one
-        (V', W') = (V, W) pair exists and must be counted."""
-        d1 = (1, 1, 1, 0, 0, 0, 0)
-        d2 = DimProfile2(1, 1, 0, 0, 0, 0, 0, 0, 0, 0)
-        assert c_count(d1, tuple(d2), 2, 2) == 1
-        table = oracle.pair_counts(d1, 2, 2)
-        assert table[tuple(d2)] == 1
-
-    def test_shrinking_can_raise_alternating_sum(self):
-        """Passing to subspaces V' of V, W' of W may increase the seven-term
-        alternating sum, so it cannot be used as a monotone feasibility gate;
-        the enumerated count for this profile is positive."""
-        d1 = (1, 2, 2, 1, 1, 2, 1)
-        d2 = DimProfile2(1, 1, 0, 0, 1, 1, 0, 0, 0, 0)
-        got = c_count(d1, tuple(d2), 2, 2)
-        assert got == 2
-        table = oracle.pair_counts(d1, 2, 2)
-        assert table[tuple(d2)] == 2
-
-    def test_infeasible_pairs_count_zero(self):
-        """The last two profiles put dim(U cap V' cap W') above
-        dim(V' cap W') = 0; the recursion alone counts one pair for each, so
-        c_count must reject them at entry."""
-        d1 = (1, 1, 1, 0, 0, 0, 0)
-        too_big = DimProfile2(2, 1, 0, 0, 0, 0, 0, 0, 0, 0)
-        assert c_count(d1, too_big, 2, 2) == 0
-        meet_above = DimProfile2(1, 1, 1, 0, 0, 0, 0, 0, 0, 0)
-        assert c_count(d1, meet_above, 2, 2) == 0
-        assert c_count((0, 1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 1, 2) == 0
-        assert c_count((1, 1, 1, 1, 1, 1, 1), (1, 0, 1, 0, 0, 1, 0, 0, 1, 1), 1, 2) == 0
+# c_prime at ambient dimensions 6 to 8, recorded from the earlier
+# implementation that summed a ten-entry profile recursion over seven
+# nested loops: (profile, m, q, the triple with the largest count, that
+# count, the sum over every triple).
+C_PRIME_PINS = [
+    ((4, 5, 4, 2, 2, 2, 1), 8, 2, (4, 3, 0), 160, 438),
+    ((4, 4, 4, 2, 2, 2, 1), 7, 3, (3, 3, 0), 891, 1153),
+    ((3, 4, 3, 1, 1, 1, 0), 6, 4, (3, 3, 0), 48, 114),
+    ((3, 4, 4, 1, 2, 2, 1), 8, 3, (3, 3, 0), 729, 1454),
+    ((4, 5, 4, 3, 2, 3, 2), 7, 2, (3, 3, 0), 704, 1803),
+    ((4, 4, 2, 2, 1, 0, 0), 7, 4, (4, 2, 0), 1, 2),
+    ((4, 5, 3, 2, 1, 1, 1), 8, 2, (4, 3, 0), 16, 34),
+    ((3, 4, 4, 0, 1, 1, 0), 8, 3, (3, 3, 0), 54, 92),
+    ((4, 5, 3, 3, 2, 2, 1), 6, 2, (4, 2, 0), 88, 276),
+    ((3, 4, 4, 1, 2, 2, 0), 6, 3, (3, 3, 0), 648, 1382),
+    ((1, 5, 3, 0, 0, 2, 0), 6, 4, (3, 1, 0), 5712, 9351),
+    ((3, 5, 3, 2, 2, 2, 1), 7, 3, (3, 2, 0), 1431, 3702),
+    ((4, 5, 4, 2, 3, 2, 2), 8, 4, (3, 3, 0), 25600, 55851),
+    ((3, 4, 3, 1, 0, 1, 0), 6, 2, (4, 2, 0), 4, 13),
+]
 
 
 class TestPairCountAggregates:
+    """c_prime against enumerated (V', W') pair censuses and pinned values."""
+
     def test_c_prime_two_line_cases(self):
         """With U = V = W = F_2^2: distinct line pairs span, equal ones don't."""
         assert c_prime(2, 2, 2, 2, 2, 2, 2, 1, 1, 0, 2, 2) == 6
         assert c_prime(2, 2, 2, 2, 2, 2, 2, 1, 1, 1, 2, 2) == 0
 
     def test_c_prime_matches_enumerated_marginals(self):
-        """c_prime sums c_count's terms without its entry checks, so every
-        realizable profile at m = 2, q = 2 is compared, plus two others, on
-        every (dV', dW', dV'W') up to m + 1, zero marginals included."""
+        """Every realizable profile at m = 2, q = 2, two more, and seeded
+        samples at q = 2, m = 3 and q = 3, m = 2, on every (dV', dW', dV'W')
+        up to m + 1, zero marginals included.
+
+        The m = 2 grid holds two profiles that defeat the seven-term
+        alternating dimension estimate as a feasibility gate: three distinct
+        lines (1, 1, 1, 0, 0, 0, 0), where the estimate exceeds the ambient
+        dimension yet (V', W') = (V, W) is a pair, and (1, 2, 2, 1, 1, 2, 1),
+        where passing to subspaces raises the estimate yet four line pairs
+        exist."""
         cases = [(d1, 2, 2) for d1 in _realizable_profiles(2)]
         cases += [((1, 2, 1, 1, 0, 1, 0), 3, 2), ((1, 1, 1, 1, 1, 1, 1), 2, 3)]
+        rng = random.Random(20260818)
+        for q, m, picks in ((2, 3, 4), (3, 2, 3)):
+            cases += _sampled_profiles(q, m, picks, rng)
+        assert ((1, 1, 1, 0, 0, 0, 0), 2, 2) in cases
+        assert ((1, 2, 2, 1, 1, 2, 1), 2, 2) in cases
         for d1, m, q in cases:
             table = oracle.pair_counts(d1, m, q)
             assert table is not None
@@ -271,6 +203,28 @@ class TestPairCountAggregates:
             for coarse in itertools.product(range(m + 2), repeat=3):
                 got = c_prime(*d1, *coarse, m, q)
                 assert got == marginals.get(coarse, 0), (d1, m, q, coarse)
+
+    @pytest.mark.parametrize("d1, m, q, top, top_count, total", C_PRIME_PINS)
+    def test_c_prime_pinned_larger_ambients(self, d1, m, q, top, top_count, total):
+        counts = {
+            (a, b, c): c_prime(*d1, a, b, c, m, q)
+            for a in range(d1[1] + 1)
+            for b in range(d1[2] + 1)
+            for c in range(min(a, b) + 1)
+        }
+        assert counts[top] == top_count == max(counts.values())
+        assert sum(counts.values()) == total
+
+    def test_unrealizable_profile_counts_zero(self):
+        """Profiles violating the span condition admit no pairs at all.
+
+        For (0, 2, 1, 0, 0, 0, 0), a line W off a plane V with U = 0, the
+        sum over V' alone gives c_prime(..., 1, 0, 0) = 3, so c_prime must
+        check realizability at entry."""
+        for d1 in ((2, 1, 1, 1, 1, 1, 1), (0, 2, 1, 0, 0, 0, 0)):
+            assert oracle.realize_configuration(d1, 3, 2) is None
+            for coarse in itertools.product(range(4), repeat=3):
+                assert c_prime(*d1, *coarse, 3, 2) == 0, (d1, coarse)
 
 
 class TestMeetCount:

@@ -12,6 +12,11 @@ from gammacap.channel import ChannelParams, constant_rank_model, parse_error_mod
 from gammacap.exactcomb import qbinom
 
 
+def _mat_add(a, b, q):
+    """Entrywise a + b mod q: the references below form X + B directly."""
+    return tuple(tuple((x + y) % q for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
 class TestLinearAlgebra:
     def test_rank_of_known_matrices(self):
         assert oracle.rank_of(((0, 0), (0, 0)), 2) == 0
@@ -151,7 +156,7 @@ class TestIndexTranslation:
         for X in all_mats:
             perm = oracle._translation(X, q)
             assert [all_mats[z] for z in perm] == [
-                oracle._mat_add(X, B, q) for B in all_mats
+                _mat_add(X, B, q) for B in all_mats
             ]
 
 
@@ -228,7 +233,7 @@ def _per_term_channel(params, inputs=None):
                 continue
             per_b = Fraction(rb_weight) / len(by_rank[rb])
             for B in by_rank[rb]:
-                Z = oracle._mat_add(X, B, q)
+                Z = _mat_add(X, B, q)
                 w = per_b * inv_gl
                 for A in gl:
                     Y = oracle._mat_mul(A, Z, q)
@@ -269,7 +274,7 @@ def _per_v_f_functions(n, m, q, reps=3):
             for M in by_rowspace.get(U, [])[:reps]:
                 counts = {r: 0 for r in range(mn + 1)}
                 for B in all_mats:
-                    if rowspace[oracle._mat_add(M, B, q)] == V:
+                    if rowspace[_mat_add(M, B, q)] == V:
                         counts[len(rowspace[B])] += 1
                 for r, cnt in counts.items():
                     assert f1.setdefault(key3 + (r,), cnt) == cnt
@@ -278,7 +283,7 @@ def _per_v_f_functions(n, m, q, reps=3):
         for X in by_rank[rx][:reps]:
             counts = {}
             for B in all_mats:
-                key2 = (len(rowspace[oracle._mat_add(X, B, q)]), len(rowspace[B]))
+                key2 = (len(rowspace[_mat_add(X, B, q)]), len(rowspace[B]))
                 counts[key2] = counts.get(key2, 0) + 1
             for r in range(mn + 1):
                 for rb in range(mn + 1):
