@@ -17,25 +17,29 @@ of one matrix Z, the row spaces reached from one representative M) is
 enumerated once per call and kept for no longer.  The inner loops read
 matrices by their index in enumerate_matrices order: adding a fixed X is a
 permutation of those indices (:func:`_translation`), built entry by entry
-with no matrix formed.  A channel table is ranked once, into the exact rank
-transition of :func:`rank_kernel`, from which every output rank law of a
-rank-uniform input follows.  Work whose result would be thrown away is not
-done: the f-function tables skip a subspace pair without reducing U+V once
-every class (u, v, h) its dimensions can reach holds its representatives,
-and Blahut-Arimoto computes one divergence per set of exactly equal rows,
-over their nonzero entries only.  The elimination itself trusts its caller
-to have checked that q is prime.
+with no matrix formed.  A channel table is ranked once (:func:`table_ranks`),
+and those ranks give the exact rank transition of :func:`rank_kernel`, from
+which every output rank law of a rank-uniform input follows.  Work whose
+result would be thrown away is not done: the f-function tables skip a
+subspace pair without reducing U+V once every class (u, v, h) its
+dimensions can reach holds its representatives, and Blahut-Arimoto computes
+one divergence per set of exactly equal rows, over their nonzero entries
+only, and starts where its caller says, such as at a known optimum.  The
+elimination itself trusts its caller to have checked that q is prime.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 Matrix = Tuple[Tuple[int, ...], ...]
+
+log = logging.getLogger("gammacap.oracle")
 
 #: Hard cap on q**(n*m) for matrix-grid enumerations.
 MATRIX_ENUM_BUDGET = 2**20
@@ -548,18 +552,22 @@ def build_channel(params) -> Dict[Matrix, Dict[Matrix, Fraction]]:
     return table
 
 
+def table_ranks(table: Dict[Matrix, Dict[Matrix, Fraction]], q: int) -> Dict[Matrix, int]:
+    """Rank of every input and output matrix of ``table``, each reduced once."""
+    return {mat: rank_of(mat, q) for mat in set(table).union(*table.values())}
+
+
 def rank_kernel(
-    table: Dict[Matrix, Dict[Matrix, Fraction]], q: int
+    table: Dict[Matrix, Dict[Matrix, Fraction]], rank: Dict[Matrix, int]
 ) -> Dict[int, List[Fraction]]:
     """Exact rank transition ``K[rx][ry]`` of ``table``: the probability that
     an input drawn uniformly from the inputs of rank rx gives an output of
     rank ry.  Keyed by the input ranks present; every row has one entry per
-    output rank up to the largest one reached.  Each matrix of the table is
-    ranked once and each P(Y|X) read once.
+    output rank up to the largest one reached.  ``rank`` is the table's
+    table_ranks, so a caller that needs the ranks too reduces each matrix
+    once; each P(Y|X) is read once.
     """
-    outputs = set().union(*table.values())
-    rank = {mat: rank_of(mat, q) for mat in outputs.union(table)}
-    width = max((rank[Y] for Y in outputs), default=0) + 1
+    width = max((rank[Y] for row in table.values() for Y in row), default=0) + 1
     # Input rank -> output rank -> denominator -> summed numerators of P(Y|X).
     sums: Dict[int, List[Dict[int, int]]] = {}
     sizes: Dict[int, int] = {}
@@ -601,7 +609,7 @@ def channel_output_rank_marginal(
     """Exact output rank law for a rank-uniform input over ``table``'s
     alphabet, through the table's rank_kernel.  A caller with several input
     laws for one table builds the kernel once and calls rank_marginal."""
-    return rank_marginal(rank_kernel(table, q), input_rank_probs)
+    return rank_marginal(rank_kernel(table, table_ranks(table, q)), input_rank_probs)
 
 
 def entropy_bits(probs) -> float:
@@ -626,19 +634,39 @@ def blahut_arimoto(
     table: Dict[Matrix, Dict[Matrix, Fraction]],
     tol: float = 1e-9,
     max_iter: int = 200000,
+    start: Sequence[float] | None = None,
 ) -> Tuple[float, List[float]]:
     """Classical Blahut-Arimoto over the full input alphabet.
 
     Returns (capacity bits, optimizing input distribution) once the standard
-    upper and lower capacity bounds agree within ``tol`` bits; the reported
-    capacity is their midpoint.  A ``tol`` that is not positive and finite,
-    or a ``max_iter`` that is not an int of at least 1, raises ValueError.
+    bracket lower = I(p) <= C <= upper = max_x D(P(.|x) || p_Y) is within
+    ``tol`` bits; the reported capacity is its midpoint.  The first pass
+    starts from ``start``, one weight per input in table order, normalized;
+    without it, from the uniform law.  A start whose bracket is already
+    within ``tol``, such as an optimum, ends the run after that pass.  A
+    ``tol`` that is not positive and finite, a ``max_iter`` that is not an
+    int of at least 1, or a ``start`` of the wrong length, with a negative
+    or non-finite entry or no positive mass, raises ValueError.  Logs its
+    pass count and final bracket at INFO.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if type(max_iter) is not int or max_iter < 1:
         raise ValueError("max_iter must be an int of at least 1")
     inputs = list(table)
+    k = len(inputs)
+    if start is None:
+        p = [1.0 / k] * k
+    else:
+        weights = [float(w) for w in start]
+        total = sum(weights)
+        if len(weights) != k or not all(0.0 <= w < math.inf for w in weights) or not (
+            0.0 < total < math.inf
+        ):
+            raise ValueError(
+                f"start must have {k} finite non-negative weights with a positive sum"
+            )
+        p = [w / total for w in weights]
     outputs = sorted({y for row in table.values() for y in row})
     y_index = {y: j for j, y in enumerate(outputs)}
     # Each row as its (j, P(y_j|x)) pairs with P > 0 in j order: a zero
@@ -650,9 +678,7 @@ def blahut_arimoto(
         rows.append(tuple((j, pyx) for j, pyx in entries if pyx > 0.0))
     distinct: Dict[Tuple[Tuple[int, float], ...], int] = {}
     group = [distinct.setdefault(row, len(distinct)) for row in rows]
-    k = len(inputs)
-    p = [1.0 / k] * k
-    for _ in range(max_iter):
+    for passes in range(1, max_iter + 1):
         qy = [0.0] * len(outputs)
         for pi, row in zip(p, rows):
             if pi == 0.0:
@@ -669,8 +695,12 @@ def blahut_arimoto(
         lower = sum(p[i] * d[i] for i in range(k))
         upper = max(d)
         if upper - lower <= tol:
-            return (upper + lower) / 2.0, p
+            break
         z = [p[i] * 2.0 ** d[i] for i in range(k)]
         s = sum(z)
         p = [zi / s for zi in z]
+    log.info(
+        "Blahut-Arimoto: %d inputs, passes=%d, bracket upper - lower = %.3e bits",
+        k, passes, upper - lower,
+    )
     return (upper + lower) / 2.0, p

@@ -1,10 +1,13 @@
 """Command-line interface: report schemas, formats and exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
+import logging
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -354,6 +357,55 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert doc["result"]["passed"] is True
+
+    @staticmethod
+    def _verify_with(capsys, caplog, monkeypatch, alter=lambda res: res):
+        """verify at (2, 2, 3, iid:t=1) with the solver's result passed
+        through ``alter``, and the number of Blahut-Arimoto passes."""
+        maximize = cli.maximize
+        monkeypatch.setattr(cli, "maximize", lambda *args: alter(maximize(*args)))
+        with caplog.at_level(logging.INFO, logger="gammacap.oracle"):
+            code, doc = run_json(
+                capsys, "verify", "--q", "2", "--n", "2", "--m", "3", "--error", "iid:t=1",
+            )
+        (check,) = [
+            c for c in doc["result"]["checks"] if c["name"] == "capacity vs Blahut-Arimoto"
+        ]
+        (record,) = [r for r in caplog.records if r.name == "gammacap.oracle"]
+        passes = int(re.search(r"passes=(\d+)", record.getMessage())[1])
+        return code, doc, check, passes
+
+    def test_cross_check_closes_in_one_pass(self, capsys, caplog, monkeypatch):
+        """Blahut-Arimoto used to start from the uniform law over all 64
+        matrices and take 705 passes to find the solver's optimum again."""
+        code, doc, check, passes = self._verify_with(capsys, caplog, monkeypatch)
+        assert code == 0 and check["passed"] is True and passes == 1
+
+    def test_wrong_capacity_fails(self, capsys, caplog, monkeypatch):
+        """A capacity 1e-5 bits too high fails the cross-check even though
+        Blahut-Arimoto starts from the solver's own optimum."""
+        code, doc, check, _ = self._verify_with(
+            capsys, caplog, monkeypatch,
+            lambda res: dataclasses.replace(res, capacity_bits=res.capacity_bits + 1e-5),
+        )
+        assert code == 1 and doc["result"]["passed"] is False
+        assert check["passed"] is False
+        assert check["max_deviation"] == pytest.approx(1e-5, rel=1e-3)
+
+    def test_moved_start_still_passes(self, capsys, caplog, monkeypatch):
+        """1e-3 of the optimal input moved between two ranks, the capacity
+        kept: the check certifies the number, not the start."""
+
+        def move_mass(res):
+            x = list(res.optimal_input.as_floats())
+            top = max(range(len(x)), key=x.__getitem__)
+            x[top] -= 1e-3
+            x[(top + 1) % len(x)] += 1e-3
+            return dataclasses.replace(res, optimal_input=gammacap.RankDistribution(x))
+
+        code, doc, check, passes = self._verify_with(capsys, caplog, monkeypatch, move_mass)
+        assert code == 0 and doc["result"]["passed"] is True and passes > 1
+        assert check["passed"] is True and check["max_deviation"] <= 1e-6
 
     def test_budget_refusal_exit_4(self, capsys):
         code, out, err = run_cli(

@@ -1,8 +1,10 @@
 """Self-checks for the enumeration oracle's own primitives."""
 
 import itertools
+import logging
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from gammacap import oracle
 from gammacap.channel import ChannelParams, constant_rank_model, parse_error_model
 from gammacap.exactcomb import qbinom
+from gammacap.solver import maximize
 
 
 def _mat_add(a, b, q):
@@ -311,7 +314,7 @@ def _per_entry_marginal(table, input_rank_probs, q):
     return out
 
 
-def _dense_blahut_arimoto(table, tol=1e-9, max_iter=200000):
+def _dense_blahut_arimoto(table, tol=1e-9, max_iter=200000, start=None):
     """Blahut-Arimoto over dense float rows, every output of every input,
     with one divergence per input: the plain loop that the oracle's sparse
     rows and shared divergences must reproduce float for float."""
@@ -323,7 +326,7 @@ def _dense_blahut_arimoto(table, tol=1e-9, max_iter=200000):
         for y, pr in table[x].items():
             p_y_x[i][y_index[y]] = float(pr)
     k = len(inputs)
-    p = [1.0 / k] * k
+    p = [1.0 / k] * k if start is None else [w / sum(start) for w in start]
     for _ in range(max_iter):
         qy = [0.0] * len(outputs)
         for i in range(k):
@@ -412,6 +415,32 @@ class TestAgainstPerTermReferences:
             assert got == want, params.error_dist
 
 
+def _rank_uniform_start(table, q, rank_probs):
+    """One weight per input of ``table``: its rank's probability over the
+    size of its rank class."""
+    ranks = [oracle.rank_of(X, q) for X in table]
+    sizes = {r: ranks.count(r) for r in set(ranks)}
+    return [rank_probs[r] / sizes[r] for r in ranks]
+
+
+class TestWarmStartedBlahutArimoto:
+    @pytest.mark.parametrize("shape", VERIFY_SHAPES + CI_SHAPES, ids=_SHAPE_IDS)
+    def test_rank_uniform_optimum_closes_in_one_pass(self, shape, channel_tables):
+        """From the solver's optimum spread over each rank class, the sparse
+        loop equals the dense one float for float, its first pass already
+        brackets the capacity within 1e-9 bits, and the bracket's midpoint
+        is the solver's capacity."""
+        q, n, m = shape
+        for params in _every_kind(q, n, m):
+            table = channel_tables(params)
+            res = maximize(params)
+            start = _rank_uniform_start(table, q, res.optimal_input.as_floats())
+            got = oracle.blahut_arimoto(table, start=start)
+            assert got == _dense_blahut_arimoto(table, start=start), params.error_dist
+            assert oracle.blahut_arimoto(table, max_iter=1, start=start) == got
+            assert abs(got[0] - res.capacity_bits) <= 1e-9, params.error_dist
+
+
 def _per_entry_rank_kernel(table, q):
     """K[rx][ry] by one Fraction add per P(Y|X), the class size divided out
     of every entry."""
@@ -435,7 +464,8 @@ class TestRankKernel:
     def test_matches_per_entry_reference(self, shape, channel_tables):
         q, n, m = shape
         for params in _every_kind(q, n, m):
-            kernel = oracle.rank_kernel(channel_tables(params), q)
+            table = channel_tables(params)
+            kernel = oracle.rank_kernel(table, oracle.table_ranks(table, q))
             assert kernel == _per_entry_rank_kernel(channel_tables(params), q)
             assert sorted(kernel) == list(range(min(n, m) + 1))
             assert all(sum(row) == 1 for row in kernel.values())
@@ -513,13 +543,31 @@ class TestEntropyAndBlahutArimoto:
         [
             {"max_iter": 0}, {"max_iter": 3.5}, {"max_iter": True},
             {"tol": math.nan}, {"tol": 0.0}, {"tol": -1e-9},
+            {"start": [1.0] * 15}, {"start": [-1.0] + [1.0] * 15},
+            {"start": [math.nan] + [1.0] * 15}, {"start": [0.0] * 16},
         ],
-        ids=["max_iter=0", "max_iter=3.5", "max_iter=True", "tol=nan", "tol=0", "tol<0"],
+        ids=[
+            "max_iter=0", "max_iter=3.5", "max_iter=True", "tol=nan", "tol=0", "tol<0",
+            "start-too-short", "start-negative", "start-nan", "start-all-zero",
+        ],
     )
     def test_blahut_arimoto_refuses_bad_settings(self, kwargs, channel_tables):
         """max_iter=0 used to fail on an unbound bound, max_iter=3.5 in range()
         with a bare TypeError, and a NaN or non-positive tol ran silently to
-        the cap."""
+        the cap.  A start needs one finite, non-negative weight for each of
+        the table's 16 inputs and some positive mass."""
         params = ChannelParams(2, 2, 2, constant_rank_model(0, 2, 2))
         with pytest.raises(ValueError):
             oracle.blahut_arimoto(channel_tables(params), **kwargs)
+
+    def test_blahut_arimoto_logs_passes_and_bracket(self, caplog, channel_tables):
+        params = ChannelParams(2, 2, 2, constant_rank_model(0, 2, 2))
+        with caplog.at_level(logging.INFO, logger="gammacap.oracle"):
+            oracle.blahut_arimoto(channel_tables(params))
+        (record,) = [r for r in caplog.records if r.name == "gammacap.oracle"]
+        assert record.levelno == logging.INFO
+        found = re.fullmatch(
+            r"Blahut-Arimoto: 16 inputs, passes=2, bracket upper - lower = (\S+) bits",
+            record.getMessage(),
+        )
+        assert found and 0.0 <= float(found[1]) <= 1e-9
