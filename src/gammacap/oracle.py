@@ -552,7 +552,9 @@ def build_channel(params) -> Dict[Matrix, Dict[Matrix, Fraction]]:
     return table
 
 
-def table_ranks(table: Dict[Matrix, Dict[Matrix, Fraction]], q: int) -> Dict[Matrix, int]:
+def table_ranks(
+    table: Dict[Matrix, Dict[Matrix, Fraction]], q: int
+) -> Dict[Matrix, int]:
     """Rank of every input and output matrix of ``table``, each reduced once."""
     return {mat: rank_of(mat, q) for mat in set(table).union(*table.values())}
 
