@@ -8,6 +8,13 @@ ranks       push an input rank distribution through the channel law
 errormodel  build an additive-error rank distribution and print it
 verify      cross-check the closed forms against the enumeration oracle
 
+Every subcommand takes the channel shape --q/--n/--m and --format/--out.
+capacity, ranks, errormodel and verify also take the error model --error
+(verify defaults to constant:t=0), and only capacity and verify, which run
+the solver, take --tol/--max-iters.  matrixfn names its function first and
+then that function's own required arguments, e.g.
+``matrixfn f2 --q 2 --n 2 --m 2 --r 1 --rx 1 --rb 0``.
+
 Reports are written as JSON (default), CSV or plain text, to stdout or to
 the path given with --out.  Every error path prints a single-line JSON
 diagnostic to stderr.  Exit codes: 0 success, 1 verification failure,
@@ -16,9 +23,11 @@ diagnostic to stderr.  Exit codes: 0 success, 1 verification failure,
 
 The JSON report always has the four top-level keys ``command``, ``params``,
 ``result`` and ``diagnostics``, with keys sorted, so identical invocations
-produce byte-identical documents.  The ``params`` block records the error
-model as its canonical rank distribution rather than the raw spec string,
-so two spellings of the same model produce identical reports.
+produce byte-identical documents.  The ``params`` block echoes the shape
+and only the settings the command reads: the error model, as its canonical
+rank distribution ``error_ranks`` rather than the raw spec string (so two
+spellings of the same model produce identical reports), and the solver's
+``tolerance_bits`` and ``max_iterations``.
 """
 
 from __future__ import annotations
@@ -33,15 +42,14 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from . import oracle
+from . import matrixfn, oracle
 from .channel import (
     ChannelParams,
     RankDistribution,
-    constant_rank_model,
+    empirical_model,
     output_rank_distribution,
     parse_error_model,
 )
@@ -60,16 +68,10 @@ _MATRIXFN_ARGS = {
     "f1": ("u", "v", "h", "r"),
     "f2": ("r", "rx", "rb"),
 }
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """One validated CLI invocation, ready to dispatch."""
-
-    command: str
-    params: ChannelParams
-    solver: SolverConfig
-    output_format: str
+_MATRIXFN_HELP = {
+    "u": "subspace dimension u", "v": "subspace dimension v", "h": "quotient dimension h",
+    "r": "matrix rank r", "rx": "input rank", "rb": "error rank",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,24 +110,28 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="gammacap", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_common(p: argparse.ArgumentParser, *, error_flag: str) -> None:
+    def add_command(
+        subparsers, name: str, help: str, *, error: Union[bool, str] = False,
+        solver: bool = False,
+    ) -> argparse.ArgumentParser:
+        """A subcommand with the shape and report flags, --error when ``error``
+        (required when True, else its default) and --tol/--max-iters when
+        ``solver``."""
+        p = subparsers.add_parser(name, help=help)
         p.add_argument("--q", type=int, required=True, help="field order, a prime power")
         p.add_argument("--n", type=int, required=True, help="number of matrix rows")
         p.add_argument("--m", type=int, required=True, help="number of matrix columns")
-        if error_flag == "required":
+        if error is True:
             p.add_argument("--error", required=True, help="error model spec, e.g. iid:t=2")
-        elif error_flag == "optional":
+        elif error:
+            p.add_argument("--error", default=error, help=f"error model spec (default {error})")
+        if solver:
             p.add_argument(
-                "--error",
-                default="constant:t=0",
-                help="error model spec (default constant:t=0)",
+                "--tol", type=float, default=1e-9, help="solver gap tolerance in bits"
             )
-        p.add_argument(
-            "--tol", type=float, default=1e-9, help="solver gap tolerance in bits"
-        )
-        p.add_argument(
-            "--max-iters", type=int, default=100000, help="solver iteration cap"
-        )
+            p.add_argument(
+                "--max-iters", type=int, default=100000, help="solver iteration cap"
+            )
         p.add_argument(
             "--format",
             choices=("json", "csv", "text"),
@@ -133,33 +139,28 @@ def _build_parser() -> _Parser:
             help="report format",
         )
         p.add_argument("--out", default=None, help="write the report to this path")
+        return p
 
-    p_cap = sub.add_parser("capacity", help="maximize mutual information over inputs")
-    add_common(p_cap, error_flag="required")
+    add_command(sub, "capacity", "maximize mutual information over inputs",
+                error=True, solver=True)
 
     p_fn = sub.add_parser("matrixfn", help="evaluate f0, f1 or f2 exactly")
-    p_fn.add_argument("function", choices=sorted(_MATRIXFN_ARGS))
-    add_common(p_fn, error_flag="none")
-    p_fn.add_argument("--u", type=int, default=None, help="subspace dimension u")
-    p_fn.add_argument("--v", type=int, default=None, help="subspace dimension v")
-    p_fn.add_argument("--h", type=int, default=None, help="quotient dimension h")
-    p_fn.add_argument("--r", type=int, default=None, help="matrix rank r")
-    p_fn.add_argument("--rx", type=int, default=None, help="input rank")
-    p_fn.add_argument("--rb", type=int, default=None, help="error rank")
+    functions = p_fn.add_subparsers(dest="function", required=True, parser_class=_Parser)
+    for name, keys in _MATRIXFN_ARGS.items():
+        p = add_command(functions, name, f"evaluate {name} exactly")
+        for key in keys:
+            p.add_argument("--" + key, type=int, required=True, help=_MATRIXFN_HELP[key])
 
-    p_ranks = sub.add_parser("ranks", help="output rank law for a given input law")
-    add_common(p_ranks, error_flag="required")
+    p_ranks = add_command(sub, "ranks", "output rank law for a given input law", error=True)
     p_ranks.add_argument(
         "--input",
         required=True,
         help="comma-separated input rank probabilities, fractions or decimals",
     )
 
-    p_err = sub.add_parser("errormodel", help="build and print an error model")
-    add_common(p_err, error_flag="required")
-
-    p_verify = sub.add_parser("verify", help="cross-check against the oracle")
-    add_common(p_verify, error_flag="optional")
+    add_command(sub, "errormodel", "build and print an error model", error=True)
+    add_command(sub, "verify", "cross-check against the oracle",
+                error="constant:t=0", solver=True)
 
     return parser
 
@@ -174,28 +175,26 @@ def _parse_probabilities(text: str) -> List[Fraction]:
         raise ValueError(f"malformed probability list: {text!r} ({exc})") from exc
 
 
-def _params_block(spec: RunSpec, *, with_error: bool = True) -> Dict[str, Any]:
-    params: Dict[str, Any] = {
-        "q": spec.params.q,
-        "n": spec.params.n,
-        "m": spec.params.m,
-        "tolerance_bits": spec.solver.tolerance_bits,
-        "max_iterations": spec.solver.max_iterations,
-    }
-    if with_error:
-        params["error_ranks"] = [
-            _fraction_str(p) for p in spec.params.error_dist.probs
-        ]
-    return params
+def _params_block(
+    args: argparse.Namespace, params: Optional[ChannelParams], solver: Optional[SolverConfig]
+) -> Dict[str, Any]:
+    block: Dict[str, Any] = {"q": args.q, "n": args.n, "m": args.m}
+    if params is not None:
+        block["error_ranks"] = [_fraction_str(p) for p in params.error_dist.probs]
+    if solver is not None:
+        block["tolerance_bits"] = solver.tolerance_bits
+        block["max_iterations"] = solver.max_iterations
+    return block
 
 
-def _cmd_capacity(spec: RunSpec, args: argparse.Namespace) -> Tuple[Dict, int]:
-    res: CapacityResult = maximize(spec.params, spec.solver)
-    p = spec.params
-    bits_per_use = p.n * p.m * math.log2(p.q)
+def _cmd_capacity(
+    args: argparse.Namespace, params: ChannelParams, solver: SolverConfig
+) -> Tuple[Dict, int]:
+    res: CapacityResult = maximize(params, solver)
+    bits_per_use = params.n * params.m * math.log2(params.q)
     payload = {
         "command": "capacity",
-        "params": _params_block(spec),
+        "params": _params_block(args, params, solver),
         "result": {
             "capacity_bits": res.capacity_bits,
             # An empty (n*m = 0) matrix carries nothing: rate 0, not 0/0.
@@ -215,44 +214,21 @@ def _cmd_capacity(spec: RunSpec, args: argparse.Namespace) -> Tuple[Dict, int]:
         log.warning(
             "gap %.3e above tolerance %.3e after %d iterations",
             res.optimality_gap_bits,
-            spec.solver.tolerance_bits,
+            solver.tolerance_bits,
             res.iterations,
         )
     return payload, EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
-def _cmd_matrixfn(spec: RunSpec, args: argparse.Namespace) -> Tuple[Dict, int]:
-    from . import matrixfn
-
-    name = args.function
-    needed = _MATRIXFN_ARGS[name]
-    given = {
-        key: getattr(args, key)
-        for key in ("u", "v", "h", "r", "rx", "rb")
-        if getattr(args, key) is not None
-    }
-    missing = [key for key in needed if key not in given]
-    extra = [key for key in sorted(given) if key not in needed]
-    if missing or extra:
-        detail = []
-        if missing:
-            detail.append("missing " + ", ".join("--" + k for k in missing))
-        if extra:
-            detail.append("unexpected " + ", ".join("--" + k for k in extra))
-        raise ValueError(f"{name} takes exactly {needed}: " + "; ".join(detail))
-    p = spec.params
-    if name == "f0":
-        value = matrixfn.f0(given["u"], p.n, p.m, p.q)
-    elif name == "f1":
-        value = matrixfn.f1(given["u"], given["v"], given["h"], given["r"], p.n, p.m, p.q)
-    else:
-        value = matrixfn.f2(given["r"], given["rx"], given["rb"], p.n, p.m, p.q)
+def _cmd_matrixfn(args: argparse.Namespace, params: None, solver: None) -> Tuple[Dict, int]:
+    arguments = {key: getattr(args, key) for key in _MATRIXFN_ARGS[args.function]}
+    value = getattr(matrixfn, args.function)(*arguments.values(), args.n, args.m, args.q)
     payload = {
         "command": "matrixfn",
         "params": dict(
-            _params_block(spec, with_error=False),
-            function=name,
-            arguments={key: given[key] for key in needed},
+            _params_block(args, params, solver),
+            function=args.function,
+            arguments=arguments,
         ),
         "result": {"value": value},
         "diagnostics": {"exact": True},
@@ -260,19 +236,12 @@ def _cmd_matrixfn(spec: RunSpec, args: argparse.Namespace) -> Tuple[Dict, int]:
     return payload, EXIT_OK
 
 
-def _cmd_ranks(spec: RunSpec, args: argparse.Namespace) -> Tuple[Dict, int]:
-    probs = _parse_probabilities(args.input)
-    rank_count = spec.params.rank_count
-    if len(probs) > rank_count:
-        raise ValueError(
-            f"input lists {len(probs)} ranks; channel has ranks 0..{rank_count - 1}"
-        )
-    probs = probs + [Fraction(0)] * (rank_count - len(probs))
-    input_ranks = RankDistribution(probs)
-    out = output_rank_distribution(input_ranks, spec.params)
+def _cmd_ranks(args: argparse.Namespace, params: ChannelParams, solver: None) -> Tuple[Dict, int]:
+    input_ranks = empirical_model(_parse_probabilities(args.input), params.n, params.m)
+    out = output_rank_distribution(input_ranks, params)
     payload = {
         "command": "ranks",
-        "params": _params_block(spec),
+        "params": _params_block(args, params, solver),
         "result": {
             "input_ranks": [_fraction_str(p) for p in input_ranks.probs],
             "output_exact": [_fraction_str(p) for p in out.probs],
@@ -283,11 +252,13 @@ def _cmd_ranks(spec: RunSpec, args: argparse.Namespace) -> Tuple[Dict, int]:
     return payload, EXIT_OK
 
 
-def _cmd_errormodel(spec: RunSpec, args: argparse.Namespace) -> Tuple[Dict, int]:
-    dist = spec.params.error_dist
+def _cmd_errormodel(
+    args: argparse.Namespace, params: ChannelParams, solver: None
+) -> Tuple[Dict, int]:
+    dist = params.error_dist
     payload = {
         "command": "errormodel",
-        "params": _params_block(spec),
+        "params": _params_block(args, params, solver),
         "result": {
             "rank_probabilities_exact": [_fraction_str(p) for p in dist.probs],
             "rank_probabilities_float": list(dist.as_floats()),
@@ -297,10 +268,7 @@ def _cmd_errormodel(spec: RunSpec, args: argparse.Namespace) -> Tuple[Dict, int]
     return payload, EXIT_OK
 
 
-def _verify_checks(spec: RunSpec) -> List[Dict[str, Any]]:
-    p = spec.params
-    from . import matrixfn
-
+def _verify_checks(p: ChannelParams, solver: SolverConfig) -> List[Dict[str, Any]]:
     checks: List[Dict[str, Any]] = []
 
     # A shape over budget is refused before any enumeration starts.
@@ -355,7 +323,7 @@ def _verify_checks(spec: RunSpec) -> List[Dict[str, Any]]:
     # Blahut-Arimoto starts from the solver's optimum spread uniformly over
     # each rank class, so its first pass brackets the raw-alphabet capacity
     # around the solver's point; a start off the optimum only costs passes.
-    res = maximize(p, spec.solver)
+    res = maximize(p, solver)
     x = res.optimal_input.as_floats()
     class_size = Counter(rank[X] for X in table)
     start = [x[rank[X]] / class_size[rank[X]] for X in table]
@@ -372,12 +340,14 @@ def _verify_checks(spec: RunSpec) -> List[Dict[str, Any]]:
     return checks
 
 
-def _cmd_verify(spec: RunSpec, args: argparse.Namespace) -> Tuple[Dict, int]:
-    checks = _verify_checks(spec)
+def _cmd_verify(
+    args: argparse.Namespace, params: ChannelParams, solver: SolverConfig
+) -> Tuple[Dict, int]:
+    checks = _verify_checks(params, solver)
     passed = all(c["passed"] for c in checks)
     payload = {
         "command": "verify",
-        "params": _params_block(spec),
+        "params": _params_block(args, params, solver),
         "result": {
             "checks": checks,
             "passed": passed,
@@ -470,17 +440,6 @@ def _emit(payload: Dict, output_format: str, out_path: Optional[str]) -> None:
             handle.write(text)
 
 
-def _build_spec(args: argparse.Namespace) -> RunSpec:
-    error_spec = getattr(args, "error", None)
-    if error_spec is None:
-        error_dist = constant_rank_model(0, args.n, args.m)
-    else:
-        error_dist = parse_error_model(error_spec, args.q, args.n, args.m)
-    params = ChannelParams(args.q, args.n, args.m, error_dist)
-    solver = SolverConfig(tolerance_bits=args.tol, max_iterations=args.max_iters)
-    return RunSpec(args.command, params, solver, args.format)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     _configure_logging()
     try:
@@ -488,14 +447,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        spec = _build_spec(args)
-    except (ValueError, TypeError) as exc:
-        _print_error(EXIT_BAD_INPUT, str(exc))
-        return EXIT_BAD_INPUT
-    log.info("dispatching %s on q=%d n=%d m=%d", spec.command, spec.params.q,
-             spec.params.n, spec.params.m)
-    try:
-        payload, code = _HANDLERS[spec.command](spec, args)
+        params = solver = None
+        if hasattr(args, "error"):
+            error_dist = parse_error_model(args.error, args.q, args.n, args.m)
+            params = ChannelParams(args.q, args.n, args.m, error_dist)
+        if hasattr(args, "tol"):
+            solver = SolverConfig(tolerance_bits=args.tol, max_iterations=args.max_iters)
+        log.info("dispatching %s on q=%d n=%d m=%d", args.command, args.q, args.n, args.m)
+        payload, code = _HANDLERS[args.command](args, params, solver)
     except oracle.BudgetExceededError as exc:
         _print_error(EXIT_BUDGET, str(exc))
         return EXIT_BUDGET
@@ -506,7 +465,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _print_error(EXIT_BAD_INPUT, f"channel too large for float arithmetic: {exc}")
         return EXIT_BAD_INPUT
     try:
-        _emit(payload, spec.output_format, args.out)
+        _emit(payload, args.format, args.out)
     except OSError as exc:
         _print_error(EXIT_BAD_INPUT, f"cannot write report: {exc}")
         return EXIT_BAD_INPUT

@@ -646,13 +646,14 @@ def blahut_arimoto(
     starts from ``start``, one weight per input in table order, normalized;
     without it, from the uniform law.  A start whose bracket is already
     within ``tol``, such as an optimum, ends the run after that pass.  A
-    ``tol`` that is not positive and finite, a ``max_iter`` that is not an
-    int of at least 1, or a ``start`` of the wrong length, with a negative
-    or non-finite entry or no positive mass, raises ValueError.  Logs its
-    pass count and final bracket at INFO.
+    ``tol`` that is not a positive and finite int or float (a bool is
+    neither), a ``max_iter`` that is not an int of at least 1, or a
+    ``start`` of the wrong length, with a negative or non-finite entry or no
+    positive mass, raises ValueError.  Logs its pass count and final bracket
+    at INFO.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+    if type(tol) is bool or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+        raise ValueError("tol must be a positive and finite number")
     if type(max_iter) is not int or max_iter < 1:
         raise ValueError("max_iter must be an int of at least 1")
     inputs = list(table)

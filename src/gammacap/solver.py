@@ -59,8 +59,9 @@ class SolverConfig:
     start_distribution: Optional[RankDistribution] = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.tolerance_bits < math.inf:
-            raise ValueError("tolerance_bits must be positive and finite")
+        tol = self.tolerance_bits
+        if type(tol) is bool or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+            raise ValueError("tolerance_bits must be a positive and finite number")
         if type(self.max_iterations) is not int or self.max_iterations < 1:
             raise ValueError("max_iterations must be an int of at least 1")
 
@@ -69,6 +70,7 @@ class SolverConfig:
 class CapacityResult:
     """Outcome of a capacity run; converged=False flags a gap above tolerance.
 
+    capacity_bits is the objective at optimal_input, the iterate returned;
     stop_reason is "certified" or "iteration_cap"; newton_steps counts the
     accepted Newton polish steps among the iterations."""
 
@@ -308,7 +310,7 @@ def maximize(
     else:
         x = [1.0 / k] * k
 
-    value = best_value = ws.objective(x)
+    value = ws.objective(x)
     grad = ws.gradient(x)
     gaps: List[float] = []
     mu, newton_steps, polished = _MU_START, 0, False
@@ -316,7 +318,7 @@ def maximize(
         gap = _gap(grad, x)
         if gap <= config.tolerance_bits:
             if observer is not None:
-                observer(iterations, best_value, gap)
+                observer(iterations, value, gap)
             break
 
         # Try a Newton step after an accepted one, or once no gap of the last
@@ -343,7 +345,6 @@ def maximize(
                 mu, gaps = mu * 10, []
             x, value = _squarem_step(ws, x, grad)
             grad = ws.gradient(x)
-        best_value = max(best_value, value)
         if observer is not None:
             observer(iterations, value, gap)
 
@@ -357,7 +358,7 @@ def maximize(
     )
     return CapacityResult(
         optimal_input=RankDistribution(x),
-        capacity_bits=best_value,
+        capacity_bits=value,
         optimality_gap_bits=gap,
         iterations=iterations,
         output_ranks=RankDistribution(ws.output_probs(x)),

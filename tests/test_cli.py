@@ -246,12 +246,28 @@ class TestMatrixfnCommand:
             "--u", "1", "--v", "1",
         )
         assert code == 2 and out == ""
-        assert "unexpected" in stderr_diagnostic(err)["error"]
+        assert "unrecognized arguments" in stderr_diagnostic(err)["error"]
         code, _, err = run_cli(
             capsys, "matrixfn", "f2", "--q", "2", "--n", "2", "--m", "2",
         )
         assert code == 2
-        assert "missing" in stderr_diagnostic(err)["error"]
+        assert "required" in stderr_diagnostic(err)["error"]
+
+    def test_each_function_requires_its_own_arguments(self, capsys):
+        code, out, err = run_cli(
+            capsys, "matrixfn", "f1", "--q", "2", "--n", "3", "--m", "3",
+            "--u", "1", "--v", "1", "--r", "0",
+        )
+        assert code == 2 and out == ""
+        diagnostic = stderr_diagnostic(err)
+        assert diagnostic["exit_code"] == 2 and "--h" in diagnostic["error"]
+
+    def test_function_name_comes_first(self, capsys):
+        code, out, err = run_cli(
+            capsys, "matrixfn", "--q", "2", "--n", "2", "--m", "2", "f0", "--u", "2",
+        )
+        assert code == 2 and out == ""
+        assert stderr_diagnostic(err)["exit_code"] == 2
 
     def test_out_of_range_exit_2(self, capsys):
         code, _, err = run_cli(
@@ -430,6 +446,44 @@ class TestVerifyCommand:
             "error": "|GL|*q^(2nm) = 86586540687360 exceeds the channel budget 16777216",
             "exit_code": 4,
         }
+
+
+class TestFlagsPerCommand:
+    """Each subcommand takes only the flags it reads and echoes only those
+    settings in its params block."""
+
+    SHAPE = ["--q", "2", "--n", "2", "--m", "2"]
+    COMMANDS = {
+        "capacity": ["capacity", *SHAPE, "--error", "iid:t=1"],
+        "verify": ["verify", *SHAPE, "--error", "iid:t=1"],
+        "ranks": ["ranks", *SHAPE, "--error", "iid:t=1", "--input", "1/2,1/2"],
+        "errormodel": ["errormodel", *SHAPE, "--error", "iid:t=1"],
+        "matrixfn": ["matrixfn", "f0", *SHAPE, "--u", "1"],
+    }
+    CHANNEL_KEYS = {"q", "n", "m", "error_ranks"}
+    PARAMS_KEYS = {
+        "capacity": CHANNEL_KEYS | {"tolerance_bits", "max_iterations"},
+        "verify": CHANNEL_KEYS | {"tolerance_bits", "max_iterations"},
+        "ranks": CHANNEL_KEYS,
+        "errormodel": CHANNEL_KEYS,
+        "matrixfn": {"q", "n", "m", "function", "arguments"},
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_params_keys(self, capsys, command):
+        code, doc = run_json(capsys, *self.COMMANDS[command])
+        assert code == 0
+        assert set(doc["params"]) == self.PARAMS_KEYS[command]
+
+    @pytest.mark.parametrize("flag", [["--tol", "1e-9"], ["--max-iters", "5"]],
+                             ids=["tol", "max-iters"])
+    @pytest.mark.parametrize("command", ["ranks", "errormodel", "matrixfn"])
+    def test_solver_flags_only_where_the_solver_runs(self, capsys, command, flag):
+        code, out, err = run_cli(capsys, *self.COMMANDS[command], *flag)
+        assert code == 2 and out == ""
+        diagnostic = stderr_diagnostic(err)
+        assert diagnostic["exit_code"] == 2
+        assert "unrecognized arguments" in diagnostic["error"]
 
 
 class TestFormatsAndOutput:

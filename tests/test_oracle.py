@@ -542,19 +542,21 @@ class TestEntropyAndBlahutArimoto:
         "kwargs",
         [
             {"max_iter": 0}, {"max_iter": 3.5}, {"max_iter": True},
-            {"tol": math.nan}, {"tol": 0.0}, {"tol": -1e-9},
+            {"tol": math.nan}, {"tol": 0.0}, {"tol": -1e-9}, {"tol": True}, {"tol": "1e-9"},
             {"start": [1.0] * 15}, {"start": [-1.0] + [1.0] * 15},
             {"start": [math.nan] + [1.0] * 15}, {"start": [0.0] * 16},
         ],
         ids=[
             "max_iter=0", "max_iter=3.5", "max_iter=True", "tol=nan", "tol=0", "tol<0",
-            "start-too-short", "start-negative", "start-nan", "start-all-zero",
+            "tol=True", "tol=str", "start-too-short", "start-negative", "start-nan",
+            "start-all-zero",
         ],
     )
     def test_blahut_arimoto_refuses_bad_settings(self, kwargs, channel_tables):
         """max_iter=0 used to fail on an unbound bound, max_iter=3.5 in range()
-        with a bare TypeError, and a NaN or non-positive tol ran silently to
-        the cap.  A start needs one finite, non-negative weight for each of
+        with a bare TypeError, a NaN or non-positive tol ran silently to the
+        cap, tol=True ran as a 1-bit tolerance and tol="1e-9" raised a bare
+        TypeError.  A start needs one finite, non-negative weight for each of
         the table's 16 inputs and some positive mass."""
         params = ChannelParams(2, 2, 2, constant_rank_model(0, 2, 2))
         with pytest.raises(ValueError):
