@@ -11,16 +11,7 @@ so the closed forms are testable rather than trusted.
 """
 
 from .exactcomb import count_rank_matrices, is_prime_power, qbinom, validate_field_order
-from .matrixfn import (
-    c_prime,
-    f0,
-    f1,
-    f2,
-    f_small,
-    g_count,
-    h_count,
-    l_count,
-)
+from .matrixfn import c_prime, f0, f1, f2
 from .channel import (
     ChannelParams,
     RankDistribution,
@@ -57,14 +48,10 @@ __all__ = [
     "f0",
     "f1",
     "f2",
-    "f_small",
-    "g_count",
     "gradient",
-    "h_count",
     "h_r",
     "iid_vectors_model",
     "is_prime_power",
-    "l_count",
     "maximize",
     "mutual_information",
     "objective",

@@ -6,10 +6,9 @@ The three top-level counts:
 - :func:`f1` — rank-r matrices B with row(M+B) equal to a fixed space V,
 - :func:`f2` — rank-rB matrices B with rank(X+B) = r for a fixed X,
 
-plus the subspace-configuration counts (:func:`f_small`, :func:`g_count`,
-:func:`h_count`, :func:`l_count`) that count subspaces with prescribed meets,
-and :func:`c_prime`, which counts subspace pairs (V', W') by one sum over V'
-whose terms are :func:`l_count` values.
+plus :func:`c_prime`, which counts subspace pairs (V', W') by one sum over
+V' whose terms are :func:`_l_count` values: subspaces with every meet with a
+fixed pair of subspaces prescribed, in one closed-form sum.
 
 Everything is exact integer arithmetic.  Well-formed but combinatorially
 impossible profiles count zero configurations and return 0; negative
@@ -44,95 +43,43 @@ def _meet_count(N: int, k: int, d: int, a: int, q: int) -> int:
     return q ** ((d - a) * (k - a)) * qbinom_ext(N - k, d - a, q) * qbinom_ext(k, a, q)
 
 
-def f_small(dU: int, dV: int, dW: int, q: int) -> int:
-    """Subspaces W of U + V (direct sum) meeting both U and V trivially.
-
-    Counts dW-dimensional W <= U (+) V with W cap U = W cap V = 0; this is
-    qbinom(dU, dW) * prod_{i<dW} (q^dV - q^i) for 0 <= dW <= min(dU, dV),
-    else 0.
-    """
-    validate_field_order(q)
-    if dW < 0 or dW > min(dU, dV):
-        return 0
-    return qbinom_ext(dU, dW, q) * _falling(dV, dW, q)
-
-
-def g_count(dU: int, dV: int, dW: int, dUW: int, dVW: int, q: int) -> int:
-    """Subspaces W of U + V (direct sum) with prescribed meets with U and V.
-
-    Counts dW-dimensional W <= U (+) V with dim(W cap U) = dUW and
-    dim(W cap V) = dVW.
-    """
-    validate_field_order(q)
-    if min(dU, dV, dW, dUW, dVW) < 0:
-        return 0
-    if dUW > min(dU, dW) or dVW > min(dV, dW):
-        return 0
-    return (
-        qbinom_ext(dU, dUW, q)
-        * qbinom_ext(dV, dVW, q)
-        * f_small(dU - dUW, dV - dVW, dW - dUW - dVW, q)
-    )
-
-
-def h_count(
-    dU: int, dV: int, dW: int, dUV: int, dUW: int, dVW: int, dUVW: int, q: int
-) -> int:
-    """Subspaces W of U + V with every meet of the triple prescribed.
-
-    Counts dW-dimensional W <= U + V (with dim(U cap V) = dUV now allowed to
-    be positive) such that dim(W cap U) = dUW, dim(W cap V) = dVW and
-    dim(W cap U cap V) = dUVW.  Reduces to :func:`g_count` in the quotient by
-    U cap V.
-    """
-    validate_field_order(q)
-    if min(dU, dV, dW, dUV, dUW, dVW, dUVW) < 0:
-        return 0
-    if dUV > min(dU, dV) or dUVW > min(dUV, dW):
-        return 0
-    return (
-        g_count(dU - dUV, dV - dUV, dW - dUVW, dUW - dUVW, dVW - dUVW, q)
-        * qbinom_ext(dUV, dUVW, q)
-        * q ** ((dW - dUVW) * (dUV - dUVW))
-    )
-
-
 @lru_cache(maxsize=None)
 def _l_count(
     m: int, dU: int, dV: int, dW: int, dUV: int, dUW: int, dVW: int, dUVW: int, q: int
 ) -> int:
-    if min(m, dU, dV, dW, dUV, dUW, dVW, dUVW) < 0:
-        return 0
-    if dUV > min(dU, dV):
-        return 0
+    """Subspaces W of F_q^m with every meet with a fixed pair (U, V) prescribed.
+
+    For U, V with dim(U cap V) = dUV, counts the dW-dimensional W with
+    dim(W cap U) = dUW, dim(W cap V) = dVW and dim(W cap U cap V) = dUVW.
+    Splits W by k = dim(W cap (U+V)).  In the quotient of U + V by U cap V
+    (a direct sum of an a-space and a b-space), the image of W cap (U+V)
+    meets the two summands in an x- and a y-space and has a w-dimensional
+    part meeting both trivially: [a,x][b,y][a-x,w] prod_{i<w}(q^(b-y) - q^i)
+    choices.  [dUV,dUVW] q^((k-dUVW)(dUV-dUVW)) places the meet with U cap V
+    and lifts the image, and [m-d_join,dW-k] q^((dW-k)(d_join-k)) extends
+    W cap (U+V) by a part meeting U + V, of dimension d_join, trivially.
+    """
+    a, b = dU - dUV, dV - dUV
+    x, y = dUW - dUVW, dVW - dUVW
     d_join = dU + dV - dUV
-    if d_join > m:
+    if min(a, b, x, y, dUVW, dW) < 0 or d_join > m or dUVW > dUV:
         return 0
     total = 0
-    for k in range(max(dUW, dVW), min(dW, d_join) + 1):
-        inner = h_count(dU, dV, k, dUV, dUW, dVW, dUVW, q)
-        if inner == 0:
-            continue
+    for k in range(dUVW + x + y, min(dW, d_join) + 1):
+        w = k - dUVW - x - y
+        if w > min(a - x, b - y):
+            break
         total += (
-            inner
+            qbinom_ext(a, x, q)
+            * qbinom_ext(b, y, q)
+            * qbinom_ext(a - x, w, q)
+            * _falling(b - y, w, q)
+            * qbinom_ext(dUV, dUVW, q)
+            * q ** ((k - dUVW) * (dUV - dUVW))
             * qbinom_ext(m - d_join, dW - k, q)
             * q ** ((dW - k) * (d_join - k))
         )
     return total
-
-
-def l_count(
-    m: int, dU: int, dV: int, dW: int, dUV: int, dUW: int, dVW: int, dUVW: int, q: int
-) -> int:
-    """Subspaces W of an m-dimensional ambient space with prescribed meets.
-
-    For a fixed pair (U, V) with dim(U cap V) = dUV inside F_q^m, counts the
-    dW-dimensional subspaces W with dim(W cap U) = dUW, dim(W cap V) = dVW,
-    dim(W cap U cap V) = dUVW.  Splits W by k = dim(W cap (U+V)); the inner
-    part is an :func:`h_count` and the complement is free.
-    """
-    validate_field_order(q)
-    return _l_count(m, dU, dV, dW, dUV, dUW, dVW, dUVW, q)
 
 
 def _realizable_with_sum_condition(p1: Sequence[int], m: int) -> bool:
@@ -189,7 +136,7 @@ def c_prime(
     dP = dU + dVW - dUW.  Both U cap V and V cap W lie in P, so V' is counted
     by its meet Y = V' cap P: Y is a y-space of P meeting U cap V in
     dimension i, V cap W in dimension j and U cap V cap W in dimension k
-    (an :func:`l_count` inside P, summed over k), and V' is one of the
+    (an :func:`_l_count` inside P, summed over k), and V' is one of the
     q^((dVp - y)(dP - y)) * qbinom(dV - dP, dVp - y) dVp-spaces of V that
     meet P in exactly Y.  j runs from dVpWp to min(dVW, dVp) and stops once
     y exceeds dVp.

@@ -375,7 +375,7 @@ class TestVerifyCommand:
         assert doc["result"]["passed"] is True
 
     @staticmethod
-    def _verify_with(capsys, caplog, monkeypatch, alter=lambda res: res):
+    def _verify_with(capsys, caplog, monkeypatch, alter=lambda res: res, *flags):
         """verify at (2, 2, 3, iid:t=1) with the solver's result passed
         through ``alter``, and the number of Blahut-Arimoto passes."""
         maximize = cli.maximize
@@ -383,6 +383,7 @@ class TestVerifyCommand:
         with caplog.at_level(logging.INFO, logger="gammacap.oracle"):
             code, doc = run_json(
                 capsys, "verify", "--q", "2", "--n", "2", "--m", "3", "--error", "iid:t=1",
+                *flags,
             )
         (check,) = [
             c for c in doc["result"]["checks"] if c["name"] == "capacity vs Blahut-Arimoto"
@@ -407,6 +408,25 @@ class TestVerifyCommand:
         assert code == 1 and doc["result"]["passed"] is False
         assert check["passed"] is False
         assert check["max_deviation"] == pytest.approx(1e-5, rel=1e-3)
+
+    def test_loose_tolerance_passes(self, capsys, caplog, monkeypatch):
+        """At --tol 1e-4 the solver and Blahut-Arimoto each promise only
+        1e-4; the check used to demand 1e-6 and failed at 7.0e-6."""
+        code, doc, check, _ = self._verify_with(
+            capsys, caplog, monkeypatch, lambda res: res, "--tol", "1e-4"
+        )
+        assert code == 0 and doc["result"]["passed"] is True
+        assert check["passed"] is True
+
+    def test_capacity_off_by_1e_7_fails(self, capsys, caplog, monkeypatch):
+        """At the default tolerance of 1e-9 bits, a capacity 1e-7 bits too
+        high is far outside what the solver and Blahut-Arimoto certify."""
+        code, doc, check, _ = self._verify_with(
+            capsys, caplog, monkeypatch,
+            lambda res: dataclasses.replace(res, capacity_bits=res.capacity_bits + 1e-7),
+        )
+        assert code == 1 and doc["result"]["passed"] is False
+        assert check["passed"] is False
 
     def test_moved_start_still_passes(self, capsys, caplog, monkeypatch):
         """1e-3 of the optimal input moved between two ranks, the capacity

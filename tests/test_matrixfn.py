@@ -1,10 +1,10 @@
 """Matrix-counting functions versus exhaustive enumeration.
 
-The layered subspace counts (f_small, g_count, h_count, l_count), the
-subspace-pair count c_prime and the three matrix counts (f0, f1, f2) are
-all compared against the enumeration oracle on small fields, where every
-closed form can be checked case by case; c_prime is also pinned at
-ambient dimensions 6 to 8, beyond the oracle's reach.
+The subspace count with prescribed meets (_l_count), the subspace-pair
+count c_prime and the three matrix counts (f0, f1, f2) are all compared
+against the enumeration oracle on small fields, where every closed form can
+be checked case by case; c_prime is also pinned at ambient dimensions 6 to
+8, beyond the oracle's reach.
 """
 
 import itertools
@@ -14,18 +14,7 @@ import pytest
 
 from gammacap import matrixfn, oracle
 from gammacap.exactcomb import qbinom
-from gammacap.matrixfn import (
-    _meet_count,
-    _phi,
-    c_prime,
-    f0,
-    f1,
-    f2,
-    f_small,
-    g_count,
-    h_count,
-    l_count,
-)
+from gammacap.matrixfn import _l_count, _meet_count, _phi, c_prime, f0, f1, f2
 
 
 def _overlapping_pair(dU, dV, dUV, m):
@@ -58,7 +47,7 @@ def _realizable_profiles(m):
 
 
 class TestLayeredCounts:
-    """f_small/g_count/h_count/l_count against enumerated meet censuses."""
+    """_l_count against enumerated meet censuses."""
 
     def test_l_count_matches_enumeration(self):
         configs = [
@@ -77,47 +66,20 @@ class TestLayeredCounts:
                 for dUW in range(dW + 1):
                     for dVW in range(dW + 1):
                         for dUVW in range(min(dUW, dVW) + 1):
-                            got = l_count(m, dU, dV, dW, dUV, dUW, dVW, dUVW, q)
+                            got = _l_count(m, dU, dV, dW, dUV, dUW, dVW, dUVW, q)
                             want = census.get((dW, dUW, dVW, dUVW), 0)
                             assert got == want, (q, dU, dV, dUV, m, dW, dUW, dVW, dUVW)
 
-    def test_h_count_is_ambient_restriction(self):
-        """With ambient exactly U + V, l_count collapses to h_count."""
-        for q in (2, 3):
-            for dU in range(3):
-                for dV in range(3):
-                    for dUV in range(min(dU, dV) + 1):
-                        m = dU + dV - dUV
-                        for dW in range(m + 1):
-                            for dUW in range(dW + 1):
-                                for dVW in range(dW + 1):
-                                    for dUVW in range(min(dUW, dVW) + 1):
-                                        assert l_count(
-                                            m, dU, dV, dW, dUV, dUW, dVW, dUVW, q
-                                        ) == h_count(dU, dV, dW, dUV, dUW, dVW, dUVW, q)
-
-    def test_h_reduces_to_g_and_f_small(self):
-        for q in (2, 3):
-            for dU in range(4):
-                for dV in range(4):
-                    for dW in range(dU + dV + 1):
-                        for dUW in range(min(dU, dW) + 1):
-                            for dVW in range(min(dV, dW) + 1):
-                                assert h_count(
-                                    dU, dV, dW, 0, dUW, dVW, 0, q
-                                ) == g_count(dU, dV, dW, dUW, dVW, q)
-                        assert g_count(dU, dV, dW, 0, 0, q) == f_small(dU, dV, dW, q)
-
     def test_l_avoiding_line(self):
         """One line of F_2^2 avoids two fixed distinct lines: the diagonal."""
-        assert l_count(2, 1, 1, 1, 0, 0, 0, 0, 2) == 1
+        assert _l_count(2, 1, 1, 1, 0, 0, 0, 0, 2) == 1
 
     def test_l_partition_identity(self):
         """Summing over all meet profiles counts every dW-subspace once."""
         for q, dU, dV, dUV, m in ((2, 2, 1, 0, 4), (3, 1, 1, 1, 3)):
             for dW in range(m + 1):
                 total = sum(
-                    l_count(m, dU, dV, dW, dUV, dUW, dVW, dUVW, q)
+                    _l_count(m, dU, dV, dW, dUV, dUW, dVW, dUVW, q)
                     for dUW in range(dW + 1)
                     for dVW in range(dW + 1)
                     for dUVW in range(min(dUW, dVW) + 1)
