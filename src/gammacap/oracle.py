@@ -12,20 +12,24 @@ The field must be prime; the scope is set by two budgets, not by n and m:
 law.  A shape over budget is refused explicitly
 (:class:`BudgetExceededError`) so callers can distinguish "too big by
 policy" from "wrong input"; :func:`check_budgets` refuses such a shape
-before anything is enumerated.  Work shared between terms (the images A*Z
-of one matrix Z, the row spaces reached from one representative M) is
-enumerated once per call and kept for no longer.  The inner loops read
-matrices by their index in enumerate_matrices order: adding a fixed X is a
-permutation of those indices (:func:`_translation`), built entry by entry
-with no matrix formed.  A channel table is ranked once (:func:`table_ranks`),
-and those ranks give the exact rank transition of :func:`rank_kernel`, from
-which every output rank law of a rank-uniform input follows.  Work whose
-result would be thrown away is not done: the f-function tables skip a
-subspace pair without reducing U+V once every class (u, v, h) its
-dimensions can reach holds its representatives, and Blahut-Arimoto computes
-one divergence per set of exactly equal rows, over their nonzero entries
-only, and starts where its caller says, such as at a known optimum.  The
-elimination itself trusts its caller to have checked that q is prime.
+before anything is enumerated.  GL(n, q) is built row by row, each row
+drawn from outside the span of the rows before it, so no matrix is reduced
+to find it.  Work shared between terms (the images A*Z of one matrix Z, the
+row spaces reached from one representative M) is enumerated once per call
+and kept for no longer.  The inner loops read matrices by their index in
+enumerate_matrices order: adding a fixed X is a permutation of those indices
+(:func:`_translation`), built entry by entry with no matrix formed, and the
+index of A*Z is read off the indices of the row combinations a*Z, one table
+per Z, with A held as the indices of its rows.  A channel table is ranked
+once (:func:`table_ranks`), and those ranks give the exact rank transition
+of :func:`rank_kernel`, from which every output rank law of a rank-uniform
+input follows.  Work whose result would be thrown away is not done: the
+f-function tables skip a subspace pair without reducing U+V once every
+class (u, v, h) its dimensions can reach holds its representatives, and
+Blahut-Arimoto computes one divergence per set of exactly equal rows, over
+their nonzero entries only, and starts where its caller says, such as at a
+known optimum.  The elimination itself trusts its caller to have checked
+that q is prime.
 """
 
 from __future__ import annotations
@@ -131,12 +135,30 @@ def enumerate_matrices(n: int, m: int, q: int) -> Iterator[Matrix]:
 
 
 def enumerate_gl(n: int, q: int) -> Iterator[Matrix]:
-    """All invertible n x n matrices over F_q (q prime), by filtering."""
+    """All invertible n x n matrices over F_q (q prime), in the
+    enumerate_matrices order, built row by row: row i runs over F_q^n in
+    lexicographic order, skipping the span of rows 0..i-1."""
     _require_prime(q)
     _check_grid(n, n, q, "q^(n^2)")
-    for mat in enumerate_matrices(n, n, q):
-        if len(_rref(mat, q)[1]) == n:
-            yield mat
+    vectors = list(itertools.product(range(q), repeat=n))
+
+    def extend(rows: Matrix, span: set) -> Iterator[Matrix]:
+        if len(rows) == n:
+            yield rows
+            return
+        for v in vectors:
+            if v in span:
+                continue
+            wider = span
+            if len(rows) + 1 < n:
+                wider = {
+                    tuple((s + c * x) % q for s, x in zip(u, v))
+                    for u in span
+                    for c in range(q)
+                }
+            yield from extend(rows + (v,), wider)
+
+    yield from extend((), {(0,) * n})
 
 
 def enumerate_subspaces(m: int, q: int, dim: int | None = None) -> List[Matrix]:
@@ -170,13 +192,6 @@ def enumerate_subspaces(m: int, q: int, dim: int | None = None) -> List[Matrix]:
                     rows[i][j] = v
                 out.append(tuple(tuple(r) for r in rows))
     return out
-
-
-def _mat_mul(a: Matrix, b: Matrix, q: int) -> Matrix:
-    cols = list(zip(*b))
-    return tuple(
-        [tuple([sum([x * y for x, y in zip(ra, col)]) % q for col in cols]) for ra in a]
-    )
 
 
 def _translation(X: Matrix, q: int) -> List[int]:
@@ -494,8 +509,10 @@ def build_channel(params) -> Dict[Matrix, Dict[Matrix, Fraction]]:
     P(Y|X) = (1/|GL|) * sum_rB R(rB)/N_rB * sum_{B of rank rB} #{A in GL : A(X+B) = Y}.
     A shape over the channel budget is refused before GL is enumerated.
     The images A*Z over all of GL are tallied once per matrix Z, by output
-    index; a row reads the tally of X+B through the translation of X, adds
-    the tallies as integers and builds one Fraction per distinct numerator.
+    index, each index summed from one lookup per row of A in a table of the
+    row combinations of Z; a row reads the tally of X+B through the
+    translation of X, adds the tallies as integers and builds one Fraction
+    per distinct numerator.
     Rows come in enumerate_matrices order, and a row's outputs in order of
     first appearance.
     """
@@ -510,7 +527,6 @@ def build_channel(params) -> Dict[Matrix, Dict[Matrix, Fraction]]:
     _check_channel(n, m, q)
     gl = list(enumerate_gl(n, q))
     all_mats = list(enumerate_matrices(n, m, q))
-    index = {mat: i for i, mat in enumerate(all_mats)}
     by_rank: Dict[int, List[int]] = {}
     for i, mat in enumerate(all_mats):
         by_rank.setdefault(len(_rref(mat, q)[1]), []).append(i)
@@ -527,15 +543,27 @@ def build_channel(params) -> Dict[Matrix, Dict[Matrix, Fraction]]:
         for rb, t in per_term.items()
         for b in by_rank[rb]
     ]
+    # gl_rows[i][g]: index of row i of the g-th A in GL among the q**n
+    # coefficient vectors of F_q^n, in lexicographic order.
+    vector_index = {v: i for i, v in enumerate(itertools.product(range(q), repeat=n))}
+    gl_rows = [[vector_index[row] for row in rows] for rows in zip(*gl)]
     # images[z]: index of Y -> #{A in GL : A*Z = Y} for Z = all_mats[z],
-    # keyed in order of first appearance.
-    images: List[Dict[int, int]] = []
+    # keyed in order of first appearance.  Row i of A*Z is the combination
+    # A_i*Z of the rows of Z, so index(A*Z) = sum_i comb[A_i] * q**(m*(n-1-i)).
+    images: List[Counter] = []
+    row_count = q**m
     for Z in all_mats:
-        tally: Dict[int, int] = {}
-        for A in gl:
-            y = index[_mat_mul(A, Z, q)]
-            tally[y] = tally.get(y, 0) + 1
-        images.append(tally)
+        # comb[a]: index in F_q^m of a*Z, built one column of Z at a time.
+        comb = [0] * len(vector_index)
+        for col in zip(*Z):
+            digits = [0]
+            for z in col:
+                digits = [(d + c * z) % q for d in digits for c in range(q)]
+            comb = [y * q + d for y, d in zip(comb, digits)]
+        ys = [0] * len(gl)
+        for rows in gl_rows:
+            ys = [y * row_count + comb[a] for y, a in zip(ys, rows)]
+        images.append(Counter(ys))
     # One Fraction per distinct numerator, shared by every entry that has it.
     fractions: Dict[int, Fraction] = {}
     table: Dict[Matrix, Dict[Matrix, Fraction]] = {}
@@ -556,7 +584,8 @@ def table_ranks(
     table: Dict[Matrix, Dict[Matrix, Fraction]], q: int
 ) -> Dict[Matrix, int]:
     """Rank of every input and output matrix of ``table``, each reduced once."""
-    return {mat: rank_of(mat, q) for mat in set(table).union(*table.values())}
+    _require_prime(q)
+    return {mat: len(_rref(mat, q)[1]) for mat in set(table).union(*table.values())}
 
 
 def rank_kernel(
@@ -674,10 +703,19 @@ def blahut_arimoto(
     y_index = {y: j for j, y in enumerate(outputs)}
     # Each row as its (j, P(y_j|x)) pairs with P > 0 in j order: a zero
     # entry adds pi * 0.0 to qy[j] and nothing to d, so skipping it changes
-    # no float.  Inputs with exactly equal rows share one divergence.
+    # no float.  Inputs with exactly equal rows share one divergence.  Each
+    # Fraction object is converted once (build_channel shares one per
+    # numerator), by int true division, which rounds as float(pr) does.
+    floats: Dict[int, float] = {}
     rows: List[Tuple[Tuple[int, float], ...]] = []
     for x in inputs:
-        entries = sorted((y_index[y], float(pr)) for y, pr in table[x].items())
+        entries = []
+        for y, pr in table[x].items():
+            pyx = floats.get(id(pr))
+            if pyx is None:
+                pyx = floats[id(pr)] = pr.numerator / pr.denominator
+            entries.append((y_index[y], pyx))
+        entries.sort()
         rows.append(tuple((j, pyx) for j, pyx in entries if pyx > 0.0))
     distinct: Dict[Tuple[Tuple[int, float], ...], int] = {}
     group = [distinct.setdefault(row, len(distinct)) for row in rows]

@@ -20,6 +20,14 @@ def _mat_add(a, b, q):
     return tuple(tuple((x + y) % q for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
+def _mat_mul(a, b, q):
+    """The product a * b mod q: the references below form A * Z directly."""
+    cols = list(zip(*b))
+    return tuple(
+        [tuple([sum([x * y for x, y in zip(ra, col)]) % q for col in cols]) for ra in a]
+    )
+
+
 class TestLinearAlgebra:
     def test_rank_of_known_matrices(self):
         assert oracle.rank_of(((0, 0), (0, 0)), 2) == 0
@@ -80,10 +88,14 @@ class TestEnumeration:
                 assert sum(1 for s in subs if len(s) == d) == qbinom(m, d, q)
 
     def test_gl_census(self):
-        for q, n in ((2, 2), (3, 2), (2, 3)):
-            mats = list(oracle.enumerate_gl(n, q))
-            assert len(mats) == oracle.count_gl(n, q)
-            assert all(oracle.rank_of(mat, q) == n for mat in mats)
+        """The row-by-row construction yields what filtering every n x n
+        matrix by its rank yields, in the same order, count_gl of them."""
+        for n, q in ((0, 2), (1, 2), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2), (4, 2)):
+            reference = [
+                M for M in oracle.enumerate_matrices(n, n, q) if oracle.rank_of(M, q) == n
+            ]
+            assert list(oracle.enumerate_gl(n, q)) == reference
+            assert len(reference) == oracle.count_gl(n, q)
 
     def test_budget_refusals(self):
         with pytest.raises(oracle.BudgetExceededError):
@@ -239,7 +251,7 @@ def _per_term_channel(params, inputs=None):
                 Z = _mat_add(X, B, q)
                 w = per_b * inv_gl
                 for A in gl:
-                    Y = oracle._mat_mul(A, Z, q)
+                    Y = _mat_mul(A, Z, q)
                     row[Y] = row.get(Y, Fraction(0)) + w
         table[X] = row
     return table
@@ -498,6 +510,20 @@ class TestDiscardedWork:
         capsys.readouterr()
         assert code == 0 and len(built) == 1
         assert reduced and len(reduced) == len(set(reduced)) <= len(built[0])
+
+    def test_build_channel_reduces_only_the_error_matrices(self, monkeypatch):
+        """GL(3, 2) used to be found by reducing all 512 3 x 3 matrices;
+        only the q**(n*m) = 8 matrices ranked for the error law remain."""
+        reduced = []
+        reduce = oracle._rref
+
+        def recording(vectors, q):
+            reduced.append(vectors)
+            return reduce(vectors, q)
+
+        monkeypatch.setattr(oracle, "_rref", recording)
+        oracle.build_channel(ChannelParams(2, 3, 1, parse_error_model("iid:t=1", 2, 3, 1)))
+        assert len(reduced) <= 2 ** (3 * 1)
 
     def test_brute_f_functions_skips_full_classes(self, monkeypatch):
         """U+V used to be reduced for each of the 4 096 subspace pairs at
