@@ -294,9 +294,8 @@ def _verify_checks(p: ChannelParams, solver: SolverConfig) -> List[Dict[str, Any
         }
     )
 
-    table = oracle.build_channel(p)
-    rank = oracle.table_ranks(table, p.q)
-    kernel = oracle.rank_kernel(table, rank)
+    law = oracle.build_channel(p)
+    kernel = oracle.rank_kernel(law)
     rank_count = p.rank_count
     marg_dev = 0.0
     marg_cases = 0
@@ -325,9 +324,9 @@ def _verify_checks(p: ChannelParams, solver: SolverConfig) -> List[Dict[str, Any
     # around the solver's point; a start off the optimum only costs passes.
     res = maximize(p, solver)
     x = res.optimal_input.as_floats()
-    class_size = Counter(rank[X] for X in table)
-    start = [x[rank[X]] / class_size[rank[X]] for X in table]
-    cap_ba, _ = oracle.blahut_arimoto(table, tol=solver.tolerance_bits, start=start)
+    class_size = Counter(law.ranks)
+    start = [x[r] / class_size[r] for r in law.ranks]
+    cap_ba, _ = oracle.blahut_arimoto(law, tol=solver.tolerance_bits, start=start)
     cap_dev = abs(res.capacity_bits - cap_ba)
     # The capacity lies within the certified gap above capacity_bits and
     # within half the bracket width of Blahut-Arimoto's midpoint; 1024 ulps

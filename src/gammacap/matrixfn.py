@@ -200,13 +200,15 @@ def _phi(n: int, m: int, w: int, s: int, r: int, q: int) -> int:
     return q ** (s * (w - (r - s))) * qbinom_ext(w, r - s, q) * _falling(n, r - s, q, s)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=None)
 def _f1_terms(v: int, duv: int, q: int) -> Tuple[Tuple[int, int, int], ...]:
     """Moebius terms (w, a, coefficient) of f1 for dim V = v, dim(U cap V) = duv.
 
     The coefficient (-1)^(v-w) q^C(v-w,2) _meet_count(v, duv, w, a) covers the
     w-dim V'' <= V meeting U cap V in dimension a; it depends on neither the
-    error rank nor the matrix shape, so one table serves every f1 call.
+    error rank nor the matrix shape, so one table serves every f1 call.  A
+    field has (d + 1)(d + 2)/2 keys with v <= d = min(n, m), 153 at d = 16,
+    and a channel's workspace cycles through all of them, so all are kept.
     """
     return tuple(
         (w, a, (-1) ** ((v - w) % 2) * q ** ((v - w) * (v - w - 1) // 2)

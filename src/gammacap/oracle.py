@@ -2,9 +2,10 @@
 
 Everything here works by direct enumeration over prime fields: matrices are
 tuples of tuples of ints mod p, subspaces are canonical reduced-row-echelon
-bases, probabilities are exact :class:`fractions.Fraction` values.  The point
-is independence: nothing in this module calls the closed-form counting code,
-so agreement between the two is evidence, not circularity.
+bases, probabilities are exact: integer numerators over one denominator or
+:class:`fractions.Fraction` values.  The point is independence: nothing in
+this module calls the closed-form counting code, so agreement between the
+two is evidence, not circularity.
 
 The field must be prime; the scope is set by two budgets, not by n and m:
 ``MATRIX_ENUM_BUDGET`` caps the q**(n*m) matrices of a grid enumeration and
@@ -20,16 +21,19 @@ and kept for no longer.  The inner loops read matrices by their index in
 enumerate_matrices order: adding a fixed X is a permutation of those indices
 (:func:`_translation`), built entry by entry with no matrix formed, and the
 index of A*Z is read off the indices of the row combinations a*Z, one table
-per Z, with A held as the indices of its rows.  A channel table is ranked
-once (:func:`table_ranks`), and those ranks give the exact rank transition
-of :func:`rank_kernel`, from which every output rank law of a rank-uniform
-input follows.  Work whose result would be thrown away is not done: the
-f-function tables skip a subspace pair without reducing U+V once every
-class (u, v, h) its dimensions can reach holds its representatives, and
-Blahut-Arimoto computes one divergence per set of exactly equal rows, over
-their nonzero entries only, and starts where its caller says, such as at a
-known optimum.  The elimination itself trusts its caller to have checked
-that q is prime.
+per Z, with A held as the indices of its rows.  A channel law
+(:class:`ChannelLaw`) keeps that indexing: each matrix's rank, read off the
+row space that those row combinations enumerate, and per input the integer
+numerators of its outputs over one shared denominator.  Its readers sum
+integers and divide once: the exact rank transition of :func:`rank_kernel`,
+from which every output rank law of a rank-uniform input follows, makes one
+Fraction per cell, and Blahut-Arimoto one float per distinct numerator.
+Work whose result would be thrown away is not done: the f-function tables
+skip a subspace pair without reducing U+V once every class (u, v, h) its
+dimensions can reach holds its representatives, and Blahut-Arimoto computes
+one divergence per set of exactly equal rows, over their nonzero entries
+only, and starts where its caller says, such as at a known optimum.  The
+elimination itself trusts its caller to have checked that q is prime.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import itertools
 import logging
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -224,11 +229,15 @@ def brute_f_functions(n: int, m: int, q: int) -> Dict[str, Dict]:
     ``h`` here is dim((U+V)/V), matching the closed-form convention.
     """
     mn = min(n, m)
+    # enumerate_matrices checks that q is prime, once for every _rref below.
     all_mats = list(enumerate_matrices(n, m, q))
     # Each matrix is reduced once; its rank is the length of its row space.
     # Matrices are read by their index in all_mats, row spaces by a number.
     space_id: Dict[Matrix, int] = {}
-    space_of = [space_id.setdefault(rref_basis(mat, q), len(space_id)) for mat in all_mats]
+    space_of = [
+        space_id.setdefault(tuple(map(tuple, _rref(mat, q)[0])), len(space_id))
+        for mat in all_mats
+    ]
     space_dim = [len(rs) for rs in space_id]
     ranks = [space_dim[s] for s in space_of]
     by_rank: Dict[int, List[int]] = {r: [] for r in range(mn + 1)}
@@ -272,7 +281,7 @@ def brute_f_functions(n: int, m: int, q: int) -> Dict[str, Dict]:
             v = len(V)
             if (u, v) in full:
                 continue
-            h = len(rref_basis(list(U) + list(V), q)) - v
+            h = len(_rref(U + V, q)[1]) - v
             key3 = (u, v, h)
             seen = reps_seen.get(key3, 0)
             if seen >= REPRESENTATIVES_PER_CLASS:
@@ -501,7 +510,24 @@ def subspace_counts(
     return counts
 
 
-def build_channel(params) -> Dict[Matrix, Dict[Matrix, Fraction]]:
+@dataclass(frozen=True)
+class ChannelLaw:
+    """Exact transition law of a channel over its whole matrix alphabet.
+
+    ``matrices`` is F_q^{n x m} in enumerate_matrices order and ``ranks[i]``
+    the rank of ``matrices[i]``.  P(Y | X) for X = matrices[i] and
+    Y = matrices[j] is ``rows[i][j] / den``: each row maps the index of every
+    output it reaches to an integer numerator, in order of first appearance,
+    and all rows share the one denominator.
+    """
+
+    matrices: List[Matrix]
+    ranks: List[int]
+    den: int
+    rows: List[Dict[int, int]]
+
+
+def build_channel(params) -> ChannelLaw:
     """Exact transition law P(Y | X) for every input matrix X.
 
     ``params`` provides q (prime), n, m and an error rank distribution whose
@@ -511,10 +537,9 @@ def build_channel(params) -> Dict[Matrix, Dict[Matrix, Fraction]]:
     The images A*Z over all of GL are tallied once per matrix Z, by output
     index, each index summed from one lookup per row of A in a table of the
     row combinations of Z; a row reads the tally of X+B through the
-    translation of X, adds the tallies as integers and builds one Fraction
-    per distinct numerator.
-    Rows come in enumerate_matrices order, and a row's outputs in order of
-    first appearance.
+    translation of X and adds the tallies as integer numerators.  The rank
+    of Z is read off those combinations, its row space of q**rank vectors,
+    so no matrix is reduced.
     """
     q, n, m = params.q, params.n, params.m
     _require_prime(q)
@@ -527,9 +552,33 @@ def build_channel(params) -> Dict[Matrix, Dict[Matrix, Fraction]]:
     _check_channel(n, m, q)
     gl = list(enumerate_gl(n, q))
     all_mats = list(enumerate_matrices(n, m, q))
+    # gl_rows[i][g]: index of row i of the g-th A in GL among the q**n
+    # coefficient vectors of F_q^n, in lexicographic order.
+    vector_index = {v: i for i, v in enumerate(itertools.product(range(q), repeat=n))}
+    gl_rows = [[vector_index[row] for row in rows] for rows in zip(*gl)]
+    # images[z]: (index of Y, #{A in GL : A*Z = Y}) for Z = all_mats[z], in
+    # order of first appearance.  Row i of A*Z is the combination A_i*Z of
+    # the rows of Z, so index(A*Z) = sum_i comb[A_i] * q**(m*(n-1-i)).
+    images: List[List[Tuple[int, int]]] = []
+    ranks: List[int] = []
+    rank_of_size = {q**r: r for r in range(n + 1)}
+    row_count = q**m
+    for Z in all_mats:
+        # comb[a]: index in F_q^m of a*Z, built one column of Z at a time.
+        comb = [0] * len(vector_index)
+        for col in zip(*Z):
+            digits = [0]
+            for z in col:
+                digits = [(d + c * z) % q for d in digits for c in range(q)]
+            comb = [y * q + d for y, d in zip(comb, digits)]
+        ranks.append(rank_of_size[len(set(comb))])
+        ys = [0] * len(gl)
+        for rows in gl_rows:
+            ys = [y * row_count + comb[a] for y, a in zip(ys, rows)]
+        images.append(list(Counter(ys).items()))
     by_rank: Dict[int, List[int]] = {}
-    for i, mat in enumerate(all_mats):
-        by_rank.setdefault(len(_rref(mat, q)[1]), []).append(i)
+    for i, r in enumerate(ranks):
+        by_rank.setdefault(r, []).append(i)
     # R(rB) / (N_rB * |GL|) as integer numerators over one denominator.
     per_term = {
         rb: Fraction(w) / (len(by_rank[rb]) * len(gl))
@@ -543,77 +592,34 @@ def build_channel(params) -> Dict[Matrix, Dict[Matrix, Fraction]]:
         for rb, t in per_term.items()
         for b in by_rank[rb]
     ]
-    # gl_rows[i][g]: index of row i of the g-th A in GL among the q**n
-    # coefficient vectors of F_q^n, in lexicographic order.
-    vector_index = {v: i for i, v in enumerate(itertools.product(range(q), repeat=n))}
-    gl_rows = [[vector_index[row] for row in rows] for rows in zip(*gl)]
-    # images[z]: index of Y -> #{A in GL : A*Z = Y} for Z = all_mats[z],
-    # keyed in order of first appearance.  Row i of A*Z is the combination
-    # A_i*Z of the rows of Z, so index(A*Z) = sum_i comb[A_i] * q**(m*(n-1-i)).
-    images: List[Counter] = []
-    row_count = q**m
-    for Z in all_mats:
-        # comb[a]: index in F_q^m of a*Z, built one column of Z at a time.
-        comb = [0] * len(vector_index)
-        for col in zip(*Z):
-            digits = [0]
-            for z in col:
-                digits = [(d + c * z) % q for d in digits for c in range(q)]
-            comb = [y * q + d for y, d in zip(comb, digits)]
-        ys = [0] * len(gl)
-        for rows in gl_rows:
-            ys = [y * row_count + comb[a] for y, a in zip(ys, rows)]
-        images.append(Counter(ys))
-    # One Fraction per distinct numerator, shared by every entry that has it.
-    fractions: Dict[int, Fraction] = {}
-    table: Dict[Matrix, Dict[Matrix, Fraction]] = {}
+    rows: List[Dict[int, int]] = []
     for X in all_mats:
         perm = _translation(X, q)
         counts: Dict[int, int] = {}
         for b, num in terms:
-            for y, mult in images[perm[b]].items():
+            for y, mult in images[perm[b]]:
                 counts[y] = counts.get(y, 0) + num * mult
-        for c in counts.values():
-            if c not in fractions:
-                fractions[c] = Fraction(c, den)
-        table[X] = {all_mats[y]: fractions[c] for y, c in counts.items()}
-    return table
+        rows.append(counts)
+    return ChannelLaw(all_mats, ranks, den, rows)
 
 
-def table_ranks(
-    table: Dict[Matrix, Dict[Matrix, Fraction]], q: int
-) -> Dict[Matrix, int]:
-    """Rank of every input and output matrix of ``table``, each reduced once."""
-    _require_prime(q)
-    return {mat: len(_rref(mat, q)[1]) for mat in set(table).union(*table.values())}
-
-
-def rank_kernel(
-    table: Dict[Matrix, Dict[Matrix, Fraction]], rank: Dict[Matrix, int]
-) -> Dict[int, List[Fraction]]:
-    """Exact rank transition ``K[rx][ry]`` of ``table``: the probability that
+def rank_kernel(law: ChannelLaw) -> Dict[int, List[Fraction]]:
+    """Exact rank transition ``K[rx][ry]`` of ``law``: the probability that
     an input drawn uniformly from the inputs of rank rx gives an output of
-    rank ry.  Keyed by the input ranks present; every row has one entry per
-    output rank up to the largest one reached.  ``rank`` is the table's
-    table_ranks, so a caller that needs the ranks too reduces each matrix
-    once; each P(Y|X) is read once.
+    rank ry.  Keyed by the input ranks present, in order of first
+    appearance; every row has one entry per output rank up to the largest
+    one reached.  Numerators are summed as integers, one Fraction per cell.
     """
-    width = max((rank[Y] for row in table.values() for Y in row), default=0) + 1
-    # Input rank -> output rank -> denominator -> summed numerators of P(Y|X).
-    sums: Dict[int, List[Dict[int, int]]] = {}
-    sizes: Dict[int, int] = {}
-    for X, row in table.items():
-        rx = rank[X]
-        sizes[rx] = sizes.get(rx, 0) + 1
-        cells = sums.setdefault(rx, [{} for _ in range(width)])
-        for Y, pyx in row.items():
-            by_den = cells[rank[Y]]
-            by_den[pyx.denominator] = by_den.get(pyx.denominator, 0) + pyx.numerator
+    ranks = law.ranks
+    width = max((ranks[y] for row in law.rows for y in row), default=0) + 1
+    sizes = Counter(ranks)
+    sums: Dict[int, List[int]] = {}
+    for rx, row in zip(ranks, law.rows):
+        cells = sums.setdefault(rx, [0] * width)
+        for y, num in row.items():
+            cells[ranks[y]] += num
     return {
-        rx: [
-            sum((Fraction(a, d) for d, a in by_den.items()), Fraction(0)) / sizes[rx]
-            for by_den in cells
-        ]
+        rx: [Fraction(num, law.den * sizes[rx]) for num in cells]
         for rx, cells in sums.items()
     }
 
@@ -633,36 +639,16 @@ def rank_marginal(
 
 
 def channel_output_rank_marginal(
-    table: Dict[Matrix, Dict[Matrix, Fraction]],
-    input_rank_probs: Sequence,
-    q: int,
+    law: ChannelLaw, input_rank_probs: Sequence
 ) -> List[Fraction]:
-    """Exact output rank law for a rank-uniform input over ``table``'s
-    alphabet, through the table's rank_kernel.  A caller with several input
-    laws for one table builds the kernel once and calls rank_marginal."""
-    return rank_marginal(rank_kernel(table, table_ranks(table, q)), input_rank_probs)
-
-
-def entropy_bits(probs) -> float:
-    """Shannon entropy in bits of an iterable of exact or float probabilities."""
-    total = 0.0
-    for p in probs:
-        if p == 0:
-            continue
-        if isinstance(p, Fraction):
-            logp = math.log2(p.numerator) - math.log2(p.denominator)
-            total -= float(p) * logp
-        else:
-            total -= p * math.log2(p)
-    return total
-
-
-def row_entropy_bits(row: Dict[Matrix, Fraction]) -> float:
-    return entropy_bits(row.values())
+    """Exact output rank law for a rank-uniform input over ``law``'s
+    alphabet, through its rank_kernel.  A caller with several input laws
+    for one channel builds the kernel once and calls rank_marginal."""
+    return rank_marginal(rank_kernel(law), input_rank_probs)
 
 
 def blahut_arimoto(
-    table: Dict[Matrix, Dict[Matrix, Fraction]],
+    law: ChannelLaw,
     tol: float = 1e-9,
     max_iter: int = 200000,
     start: Sequence[float] | None = None,
@@ -672,7 +658,7 @@ def blahut_arimoto(
     Returns (capacity bits, optimizing input distribution) once the standard
     bracket lower = I(p) <= C <= upper = max_x D(P(.|x) || p_Y) is within
     ``tol`` bits; the reported capacity is its midpoint.  The first pass
-    starts from ``start``, one weight per input in table order, normalized;
+    starts from ``start``, one weight per input in ``law`` order, normalized;
     without it, from the uniform law.  A start whose bracket is already
     within ``tol``, such as an optimum, ends the run after that pass.  A
     ``tol`` that is not a positive and finite int or float (a bool is
@@ -685,8 +671,7 @@ def blahut_arimoto(
         raise ValueError("tol must be a positive and finite number")
     if type(max_iter) is not int or max_iter < 1:
         raise ValueError("max_iter must be an int of at least 1")
-    inputs = list(table)
-    k = len(inputs)
+    k = len(law.rows)
     if start is None:
         p = [1.0 / k] * k
     else:
@@ -699,28 +684,27 @@ def blahut_arimoto(
                 f"start must have {k} finite non-negative weights with a positive sum"
             )
         p = [w / total for w in weights]
-    outputs = sorted({y for row in table.values() for y in row})
-    y_index = {y: j for j, y in enumerate(outputs)}
-    # Each row as its (j, P(y_j|x)) pairs with P > 0 in j order: a zero
-    # entry adds pi * 0.0 to qy[j] and nothing to d, so skipping it changes
-    # no float.  Inputs with exactly equal rows share one divergence.  Each
-    # Fraction object is converted once (build_channel shares one per
-    # numerator), by int true division, which rounds as float(pr) does.
+    den = law.den
+    # Each row as its (y, P(y|x)) pairs with P > 0 in output index order: a
+    # zero entry adds pi * 0.0 to qy[y] and nothing to d, so skipping it
+    # changes no float.  Inputs with exactly equal rows share one divergence.
+    # Each distinct numerator is converted once, by int true division, which
+    # rounds as float(Fraction(num, den)) does.
     floats: Dict[int, float] = {}
     rows: List[Tuple[Tuple[int, float], ...]] = []
-    for x in inputs:
+    for row in law.rows:
         entries = []
-        for y, pr in table[x].items():
-            pyx = floats.get(id(pr))
+        for y, num in sorted(row.items()):
+            pyx = floats.get(num)
             if pyx is None:
-                pyx = floats[id(pr)] = pr.numerator / pr.denominator
-            entries.append((y_index[y], pyx))
-        entries.sort()
-        rows.append(tuple((j, pyx) for j, pyx in entries if pyx > 0.0))
+                pyx = floats[num] = num / den
+            if pyx > 0.0:
+                entries.append((y, pyx))
+        rows.append(tuple(entries))
     distinct: Dict[Tuple[Tuple[int, float], ...], int] = {}
     group = [distinct.setdefault(row, len(distinct)) for row in rows]
     for passes in range(1, max_iter + 1):
-        qy = [0.0] * len(outputs)
+        qy = [0.0] * len(law.matrices)
         for pi, row in zip(p, rows):
             if pi == 0.0:
                 continue

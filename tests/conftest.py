@@ -1,9 +1,13 @@
-"""Session-cached enumeration tables shared across test modules.
+"""Session-cached enumeration tables shared across test modules, and the
+entropy references that read them.
 
-Building a brute-force f-function table or a full channel table is the
+Building a brute-force f-function table or a full channel law is the
 expensive part of the oracle cross-checks, and several test modules need
 the same (n, m, q) instances, so both are cached for the whole session.
 """
+
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -25,13 +29,42 @@ def brute_tables():
 
 
 @pytest.fixture(scope="session")
-def channel_tables():
-    """Factory: ChannelParams -> cached exact channel transition table."""
+def channel_laws():
+    """Factory: ChannelParams -> cached exact channel law (oracle.ChannelLaw)."""
     cache = {}
 
     def get(params):
         if params not in cache:
             cache[params] = oracle.build_channel(params)
         return cache[params]
+
+    return get
+
+
+def _entropy_bits(probs):
+    total = 0.0
+    for p in probs:
+        if p == 0:
+            continue
+        if isinstance(p, Fraction):
+            logp = math.log2(p.numerator) - math.log2(p.denominator)
+            total -= float(p) * logp
+        else:
+            total -= p * math.log2(p)
+    return total
+
+
+@pytest.fixture(scope="session")
+def entropy_bits():
+    """Shannon entropy in bits of an iterable of exact or float probabilities."""
+    return _entropy_bits
+
+
+@pytest.fixture(scope="session")
+def row_entropy_bits():
+    """Factory: (ChannelLaw, input index x) -> entropy in bits of P(. | X_x)."""
+
+    def get(law, x):
+        return _entropy_bits(Fraction(num, law.den) for num in law.rows[x].values())
 
     return get

@@ -33,24 +33,27 @@ def _params(q, n, m, spec):
     return ChannelParams(q, n, m, parse_error_model(spec, q, n, m))
 
 
-def _oracle_mutual_information(table, input_rank_probs, q):
-    """I(X; Y) for a rank-then-uniform input, straight from the table."""
+def _oracle_mutual_information(law, input_rank_probs, q):
+    """I(X; Y) for a rank-then-uniform input, straight from the law."""
     by_rank = {}
-    for x in table:
-        by_rank.setdefault(oracle.rank_of(x, q), []).append(x)
+    for x, mat in enumerate(law.matrices):
+        by_rank.setdefault(oracle.rank_of(mat, q), []).append(x)
     weights = {}
     for r, p in enumerate(input_rank_probs):
         if p == 0:
             continue
         for x in by_rank[r]:
             weights[x] = Fraction(p) / len(by_rank[r])
+    rows = {
+        x: {y: Fraction(num, law.den) for y, num in law.rows[x].items()} for x in weights
+    }
     marginal = {}
     for x, w in weights.items():
-        for y, pr in table[x].items():
+        for y, pr in rows[x].items():
             marginal[y] = marginal.get(y, Fraction(0)) + w * pr
     total = 0.0
     for x, w in weights.items():
-        for y, pr in table[x].items():
+        for y, pr in rows[x].items():
             if pr:
                 total += float(w * pr) * log2_exact(pr / marginal[y])
     return total
@@ -217,11 +220,10 @@ class TestTransitionLaw:
 
 
 class TestOutputRankLaw:
-    def test_matches_oracle_exactly(self, channel_tables):
+    def test_matches_oracle_exactly(self, channel_laws):
         params = _params(2, 2, 2, "iid:t=1")
-        table = channel_tables(params)
         probs = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
-        want = oracle.channel_output_rank_marginal(table, probs, 2)
+        want = oracle.channel_output_rank_marginal(channel_laws(params), probs)
         got = output_rank_distribution(RankDistribution(probs), params)
         for r in range(3):
             assert got[r] == want[r]
@@ -280,17 +282,16 @@ class TestOutputRankLaw:
 
 
 class TestConditionalEntropy:
-    def test_h_r_matches_oracle_rows(self, channel_tables):
+    def test_h_r_matches_oracle_rows(self, channel_laws, row_entropy_bits):
         """Per-rank conditional output entropy vs direct row entropy."""
         for spec in ("constant:t=1", "iid:t=1", "iid:t=2", "binomial:T=2,p=0.3"):
             params = _params(2, 2, 2, spec)
-            table = channel_tables(params)
+            law = channel_laws(params)
             for r in range(3):
-                x = next(x for x in table if oracle.rank_of(x, 2) == r)
-                want = oracle.row_entropy_bits(table[x])
+                want = row_entropy_bits(law, law.ranks.index(r))
                 assert h_r(r, params) == pytest.approx(want, abs=1e-10), (spec, r)
 
-    def test_output_classes_outside_input_span(self, channel_tables):
+    def test_output_classes_outside_input_span(self, channel_laws, row_entropy_bits):
         """Errors can move the output row space off the input row space
         entirely; dropping those classes loses entropy.  Regression pin:
         rank-1 input under an exactly-one-error model sits above 3.9 bits,
@@ -298,9 +299,8 @@ class TestConditionalEntropy:
         params = _params(2, 2, 2, "constant:t=1")
         value = h_r(1, params)
         assert value > 3.9
-        table = channel_tables(params)
-        x = next(x for x in table if oracle.rank_of(x, 2) == 1)
-        assert value == pytest.approx(oracle.row_entropy_bits(table[x]), abs=1e-10)
+        law = channel_laws(params)
+        assert value == pytest.approx(row_entropy_bits(law, law.ranks.index(1)), abs=1e-10)
 
     def test_no_error_reduction_is_exact(self):
         for q, n, m in ((2, 2, 2), (2, 3, 3), (3, 2, 2)):
@@ -316,7 +316,7 @@ class TestConditionalEntropy:
 
 
 class TestMutualInformation:
-    def test_matches_oracle(self, channel_tables):
+    def test_matches_oracle(self, channel_laws):
         cases = [
             ("constant:t=1", [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]),
             ("iid:t=1", [Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)]),
@@ -324,8 +324,7 @@ class TestMutualInformation:
         ]
         for spec, probs in cases:
             params = _params(2, 2, 2, spec)
-            table = channel_tables(params)
-            want = _oracle_mutual_information(table, probs, 2)
+            want = _oracle_mutual_information(channel_laws(params), probs, 2)
             got = mutual_information(RankDistribution(probs), params)
             assert got == pytest.approx(want, abs=1e-10), spec
 
@@ -476,6 +475,14 @@ class TestSupportPruning:
             assert matrixfn._meet_count(m, rx, r, rx - h, q) != 0
 
 
+# Channels beyond the oracle's budget with two, one and four supported error ranks.
+_KERNEL_CHANNELS = (
+    (2, 12, 12, "iid:t=1"),
+    (3, 12, 14, "constant:t=2"),
+    (16, 12, 12, "binomial:T=3,p=0.2"),
+)
+
+
 class TestExactLawAtScale:
     """Exact-law identities beyond the oracle's enumeration budget."""
 
@@ -495,6 +502,31 @@ class TestExactLawAtScale:
         ranks = range(params.rank_count)
         for rx in ranks:
             assert sum(rho_avg(r, rx, params) for r in ranks) == 1
+
+    @pytest.mark.parametrize(
+        "channel_args", _KERNEL_CHANNELS, ids=lambda args: ",".join(map(str, args))
+    )
+    def test_every_kernel_column_sums_to_one(self, channel_args):
+        params = _params(*channel_args)
+        ranks = range(params.rank_count)
+        for rx in ranks:
+            assert sum(rho_avg(ry, rx, params) for ry in ranks) == 1, rx
+
+    @pytest.mark.parametrize(
+        "channel_args", _KERNEL_CHANNELS, ids=lambda args: ",".join(map(str, args))
+    )
+    def test_kernel_is_reversible(self, channel_args):
+        """P(X + B = Y) depends on rank(Y - X) only, so it is symmetric in
+        X and Y, and summed over the rank classes it gives
+        N_rx T(ry | rx) = N_ry T(rx | ry) for T(ry | rx) = rho_avg(ry, rx)."""
+        params = _params(*channel_args)
+        ranks = range(params.rank_count)
+        size = [rank_class_size(params, r) for r in ranks]
+        for rx in ranks:
+            for ry in ranks:
+                assert size[rx] * rho_avg(ry, rx, params) == size[ry] * rho_avg(
+                    rx, ry, params
+                ), (rx, ry)
 
     def test_mutual_information_matches_solver_objective(self):
         params = _params(*_STALL_CHANNEL)

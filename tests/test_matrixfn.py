@@ -12,7 +12,8 @@ import random
 
 import pytest
 
-from gammacap import matrixfn, oracle
+from gammacap import matrixfn, oracle, solver
+from gammacap.channel import ChannelParams, parse_error_model
 from gammacap.exactcomb import qbinom
 from gammacap.matrixfn import _l_count, _meet_count, _phi, c_prime, f0, f1, f2
 
@@ -239,7 +240,7 @@ def _f1_per_call_mobius(u, v, h, r, n, m, q):
 
 
 class TestF1TermTable:
-    """f1 reads its Moebius coefficients from a bounded table keyed on
+    """f1 reads its Moebius coefficients from a table keyed on
     (dim V, dim(U cap V), q); the counts must not change."""
 
     @pytest.mark.parametrize("q", [2, 3, 4])
@@ -255,8 +256,20 @@ class TestF1TermTable:
                                 want = _f1_per_call_mobius(u, v, h, r, n, m, q)
                                 assert uncached_f1(u, v, h, r, n, m, q) == want
 
-    def test_table_is_bounded(self):
-        assert matrixfn._f1_terms.cache_info().maxsize == 128
+    def test_workspace_misses_once_per_key(self):
+        """A 17-rank workspace with a full-support error law reads all
+        153 keys (v, dim(U cap V)) with v <= 16; a 128-entry table used to
+        evict 25 of them, so every further workspace missed again."""
+        params = ChannelParams(2, 16, 16, parse_error_model("iid:t=16", 2, 16, 16))
+        for cached in (matrixfn._f1_terms, matrixfn._f1, solver._workspace):
+            cached.cache_clear()
+        solver._workspace(params)
+        info = matrixfn._f1_terms.cache_info()
+        assert info.misses == info.currsize == 17 * 18 // 2
+        matrixfn._f1.cache_clear()
+        solver._workspace.cache_clear()
+        solver._workspace(params)
+        assert matrixfn._f1_terms.cache_info().misses == info.misses
 
 
 def _f1_unpruned(u, v, h, r, n, m, q):

@@ -147,18 +147,17 @@ class TestEnumeration:
 
 
 class TestChannelTable:
-    def test_rows_are_exact_distributions(self, channel_tables):
+    def test_rows_are_exact_distributions(self, channel_laws):
         params = ChannelParams(2, 2, 2, parse_error_model("iid:t=1", 2, 2, 2))
-        table = channel_tables(params)
-        assert len(table) == 2 ** 4
-        for row in table.values():
-            assert sum(row.values()) == Fraction(1)
+        law = channel_laws(params)
+        assert len(law.rows) == 2 ** 4
+        for row in law.rows:
+            assert sum(row.values()) == law.den
 
-    def test_zero_input_delta_error_marginal(self, channel_tables):
+    def test_zero_input_delta_error_marginal(self, channel_laws):
         params = ChannelParams(2, 2, 2, parse_error_model("constant:t=1", 2, 2, 2))
-        table = channel_tables(params)
         marginal = oracle.channel_output_rank_marginal(
-            table, [Fraction(1), Fraction(0), Fraction(0)], 2
+            channel_laws(params), [Fraction(1), Fraction(0), Fraction(0)]
         )
         assert marginal == [Fraction(0), Fraction(1), Fraction(0)]
 
@@ -227,6 +226,16 @@ def _every_kind(q, n, m):
         "empirical:" + ",".join(f"{r + 1}/{total}" for r in range(k + 1)),
     )
     return [ChannelParams(q, n, m, parse_error_model(s, q, n, m)) for s in specs]
+
+
+def _law_table(law):
+    """``law`` as {X: {Y: P(Y|X)}}, one Fraction per entry, rows and
+    outputs in the law's order: the form the references below build."""
+    mats = law.matrices
+    return {
+        mats[x]: {mats[y]: Fraction(num, law.den) for y, num in row.items()}
+        for x, row in enumerate(law.rows)
+    }
 
 
 def _per_term_channel(params, inputs=None):
@@ -374,22 +383,27 @@ class TestAgainstPerTermReferences:
     """The oracle's shared tallies give exactly the tables of the plain loops."""
 
     @pytest.mark.parametrize("shape", VERIFY_SHAPES + CI_SHAPES, ids=_SHAPE_IDS)
-    def test_build_channel(self, shape, channel_tables):
+    def test_build_channel(self, shape, channel_laws):
+        """Every entry equals the per-term sum, outputs in order of first
+        appearance, and every matrix carries its rank."""
         q, n, m = shape
         all_mats = list(oracle.enumerate_matrices(n, m, q))
+        ranks = [oracle.rank_of(X, q) for X in all_mats]
         # The per-term law costs |GL| * q^(2nm) Fraction adds; at the CI
         # shapes it is built for the first and last input of every rank.
         inputs = None
         if shape in CI_SHAPES:
             by_rank = {}
-            for X in all_mats:
-                by_rank.setdefault(oracle.rank_of(X, q), []).append(X)
+            for X, r in zip(all_mats, ranks):
+                by_rank.setdefault(r, []).append(X)
             inputs = [X for cls in by_rank.values() for X in (cls[0], cls[-1])]
         for params in _every_kind(q, n, m):
-            got = channel_tables(params)
-            assert list(got) == all_mats
+            law = channel_laws(params)
+            assert law.matrices == all_mats and law.ranks == ranks
+            got = _law_table(law)
             want = _per_term_channel(params, inputs)
-            assert {X: got[X] for X in want} == want, params.error_dist
+            for X, row in want.items():
+                assert list(got[X].items()) == list(row.items()), params.error_dist
 
     @pytest.mark.parametrize("shape", VERIFY_SHAPES + CI_SHAPES, ids=_SHAPE_IDS)
     def test_brute_f_functions(self, shape):
@@ -400,7 +414,7 @@ class TestAgainstPerTermReferences:
             assert list(got[name].items()) == list(want[name].items()), name
 
     @pytest.mark.parametrize("shape", VERIFY_SHAPES + CI_SHAPES, ids=_SHAPE_IDS)
-    def test_channel_output_rank_marginal(self, shape, channel_tables):
+    def test_channel_output_rank_marginal(self, shape, channel_laws):
         q, n, m = shape
         k = min(n, m) + 1
         laws = [
@@ -409,47 +423,49 @@ class TestAgainstPerTermReferences:
             [Fraction(2 * i + 1, k * k) for i in range(k)],
         ]
         for params in _every_kind(q, n, m):
-            table = channel_tables(params)
+            channel = channel_laws(params)
+            table = _law_table(channel)
             for law in laws:
-                got = oracle.channel_output_rank_marginal(table, law, q)
+                got = oracle.channel_output_rank_marginal(channel, law)
                 assert got == _per_entry_marginal(table, law, q)
 
 
     @pytest.mark.parametrize("shape", VERIFY_SHAPES + CI_SHAPES, ids=_SHAPE_IDS)
-    def test_blahut_arimoto(self, shape, channel_tables):
+    def test_blahut_arimoto(self, shape, channel_laws):
         # Most laws certify within the cap; the few slow ones (4 096
         # iterations at q5-n1-m3 with a full-rank error) are compared at it.
         q, n, m = shape
         for params in _every_kind(q, n, m):
-            table = channel_tables(params)
-            got = oracle.blahut_arimoto(table, tol=1e-9, max_iter=500)
-            want = _dense_blahut_arimoto(table, tol=1e-9, max_iter=500)
+            law = channel_laws(params)
+            got = oracle.blahut_arimoto(law, tol=1e-9, max_iter=500)
+            want = _dense_blahut_arimoto(_law_table(law), tol=1e-9, max_iter=500)
             assert got == want, params.error_dist
 
 
-def _rank_uniform_start(table, q, rank_probs):
-    """One weight per input of ``table``: its rank's probability over the
+def _rank_uniform_start(inputs, q, rank_probs):
+    """One weight per matrix of ``inputs``: its rank's probability over the
     size of its rank class."""
-    ranks = [oracle.rank_of(X, q) for X in table]
+    ranks = [oracle.rank_of(X, q) for X in inputs]
     sizes = {r: ranks.count(r) for r in set(ranks)}
     return [rank_probs[r] / sizes[r] for r in ranks]
 
 
 class TestWarmStartedBlahutArimoto:
     @pytest.mark.parametrize("shape", VERIFY_SHAPES + CI_SHAPES, ids=_SHAPE_IDS)
-    def test_rank_uniform_optimum_closes_in_one_pass(self, shape, channel_tables):
+    def test_rank_uniform_optimum_closes_in_one_pass(self, shape, channel_laws):
         """From the solver's optimum spread over each rank class, the sparse
         loop equals the dense one float for float, its first pass already
         brackets the capacity within 1e-9 bits, and the bracket's midpoint
         is the solver's capacity."""
         q, n, m = shape
         for params in _every_kind(q, n, m):
-            table = channel_tables(params)
+            law = channel_laws(params)
             res = maximize(params)
-            start = _rank_uniform_start(table, q, res.optimal_input.as_floats())
-            got = oracle.blahut_arimoto(table, start=start)
-            assert got == _dense_blahut_arimoto(table, start=start), params.error_dist
-            assert oracle.blahut_arimoto(table, max_iter=1, start=start) == got
+            start = _rank_uniform_start(law.matrices, q, res.optimal_input.as_floats())
+            got = oracle.blahut_arimoto(law, start=start)
+            want = _dense_blahut_arimoto(_law_table(law), start=start)
+            assert got == want, params.error_dist
+            assert oracle.blahut_arimoto(law, max_iter=1, start=start) == got
             assert abs(got[0] - res.capacity_bits) <= 1e-9, params.error_dist
 
 
@@ -473,12 +489,12 @@ def _per_entry_rank_kernel(table, q):
 
 class TestRankKernel:
     @pytest.mark.parametrize("shape", VERIFY_SHAPES + CI_SHAPES, ids=_SHAPE_IDS)
-    def test_matches_per_entry_reference(self, shape, channel_tables):
+    def test_matches_per_entry_reference(self, shape, channel_laws):
         q, n, m = shape
         for params in _every_kind(q, n, m):
-            table = channel_tables(params)
-            kernel = oracle.rank_kernel(table, oracle.table_ranks(table, q))
-            assert kernel == _per_entry_rank_kernel(channel_tables(params), q)
+            law = channel_laws(params)
+            kernel = oracle.rank_kernel(law)
+            assert kernel == _per_entry_rank_kernel(_law_table(law), q)
             assert sorted(kernel) == list(range(min(n, m) + 1))
             assert all(sum(row) == 1 for row in kernel.values())
 
@@ -486,7 +502,10 @@ class TestRankKernel:
 class TestDiscardedWork:
     def test_verify_ranks_each_table_matrix_once(self, monkeypatch, capsys):
         """verify used to rank every input and output matrix of the channel
-        table again for each of its three trial input laws."""
+        table again for each of its three trial input laws, and later once
+        more after build_channel had ranked them all.  The law now carries
+        each matrix's rank, read off its row space, so from build_channel
+        on no matrix is reduced."""
         from gammacap import cli
 
         reduced = []
@@ -494,9 +513,8 @@ class TestDiscardedWork:
         build, reduce = oracle.build_channel, oracle._rref
 
         def recording_build(params):
-            table = build(params)
-            built.append(table)
-            return table
+            built.append(params)
+            return build(params)
 
         def recording_reduce(vectors, q):
             if built:
@@ -509,11 +527,12 @@ class TestDiscardedWork:
         code = cli.main(["verify", "--q", "2", "--n", "2", "--m", "2", "--error", "iid:t=1"])
         capsys.readouterr()
         assert code == 0 and len(built) == 1
-        assert reduced and len(reduced) == len(set(reduced)) <= len(built[0])
+        assert reduced == []
 
-    def test_build_channel_reduces_only_the_error_matrices(self, monkeypatch):
-        """GL(3, 2) used to be found by reducing all 512 3 x 3 matrices;
-        only the q**(n*m) = 8 matrices ranked for the error law remain."""
+    def test_build_channel_reduces_no_matrix(self, monkeypatch):
+        """GL(3, 2) used to be found by reducing all 512 3 x 3 matrices, and
+        then the q**(n*m) = 8 matrices of F_2^{3 x 1} were reduced for their
+        ranks; the row spaces the images enumerate give those ranks."""
         reduced = []
         reduce = oracle._rref
 
@@ -522,8 +541,8 @@ class TestDiscardedWork:
             return reduce(vectors, q)
 
         monkeypatch.setattr(oracle, "_rref", recording)
-        oracle.build_channel(ChannelParams(2, 3, 1, parse_error_model("iid:t=1", 2, 3, 1)))
-        assert len(reduced) <= 2 ** (3 * 1)
+        law = oracle.build_channel(ChannelParams(2, 3, 1, parse_error_model("iid:t=1", 2, 3, 1)))
+        assert reduced == [] and law.ranks == [0] + [1] * 7
 
     def test_brute_f_functions_skips_full_classes(self, monkeypatch):
         """U+V used to be reduced for each of the 4 096 subspace pairs at
@@ -532,13 +551,13 @@ class TestDiscardedWork:
         plain loop keeps must still be reduced and read."""
         n, m, q = 1, 6, 2
         reduced = []
-        reduce = oracle.rref_basis
+        reduce = oracle._rref
 
         def recording(vectors, q):
             reduced.append(tuple(map(tuple, vectors)))
             return reduce(vectors, q)
 
-        monkeypatch.setattr(oracle, "rref_basis", recording)
+        monkeypatch.setattr(oracle, "_rref", recording)
         oracle.brute_f_functions(n, m, q)
         monkeypatch.undo()
         assert len(reduced) <= 400
@@ -546,7 +565,7 @@ class TestDiscardedWork:
         kept, seen = [], {}
         for U in subspaces:
             for V in subspaces:
-                key3 = (len(U), len(V), len(reduce(U + V, q)) - len(V))
+                key3 = (len(U), len(V), len(oracle.rref_basis(U + V, q)) - len(V))
                 if seen.get(key3, 0) < 3:
                     seen[key3] = seen.get(key3, 0) + 1
                     kept.append(U + V)
@@ -554,13 +573,13 @@ class TestDiscardedWork:
 
 
 class TestEntropyAndBlahutArimoto:
-    def test_entropy_bits(self):
-        assert oracle.entropy_bits([Fraction(1, 8)] * 8) == pytest.approx(3.0)
-        assert oracle.entropy_bits([0.5, 0.5, 0.0]) == pytest.approx(1.0)
+    def test_entropy_bits(self, entropy_bits):
+        assert entropy_bits([Fraction(1, 8)] * 8) == pytest.approx(3.0)
+        assert entropy_bits([0.5, 0.5, 0.0]) == pytest.approx(1.0)
 
-    def test_blahut_arimoto_no_error_channel(self, channel_tables):
+    def test_blahut_arimoto_no_error_channel(self, channel_laws):
         params = ChannelParams(2, 2, 2, constant_rank_model(0, 2, 2))
-        cap, probs = oracle.blahut_arimoto(channel_tables(params), tol=1e-9)
+        cap, probs = oracle.blahut_arimoto(channel_laws(params), tol=1e-9)
         assert cap == pytest.approx(math.log2(5), abs=1e-6)
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
 
@@ -578,20 +597,20 @@ class TestEntropyAndBlahutArimoto:
             "start-all-zero",
         ],
     )
-    def test_blahut_arimoto_refuses_bad_settings(self, kwargs, channel_tables):
+    def test_blahut_arimoto_refuses_bad_settings(self, kwargs, channel_laws):
         """max_iter=0 used to fail on an unbound bound, max_iter=3.5 in range()
         with a bare TypeError, a NaN or non-positive tol ran silently to the
         cap, tol=True ran as a 1-bit tolerance and tol="1e-9" raised a bare
         TypeError.  A start needs one finite, non-negative weight for each of
-        the table's 16 inputs and some positive mass."""
+        the law's 16 inputs and some positive mass."""
         params = ChannelParams(2, 2, 2, constant_rank_model(0, 2, 2))
         with pytest.raises(ValueError):
-            oracle.blahut_arimoto(channel_tables(params), **kwargs)
+            oracle.blahut_arimoto(channel_laws(params), **kwargs)
 
-    def test_blahut_arimoto_logs_passes_and_bracket(self, caplog, channel_tables):
+    def test_blahut_arimoto_logs_passes_and_bracket(self, caplog, channel_laws):
         params = ChannelParams(2, 2, 2, constant_rank_model(0, 2, 2))
         with caplog.at_level(logging.INFO, logger="gammacap.oracle"):
-            oracle.blahut_arimoto(channel_tables(params))
+            oracle.blahut_arimoto(channel_laws(params))
         (record,) = [r for r in caplog.records if r.name == "gammacap.oracle"]
         assert record.levelno == logging.INFO
         found = re.fullmatch(

@@ -419,10 +419,10 @@ class TestNewtonPolish:
 
 
 class TestAgainstBlahutArimoto:
-    def test_capacity_agreement(self, channel_tables):
+    def test_capacity_agreement(self, channel_laws):
         for spec in ("constant:t=1", "iid:t=1", "binomial:T=2,p=0.3"):
             params = _params(2, 2, 2, spec)
-            cap_ba, _ = oracle.blahut_arimoto(channel_tables(params), tol=1e-9)
+            cap_ba, _ = oracle.blahut_arimoto(channel_laws(params), tol=1e-9)
             res = maximize(params)
             assert res.converged
             assert res.capacity_bits == pytest.approx(cap_ba, abs=1e-6), spec
