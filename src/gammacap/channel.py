@@ -43,6 +43,15 @@ def log2_exact(x: Numeric) -> float:
     return math.log2(x)
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """Float sum added left to right from 0.0: the same bits on every
+    CPython, where the built-in sum() of floats is compensated from 3.12 on."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _is_exact(value: Numeric) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
@@ -199,8 +208,9 @@ def output_rank_distribution(
             f"need {params.rank_count}"
         )
     support = [(rX, p) for rX, p in enumerate(input_ranks.probs) if p != 0]
+    add = sum if input_ranks.is_exact and params.error_dist.is_exact else ordered_sum
     return RankDistribution(
-        sum(p * rho_avg(r, rX, params) for rX, p in support)
+        add(p * rho_avg(r, rX, params) for rX, p in support)
         for r in range(params.rank_count)
     )
 
@@ -253,7 +263,7 @@ def conditional_entropy(
     """H(Y | X) in bits; depends on the input only through its ranks."""
     if len(input_ranks) != params.rank_count:
         raise ValueError("input distribution length mismatch")
-    return sum(
+    return ordered_sum(
         float(input_ranks[r]) * h_r(r, params)
         for r in range(params.rank_count)
         if input_ranks[r] != 0

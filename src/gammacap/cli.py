@@ -127,10 +127,12 @@ def _build_parser() -> _Parser:
             p.add_argument("--error", default=error, help=f"error model spec (default {error})")
         if solver:
             p.add_argument(
-                "--tol", type=float, default=1e-9, help="solver gap tolerance in bits"
+                "--tol", type=float, default=SolverConfig.tolerance_bits,
+                help="solver gap tolerance in bits",
             )
             p.add_argument(
-                "--max-iters", type=int, default=100000, help="solver iteration cap"
+                "--max-iters", type=int, default=SolverConfig.max_iterations,
+                help="solver iteration cap",
             )
         p.add_argument(
             "--format",

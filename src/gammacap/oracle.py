@@ -676,7 +676,9 @@ def blahut_arimoto(
         p = [1.0 / k] * k
     else:
         weights = [float(w) for w in start]
-        total = sum(weights)
+        total = 0.0
+        for w in weights:
+            total += w
         if len(weights) != k or not all(0.0 <= w < math.inf for w in weights) or not (
             0.0 < total < math.inf
         ):
@@ -717,12 +719,18 @@ def blahut_arimoto(
                 acc += pyx * math.log2(pyx / qy[j])
             d_row.append(acc)
         d = [d_row[g] for g in group]
-        lower = sum(p[i] * d[i] for i in range(k))
+        # Float sums add left to right from 0.0, as the solver's do: the
+        # built-in sum() of floats is compensated from 3.12 on.
+        lower = 0.0
+        for pi, di in zip(p, d):
+            lower += pi * di
         upper = max(d)
         if upper - lower <= tol:
             break
         z = [p[i] * 2.0 ** d[i] for i in range(k)]
-        s = sum(z)
+        s = 0.0
+        for zi in z:
+            s += zi
         p = [zi / s for zi in z]
     log.info(
         "Blahut-Arimoto: %d inputs, passes=%d, bracket upper - lower = %.3e bits",

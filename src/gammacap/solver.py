@@ -14,6 +14,11 @@ duality gap max_a grad_a - grad . x certifies the result.
 The objective and gradient accept plain float vectors in addition to
 RankDistribution values: finite-difference checks evaluate them slightly
 off the simplex, where the formulas remain well defined.
+
+Every float sum whose result reaches a returned value, a report or a
+stopping decision adds left to right from 0.0 (channel.ordered_sum, or the
+same loop inline in output_probs), so each answer has the same bits on every
+CPython: the built-in sum() compensates float sums from 3.12 on.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .channel import (
     RankDistribution,
     h_r,
     log2_exact,
+    ordered_sum,
     rank_class_size,
     rho_avg,
 )
@@ -100,14 +106,20 @@ class _Workspace:
         self.log_class = tuple(log2_exact(rank_class_size(params, r)) for r in range(k))
 
     def output_probs(self, x: Sequence[float]) -> List[float]:
-        return [sum([t * x[a] for a, t in row], 0.0) for row in self.rows]
+        probs = []
+        for row in self.rows:
+            p = 0.0
+            for a, t in row:
+                p += t * x[a]
+            probs.append(p)
+        return probs
 
     def objective(self, x: Sequence[float]) -> float:
         h_y = 0.0
         for p, log_class in zip(self.output_probs(x), self.log_class):
             if p > 0:
                 h_y -= p * (math.log2(p) - log_class)
-        return h_y - sum(map(operator.mul, x, self.h_vec))
+        return h_y - ordered_sum(map(operator.mul, x, self.h_vec))
 
     def gradient(self, x: Sequence[float]) -> List[float]:
         # A class that a positive-mass rank reaches but whose probability
@@ -186,12 +198,12 @@ def _ba_step(x: Sequence[float], grad: Sequence[float]) -> List[float]:
 def _normalized(y: Sequence[float]) -> List[float]:
     """y / sum(y), with every entry at least the smallest positive float: a
     Blahut-Arimoto factor 2^{grad_a - top} can underflow a tiny mass to 0."""
-    total = sum(y)
+    total = ordered_sum(y)
     return [max(v / total, _MIN_MASS) for v in y]
 
 
 def _gap(grad: Sequence[float], x: Sequence[float]) -> float:
-    return max(grad) - sum(g * p for g, p in zip(grad, x) if p > 0)
+    return max(grad) - ordered_sum(g * p for g, p in zip(grad, x) if p > 0)
 
 
 def _squarem_step(ws: _Workspace, x: List[float], grad: List[float]) -> Tuple[List[float], float]:
@@ -247,10 +259,10 @@ def _newton_point(
         size = len(free)
         rows = [
             [curv[a][b] * scale[a] * scale[b] if a != b else 1 + mu for b in free]
-            + [scale[a], (grad[a] - sum(curv[a][b] * step[b] for b in fixed)) * scale[a]]
+            + [scale[a], (grad[a] - ordered_sum(curv[a][b] * step[b] for b in fixed)) * scale[a]]
             for a in free
         ]
-        rows.append([scale[b] for b in free] + [0.0, -sum(step[b] for b in fixed)])
+        rows.append([scale[b] for b in free] + [0.0, -ordered_sum(step[b] for b in fixed)])
         for i, top in enumerate(rows):
             if not abs(top[i]) > _PIVOT_MIN:
                 return None
@@ -261,7 +273,7 @@ def _newton_point(
         z = [0.0] * (size + 1)
         for i in reversed(range(size + 1)):
             row = rows[i]
-            z[i] = (row[-1] - sum(row[j] * z[j] for j in range(i + 1, size + 1))) / row[i]
+            z[i] = (row[-1] - ordered_sum(row[j] * z[j] for j in range(i + 1, size + 1))) / row[i]
         for a, za in zip(free, z):
             step[a] = za * scale[a]
         blocking = min(free, key=lambda a: step[a] / x[a])
@@ -333,7 +345,8 @@ def maximize(
         point = _newton_point(ws, x, grad, mu) if attempt else None
         if point is not None:
             point_value = ws.objective(point)
-            rounding = 4e-16 * k * max(1.0, abs(value), sum(map(operator.mul, x, ws.h_vec)))
+            h_y_given_x = ordered_sum(map(operator.mul, x, ws.h_vec))
+            rounding = 4e-16 * k * max(1.0, abs(value), h_y_given_x)
             if point_value >= value - rounding:
                 point_grad = ws.gradient(point)
                 polished = _gap(point_grad, point) < gap

@@ -17,6 +17,7 @@ import pytest
 
 import gammacap
 from gammacap import cli
+from gammacap.solver import SolverConfig
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -494,6 +495,13 @@ class TestFlagsPerCommand:
         code, doc = run_json(capsys, *self.COMMANDS[command])
         assert code == 0
         assert set(doc["params"]) == self.PARAMS_KEYS[command]
+
+    @pytest.mark.parametrize("command", ["capacity", "verify"])
+    def test_solver_flags_default_to_the_solver_config(self, capsys, command):
+        code, doc = run_json(capsys, *self.COMMANDS[command])
+        assert code == 0
+        assert doc["params"]["tolerance_bits"] == SolverConfig.tolerance_bits
+        assert doc["params"]["max_iterations"] == SolverConfig.max_iterations
 
     @pytest.mark.parametrize("flag", [["--tol", "1e-9"], ["--max-iters", "5"]],
                              ids=["tol", "max-iters"])

@@ -347,7 +347,13 @@ def _dense_blahut_arimoto(table, tol=1e-9, max_iter=200000, start=None):
         for y, pr in table[x].items():
             p_y_x[i][y_index[y]] = float(pr)
     k = len(inputs)
-    p = [1.0 / k] * k if start is None else [w / sum(start) for w in start]
+    if start is None:
+        p = [1.0 / k] * k
+    else:
+        total = 0.0
+        for w in start:
+            total += w
+        p = [w / total for w in start]
     for _ in range(max_iter):
         qy = [0.0] * len(outputs)
         for i in range(k):
@@ -366,12 +372,16 @@ def _dense_blahut_arimoto(table, tol=1e-9, max_iter=200000, start=None):
                 if pyx > 0.0:
                     acc += pyx * math.log2(pyx / qy[j])
             d[i] = acc
-        lower = sum(p[i] * d[i] for i in range(k))
+        lower = 0.0
+        for i in range(k):
+            lower += p[i] * d[i]
         upper = max(d)
         if upper - lower <= tol:
             return (upper + lower) / 2.0, p
         z = [p[i] * 2.0 ** d[i] for i in range(k)]
-        s = sum(z)
+        s = 0.0
+        for zi in z:
+            s += zi
         p = [zi / s for zi in z]
     return (upper + lower) / 2.0, p
 
