@@ -43,10 +43,11 @@ def log2_exact(x: Numeric) -> float:
     return math.log2(x)
 
 
-def ordered_sum(values: Iterable[float]) -> float:
-    """Float sum added left to right from 0.0: the same bits on every
-    CPython, where the built-in sum() of floats is compensated from 3.12 on."""
-    total = 0.0
+def ordered_sum(values: Iterable[Numeric]) -> Numeric:
+    """Sum added left to right from 0; exact terms stay exact.  Float sums
+    get the same bits on every CPython, where the built-in sum() of floats
+    is compensated from 3.12 on."""
+    total: Numeric = 0
     for value in values:
         total += value
     return total
@@ -208,9 +209,8 @@ def output_rank_distribution(
             f"need {params.rank_count}"
         )
     support = [(rX, p) for rX, p in enumerate(input_ranks.probs) if p != 0]
-    add = sum if input_ranks.is_exact and params.error_dist.is_exact else ordered_sum
     return RankDistribution(
-        add(p * rho_avg(r, rX, params) for rX, p in support)
+        ordered_sum(p * rho_avg(r, rX, params) for rX, p in support)
         for r in range(params.rank_count)
     )
 

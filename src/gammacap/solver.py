@@ -16,7 +16,7 @@ RankDistribution values: finite-difference checks evaluate them slightly
 off the simplex, where the formulas remain well defined.
 
 Every float sum whose result reaches a returned value, a report or a
-stopping decision adds left to right from 0.0 (channel.ordered_sum, or the
+stopping decision adds left to right from 0 (channel.ordered_sum, or the
 same loop inline in output_probs), so each answer has the same bits on every
 CPython: the built-in sum() compensates float sums from 3.12 on.
 """
