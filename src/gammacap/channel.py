@@ -80,7 +80,7 @@ class RankDistribution:
                 raise ValueError(f"entry {i} is not finite: {p}")
             if p < 0:
                 raise ValueError(f"entry {i} is negative: {p}")
-        total = sum(self.probs)
+        total = ordered_sum(self.probs)
         object.__setattr__(self, "is_exact", all(_is_exact(p) for p in self.probs))
         if self.is_exact:
             if total != 1:
@@ -224,21 +224,26 @@ def h_r(r: int, params: ChannelParams) -> float:
     and conditioned on row(A(M+B)) = V the output is uniform over the
     f0(v) matrices with that row space.  A class is reached only by error
     ranks max(h, v + h - r) <= rB <= v + h: row B lies in U + V, while
-    U <= V + row B and V <= U + row B; f1 is 0 for every other rB.
+    U <= V + row B and V <= U + row B; f1 is 0 for every other rB.  So only
+    the classes whose band meets [lo, hi], the least and greatest supported
+    error ranks, are walked, and a class whose band falls in a gap of the
+    support is skipped as an exact zero.
     """
     _check_rank(params, r=r)
     q, n, m = params.q, params.n, params.m
+    lo, hi = params.support[0][0], params.support[-1][0]
     total = 0.0
     for v in range(params.max_rank + 1):
         log_count_v = None
-        # h = dim((U+V)/V) runs from max(0, r-v) (forced by
-        # dim(U cap V) <= v) up to r, with v + h <= m; every such class
-        # has positive weight.
-        for h in range(max(0, r - v), min(r, m - v) + 1):
+        # h = dim((U+V)/V) is at least r - v (dim(U cap V) <= v) and at most
+        # r, with v + h <= m; every such class has positive weight.  The band
+        # meets [lo, hi] iff lo <= v + h, h <= hi and v + h - r <= hi.
+        for h in range(max(0, r - v, lo - v), min(r, m - v, hi, hi + r - v) + 1):
+            band_lo = max(h, v + h - r)
             numerator = sum(
                 c * f1(r, v, h, rB, n, m, q)
                 for rB, c in params.support
-                if max(h, v + h - r) <= rB <= v + h
+                if band_lo <= rB <= v + h
             )
             if numerator == 0:
                 continue
@@ -247,13 +252,16 @@ def h_r(r: int, params: ChannelParams) -> float:
                 * qbinom_ext(m - r, v - r + h, q)
                 * qbinom_ext(r, r - h, q)
             )
-            p_vh = Fraction(numerator, params.denominator)
             if log_count_v is None:
                 log_count_v = log2_exact(f0(v, n, m, q))
-            # The class mass weight * p_vh by one correctly rounded integer
-            # division: weight alone can pass the float range.
+            # log2 p(v, h) in lowest terms: the bits of log2_exact on the
+            # reduced Fraction, which is never built.  The class mass
+            # weight * p(v, h) by one correctly rounded integer division:
+            # weight alone can pass the float range.
+            g = math.gcd(numerator, params.denominator)
+            log_p_vh = math.log2(numerator // g) - math.log2(params.denominator // g)
             mass = (weight * numerator) / params.denominator
-            total += mass * (log_count_v - log2_exact(p_vh))
+            total += mass * (log_count_v - log_p_vh)
     return total
 
 

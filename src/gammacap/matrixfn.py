@@ -201,20 +201,25 @@ def _phi(n: int, m: int, w: int, s: int, r: int, q: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _f1_terms(v: int, duv: int, q: int) -> Tuple[Tuple[int, int, int], ...]:
-    """Moebius terms (w, a, coefficient) of f1 for dim V = v, dim(U cap V) = duv.
+def _f1_terms(v: int, duv: int, q: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """Moebius terms of f1 for dim V = v, dim(U cap V) = duv, grouped by a.
 
-    The coefficient (-1)^(v-w) q^C(v-w,2) _meet_count(v, duv, w, a) covers the
-    w-dim V'' <= V meeting U cap V in dimension a; it depends on neither the
-    error rank nor the matrix shape, so one table serves every f1 call.  A
-    field has (d + 1)(d + 2)/2 keys with v <= d = min(n, m), 153 at d = 16,
-    and a channel's workspace cycles through all of them, so all are kept.
+    Group a holds the (w, coefficient) pairs of the w-dim V'' <= V meeting
+    U cap V in dimension a, for w = a..a + v - duv in order; the coefficient
+    is (-1)^(v-w) q^C(v-w,2) _meet_count(v, duv, w, a).  It depends on neither
+    the error rank nor the matrix shape, so one table serves every f1 call.
+    _f1 asks only for v = min(dim U, dim V), with U + V inside F_q^m, so the
+    keys are the (v, duv) with duv <= v <= min(n, m) and 2v - duv <= m: 81 at
+    n = m = 16.  A channel's workspace cycles through all of them, so all
+    are kept.
     """
     return tuple(
-        (w, a, (-1) ** ((v - w) % 2) * q ** ((v - w) * (v - w - 1) // 2)
-         * _meet_count(v, duv, w, a, q))
-        for w in range(v + 1)
-        for a in range(max(0, w - (v - duv)), min(w, duv) + 1)
+        tuple(
+            (w, (-1) ** ((v - w) % 2) * q ** ((v - w) * (v - w - 1) // 2)
+             * _meet_count(v, duv, w, a, q))
+            for w in range(a, a + v - duv + 1)
+        )
+        for a in range(duv + 1)
     )
 
 
@@ -225,11 +230,18 @@ def _f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:
         return 0
     if h > u or v + h > m or v < u - h or r < max(h, v + h - u) or r > v + h:
         return 0
+    if u < v:
+        # f0(u) f1(u, v, h; r) = f0(v) f1(v, u, v - u + h; r): both sides count
+        # the pairs (M, Y) with row M = U, row Y = V and rank(Y - M) = r.  The
+        # mirror's Moebius sum runs over the subspaces of the smaller space U,
+        # and f0(v) / f0(u) = prod_{u <= i < v} (q^n - q^i) is exact.
+        return _falling(n, v - u, q, u) * _f1(v, u, v - u + h, r, n, m, q)
     # _phi(n, m, w, u - a, r) is 0 unless u - r <= a and r - u + a <= w.
     return sum(
         c * _phi(n, m, w, u - a, r, q)
-        for w, a, c in _f1_terms(v, u - h, q)
-        if a >= u - r and w >= r - u + a
+        for a, group in enumerate(_f1_terms(v, u - h, q))
+        if a >= u - r
+        for w, c in group[max(0, r - u):]
     )
 
 
@@ -243,7 +255,9 @@ def f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:
     those whose image in F_q^m / V'' cancels the image of M, a fixed matrix of
     rank u - dim(U cap V'').  Zero unless max(h, v + h - u) <= r <= v + h
     (row B <= U + V, U <= V + row B, V <= U + row B); within that band only
-    the (V'', a) terms whose _phi factor can be nonzero are summed.
+    the (V'', a) terms whose _phi factor can be nonzero are summed.  For
+    u < v the sum runs over the subspaces of U instead, by the mirror
+    identity f0(u) f1(u, v, h; r) = f0(v) f1(v, u, v - u + h; r).
     """
     _check_dims(u=u, v=v, h=h, r=r, n=n, m=m)
     validate_field_order(q)

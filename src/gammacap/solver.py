@@ -95,12 +95,20 @@ class _Workspace:
 
     Only nonzero kernel entries are kept, as (index, T) pairs by output row
     and by input column; sums keep their order and differ from dense ones
-    only by exact 0.0 terms, so every value is unchanged."""
+    only by exact 0.0 terms, so every value is unchanged.  Rank is a metric,
+    so T(ry | rx) is 0 unless some supported error rank lies in
+    |ry - rx| <= rB <= ry + rx; rho_avg is asked for those entries only."""
 
     def __init__(self, params: ChannelParams):
         k = self.size = params.rank_count
         self.h_vec = tuple(h_r(r, params) for r in range(k))
-        kernel = [[float(rho_avg(ry, rx, params)) for rx in range(k)] for ry in range(k)]
+        # least[s]: the least supported error rank >= s, or 2k if there is none.
+        least = [min((rB for rB, _ in params.support if rB >= s), default=2 * k) for s in range(k)]
+        kernel = [
+            [float(rho_avg(ry, rx, params)) if least[abs(ry - rx)] <= ry + rx else 0.0
+             for rx in range(k)]
+            for ry in range(k)
+        ]
         self.rows = [[(a, t) for a, t in enumerate(row) if t] for row in kernel]
         self.columns = [[(ry, t) for ry, t in enumerate(col) if t] for col in zip(*kernel)]
         self.log_class = tuple(log2_exact(rank_class_size(params, r)) for r in range(k))
@@ -314,7 +322,7 @@ def maximize(
     k = ws.size
     if config.start_distribution is not None:
         x = _as_vector(config.start_distribution, k)
-        if abs(sum(x) - 1) > 1e-9:
+        if abs(ordered_sum(x) - 1) > 1e-9:
             raise ValueError("start distribution must sum to 1")
         if min(x) == 0:
             raise ValueError("start distribution must give every rank positive mass")

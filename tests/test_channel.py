@@ -1,5 +1,6 @@
 """Channel law, conditional entropy and error models versus the oracle."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -161,6 +162,18 @@ class TestRankDistribution:
         explicit check keeps a NaN out of the law."""
         with pytest.raises(ValueError, match="entry 0 is not finite"):
             RankDistribution([bad, 1.0])
+
+    def test_float_sum_is_added_left_to_right(self):
+        """Left to right this law sums to 1 + 9.9987e-13, within 1e-12; the
+        built-in sum() of CPython 3.12 and later rounds it to 1 + 1.0001e-12
+        and would refuse it on those interpreters only."""
+        law = [
+            0.030495861676009747, 0.1846989335994773, 0.24396288079498224,
+            0.02780609071053083, 0.06650804877860916, 0.24417303849309605,
+            0.12137416893409349, 0.08098097701420123,
+        ]
+        assert abs(math.fsum(law) - 1) > 1e-12
+        assert RankDistribution(law).probs == tuple(law)
 
     def test_nan_error_law_is_refused_up_front(self):
         with pytest.raises(ValueError, match="entry 0 is not finite"):
@@ -480,6 +493,70 @@ class TestSupportPruning:
         assert calls
         for rx, r, h, n, m, q in calls:
             assert matrixfn._meet_count(m, rx, r, rx - h, q) != 0
+
+
+# Catalogue channels with one, nine (a gap at rank 3) and five supported
+# error ranks, a float law with gaps, and a law supported on every rank.
+_PRUNED_CHANNELS = [
+    pytest.param(_params(*args), id=",".join(map(str, args)))
+    for args in (
+        (7, 13, 14, "constant:t=7"),
+        (9, 11, 9, "empirical:6/29,2/29,3/29,0/29,3/29,2/29,1/29,1/29,7/29,4/29"),
+        _STALL_CHANNEL,
+        (2, 10, 12, "iid:t=10"),
+    )
+] + [
+    pytest.param(
+        ChannelParams(3, 6, 4, empirical_model([0.0, 0.3, 0.0, 0.2, 0.5], 6, 4)),
+        id="3,6,4,float",
+    )
+]
+
+
+class TestWorkspacePruning:
+    """The workspace walks only the h_r classes and kernel entries that a
+    supported error rank reaches; every value stays bit-identical."""
+
+    @pytest.mark.parametrize("params", _PRUNED_CHANNELS)
+    def test_bit_identical_to_unpruned_build(self, params):
+        """The references walk every (v, h) class and every kernel entry,
+        summing Fraction weights over every error rank."""
+        ranks = range(params.rank_count)
+        ws = solver._Workspace(params)
+        assert [float.hex(h) for h in ws.h_vec] == [
+            float.hex(_h_r_exact_weights(r, params)) for r in ranks
+        ]
+        kernel = [
+            [float(_rho_avg_exact_weights(ry, rx, params)) for rx in ranks] for ry in ranks
+        ]
+        assert [[(a, float.hex(t)) for a, t in row] for row in ws.rows] == [
+            [(rx, float.hex(t)) for rx, t in enumerate(row) if t] for row in kernel
+        ]
+        assert [[(a, float.hex(t)) for a, t in col] for col in ws.columns] == [
+            [(ry, float.hex(t)) for ry, t in enumerate(col) if t] for col in zip(*kernel)
+        ]
+
+    @pytest.mark.parametrize("params", _PRUNED_CHANNELS)
+    def test_kernel_asks_only_for_reachable_entries(self, monkeypatch, params):
+        """rho_avg(ry, rx) is asked only where a supported error rank lies in
+        |ry - rx| <= rB <= ry + rx, and is exactly 0 at every entry skipped."""
+        requested = []
+
+        def recording(ry, rx, p):
+            requested.append((ry, rx))
+            return rho_avg(ry, rx, p)
+
+        monkeypatch.setattr(solver, "rho_avg", recording)
+        solver._Workspace(params)
+        support = [rb for rb, _ in params.support]
+        assert requested
+        for ry, rx in requested:
+            assert any(abs(ry - rx) <= rb <= ry + rx for rb in support), (ry, rx)
+        ranks = range(params.rank_count)
+        skipped = set(itertools.product(ranks, ranks)) - set(requested)
+        assert all(rho_avg(ry, rx, params) == 0 for ry, rx in skipped)
+        if len(support) < params.rank_count:
+            assert skipped
 
 
 # Channels beyond the oracle's budget with two, one and four supported error ranks.

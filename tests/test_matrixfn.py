@@ -257,15 +257,19 @@ class TestF1TermTable:
                                 assert uncached_f1(u, v, h, r, n, m, q) == want
 
     def test_workspace_misses_once_per_key(self):
-        """A 17-rank workspace with a full-support error law reads all
-        153 keys (v, dim(U cap V)) with v <= 16; a 128-entry table used to
-        evict 25 of them, so every further workspace missed again."""
+        """_f1 sums over the subspaces of the smaller of U and V, so a key is
+        (v, dim(U cap V)) with v = min(dim U, dim V), and U + V fits in
+        F_q^m: 2v - dim(U cap V) <= m.  A 17-rank workspace with a
+        full-support error law reads all 81 such keys with v <= 16, and a
+        second workspace misses none of them."""
         params = ChannelParams(2, 16, 16, parse_error_model("iid:t=16", 2, 16, 16))
+        keys = [(v, duv) for v in range(17) for duv in range(v + 1) if 2 * v - duv <= 16]
+        assert len(keys) == 81
         for cached in (matrixfn._f1_terms, matrixfn._f1, solver._workspace):
             cached.cache_clear()
         solver._workspace(params)
         info = matrixfn._f1_terms.cache_info()
-        assert info.misses == info.currsize == 17 * 18 // 2
+        assert info.misses == info.currsize == len(keys)
         matrixfn._f1.cache_clear()
         solver._workspace.cache_clear()
         solver._workspace(params)
@@ -283,6 +287,25 @@ def _f1_unpruned(u, v, h, r, n, m, q):
         for w in range(v + 1)
         for a in range(max(0, w - (v - duv)), min(w, duv) + 1)
     )
+
+
+class TestF1Mirror:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_f1_mirror_identity(self, q):
+        """f0(u) f1(u, v, h; r) = f0(v) f1(v, u, v - u + h; r): both sides
+        count the pairs (M, Y) with row M = U, row Y = V and rank(Y - M) = r.
+        f1 evaluates the side whose Moebius sum runs over the smaller space."""
+        nonzero = 0
+        for n in range(1, 8):
+            for m in range(1, 8):
+                ranks = range(min(n, m) + 1)
+                for u, v, r in itertools.product(ranks, repeat=3):
+                    for h in range(max(0, u - v), u + 1):
+                        lhs = f0(u, n, m, q) * _f1_unpruned(u, v, h, r, n, m, q)
+                        rhs = f0(v, n, m, q) * _f1_unpruned(v, u, v - u + h, r, n, m, q)
+                        assert lhs == rhs, (u, v, h, r, n, m)
+                        nonzero += lhs != 0
+        assert nonzero
 
 
 class TestSupportBands:

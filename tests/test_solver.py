@@ -68,6 +68,20 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="every rank positive mass"):
             maximize(params, SolverConfig(start_distribution=start))
 
+    def test_start_sum_is_added_left_to_right(self):
+        """Left to right this start sums to 1 + 9.99999861e-10, within 1e-9;
+        the built-in sum() of CPython 3.12 and later rounds it to
+        1 + 1.00000008e-9 and would refuse it on those interpreters only."""
+        start = [
+            0.21247817830623295, 0.14617262837370745, 0.20291549513894427,
+            0.025498092831137287, 0.10565137765672118, 0.0555371529675162,
+            0.12247468505054275, 0.12927239067519794,
+        ]
+        assert abs(math.fsum(start) - 1) > 1e-9
+        params = _params(2, 7, 7, "constant:t=1")
+        res = maximize(params, SolverConfig(start_distribution=start, max_iterations=1))
+        assert res.iterations == 1
+
     def test_start_distribution_must_be_finite(self):
         """A NaN start passed the sum and support checks and then emptied the
         Blahut-Arimoto step's support, failing inside max()."""
