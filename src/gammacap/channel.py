@@ -13,6 +13,7 @@ convention applies throughout.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,6 +54,19 @@ def ordered_sum(values: Iterable[Numeric]) -> Numeric:
     return total
 
 
+def _sum_str(total: Union[int, Fraction]) -> str:
+    """An exact sum as a short string: itself when its numerator and
+    denominator are below 10**40, else 1 plus or minus its distance from 1
+    to 6 significant digits.  str() of a Fraction with thousands of digits
+    would raise the interpreter's int-to-str digit limit instead."""
+    if max(total.numerator, total.denominator) < 10**40:
+        return str(total)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 6
+        excess = decimal.Decimal(total.numerator - total.denominator) / total.denominator
+    return f"1 {'-' if excess < 0 else '+'} {abs(excess)}"
+
+
 def _is_exact(value: Numeric) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
@@ -84,7 +98,7 @@ class RankDistribution:
         object.__setattr__(self, "is_exact", all(_is_exact(p) for p in self.probs))
         if self.is_exact:
             if total != 1:
-                raise ValueError(f"exact probabilities sum to {total}, not 1")
+                raise ValueError(f"exact probabilities sum to {_sum_str(total)}, not 1")
         elif abs(total - 1) > _SUM_TOLERANCE:
             raise ValueError(f"probabilities sum to {float(total)!r}, not 1")
 

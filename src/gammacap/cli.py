@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import functools
 import io
 import json
@@ -99,8 +100,20 @@ def _configure_logging() -> None:
     )
 
 
+def _int_str(k: int) -> str:
+    """The decimal digits of ``k``.  str() of an int refuses more digits than
+    sys.get_int_max_str_digits() allows (4 300 by default); an exact law's
+    entries can have more, and Decimal converts them without that limit."""
+    return str(decimal.Decimal(k))
+
+
 def _fraction_str(x) -> str:
-    return str(Fraction(x)) if not isinstance(x, float) else repr(x)
+    if isinstance(x, float):
+        return repr(x)
+    x = Fraction(x)
+    if x.denominator == 1:
+        return _int_str(x.numerator)
+    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
 
 
 @functools.lru_cache(maxsize=1)

@@ -1,11 +1,14 @@
 """Brute-force ground truth for tiny parameters.
 
 Everything here works by direct enumeration over prime fields: matrices are
-tuples of tuples of ints mod p, subspaces are canonical reduced-row-echelon
-bases, probabilities are exact: integer numerators over one denominator or
-:class:`fractions.Fraction` values.  The point is independence: nothing in
-this module calls the closed-form counting code, so agreement between the
-two is evidence, not circularity.
+tuples of tuples of ints mod p, and probabilities are exact: integer
+numerators over one denominator or :class:`fractions.Fraction` values.  A
+subspace is the set of its vectors' indices in lexicographic order
+(:func:`_span`, from the row combinations that :func:`_combinations`
+enumerates), so equal spaces are equal sets, U cap V is a set
+intersection and a dimension d is read off a size q**d by exact lookup.
+The point is independence: nothing in this module calls the closed-form
+counting code, so agreement between the two is evidence, not circularity.
 
 The field must be prime; the scope is set by two budgets, not by n and m:
 ``MATRIX_ENUM_BUDGET`` caps the q**(n*m) matrices of a grid enumeration and
@@ -14,26 +17,26 @@ law.  A shape over budget is refused explicitly
 (:class:`BudgetExceededError`) so callers can distinguish "too big by
 policy" from "wrong input"; :func:`check_budgets` refuses such a shape
 before anything is enumerated.  GL(n, q) is built row by row, each row
-drawn from outside the span of the rows before it, so no matrix is reduced
-to find it.  Work shared between terms (the images A*Z of one matrix Z, the
-row spaces reached from one representative M) is enumerated once per call
-and kept for no longer.  The inner loops read matrices by their index in
-enumerate_matrices order: adding a fixed X is a permutation of those indices
-(:func:`_translation`), built entry by entry with no matrix formed, and the
-index of A*Z is read off the indices of the row combinations a*Z, one table
-per Z, with A held as the indices of its rows.  A channel law
-(:class:`ChannelLaw`) keeps that indexing: each matrix's rank, read off the
-row space that those row combinations enumerate, and per input the integer
-numerators of its outputs over one shared denominator.  Its readers sum
-integers and divide once: the exact rank transition of :func:`rank_kernel`,
-from which every output rank law of a rank-uniform input follows, makes one
-Fraction per cell, and Blahut-Arimoto one float per distinct numerator.
-Work whose result would be thrown away is not done: the f-function tables
-skip a subspace pair without reducing U+V once every class (u, v, h) its
-dimensions can reach holds its representatives, and Blahut-Arimoto computes
-one divergence per set of exactly equal rows, over their nonzero entries
-only, and starts where its caller says, such as at a known optimum.  The
-elimination itself trusts its caller to have checked that q is prime.
+drawn from outside the span of the rows before it.  No enumeration reduces
+a matrix: ranks and row spaces come from spans, and the Gauss-Jordan
+elimination behind :func:`rank_of` and :func:`rref_basis` serves the tests
+and the canonical bases of :func:`realize_configuration`.  Work shared
+between terms (the images A*Z of one matrix Z, the row spaces reached from
+one representative M) is enumerated once per call and kept for no longer.
+The inner loops read matrices by their index in enumerate_matrices order:
+adding a fixed X is a permutation of those indices (:func:`_translation`),
+built entry by entry with no matrix formed, and the index of A*Z is read
+off the indices of the row combinations a*Z, one table per Z, with A held
+as the indices of its rows.  A channel law (:class:`ChannelLaw`) keeps that
+indexing: each matrix's rank, read off the size of its span, and per input
+the integer numerators of its outputs over one shared denominator.  Its
+readers sum integers and divide once: the exact rank transition of
+:func:`rank_kernel`, from which every output rank law of a rank-uniform
+input follows, makes one Fraction per cell, and Blahut-Arimoto one float
+per distinct numerator.  Work whose result would be thrown away is not
+done: Blahut-Arimoto computes one divergence per set of exactly equal rows,
+over their nonzero entries only, and starts where its caller says, such as
+at a known optimum.
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ log = logging.getLogger("gammacap.oracle")
 MATRIX_ENUM_BUDGET = 2**20
 #: Hard cap on |GL(n,q)| * q**(2*n*m) elementary channel terms.
 CHANNEL_TERM_BUDGET = 2**24
-#: Representatives of each f1 class (u, v, h) and of each f2 input rank
-#: that brute_f_functions counts and checks against each other.
+#: Row spaces U of each dimension, matrices M of each such U, and matrices X
+#: of each rank that brute_f_functions counts and checks against each other.
 REPRESENTATIVES_PER_CLASS = 3
 
 
@@ -147,23 +150,16 @@ def enumerate_gl(n: int, q: int) -> Iterator[Matrix]:
     _check_grid(n, n, q, "q^(n^2)")
     vectors = list(itertools.product(range(q), repeat=n))
 
-    def extend(rows: Matrix, span: set) -> Iterator[Matrix]:
+    def extend(rows: Matrix) -> Iterator[Matrix]:
         if len(rows) == n:
             yield rows
             return
-        for v in vectors:
-            if v in span:
-                continue
-            wider = span
-            if len(rows) + 1 < n:
-                wider = {
-                    tuple((s + c * x) % q for s, x in zip(u, v))
-                    for u in span
-                    for c in range(q)
-                }
-            yield from extend(rows + (v,), wider)
+        span = _span(rows, q)
+        for i, v in enumerate(vectors):
+            if i not in span:
+                yield from extend(rows + (v,))
 
-    yield from extend((), {(0,) * n})
+    yield from extend(())
 
 
 def enumerate_subspaces(m: int, q: int, dim: int | None = None) -> List[Matrix]:
@@ -209,6 +205,25 @@ def _translation(X: Matrix, q: int) -> List[int]:
     return perm
 
 
+def _combinations(rows: Sequence[Sequence[int]], q: int) -> List[int]:
+    """``comb[a]`` is the index in F_q^m, in lexicographic order, of the row
+    combination a*rows, for every coefficient vector a of F_q^k in
+    lexicographic order (k = len(rows)), built one column at a time."""
+    comb = [0] * q ** len(rows)
+    for col in zip(*rows):
+        digits = [0]
+        for z in col:
+            digits = [(d + c * z) % q for d in digits for c in range(q)]
+        comb = [y * q + d for y, d in zip(comb, digits)]
+    return comb
+
+
+def _span(rows: Sequence[Sequence[int]], q: int) -> frozenset:
+    """The row space of ``rows`` as the set of its vectors' indices in
+    F_q^m; a subspace of dimension d has q**d of them."""
+    return frozenset(_combinations(rows, q))
+
+
 def count_gl(n: int, q: int) -> int:
     """|GL(n,q)| by the closed product; the tests check enumerate_gl against it."""
     return math.prod(q**n - q**i for i in range(n))
@@ -218,36 +233,33 @@ def brute_f_functions(n: int, m: int, q: int) -> Dict[str, Dict]:
     """Enumerated tables of the three matrix-counting functions.
 
     Returns ``{"f0": {u: count}, "f1": {(u,v,h,r): count}, "f2": {(r,rX,rB): count}}``
-    computed purely by iterating matrices.  For f1 the count is computed for
-    REPRESENTATIVES_PER_CLASS distinct representatives (U, V, M) of each
-    (u, v, h) class and the function raises AssertionError if any two
-    representatives disagree, which checks the well-definedness claim rather
-    than assuming it.  Likewise f2 is checked across representative matrices
-    X of each rank.  enumerate_matrices refuses a non-prime q and a shape
-    over MATRIX_ENUM_BUDGET.
+    computed purely by iterating matrices.  For f1, the first
+    REPRESENTATIVES_PER_CLASS row spaces U of each dimension u are taken, and
+    as many matrices M of each U; the tally of rowspace(M + B) over all B
+    gives the count of every row space V, so each class (u, v, h) is counted
+    at every one of those (U, M) and every V in it.  The function raises
+    AssertionError if any two counts of one class disagree, which checks
+    the well-definedness claim rather than assuming it.  Likewise f2 is
+    checked across the first REPRESENTATIVES_PER_CLASS matrices X of each
+    rank.  enumerate_matrices refuses a non-prime q and a shape over
+    MATRIX_ENUM_BUDGET.
 
-    ``h`` here is dim((U+V)/V), matching the closed-form convention.
+    ``h`` here is dim((U+V)/V) = u - dim(U cap V), matching the closed-form
+    convention.
     """
     mn = min(n, m)
-    # enumerate_matrices checks that q is prime, once for every _rref below.
     all_mats = list(enumerate_matrices(n, m, q))
-    # Each matrix is reduced once; its rank is the length of its row space.
-    # Matrices are read by their index in all_mats, row spaces by a number.
-    space_id: Dict[Matrix, int] = {}
-    space_of = [
-        space_id.setdefault(tuple(map(tuple, _rref(mat, q)[0])), len(space_id))
-        for mat in all_mats
-    ]
-    space_dim = [len(rs) for rs in space_id]
+    dim_of = {q**d: d for d in range(mn + 1)}
+    # Row spaces of n x m matrices are the subspaces of dimension at most mn,
+    # numbered in enumerate_subspaces order and keyed by their span sets.
+    spaces = [_span(s, q) for d in range(mn + 1) for s in enumerate_subspaces(m, q, d)]
+    space_id = {span: i for i, span in enumerate(spaces)}
+    space_dim = [dim_of[len(span)] for span in spaces]
+    space_of = [space_id[_span(mat, q)] for mat in all_mats]
     ranks = [space_dim[s] for s in space_of]
-    by_rank: Dict[int, List[int]] = {r: [] for r in range(mn + 1)}
-    by_rowspace: Dict[int, List[int]] = {}
+    by_rowspace: List[List[int]] = [[] for _ in spaces]
     for i, s in enumerate(space_of):
-        by_rank[ranks[i]].append(i)
-        by_rowspace.setdefault(s, []).append(i)
-
-    # Row spaces of n x m matrices have dimension at most mn.
-    subspaces = [s for d in range(mn + 1) for s in enumerate_subspaces(m, q, d)]
+        by_rowspace[s].append(i)
 
     # tally(i): (rowspace(M + B), rank B) -> number of B for M = all_mats[i],
     # one pass over the translation of M per representative.
@@ -259,84 +271,52 @@ def brute_f_functions(n: int, m: int, q: int) -> Dict[str, Dict]:
             tallies[i] = Counter(zip([space_of[z] for z in perm], ranks))
         return tallies[i]
 
-    # f0: matrices with one fixed rowspace per dimension.
-    f0: Dict[int, int] = {}
-    for u in range(mn + 1):
-        target = next(s for s in subspaces if len(s) == u)
-        f0[u] = len(by_rowspace.get(space_id.get(target), []))
+    def record(name: str, table: Dict, key: Tuple[int, ...], cnt: int) -> None:
+        first = table.setdefault(key, cnt)
+        assert first == cnt, f"{name} not well defined at {key}: {first} != {cnt}"
 
-    # f1: group (U, V) pairs by (u, v, h) with h = dim((U+V)/V).
+    # f0: matrices with one fixed rowspace per dimension.
+    f0 = {u: len(by_rowspace[space_dim.index(u)]) for u in range(mn + 1)}
+
+    # f1: every row space V, read from the tally of each representative M of
+    # each representative U, with h = u - dim(U cap V).
     f1: Dict[Tuple[int, int, int, int], int] = {}
-    reps_seen: Dict[Tuple[int, int, int], int] = {}
-    # Dimension pairs (u, v) whose every class holds its representatives:
-    # max(u, v) <= dim(U+V) <= min(u + v, m) bounds the classes a pair can
-    # reach, and any further pair of them would be reduced only to be dropped.
-    full: set[Tuple[int, int]] = set()
-    for U in subspaces:
-        u = len(U)
-        if all((u, v) in full for v in range(mn + 1)):
-            continue
-        mats_U = by_rowspace.get(space_id.get(U), [])
-        for V in subspaces:
-            v = len(V)
-            if (u, v) in full:
-                continue
-            h = len(_rref(U + V, q)[1]) - v
-            key3 = (u, v, h)
-            seen = reps_seen.get(key3, 0)
-            if seen >= REPRESENTATIVES_PER_CLASS:
-                continue
-            reps_seen[key3] = seen + 1
-            if all(
-                reps_seen.get((u, v, g), 0) >= REPRESENTATIVES_PER_CLASS
-                for g in range(max(0, u - v), min(u, m - v) + 1)
-            ):
-                full.add((u, v))
-            V_id = space_id.get(V)
-            for M in mats_U[:REPRESENTATIVES_PER_CLASS]:
+    for u in range(mn + 1):
+        reps_U = [U for U, d in enumerate(space_dim) if d == u][:REPRESENTATIVES_PER_CLASS]
+        for U in reps_U:
+            for M in by_rowspace[U][:REPRESENTATIVES_PER_CLASS]:
                 counts = tally(M)
-                for r in range(mn + 1):
-                    cnt = counts.get((V_id, r), 0)
-                    key = (u, v, h, r)
-                    if key in f1:
-                        assert f1[key] == cnt, (
-                            f"f1 not well defined at {key}: {f1[key]} != {cnt}"
-                        )
-                    else:
-                        f1[key] = cnt
+                for V, span_V in enumerate(spaces):
+                    key3 = (u, space_dim[V], u - dim_of[len(spaces[U] & span_V)])
+                    for r in range(mn + 1):
+                        record("f1", f1, key3 + (r,), counts[V, r])
 
     # f2: for representative X of each rank, bucket B by (rank(X+B), rank B).
     f2: Dict[Tuple[int, int, int], int] = {}
     for rx in range(mn + 1):
-        for X in by_rank[rx][:REPRESENTATIVES_PER_CLASS]:
-            by_ranks: Dict[Tuple[int, int], int] = {}
+        reps_X = [X for X, r in enumerate(ranks) if r == rx][:REPRESENTATIVES_PER_CLASS]
+        for X in reps_X:
+            by_ranks: Counter = Counter()
             for (s, rb), cnt in tally(X).items():
-                key2 = (space_dim[s], rb)
-                by_ranks[key2] = by_ranks.get(key2, 0) + cnt
+                by_ranks[space_dim[s], rb] += cnt
             for r in range(mn + 1):
                 for rb in range(mn + 1):
-                    cnt = by_ranks.get((r, rb), 0)
-                    key = (r, rx, rb)
-                    if key in f2:
-                        assert f2[key] == cnt, (
-                            f"f2 not well defined at {key}: {f2[key]} != {cnt}"
-                        )
-                    else:
-                        f2[key] = cnt
+                    record("f2", f2, (r, rx, rb), by_ranks[r, rb])
 
     return {"f0": f0, "f1": f1, "f2": f2}
 
 
 def _subspaces_of_span(basis: Matrix, m: int, q: int) -> List[Matrix]:
-    """All subspaces of the span of ``basis``, as RREF bases in F_q^m."""
+    """All subspaces of the span of ``basis``, each as the combinations of
+    ``basis`` by one enumerate_subspaces basis of F_q^len(basis)."""
     d = len(basis)
     out: List[Matrix] = []
     for inner in enumerate_subspaces(d, q):
         vecs = [
-            [sum(c[i] * basis[i][j] for i in range(d)) % q for j in range(m)]
+            tuple(sum(c[i] * basis[i][j] for i in range(d)) % q for j in range(m))
             for c in inner
         ]
-        out.append(rref_basis(vecs, q))
+        out.append(tuple(vecs))
     return out
 
 
@@ -406,62 +386,6 @@ def realize_configuration(
     return rref_basis(U, q), rref_basis(V, q), rref_basis(W, q)
 
 
-def _pair_profile(
-    U: Matrix, V: Matrix, W: Matrix, Vp: Matrix, Wp: Matrix, m: int, q: int
-) -> Tuple[int, ...]:
-    def meet_dim(*bases: Matrix) -> int:
-        current = bases[0]
-        for other in bases[1:]:
-            current = _intersect(current, other, q, m)
-        return len(current)
-
-    return (
-        len(Vp),
-        len(Wp),
-        len(_intersect(U, Vp, q, m)),
-        len(_intersect(U, Wp, q, m)),
-        len(_intersect(V, Wp, q, m)),
-        len(_intersect(W, Vp, q, m)),
-        len(_intersect(Vp, Wp, q, m)),
-        meet_dim(U, V, Wp),
-        meet_dim(U, W, Vp),
-        meet_dim(U, Vp, Wp),
-    )
-
-
-def _intersect(a: Matrix, b: Matrix, q: int, m: int) -> Matrix:
-    """RREF basis of span(a) cap span(b) via the kernel of stacked coords."""
-    if not a or not b:
-        return ()
-    # Solve x*A = y*B: kernel of [A; -B] acting from the left.
-    rows = [list(r) for r in a] + [[(-x) % q for x in r] for r in b]
-    k = len(rows)
-    # Left kernel of the k x m matrix `rows`: transpose and find right kernel.
-    cols = [[rows[i][j] for i in range(k)] for j in range(m)]
-    kernel = _right_kernel(cols, q, k)
-    vecs = []
-    for coeffs in kernel:
-        v = [0] * m
-        for i in range(len(a)):
-            if coeffs[i]:
-                v = [(x + coeffs[i] * y) % q for x, y in zip(v, a[i])]
-        vecs.append(v)
-    return rref_basis(vecs, q)
-
-
-def _right_kernel(mat: List[List[int]], q: int, ncols: int) -> List[List[int]]:
-    """Basis of {x : mat @ x = 0} over F_q for a dense list-of-rows matrix."""
-    rows, pivots = _rref(mat, q)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        x = [0] * ncols
-        x[fc] = 1
-        for row, pc in zip(rows, pivots):
-            x[pc] = (-row[fc]) % q
-        basis.append(x)
-    return basis
-
-
 def pair_counts(
     d1: Sequence[int], m: int, q: int
 ) -> Dict[Tuple[int, ...], int] | None:
@@ -470,22 +394,28 @@ def pair_counts(
     Realizes a configuration (U, V, W) with W + V = U + V and profile ``d1``
     (returns None if none exists), then enumerates every pair of subspaces
     V' of V and W' of W with W' + V' = U + V' and buckets by the full
-    10-dimensional profile.
+    10-dimensional profile.  W' + V' = U + V' holds when W' lies in U + V'
+    and dim(W' + V') = dim(U + V').
     """
     config = realize_configuration(d1, m, q)
     if config is None:
         return None
     U, V, W = config
-    UV = rref_basis(list(U) + list(V), q)
+    dim_of = {q**d: d for d in range(m + 1)}
+    sU, sV, sW = (_span(s, q) for s in config)
+    subs_W = [(len(Wp), _span(Wp, q)) for Wp in _subspaces_of_span(W, m, q)]
     counts: Dict[Tuple[int, ...], int] = {}
-    subs_V = _subspaces_of_span(V, m, q)
-    subs_W = _subspaces_of_span(W, m, q)
-    for Vp in subs_V:
-        UVp = rref_basis(list(U) + list(Vp), q)
-        for Wp in subs_W:
-            if rref_basis(list(Wp) + list(Vp), q) != UVp:
+    for Vp in _subspaces_of_span(V, m, q):
+        sVp = _span(Vp, q)
+        sUVp = _span(U + Vp, q)
+        for dWp, sWp in subs_W:
+            if not sWp <= sUVp or dim_of[len(sUVp)] != dWp + len(Vp) - dim_of[len(sVp & sWp)]:
                 continue
-            key = _pair_profile(U, V, W, Vp, Wp, m, q)
+            meets = (
+                sU & sVp, sU & sWp, sV & sWp, sW & sVp, sVp & sWp,
+                sU & sV & sWp, sU & sW & sVp, sU & sVp & sWp,
+            )
+            key = (len(Vp), dWp) + tuple(dim_of[len(s)] for s in meets)
             counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -497,15 +427,13 @@ def subspace_counts(
     V: Matrix,
 ) -> Dict[Tuple[int, int, int, int], int]:
     """Enumerated l-counts: (dW, dUW, dVW, dUVW) -> number of subspaces W."""
-    UV = _intersect(U, V, q, m)
+    dim_of = {q**d: d for d in range(m + 1)}
+    sU, sV = _span(U, q), _span(V, q)
+    sUV = sU & sV
     counts: Dict[Tuple[int, int, int, int], int] = {}
     for W in enumerate_subspaces(m, q):
-        key = (
-            len(W),
-            len(_intersect(U, W, q, m)),
-            len(_intersect(V, W, q, m)),
-            len(_intersect(UV, W, q, m)),
-        )
+        sW = _span(W, q)
+        key = (len(W),) + tuple(dim_of[len(s & sW)] for s in (sU, sV, sUV))
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -564,13 +492,8 @@ def build_channel(params) -> ChannelLaw:
     rank_of_size = {q**r: r for r in range(n + 1)}
     row_count = q**m
     for Z in all_mats:
-        # comb[a]: index in F_q^m of a*Z, built one column of Z at a time.
-        comb = [0] * len(vector_index)
-        for col in zip(*Z):
-            digits = [0]
-            for z in col:
-                digits = [(d + c * z) % q for d in digits for c in range(q)]
-            comb = [y * q + d for y, d in zip(comb, digits)]
+        # comb[a]: index in F_q^m of a*Z; its values are the row space of Z.
+        comb = _combinations(Z, q)
         ranks.append(rank_of_size[len(set(comb))])
         ys = [0] * len(gl)
         for rows in gl_rows:

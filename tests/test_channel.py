@@ -141,6 +141,24 @@ class TestRankDistribution:
             RankDistribution([Fraction(1, 2), Fraction(1, 3)])
         RankDistribution([Fraction(1, 2), Fraction(1, 2)])
 
+    @pytest.mark.parametrize(
+        "probs, shown",
+        [
+            ([Fraction(1, 2), Fraction(1, 3)], "5/6"),
+            ([Fraction(1, 10**5000), Fraction(1)], "1 + 1E-5000"),
+            ([Fraction(1, 3 * 10**40)] * 2, "1 - 1.00000"),
+            ([Fraction(10**50, 3)], "1 + 3.33333E+49"),
+        ],
+        ids=["short", "5000-digits", "near-zero", "large"],
+    )
+    def test_exact_sum_message_is_bounded(self, probs, shown):
+        """A sum of 5 001 digits was put in the message by str(), which
+        raised the interpreter's 4 300-digit limit in its place; a sum past
+        40 digits is shown as its distance from 1."""
+        with pytest.raises(ValueError) as refused:
+            RankDistribution(probs)
+        assert str(refused.value) == f"exact probabilities sum to {shown}, not 1"
+
     def test_float_sum_tolerance(self):
         RankDistribution([0.5, 0.5 + 1e-13])
         with pytest.raises(ValueError):

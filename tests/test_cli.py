@@ -11,12 +11,14 @@ import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import gammacap
 from gammacap import cli
+from gammacap.channel import parse_error_model
 from gammacap.solver import SolverConfig
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -201,6 +203,24 @@ class TestCapacityCommand:
         assert diagnostic["exit_code"] == 2
         assert "1/0" in diagnostic["error"]
 
+    def test_exact_law_past_the_int_digit_limit(self, capsys):
+        """At q = 65536 the iid:t=14 law has entries of 7 757 digits, and
+        str() of them raised the interpreter's 4 300-digit limit (exit 2)
+        after a certified solve."""
+        shape = ("--q", "65536", "--n", "16", "--m", "64")
+        code, doc = run_json(capsys, "capacity", *shape, "--error", "iid:t=14")
+        assert code == 0
+        assert doc["diagnostics"]["stop_reason"] == "certified"
+        law = parse_error_model("iid:t=14", 65536, 16, 64).probs
+        strings = doc["params"]["error_ranks"]
+        assert max(map(len, strings)) > 4300
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert [Fraction(s) for s in strings] == list(law)
+        finally:
+            sys.set_int_max_str_digits(old_limit)
+
     @pytest.mark.parametrize("n, m", [(0, 2), (2, 0)])
     def test_empty_matrix_rate_is_zero(self, capsys, n, m):
         """With n*m = 0 the normalized rate divided by zero: a traceback and
@@ -340,6 +360,18 @@ class TestErrormodelCommand:
             "961/1600", "117/320", "27/800",
         ]
         assert doc["diagnostics"]["exact"] is True
+
+    def test_sum_past_the_int_digit_limit_is_reported(self, capsys):
+        """The message used to be the interpreter's 4 300-digit limit, raised
+        while the 5 001-digit sum was put into it."""
+        code, out, err = run_cli(
+            capsys, "errormodel", "--q", "2", "--n", "2", "--m", "2",
+            "--error", "empirical:1e-5000,1",
+        )
+        assert code == 2 and out == ""
+        assert stderr_diagnostic(err)["error"] == (
+            "exact probabilities sum to 1 + 1E-5000, not 1"
+        )
 
     def test_unknown_kind_exit_2(self, capsys):
         code, _, err = run_cli(

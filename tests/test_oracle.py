@@ -43,9 +43,9 @@ class TestLinearAlgebra:
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_row_reduction_against_span_enumeration(self, q):
-        """rank_of, rref_basis, _right_kernel and _intersect, which share one
-        elimination, agree with the brute-force row span on random matrices
-        up to 4 x 4, entries drawn outside 0..q-1 as well."""
+        """rank_of and rref_basis, which share one elimination, and _span,
+        which reduces nothing, agree with the brute-force row span on random
+        matrices up to 4 x 4, entries drawn outside 0..q-1 as well."""
         rng = random.Random(q)
 
         def span(rows, ncols):
@@ -71,12 +71,12 @@ class TestLinearAlgebra:
             assert leads == sorted(set(leads))
             for i, lead in enumerate(leads):
                 assert [row[lead] for row in basis] == [int(k == i) for k in range(rank)]
-            kernel = oracle._right_kernel(mat, q, ncols)
-            assert len(kernel) == ncols - rank == oracle.rank_of(kernel, q)
-            assert all(sum(a * x for a, x in zip(row, v)) % q == 0 for row in mat for v in kernel)
-            other = oracle.rref_basis(random_matrix(ncols), q)
-            meet = oracle._intersect(basis, other, q, ncols)
-            assert span(meet, ncols) == span(basis, ncols) & span(other, ncols)
+            # _span holds each vector by its index in lexicographic order.
+            indices = {
+                sum(x * q ** (ncols - 1 - j) for j, x in enumerate(vec))
+                for vec in span(mat, ncols)
+            }
+            assert oracle._span(mat, q) == indices and len(indices) == q**rank
 
 
 class TestEnumeration:
@@ -424,6 +424,40 @@ class TestAgainstPerTermReferences:
             assert list(got[name].items()) == list(want[name].items()), name
 
     @pytest.mark.parametrize("shape", VERIFY_SHAPES + CI_SHAPES, ids=_SHAPE_IDS)
+    def test_f1_keys_are_every_feasible_class(self, shape):
+        """U + V fits in F_q^m, so h = u - dim(U cap V) runs from
+        max(0, u - v) to min(u, m - v), and every such class is reached."""
+        q, n, m = shape
+        k = min(n, m)
+        f1 = oracle.brute_f_functions(n, m, q)["f1"]
+        assert set(f1) == {
+            (u, v, h, r)
+            for u in range(k + 1)
+            for v in range(k + 1)
+            for h in range(max(0, u - v), min(u, m - v) + 1)
+            for r in range(k + 1)
+        }
+
+    def test_disagreeing_representatives_are_reported(self, monkeypatch):
+        """A mutant that tallies the zero matrix in place of the second
+        representative of the first line U = <(1, 0)> of F_2^2 must trip the
+        f1 check: for V = 0 the first representative M counts no B of rank 0
+        with M + B = 0, the zero matrix counts one."""
+        translate = oracle._translation
+        calls = []
+
+        def corrupted(X, q):
+            calls.append(X)
+            if len(calls) == 3:
+                X = tuple((0,) * len(row) for row in X)
+            return translate(X, q)
+
+        monkeypatch.setattr(oracle, "_translation", corrupted)
+        with pytest.raises(AssertionError, match=r"^f1 not well defined at \(1, 0, 1, 0\): 0 != 1$"):
+            oracle.brute_f_functions(2, 2, 2)
+        assert calls[:3] == [((0, 0), (0, 0)), ((0, 0), (1, 0)), ((1, 0), (0, 0))]
+
+    @pytest.mark.parametrize("shape", VERIFY_SHAPES + CI_SHAPES, ids=_SHAPE_IDS)
     def test_channel_output_rank_marginal(self, shape, channel_laws):
         q, n, m = shape
         k = min(n, m) + 1
@@ -554,32 +588,22 @@ class TestDiscardedWork:
         law = oracle.build_channel(ChannelParams(2, 3, 1, parse_error_model("iid:t=1", 2, 3, 1)))
         assert reduced == [] and law.ranks == [0] + [1] * 7
 
-    def test_brute_f_functions_skips_full_classes(self, monkeypatch):
-        """U+V used to be reduced for each of the 4 096 subspace pairs at
-        (n, m, q) = (1, 6, 2), 4 160 eliminations with the 64 row spaces,
-        though at most 3 pairs per class (u, v, h) are kept.  Each pair the
-        plain loop keeps must still be reduced and read."""
-        n, m, q = 1, 6, 2
+    def test_brute_f_functions_reduces_no_matrix(self, monkeypatch):
+        """At (n, m, q) = (1, 6, 2) the tables used to take 200 eliminations:
+        one per matrix for its row space and one per kept pair (U, V) for
+        dim(U+V).  Row spaces are now keyed by their span sets, and h is read
+        off the size of the set U cap V."""
         reduced = []
         reduce = oracle._rref
 
         def recording(vectors, q):
-            reduced.append(tuple(map(tuple, vectors)))
+            reduced.append(vectors)
             return reduce(vectors, q)
 
         monkeypatch.setattr(oracle, "_rref", recording)
-        oracle.brute_f_functions(n, m, q)
-        monkeypatch.undo()
-        assert len(reduced) <= 400
-        subspaces = [s for s in oracle.enumerate_subspaces(m, q) if len(s) <= min(n, m)]
-        kept, seen = [], {}
-        for U in subspaces:
-            for V in subspaces:
-                key3 = (len(U), len(V), len(oracle.rref_basis(U + V, q)) - len(V))
-                if seen.get(key3, 0) < 3:
-                    seen[key3] = seen.get(key3, 0) + 1
-                    kept.append(U + V)
-        assert set(kept) <= set(reduced)
+        for n, m, q in ((1, 6, 2), (2, 2, 3)):
+            oracle.brute_f_functions(n, m, q)
+        assert reduced == []
 
 
 class TestEntropyAndBlahutArimoto:
