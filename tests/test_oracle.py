@@ -453,8 +453,9 @@ class TestAgainstPerTermReferences:
             return translate(X, q)
 
         monkeypatch.setattr(oracle, "_translation", corrupted)
-        with pytest.raises(AssertionError, match=r"^f1 not well defined at \(1, 0, 1, 0\): 0 != 1$"):
+        with pytest.raises(AssertionError) as refused:
             oracle.brute_f_functions(2, 2, 2)
+        assert str(refused.value) == "f1 not well defined at (1, 0, 1, 0): 0 != 1"
         assert calls[:3] == [((0, 0), (0, 0)), ((0, 0), (1, 0)), ((1, 0), (0, 0))]
 
     @pytest.mark.parametrize("shape", VERIFY_SHAPES + CI_SHAPES, ids=_SHAPE_IDS)
