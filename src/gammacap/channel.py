@@ -17,13 +17,14 @@ import decimal
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Dict, Iterable, Sequence, Tuple, Union
 
 from .exactcomb import (
     count_rank_matrices,
     qbinom_ext,
     validate_field_order,
     _check_dims,
+    _falling,
 )
 from .matrixfn import f0, f1, f2
 
@@ -128,6 +129,12 @@ class ChannelParams:
     one Fraction.  Weights are exact even for a float law (a float converts
     exactly), since a float P(rB) / N_rB overflows once N_rB leaves the
     float range.
+
+    ``_numerators`` and ``_log_f0`` are :func:`h_r`'s per-channel store,
+    empty when the channel is built and filled as h_r needs them: the
+    numerator sum_rB c_rB f1(u, v, h; rB) of a class by its triple
+    (u, v, h) with u >= v, and log2 f0(v) by v.  Like ``support`` they take
+    no part in equality, hashing or repr.
     """
 
     q: int
@@ -136,6 +143,8 @@ class ChannelParams:
     error_dist: RankDistribution
     support: Tuple[Tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     denominator: int = field(init=False, repr=False, compare=False)
+    _numerators: Dict[Tuple[int, int, int], int] = field(init=False, repr=False, compare=False)
+    _log_f0: Dict[int, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         validate_field_order(self.q)
@@ -156,6 +165,8 @@ class ChannelParams:
         )
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "_numerators", {})
+        object.__setattr__(self, "_log_f0", {})
 
     @property
     def max_rank(self) -> int:
@@ -229,6 +240,22 @@ def output_rank_distribution(
     )
 
 
+def _class_numerator(u: int, v: int, h: int, params: ChannelParams) -> int:
+    """sum_rB c_rB f1(u, v, h; rB) over the supported error ranks of the band
+    max(h, v + h - u) <= rB <= v + h, for u >= v; kept in the channel's store."""
+    key = (u, v, h)
+    numerator = params._numerators.get(key)
+    if numerator is None:
+        q, n, m = params.q, params.n, params.m
+        band_lo = max(h, v + h - u)
+        numerator = params._numerators[key] = sum(
+            c * f1(u, v, h, rB, n, m, q)
+            for rB, c in params.support
+            if band_lo <= rB <= v + h
+        )
+    return numerator
+
+
 def h_r(r: int, params: ChannelParams) -> float:
     """Output entropy H(A(M+B)) in bits for a fixed input M of rank r.
 
@@ -242,22 +269,27 @@ def h_r(r: int, params: ChannelParams) -> float:
     the classes whose band meets [lo, hi], the least and greatest supported
     error ranks, are walked, and a class whose band falls in a gap of the
     support is skipped as an exact zero.
+
+    The class numerator sum_rB c_rB f1(r, v, h; rB) is taken for v <= r as
+    it stands and for v > r by the mirror identity, as the integer
+    f0(v) / f0(r) times the numerator of (v, r, v - r + h), whose band is
+    the same.  So h_r asks f1 only for u >= v, each numerator once per
+    mirror pair and channel, and log2 f0(v) once per rank and channel: both
+    are kept in the channel's store.
     """
     _check_rank(params, r=r)
     q, n, m = params.q, params.n, params.m
     lo, hi = params.support[0][0], params.support[-1][0]
+    log_f0 = params._log_f0
     total = 0.0
     for v in range(params.max_rank + 1):
-        log_count_v = None
         # h = dim((U+V)/V) is at least r - v (dim(U cap V) <= v) and at most
         # r, with v + h <= m; every such class has positive weight.  The band
         # meets [lo, hi] iff lo <= v + h, h <= hi and v + h - r <= hi.
         for h in range(max(0, r - v, lo - v), min(r, m - v, hi, hi + r - v) + 1):
-            band_lo = max(h, v + h - r)
-            numerator = sum(
-                c * f1(r, v, h, rB, n, m, q)
-                for rB, c in params.support
-                if band_lo <= rB <= v + h
+            numerator = (
+                _class_numerator(r, v, h, params) if v <= r
+                else _falling(n, v - r, q, r) * _class_numerator(v, r, v - r + h, params)
             )
             if numerator == 0:
                 continue
@@ -266,8 +298,8 @@ def h_r(r: int, params: ChannelParams) -> float:
                 * qbinom_ext(m - r, v - r + h, q)
                 * qbinom_ext(r, r - h, q)
             )
-            if log_count_v is None:
-                log_count_v = log2_exact(f0(v, n, m, q))
+            if v not in log_f0:
+                log_f0[v] = log2_exact(f0(v, n, m, q))
             # log2 p(v, h) in lowest terms: the bits of log2_exact on the
             # reduced Fraction, which is never built.  The class mass
             # weight * p(v, h) by one correctly rounded integer division:
@@ -275,7 +307,7 @@ def h_r(r: int, params: ChannelParams) -> float:
             g = math.gcd(numerator, params.denominator)
             log_p_vh = math.log2(numerator // g) - math.log2(params.denominator // g)
             mass = (weight * numerator) / params.denominator
-            total += mass * (log_count_v - log_p_vh)
+            total += mass * (log_f0[v] - log_p_vh)
     return total
 
 

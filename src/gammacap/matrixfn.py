@@ -211,12 +211,17 @@ def _f1_terms(v: int, duv: int, q: int) -> Tuple[Tuple[Tuple[int, int], ...], ..
     _f1 asks only for v = min(dim U, dim V), with U + V inside F_q^m, so the
     keys are the (v, duv) with duv <= v <= min(n, m) and 2v - duv <= m: 81 at
     n = m = 16.  A channel's workspace cycles through all of them, so all
-    are kept.
+    are kept.  An entry is sign[v-w] q^((w-a)(duv-a)) outer[w-a] inner[a],
+    from three lists: sign[j] = (-1)^j q^C(j,2), outer[j] = [v - duv, j]_q
+    and inner[a] = [duv, a]_q, so each factor of _meet_count is evaluated
+    once per table.
     """
+    sign = [(-1) ** (j % 2) * q ** (j * (j - 1) // 2) for j in range(v + 1)]
+    outer = [qbinom_ext(v - duv, j, q) for j in range(v - duv + 1)]
+    inner = [qbinom_ext(duv, a, q) for a in range(duv + 1)]
     return tuple(
         tuple(
-            (w, (-1) ** ((v - w) % 2) * q ** ((v - w) * (v - w - 1) // 2)
-             * _meet_count(v, duv, w, a, q))
+            (w, sign[v - w] * q ** ((w - a) * (duv - a)) * outer[w - a] * inner[a])
             for w in range(a, a + v - duv + 1)
         )
         for a in range(duv + 1)

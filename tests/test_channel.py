@@ -1,5 +1,6 @@
 """Channel law, conditional entropy and error models versus the oracle."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -557,7 +558,10 @@ class TestWorkspacePruning:
     @pytest.mark.parametrize("params", _PRUNED_CHANNELS)
     def test_kernel_asks_only_for_reachable_entries(self, monkeypatch, params):
         """rho_avg(ry, rx) is asked only where a supported error rank lies in
-        |ry - rx| <= rB <= ry + rx, and is exactly 0 at every entry skipped."""
+        |ry - rx| <= rB <= ry + rx.  For an exact law it is asked for exactly
+        those entries with ry <= rx, the kernel's reversibility giving the
+        rest; a float law is asked for every one.  Each entry skipped is
+        exactly 0 or has its transpose asked for."""
         requested = []
 
         def recording(ry, rx, p):
@@ -567,14 +571,74 @@ class TestWorkspacePruning:
         monkeypatch.setattr(solver, "rho_avg", recording)
         solver._Workspace(params)
         support = [rb for rb, _ in params.support]
-        assert requested
-        for ry, rx in requested:
-            assert any(abs(ry - rx) <= rb <= ry + rx for rb in support), (ry, rx)
         ranks = range(params.rank_count)
+        in_band = {
+            (ry, rx) for ry, rx in itertools.product(ranks, ranks)
+            if any(abs(ry - rx) <= rb <= ry + rx for rb in support)
+        }
+        if params.error_dist.is_exact:
+            assert sorted(requested) == sorted((ry, rx) for ry, rx in in_band if ry <= rx)
+        else:
+            assert sorted(requested) == sorted(in_band)
         skipped = set(itertools.product(ranks, ranks)) - set(requested)
-        assert all(rho_avg(ry, rx, params) == 0 for ry, rx in skipped)
+        assert all(
+            rho_avg(ry, rx, params) == 0 or (rx, ry) in requested for ry, rx in skipped
+        )
         if len(support) < params.rank_count:
-            assert skipped
+            assert skipped - in_band
+
+
+class TestClassStore:
+    """h_r keeps each class numerator per mirror pair and log2 f0(v) per rank
+    in the channel's store; every answer keeps its bits."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        calls = {"f0": [], "f1": []}
+
+        def recording(name, fn):
+            def wrapper(*args):
+                calls[name].append(args)
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(channel, "f0", recording("f0", channel.f0))
+        monkeypatch.setattr(channel, "f1", recording("f1", channel.f1))
+        return calls
+
+    @pytest.mark.parametrize("params", _PRUNED_CHANNELS)
+    def test_each_count_is_asked_once(self, monkeypatch, params):
+        params = dataclasses.replace(params)
+        calls = self._record(monkeypatch)
+        for r in range(params.rank_count):
+            h_r(r, params)
+        assert calls["f1"]
+        assert all(u >= v for u, v, *_ in calls["f1"])
+        f1_keys = [args[:4] for args in calls["f1"]]
+        assert len(f1_keys) == len(set(f1_keys))
+        ranks = [args[0] for args in calls["f0"]]
+        assert len(ranks) == len(set(ranks))
+
+    @pytest.mark.parametrize("params", _PRUNED_CHANNELS)
+    def test_second_call_reads_the_store(self, monkeypatch, params):
+        params = dataclasses.replace(params)
+        first = [float.hex(h_r(r, params)) for r in range(params.rank_count)]
+        calls = self._record(monkeypatch)
+        assert [float.hex(h_r(r, params)) for r in range(params.rank_count)] == first
+        assert calls == {"f0": [], "f1": []}
+
+    @pytest.mark.parametrize("params", _PRUNED_CHANNELS)
+    def test_equal_channel_starts_empty(self, params):
+        ranks = range(params.rank_count)
+        want = [float.hex(h_r(r, params)) for r in ranks]
+        assert params._numerators and params._log_f0
+        equal = ChannelParams(params.q, params.n, params.m, params.error_dist)
+        for fresh in (equal, dataclasses.replace(params)):
+            assert fresh == params and hash(fresh) == hash(params)
+            assert repr(fresh) == repr(params)
+            assert fresh._numerators == {} and fresh._log_f0 == {}
+            assert [float.hex(h_r(r, fresh)) for r in ranks] == want
 
 
 # Channels beyond the oracle's budget with two, one and four supported error ranks.

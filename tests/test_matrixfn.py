@@ -256,6 +256,22 @@ class TestF1TermTable:
                                 want = _f1_per_call_mobius(u, v, h, r, n, m, q)
                                 assert uncached_f1(u, v, h, r, n, m, q) == want
 
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+    def test_table_matches_meet_counts(self, q):
+        """Each coefficient is (-1)^(v-w) q^C(v-w,2) _meet_count(v, duv, w, a),
+        for every v <= 16 and duv <= v, at the benchmark's fields."""
+        for v in range(17):
+            for duv in range(v + 1):
+                want = tuple(
+                    tuple(
+                        (w, (-1) ** (v - w) * q ** ((v - w) * (v - w - 1) // 2)
+                         * _meet_count(v, duv, w, a, q))
+                        for w in range(a, a + v - duv + 1)
+                    )
+                    for a in range(duv + 1)
+                )
+                assert matrixfn._f1_terms.__wrapped__(v, duv, q) == want, (v, duv)
+
     def test_workspace_misses_once_per_key(self):
         """_f1 sums over the subspaces of the smaller of U and V, so a key is
         (v, dim(U cap V)) with v = min(dim U, dim V), and U + V fits in
