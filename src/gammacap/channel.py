@@ -208,14 +208,12 @@ def rho_avg(r: int, rX: int, params: ChannelParams) -> Numeric:
     """
     _check_rank(params, r=r, rX=rX)
     q, n, m = params.q, params.n, params.m
-    total = Fraction(
-        sum(
-            c * f2(r, rX, rB, n, m, q)
-            for rB, c in params.support
-            if abs(r - rX) <= rB <= r + rX
-        ),
-        params.denominator,
-    )
+    lo, hi = abs(r - rX), r + rX
+    numerator = 0
+    for rB, c in params.support:
+        if lo <= rB <= hi:
+            numerator += c * f2(r, rX, rB, n, m, q)
+    total = Fraction(numerator, params.denominator)
     return total if params.error_dist.is_exact else float(total)
 
 
@@ -238,22 +236,6 @@ def output_rank_distribution(
         ordered_sum(p * rho_avg(r, rX, params) for rX, p in support)
         for r in range(params.rank_count)
     )
-
-
-def _class_numerator(u: int, v: int, h: int, params: ChannelParams) -> int:
-    """sum_rB c_rB f1(u, v, h; rB) over the supported error ranks of the band
-    max(h, v + h - u) <= rB <= v + h, for u >= v; kept in the channel's store."""
-    key = (u, v, h)
-    numerator = params._numerators.get(key)
-    if numerator is None:
-        q, n, m = params.q, params.n, params.m
-        band_lo = max(h, v + h - u)
-        numerator = params._numerators[key] = sum(
-            c * f1(u, v, h, rB, n, m, q)
-            for rB, c in params.support
-            if band_lo <= rB <= v + h
-        )
-    return numerator
 
 
 def h_r(r: int, params: ChannelParams) -> float:
@@ -279,35 +261,48 @@ def h_r(r: int, params: ChannelParams) -> float:
     """
     _check_rank(params, r=r)
     q, n, m = params.q, params.n, params.m
-    lo, hi = params.support[0][0], params.support[-1][0]
-    log_f0 = params._log_f0
+    support, denominator = params.support, params.denominator
+    lo, hi = support[0][0], support[-1][0]
+    numerators, log_f0 = params._numerators, params._log_f0
+    # The class weight q^((v - r + h) h) [m - r, v - r + h]_q [r, r - h]_q:
+    # its two Gaussian binomials by j = v - r + h and by h.
+    outer = [qbinom_ext(m - r, j, q) for j in range(m - r + 1)]
+    inner = [qbinom_ext(r, r - h, q) for h in range(r + 1)]
     total = 0.0
     for v in range(params.max_rank + 1):
         # h = dim((U+V)/V) is at least r - v (dim(U cap V) <= v) and at most
         # r, with v + h <= m; every such class has positive weight.  The band
         # meets [lo, hi] iff lo <= v + h, h <= hi and v + h - r <= hi.
-        for h in range(max(0, r - v, lo - v), min(r, m - v, hi, hi + r - v) + 1):
-            numerator = (
-                _class_numerator(r, v, h, params) if v <= r
-                else _falling(n, v - r, q, r) * _class_numerator(v, r, v - r + h, params)
-            )
+        h_lo, h_hi = max(0, r - v, lo - v), min(r, m - v, hi, hi + r - v)
+        if h_lo > h_hi:
+            continue
+        mirror = _falling(n, v - r, q, r) if v > r else 1
+        log_f0_v = log_f0.get(v)
+        for h in range(h_lo, h_hi + 1):
+            key = (r, v, h) if v <= r else (v, r, v - r + h)
+            numerator = numerators.get(key)
+            if numerator is None:
+                # The band of (r, v, h), which its mirror shares.
+                numerator, band_lo = 0, max(h, v + h - r)
+                for rB, c in support:
+                    if band_lo <= rB <= v + h:
+                        numerator += c * f1(*key, rB, n, m, q)
+                numerators[key] = numerator
             if numerator == 0:
                 continue
-            weight = (
-                q ** ((v - r + h) * h)
-                * qbinom_ext(m - r, v - r + h, q)
-                * qbinom_ext(r, r - h, q)
-            )
-            if v not in log_f0:
-                log_f0[v] = log2_exact(f0(v, n, m, q))
+            if log_f0_v is None:
+                log_f0_v = log_f0[v] = log2_exact(f0(v, n, m, q))
+            numerator *= mirror
+            j = v - r + h
+            weight = q ** (j * h) * outer[j] * inner[h]
             # log2 p(v, h) in lowest terms: the bits of log2_exact on the
             # reduced Fraction, which is never built.  The class mass
             # weight * p(v, h) by one correctly rounded integer division:
             # weight alone can pass the float range.
-            g = math.gcd(numerator, params.denominator)
-            log_p_vh = math.log2(numerator // g) - math.log2(params.denominator // g)
-            mass = (weight * numerator) / params.denominator
-            total += mass * (log_f0[v] - log_p_vh)
+            g = math.gcd(numerator, denominator)
+            log_p_vh = math.log2(numerator // g) - math.log2(denominator // g)
+            mass = (weight * numerator) / denominator
+            total += mass * (log_f0_v - log_p_vh)
     return total
 
 

@@ -63,6 +63,19 @@ def _check_dims(**dims: int) -> None:
             )
 
 
+def _plain_args(q: int, *dims: int) -> bool:
+    """Whether q is a plain-int prime power and every dimension a plain int
+    in [0, MAX_DIMENSION]: a positional fast path for hot callers, which run
+    _check_dims and validate_field_order (and their messages) only when it
+    fails."""
+    if type(q) is not int or not is_prime_power(q):
+        return False
+    for value in dims:
+        if type(value) is not int or not 0 <= value <= MAX_DIMENSION:
+            return False
+    return True
+
+
 def _falling(a: int, k: int, q: int, start: int = 0) -> int:
     """prod_{start <= i < start + k} (q^a - q^i); 1 when k = 0."""
     qa = q**a

@@ -30,6 +30,7 @@ from .exactcomb import (
     validate_field_order,
     _check_dims,
     _falling,
+    _plain_args,
 )
 
 
@@ -187,17 +188,26 @@ def f0(u: int, n: int, m: int, q: int) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _phi(n: int, m: int, w: int, s: int, r: int, q: int) -> int:
-    """Rank-r matrices with a fixed rank-s image in the quotient by a w-space.
+def _phi_row(n: int, m: int, s: int, r: int, q: int) -> Tuple[int, ...]:
+    """Rank-r matrices with a fixed rank-s image in the quotient by a w-space,
+    for w = 0..m - s.
 
-    Counts n x m matrices B of rank r such that the induced matrix of B in
-    F_q^m / V'' equals a fixed matrix of rank s, where dim V'' = w.  The
-    same few thousand values recur across every f1 sum of a channel, so the
-    4096 most recent are kept.
+    Entry w counts the n x m matrices B of rank r whose induced matrix in
+    F_q^m / V'' equals a fixed matrix of rank s, where dim V'' = w:
+    q^(s(w - (r - s))) [w, r - s]_q prod_{s <= i < r} (q^n - q^i), 0 for
+    w < r - s and for every w when s > r or r > m.  The product does not
+    depend on w, so it is evaluated once per row.  f1 reads the rows
+    s <= r <= min(n, m), (k + 1)(k + 2) / 2 of them for k = min(n, m):
+    2 145 at n = m = MAX_DIMENSION = 64.  The 4096 most recent rows are
+    kept, so a channel of any shape builds each of its rows once.
     """
-    if s < 0 or r < s or r > s + w or s > m - w:
-        return 0
-    return q ** (s * (w - (r - s))) * qbinom_ext(w, r - s, q) * _falling(n, r - s, q, s)
+    size, k = m - s + 1, r - s
+    if not 0 <= k < size:
+        return (0,) * size
+    scale = _falling(n, k, q, s)
+    return (0,) * k + tuple(
+        q ** (s * (w - k)) * qbinom_ext(w, k, q) * scale for w in range(k, size)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -211,21 +221,24 @@ def _f1_terms(v: int, duv: int, q: int) -> Tuple[Tuple[Tuple[int, int], ...], ..
     _f1 asks only for v = min(dim U, dim V), with U + V inside F_q^m, so the
     keys are the (v, duv) with duv <= v <= min(n, m) and 2v - duv <= m: 81 at
     n = m = 16.  A channel's workspace cycles through all of them, so all
-    are kept.  An entry is sign[v-w] q^((w-a)(duv-a)) outer[w-a] inner[a],
-    from three lists: sign[j] = (-1)^j q^C(j,2), outer[j] = [v - duv, j]_q
-    and inner[a] = [duv, a]_q, so each factor of _meet_count is evaluated
-    once per table.
+    are kept.  _f1 multiplies entry (w, c) of group a by entry w of the
+    :func:`_phi_row` row of s = u - a.  An entry is
+    sign[v-w] q^((w-a)(duv-a)) outer[w-a] [duv, a]_q, from two lists,
+    sign[j] = (-1)^j q^C(j,2) and outer[j] = [v - duv, j]_q, and a power of
+    q that grows by q^(duv-a) per w, so each factor of _meet_count is
+    evaluated once per table or group.
     """
     sign = [(-1) ** (j % 2) * q ** (j * (j - 1) // 2) for j in range(v + 1)]
     outer = [qbinom_ext(v - duv, j, q) for j in range(v - duv + 1)]
-    inner = [qbinom_ext(duv, a, q) for a in range(duv + 1)]
-    return tuple(
-        tuple(
-            (w, sign[v - w] * q ** ((w - a) * (duv - a)) * outer[w - a] * inner[a])
-            for w in range(a, a + v - duv + 1)
-        )
-        for a in range(duv + 1)
-    )
+    table = []
+    for a in range(duv + 1):
+        # lift = q^((w - a)(duv - a)) inner[a], one factor q^(duv - a) per w.
+        step, lift, group = q ** (duv - a), qbinom_ext(duv, a, q), []
+        for j, count in enumerate(outer):
+            group.append((a + j, sign[v - a - j] * lift * count))
+            lift *= step
+        table.append(tuple(group))
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -241,13 +254,15 @@ def _f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:
         # mirror's Moebius sum runs over the subspaces of the smaller space U,
         # and f0(v) / f0(u) = prod_{u <= i < v} (q^n - q^i) is exact.
         return _falling(n, v - u, q, u) * _f1(v, u, v - u + h, r, n, m, q)
-    # _phi(n, m, w, u - a, r) is 0 unless u - r <= a and r - u + a <= w.
-    return sum(
-        c * _phi(n, m, w, u - a, r, q)
-        for a, group in enumerate(_f1_terms(v, u - h, q))
-        if a >= u - r
-        for w, c in group[max(0, r - u):]
-    )
+    # phi(w; s = u - a) is 0 unless u - r <= a and r - u + a <= w.
+    terms = _f1_terms(v, u - h, q)
+    skip = max(0, r - u)
+    total = 0
+    for a in range(max(0, u - r), len(terms)):
+        row = _phi_row(n, m, u - a, r, q)
+        for w, c in terms[a][skip:]:
+            total += c * row[w]
+    return total
 
 
 def f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:
@@ -260,12 +275,18 @@ def f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:
     those whose image in F_q^m / V'' cancels the image of M, a fixed matrix of
     rank u - dim(U cap V'').  Zero unless max(h, v + h - u) <= r <= v + h
     (row B <= U + V, U <= V + row B, V <= U + row B); within that band only
-    the (V'', a) terms whose _phi factor can be nonzero are summed.  For
-    u < v the sum runs over the subspaces of U instead, by the mirror
-    identity f0(u) f1(u, v, h; r) = f0(v) f1(v, u, v - u + h; r).
+    the (V'', a) terms whose count can be nonzero are summed.  For u < v the
+    sum runs over the subspaces of U instead, by the mirror identity
+    f0(u) f1(u, v, h; r) = f0(v) f1(v, u, v - u + h; r).
+
+    Each term is a Moebius coefficient from :func:`_f1_terms` times the
+    count of rank-r matrices with a fixed rank-(u - a) image in the quotient
+    by V'', read from the row of :func:`_phi_row` for (n, m, u - a, r, q)
+    at w = dim V''.  That table keeps its 4096 most recent rows.
     """
-    _check_dims(u=u, v=v, h=h, r=r, n=n, m=m)
-    validate_field_order(q)
+    if not _plain_args(q, u, v, h, r, n, m):
+        _check_dims(u=u, v=v, h=h, r=r, n=n, m=m)
+        validate_field_order(q)
     return _f1(u, v, h, r, n, m, q)
 
 
@@ -280,13 +301,12 @@ def f2(r: int, rX: int, rB: int, n: int, m: int, q: int) -> int:
     max(rX, r) - rB <= hp <= r + rX - rB here, so f2 is 0 unless
     |r - rX| <= rB <= r + rX, and only that hp range is summed.
     """
-    _check_dims(r=r, rX=rX, rB=rB, n=n, m=m)
-    validate_field_order(q)
+    if not _plain_args(q, r, rX, rB, n, m):
+        _check_dims(r=r, rX=rX, rB=rB, n=n, m=m)
+        validate_field_order(q)
     if max(r, rX, rB) > min(n, m):
         return 0
-    return sum(
-        _meet_count(m, rX, r, hp, q) * _f1(rX, r, rX - hp, rB, n, m, q)
-        for hp in range(
-            max(0, r + rX - m, max(r, rX) - rB), min(r, rX, r + rX - rB) + 1
-        )
-    )
+    total = 0
+    for hp in range(max(0, r + rX - m, max(r, rX) - rB), min(r, rX, r + rX - rB) + 1):
+        total += _meet_count(m, rX, r, hp, q) * _f1(rX, r, rX - hp, rB, n, m, q)
+    return total

@@ -39,17 +39,40 @@ class TestEntryChecks:
     @pytest.mark.parametrize(
         "bad, message",
         [
-            (True, "n must be an int, got True"),
-            (3.0, "n must be an int, got 3.0"),
-            ("3", "n must be an int, got '3'"),
-            (-1, "n must be non-negative, got -1"),
-            (65, "n = 65 exceeds MAX_DIMENSION = 64"),
+            (True, "{} must be an int, got True"),
+            (3.0, "{} must be an int, got 3.0"),
+            ("3", "{} must be an int, got '3'"),
+            (-1, "{} must be non-negative, got -1"),
+            (65, "{} = 65 exceeds MAX_DIMENSION = 64"),
         ],
     )
     def test_error_messages(self, bad, message):
+        """A bad value in any dimension of f1 or f2 fails the fast path and
+        raises the message of the full checks."""
+        for fn, good, names in (
+            (matrixfn.f1, [1, 1, 0, 1, 3, 3, 2], ("u", "v", "h", "r", "n", "m")),
+            (matrixfn.f2, [1, 1, 0, 3, 3, 2], ("r", "rX", "rB", "n", "m")),
+        ):
+            for i, name in enumerate(names):
+                args = list(good)
+                args[i] = bad
+                with pytest.raises(ValueError) as err:
+                    fn(*args)
+                assert str(err.value) == message.format(name), (fn.__name__, name)
+
+    @pytest.mark.parametrize(
+        "q, message",
+        [
+            (6, "field order must be a prime power >= 2, got 6"),
+            (1, "field order must be a prime power >= 2, got 1"),
+            (True, "field order must be an int, got True"),
+            (4.0, "field order must be an int, got 4.0"),
+        ],
+    )
+    def test_bad_field_order_keeps_its_message(self, q, message):
         for call in (
-            lambda: matrixfn.f1(0, 0, 0, 0, bad, 3, 2),
-            lambda: matrixfn.f2(0, 0, 0, bad, 3, 2),
+            lambda: matrixfn.f1(1, 1, 0, 1, 3, 3, q),
+            lambda: matrixfn.f2(1, 1, 0, 3, 3, q),
         ):
             with pytest.raises(ValueError) as err:
                 call()

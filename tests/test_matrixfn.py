@@ -14,8 +14,17 @@ import pytest
 
 from gammacap import matrixfn, oracle, solver
 from gammacap.channel import ChannelParams, parse_error_model
-from gammacap.exactcomb import qbinom
-from gammacap.matrixfn import _l_count, _meet_count, _phi, c_prime, f0, f1, f2
+from gammacap.exactcomb import _falling, qbinom, qbinom_ext
+from gammacap.matrixfn import _l_count, _meet_count, c_prime, f0, f1, f2
+
+
+def _phi(n, m, w, s, r, q):
+    """Rank-r n x m matrices with a fixed rank-s image in the quotient of
+    F_q^m by a w-space, in closed form: q^(s(w - (r - s))) [w, r - s]_q
+    prod_{s <= i < r} (q^n - q^i), 0 outside r - s <= w <= m - s."""
+    if s < 0 or r < s or r > s + w or s > m - w:
+        return 0
+    return q ** (s * (w - (r - s))) * qbinom_ext(w, r - s, q) * _falling(n, r - s, q, s)
 
 
 def _overlapping_pair(dU, dV, dUV, m):
@@ -363,8 +372,42 @@ class TestSupportBands:
                     assert f2(r, rx, rb, n, m, q) == want
         assert outside
 
-    def test_phi_table_is_bounded(self):
-        assert matrixfn._phi.cache_info().maxsize == 4096
+
+class TestPhiRows:
+    """f1 reads its phi counts from one row per (n, m, s, r, q), indexed by
+    w = 0..m - s."""
+
+    @pytest.mark.parametrize("q", [2, 3, 16])
+    @pytest.mark.parametrize("n, m", [(3, 6), (6, 3), (5, 5)])
+    def test_rows_match_closed_form(self, q, n, m):
+        edges = 0
+        for r in range(min(n, m) + 2):
+            for s in range(m + 1):
+                row = matrixfn._phi_row.__wrapped__(n, m, s, r, q)
+                assert row == tuple(_phi(n, m, w, s, r, q) for w in range(m - s + 1))
+                if s > r:
+                    assert not any(row), (s, r)
+                # The last entry is the edge w = m - s.
+                edges += row[-1] != 0
+        assert edges
+
+    def test_row_table_is_bounded_and_holds_a_full_channel(self):
+        """A (2,64,64) channel's f1 sums read the rows s <= r <= 64, 2 145
+        of them; all fit at once, so a second pass reads every row again
+        without a miss."""
+        table = matrixfn._phi_row
+        assert table.cache_info().maxsize is not None
+        keys = [(64, 64, s, r, 2) for r in range(65) for s in range(r + 1)]
+        assert len(keys) == 2145
+        table.cache_clear()
+        try:
+            for _ in range(2):
+                for key in keys:
+                    table(*key)
+            info = table.cache_info()
+            assert info.misses == info.currsize == len(keys)
+        finally:
+            table.cache_clear()
 
 
 class TestRowSpaceCount:

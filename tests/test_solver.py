@@ -1,5 +1,6 @@
 """Capacity solver: certificates, closed forms and cross-checks."""
 
+import hashlib
 import logging
 import math
 import random
@@ -608,6 +609,34 @@ class TestSparseWorkspace:
         x = [1.0, 0.0, 0.0]
         assert _hex(ws.gradient(x)) == _hex(dense.gradient(x))
         assert ws.gradient(x)[1:] == [math.inf, math.inf]
+
+
+class TestWorkspaceBits:
+    """Every float of six of the benchmark catalogue's slowest workspace
+    builds, pinned as one SHA-256 over their hex: changes to how the exact
+    counts are evaluated must leave every bit of the workspace alone."""
+
+    CHANNELS = [
+        (2, 16, 16, "binomial:T=4,p=0.1"),
+        (9, 11, 9, "empirical:6/29,2/29,3/29,0/29,3/29,2/29,1/29,1/29,7/29,4/29"),
+        (8, 16, 16, "iid:t=3"),
+        (7, 13, 14, "constant:t=7"),
+        (5, 16, 11, "constant:t=9"),
+        (8, 10, 12, "binomial:T=3,p=0.2"),
+    ]
+    DIGEST = "384f83043d8d5bde9d954203b38bdcc5263ec6ec1984224755d9b69c719e622f"
+
+    def test_workspace_hex_digest(self):
+        texts = []
+        for channel in self.CHANNELS:
+            ws = solver._Workspace(_params(*channel))
+            texts.append(repr((
+                [h.hex() for h in ws.h_vec],
+                [[(a, t.hex()) for a, t in row] for row in ws.rows],
+                [[(ry, t.hex()) for ry, t in col] for col in ws.columns],
+                [x.hex() for x in ws.log_class],
+            )))
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == self.DIGEST
 
 
 class TestFlatChannel:
