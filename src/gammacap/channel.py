@@ -130,11 +130,11 @@ class ChannelParams:
     exactly), since a float P(rB) / N_rB overflows once N_rB leaves the
     float range.
 
-    ``_numerators`` and ``_log_f0`` are :func:`h_r`'s per-channel store,
-    empty when the channel is built and filled as h_r needs them: the
-    numerator sum_rB c_rB f1(u, v, h; rB) of a class by its triple
-    (u, v, h) with u >= v, and log2 f0(v) by v.  Like ``support`` they take
-    no part in equality, hashing or repr.
+    ``_numerators`` and ``_log_f0`` are :func:`h_r`'s store: the numerator
+    sum_rB c_rB f1(u, v, h; rB) of a class by (u, v, h) with u >= v, and
+    log2 f0(v) by v.  ``_workspace`` holds solver._workspace's tables.  All
+    three start empty, fill on first use and are freed with the channel;
+    like ``support`` they take no part in equality, hashing or repr.
     """
 
     q: int
@@ -145,6 +145,7 @@ class ChannelParams:
     denominator: int = field(init=False, repr=False, compare=False)
     _numerators: Dict[Tuple[int, int, int], int] = field(init=False, repr=False, compare=False)
     _log_f0: Dict[int, float] = field(init=False, repr=False, compare=False)
+    _workspace: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         validate_field_order(self.q)
@@ -177,24 +178,23 @@ class ChannelParams:
         return self.max_rank + 1
 
 
-def _check_rank(params: ChannelParams, **ranks: int) -> None:
-    _check_dims(**ranks)
-    for name, value in ranks.items():
-        if value > params.max_rank:
-            raise ValueError(
-                f"{name} = {value} exceeds min(n, m) = {params.max_rank}"
-            )
+def _check_rank(params: ChannelParams, *ranks: int) -> None:
+    for name, value in zip(("r", "rX", "rB"), ranks):
+        if type(value) is not int or not 0 <= value <= params.max_rank:
+            _check_dims(**{name: value})
+            if value > params.max_rank:
+                raise ValueError(f"{name} = {value} exceeds min(n, m) = {params.max_rank}")
 
 
 def rank_class_size(params: ChannelParams, r: int) -> int:
     """Number of n x m matrices of rank r over F_q."""
-    _check_rank(params, r=r)
+    _check_rank(params, r)
     return count_rank_matrices(params.n, params.m, r, params.q)
 
 
 def rho_given_ranks(r: int, rX: int, rB: int, params: ChannelParams) -> Fraction:
     """P(rank(X+B) = r) for fixed rank(X) = rX and B uniform of rank rB."""
-    _check_rank(params, r=r, rX=rX, rB=rB)
+    _check_rank(params, r, rX, rB)
     q, n, m = params.q, params.n, params.m
     return Fraction(f2(r, rX, rB, n, m, q), count_rank_matrices(n, m, rB, q))
 
@@ -206,7 +206,7 @@ def rho_avg(r: int, rX: int, params: ChannelParams) -> Numeric:
     (|rank X - rank B| <= rank(X+B) <= rank X + rank B), so f2 is 0 unless
     |r - rX| <= rB <= r + rX and the sum runs over those error ranks only.
     """
-    _check_rank(params, r=r, rX=rX)
+    _check_rank(params, r, rX)
     q, n, m = params.q, params.n, params.m
     lo, hi = abs(r - rX), r + rX
     numerator = 0
@@ -259,7 +259,7 @@ def h_r(r: int, params: ChannelParams) -> float:
     mirror pair and channel, and log2 f0(v) once per rank and channel: both
     are kept in the channel's store.
     """
-    _check_rank(params, r=r)
+    _check_rank(params, r)
     q, n, m = params.q, params.n, params.m
     support, denominator = params.support, params.denominator
     lo, hi = support[0][0], support[-1][0]

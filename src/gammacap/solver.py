@@ -28,7 +28,6 @@ import math
 import operator
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .channel import (
@@ -91,7 +90,7 @@ class CapacityResult:
 
 
 class _Workspace:
-    """Per-channel precomputation: h_r vector and the rank transition kernel.
+    """One channel's h_r vector and rank transition kernel, kept on the channel.
 
     Only nonzero kernel entries are kept, as (index, T) pairs by output row
     and by input column; sums keep their order and differ from dense ones
@@ -166,9 +165,10 @@ class _Workspace:
         return grad
 
 
-@lru_cache(maxsize=None)
 def _workspace(params: ChannelParams) -> _Workspace:
-    return _Workspace(params)
+    if params._workspace is None:
+        object.__setattr__(params, "_workspace", _Workspace(params))
+    return params._workspace
 
 
 def _as_vector(input_ranks: InputVector, size: int) -> List[float]:

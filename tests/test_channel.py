@@ -244,6 +244,22 @@ class TestTransitionLaw:
                 total = sum(rho_given_ranks(r, rx, rb, params) for r in range(3))
                 assert total == 1
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda p: h_r(True, p), "r must be an int, got True"),
+            (lambda p: h_r(4, p), "r = 4 exceeds min(n, m) = 3"),
+            (lambda p: rho_avg(0, -1, p), "rX must be non-negative, got -1"),
+            (lambda p: rho_given_ranks(0, 0, 4, p), "rB = 4 exceeds min(n, m) = 3"),
+            (lambda p: rank_class_size(p, 65), "r = 65 exceeds MAX_DIMENSION = 64"),
+        ],
+        ids=["bool", "above-min", "negative", "rB-above-min", "above-max-dimension"],
+    )
+    def test_rank_argument_messages(self, call, message):
+        with pytest.raises(ValueError) as refused:
+            call(_params(2, 3, 3, "iid:t=1"))
+        assert str(refused.value) == message
+
     def test_rho_avg_mixes_error_ranks(self):
         params = _params(2, 2, 2, "binomial:T=2,p=0.3")
         for rx in range(3):
@@ -452,7 +468,6 @@ class TestSupportPruning:
 
         monkeypatch.setattr(channel, "f1", recording(channel.f1, 3))
         monkeypatch.setattr(channel, "f2", recording(channel.f2, 2))
-        solver._workspace.cache_clear()
         solver._workspace(params)
         assert error_ranks
         assert all(params.error_dist[rb] != 0 for rb in error_ranks)
@@ -630,15 +645,21 @@ class TestClassStore:
 
     @pytest.mark.parametrize("params", _PRUNED_CHANNELS)
     def test_equal_channel_starts_empty(self, params):
+        """An equal or replaced channel shares neither the store nor the
+        solver workspace, and gives the same bits."""
         ranks = range(params.rank_count)
         want = [float.hex(h_r(r, params)) for r in ranks]
-        assert params._numerators and params._log_f0
+        result = repr(solver.maximize(params))
+        assert params._numerators and params._log_f0 and params._workspace is not None
         equal = ChannelParams(params.q, params.n, params.m, params.error_dist)
         for fresh in (equal, dataclasses.replace(params)):
             assert fresh == params and hash(fresh) == hash(params)
             assert repr(fresh) == repr(params)
             assert fresh._numerators == {} and fresh._log_f0 == {}
+            assert fresh._workspace is None
             assert [float.hex(h_r(r, fresh)) for r in ranks] == want
+            assert repr(solver.maximize(fresh)) == result
+            assert fresh._workspace is not params._workspace
 
 
 # Channels beyond the oracle's budget with two, one and four supported error ranks.

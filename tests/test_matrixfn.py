@@ -7,6 +7,7 @@ be checked case by case; c_prime is also pinned at ambient dimensions 6 to
 8, beyond the oracle's reach.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -285,19 +286,18 @@ class TestF1TermTable:
         """_f1 sums over the subspaces of the smaller of U and V, so a key is
         (v, dim(U cap V)) with v = min(dim U, dim V), and U + V fits in
         F_q^m: 2v - dim(U cap V) <= m.  A 17-rank workspace with a
-        full-support error law reads all 81 such keys with v <= 16, and a
-        second workspace misses none of them."""
+        full-support error law reads all 81 such keys with v <= 16, and the
+        workspace of a second, equal channel misses none of them."""
         params = ChannelParams(2, 16, 16, parse_error_model("iid:t=16", 2, 16, 16))
         keys = [(v, duv) for v in range(17) for duv in range(v + 1) if 2 * v - duv <= 16]
         assert len(keys) == 81
-        for cached in (matrixfn._f1_terms, matrixfn._f1, solver._workspace):
+        for cached in (matrixfn._f1_terms, matrixfn._f1):
             cached.cache_clear()
         solver._workspace(params)
         info = matrixfn._f1_terms.cache_info()
         assert info.misses == info.currsize == len(keys)
         matrixfn._f1.cache_clear()
-        solver._workspace.cache_clear()
-        solver._workspace(params)
+        solver._workspace(dataclasses.replace(params))
         assert matrixfn._f1_terms.cache_info().misses == info.misses
 
 

@@ -1,9 +1,11 @@
 """Capacity solver: certificates, closed forms and cross-checks."""
 
+import gc
 import hashlib
 import logging
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -637,6 +639,29 @@ class TestWorkspaceBits:
                 [x.hex() for x in ws.log_class],
             )))
         assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == self.DIGEST
+
+
+class TestWorkspaceLifetime:
+    """A channel's workspace is built on its first use, kept on the channel
+    and freed with it: no module-level state holds a channel."""
+
+    def test_maximize_twice_builds_once(self, monkeypatch):
+        params = _params(3, 4, 4, "iid:t=2")
+        builds = []
+        build = solver._Workspace
+        monkeypatch.setattr(solver, "_Workspace", lambda p: builds.append(p) or build(p))
+        first, second = maximize(params), maximize(params)
+        assert len(builds) == 1 and builds[0] is params
+        assert params._workspace is solver._workspace(params)
+        assert repr(first) == repr(second)
+
+    def test_dropped_channel_is_collected(self):
+        params = _params(3, 4, 4, "iid:t=2")
+        maximize(params)
+        refs = weakref.ref(params), weakref.ref(solver._workspace(params))
+        del params
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestFlatChannel:
