@@ -27,8 +27,6 @@ from .channel import (
     parse_error_model,
     rank_class_size,
     rho_avg,
-    rho_given_ranks,
-    uniform_rank_distribution,
 )
 from .solver import CapacityResult, SolverConfig, gradient, maximize, objective
 
@@ -61,8 +59,6 @@ __all__ = [
     "qbinom",
     "rank_class_size",
     "rho_avg",
-    "rho_given_ranks",
-    "uniform_rank_distribution",
     "validate_field_order",
     "__version__",
 ]

@@ -179,7 +179,7 @@ class ChannelParams:
 
 
 def _check_rank(params: ChannelParams, *ranks: int) -> None:
-    for name, value in zip(("r", "rX", "rB"), ranks):
+    for name, value in zip(("r", "rX"), ranks):
         if type(value) is not int or not 0 <= value <= params.max_rank:
             _check_dims(**{name: value})
             if value > params.max_rank:
@@ -190,13 +190,6 @@ def rank_class_size(params: ChannelParams, r: int) -> int:
     """Number of n x m matrices of rank r over F_q."""
     _check_rank(params, r)
     return count_rank_matrices(params.n, params.m, r, params.q)
-
-
-def rho_given_ranks(r: int, rX: int, rB: int, params: ChannelParams) -> Fraction:
-    """P(rank(X+B) = r) for fixed rank(X) = rX and B uniform of rank rB."""
-    _check_rank(params, r, rX, rB)
-    q, n, m = params.q, params.n, params.m
-    return Fraction(f2(r, rX, rB, n, m, q), count_rank_matrices(n, m, rB, q))
 
 
 def rho_avg(r: int, rX: int, params: ChannelParams) -> Numeric:
@@ -323,7 +316,9 @@ def output_entropy(input_ranks: RankDistribution, params: ChannelParams) -> floa
     """H(Y) in bits for an input uniform on each rank class.
 
     Y is then uniform within each rank class as well, so
-    H(Y) = -sum_r R_Y(r) log2(R_Y(r) / N_r) with N_r the class size.
+    H(Y) = -sum_r R_Y(r) log2(R_Y(r) / N_r) with N_r the class size.  For
+    a float R_Y(r) the log is taken as log2 R_Y(r) - log2 N_r, since N_r can
+    pass the float range and math.log2 takes the int as it is.
     """
     out = output_rank_distribution(input_ranks, params)
     total = 0.0
@@ -331,12 +326,12 @@ def output_entropy(input_ranks: RankDistribution, params: ChannelParams) -> floa
         p = out[r]
         if p == 0:
             continue
-        ratio = (
-            Fraction(p, rank_class_size(params, r))
-            if _is_exact(p)
-            else p / rank_class_size(params, r)
-        )
-        total -= float(p) * log2_exact(ratio)
+        size = rank_class_size(params, r)
+        if _is_exact(p):
+            log_ratio = log2_exact(Fraction(p, size))
+        else:
+            log_ratio = math.log2(p) - math.log2(size)
+        total -= float(p) * log_ratio
     return total
 
 
@@ -499,9 +494,3 @@ def parse_error_model(spec: str, q: int, n: int, m: int) -> RankDistribution:
         raise ValueError(f"unknown arguments {sorted(kwargs)} in {spec!r}")
     return result
 
-
-def uniform_rank_distribution(n: int, m: int) -> RankDistribution:
-    """Uniform distribution over ranks 0..min(n, m)."""
-    _check_dims(n=n, m=m)
-    size = min(n, m) + 1
-    return RankDistribution([Fraction(1, size)] * size)

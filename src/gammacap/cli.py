@@ -477,6 +477,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except oracle.BudgetExceededError as exc:
         _print_error(EXIT_BUDGET, str(exc))
         return EXIT_BUDGET
+    except AssertionError as exc:
+        # An oracle table that is not well defined fails verification.
+        _print_error(EXIT_VERIFY_FAILED, str(exc))
+        return EXIT_VERIFY_FAILED
     except (ValueError, TypeError) as exc:
         _print_error(EXIT_BAD_INPUT, str(exc))
         return EXIT_BAD_INPUT

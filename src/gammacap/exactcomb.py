@@ -45,13 +45,9 @@ def validate_field_order(q: int) -> int:
 
 
 def _check_dims(**dims: int) -> None:
-    # Fast path for plain in-range ints; the loop below finds and reports the
-    # first bad value.
-    for value in dims.values():
-        if type(value) is not int or not 0 <= value <= MAX_DIMENSION:
-            break
-    else:
-        return
+    """Raise ValueError naming the first dimension that is not an int in
+    [0, MAX_DIMENSION].  Hot callers try :func:`_plain_args` first and come
+    here only when it fails, for the message."""
     for name, value in dims.items():
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{name} must be an int, got {value!r}")
@@ -91,7 +87,8 @@ def _qbinom_checked(m: int, d: int, q: int) -> int:
         return 0
     d = min(d, m - d)
     quotient, remainder = divmod(_falling(m, d, q), _falling(d, d, q))
-    assert remainder == 0, "Gaussian binomial division must be exact"
+    if remainder:
+        raise AssertionError("Gaussian binomial division must be exact")
     return quotient
 
 
@@ -101,8 +98,9 @@ def qbinom(m: int, d: int, q: int) -> int:
     Evaluates the telescoping product prod_{i<d} (q^m - q^i)/(q^d - q^i)
     with a single exact final division; 0 when d > m.
     """
-    _check_dims(m=m, d=d)
-    validate_field_order(q)
+    if not _plain_args(q, m, d):
+        _check_dims(m=m, d=d)
+        validate_field_order(q)
     return _qbinom_checked(m, d, q)
 
 
@@ -120,8 +118,9 @@ def qbinom_ext(m: int, d: int, q: int) -> int:
 
 def count_rank_matrices(n: int, m: int, r: int, q: int) -> int:
     """Number of n x m matrices of rank exactly r over F_q."""
-    _check_dims(n=n, m=m, r=r)
-    validate_field_order(q)
+    if not _plain_args(q, n, m, r):
+        _check_dims(n=n, m=m, r=r)
+        validate_field_order(q)
     if r > min(n, m):
         return 0
     return _qbinom_checked(m, r, q) * _falling(n, r, q)

@@ -142,11 +142,12 @@ def c_prime(
     meet P in exactly Y.  j runs from dVpWp to min(dVW, dVp) and stops once
     y exceeds dVp.
     """
-    _check_dims(
-        dU=dU, dV=dV, dW=dW, dUV=dUV, dUW=dUW, dVW=dVW, dUVW=dUVW,
-        dVp=dVp, dWp=dWp, dVpWp=dVpWp, m=m,
-    )
-    validate_field_order(q)
+    if not _plain_args(q, dU, dV, dW, dUV, dUW, dVW, dUVW, dVp, dWp, dVpWp, m):
+        _check_dims(
+            dU=dU, dV=dV, dW=dW, dUV=dUV, dUW=dUW, dVW=dVW, dUVW=dUVW,
+            dVp=dVp, dWp=dWp, dVpWp=dVpWp, m=m,
+        )
+        validate_field_order(q)
     d1 = (dU, dV, dW, dUV, dUW, dVW, dUVW)
     # dVpWp > dWp admits no W' and would make the lift exponent negative.
     if not _realizable_with_sum_condition(d1, m) or dVpWp > dWp:
@@ -180,8 +181,9 @@ def f0(u: int, n: int, m: int, q: int) -> int:
     rank.  The alternating sum
     sum_v (-1)^(u-v) q^(nv + C(u-v,2)) qbinom(u, v) is the tested identity.
     """
-    _check_dims(u=u, n=n, m=m)
-    validate_field_order(q)
+    if not _plain_args(q, u, n, m):
+        _check_dims(u=u, n=n, m=m)
+        validate_field_order(q)
     if u > min(n, m):
         raise ValueError(f"u = {u} exceeds min(n, m) = {min(n, m)}")
     return _falling(n, u, q)

@@ -17,10 +17,8 @@ law.  A shape over budget is refused explicitly
 (:class:`BudgetExceededError`) so callers can distinguish "too big by
 policy" from "wrong input"; :func:`check_budgets` refuses such a shape
 before anything is enumerated.  GL(n, q) is built row by row, each row
-drawn from outside the span of the rows before it.  No enumeration reduces
-a matrix: ranks and row spaces come from spans, and the Gauss-Jordan
-elimination behind :func:`rank_of` and :func:`rref_basis` serves the tests
-and the canonical bases of :func:`realize_configuration`.  Work shared
+drawn from outside the span of the rows before it.  Nothing here reduces
+a matrix: ranks and row spaces come from spans.  Work shared
 between terms (the images A*Z of one matrix Z, the row spaces reached from
 one representative M) is enumerated once per call and kept for no longer.
 The inner loops read matrices by their index in enumerate_matrices order:
@@ -69,43 +67,6 @@ class BudgetExceededError(RuntimeError):
 def _require_prime(q: int) -> None:
     if q < 2 or any(q % d == 0 for d in range(2, int(math.isqrt(q)) + 1)):
         raise ValueError(f"oracle requires a prime field order, got q={q}")
-
-
-def _rref(vectors: Sequence[Sequence[int]], q: int) -> Tuple[List[List[int]], List[int]]:
-    """Gauss-Jordan over F_q (q prime): the nonzero rows of the reduced row
-    echelon form of ``vectors`` and their pivot columns.  Callers check that
-    q is prime, once per public call rather than once per elimination."""
-    rows = [[x % q for x in r] for r in vectors]
-    ncols = len(rows[0]) if rows else 0
-    pivots: List[int] = []
-    for col in range(ncols):
-        rank = len(pivots)
-        if rank == len(rows):
-            break
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], q - 2, q)
-        top = rows[rank] = [(x * inv) % q for x in rows[rank]]
-        for i, row in enumerate(rows):
-            if i != rank and row[col]:
-                f = row[col]
-                rows[i] = [(a - f * b) % q for a, b in zip(row, top)]
-        pivots.append(col)
-    return rows[: len(pivots)], pivots
-
-
-def rank_of(mat: Sequence[Sequence[int]], q: int) -> int:
-    """Rank of a matrix over F_q (q prime) by Gaussian elimination."""
-    _require_prime(q)
-    return len(_rref(mat, q)[1])
-
-
-def rref_basis(vectors: Sequence[Sequence[int]], q: int) -> Matrix:
-    """Canonical RREF basis (tuple of rows) of the span of ``vectors``."""
-    _require_prime(q)
-    return tuple(tuple(r) for r in _rref(vectors, q)[0])
 
 
 def _check_grid(rows: int, cols: int, q: int, label: str) -> None:
@@ -273,7 +234,8 @@ def brute_f_functions(n: int, m: int, q: int) -> Dict[str, Dict]:
 
     def record(name: str, table: Dict, key: Tuple[int, ...], cnt: int) -> None:
         first = table.setdefault(key, cnt)
-        assert first == cnt, f"{name} not well defined at {key}: {first} != {cnt}"
+        if first != cnt:
+            raise AssertionError(f"{name} not well defined at {key}: {first} != {cnt}")
 
     # f0: matrices with one fixed rowspace per dimension.
     f0 = {u: len(by_rowspace[space_dim.index(u)]) for u in range(mn + 1)}
@@ -327,8 +289,12 @@ def realize_configuration(
 
     The construction allocates one coordinate block per indecomposable of the
     three-subspace lattice: common lines, pairwise lines, V-only lines, and
-    generic planes carrying (U, V, W) = (<x>, <y>, <x+y>).
+    generic planes carrying (U, V, W) = (<x>, <y>, <x+y>).  Each basis is
+    returned as built: its rows are unit vectors and sums of two unit
+    vectors, each on coordinates of its own, so they are independent and
+    already in reduced echelon form.  A non-prime q raises ValueError.
     """
+    _require_prime(q)
     dU, dV, dW, dUV, dUW, dVW, dUVW = d1
     n_uvw = dUVW
     n_uv = dUV - dUVW
@@ -383,7 +349,7 @@ def realize_configuration(
         V.append(y)
         W.append([(a + b) % q for a, b in zip(x, y)])
         pos += 2
-    return rref_basis(U, q), rref_basis(V, q), rref_basis(W, q)
+    return tuple(map(tuple, U)), tuple(map(tuple, V)), tuple(map(tuple, W))
 
 
 def pair_counts(
@@ -395,7 +361,7 @@ def pair_counts(
     (returns None if none exists), then enumerates every pair of subspaces
     V' of V and W' of W with W' + V' = U + V' and buckets by the full
     10-dimensional profile.  W' + V' = U + V' holds when W' lies in U + V'
-    and dim(W' + V') = dim(U + V').
+    and dim(W' + V') = dim(U + V').  A non-prime q raises ValueError.
     """
     config = realize_configuration(d1, m, q)
     if config is None:
@@ -417,24 +383,6 @@ def pair_counts(
             )
             key = (len(Vp), dWp) + tuple(dim_of[len(s)] for s in meets)
             counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def subspace_counts(
-    m: int,
-    q: int,
-    U: Matrix,
-    V: Matrix,
-) -> Dict[Tuple[int, int, int, int], int]:
-    """Enumerated l-counts: (dW, dUW, dVW, dUVW) -> number of subspaces W."""
-    dim_of = {q**d: d for d in range(m + 1)}
-    sU, sV = _span(U, q), _span(V, q)
-    sUV = sU & sV
-    counts: Dict[Tuple[int, int, int, int], int] = {}
-    for W in enumerate_subspaces(m, q):
-        sW = _span(W, q)
-        key = (len(W),) + tuple(dim_of[len(s & sW)] for s in (sU, sV, sUV))
-        counts[key] = counts.get(key, 0) + 1
     return counts
 
 

@@ -1,0 +1,150 @@
+"""Test references that the package itself does not need.
+
+Gauss-Jordan elimination over a prime field (rank, canonical RREF basis),
+a census of subspaces by their meets with a fixed pair, the rank transition
+probability of one error rank, and the uniform input rank law.  Nothing
+here imports gammacap, so a check against this module compares the package
+with an independent computation:
+
+- ranks and row spaces by elimination, where the oracle reads them off
+  enumerated spans;
+- the subspaces of F_q^m by closing {0} under adding one vector at a time,
+  where the oracle enumerates pivot patterns;
+- f2(r, rX, rB) as an intersection number of the bilinear forms scheme,
+  from Delsarte's eigenvalues, where matrixfn sums f1 terms.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+from functools import lru_cache
+
+
+def _require_prime(q):
+    if q < 2 or any(q % d == 0 for d in range(2, math.isqrt(q) + 1)):
+        raise ValueError(f"reference elimination needs a prime field, got q={q}")
+
+
+def _rref(vectors, q):
+    """The nonzero rows of the reduced row echelon form of ``vectors`` over
+    F_q (q prime) and their pivot columns."""
+    rows = [[x % q for x in r] for r in vectors]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], q - 2, q)
+        top = rows[rank] = [(x * inv) % q for x in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                f = row[col]
+                rows[i] = [(a - f * b) % q for a, b in zip(row, top)]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def rank_of(mat, q):
+    """Rank of a matrix over F_q (q prime) by Gaussian elimination."""
+    _require_prime(q)
+    return len(_rref(mat, q)[1])
+
+
+def rref_basis(vectors, q):
+    """Canonical RREF basis (tuple of rows) of the span of ``vectors``."""
+    _require_prime(q)
+    return tuple(tuple(r) for r in _rref(vectors, q)[0])
+
+
+def _vectors(basis, q, m):
+    """Every vector of the span of ``basis`` in F_q^m."""
+    return {
+        tuple(sum(c * row[j] for c, row in zip(coeffs, basis)) % q for j in range(m))
+        for coeffs in itertools.product(range(q), repeat=len(basis))
+    }
+
+
+def _all_subspaces(m, q):
+    """Every subspace of F_q^m as its RREF basis: {0} closed under adding
+    one vector of F_q^m at a time."""
+    found = {()}
+    frontier = [()]
+    vectors = list(itertools.product(range(q), repeat=m))
+    while frontier:
+        grown = []
+        for basis in frontier:
+            for v in vectors:
+                bigger = rref_basis(basis + (v,), q)
+                if bigger not in found:
+                    found.add(bigger)
+                    grown.append(bigger)
+        frontier = grown
+    return found
+
+
+def subspace_counts(m, q, U, V):
+    """Enumerated l-counts: (dW, dUW, dVW, dUVW) -> number of subspaces W of
+    F_q^m, for the spans of U and V."""
+    sU, sV = _vectors(U, q, m), _vectors(V, q, m)
+    sUV = sU & sV
+    dim_of = {q**d: d for d in range(m + 1)}
+    counts = {}
+    for W in _all_subspaces(m, q):
+        sW = _vectors(W, q, m)
+        key = (len(W),) + tuple(dim_of[len(s & sW)] for s in (sU, sV, sUV))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _gauss(a, b, q):
+    """The Gaussian binomial [a, b]_q, 0 outside 0 <= b <= a."""
+    if not 0 <= b <= a:
+        return 0
+    num = den = 1
+    for i in range(b):
+        num *= q ** (a - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@lru_cache(maxsize=None)
+def _eigenvalue(k, x, d, e, q):
+    """Delsarte's eigenvalue P_k(x) of the scheme of d x e matrices over F_q
+    (d <= e), related by rank distance: sum_j (-1)^(k-j) q^(je + C(k-j, 2))
+    [d-j, d-k]_q [d-x, j]_q.  P_k(0) is the number of rank-k matrices."""
+    return sum(
+        (-1) ** (k - j) * q ** (j * e + (k - j) * (k - j - 1) // 2)
+        * _gauss(d - j, d - k, q) * _gauss(d - x, j, q)
+        for j in range(k + 1)
+    )
+
+
+def rho_given_ranks(r, rX, rB, params):
+    """P(rank(X+B) = r) for a fixed X of rank rX and B uniform of rank rB,
+    over the n x m matrices of ``params`` (read for q, n and m).
+
+    The number of such B is the intersection number
+    p^rX_(r, rB) = sum_l v_l P_r(l) P_rB(l) P_rX(l) / (q^(nm) v_rX) of the
+    self-dual bilinear forms scheme, with v_l = P_l(0)."""
+    q, n, m = params.q, params.n, params.m
+    d, e = min(n, m), max(n, m)
+    size = [_eigenvalue(k, 0, d, e, q) for k in range(d + 1)]
+    total = sum(
+        size[l] * _eigenvalue(r, l, d, e, q) * _eigenvalue(rB, l, d, e, q)
+        * _eigenvalue(rX, l, d, e, q)
+        for l in range(d + 1)
+    )
+    count, remainder = divmod(total, q ** (n * m) * size[rX])
+    assert remainder == 0, "an intersection number is an integer"
+    return Fraction(count, size[rB])
+
+
+def uniform_rank_distribution(n, m):
+    """The uniform law over ranks 0..min(n, m), as exact probabilities."""
+    size = min(n, m) + 1
+    return [Fraction(1, size)] * size

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference
 from gammacap import channel, matrixfn, oracle, solver
 from gammacap.channel import (
     ChannelParams,
@@ -24,8 +25,6 @@ from gammacap.channel import (
     parse_error_model,
     rank_class_size,
     rho_avg,
-    rho_given_ranks,
-    uniform_rank_distribution,
 )
 from gammacap.exactcomb import _falling, count_rank_matrices, qbinom, qbinom_ext
 from gammacap.matrixfn import f0, f1, f2
@@ -39,7 +38,7 @@ def _oracle_mutual_information(law, input_rank_probs, q):
     """I(X; Y) for a rank-then-uniform input, straight from the law."""
     by_rank = {}
     for x, mat in enumerate(law.matrices):
-        by_rank.setdefault(oracle.rank_of(mat, q), []).append(x)
+        by_rank.setdefault(reference.rank_of(mat, q), []).append(x)
     weights = {}
     for r, p in enumerate(input_rank_probs):
         if p == 0:
@@ -64,7 +63,7 @@ def _oracle_mutual_information(law, input_rank_probs, q):
 def _rho_avg_every_rank(r, rx, params):
     """rho_avg summed over every error rank, zero-probability ones included."""
     return sum(
-        params.error_dist[rb] * rho_given_ranks(r, rx, rb, params)
+        params.error_dist[rb] * reference.rho_given_ranks(r, rx, rb, params)
         for rb in range(params.rank_count)
     )
 
@@ -103,7 +102,7 @@ def _rho_avg_exact_weights(r, rx, params):
     error rank (a float P(rB) converted exactly), rounded once for a float
     law."""
     total = sum(
-        Fraction(params.error_dist[rb]) * rho_given_ranks(r, rx, rb, params)
+        Fraction(params.error_dist[rb]) * reference.rho_given_ranks(r, rx, rb, params)
         for rb in range(params.rank_count)
     )
     return total if params.error_dist.is_exact else float(total)
@@ -241,7 +240,9 @@ class TestTransitionLaw:
         params = _params(2, 3, 2, "constant:t=0")
         for rx in range(3):
             for rb in range(3):
-                total = sum(rho_given_ranks(r, rx, rb, params) for r in range(3))
+                total = sum(
+                    reference.rho_given_ranks(r, rx, rb, params) for r in range(3)
+                )
                 assert total == 1
 
     @pytest.mark.parametrize(
@@ -250,10 +251,10 @@ class TestTransitionLaw:
             (lambda p: h_r(True, p), "r must be an int, got True"),
             (lambda p: h_r(4, p), "r = 4 exceeds min(n, m) = 3"),
             (lambda p: rho_avg(0, -1, p), "rX must be non-negative, got -1"),
-            (lambda p: rho_given_ranks(0, 0, 4, p), "rB = 4 exceeds min(n, m) = 3"),
+            (lambda p: rho_avg(0, 4, p), "rX = 4 exceeds min(n, m) = 3"),
             (lambda p: rank_class_size(p, 65), "r = 65 exceeds MAX_DIMENSION = 64"),
         ],
-        ids=["bool", "above-min", "negative", "rB-above-min", "above-max-dimension"],
+        ids=["bool", "above-min", "negative", "rX-above-min", "above-max-dimension"],
     )
     def test_rank_argument_messages(self, call, message):
         with pytest.raises(ValueError) as refused:
@@ -380,7 +381,8 @@ class TestMutualInformation:
         """H(Y | X) adds its terms left to right from 0.0; a compensated sum,
         such as sum() from Python 3.12 on, ends 4 ulps higher here."""
         params = _params(3, 4, 5, "binomial:T=3,p=0.2")
-        value = mutual_information(uniform_rank_distribution(4, 5), params)
+        uniform = RankDistribution(reference.uniform_rank_distribution(4, 5))
+        value = mutual_information(uniform, params)
         assert value.hex() == "0x1.75fe0fd741668p+2"
 
     def test_decomposition(self):
@@ -447,6 +449,21 @@ class TestSupportPruning:
                 assert got == want
                 if isinstance(want, float):
                     assert float.hex(got) == float.hex(want)
+
+    def test_float_output_entropy_beyond_float_range(self):
+        """N_16 of a 16 x 64 matrix over F_256 passes 2^1024, and output_entropy
+        used to divide a float output probability by it, which overflowed."""
+        float_law = empirical_model([0.5, 0.5] + [0.0] * 15, 16, 64)
+        float_params = ChannelParams(256, 16, 64, float_law)
+        float_input = RankDistribution([0.0] * 16 + [1.0])
+        exact_law = empirical_model([Fraction(1, 2)] * 2 + [Fraction(0)] * 15, 16, 64)
+        exact_params = ChannelParams(256, 16, 64, exact_law)
+        exact_input = RankDistribution([Fraction(0)] * 16 + [Fraction(1)])
+        assert output_entropy(exact_input, exact_params) == 8192.0
+        for entropy in (output_entropy, mutual_information):
+            want = entropy(exact_input, exact_params)
+            got = entropy(float_input, float_params)
+            assert got == pytest.approx(want, rel=1e-12, abs=0), entropy.__name__
 
     def test_common_denominator_beyond_float_range(self):
         law = empirical_model([0.5] + [0.0] * 32 + [0.5], 33, 33)
@@ -717,7 +734,7 @@ class TestExactLawAtScale:
 
     def test_mutual_information_matches_solver_objective(self):
         params = _params(*_STALL_CHANNEL)
-        uniform = uniform_rank_distribution(params.n, params.m)
+        uniform = RankDistribution(reference.uniform_rank_distribution(params.n, params.m))
         assert mutual_information(uniform, params) == pytest.approx(
             solver.objective(uniform, params), abs=1e-9
         )
@@ -747,7 +764,7 @@ class TestIidRankLaw:
                         continue
                     tally = [0] * (min(n, m) + 1)
                     for tup in _all_tuples(q, m, t):
-                        tally[len(oracle.rref_basis(list(tup), q))] += 1
+                        tally[len(reference.rref_basis(list(tup), q))] += 1
                     law = iid_vectors_model(t, q, n, m)
                     assert [p * q ** (m * t) for p in law.probs] == tally, (q, m, t)
 
@@ -845,7 +862,7 @@ class TestErrorModels:
             empirical_model([Fraction(1, 2), Fraction(1, 3)], 2, 2)
 
     def test_uniform_rank_distribution(self):
-        dist = uniform_rank_distribution(2, 3)
+        dist = RankDistribution(reference.uniform_rank_distribution(2, 3))
         assert tuple(dist.probs) == (Fraction(1, 3),) * 3
 
 

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+import reference
 from gammacap import matrixfn, oracle, solver
 from gammacap.channel import ChannelParams, parse_error_model
 from gammacap.exactcomb import _falling, qbinom, qbinom_ext
@@ -72,7 +73,7 @@ class TestLayeredCounts:
         ]
         for q, dU, dV, dUV, m in configs:
             u, v = _overlapping_pair(dU, dV, dUV, m)
-            census = oracle.subspace_counts(m, q, u, v)
+            census = reference.subspace_counts(m, q, u, v)
             for dW in range(m + 1):
                 for dUW in range(dW + 1):
                     for dVW in range(dW + 1):
@@ -222,7 +223,7 @@ class TestMeetCount:
                 counts = {}
                 for b in spaces:
                     d = len(b)
-                    meet = k + d - len(oracle.rref_basis(list(fixed) + list(b), q))
+                    meet = k + d - len(reference.rref_basis(list(fixed) + list(b), q))
                     counts[d, meet] = counts.get((d, meet), 0) + 1
                 for d in range(N + 1):
                     for a in range(min(k, d) + 1):

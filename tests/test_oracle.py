@@ -1,14 +1,21 @@
 """Self-checks for the enumeration oracle's own primitives."""
 
+import inspect
 import itertools
+import json
 import logging
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import reference
 from gammacap import oracle
 from gammacap.channel import ChannelParams, constant_rank_model, parse_error_model
 from gammacap.exactcomb import qbinom
@@ -30,16 +37,16 @@ def _mat_mul(a, b, q):
 
 class TestLinearAlgebra:
     def test_rank_of_known_matrices(self):
-        assert oracle.rank_of(((0, 0), (0, 0)), 2) == 0
-        assert oracle.rank_of(((1, 0), (0, 1)), 2) == 2
-        assert oracle.rank_of(((1, 1), (1, 1)), 2) == 1
-        assert oracle.rank_of(((1, 2), (2, 1)), 3) == 1
+        assert reference.rank_of(((0, 0), (0, 0)), 2) == 0
+        assert reference.rank_of(((1, 0), (0, 1)), 2) == 2
+        assert reference.rank_of(((1, 1), (1, 1)), 2) == 1
+        assert reference.rank_of(((1, 2), (2, 1)), 3) == 1
 
     def test_rref_basis_is_canonical(self):
-        basis = oracle.rref_basis([(1, 1, 0), (0, 1, 1)], 2)
-        again = oracle.rref_basis([(1, 0, 1), (0, 1, 1)], 2)
+        basis = reference.rref_basis([(1, 1, 0), (0, 1, 1)], 2)
+        again = reference.rref_basis([(1, 0, 1), (0, 1, 1)], 2)
         assert basis == again
-        assert oracle.rref_basis(list(basis), 2) == basis
+        assert reference.rref_basis(list(basis), 2) == basis
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_row_reduction_against_span_enumeration(self, q):
@@ -63,9 +70,9 @@ class TestLinearAlgebra:
         for _ in range(40):
             ncols = rng.randint(1, 4)
             mat = random_matrix(ncols)
-            rank = oracle.rank_of(mat, q)
+            rank = reference.rank_of(mat, q)
             assert q**rank == len(span(mat, ncols))
-            basis = oracle.rref_basis(mat, q)
+            basis = reference.rref_basis(mat, q)
             assert len(basis) == rank and span(basis, ncols) == span(mat, ncols)
             leads = [next(j for j, x in enumerate(row) if x) for row in basis]
             assert leads == sorted(set(leads))
@@ -91,11 +98,11 @@ class TestEnumeration:
         """The row-by-row construction yields what filtering every n x n
         matrix by its rank yields, in the same order, count_gl of them."""
         for n, q in ((0, 2), (1, 2), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2), (4, 2)):
-            reference = [
-                M for M in oracle.enumerate_matrices(n, n, q) if oracle.rank_of(M, q) == n
+            invertible = [
+                M for M in oracle.enumerate_matrices(n, n, q) if reference.rank_of(M, q) == n
             ]
-            assert list(oracle.enumerate_gl(n, q)) == reference
-            assert len(reference) == oracle.count_gl(n, q)
+            assert list(oracle.enumerate_gl(n, q)) == invertible
+            assert len(invertible) == oracle.count_gl(n, q)
 
     def test_budget_refusals(self):
         with pytest.raises(oracle.BudgetExceededError):
@@ -141,7 +148,7 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             oracle.brute_f_functions(2, 2, 4)
         # Over Z/4 the elimination would divide by 2, which has no inverse.
-        for reduce in (oracle.rank_of, oracle.rref_basis):
+        for reduce in (reference.rank_of, reference.rref_basis):
             with pytest.raises(ValueError, match="prime field"):
                 reduce([[2, 1]], 4)
 
@@ -188,13 +195,13 @@ class TestConfigurations:
             dU, dV, dW, dUV, dUW, dVW, dUVW = d1
 
             def join(a, b):
-                return len(oracle.rref_basis(list(a) + list(b), 2))
+                return len(reference.rref_basis(list(a) + list(b), 2))
 
             assert (len(U), len(V), len(W)) == (dU, dV, dW)
             assert len(U) + len(V) - join(U, V) == dUV
             assert len(U) + len(W) - join(U, W) == dUW
             assert len(V) + len(W) - join(V, W) == dVW
-            assert oracle.rref_basis(list(W) + list(V), 2) == oracle.rref_basis(
+            assert reference.rref_basis(list(W) + list(V), 2) == reference.rref_basis(
                 list(U) + list(V), 2
             )
 
@@ -202,6 +209,37 @@ class TestConfigurations:
         assert oracle.realize_configuration((2, 1, 1, 1, 1, 1, 1), 3, 2) is None
         assert oracle.realize_configuration((1, 1, 1, 1, 1, 1, 1), 1, 2) is not None
         assert oracle.realize_configuration((2, 2, 2, 0, 0, 0, 0), 3, 2) is None
+
+    def test_reduced_bases_give_the_same_pair_counts(self, monkeypatch):
+        """The bases are returned as built, with no elimination: pair_counts
+        gives the same table, entry for entry and in the same order, when
+        each basis is first reduced to its canonical RREF.  Every realizable
+        profile at q in {2, 3} with m <= 3 and at q = 2 with m = 4."""
+        shapes = [(m, q) for q in (2, 3) for m in range(4)] + [(4, 2)]
+        cases = [
+            (d1, m, q)
+            for m, q in shapes
+            for d1 in itertools.product(range(m + 1), repeat=7)
+            if oracle.realize_configuration(d1, m, q)
+        ]
+        assert len(cases) == 330
+        built = {case: oracle.pair_counts(*case) for case in cases}
+        realize = oracle.realize_configuration
+
+        def reduced(d1, m, q):
+            return tuple(reference.rref_basis(basis, q) for basis in realize(d1, m, q))
+
+        monkeypatch.setattr(oracle, "realize_configuration", reduced)
+        for case, table in built.items():
+            assert list(oracle.pair_counts(*case).items()) == list(table.items()), case
+
+    @pytest.mark.parametrize("d1", [(1, 1, 1, 0, 0, 0, 0), (2, 1, 1, 1, 1, 1, 1)])
+    def test_non_prime_field_is_refused(self, d1):
+        """Realizable or not, a profile over F_4 is refused: the block rows
+        would be read as vectors over Z/4."""
+        for build in (oracle.realize_configuration, oracle.pair_counts):
+            with pytest.raises(ValueError, match="prime field order"):
+                build(d1, 3, 4)
 
 
 # The benchmark's verify shapes (q, n, m) at q in {2, 3, 5}, plus the two
@@ -247,7 +285,7 @@ def _per_term_channel(params, inputs=None):
     all_mats = list(oracle.enumerate_matrices(n, m, q))
     by_rank = {}
     for mat in all_mats:
-        by_rank.setdefault(oracle.rank_of(mat, q), []).append(mat)
+        by_rank.setdefault(reference.rank_of(mat, q), []).append(mat)
     inv_gl = Fraction(1, len(gl))
     table = {}
     for X in all_mats if inputs is None else inputs:
@@ -271,7 +309,7 @@ def _per_v_f_functions(n, m, q, reps=3):
     loop that the oracle's one tally per representative must reproduce."""
     mn = min(n, m)
     all_mats = list(oracle.enumerate_matrices(n, m, q))
-    rowspace = {mat: oracle.rref_basis(mat, q) for mat in all_mats}
+    rowspace = {mat: reference.rref_basis(mat, q) for mat in all_mats}
     by_rank = {r: [] for r in range(mn + 1)}
     by_rowspace = {}
     for mat, rs in rowspace.items():
@@ -290,7 +328,7 @@ def _per_v_f_functions(n, m, q, reps=3):
         for V in subspaces:
             if len(V) > mn:
                 continue
-            h = len(oracle.rref_basis(list(U) + list(V), q)) - len(V)
+            h = len(reference.rref_basis(list(U) + list(V), q)) - len(V)
             key3 = (len(U), len(V), h)
             if reps_seen.get(key3, 0) >= reps:
                 continue
@@ -319,7 +357,7 @@ def _per_v_f_functions(n, m, q, reps=3):
 def _per_entry_marginal(table, input_rank_probs, q):
     """The output rank law with the class weight applied to every P(Y|X)."""
     outputs = set().union(*table.values())
-    rank = {mat: oracle.rank_of(mat, q) for mat in outputs.union(table)}
+    rank = {mat: reference.rank_of(mat, q) for mat in outputs.union(table)}
     by_rank = {}
     for X in table:
         by_rank.setdefault(rank[X], []).append(X)
@@ -388,6 +426,23 @@ def _dense_blahut_arimoto(table, tol=1e-9, max_iter=200000, start=None):
 
 _SHAPE_IDS = [f"q{q}-n{n}-m{m}" for q, n, m in VERIFY_SHAPES + CI_SHAPES]
 
+# What brute_f_functions(2, 2, 2) reports under _zero_third_translation.
+_ILL_DEFINED = "f1 not well defined at (1, 0, 1, 0): 0 != 1"
+
+
+def _zero_third_translation(translate):
+    """A mutant of ``translate`` that translates the zero matrix in place of
+    the third matrix it is asked for, and the list of matrices asked for."""
+    calls = []
+
+    def corrupted(X, q):
+        calls.append(X)
+        if len(calls) == 3:
+            X = tuple((0,) * len(row) for row in X)
+        return translate(X, q)
+
+    return corrupted, calls
+
 
 class TestAgainstPerTermReferences:
     """The oracle's shared tallies give exactly the tables of the plain loops."""
@@ -398,7 +453,7 @@ class TestAgainstPerTermReferences:
         appearance, and every matrix carries its rank."""
         q, n, m = shape
         all_mats = list(oracle.enumerate_matrices(n, m, q))
-        ranks = [oracle.rank_of(X, q) for X in all_mats]
+        ranks = [reference.rank_of(X, q) for X in all_mats]
         # The per-term law costs |GL| * q^(2nm) Fraction adds; at the CI
         # shapes it is built for the first and last input of every rank.
         inputs = None
@@ -443,20 +498,45 @@ class TestAgainstPerTermReferences:
         representative of the first line U = <(1, 0)> of F_2^2 must trip the
         f1 check: for V = 0 the first representative M counts no B of rank 0
         with M + B = 0, the zero matrix counts one."""
-        translate = oracle._translation
-        calls = []
-
-        def corrupted(X, q):
-            calls.append(X)
-            if len(calls) == 3:
-                X = tuple((0,) * len(row) for row in X)
-            return translate(X, q)
-
+        corrupted, calls = _zero_third_translation(oracle._translation)
         monkeypatch.setattr(oracle, "_translation", corrupted)
         with pytest.raises(AssertionError) as refused:
             oracle.brute_f_functions(2, 2, 2)
-        assert str(refused.value) == "f1 not well defined at (1, 0, 1, 0): 0 != 1"
+        assert str(refused.value) == _ILL_DEFINED
         assert calls[:3] == [((0, 0), (0, 0)), ((0, 0), (1, 0)), ((1, 0), (0, 0))]
+
+    def test_disagreeing_representatives_are_reported_under_optimize(self):
+        """The check is an explicit raise, not an assert statement, so
+        python -O keeps it."""
+        code = "\n".join([
+            inspect.getsource(_zero_third_translation),
+            "assert False, 'assert statements ran'",
+            "from gammacap import oracle",
+            "oracle._translation, _ = _zero_third_translation(oracle._translation)",
+            "oracle.brute_f_functions(2, 2, 2)",
+        ])
+        env = dict(os.environ)
+        src = str(Path(oracle.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 1
+        assert run.stderr.splitlines()[-1] == f"AssertionError: {_ILL_DEFINED}"
+
+    def test_verify_reports_disagreeing_representatives(self, monkeypatch, capsys):
+        """cli verify reports the mutant's table as one JSON error line and
+        exit 1, a verification failure, not as a traceback."""
+        from gammacap import cli
+
+        corrupted, _ = _zero_third_translation(oracle._translation)
+        monkeypatch.setattr(oracle, "_translation", corrupted)
+        code = cli.main(["verify", "--q", "2", "--n", "2", "--m", "2"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            json.dumps({"error": _ILL_DEFINED, "exit_code": 1}, sort_keys=True)
+        ]
 
     @pytest.mark.parametrize("shape", VERIFY_SHAPES + CI_SHAPES, ids=_SHAPE_IDS)
     def test_channel_output_rank_marginal(self, shape, channel_laws):
@@ -490,7 +570,7 @@ class TestAgainstPerTermReferences:
 def _rank_uniform_start(inputs, q, rank_probs):
     """One weight per matrix of ``inputs``: its rank's probability over the
     size of its rank class."""
-    ranks = [oracle.rank_of(X, q) for X in inputs]
+    ranks = [reference.rank_of(X, q) for X in inputs]
     sizes = {r: ranks.count(r) for r in set(ranks)}
     return [rank_probs[r] / sizes[r] for r in ranks]
 
@@ -517,8 +597,8 @@ class TestWarmStartedBlahutArimoto:
 def _per_entry_rank_kernel(table, q):
     """K[rx][ry] by one Fraction add per P(Y|X), the class size divided out
     of every entry."""
-    rank = {mat: oracle.rank_of(mat, q) for row in table.values() for mat in row}
-    rank.update((X, oracle.rank_of(X, q)) for X in table)
+    rank = {mat: reference.rank_of(mat, q) for row in table.values() for mat in row}
+    rank.update((X, reference.rank_of(X, q)) for X in table)
     sizes = {}
     for X in table:
         sizes[rank[X]] = sizes.get(rank[X], 0) + 1
@@ -542,69 +622,6 @@ class TestRankKernel:
             assert kernel == _per_entry_rank_kernel(_law_table(law), q)
             assert sorted(kernel) == list(range(min(n, m) + 1))
             assert all(sum(row) == 1 for row in kernel.values())
-
-
-class TestDiscardedWork:
-    def test_verify_ranks_each_table_matrix_once(self, monkeypatch, capsys):
-        """verify used to rank every input and output matrix of the channel
-        table again for each of its three trial input laws, and later once
-        more after build_channel had ranked them all.  The law now carries
-        each matrix's rank, read off its row space, so from build_channel
-        on no matrix is reduced."""
-        from gammacap import cli
-
-        reduced = []
-        built = []
-        build, reduce = oracle.build_channel, oracle._rref
-
-        def recording_build(params):
-            built.append(params)
-            return build(params)
-
-        def recording_reduce(vectors, q):
-            if built:
-                reduced.append(tuple(map(tuple, vectors)))
-            return reduce(vectors, q)
-
-        monkeypatch.setattr(oracle, "build_channel", recording_build)
-        # rank_of and rref_basis both reduce by _rref.
-        monkeypatch.setattr(oracle, "_rref", recording_reduce)
-        code = cli.main(["verify", "--q", "2", "--n", "2", "--m", "2", "--error", "iid:t=1"])
-        capsys.readouterr()
-        assert code == 0 and len(built) == 1
-        assert reduced == []
-
-    def test_build_channel_reduces_no_matrix(self, monkeypatch):
-        """GL(3, 2) used to be found by reducing all 512 3 x 3 matrices, and
-        then the q**(n*m) = 8 matrices of F_2^{3 x 1} were reduced for their
-        ranks; the row spaces the images enumerate give those ranks."""
-        reduced = []
-        reduce = oracle._rref
-
-        def recording(vectors, q):
-            reduced.append(vectors)
-            return reduce(vectors, q)
-
-        monkeypatch.setattr(oracle, "_rref", recording)
-        law = oracle.build_channel(ChannelParams(2, 3, 1, parse_error_model("iid:t=1", 2, 3, 1)))
-        assert reduced == [] and law.ranks == [0] + [1] * 7
-
-    def test_brute_f_functions_reduces_no_matrix(self, monkeypatch):
-        """At (n, m, q) = (1, 6, 2) the tables used to take 200 eliminations:
-        one per matrix for its row space and one per kept pair (U, V) for
-        dim(U+V).  Row spaces are now keyed by their span sets, and h is read
-        off the size of the set U cap V."""
-        reduced = []
-        reduce = oracle._rref
-
-        def recording(vectors, q):
-            reduced.append(vectors)
-            return reduce(vectors, q)
-
-        monkeypatch.setattr(oracle, "_rref", recording)
-        for n, m, q in ((1, 6, 2), (2, 2, 3)):
-            oracle.brute_f_functions(n, m, q)
-        assert reduced == []
 
 
 class TestEntropyAndBlahutArimoto:

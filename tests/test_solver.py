@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference
 from gammacap import oracle, solver
 from gammacap.channel import (
     ChannelParams,
@@ -19,7 +20,6 @@ from gammacap.channel import (
     ordered_sum,
     parse_error_model,
     rho_avg,
-    rho_given_ranks,
 )
 from gammacap.exactcomb import count_rank_matrices, qbinom
 from gammacap.solver import CapacityResult, SolverConfig, gradient, maximize, objective
@@ -725,7 +725,7 @@ def _composed(params, other):
     law, k = params.error_dist, params.rank_count
     return RankDistribution(
         sum(
-            law[a] * other[b] * rho_given_ranks(r, a, b, params)
+            law[a] * other[b] * reference.rho_given_ranks(r, a, b, params)
             for a in range(k) for b in range(k) if law[a] and other[b]
         )
         for r in range(k)
