@@ -23,8 +23,9 @@ from .exactcomb import (
     count_rank_matrices,
     qbinom_ext,
     validate_field_order,
-    _check_dims,
+    _check_args,
     _falling,
+    _NO_FIELD,
 )
 from .matrixfn import f0, f1, f2
 
@@ -149,7 +150,7 @@ class ChannelParams:
 
     def __post_init__(self) -> None:
         validate_field_order(self.q)
-        _check_dims(n=self.n, m=self.m)
+        _check_args(_NO_FIELD, "n m", self.n, self.m)
         if len(self.error_dist) != self.rank_count:
             raise ValueError(
                 f"error distribution has {len(self.error_dist)} entries, "
@@ -181,7 +182,7 @@ class ChannelParams:
 def _check_rank(params: ChannelParams, *ranks: int) -> None:
     for name, value in zip(("r", "rX"), ranks):
         if type(value) is not int or not 0 <= value <= params.max_rank:
-            _check_dims(**{name: value})
+            _check_args(_NO_FIELD, name, value)
             if value > params.max_rank:
                 raise ValueError(f"{name} = {value} exceeds min(n, m) = {params.max_rank}")
 
@@ -346,7 +347,7 @@ def mutual_information(
 
 def constant_rank_model(rank: int, n: int, m: int) -> RankDistribution:
     """Point mass: the error matrix always has the given rank."""
-    _check_dims(rank=rank, n=n, m=m)
+    _check_args(_NO_FIELD, "rank n m", rank, n, m)
     if rank > min(n, m):
         raise ValueError(f"rank {rank} exceeds min(n, m) = {min(n, m)}")
     return RankDistribution(
@@ -362,8 +363,7 @@ def iid_vectors_model(num_vectors: int, q: int, n: int, m: int) -> RankDistribut
     exactly 1.  num_vectors > n is rejected because an n x m error matrix
     cannot carry that many independent rows.
     """
-    _check_dims(num_vectors=num_vectors, n=n, m=m)
-    validate_field_order(q)
+    _check_args(q, "num_vectors n m", num_vectors, n, m)
     if num_vectors > n:
         raise ValueError(
             f"num_vectors = {num_vectors} exceeds n = {n}; the error matrix "
@@ -385,8 +385,7 @@ def binomial_packets_model(
     p; the corrupted packets contribute uniform i.i.d. error vectors, so
     R(r) = sum_t C(T, t) p^t (1-p)^(T-t) N_r(t x m) / q^(mt).
     """
-    _check_dims(num_packets=num_packets, n=n, m=m)
-    validate_field_order(q)
+    _check_args(q, "num_packets n m", num_packets, n, m)
     if isinstance(p, float):
         p = Fraction(str(p))
     if not 0 <= p <= 1:
@@ -416,7 +415,7 @@ def empirical_model(probs: Sequence[Numeric], n: int, m: int) -> RankDistributio
     longer ones are rejected, as are negative entries and vectors that do
     not sum to 1 (exactly for rational entries, within 1e-12 otherwise).
     """
-    _check_dims(n=n, m=m)
+    _check_args(_NO_FIELD, "n m", n, m)
     entries = list(probs)
     size = min(n, m) + 1
     if len(entries) > size:

@@ -199,31 +199,35 @@ def _params_block(
     if solver is not None:
         block["tolerance_bits"] = solver.tolerance_bits
         block["max_iterations"] = solver.max_iterations
+    if args.command == "matrixfn":
+        block["function"] = args.function
+        block["arguments"] = {key: getattr(args, key) for key in _MATRIXFN_ARGS[args.function]}
     return block
+
+
+#: What a subcommand handler returns: the report's result and diagnostics
+#: blocks and the exit code.  main adds the command and params blocks.
+_Report = Tuple[Dict[str, Any], Dict[str, Any], int]
 
 
 def _cmd_capacity(
     args: argparse.Namespace, params: ChannelParams, solver: SolverConfig
-) -> Tuple[Dict, int]:
+) -> _Report:
     res: CapacityResult = maximize(params, solver)
     bits_per_use = params.n * params.m * math.log2(params.q)
-    payload = {
-        "command": "capacity",
-        "params": _params_block(args, params, solver),
-        "result": {
-            "capacity_bits": res.capacity_bits,
-            # An empty (n*m = 0) matrix carries nothing: rate 0, not 0/0.
-            "normalized_rate": res.capacity_bits / bits_per_use if bits_per_use else 0.0,
-            "optimal_input": list(res.optimal_input.as_floats()),
-            "output_ranks": list(res.output_ranks.as_floats()),
-            "optimality_gap_bits": res.optimality_gap_bits,
-            "iterations": res.iterations,
-        },
-        "diagnostics": {
-            "converged": res.converged,
-            "newton_steps": res.newton_steps,
-            "stop_reason": res.stop_reason,
-        },
+    result = {
+        "capacity_bits": res.capacity_bits,
+        # An empty (n*m = 0) matrix carries nothing: rate 0, not 0/0.
+        "normalized_rate": res.capacity_bits / bits_per_use if bits_per_use else 0.0,
+        "optimal_input": list(res.optimal_input.as_floats()),
+        "output_ranks": list(res.output_ranks.as_floats()),
+        "optimality_gap_bits": res.optimality_gap_bits,
+        "iterations": res.iterations,
+    }
+    diagnostics = {
+        "converged": res.converged,
+        "newton_steps": res.newton_steps,
+        "stop_reason": res.stop_reason,
     }
     if not res.converged:
         log.warning(
@@ -232,82 +236,50 @@ def _cmd_capacity(
             solver.tolerance_bits,
             res.iterations,
         )
-    return payload, EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
+    return result, diagnostics, EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
-def _cmd_matrixfn(args: argparse.Namespace, params: None, solver: None) -> Tuple[Dict, int]:
-    arguments = {key: getattr(args, key) for key in _MATRIXFN_ARGS[args.function]}
-    value = getattr(matrixfn, args.function)(*arguments.values(), args.n, args.m, args.q)
-    payload = {
-        "command": "matrixfn",
-        "params": dict(
-            _params_block(args, params, solver),
-            function=args.function,
-            arguments=arguments,
-        ),
-        "result": {"value": value},
-        "diagnostics": {"exact": True},
-    }
-    return payload, EXIT_OK
+def _cmd_matrixfn(args: argparse.Namespace, params: None, solver: None) -> _Report:
+    values = [getattr(args, key) for key in _MATRIXFN_ARGS[args.function]]
+    value = getattr(matrixfn, args.function)(*values, args.n, args.m, args.q)
+    return {"value": value}, {"exact": True}, EXIT_OK
 
 
-def _cmd_ranks(args: argparse.Namespace, params: ChannelParams, solver: None) -> Tuple[Dict, int]:
+def _cmd_ranks(args: argparse.Namespace, params: ChannelParams, solver: None) -> _Report:
     input_ranks = empirical_model(_parse_probabilities(args.input), params.n, params.m)
     out = output_rank_distribution(input_ranks, params)
-    payload = {
-        "command": "ranks",
-        "params": _params_block(args, params, solver),
-        "result": {
-            "input_ranks": [_fraction_str(p) for p in input_ranks.probs],
-            "output_exact": [_fraction_str(p) for p in out.probs],
-            "output_float": list(out.as_floats()),
-        },
-        "diagnostics": {"exact": out.is_exact},
+    result = {
+        "input_ranks": [_fraction_str(p) for p in input_ranks.probs],
+        "output_exact": [_fraction_str(p) for p in out.probs],
+        "output_float": list(out.as_floats()),
     }
-    return payload, EXIT_OK
+    return result, {"exact": out.is_exact}, EXIT_OK
 
 
-def _cmd_errormodel(
-    args: argparse.Namespace, params: ChannelParams, solver: None
-) -> Tuple[Dict, int]:
+def _cmd_errormodel(args: argparse.Namespace, params: ChannelParams, solver: None) -> _Report:
     dist = params.error_dist
-    payload = {
-        "command": "errormodel",
-        "params": _params_block(args, params, solver),
-        "result": {
-            "rank_probabilities_exact": [_fraction_str(p) for p in dist.probs],
-            "rank_probabilities_float": list(dist.as_floats()),
-        },
-        "diagnostics": {"exact": dist.is_exact},
+    result = {
+        "rank_probabilities_exact": [_fraction_str(p) for p in dist.probs],
+        "rank_probabilities_float": list(dist.as_floats()),
     }
-    return payload, EXIT_OK
+    return result, {"exact": dist.is_exact}, EXIT_OK
 
 
-def _verify_checks(p: ChannelParams, solver: SolverConfig) -> List[Dict[str, Any]]:
-    checks: List[Dict[str, Any]] = []
-
+def _verify_checks(p: ChannelParams, solver: SolverConfig) -> List[Tuple[str, int, float, bool]]:
+    """Each check of ``verify`` as (name, cases, max_deviation, passed)."""
     # A shape over budget is refused before any enumeration starts.
     oracle.check_budgets(p.n, p.m, p.q)
     tables = oracle.brute_f_functions(p.n, p.m, p.q)
     mismatches = 0
     cases = 0
-    for u, want in tables["f0"].items():
-        cases += 1
-        mismatches += matrixfn.f0(u, p.n, p.m, p.q) != want
-    for (u, v, h, r), want in tables["f1"].items():
-        cases += 1
-        mismatches += matrixfn.f1(u, v, h, r, p.n, p.m, p.q) != want
-    for (r, rx, rb), want in tables["f2"].items():
-        cases += 1
-        mismatches += matrixfn.f2(r, rx, rb, p.n, p.m, p.q) != want
-    checks.append(
-        {
-            "name": "matrix functions vs enumeration",
-            "cases": cases,
-            "max_deviation": float(mismatches),
-            "passed": mismatches == 0,
-        }
-    )
+    for name in ("f0", "f1", "f2"):
+        # Read from the module at run time, so a wrapper installed there sees the calls.
+        fn = getattr(matrixfn, name)
+        for key, want in tables[name].items():
+            cases += 1
+            args = key if isinstance(key, tuple) else (key,)
+            mismatches += fn(*args, p.n, p.m, p.q) != want
+    checks = [("matrix functions vs enumeration", cases, float(mismatches), mismatches == 0)]
 
     law = oracle.build_channel(p)
     kernel = oracle.rank_kernel(law)
@@ -325,14 +297,7 @@ def _verify_checks(p: ChannelParams, solver: SolverConfig) -> List[Dict[str, Any
         for r in range(rank_count):
             marg_cases += 1
             marg_dev = max(marg_dev, abs(float(got[r] - want[r])))
-    checks.append(
-        {
-            "name": "output rank law vs enumeration",
-            "cases": marg_cases,
-            "max_deviation": marg_dev,
-            "passed": marg_dev == 0.0,
-        }
-    )
+    checks.append(("output rank law vs enumeration", marg_cases, marg_dev, marg_dev == 0.0))
 
     # Blahut-Arimoto starts from the solver's optimum spread uniformly over
     # each rank class, so its first pass brackets the raw-alphabet capacity
@@ -348,33 +313,21 @@ def _verify_checks(p: ChannelParams, solver: SolverConfig) -> List[Dict[str, Any
     # of the capacity allow for the rounding of both float sums.
     slack = 1024 * math.ulp(max(res.capacity_bits, cap_ba, 1.0))
     bound = res.optimality_gap_bits + solver.tolerance_bits / 2 + slack
-    checks.append(
-        {
-            "name": "capacity vs Blahut-Arimoto",
-            "cases": 1,
-            "max_deviation": cap_dev,
-            "passed": bool(res.converged and cap_dev <= bound),
-        }
-    )
+    passed = bool(res.converged and cap_dev <= bound)
+    checks.append(("capacity vs Blahut-Arimoto", 1, cap_dev, passed))
     return checks
 
 
-def _cmd_verify(
-    args: argparse.Namespace, params: ChannelParams, solver: SolverConfig
-) -> Tuple[Dict, int]:
-    checks = _verify_checks(params, solver)
+def _cmd_verify(args: argparse.Namespace, params: ChannelParams, solver: SolverConfig) -> _Report:
+    keys = ("name", "cases", "max_deviation", "passed")
+    checks = [dict(zip(keys, check)) for check in _verify_checks(params, solver)]
     passed = all(c["passed"] for c in checks)
-    payload = {
-        "command": "verify",
-        "params": _params_block(args, params, solver),
-        "result": {
-            "checks": checks,
-            "passed": passed,
-            "max_deviation": max(c["max_deviation"] for c in checks),
-        },
-        "diagnostics": {"oracle_budget_ok": True},
+    result = {
+        "checks": checks,
+        "passed": passed,
+        "max_deviation": max(c["max_deviation"] for c in checks),
     }
-    return payload, EXIT_OK if passed else EXIT_VERIFY_FAILED
+    return result, {"oracle_budget_ok": True}, EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
 _HANDLERS = {
@@ -473,7 +426,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if hasattr(args, "tol"):
             solver = SolverConfig(tolerance_bits=args.tol, max_iterations=args.max_iters)
         log.info("dispatching %s on q=%d n=%d m=%d", args.command, args.q, args.n, args.m)
-        payload, code = _HANDLERS[args.command](args, params, solver)
+        result, diagnostics, code = _HANDLERS[args.command](args, params, solver)
     except oracle.BudgetExceededError as exc:
         _print_error(EXIT_BUDGET, str(exc))
         return EXIT_BUDGET
@@ -487,6 +440,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OverflowError as exc:
         _print_error(EXIT_BAD_INPUT, f"channel too large for float arithmetic: {exc}")
         return EXIT_BAD_INPUT
+    payload = {
+        "command": args.command,
+        "params": _params_block(args, params, solver),
+        "result": result,
+        "diagnostics": diagnostics,
+    }
     try:
         _emit(payload, args.format, args.out)
     except OSError as exc:

@@ -11,28 +11,70 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 #: Dimensions above this are refused so exponents like q**(n*m) stay tractable.
-#: Reassign the module attribute to raise the bound.
 MAX_DIMENSION = 64
+
+#: Miller-Rabin on the primes up to 41 as bases decides primality exactly
+#: below this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def _iroot(q: int, k: int) -> int:
+    """floor(q ** (1/k)) for q >= 1, by integer Newton steps from above."""
+    r = 1 << -(-q.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + q // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _is_prime(r: int) -> bool:
+    """Whether r >= 2 is prime: Miller-Rabin on :data:`_MR_BASES`, whose
+    "composite" is always right and whose "prime" is exact below
+    :data:`_MR_EXACT_BELOW`; a larger probable prime is confirmed by trial
+    division."""
+    for p in _MR_BASES:
+        if r % p == 0:
+            return r == p
+    d, s = r - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, r)
+        if x == 1 or x == r - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % r
+            if x == r - 1:
+                break
+        else:
+            return False
+    if r < _MR_EXACT_BELOW:
+        return True
+    return all(r % f for f in range(43, math.isqrt(r) + 1, 2))
 
 
 @lru_cache(maxsize=256)
 def is_prime_power(q: int) -> bool:
-    """True iff q = p**k for a prime p and k >= 1, by trial division.
+    """True iff q = p**k for a prime p and k >= 1.
 
-    Memoized: every exact count validates its field order on entry."""
+    q = p**k exactly when the root r of the largest k for which q is an
+    exact k-th power is prime (r = p); any other q has a root with two
+    prime factors.  So the cost is polynomial in log q: one integer root
+    per k <= log2 q and one primality test.  Memoized: every exact count
+    validates its field order on entry."""
     if q < 2:
         return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            while q % d == 0:
-                q //= d
-            return q == 1
-        d += 1
-    return True  # q itself is prime
+    for k in range(q.bit_length() - 1, 1, -1):
+        r = _iroot(q, k)
+        if r**k == q:
+            return _is_prime(r)
+    return _is_prime(q)
 
 
 def validate_field_order(q: int) -> int:
@@ -44,32 +86,35 @@ def validate_field_order(q: int) -> int:
     return q
 
 
-def _check_dims(**dims: int) -> None:
-    """Raise ValueError naming the first dimension that is not an int in
-    [0, MAX_DIMENSION].  Hot callers try :func:`_plain_args` first and come
-    here only when it fails, for the message."""
-    for name, value in dims.items():
+#: The field order of a :func:`_check_args` call that checks dimensions only;
+#: not None, which a caller may pass as a bad field order.
+_NO_FIELD = object()
+
+
+def _check_args(q: int, names: str, *values: int) -> None:
+    """Check a field order and dimensions, the one argument check of every
+    exact count.
+
+    ``names`` names the values in order, separated by spaces.  Returns at
+    once when q is a plain-int prime power (or :data:`_NO_FIELD`) and every
+    value a plain int in [0, MAX_DIMENSION].  Otherwise raises ValueError
+    naming the first value that is not an int in that range, and then
+    checks q by :func:`validate_field_order`."""
+    if type(q) is int and is_prime_power(q) or q is _NO_FIELD:
+        for value in values:
+            if type(value) is not int or not 0 <= value <= MAX_DIMENSION:
+                break
+        else:
+            return
+    for name, value in zip(names.split(), values):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{name} must be an int, got {value!r}")
         if value < 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
         if value > MAX_DIMENSION:
-            raise ValueError(
-                f"{name} = {value} exceeds MAX_DIMENSION = {MAX_DIMENSION}"
-            )
-
-
-def _plain_args(q: int, *dims: int) -> bool:
-    """Whether q is a plain-int prime power and every dimension a plain int
-    in [0, MAX_DIMENSION]: a positional fast path for hot callers, which run
-    _check_dims and validate_field_order (and their messages) only when it
-    fails."""
-    if type(q) is not int or not is_prime_power(q):
-        return False
-    for value in dims:
-        if type(value) is not int or not 0 <= value <= MAX_DIMENSION:
-            return False
-    return True
+            raise ValueError(f"{name} = {value} exceeds MAX_DIMENSION = {MAX_DIMENSION}")
+    if q is not _NO_FIELD:
+        validate_field_order(q)
 
 
 def _falling(a: int, k: int, q: int, start: int = 0) -> int:
@@ -98,9 +143,7 @@ def qbinom(m: int, d: int, q: int) -> int:
     Evaluates the telescoping product prod_{i<d} (q^m - q^i)/(q^d - q^i)
     with a single exact final division; 0 when d > m.
     """
-    if not _plain_args(q, m, d):
-        _check_dims(m=m, d=d)
-        validate_field_order(q)
+    _check_args(q, "m d", m, d)
     return _qbinom_checked(m, d, q)
 
 
@@ -118,9 +161,7 @@ def qbinom_ext(m: int, d: int, q: int) -> int:
 
 def count_rank_matrices(n: int, m: int, r: int, q: int) -> int:
     """Number of n x m matrices of rank exactly r over F_q."""
-    if not _plain_args(q, n, m, r):
-        _check_dims(n=n, m=m, r=r)
-        validate_field_order(q)
+    _check_args(q, "n m r", n, m, r)
     if r > min(n, m):
         return 0
     return _qbinom_checked(m, r, q) * _falling(n, r, q)

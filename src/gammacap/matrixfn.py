@@ -25,13 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence, Tuple
 
-from .exactcomb import (
-    qbinom_ext,
-    validate_field_order,
-    _check_dims,
-    _falling,
-    _plain_args,
-)
+from .exactcomb import qbinom_ext, _check_args, _falling
 
 
 def _meet_count(N: int, k: int, d: int, a: int, q: int) -> int:
@@ -142,12 +136,10 @@ def c_prime(
     meet P in exactly Y.  j runs from dVpWp to min(dVW, dVp) and stops once
     y exceeds dVp.
     """
-    if not _plain_args(q, dU, dV, dW, dUV, dUW, dVW, dUVW, dVp, dWp, dVpWp, m):
-        _check_dims(
-            dU=dU, dV=dV, dW=dW, dUV=dUV, dUW=dUW, dVW=dVW, dUVW=dUVW,
-            dVp=dVp, dWp=dWp, dVpWp=dVpWp, m=m,
-        )
-        validate_field_order(q)
+    _check_args(
+        q, "dU dV dW dUV dUW dVW dUVW dVp dWp dVpWp m",
+        dU, dV, dW, dUV, dUW, dVW, dUVW, dVp, dWp, dVpWp, m,
+    )
     d1 = (dU, dV, dW, dUV, dUW, dVW, dUVW)
     # dVpWp > dWp admits no W' and would make the lift exponent negative.
     if not _realizable_with_sum_condition(d1, m) or dVpWp > dWp:
@@ -181,9 +173,7 @@ def f0(u: int, n: int, m: int, q: int) -> int:
     rank.  The alternating sum
     sum_v (-1)^(u-v) q^(nv + C(u-v,2)) qbinom(u, v) is the tested identity.
     """
-    if not _plain_args(q, u, n, m):
-        _check_dims(u=u, n=n, m=m)
-        validate_field_order(q)
+    _check_args(q, "u n m", u, n, m)
     if u > min(n, m):
         raise ValueError(f"u = {u} exceeds min(n, m) = {min(n, m)}")
     return _falling(n, u, q)
@@ -286,9 +276,7 @@ def f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:
     by V'', read from the row of :func:`_phi_row` for (n, m, u - a, r, q)
     at w = dim V''.  That table keeps its 4096 most recent rows.
     """
-    if not _plain_args(q, u, v, h, r, n, m):
-        _check_dims(u=u, v=v, h=h, r=r, n=n, m=m)
-        validate_field_order(q)
+    _check_args(q, "u v h r n m", u, v, h, r, n, m)
     return _f1(u, v, h, r, n, m, q)
 
 
@@ -303,9 +291,7 @@ def f2(r: int, rX: int, rB: int, n: int, m: int, q: int) -> int:
     max(rX, r) - rB <= hp <= r + rX - rB here, so f2 is 0 unless
     |r - rX| <= rB <= r + rX, and only that hp range is summed.
     """
-    if not _plain_args(q, r, rX, rB, n, m):
-        _check_dims(r=r, rX=rX, rB=rB, n=n, m=m)
-        validate_field_order(q)
+    _check_args(q, "r rX rB n m", r, rX, rB, n, m)
     if max(r, rX, rB) > min(n, m):
         return 0
     total = 0

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import logging
@@ -585,6 +586,54 @@ class TestFormatsAndOutput:
         code, _, err = run_cli(capsys, "frobnicate", "--q", "2")
         assert code == 2
         assert stderr_diagnostic(err)["exit_code"] == 2
+
+
+class TestReportDigest:
+    """cli.main's stdout, exit code and JSON error line for every subcommand
+    in every format at one small shape each, and for each error path,
+    pinned as one SHA-256: a change to any report byte moves it.  argparse
+    words its list of choices differently across Python versions, so an
+    error message is cut before that list."""
+
+    SHAPES = (
+        ["capacity", "--q", "2", "--n", "3", "--m", "3", "--error", "iid:t=1"],
+        ["matrixfn", "f1", "--q", "2", "--n", "3", "--m", "3",
+         "--u", "1", "--v", "1", "--h", "1", "--r", "1"],
+        ["ranks", "--q", "2", "--n", "2", "--m", "2", "--error", "iid:t=1",
+         "--input", "1/2,1/2"],
+        ["errormodel", "--q", "2", "--n", "2", "--m", "2", "--error", "binomial:T=2,p=0.3"],
+        ["verify", "--q", "2", "--n", "1", "--m", "2"],
+    )
+    OTHERS = (
+        ["matrixfn", "f0", "--q", "3", "--n", "2", "--m", "3", "--u", "2"],
+        ["matrixfn", "f2", "--q", "4", "--n", "3", "--m", "2", "--r", "1", "--rx", "2",
+         "--rb", "1"],
+        ["capacity", "--q", "2", "--n", "3", "--m", "3", "--error", "iid:t=1",
+         "--max-iters", "1"],
+        ["capacity", "--q", "6", "--n", "2", "--m", "2", "--error", "iid:t=1"],
+        ["capacity", "--q", "2", "--n", "2", "--m", "2", "--error", "bogus:t=1"],
+        ["verify", "--q", "2", "--n", "4", "--m", "4", "--error", "iid:t=1"],
+        ["frobnicate", "--q", "2"],
+    )
+    DIGEST = "75181727081226a7c4c4e6fcb1289aeab3b21e0e9812e2624ce8f80879f0f9a4"
+
+    @classmethod
+    def runs(cls):
+        for argv in cls.SHAPES:
+            for fmt in ("json", "csv", "text"):
+                yield argv + ["--format", fmt]
+        yield from cls.OTHERS
+
+    def test_report_digest(self, capsys):
+        texts = []
+        for argv in self.runs():
+            code, out, err = run_cli(capsys, *argv)
+            errors = [
+                line.split(" (choose from")[0]
+                for line in err.splitlines() if line.startswith("{")
+            ]
+            texts.append(repr((argv, code, out, errors)))
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == self.DIGEST
 
 
 class TestRepeatedMain:

@@ -6,11 +6,13 @@ otherwise.
 """
 
 import enum
+import hashlib
+from fractions import Fraction
 
 import pytest
 
 import reference
-from gammacap import exactcomb, matrixfn, oracle
+from gammacap import channel, exactcomb, matrixfn, oracle
 from gammacap.exactcomb import (
     count_rank_matrices,
     is_prime_power,
@@ -31,6 +33,40 @@ class TestFieldOrder:
             assert not is_prime_power(q)
             with pytest.raises(ValueError):
                 validate_field_order(q)
+
+    def test_agrees_with_a_sieve_below_2_to_the_15(self):
+        """q is a prime power iff dividing out its least prime factor
+        leaves 1; the sieve of least prime factors is the reference."""
+        size = 1 << 15
+        least = list(range(size))
+        for p in range(2, 182):
+            if least[p] == p:
+                for k in range(p * p, size, p):
+                    if least[k] == k:
+                        least[k] = p
+        decide = is_prime_power.__wrapped__
+        for q in range(size):
+            want = q >= 2
+            if want:
+                p, rest = least[q], q
+                while rest % p == 0:
+                    rest //= p
+                want = rest == 1
+            assert decide(q) == want, q
+
+    @pytest.mark.parametrize(
+        "q, want",
+        [
+            (2**61 - 1, True),
+            ((2**31 - 1) ** 2, True),
+            (2**100, True),
+            ((2**61 - 1) * (2**31 - 1), False),
+        ],
+        ids=["mersenne-61", "square-of-mersenne-31", "2^100", "two-mersenne-primes"],
+    )
+    def test_large_field_orders_answer_at_once(self, q, want):
+        """Trial division up to sqrt(q) would run for hours on these."""
+        assert is_prime_power.__wrapped__(q) is want
 
 
 class TestEntryChecks:
@@ -99,6 +135,67 @@ class TestEntryChecks:
         assert info.misses == 1 and info.hits >= 2
         with pytest.raises(ValueError, match="prime power >= 2, got 6"):
             matrixfn.f1(1, 1, 0, 1, 2, 2, 6)
+
+
+class TestArgumentCheckDigest:
+    """Every public entry that checks its arguments, called with each bad
+    value in each checked position and under each field order.  The lines
+    (entry, field order, position, value, then the answer or the exception
+    type and message) are pinned as one SHA-256: a change to a message, to
+    the name a message gives, or to the order of the checks moves it."""
+
+    BAD = (True, -1, 65, 3.0, "3", None, 5)
+    FIELDS = (2, 6, True, 4.0, None)
+    DIGEST = "3060bfb983ab7910a98992174664f0c6570a563d22fa22b39da9eb435ba006a3"
+
+    @staticmethod
+    def _entries():
+        """(name, function, good arguments, checked positions, index of q)."""
+        params = channel.ChannelParams(2, 3, 3, channel.iid_vectors_model(1, 2, 3, 3))
+        law = channel.RankDistribution([Fraction(1), Fraction(0), Fraction(0)])
+        half = Fraction(1, 2)
+        return [
+            ("qbinom", qbinom, (3, 1, 2), range(2), 2),
+            ("count_rank_matrices", count_rank_matrices, (3, 3, 1, 2), range(3), 3),
+            ("f0", matrixfn.f0, (1, 3, 3, 2), range(3), 3),
+            ("f1", matrixfn.f1, (1, 1, 0, 1, 3, 3, 2), range(6), 6),
+            ("f2", matrixfn.f2, (1, 1, 0, 3, 3, 2), range(5), 5),
+            ("c_prime", matrixfn.c_prime, (1, 1, 1, 0, 0, 1, 0, 1, 1, 1, 2, 2), range(11), 11),
+            ("ChannelParams", channel.ChannelParams, (2, 2, 2, law), (1, 2), 0),
+            ("rank_class_size", channel.rank_class_size, (params, 1), (1,), None),
+            ("rho_avg", channel.rho_avg, (1, 1, params), range(2), None),
+            ("h_r", channel.h_r, (1, params), (0,), None),
+            ("constant_rank_model", channel.constant_rank_model, (1, 3, 3), range(3), None),
+            ("iid_vectors_model", channel.iid_vectors_model, (1, 2, 3, 3), (0, 2, 3), 1),
+            (
+                "binomial_packets_model", channel.binomial_packets_model,
+                (1, half, 2, 3, 3), (0, 3, 4), 2,
+            ),
+            ("empirical_model", channel.empirical_model, ([Fraction(1)], 3, 3), (1, 2), None),
+        ]
+
+    @classmethod
+    def lines(cls):
+        out = []
+        for name, fn, good, positions, q_at in cls._entries():
+            for q in cls.FIELDS if q_at is not None else (None,):
+                base = list(good)
+                if q_at is not None:
+                    base[q_at] = q
+                for i, value in [(None, None)] + [(i, v) for i in positions for v in cls.BAD]:
+                    args = list(base)
+                    if i is not None:
+                        args[i] = value
+                    try:
+                        outcome = repr(fn(*args))
+                    except Exception as exc:
+                        outcome = f"{type(exc).__name__}: {exc}"
+                    out.append(f"{name} q={q!r} at={i} value={value!r}: {outcome}")
+        return out
+
+    def test_messages_digest(self):
+        text = "\n".join(self.lines())
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
 
 
 class TestQbinom:
