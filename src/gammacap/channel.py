@@ -350,17 +350,15 @@ def constant_rank_model(rank: int, n: int, m: int) -> RankDistribution:
     _check_args(_NO_FIELD, "rank n m", rank, n, m)
     if rank > min(n, m):
         raise ValueError(f"rank {rank} exceeds min(n, m) = {min(n, m)}")
-    return RankDistribution(
-        tuple(Fraction(1 if r == rank else 0) for r in range(min(n, m) + 1))
-    )
+    return empirical_model([Fraction(0)] * rank + [Fraction(1)], n, m)
 
 
 def iid_vectors_model(num_vectors: int, q: int, n: int, m: int) -> RankDistribution:
     """Error rank distribution of num_vectors uniform i.i.d. rows.
 
     The rank is that of a uniform t x m matrix, t = num_vectors:
-    R(r) = N_r(t x m) / q^(mt), which is 0 above min(t, m) and sums to
-    exactly 1.  num_vectors > n is rejected because an n x m error matrix
+    R(r) = N_r(t x m) / q^(mt), the binomial law with every one of t packets
+    corrupted.  num_vectors > n is rejected because an n x m error matrix
     cannot carry that many independent rows.
     """
     _check_args(q, "num_vectors n m", num_vectors, n, m)
@@ -369,11 +367,7 @@ def iid_vectors_model(num_vectors: int, q: int, n: int, m: int) -> RankDistribut
             f"num_vectors = {num_vectors} exceeds n = {n}; the error matrix "
             f"has only n rows"
         )
-    denom = q ** (m * num_vectors)
-    return RankDistribution(
-        Fraction(count_rank_matrices(num_vectors, m, r, q), denom)
-        for r in range(min(n, m) + 1)
-    )
+    return binomial_packets_model(num_vectors, 1, q, n, m)
 
 
 def binomial_packets_model(

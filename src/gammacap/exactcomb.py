@@ -4,14 +4,15 @@ All counts are plain Python ints (arbitrary precision, never rounded).
 Conventions:
 
 - Public functions raise ``ValueError`` on malformed input (negative
-  dimensions, non-prime-power q, dimensions beyond :data:`MAX_DIMENSION`).
+  dimensions, non-prime-power q, dimensions beyond :data:`MAX_DIMENSION`)
+  and on a q whose prime root cannot be certified (at least
+  :data:`_MR_EXACT_BELOW`, about 3.3e24).
 - Combinatorially impossible but well-formed requests return 0, because the
   higher-level summations rely on out-of-range terms vanishing.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 #: Dimensions above this are refused so exponents like q**(n*m) stay tractable.
@@ -36,8 +37,8 @@ def _iroot(q: int, k: int) -> int:
 def _is_prime(r: int) -> bool:
     """Whether r >= 2 is prime: Miller-Rabin on :data:`_MR_BASES`, whose
     "composite" is always right and whose "prime" is exact below
-    :data:`_MR_EXACT_BELOW`; a larger probable prime is confirmed by trial
-    division."""
+    :data:`_MR_EXACT_BELOW`.  A larger probable prime cannot be certified
+    here and is refused with ValueError."""
     for p in _MR_BASES:
         if r % p == 0:
             return r == p
@@ -54,9 +55,11 @@ def _is_prime(r: int) -> bool:
                 break
         else:
             return False
-    if r < _MR_EXACT_BELOW:
-        return True
-    return all(r % f for f in range(43, math.isqrt(r) + 1, 2))
+    if r >= _MR_EXACT_BELOW:
+        raise ValueError(
+            f"cannot certify that {r} is prime: Miller-Rabin is exact only below {_MR_EXACT_BELOW}"
+        )
+    return True
 
 
 @lru_cache(maxsize=256)
@@ -66,7 +69,8 @@ def is_prime_power(q: int) -> bool:
     q = p**k exactly when the root r of the largest k for which q is an
     exact k-th power is prime (r = p); any other q has a root with two
     prime factors.  So the cost is polynomial in log q: one integer root
-    per k <= log2 q and one primality test.  Memoized: every exact count
+    per k <= log2 q and one primality test, which refuses a probable prime
+    root it cannot certify (:func:`_is_prime`).  Memoized: every exact count
     validates its field order on entry."""
     if q < 2:
         return False
@@ -126,9 +130,27 @@ def _falling(a: int, k: int, q: int, start: int = 0) -> int:
     return out
 
 
+def qbinom(m: int, d: int, q: int) -> int:
+    """Number of d-dimensional subspaces of an m-dimensional F_q-space.
+
+    Checks its arguments, then reads :func:`qbinom_ext`; 0 when d > m.
+    """
+    _check_args(q, "m d", m, d)
+    return qbinom_ext(m, d, q)
+
+
 @lru_cache(maxsize=None)
-def _qbinom_checked(m: int, d: int, q: int) -> int:
-    if d > m:
+def qbinom_ext(m: int, d: int, q: int) -> int:
+    """The Gaussian binomial [m, d]_q, extended by 0 to every out-of-range
+    argument, and cached.  It checks no argument: qbinom and
+    count_rank_matrices check theirs before they read it.
+
+    Interior summations index over wide ranges and rely on impossible
+    configurations contributing nothing, so negative or oversized arguments
+    give 0 instead of raising.  In range it evaluates the telescoping product
+    prod_{i<d} (q^m - q^i)/(q^d - q^i) with a single exact final division.
+    """
+    if d < 0 or m < 0 or d > m:
         return 0
     d = min(d, m - d)
     quotient, remainder = divmod(_falling(m, d, q), _falling(d, d, q))
@@ -137,31 +159,9 @@ def _qbinom_checked(m: int, d: int, q: int) -> int:
     return quotient
 
 
-def qbinom(m: int, d: int, q: int) -> int:
-    """Number of d-dimensional subspaces of an m-dimensional F_q-space.
-
-    Evaluates the telescoping product prod_{i<d} (q^m - q^i)/(q^d - q^i)
-    with a single exact final division; 0 when d > m.
-    """
-    _check_args(q, "m d", m, d)
-    return _qbinom_checked(m, d, q)
-
-
-def qbinom_ext(m: int, d: int, q: int) -> int:
-    """qbinom extended by 0 to every out-of-range argument.
-
-    Interior summations index over wide ranges and rely on impossible
-    configurations contributing nothing; this variant absorbs negative or
-    oversized arguments instead of raising.
-    """
-    if d < 0 or m < 0 or d > m:
-        return 0
-    return _qbinom_checked(m, d, q)
-
-
 def count_rank_matrices(n: int, m: int, r: int, q: int) -> int:
     """Number of n x m matrices of rank exactly r over F_q."""
     _check_args(q, "n m r", n, m, r)
     if r > min(n, m):
         return 0
-    return _qbinom_checked(m, r, q) * _falling(n, r, q)
+    return qbinom_ext(m, r, q) * _falling(n, r, q)

@@ -16,7 +16,9 @@ The field must be prime; the scope is set by two budgets, not by n and m:
 law.  A shape over budget is refused explicitly
 (:class:`BudgetExceededError`) so callers can distinguish "too big by
 policy" from "wrong input"; :func:`check_budgets` refuses such a shape
-before anything is enumerated.  GL(n, q) is built row by row, each row
+before anything is enumerated.  A q above ``MATRIX_ENUM_BUDGET``, which no
+grid fits, is refused before its primality is tested, so that test
+trial-divides only up to 2**10.  GL(n, q) is built row by row, each row
 drawn from outside the span of the rows before it.  Nothing here reduces
 a matrix: ranks and row spaces come from spans.  Work shared
 between terms (the images A*Z of one matrix Z, the row spaces reached from
@@ -65,6 +67,10 @@ class BudgetExceededError(RuntimeError):
 
 
 def _require_prime(q: int) -> None:
+    # No grid of one entry or more fits a larger q, so trial division never
+    # runs past sqrt(MATRIX_ENUM_BUDGET).
+    if q > MATRIX_ENUM_BUDGET:
+        raise BudgetExceededError(f"q = {q} exceeds the enumeration budget {MATRIX_ENUM_BUDGET}")
     if q < 2 or any(q % d == 0 for d in range(2, int(math.isqrt(q)) + 1)):
         raise ValueError(f"oracle requires a prime field order, got q={q}")
 
@@ -87,7 +93,8 @@ def _check_channel(n: int, m: int, q: int) -> None:
 
 def check_budgets(n: int, m: int, q: int) -> None:
     """Refuse, before any enumeration, a shape that brute_f_functions or
-    build_channel would refuse: a non-prime q (ValueError), then the q**(n*m)
+    build_channel would refuse: a q above MATRIX_ENUM_BUDGET
+    (BudgetExceededError), a non-prime q (ValueError), then the q**(n*m)
     grid, the q**(n*n) grid of GL(n, q) and the channel's terms
     (BudgetExceededError), in the order those two calls meet them."""
     _require_prime(q)

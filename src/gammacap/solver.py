@@ -5,11 +5,11 @@ distributions.  The solver runs Blahut-Arimoto on the rank kernel, x_a <-
 x_a 2^{grad_a} renormalized, accelerated by SQUAREM extrapolation (Varadhan
 and Roland, 2008).  When that stalls (the gap has not halved over five
 iterations) it tries an active-set Newton step on the simplex, keeps it if
-it loses no more than rounding and shrinks the gap, and otherwise raises the
-damping and waits for a fresh stall.  A rank the Newton step would empty
-keeps 1e-3 of its mass, and a mass that underflows keeps the smallest
-positive float, so every iterate keeps full support.  The Frank-Wolfe
-duality gap max_a grad_a - grad . x certifies the result.
+it shrinks the gap, and otherwise raises the damping and waits for a fresh
+stall.  A rank the Newton step would empty keeps 1e-3 of its mass, and a
+mass that underflows keeps the smallest positive float, so every iterate
+keeps full support.  The Frank-Wolfe duality gap max_a grad_a - grad . x
+certifies the result.
 
 The objective and gradient accept plain float vectors in addition to
 RankDistribution values: finite-difference checks evaluate them slightly
@@ -318,7 +318,7 @@ def maximize(
     """Maximize mutual information over input rank distributions.
 
     SQUAREM-accelerated Blahut-Arimoto with a Newton polish once it stalls,
-    whose step is kept when it loses no more than rounding and shrinks the gap.
+    whose step is kept when it shrinks the gap.
     Stops when the Frank-Wolfe gap max_a grad_a - grad . x (an upper bound on
     the remaining suboptimality, in bits) drops to config.tolerance_bits;
     hitting max_iterations first returns the last iterate with its own gap
@@ -358,23 +358,18 @@ def maximize(
 
         # Try a Newton step after an accepted one, or once no gap of the last
         # _STALL_WINDOW iterations is half the gap before them.  Keep it if it
-        # loses no more than rounding and shrinks the gap.  Rounding scales
-        # with the terms H(Y) and sum_a x_a h_a that the objective cancels,
-        # which can be hundreds of bits for a small |I|.
+        # shrinks the gap: it then loses less than the gap, since
+        # C <= I(point) + gap(point) < I(point) + gap and I(x) <= C.
         gaps.append(gap)
         del gaps[:-1 - _STALL_WINDOW]
         attempt = polished or len(gaps) > _STALL_WINDOW and min(gaps[1:]) > 0.5 * gaps[0]
         polished = False
         point = _newton_point(ws, x, grad, mu) if attempt else None
         if point is not None:
-            point_value = ws.objective(point)
-            h_y_given_x = ordered_sum(map(operator.mul, x, ws.h_vec))
-            rounding = 4e-16 * k * max(1.0, abs(value), h_y_given_x)
-            if point_value >= value - rounding:
-                point_grad = ws.gradient(point)
-                polished = _gap(point_grad, point) < gap
+            point_grad = ws.gradient(point)
+            polished = _gap(point_grad, point) < gap
         if polished:
-            x, value, grad = point, point_value, point_grad
+            x, value, grad = point, ws.objective(point), point_grad
             mu, newton_steps = mu / 10, newton_steps + 1
         else:
             if attempt:

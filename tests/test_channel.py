@@ -1,6 +1,7 @@
 """Channel law, conditional entropy and error models versus the oracle."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -905,3 +906,45 @@ class TestErrorModelGrammar:
         for spec in bad:
             with pytest.raises(ValueError):
                 parse_error_model(spec, 2, 2, 2)
+
+
+class TestLawDigest:
+    """Every exact law that the four builders and parse_error_model give on
+    a grid of fields and shapes, each entry with its type, and qbinom_ext on
+    and around its range, pinned as one SHA-256: a builder that reaches its
+    law another way must give the same entries, not only equal ones."""
+
+    FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 256)
+    PACKET_PROBABILITIES = (0, Fraction(1, 10), Fraction(1, 2), 1)
+    DIGEST = "47ab5899f1c78319967f20593057649d80a87fa8745506ffbf9fc51e76bbe1f6"
+
+    @classmethod
+    def lines(cls):
+        def entries(law):
+            return " ".join(f"{type(p).__name__}:{p}" for p in law.probs)
+
+        out = []
+        for q in cls.FIELDS:
+            for n, m in itertools.product(range(7), repeat=2):
+                ranks = range(min(n, m) + 1)
+                built = [(f"constant {r}", constant_rank_model(r, n, m)) for r in ranks]
+                built += [(f"iid {t}", iid_vectors_model(t, q, n, m)) for t in range(n + 1)]
+                built += [
+                    (f"binomial {t} {p}", binomial_packets_model(t, p, q, n, m))
+                    for t in range(n + 1)
+                    for p in cls.PACKET_PROBABILITIES
+                ]
+                specs = [f"constant:t={r}" for r in ranks]
+                specs += [f"iid:t={t}" for t in range(n + 1)]
+                specs += [f"binomial:T={t},p=0.1" for t in range(n + 1)]
+                built += [(spec, parse_error_model(spec, q, n, m)) for spec in specs]
+                out += [f"q={q} n={n} m={m} {name}: {entries(law)}" for name, law in built]
+            out += [
+                f"qbinom_ext({a}, {d}, {q}) = {qbinom_ext(a, d, q)!r}"
+                for a, d in itertools.product(range(-1, 13), repeat=2)
+            ]
+        return out
+
+    def test_laws_digest(self):
+        text = "\n".join(self.lines())
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST

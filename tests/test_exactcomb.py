@@ -68,6 +68,19 @@ class TestFieldOrder:
         """Trial division up to sqrt(q) would run for hours on these."""
         assert is_prime_power.__wrapped__(q) is want
 
+    @pytest.mark.parametrize(
+        "q", [2**127 - 1, (2**89 - 1) ** 2], ids=["mersenne-127", "square-of-mersenne-89"]
+    )
+    def test_refuses_a_prime_root_it_cannot_certify(self, q):
+        """Miller-Rabin on the bases is exact only below about 3.3e24; a prime
+        root above that is refused at once rather than trial-divided, which
+        would not end."""
+        bound = "exact only below 3317044064679887385961981"
+        with pytest.raises(ValueError, match=f"cannot certify .* {bound}"):
+            is_prime_power.__wrapped__(q)
+        with pytest.raises(ValueError, match="cannot certify"):
+            validate_field_order(q)
+
 
 class TestEntryChecks:
     """f1 and f2 check their arguments on every call; the checks take a fast

@@ -10,13 +10,14 @@ be checked case by case; c_prime is also pinned at ambient dimensions 6 to
 import dataclasses
 import itertools
 import random
+import types
 
 import pytest
 
 import reference
 from gammacap import matrixfn, oracle, solver
 from gammacap.channel import ChannelParams, parse_error_model
-from gammacap.exactcomb import _falling, qbinom, qbinom_ext
+from gammacap.exactcomb import _falling, count_rank_matrices, qbinom, qbinom_ext
 from gammacap.matrixfn import _l_count, _meet_count, c_prime, f0, f1, f2
 
 
@@ -467,8 +468,6 @@ class TestMatrixCountsVsOracle:
         """f2 is symmetric in (output rank, error rank), not in
         (input rank, error rank); the class-size-weighted swap of the
         input slot holds instead."""
-        from gammacap.exactcomb import count_rank_matrices
-
         assert f2(1, 0, 1, 2, 2, 2) != f2(1, 1, 0, 2, 2, 2)
         for n, m, q in ((2, 2, 2), (2, 3, 2), (2, 2, 3)):
             mn = min(n, m)
@@ -487,10 +486,33 @@ class TestMatrixCountsVsOracle:
             f2(1, -1, 1, 2, 2, 2)
 
 
+class TestDelsarteIntersectionNumbers:
+    """f2(r, rX, rB) counts the rank-rB matrices B with rank(X + B) = r for
+    one X of rank rX: the intersection number of the bilinear forms scheme,
+    N_rB times reference.rho_given_ranks, which reads Delsarte's eigenvalues
+    and no count of matrixfn.  Every field of the capacity benchmark at
+    n, m <= 5, and four shapes past the oracle with e > d or d = 8."""
+
+    SHAPES = [
+        (q, n, m)
+        for q in (2, 3, 4, 5, 7, 8, 9, 16)
+        for n, m in itertools.product(range(1, 6), repeat=2)
+    ] + [(16, 3, 7), (16, 7, 3), (2, 8, 8), (3, 6, 9)]
+
+    def test_f2_is_the_intersection_number(self):
+        cases = 0
+        for q, n, m in self.SHAPES:
+            shape = types.SimpleNamespace(q=q, n=n, m=m)
+            for r, rx, rb in itertools.product(range(min(n, m) + 1), repeat=3):
+                count = count_rank_matrices(n, m, rb, q)
+                want = count * reference.rho_given_ranks(r, rx, rb, shape)
+                assert f2(r, rx, rb, n, m, q) == want, (q, n, m, r, rx, rb)
+                cases += 1
+        assert cases == 10576
+
+
 class TestPartitionIdentities:
     def test_f2_partitions_rank_class(self):
-        from gammacap.exactcomb import count_rank_matrices
-
         for n, m, q in ((2, 2, 2), (3, 3, 2), (2, 2, 3), (3, 4, 2)):
             mn = min(n, m)
             for rx in range(mn + 1):

@@ -114,12 +114,21 @@ class TestEnumeration:
 
     @pytest.mark.parametrize(
         "shape",
-        [(2, 5, 5), (2, 5, 1), (2, 3, 3), (4, 1, 1), (3, 1, 2)],
-        ids=["matrix-grid", "gl-grid", "channel", "not-prime", "within"],
+        [
+            (2, 5, 5), (2, 5, 1), (2, 3, 3), (4, 1, 1), (3, 1, 2),
+            (2**61 - 1, 1, 1), (2**61 - 1, 0, 1), (2**21, 1, 1),
+        ],
+        ids=[
+            "matrix-grid", "gl-grid", "channel", "not-prime", "within",
+            "mersenne-61", "mersenne-61-empty-grid", "not-prime-over-budget",
+        ],
     )
     def test_check_budgets_refuses_as_the_enumerations_do(self, shape):
         """check_budgets raises what brute_f_functions and then build_channel
-        would raise, message included, and nothing for a shape within."""
+        would raise, message included, and nothing for a shape within.  A q
+        over the grid budget is refused before it is tested for primality,
+        which would trial-divide up to sqrt(q), even where the grid is
+        empty."""
         q, n, m = shape
         params = ChannelParams(q, n, m, constant_rank_model(0, n, m))
         try:
