@@ -16,13 +16,10 @@ from .channel import (
     ChannelParams,
     RankDistribution,
     binomial_packets_model,
-    conditional_entropy,
     constant_rank_model,
     empirical_model,
     h_r,
     iid_vectors_model,
-    mutual_information,
-    output_entropy,
     output_rank_distribution,
     parse_error_model,
     rank_class_size,
@@ -39,7 +36,6 @@ __all__ = [
     "SolverConfig",
     "binomial_packets_model",
     "c_prime",
-    "conditional_entropy",
     "constant_rank_model",
     "count_rank_matrices",
     "empirical_model",
@@ -51,9 +47,7 @@ __all__ = [
     "iid_vectors_model",
     "is_prime_power",
     "maximize",
-    "mutual_information",
     "objective",
-    "output_entropy",
     "output_rank_distribution",
     "parse_error_model",
     "qbinom",

@@ -34,18 +34,6 @@ Numeric = Union[int, float, Fraction]
 _SUM_TOLERANCE = 1e-12
 
 
-def log2_exact(x: Numeric) -> float:
-    """log2 for Fractions, ints and floats without overflowing to inf.
-
-    Big integers and ratios of big integers (counts reach q^(nm)) exceed
-    float range; math.log2 handles arbitrary ints exactly, so a Fraction's
-    log is taken as log2(numerator) - log2(denominator).
-    """
-    if isinstance(x, Fraction):
-        return math.log2(x.numerator) - math.log2(x.denominator)
-    return math.log2(x)
-
-
 def ordered_sum(values: Iterable[Numeric]) -> Numeric:
     """Sum added left to right from 0; exact terms stay exact.  Float sums
     get the same bits on every CPython, where the built-in sum() of floats
@@ -151,6 +139,10 @@ class ChannelParams:
     def __post_init__(self) -> None:
         validate_field_order(self.q)
         _check_args(_NO_FIELD, "n m", self.n, self.m)
+        if not isinstance(self.error_dist, RankDistribution):
+            raise TypeError(
+                f"error_dist must be a RankDistribution, got {type(self.error_dist).__name__}"
+            )
         if len(self.error_dist) != self.rank_count:
             raise ValueError(
                 f"error distribution has {len(self.error_dist)} entries, "
@@ -193,12 +185,13 @@ def rank_class_size(params: ChannelParams, r: int) -> int:
     return count_rank_matrices(params.n, params.m, r, params.q)
 
 
-def rho_avg(r: int, rX: int, params: ChannelParams) -> Numeric:
+def rho_avg(r: int, rX: int, params: ChannelParams) -> Fraction:
     """P(rank(X+B) = r) for fixed rank(X) = rX, averaged over error ranks.
 
-    Exact for an exact error law, a float otherwise.  Rank is a metric
-    (|rank X - rank B| <= rank(X+B) <= rank X + rank B), so f2 is 0 unless
-    |r - rX| <= rB <= r + rX and the sum runs over those error ranks only.
+    Exact for every error law, since the weights in ``params.support`` are
+    exact even for a float law.  Rank is a metric (|rank X - rank B| <=
+    rank(X+B) <= rank X + rank B), so f2 is 0 unless |r - rX| <= rB <= r + rX
+    and the sum runs over those error ranks only.
     """
     _check_rank(params, r, rX)
     q, n, m = params.q, params.n, params.m
@@ -207,8 +200,7 @@ def rho_avg(r: int, rX: int, params: ChannelParams) -> Numeric:
     for rB, c in params.support:
         if lo <= rB <= hi:
             numerator += c * f2(r, rX, rB, n, m, q)
-    total = Fraction(numerator, params.denominator)
-    return total if params.error_dist.is_exact else float(total)
+    return Fraction(numerator, params.denominator)
 
 
 def output_rank_distribution(
@@ -218,7 +210,8 @@ def output_rank_distribution(
 
     A is invertible so rank(Y) = rank(X+B); the output law is the input law
     pushed through the rank transition kernel.  Input ranks of probability 0
-    are skipped: their terms are exact zeros.
+    are skipped: their terms are exact zeros.  For a float error law each
+    kernel entry is rounded to a float before it is weighted.
     """
     if len(input_ranks) != params.rank_count:
         raise ValueError(
@@ -226,8 +219,9 @@ def output_rank_distribution(
             f"need {params.rank_count}"
         )
     support = [(rX, p) for rX, p in enumerate(input_ranks.probs) if p != 0]
+    rho = rho_avg if params.error_dist.is_exact else lambda *args: float(rho_avg(*args))
     return RankDistribution(
-        ordered_sum(p * rho_avg(r, rX, params) for rX, p in support)
+        ordered_sum(p * rho(r, rX, params) for rX, p in support)
         for r in range(params.rank_count)
     )
 
@@ -285,12 +279,12 @@ def h_r(r: int, params: ChannelParams) -> float:
             if numerator == 0:
                 continue
             if log_f0_v is None:
-                log_f0_v = log_f0[v] = log2_exact(f0(v, n, m, q))
+                log_f0_v = log_f0[v] = math.log2(f0(v, n, m, q))
             numerator *= mirror
             j = v - r + h
             weight = q ** (j * h) * outer[j] * inner[h]
-            # log2 p(v, h) in lowest terms: the bits of log2_exact on the
-            # reduced Fraction, which is never built.  The class mass
+            # log2 p(v, h) from its numerator and denominator in lowest
+            # terms; the Fraction is never built.  The class mass
             # weight * p(v, h) by one correctly rounded integer division:
             # weight alone can pass the float range.
             g = math.gcd(numerator, denominator)
@@ -298,51 +292,6 @@ def h_r(r: int, params: ChannelParams) -> float:
             mass = (weight * numerator) / denominator
             total += mass * (log_f0_v - log_p_vh)
     return total
-
-
-def conditional_entropy(
-    input_ranks: RankDistribution, params: ChannelParams
-) -> float:
-    """H(Y | X) in bits; depends on the input only through its ranks."""
-    if len(input_ranks) != params.rank_count:
-        raise ValueError("input distribution length mismatch")
-    return ordered_sum(
-        float(input_ranks[r]) * h_r(r, params)
-        for r in range(params.rank_count)
-        if input_ranks[r] != 0
-    )
-
-
-def output_entropy(input_ranks: RankDistribution, params: ChannelParams) -> float:
-    """H(Y) in bits for an input uniform on each rank class.
-
-    Y is then uniform within each rank class as well, so
-    H(Y) = -sum_r R_Y(r) log2(R_Y(r) / N_r) with N_r the class size.  For
-    a float R_Y(r) the log is taken as log2 R_Y(r) - log2 N_r, since N_r can
-    pass the float range and math.log2 takes the int as it is.
-    """
-    out = output_rank_distribution(input_ranks, params)
-    total = 0.0
-    for r in range(params.rank_count):
-        p = out[r]
-        if p == 0:
-            continue
-        size = rank_class_size(params, r)
-        if _is_exact(p):
-            log_ratio = log2_exact(Fraction(p, size))
-        else:
-            log_ratio = math.log2(p) - math.log2(size)
-        total -= float(p) * log_ratio
-    return total
-
-
-def mutual_information(
-    input_ranks: RankDistribution, params: ChannelParams
-) -> float:
-    """I(X; Y) in bits for an input uniform on each rank class."""
-    return output_entropy(input_ranks, params) - conditional_entropy(
-        input_ranks, params
-    )
 
 
 def constant_rank_model(rank: int, n: int, m: int) -> RankDistribution:

@@ -34,7 +34,6 @@ from .channel import (
     ChannelParams,
     RankDistribution,
     h_r,
-    log2_exact,
     ordered_sum,
     rank_class_size,
     rho_avg,
@@ -98,11 +97,10 @@ class _Workspace:
     so T(ry | rx) is 0 unless some supported error rank lies in
     |ry - rx| <= rB <= ry + rx; rho_avg is asked for those entries only.
     The kernel is reversible, N_rx T(ry | rx) = N_ry T(rx | ry) with N_r the
-    rank class size, so for an exact law rho_avg is asked only for ry <= rx,
-    whose f2 terms are the f1 entries u >= v that h_r has already cached.
-    T(rx | ry) is then one correctly rounded integer division, the same bits
-    as float() of its Fraction.  A float law's rho_avg is already rounded, so
-    both entries are asked for."""
+    rank class size, so rho_avg, exact for every law, is asked only for
+    ry <= rx, whose f2 terms are the f1 entries u >= v that h_r has already
+    cached.  T(rx | ry) is then one correctly rounded integer division, the
+    same bits as float() of its Fraction."""
 
     def __init__(self, params: ChannelParams):
         k = self.size = params.rank_count
@@ -118,14 +116,10 @@ class _Workspace:
                 t = rho_avg(ry, rx, params)
                 kernel[ry][rx] = float(t)
                 if ry < rx:
-                    kernel[rx][ry] = (
-                        (t.numerator * sizes[rx]) / (t.denominator * sizes[ry])
-                        if params.error_dist.is_exact
-                        else rho_avg(rx, ry, params)
-                    )
+                    kernel[rx][ry] = (t.numerator * sizes[rx]) / (t.denominator * sizes[ry])
         self.rows = [[(a, t) for a, t in enumerate(row) if t] for row in kernel]
         self.columns = [[(ry, t) for ry, t in enumerate(col) if t] for col in zip(*kernel)]
-        self.log_class = tuple(map(log2_exact, sizes))
+        self.log_class = tuple(map(math.log2, sizes))
 
     def output_probs(self, x: Sequence[float]) -> List[float]:
         probs = []
@@ -187,12 +181,9 @@ def _as_vector(input_ranks: InputVector, size: int) -> List[float]:
 
 
 def objective(input_ranks: InputVector, params: ChannelParams) -> float:
-    """Mutual information in bits, assembled from the solver workspace.
-
-    Numerically the same quantity as channel.mutual_information (the two
-    assemblies are tested against each other); kept separate so the solver's
-    own arithmetic is cross-checked rather than self-referential.
-    """
+    """I(X; Y) in bits for an input uniform on each rank class, assembled
+    from the solver workspace: H(Y) from the kernel's output law, less the
+    h_r of each input rank weighted by its mass."""
     ws = _workspace(params)
     return ws.objective(_as_vector(input_ranks, ws.size))
 

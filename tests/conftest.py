@@ -4,6 +4,10 @@ entropy references that read them.
 Building a brute-force f-function table or a full channel law is the
 expensive part of the oracle cross-checks, and several test modules need
 the same (n, m, q) instances, so both are cached for the whole session.
+
+The mutual information of a rank-uniform input is also assembled here, as
+H(Y) from the output rank law less H(Y | X) from h_r: a second route to the
+number that solver.objective takes from its workspace.
 """
 
 import math
@@ -12,6 +16,8 @@ from fractions import Fraction
 import pytest
 
 from gammacap import oracle
+from gammacap.channel import h_r, ordered_sum, output_rank_distribution, rank_class_size
+from reference import log2_exact
 
 
 @pytest.fixture(scope="session")
@@ -44,13 +50,8 @@ def channel_laws():
 def _entropy_bits(probs):
     total = 0.0
     for p in probs:
-        if p == 0:
-            continue
-        if isinstance(p, Fraction):
-            logp = math.log2(p.numerator) - math.log2(p.denominator)
-            total -= float(p) * logp
-        else:
-            total -= p * math.log2(p)
+        if p != 0:
+            total -= float(p) * log2_exact(p)
     return total
 
 
@@ -68,3 +69,60 @@ def row_entropy_bits():
         return _entropy_bits(Fraction(num, law.den) for num in law.rows[x].values())
 
     return get
+
+
+def _conditional_entropy(input_ranks, params):
+    """H(Y | X) in bits; depends on the input only through its ranks."""
+    if len(input_ranks) != params.rank_count:
+        raise ValueError("input distribution length mismatch")
+    return ordered_sum(
+        float(input_ranks[r]) * h_r(r, params)
+        for r in range(params.rank_count)
+        if input_ranks[r] != 0
+    )
+
+
+def _output_entropy(input_ranks, params):
+    """H(Y) in bits for an input uniform on each rank class.
+
+    Y is then uniform within each rank class as well, so
+    H(Y) = -sum_r R_Y(r) log2(R_Y(r) / N_r) with N_r the class size.  For
+    a float R_Y(r) the log is taken as log2 R_Y(r) - log2 N_r, since N_r can
+    pass the float range and math.log2 takes the int as it is.
+    """
+    out = output_rank_distribution(input_ranks, params)
+    total = 0.0
+    for r in range(params.rank_count):
+        p = out[r]
+        if p == 0:
+            continue
+        size = rank_class_size(params, r)
+        if isinstance(p, float):
+            log_ratio = math.log2(p) - math.log2(size)
+        else:
+            log_ratio = log2_exact(Fraction(p, size))
+        total -= float(p) * log_ratio
+    return total
+
+
+def _mutual_information(input_ranks, params):
+    """I(X; Y) in bits for an input uniform on each rank class."""
+    return _output_entropy(input_ranks, params) - _conditional_entropy(input_ranks, params)
+
+
+@pytest.fixture(scope="session")
+def conditional_entropy():
+    """(RankDistribution, ChannelParams) -> H(Y | X) in bits."""
+    return _conditional_entropy
+
+
+@pytest.fixture(scope="session")
+def output_entropy():
+    """(RankDistribution, ChannelParams) -> H(Y) in bits, rank-uniform input."""
+    return _output_entropy
+
+
+@pytest.fixture(scope="session")
+def mutual_information():
+    """(RankDistribution, ChannelParams) -> I(X; Y) in bits, rank-uniform input."""
+    return _mutual_information

@@ -2,7 +2,8 @@
 
 Gauss-Jordan elimination over a prime field (rank, canonical RREF basis),
 a census of subspaces by their meets with a fixed pair, the rank transition
-probability of one error rank, and the uniform input rank law.  Nothing
+probability of one error rank, the uniform input rank law, and log2 of an
+exact rational beyond the float range.  Nothing
 here imports gammacap, so a check against this module compares the package
 with an independent computation:
 
@@ -148,3 +149,15 @@ def uniform_rank_distribution(n, m):
     """The uniform law over ranks 0..min(n, m), as exact probabilities."""
     size = min(n, m) + 1
     return [Fraction(1, size)] * size
+
+
+def log2_exact(x):
+    """log2 for Fractions, ints and floats without overflowing to inf.
+
+    Big integers and ratios of big integers (counts reach q^(nm)) exceed
+    float range; math.log2 handles arbitrary ints exactly, so a Fraction's
+    log is taken as log2(numerator) - log2(denominator).
+    """
+    if isinstance(x, Fraction):
+        return math.log2(x.numerator) - math.log2(x.denominator)
+    return math.log2(x)

@@ -17,13 +17,13 @@ from gammacap.channel import (
     ChannelParams,
     RankDistribution,
     h_r,
-    log2_exact,
     output_rank_distribution,
     parse_error_model,
 )
 from gammacap.exactcomb import count_rank_matrices, qbinom
 from gammacap.matrixfn import f0, f1, f2
 from gammacap.solver import SolverConfig, gradient, maximize, objective
+from reference import log2_exact
 
 
 def _params(q, n, m, spec):

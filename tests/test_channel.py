@@ -14,14 +14,10 @@ from gammacap.channel import (
     ChannelParams,
     RankDistribution,
     binomial_packets_model,
-    conditional_entropy,
     constant_rank_model,
     empirical_model,
     h_r,
     iid_vectors_model,
-    log2_exact,
-    mutual_information,
-    output_entropy,
     output_rank_distribution,
     parse_error_model,
     rank_class_size,
@@ -29,6 +25,7 @@ from gammacap.channel import (
 )
 from gammacap.exactcomb import _falling, count_rank_matrices, qbinom, qbinom_ext
 from gammacap.matrixfn import f0, f1, f2
+from reference import log2_exact
 
 
 def _params(q, n, m, spec):
@@ -100,13 +97,11 @@ def _h_r_every_rank(r, params):
 
 def _rho_avg_exact_weights(r, rx, params):
     """rho_avg as a sum of per-rank Fraction terms P(rB) f2 / N_rB over every
-    error rank (a float P(rB) converted exactly), rounded once for a float
-    law."""
-    total = sum(
+    error rank (a float P(rB) converted exactly)."""
+    return sum(
         Fraction(params.error_dist[rb]) * reference.rho_given_ranks(r, rx, rb, params)
         for rb in range(params.rank_count)
     )
-    return total if params.error_dist.is_exact else float(total)
 
 
 def _h_r_exact_weights(r, params):
@@ -207,8 +202,8 @@ class TestRankDistribution:
         assert dist.as_floats() == (0.25, 0.75)
 
     def test_exactness_is_fixed_at_construction(self, monkeypatch):
-        """is_exact is a stored field outside repr, equality and hash, so
-        rho_avg reads it without rescanning the law."""
+        """is_exact is a stored field outside repr, equality and hash, and
+        rho_avg, exact for every law, never rescans the law."""
         exact = RankDistribution([Fraction(1, 4), Fraction(3, 4)])
         floats = RankDistribution([0.25, 0.75])
         assert exact.is_exact and not floats.is_exact
@@ -229,6 +224,15 @@ class TestChannelParams:
     def test_validates_field_order(self):
         with pytest.raises(ValueError):
             ChannelParams(6, 2, 2, constant_rank_model(0, 2, 2))
+
+    @pytest.mark.parametrize("law", [(0.5, 0.9, 0.0), [0.5, -0.5, 1.0]], ids=["tuple", "list"])
+    def test_error_law_must_be_a_rank_distribution(self, law):
+        """A bare sequence is never validated as a law: (0.5, 0.9, 0.0)
+        would run a whole solve before its output law failed to sum to 1,
+        and a negative entry would reach math.log2."""
+        message = f"must be a RankDistribution, got {type(law).__name__}"
+        with pytest.raises(TypeError, match=message):
+            solver.maximize(ChannelParams(2, 2, 2, law))
 
 
 class TestTransitionLaw:
@@ -304,8 +308,9 @@ class TestOutputRankLaw:
             RankDistribution([Fraction(0), Fraction(1), Fraction(0)]),
             RankDistribution([0.0, 0.25, 0.75]),
         ]
+        rho = rho_avg if params.error_dist.is_exact else lambda *a: float(rho_avg(*a))
         every_column = [
-            [sum(x[rx] * rho_avg(r, rx, params) for rx in range(k)) for r in range(k)]
+            [sum(x[rx] * rho(r, rx, params) for rx in range(k)) for r in range(k)]
             for x in inputs
         ]
         calls = []
@@ -358,7 +363,7 @@ class TestConditionalEntropy:
             for r in range(min(n, m) + 1):
                 assert h_r(r, params) == log2_exact(Fraction(f0(r, n, m, q)))
 
-    def test_conditional_entropy_averages_h_r(self):
+    def test_conditional_entropy_averages_h_r(self, conditional_entropy):
         params = _params(2, 2, 2, "iid:t=1")
         dist = RankDistribution([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
         want = sum(float(dist[r]) * h_r(r, params) for r in range(3))
@@ -366,7 +371,7 @@ class TestConditionalEntropy:
 
 
 class TestMutualInformation:
-    def test_matches_oracle(self, channel_laws):
+    def test_matches_oracle(self, channel_laws, mutual_information):
         cases = [
             ("constant:t=1", [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]),
             ("iid:t=1", [Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)]),
@@ -378,15 +383,17 @@ class TestMutualInformation:
             got = mutual_information(RankDistribution(probs), params)
             assert got == pytest.approx(want, abs=1e-10), spec
 
-    def test_same_bits_on_every_interpreter(self):
+    def test_same_bits_on_every_interpreter(self, mutual_information):
         """H(Y | X) adds its terms left to right from 0.0; a compensated sum,
-        such as sum() from Python 3.12 on, ends 4 ulps higher here."""
+        such as sum() from Python 3.12 on, ends 4 ulps higher here.  The
+        solver's own assembly gives the same bits."""
         params = _params(3, 4, 5, "binomial:T=3,p=0.2")
         uniform = RankDistribution(reference.uniform_rank_distribution(4, 5))
         value = mutual_information(uniform, params)
         assert value.hex() == "0x1.75fe0fd741668p+2"
+        assert solver.objective(uniform, params).hex() == "0x1.75fe0fd741668p+2"
 
-    def test_decomposition(self):
+    def test_decomposition(self, mutual_information, output_entropy, conditional_entropy):
         params = _params(2, 2, 2, "iid:t=2")
         dist = RankDistribution([Fraction(1, 5), Fraction(2, 5), Fraction(2, 5)])
         lhs = mutual_information(dist, params)
@@ -439,19 +446,17 @@ class TestSupportPruning:
         ids=["exact", "exact-sparse", "float", "float-thirds"],
     )
     def test_common_denominator_is_bit_identical(self, params):
-        """Numerators over one denominator give the same Fraction, and the
-        same rounded float, as per-rank Fraction weights."""
+        """Numerators over one denominator give the same Fraction as per-rank
+        Fraction weights, for a float law too."""
         ranks = range(params.rank_count)
         for r in ranks:
             assert float.hex(h_r(r, params)) == float.hex(_h_r_exact_weights(r, params))
             for rx in ranks:
                 got, want = rho_avg(r, rx, params), _rho_avg_exact_weights(r, rx, params)
-                assert type(got) is type(want)
+                assert type(got) is type(want) is Fraction
                 assert got == want
-                if isinstance(want, float):
-                    assert float.hex(got) == float.hex(want)
 
-    def test_float_output_entropy_beyond_float_range(self):
+    def test_float_output_entropy_beyond_float_range(self, output_entropy, mutual_information):
         """N_16 of a 16 x 64 matrix over F_256 passes 2^1024, and output_entropy
         used to divide a float output probability by it, which overflowed."""
         float_law = empirical_model([0.5, 0.5] + [0.0] * 15, 16, 64)
@@ -471,7 +476,7 @@ class TestSupportPruning:
         params = ChannelParams(2, 33, 33, law)
         for r in (0, 1, 32, 33):
             want = _rho_avg_exact_weights(r, 0, params)
-            assert float.hex(rho_avg(r, 0, params)) == float.hex(want)
+            assert rho_avg(r, 0, params) == want
 
     def test_workspace_calls_no_zero_weight_rank(self, monkeypatch):
         params = _params(*_STALL_CHANNEL)
@@ -548,7 +553,8 @@ class TestSupportPruning:
 
 
 # Catalogue channels with one, nine (a gap at rank 3) and five supported
-# error ranks, a float law with gaps, and a law supported on every rank.
+# error ranks, a law supported on every rank, and two float laws: one with
+# gaps and one supported on every rank.
 _PRUNED_CHANNELS = [
     pytest.param(_params(*args), id=",".join(map(str, args)))
     for args in (
@@ -561,7 +567,11 @@ _PRUNED_CHANNELS = [
     pytest.param(
         ChannelParams(3, 6, 4, empirical_model([0.0, 0.3, 0.0, 0.2, 0.5], 6, 4)),
         id="3,6,4,float",
-    )
+    ),
+    pytest.param(
+        ChannelParams(16, 12, 14, empirical_model([k / 91 for k in range(1, 14)], 12, 14)),
+        id="16,12,14,float-full",
+    ),
 ]
 
 
@@ -591,10 +601,10 @@ class TestWorkspacePruning:
     @pytest.mark.parametrize("params", _PRUNED_CHANNELS)
     def test_kernel_asks_only_for_reachable_entries(self, monkeypatch, params):
         """rho_avg(ry, rx) is asked only where a supported error rank lies in
-        |ry - rx| <= rB <= ry + rx.  For an exact law it is asked for exactly
-        those entries with ry <= rx, the kernel's reversibility giving the
-        rest; a float law is asked for every one.  Each entry skipped is
-        exactly 0 or has its transpose asked for."""
+        |ry - rx| <= rB <= ry + rx, and for exactly those entries with
+        ry <= rx, exact and float laws alike: the kernel's reversibility gives
+        the rest.  Each entry skipped is exactly 0 or has its transpose asked
+        for."""
         requested = []
 
         def recording(ry, rx, p):
@@ -609,10 +619,7 @@ class TestWorkspacePruning:
             (ry, rx) for ry, rx in itertools.product(ranks, ranks)
             if any(abs(ry - rx) <= rb <= ry + rx for rb in support)
         }
-        if params.error_dist.is_exact:
-            assert sorted(requested) == sorted((ry, rx) for ry, rx in in_band if ry <= rx)
-        else:
-            assert sorted(requested) == sorted(in_band)
+        assert sorted(requested) == sorted((ry, rx) for ry, rx in in_band if ry <= rx)
         skipped = set(itertools.product(ranks, ranks)) - set(requested)
         assert all(
             rho_avg(ry, rx, params) == 0 or (rx, ry) in requested for ry, rx in skipped
@@ -733,7 +740,7 @@ class TestExactLawAtScale:
                     rx, ry, params
                 ), (rx, ry)
 
-    def test_mutual_information_matches_solver_objective(self):
+    def test_mutual_information_matches_solver_objective(self, mutual_information):
         params = _params(*_STALL_CHANNEL)
         uniform = RankDistribution(reference.uniform_rank_distribution(params.n, params.m))
         assert mutual_information(uniform, params) == pytest.approx(

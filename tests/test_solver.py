@@ -16,7 +16,6 @@ from gammacap.channel import (
     ChannelParams,
     RankDistribution,
     constant_rank_model,
-    mutual_information,
     ordered_sum,
     parse_error_model,
     rho_avg,
@@ -471,9 +470,9 @@ class TestRandomStarts:
 
 
 class TestObjectiveAndGradient:
-    def test_objective_equals_mutual_information(self):
-        """The solver's cached-kernel objective and the channel module's
-        entropy assembly are independent routes to the same number."""
+    def test_objective_equals_mutual_information(self, mutual_information):
+        """The solver's cached-kernel objective and the tests' entropy
+        assembly are independent routes to the same number."""
         params = _params(2, 2, 2, "iid:t=1")
         rng = random.Random(11)
         for _ in range(20):
