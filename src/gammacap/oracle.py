@@ -22,7 +22,12 @@ trial-divides only up to 2**10.  GL(n, q) is built row by row, each row
 drawn from outside the span of the rows before it.  Nothing here reduces
 a matrix: ranks and row spaces come from spans.  Work shared
 between terms (the images A*Z of one matrix Z, the row spaces reached from
-one representative M) is enumerated once per call and kept for no longer.
+one representative M) is enumerated once per call.  What depends on the
+shape alone is kept for the life of the process, keyed by the ints
+(n, m, q): the f-tables of :func:`brute_f_functions` and the GL image
+tallies of :func:`build_channel`.  Every refusal is made before either
+memo is read, nothing that depends on an error law is kept, and each
+caller gets containers of its own.
 The inner loops read matrices by their index in enumerate_matrices order:
 adding a fixed X is a permutation of those indices (:func:`_translation`),
 built entry by entry with no matrix formed, and the index of A*Z is read
@@ -41,6 +46,7 @@ at a known optimum.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -209,12 +215,25 @@ def brute_f_functions(n: int, m: int, q: int) -> Dict[str, Dict]:
     AssertionError if any two counts of one class disagree, which checks
     the well-definedness claim rather than assuming it.  Likewise f2 is
     checked across the first REPRESENTATIVES_PER_CLASS matrices X of each
-    rank.  enumerate_matrices refuses a non-prime q and a shape over
-    MATRIX_ENUM_BUDGET.
+    rank.  The tables depend on (n, m, q) alone, so a shape is enumerated,
+    and these checks run, on its first call in a process; each call returns
+    dicts of its own, copied from the memo.  A non-prime q and a shape over
+    MATRIX_ENUM_BUDGET are refused before the memo is read, and the memo is
+    keyed by type as well as value, so a float dimension still raises
+    TypeError after the equal int shape is kept.
 
     ``h`` here is dim((U+V)/V) = u - dim(U cap V), matching the closed-form
     convention.
     """
+    _require_prime(q)
+    _check_grid(n, m, q, "q^(n*m)")
+    return {name: dict(table) for name, table in _f_tables(n, m, q)}
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _f_tables(n: int, m: int, q: int) -> Tuple[Tuple[str, tuple], ...]:
+    """brute_f_functions' three tables of one shape, each as its (key,
+    count) pairs in insertion order."""
     mn = min(n, m)
     all_mats = list(enumerate_matrices(n, m, q))
     dim_of = {q**d: d for d in range(mn + 1)}
@@ -272,7 +291,9 @@ def brute_f_functions(n: int, m: int, q: int) -> Dict[str, Dict]:
                 for rb in range(mn + 1):
                     record("f2", f2, (r, rx, rb), by_ranks[r, rb])
 
-    return {"f0": f0, "f1": f1, "f2": f2}
+    return tuple(
+        (name, tuple(table.items())) for name, table in (("f0", f0), ("f1", f1), ("f2", f2))
+    )
 
 
 def _subspaces_of_span(basis: Matrix, m: int, q: int) -> List[Matrix]:
@@ -410,39 +431,23 @@ class ChannelLaw:
     rows: List[Dict[int, int]]
 
 
-def build_channel(params) -> ChannelLaw:
-    """Exact transition law P(Y | X) for every input matrix X.
-
-    ``params`` provides q (prime), n, m and an error rank distribution whose
-    entries must be exact rationals.  The law is
-    P(Y|X) = (1/|GL|) * sum_rB R(rB)/N_rB * sum_{B of rank rB} #{A in GL : A(X+B) = Y}.
-    A shape over the channel budget is refused before GL is enumerated.
-    The images A*Z over all of GL are tallied once per matrix Z, by output
-    index, each index summed from one lookup per row of A in a table of the
-    row combinations of Z; a row reads the tally of X+B through the
-    translation of X and adds the tallies as integer numerators.  The rank
-    of Z is read off those combinations, its row space of q**rank vectors,
-    so no matrix is reduced.
-    """
-    q, n, m = params.q, params.n, params.m
-    _require_prime(q)
-    weights = list(params.error_dist)
-    for w in weights:
-        if not isinstance(w, (int, Fraction)):
-            raise ValueError(
-                "oracle channel law needs exact rational error probabilities"
-            )
-    _check_channel(n, m, q)
+@functools.lru_cache(maxsize=None, typed=True)
+def _gl_images(n: int, m: int, q: int) -> tuple:
+    """The part of build_channel's work that depends on (n, m, q) alone:
+    (|GL(n, q)|, the matrices of F_q^{n x m} in enumerate_matrices order,
+    the rank of each, ``images``, ``by_rank``), all tuples.  ``images[z]``
+    holds (index of Y, #{A in GL : A*Z = Y}) for Z = matrices[z], in order
+    of first appearance; ``by_rank[r]`` the indices of the matrices of rank
+    r.  Callers check the budgets first."""
     gl = list(enumerate_gl(n, q))
-    all_mats = list(enumerate_matrices(n, m, q))
+    all_mats = tuple(enumerate_matrices(n, m, q))
     # gl_rows[i][g]: index of row i of the g-th A in GL among the q**n
     # coefficient vectors of F_q^n, in lexicographic order.
     vector_index = {v: i for i, v in enumerate(itertools.product(range(q), repeat=n))}
     gl_rows = [[vector_index[row] for row in rows] for rows in zip(*gl)]
-    # images[z]: (index of Y, #{A in GL : A*Z = Y}) for Z = all_mats[z], in
-    # order of first appearance.  Row i of A*Z is the combination A_i*Z of
-    # the rows of Z, so index(A*Z) = sum_i comb[A_i] * q**(m*(n-1-i)).
-    images: List[List[Tuple[int, int]]] = []
+    # Row i of A*Z is the combination A_i*Z of the rows of Z, so
+    # index(A*Z) = sum_i comb[A_i] * q**(m*(n-1-i)).
+    images: List[Tuple[Tuple[int, int], ...]] = []
     ranks: List[int] = []
     rank_of_size = {q**r: r for r in range(n + 1)}
     row_count = q**m
@@ -453,15 +458,44 @@ def build_channel(params) -> ChannelLaw:
         ys = [0] * len(gl)
         for rows in gl_rows:
             ys = [y * row_count + comb[a] for y, a in zip(ys, rows)]
-        images.append(list(Counter(ys).items()))
-    by_rank: Dict[int, List[int]] = {}
-    for i, r in enumerate(ranks):
-        by_rank.setdefault(r, []).append(i)
+        images.append(tuple(Counter(ys).items()))
+    by_rank = tuple(
+        tuple(i for i, r in enumerate(ranks) if r == rank) for rank in range(max(ranks) + 1)
+    )
+    return len(gl), all_mats, tuple(ranks), tuple(images), by_rank
+
+
+def build_channel(params) -> ChannelLaw:
+    """Exact transition law P(Y | X) for every input matrix X.
+
+    ``params`` provides q (prime), n, m and an error rank distribution whose
+    entries must be exact rationals.  The law is
+    P(Y|X) = (1/|GL|) * sum_rB R(rB)/N_rB * sum_{B of rank rB} #{A in GL : A(X+B) = Y}.
+    A non-prime q, an inexact law and a shape over the channel budget are
+    refused before GL is enumerated or the memo read.
+    The images A*Z over all of GL are tallied once per matrix Z and shape
+    (:func:`_gl_images`, kept for the life of the process), by output
+    index, each index summed from one lookup per row of A in a table of the
+    row combinations of Z; a row reads the tally of X+B through the
+    translation of X and adds the tallies as integer numerators.  The rank
+    of Z is read off those combinations, its row space of q**rank vectors,
+    so no matrix is reduced.  Each law gets lists of its own.
+    """
+    q, n, m = params.q, params.n, params.m
+    _require_prime(q)
+    weights = list(params.error_dist)
+    for w in weights:
+        if not isinstance(w, (int, Fraction)):
+            raise ValueError(
+                "oracle channel law needs exact rational error probabilities"
+            )
+    _check_channel(n, m, q)
+    gl_size, all_mats, ranks, images, by_rank = _gl_images(n, m, q)
     # R(rB) / (N_rB * |GL|) as integer numerators over one denominator.
     per_term = {
-        rb: Fraction(w) / (len(by_rank[rb]) * len(gl))
+        rb: Fraction(w) / (len(by_rank[rb]) * gl_size)
         for rb, w in enumerate(weights)
-        if w != 0 and rb in by_rank
+        if w != 0 and rb < len(by_rank)
     }
     den = math.lcm(*(t.denominator for t in per_term.values()))
     # (index of B, numerator of its term) for every supported error matrix B.
@@ -478,7 +512,7 @@ def build_channel(params) -> ChannelLaw:
             for y, mult in images[perm[b]]:
                 counts[y] = counts.get(y, 0) + num * mult
         rows.append(counts)
-    return ChannelLaw(all_mats, ranks, den, rows)
+    return ChannelLaw(list(all_mats), list(ranks), den, rows)
 
 
 def rank_kernel(law: ChannelLaw) -> Dict[int, List[Fraction]]:

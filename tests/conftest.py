@@ -1,9 +1,12 @@
-"""Session-cached enumeration tables shared across test modules, and the
-entropy references that read them.
+"""Session-cached channel laws shared across test modules, the oracle's
+memo reset, and the entropy references.
 
-Building a brute-force f-function table or a full channel law is the
-expensive part of the oracle cross-checks, and several test modules need
-the same (n, m, q) instances, so both are cached for the whole session.
+Building a full channel law is the expensive part of the oracle
+cross-checks, and several test modules need the same channels, so each law
+is cached for the whole session.  The oracle itself keeps what depends on
+the shape alone, the f-tables and the GL image tallies, for the life of
+the process; ``cold_oracle`` empties both memos around a test that must
+see them enumerated afresh.
 
 The mutual information of a rank-uniform input is also assembled here, as
 H(Y) from the output rank law less H(Y | X) from h_r: a second route to the
@@ -20,18 +23,20 @@ from gammacap.channel import h_r, ordered_sum, output_rank_distribution, rank_cl
 from reference import log2_exact
 
 
-@pytest.fixture(scope="session")
-def brute_tables():
-    """Factory: (n, m, q) -> cached brute-force f0/f1/f2 tables."""
-    cache = {}
+def clear_oracle_memo():
+    """Empty the oracle's per-shape memos, so the next call enumerates."""
+    oracle._f_tables.cache_clear()
+    oracle._gl_images.cache_clear()
 
-    def get(n, m, q):
-        key = (n, m, q)
-        if key not in cache:
-            cache[key] = oracle.brute_f_functions(n, m, q)
-        return cache[key]
 
-    return get
+@pytest.fixture
+def cold_oracle():
+    """The oracle's memos emptied before the test and again after it, so a
+    mutant installed by the test meets a cold memo and leaves nothing
+    behind."""
+    clear_oracle_memo()
+    yield clear_oracle_memo
+    clear_oracle_memo()
 
 
 @pytest.fixture(scope="session")

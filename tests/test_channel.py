@@ -201,19 +201,23 @@ class TestRankDistribution:
         assert dist[1] == Fraction(3, 4)
         assert dist.as_floats() == (0.25, 0.75)
 
-    def test_exactness_is_fixed_at_construction(self, monkeypatch):
+    def test_exactness_is_fixed_at_construction(self):
         """is_exact is a stored field outside repr, equality and hash, and
-        rho_avg, exact for every law, never rescans the law."""
+        output_rank_distribution, its one reader, follows the stored flag
+        without rescanning the law: flipped after construction, it turns
+        the output float for an exact law and exact for a float one."""
         exact = RankDistribution([Fraction(1, 4), Fraction(3, 4)])
         floats = RankDistribution([0.25, 0.75])
         assert exact.is_exact and not floats.is_exact
         assert repr(exact) == "RankDistribution(probs=(Fraction(1, 4), Fraction(3, 4)))"
         assert exact == floats and hash(exact) == hash(floats)
-        params = ChannelParams(2, 2, 2, RankDistribution([Fraction(1, 2), 0, Fraction(1, 2)]))
-        calls = []
-        monkeypatch.setattr(channel, "_is_exact", lambda v: calls.append(v) or True)
-        assert isinstance(rho_avg(1, 1, params), Fraction)
-        assert calls == []
+        inputs = RankDistribution([Fraction(1, 2), Fraction(1, 2), 0])
+        for law in ([Fraction(1, 2), 0, Fraction(1, 2)], [0.5, 0.0, 0.5]):
+            params = ChannelParams(2, 2, 2, RankDistribution(law))
+            stored = params.error_dist.is_exact
+            assert output_rank_distribution(inputs, params).is_exact is stored
+            object.__setattr__(params.error_dist, "is_exact", not stored)
+            assert output_rank_distribution(inputs, params).is_exact is not stored
 
 
 class TestChannelParams:

@@ -660,6 +660,30 @@ class TestRepeatedMain:
         assert stderr_diagnostic(err) == stderr_diagnostic(alone.stderr)
 
 
+class TestOracleMemo:
+    """verify prints what a cold oracle gives, whatever ran before it."""
+
+    RUNS = (
+        ["verify", "--q", "2", "--n", "2", "--m", "2", "--error", "iid:t=1"],
+        ["verify", "--q", "2", "--n", "2", "--m", "2", "--error", "binomial:T=2,p=0.3"],
+    )
+
+    def test_warm_reports_match_cold_ones(self, capsys, cold_oracle):
+        """Two error laws at one shape, one after the other: each report
+        is byte-identical to the one printed after the memo is emptied."""
+        first, second = self.RUNS
+        cold_first = run_cli(capsys, *first)
+        warm_second = run_cli(capsys, *second)
+        warm_first = run_cli(capsys, *first)
+        assert cli.oracle._f_tables.cache_info().hits == 2
+        assert cli.oracle._gl_images.cache_info().hits == 2
+        cold_oracle()
+        cold_second = run_cli(capsys, *second)
+        assert warm_first == cold_first and warm_second == cold_second
+        assert warm_first[0] == warm_second[0] == 0
+        assert warm_first[1] != warm_second[1]
+
+
 class TestInstalledEntryPoint:
     """The `gammacap` command declared in pyproject.toml, run as a process.
 

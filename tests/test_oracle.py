@@ -1,5 +1,6 @@
 """Self-checks for the enumeration oracle's own primitives."""
 
+import copy
 import inspect
 import itertools
 import json
@@ -17,7 +18,12 @@ import pytest
 
 import reference
 from gammacap import oracle
-from gammacap.channel import ChannelParams, constant_rank_model, parse_error_model
+from gammacap.channel import (
+    ChannelParams,
+    RankDistribution,
+    constant_rank_model,
+    parse_error_model,
+)
 from gammacap.exactcomb import qbinom
 from gammacap.solver import maximize
 
@@ -160,6 +166,64 @@ class TestEnumeration:
         for reduce in (reference.rank_of, reference.rref_basis):
             with pytest.raises(ValueError, match="prime field"):
                 reduce([[2, 1]], 4)
+
+
+class TestShapeMemo:
+    """brute_f_functions and build_channel keep what depends on (n, m, q)
+    alone for the life of the process, and no caller can tell."""
+
+    def test_callers_get_containers_of_their_own(self, cold_oracle):
+        """Mutating a returned f-table or a ChannelLaw list changes nothing
+        that the next call, served from the memo, returns."""
+        tables = oracle.brute_f_functions(2, 2, 2)
+        want_tables = copy.deepcopy(tables)
+        tables["f0"][0] = -1
+        tables["f1"].clear()
+        del tables["f2"]
+        assert oracle.brute_f_functions(2, 2, 2) == want_tables
+
+        params = ChannelParams(2, 2, 2, parse_error_model("iid:t=1", 2, 2, 2))
+        law = oracle.build_channel(params)
+        want_law = copy.deepcopy(law)
+        law.matrices.reverse()
+        law.ranks[0] = -1
+        law.rows[0].clear()
+        law.rows.pop()
+        assert oracle.build_channel(params) == want_law
+        assert oracle._f_tables.cache_info().hits == 1
+        assert oracle._gl_images.cache_info().hits == 1
+
+    @pytest.mark.parametrize("shape", [(2.0, 2, 2), (2, 2.0, 2), (2, 2, 2.0)])
+    def test_float_dimension_refused_after_the_int_shape(self, cold_oracle, shape):
+        """The memo tells 2.0 from 2, so a float shape is not served the
+        tables of the equal int shape."""
+        oracle.brute_f_functions(2, 2, 2)
+        with pytest.raises(TypeError):
+            oracle.brute_f_functions(*shape)
+
+    def test_refusals_come_before_the_memo(self, monkeypatch):
+        """Every refusal is made before either memo is read."""
+
+        def read_memo(*args):
+            raise AssertionError("memo read")
+
+        monkeypatch.setattr(oracle, "_f_tables", read_memo)
+        monkeypatch.setattr(oracle, "_gl_images", read_memo)
+        with pytest.raises(oracle.BudgetExceededError, match="enumeration budget"):
+            oracle.brute_f_functions(3, 3, 5)
+        with pytest.raises(ValueError, match="prime field"):
+            oracle.brute_f_functions(2, 2, 4)
+        with pytest.raises(oracle.BudgetExceededError, match="channel budget"):
+            oracle.build_channel(ChannelParams(2, 4, 4, constant_rank_model(0, 4, 4)))
+        with pytest.raises(ValueError, match="prime field"):
+            oracle.build_channel(ChannelParams(4, 1, 1, constant_rank_model(0, 1, 1)))
+        with pytest.raises(ValueError, match="exact rational"):
+            oracle.build_channel(ChannelParams(2, 1, 1, RankDistribution([0.5, 0.5])))
+        # A shape within budget does read the memo.
+        with pytest.raises(AssertionError, match="memo read"):
+            oracle.brute_f_functions(2, 2, 2)
+        with pytest.raises(AssertionError, match="memo read"):
+            oracle.build_channel(ChannelParams(2, 2, 2, constant_rank_model(0, 2, 2)))
 
 
 class TestChannelTable:
@@ -502,7 +566,7 @@ class TestAgainstPerTermReferences:
             for r in range(k + 1)
         }
 
-    def test_disagreeing_representatives_are_reported(self, monkeypatch):
+    def test_disagreeing_representatives_are_reported(self, cold_oracle, monkeypatch):
         """A mutant that tallies the zero matrix in place of the second
         representative of the first line U = <(1, 0)> of F_2^2 must trip the
         f1 check: for V = 0 the first representative M counts no B of rank 0
@@ -533,7 +597,7 @@ class TestAgainstPerTermReferences:
         assert run.returncode == 1
         assert run.stderr.splitlines()[-1] == f"AssertionError: {_ILL_DEFINED}"
 
-    def test_verify_reports_disagreeing_representatives(self, monkeypatch, capsys):
+    def test_verify_reports_disagreeing_representatives(self, cold_oracle, monkeypatch, capsys):
         """cli verify reports the mutant's table as one JSON error line and
         exit 1, a verification failure, not as a traceback."""
         from gammacap import cli
