@@ -29,8 +29,9 @@ tallies of :func:`build_channel`.  Every refusal is made before either
 memo is read, nothing that depends on an error law is kept, and each
 caller gets containers of its own.
 The inner loops read matrices by their index in enumerate_matrices order:
-adding a fixed X is a permutation of those indices (:func:`_translation`),
-built entry by entry with no matrix formed, and the index of A*Z is read
+adding a fixed matrix, such as one supported error matrix B to every input
+at once, is a permutation of those indices (:func:`_translation`), built
+entry by entry with no matrix formed, and the index of A*Z is read
 off the indices of the row combinations a*Z, one table per Z, with A held
 as the indices of its rows.  A channel law (:class:`ChannelLaw`) keeps that
 indexing: each matrix's rank, read off the size of its span, and per input
@@ -169,11 +170,12 @@ def enumerate_subspaces(m: int, q: int, dim: int | None = None) -> List[Matrix]:
     return out
 
 
-def _translation(X: Matrix, q: int) -> List[int]:
-    """``perm[b]`` is the index of X + B for the matrix B of index b, both in
-    enumerate_matrices order, built one entry of X at a time."""
+def _translation(M: Matrix, q: int) -> List[int]:
+    """``perm[i]`` is the index of M + Z for the matrix Z of index i, both in
+    enumerate_matrices order, built one entry of M at a time; read at the
+    index of X it is also X + M, as addition commutes."""
     perm = [0]
-    for x in itertools.chain.from_iterable(X):
+    for x in itertools.chain.from_iterable(M):
         digits = [(x + d) % q for d in range(q)]
         perm = [p * q + s for p in perm for s in digits]
     return perm
@@ -476,10 +478,12 @@ def build_channel(params) -> ChannelLaw:
     The images A*Z over all of GL are tallied once per matrix Z and shape
     (:func:`_gl_images`, kept for the life of the process), by output
     index, each index summed from one lookup per row of A in a table of the
-    row combinations of Z; a row reads the tally of X+B through the
-    translation of X and adds the tallies as integer numerators.  The rank
-    of Z is read off those combinations, its row space of q**rank vectors,
-    so no matrix is reduced.  Each law gets lists of its own.
+    row combinations of Z.  Each supported error matrix B is translated
+    once, and every row X adds the tally of X+B times the integer numerator
+    of B's rank, so no error matrix of probability 0 is translated and each
+    row meets its terms in (rB, B) order.  The rank of Z is read off its
+    row combinations, its row space of q**rank vectors, so no matrix is
+    reduced.  Each law gets lists of its own.
     """
     q, n, m = params.q, params.n, params.m
     _require_prime(q)
@@ -498,20 +502,14 @@ def build_channel(params) -> ChannelLaw:
         if w != 0 and rb < len(by_rank)
     }
     den = math.lcm(*(t.denominator for t in per_term.values()))
-    # (index of B, numerator of its term) for every supported error matrix B.
-    terms = [
-        (b, t.numerator * (den // t.denominator))
-        for rb, t in per_term.items()
-        for b in by_rank[rb]
-    ]
-    rows: List[Dict[int, int]] = []
-    for X in all_mats:
-        perm = _translation(X, q)
-        counts: Dict[int, int] = {}
-        for b, num in terms:
-            for y, mult in images[perm[b]]:
-                counts[y] = counts.get(y, 0) + num * mult
-        rows.append(counts)
+    rows: List[Dict[int, int]] = [{} for _ in all_mats]
+    for rb, t in per_term.items():
+        num = t.numerator * (den // t.denominator)
+        for b in by_rank[rb]:
+            # index(X + B) = index(B + X): B's translation, read at X.
+            for counts, z in zip(rows, _translation(all_mats[b], q)):
+                for y, mult in images[z]:
+                    counts[y] = counts.get(y, 0) + num * mult
     return ChannelLaw(list(all_mats), list(ranks), den, rows)
 
 

@@ -2,8 +2,8 @@
 
 Gauss-Jordan elimination over a prime field (rank, canonical RREF basis),
 a census of subspaces by their meets with a fixed pair, the rank transition
-probability of one error rank, the uniform input rank law, and log2 of an
-exact rational beyond the float range.  Nothing
+probability of one error rank and of a whole error law, the uniform input
+rank law, and log2 of an exact rational beyond the float range.  Nothing
 here imports gammacap, so a check against this module compares the package
 with an independent computation:
 
@@ -12,7 +12,9 @@ with an independent computation:
 - the subspaces of F_q^m by closing {0} under adding one vector at a time,
   where the oracle enumerates pivot patterns;
 - f2(r, rX, rB) as an intersection number of the bilinear forms scheme,
-  from Delsarte's eigenvalues, where matrixfn sums f1 terms.
+  from Delsarte's eigenvalues, where matrixfn sums f1 terms;
+- the rank transition of a whole error law from the eigenvalues of that
+  law, where channel sums f2 over its error ranks.
 """
 
 import itertools
@@ -143,6 +145,37 @@ def rho_given_ranks(r, rX, rB, params):
     count, remainder = divmod(total, q ** (n * m) * size[rX])
     assert remainder == 0, "an intersection number is an integer"
     return Fraction(count, size[rB])
+
+
+def error_eigenvalues(law, params):
+    """Delsarte's eigenvalues of the error B drawn from the rank law ``law``
+    and uniformly within its rank class, over the n x m matrices of
+    ``params``: lambda_l = sum_rB (R(rB) / v_rB) P_rB(l) for l = 0..min(n, m),
+    as exact Fractions.  Adding B is a walk on the scheme, and these are
+    the eigenvalues of its operator."""
+    q, n, m = params.q, params.n, params.m
+    d, e = min(n, m), max(n, m)
+    return [
+        sum(
+            Fraction(p) / _eigenvalue(rB, 0, d, e, q) * _eigenvalue(rB, l, d, e, q)
+            for rB, p in enumerate(law) if p
+        )
+        for l in range(d + 1)
+    ]
+
+
+def rank_transition(r, rX, eigenvalues, params):
+    """T(r | rX) = P(rank(X + B) = r) for a fixed X of rank rX and B of the
+    law with the given ``error_eigenvalues``:
+    sum_l v_l lambda_l P_r(l) P_rX(l) / (q^(nm) v_rX), with v_l = P_l(0)."""
+    q, n, m = params.q, params.n, params.m
+    d, e = min(n, m), max(n, m)
+    total = sum(
+        _eigenvalue(l, 0, d, e, q) * lam * _eigenvalue(r, l, d, e, q)
+        * _eigenvalue(rX, l, d, e, q)
+        for l, lam in enumerate(eigenvalues)
+    )
+    return total / (q ** (n * m) * _eigenvalue(rX, 0, d, e, q))
 
 
 def uniform_rank_distribution(n, m):

@@ -315,6 +315,34 @@ class TestConfigurations:
                 build(d1, 3, 4)
 
 
+class TestOneTranslationPerErrorMatrix:
+    """build_channel translates each supported error matrix once, in (rB, B)
+    order, and no input matrix: 1 + 42 of the 64 matrices of F_2^{2 x 3}
+    for a law with a rank of probability 0 between its supported ones."""
+
+    @pytest.mark.parametrize(
+        "spec, supported, calls",
+        [
+            ("constant:t=0", (0,), 1),
+            ("constant:t=1", (1,), 21),
+            ("empirical:1/2,0,1/2", (0, 2), 43),
+        ],
+    )
+    def test_translations(self, spec, supported, calls, monkeypatch):
+        q, n, m = 2, 2, 3
+        translated = []
+        translate = oracle._translation
+        monkeypatch.setattr(
+            oracle, "_translation", lambda M, p: translated.append(M) or translate(M, p)
+        )
+        oracle.build_channel(ChannelParams(q, n, m, parse_error_model(spec, q, n, m)))
+        all_mats = list(oracle.enumerate_matrices(n, m, q))
+        assert translated == [
+            B for rb in supported for B in all_mats if reference.rank_of(B, q) == rb
+        ]
+        assert len(translated) == calls
+
+
 # The benchmark's verify shapes (q, n, m) at q in {2, 3, 5}, plus the two
 # shapes the CI runs end to end.
 VERIFY_SHAPES = (

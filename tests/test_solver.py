@@ -21,6 +21,7 @@ from gammacap.channel import (
     rho_avg,
 )
 from gammacap.exactcomb import count_rank_matrices, qbinom
+from gammacap.matrixfn import f2
 from gammacap.solver import CapacityResult, SolverConfig, gradient, maximize, objective
 
 
@@ -668,6 +669,81 @@ class TestWorkspaceBits:
         assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == self.DIGEST
 
 
+# The kernel's Delsarte checks: six slow catalogue workspaces, two more
+# shapes, and the uniform-matrix law N_r / q^(nm), full support at d = 24.
+_DELSARTE_CHANNELS = TestWorkspaceBits.CHANNELS + [
+    (3, 12, 14, "iid:t=2"),
+    (2, 3, 5, "empirical:1/3,1/3,1/3"),
+    (2, 24, 24, "uniform"),
+]
+
+
+def _uniform_matrix_params(q, n, m):
+    """The channel whose error law is R(r) = N_r / q^(nm): B is a uniform
+    matrix, so X + B is uniform for every X."""
+    law = [Fraction(count_rank_matrices(n, m, r, q), q ** (n * m)) for r in range(min(n, m) + 1)]
+    return ChannelParams(q, n, m, RankDistribution(law))
+
+
+def _delsarte_params(q, n, m, spec):
+    return _uniform_matrix_params(q, n, m) if spec == "uniform" else _params(q, n, m, spec)
+
+
+def _composed_by_f2(law, other, params):
+    """_composed's R*R' of ``law`` and ``other``, with the package's f2 in
+    place of the reference's intersection numbers."""
+    q, n, m, k = params.q, params.n, params.m, params.rank_count
+    return [
+        sum(
+            Fraction(law[a] * other[b] * f2(r, a, b, n, m, q), count_rank_matrices(n, m, b, q))
+            for a in range(k) for b in range(k) if law[a] and other[b]
+        )
+        for r in range(k)
+    ]
+
+
+class TestDelsarteKernel:
+    """The workspace kernel and the error law against Delsarte's eigenvalues
+    of the bilinear forms scheme (tests/reference.py), which read no count
+    of the package: T(ry | rx) = sum_l v_l lambda_l P_ry(l) P_rx(l) /
+    (q^(nm) v_rx), with lambda_l the eigenvalues of the error law."""
+
+    @pytest.mark.parametrize("channel", _DELSARTE_CHANNELS, ids=_channel_id)
+    def test_kernel_is_the_eigenvalue_form(self, channel):
+        """Every kept entry is float(T) bit for bit, by output row and by
+        input column, and an entry is absent exactly where float(T) is 0,
+        so every T = 0 is absent."""
+        params = _delsarte_params(*channel)
+        eigenvalues = reference.error_eigenvalues(params.error_dist, params)
+        k = params.rank_count
+        kernel = [
+            [float(reference.rank_transition(ry, rx, eigenvalues, params)) for rx in range(k)]
+            for ry in range(k)
+        ]
+        ws = solver._workspace(params)
+        for got, want in ((ws.rows, kernel), (ws.columns, list(zip(*kernel)))):
+            assert [[(i, t.hex()) for i, t in line] for line in got] == [
+                [(i, t.hex()) for i, t in enumerate(line) if t] for line in want
+            ]
+
+    @pytest.mark.parametrize("channel", _DELSARTE_CHANNELS, ids=_channel_id)
+    def test_error_law_eigenvalues(self, channel):
+        """lambda_0 = 1, since the law sums to 1; the uniform-matrix law has
+        no other nonzero eigenvalue; and the eigenvalues of B + B' are the
+        products of those of B and B', with the law of B + B' from f2."""
+        params = _delsarte_params(*channel)
+        q, n, m = params.q, params.n, params.m
+        eigenvalues = reference.error_eigenvalues(params.error_dist, params)
+        assert eigenvalues[0] == 1
+        if channel[3] == "uniform":
+            assert eigenvalues[1:] == [0] * (params.rank_count - 1)
+        other = parse_error_model("iid:t=1", q, n, m)
+        both = _composed_by_f2(params.error_dist, other, params)
+        assert reference.error_eigenvalues(both, params) == [
+            a * b for a, b in zip(eigenvalues, reference.error_eigenvalues(other, params))
+        ]
+
+
 class TestWorkspaceLifetime:
     """A channel's workspace is built on its first use, kept on the channel
     and freed with it: no module-level state holds a channel."""
@@ -768,10 +844,7 @@ class TestCapacityBeyondOracle:
     def test_uniform_matrix_law_has_zero_capacity(self, shape):
         """With R(r) = N_r / q^{nm}, B is a uniform matrix, so X + B is
         uniform for every X."""
-        q, n, m = shape
-        k = min(n, m) + 1
-        law = [Fraction(count_rank_matrices(n, m, r, q), q ** (n * m)) for r in range(k)]
-        params = ChannelParams(q, n, m, RankDistribution(law))
+        params = _uniform_matrix_params(*shape)
         res = _certified(params)
         assert -_slack(params) <= res.capacity_bits <= res.optimality_gap_bits + _slack(params)
 
