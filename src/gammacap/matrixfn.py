@@ -28,12 +28,15 @@ from typing import Sequence, Tuple
 from .exactcomb import qbinom_ext, _check_args, _falling
 
 
+@lru_cache(maxsize=None)
 def _meet_count(N: int, k: int, d: int, a: int, q: int) -> int:
     """d-dim subspaces of an N-space meeting a fixed k-space in dimension a.
 
     q^((d-a)(k-a)) * qbinom(N-k, d-a) * qbinom(k, a): the a-dim meet inside
     the k-space, the (d-a)-dim image in the quotient by the k-space, and one
     of q^((d-a)(k-a)) lifts of that image.  Callers keep 0 <= a <= min(d, k).
+    Cached as qbinom_ext is: f2 asks for the same count once per supported
+    error rank.
     """
     return q ** ((d - a) * (k - a)) * qbinom_ext(N - k, d - a, q) * qbinom_ext(k, a, q)
 

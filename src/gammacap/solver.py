@@ -3,13 +3,16 @@
 The mutual information is concave on the simplex of input rank
 distributions.  The solver runs Blahut-Arimoto on the rank kernel, x_a <-
 x_a 2^{grad_a} renormalized, accelerated by SQUAREM extrapolation (Varadhan
-and Roland, 2008).  When that stalls (the gap has not halved over five
-iterations) it tries an active-set Newton step on the simplex, keeps it if
-it shrinks the gap, and otherwise raises the damping and waits for a fresh
-stall.  A rank the Newton step would empty keeps 1e-3 of its mass, and a
-mass that underflows keeps the smallest positive float, so every iterate
-keeps full support.  The Frank-Wolfe duality gap max_a grad_a - grad . x
-certifies the result.
+and Roland, 2008), whose safeguard keeps the extrapolated point when its
+value is at least the current iterate's.  When that stalls (the gap has not
+halved over five iterations) it tries an active-set Newton step on the
+simplex, keeps it if it shrinks the gap, and otherwise raises the damping
+and waits for a fresh stall.  A rank the Newton step would empty keeps 1e-3
+of its mass, and a mass that underflows keeps the smallest positive float,
+so every iterate keeps full support.  The Frank-Wolfe duality gap
+max_a grad_a - grad . x certifies the result.  Every iterate's value is read
+off the gradient the loop already has, I(x) = x . grad + log2 e on the
+simplex, so the objective is assembled once, for the point returned.
 
 The objective and gradient accept plain float vectors in addition to
 RankDistribution values: finite-difference checks evaluate them slightly
@@ -220,13 +223,24 @@ def _gap(grad: Sequence[float], x: Sequence[float]) -> float:
     return max(grad) - ordered_sum(g * p for g, p in zip(grad, x) if p > 0)
 
 
-def _squarem_step(ws: _Workspace, x: List[float], grad: List[float]) -> Tuple[List[float], float]:
+def _value(x: Sequence[float], grad: Sequence[float]) -> float:
+    """I(x) at a point x of the simplex, from its gradient.  Weighted by x_a,
+    the components of :func:`gradient` add to H(Y) - x . h - log2 e sum_y p_y,
+    and sum_y p_y = sum_a x_a = 1, so I(x) = x . grad + log2 e."""
+    return ordered_sum(map(operator.mul, x, grad)) + _LOG2E
+
+
+def _squarem_step(
+    ws: _Workspace, x: List[float], grad: List[float], value: float
+) -> Tuple[List[float], List[float], float]:
     """SQUAREM: two Blahut-Arimoto steps x1, x2 from x, extrapolated along
-    them (alpha = -1 gives x2).  The clamp keeps full support; the test
-    against x2 keeps ascent."""
+    them (alpha = -1 gives x2); returns the point taken with its gradient and
+    value.  The clamp keeps full support.  The safeguard of Varadhan and
+    Roland keeps the extrapolated point when its value is at least the value
+    of x, the current iterate, and otherwise falls back to x2, which a
+    Blahut-Arimoto step never takes below x."""
     x1 = _ba_step(x, grad)
     x2 = _ba_step(x1, ws.gradient(x1))
-    value = ws.objective(x2)
     r = [b - a for a, b in zip(x, x1)]
     v = [c - 2 * b + a for a, b, c in zip(x, x1, x2)]
     norm_r, norm_v = math.hypot(*r), math.hypot(*v)
@@ -236,10 +250,12 @@ def _squarem_step(ws: _Workspace, x: List[float], grad: List[float]) -> Tuple[Li
             max(a - 2 * alpha * dr + alpha * alpha * dv, 0.5 * c)
             for a, dr, dv, c in zip(x, r, v, x2)
         ])
-        point_value = ws.objective(point)
+        point_grad = ws.gradient(point)
+        point_value = _value(point, point_grad)
         if point_value >= value:
-            return point, point_value
-    return x2, value
+            return point, point_grad, point_value
+    grad2 = ws.gradient(x2)
+    return x2, grad2, _value(x2, grad2)
 
 
 def _newton_point(
@@ -316,9 +332,11 @@ def maximize(
     (converged=False unless that gap meets the tolerance).
 
     ``observer``, when given, is called after every iteration with
-    (iteration, objective_bits, gap_bits).  Where the time went (workspace
-    build, near 0 for a channel already built, and solve) is logged at INFO on
-    the ``gammacap.solver`` logger.
+    (iteration, objective_bits, gap_bits), objective_bits read off the
+    iterate's gradient (see _value); capacity_bits alone comes from
+    _Workspace.objective, once, at the point returned.  Where the time went
+    (workspace build, near 0 for a channel already built, and solve) is
+    logged at INFO on the ``gammacap.solver`` logger.
     """
     if config is None:
         config = SolverConfig()
@@ -336,8 +354,8 @@ def maximize(
     else:
         x = [1.0 / k] * k
 
-    value = ws.objective(x)
     grad = ws.gradient(x)
+    value = _value(x, grad)
     gaps: List[float] = []
     mu, newton_steps, polished = _MU_START, 0, False
     for iterations in range(1, config.max_iterations + 1):
@@ -360,13 +378,12 @@ def maximize(
             point_grad = ws.gradient(point)
             polished = _gap(point_grad, point) < gap
         if polished:
-            x, value, grad = point, ws.objective(point), point_grad
+            x, value, grad = point, _value(point, point_grad), point_grad
             mu, newton_steps = mu / 10, newton_steps + 1
         else:
             if attempt:
                 mu, gaps = mu * 10, []
-            x, value = _squarem_step(ws, x, grad)
-            grad = ws.gradient(x)
+            x, grad, value = _squarem_step(ws, x, grad, value)
         if observer is not None:
             observer(iterations, value, gap)
 
@@ -380,7 +397,7 @@ def maximize(
     )
     return CapacityResult(
         optimal_input=RankDistribution(x),
-        capacity_bits=value,
+        capacity_bits=ws.objective(x),
         optimality_gap_bits=gap,
         iterations=iterations,
         output_ranks=RankDistribution(ws.output_probs(x)),

@@ -132,7 +132,7 @@ class TestCapacityCommand:
         assert run_cli(capsys, *args)[1] == out
 
     @pytest.mark.parametrize(
-        "n, bits, iterations", [(16, 5942.20, 2), (32, 8070.42, 11)]
+        "n, bits, iterations", [(16, 5942.20, 2), (32, 8070.42, 7)]
     )
     def test_class_weight_beyond_float_range(self, capsys, n, bits, iterations):
         """At q = 256 an output class of h_r holds more than 2^1024 row
