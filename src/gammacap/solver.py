@@ -9,7 +9,10 @@ halved over five iterations) it tries an active-set Newton step on the
 simplex, keeps it if it shrinks the gap, and otherwise raises the damping
 and waits for a fresh stall.  A rank the Newton step would empty keeps 1e-3
 of its mass, and a mass that underflows keeps the smallest positive float,
-so every iterate keeps full support.  The Frank-Wolfe duality gap
+so every iterate keeps full support.  Each Newton attempt takes one Cholesky
+factor of its scaled curvature, O(k^3) for k ranks; each rank the active set
+fixes then costs O(k^2), a Givens update of that factor and one back
+substitution.  The Frank-Wolfe duality gap
 max_a grad_a - grad . x certifies the result.  Every iterate's value is read
 off the gradient the loop already has, I(x) = x . grad + log2 e on the
 simplex, so the objective is assembled once, for the point returned.
@@ -47,7 +50,8 @@ _LN2 = math.log(2)
 # Newton polish: a stall is _STALL_WINDOW iterations without halving the gap;
 # a rank the step would empty keeps _FLOOR of its mass; the damping mu starts
 # at _MU_START, falls by 10 on a kept step and rises by 10 on a refused one; a
-# pivot of the unit-diagonal system at or below _PIVOT_MIN counts as zero.
+# Cholesky pivot of the unit-diagonal curvature, or the Schur complement of
+# the simplex constraint, at or below _PIVOT_MIN counts as zero.
 _STALL_WINDOW, _FLOOR, _PIVOT_MIN, _MU_START = 5, 1e-3, 1e-13, 1e-4
 _MIN_MASS = math.ulp(0.0)
 
@@ -143,20 +147,19 @@ class _Workspace:
     def gradient(self, x: Sequence[float]) -> List[float]:
         # A class that a positive-mass rank reaches but whose probability
         # underflows to 0.0 takes the smallest positive float, as masses do.
+        # One that no such rank reaches takes -inf: every rank reaching it
+        # gets +inf, since kernel entries are positive and no term is +inf.
         log_terms = [
             (math.log2(p) - log_class + _LOG2E) if p > 0
             else (math.log2(_MIN_MASS) - log_class + _LOG2E)
             if p == 0 and any(x[a] > 0 for a, _ in row)
-            else None
+            else -math.inf
             for p, row, log_class in zip(self.output_probs(x), self.rows, self.log_class)
         ]
         grad = []
         for h, column in zip(self.h_vec, self.columns):
             acc = 0.0
             for ry, t in column:
-                if log_terms[ry] is None:
-                    acc = -math.inf
-                    break
                 acc += t * log_terms[ry]
             grad.append(-h - acc)
         return grad
@@ -216,7 +219,7 @@ def _normalized(y: Sequence[float]) -> List[float]:
     """y / sum(y), with every entry at least the smallest positive float: a
     Blahut-Arimoto factor 2^{grad_a - top} can underflow a tiny mass to 0."""
     total = ordered_sum(y)
-    return [max(v / total, _MIN_MASS) for v in y]
+    return [_MIN_MASS if (q := v / total) < _MIN_MASS else q for v in y]
 
 
 def _gap(grad: Sequence[float], x: Sequence[float]) -> float:
@@ -264,56 +267,98 @@ def _newton_point(
     """Active-set Newton step from x; None when the KKT system is singular or
     the step is not finite.
 
-    Maximizes grad . d + d H d / 2 subject to sum_a d_a = 0, H's diagonal
-    damped by (1 + mu); ranks at 0 stay fixed.  While d_a < -x_a for some
-    rank, the first to hit that bound (least d_a / x_a) is fixed at
-    d_a = (_FLOOR - 1) x_a and the rest is solved again; _normalized lifts a
-    mass that rounds to 0 to the smallest positive float.  Curvatures span up
-    to 30 orders of magnitude: scaled to unit diagonal (Jacobi), elimination
-    needs no pivoting and keeps the step's digits, which it loses unscaled.
+    Maximizes grad . d - d C d / 2 subject to sum_a d_a = 0, C = -H the
+    curvature, scaled to unit diagonal (Jacobi) as M = S C S with diagonal
+    1 + mu; ranks at 0 stay fixed.  While d_a < -x_a for some rank, the first
+    to hit that bound (least d_a / x_a) is fixed at d_a = (_FLOOR - 1) x_a and
+    the rest is solved again; _normalized lifts a mass that rounds to 0 to
+    the smallest positive float.  M = L L' is factored once, by Cholesky
+    (positive definite for mu > 0), with u = L^-1 S grad and v = L^-1 S 1, and
+    the constraint is met through its Schur complement v . v: each solve is
+    one back substitution and each rank fixed one Givens update (_fold),
+    O(k^2) where a fresh elimination costs O(k^3).  Scaled, the factorization
+    needs no pivoting and keeps the step's digits across curvatures 30 orders
+    of magnitude apart, which it loses unscaled.
     """
     k = ws.size
-    curv = [[0.0] * k for _ in range(k)]  # -H_ab = sum_y T(y|a) T(y|b) / (p_y ln 2)
+    curv = [[0.0] * k for _ in range(k)]  # -H_ab = sum_y T(y|a) T(y|b) / (p_y ln 2), b <= a
     for p, row in zip(ws.output_probs(x), ws.rows):
         if p > 0:
-            for a, ta in row:
+            for i, (a, ta) in enumerate(row):
                 w, line = ta / (p * _LN2), curv[a]
-                for b, tb in row:
+                for b, tb in row[:i + 1]:
                     line[b] += w * tb
     scale = [1 / math.sqrt(line[a]) if line[a] > 0 else 0.0 for a, line in enumerate(curv)]
-    step = [0.0] * k
     free = [a for a in range(k) if x[a] > 0 and scale[a] > 0]
-    fixed: List[int] = []
+    chol: List[List[float]] = []  # the rows of L, each ending on its diagonal
+    u: List[float] = []
+    v: List[float] = []
+    for a in free:
+        row: List[float] = []
+        line, sa = curv[a], scale[a]
+        for b, lower in zip(free, chol):
+            row.append((line[b] * sa * scale[b] - _dot(row, lower)) / lower[-1])
+        pivot = 1 + mu - _dot(row, row)
+        if not pivot > _PIVOT_MIN:
+            return None
+        row.append(math.sqrt(pivot))
+        chol.append(row)
+        u.append((grad[a] * scale[a] - _dot(row, u)) / row[-1])
+        v.append((scale[a] - _dot(row, v)) / row[-1])
+    step, fixed_sum = [0.0] * k, 0.0
     while free:
-        # [M w; w' 0] [z; nu] = [u; -sum of fixed d], with d_a = scale_a z_a.
-        size = len(free)
-        rows = [
-            [curv[a][b] * scale[a] * scale[b] if a != b else 1 + mu for b in free]
-            + [scale[a], (grad[a] - ordered_sum(curv[a][b] * step[b] for b in fixed)) * scale[a]]
-            for a in free
-        ]
-        rows.append([scale[b] for b in free] + [0.0, -ordered_sum(step[b] for b in fixed)])
-        for i, top in enumerate(rows):
-            if not abs(top[i]) > _PIVOT_MIN:
-                return None
-            for row in rows[i + 1:]:
-                f = row[i] / top[i]
-                for j in range(i, size + 2):
-                    row[j] -= f * top[j]
-        z = [0.0] * (size + 1)
-        for i in reversed(range(size + 1)):
-            row = rows[i]
-            z[i] = (row[-1] - ordered_sum(row[j] * z[j] for j in range(i + 1, size + 1))) / row[i]
-        for a, za in zip(free, z):
+        # M z + w nu = S (grad - C d_fixed), w' z = -fixed_sum, d_a = scale_a z_a.
+        schur = _dot(v, v)
+        if not schur > _PIVOT_MIN:
+            return None
+        nu = (_dot(u, v) + fixed_sum) / schur
+        for a, za in zip(free, _back_solve(chol, [ua - nu * va for ua, va in zip(u, v)])):
             step[a] = za * scale[a]
         blocking = min(free, key=lambda a: step[a] / x[a])
         if step[blocking] >= -x[blocking]:
             point = [p + d for p, d in zip(x, step)]
             return _normalized(point) if all(map(math.isfinite, point)) else None
         step[blocking] = (_FLOOR - 1) * x[blocking]
-        free.remove(blocking)
-        fixed.append(blocking)
+        fixed_sum += step[blocking]
+        j = free.index(blocking)
+        del free[j]
+        # S grad loses C_ab d_b s_a = M_ab d_b / s_b: u loses d_b / s_b times
+        # row j of L.
+        f, lost = step[blocking] / scale[blocking], chol.pop(j)
+        u[:j + 1] = [ua - f * t for ua, t in zip(u, lost)]
+        _fold(chol, j, (u, v))
     return None
+
+
+def _dot(u: Sequence[float], v: Sequence[float]) -> float:
+    """Dot product over the shorter of u and v, added left to right."""
+    return ordered_sum(map(operator.mul, u, v))
+
+
+def _back_solve(chol: List[List[float]], y: List[float]) -> List[float]:
+    """z with L' z = y, written over y; L is lower triangular by rows, and
+    the rows of L are the columns of L', taken from the last."""
+    for i in reversed(range(len(y))):
+        row = chol[i]
+        zi = y[i] = y[i] / row[-1]
+        y[:i] = [yj - t * zi for yj, t in zip(y[:i], row)]
+    return y
+
+
+def _fold(chol: List[List[float]], j: int, vectors: Sequence[List[float]]) -> None:
+    """Completes deleting row and column j of M = L L', row j of L already
+    gone: Givens rotations fold column j of the rows below into their
+    trailing factor, L33 L33' + l l' (O(k^2)), and into entries j on of each
+    vector, a solve L y = b that stays one with b_j dropped."""
+    rotations: List[Tuple[float, float]] = []
+    for t, line in enumerate(chol[j:] + list(vectors), j):
+        spill = line.pop(j)
+        for i, (c, s) in enumerate(rotations, j):
+            line[i], spill = c * line[i] + s * spill, c * spill - s * line[i]
+        if t < len(chol):  # a row of L, its diagonal next
+            r = math.hypot(line[-1], spill)
+            rotations.append((line[-1] / r, spill / r))
+            line[-1] = r
 
 
 def maximize(
@@ -336,7 +381,8 @@ def maximize(
     iterate's gradient (see _value); capacity_bits alone comes from
     _Workspace.objective, once, at the point returned.  Where the time went
     (workspace build, near 0 for a channel already built, and solve) is
-    logged at INFO on the ``gammacap.solver`` logger.
+    logged at INFO on the ``gammacap.solver`` logger, with the Newton steps
+    kept and the Newton attempts made, kept or refused.
     """
     if config is None:
         config = SolverConfig()
@@ -357,7 +403,7 @@ def maximize(
     grad = ws.gradient(x)
     value = _value(x, grad)
     gaps: List[float] = []
-    mu, newton_steps, polished = _MU_START, 0, False
+    mu, newton_steps, newton_attempts, polished = _MU_START, 0, 0, False
     for iterations in range(1, config.max_iterations + 1):
         gap = _gap(grad, x)
         if gap <= config.tolerance_bits:
@@ -372,7 +418,7 @@ def maximize(
         gaps.append(gap)
         del gaps[:-1 - _STALL_WINDOW]
         attempt = polished or len(gaps) > _STALL_WINDOW and min(gaps[1:]) > 0.5 * gaps[0]
-        polished = False
+        polished, newton_attempts = False, newton_attempts + attempt
         point = _newton_point(ws, x, grad, mu) if attempt else None
         if point is not None:
             point_grad = ws.gradient(point)
@@ -392,8 +438,9 @@ def maximize(
     converged = gap <= config.tolerance_bits
     log.info(
         "workspace build %.6f s, solve %.6f s, %d iterations, newton_steps=%d, "
-        "gap %.3e bits, converged=%s",
-        build_s, time.perf_counter() - start - build_s, iterations, newton_steps, gap, converged,
+        "newton_attempts=%d, gap %.3e bits, converged=%s",
+        build_s, time.perf_counter() - start - build_s, iterations, newton_steps,
+        newton_attempts, gap, converged,
     )
     return CapacityResult(
         optimal_input=RankDistribution(x),

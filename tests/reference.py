@@ -3,7 +3,8 @@
 Gauss-Jordan elimination over a prime field (rank, canonical RREF basis),
 a census of subspaces by their meets with a fixed pair, the rank transition
 probability of one error rank and of a whole error law, the uniform input
-rank law, and log2 of an exact rational beyond the float range.  Nothing
+rank law, log2 of an exact rational beyond the float range, and the
+solver's Newton step by plain elimination.  Nothing
 here imports gammacap, so a check against this module compares the package
 with an independent computation:
 
@@ -14,7 +15,9 @@ with an independent computation:
 - f2(r, rX, rB) as an intersection number of the bilinear forms scheme,
   from Delsarte's eigenvalues, where matrixfn sums f1 terms;
 - the rank transition of a whole error law from the eigenvalues of that
-  law, where channel sums f2 over its error ranks.
+  law, where channel sums f2 over its error ranks;
+- the active-set Newton step by eliminating its whole KKT system afresh for
+  each rank fixed, where the solver updates one Cholesky factor.
 """
 
 import itertools
@@ -194,3 +197,71 @@ def log2_exact(x):
     if isinstance(x, Fraction):
         return math.log2(x.numerator) - math.log2(x.denominator)
     return math.log2(x)
+
+
+def newton_point(rows, probs, x, grad, mu, floor=1e-3, pivot_min=1e-13):
+    """The solver's active-set Newton step from x, by a fresh elimination of
+    the whole Jacobi-scaled KKT system each time a rank is fixed.
+
+    ``rows`` lists each output rank's (input rank, T) kernel entries and
+    ``probs`` the output law at x.  Maximizes grad . d - d C d / 2 subject
+    to sum_a d_a = 0, with C = -H the curvature of the objective and the
+    unit diagonal of the scaled C damped to 1 + mu; ranks at 0 stay fixed.
+    While some d_a < -x_a, the first rank to hit that bound is fixed at
+    d_a = (floor - 1) x_a and the rest is solved again.  Returns
+    (point, fixed ranks in the order fixed), the point normalized with every
+    mass at least the smallest positive float, or None when a pivot is at or
+    below ``pivot_min`` or the step is not finite."""
+    k = len(x)
+    curv = [[0.0] * k for _ in range(k)]
+    for p, row in zip(probs, rows):
+        if p > 0:
+            for a, ta in row:
+                w, line = ta / (p * math.log(2)), curv[a]
+                for b, tb in row:
+                    line[b] += w * tb
+    scale = [1 / math.sqrt(line[a]) if line[a] > 0 else 0.0 for a, line in enumerate(curv)]
+    step = [0.0] * k
+    free = [a for a in range(k) if x[a] > 0 and scale[a] > 0]
+    fixed = []
+    while free:
+        # [M w; w' 0] [z; nu] = [u; -sum of fixed d], with d_a = scale_a z_a.
+        size = len(free)
+        system = [
+            [curv[a][b] * scale[a] * scale[b] if a != b else 1 + mu for b in free]
+            + [scale[a], (grad[a] - _ordered_sum(curv[a][b] * step[b] for b in fixed)) * scale[a]]
+            for a in free
+        ]
+        system.append([scale[b] for b in free] + [0.0, -_ordered_sum(step[b] for b in fixed)])
+        for i, top in enumerate(system):
+            if not abs(top[i]) > pivot_min:
+                return None
+            for row in system[i + 1:]:
+                f = row[i] / top[i]
+                for j in range(i, size + 2):
+                    row[j] -= f * top[j]
+        z = [0.0] * (size + 1)
+        for i in reversed(range(size + 1)):
+            row = system[i]
+            z[i] = (row[-1] - _ordered_sum(row[j] * z[j] for j in range(i + 1, size + 1))) / row[i]
+        for a, za in zip(free, z):
+            step[a] = za * scale[a]
+        blocking = min(free, key=lambda a: step[a] / x[a])
+        if step[blocking] >= -x[blocking]:
+            point = [p + d for p, d in zip(x, step)]
+            if not all(map(math.isfinite, point)):
+                return None
+            total = _ordered_sum(point)
+            return [max(v / total, math.ulp(0.0)) for v in point], fixed
+        step[blocking] = (floor - 1) * x[blocking]
+        free.remove(blocking)
+        fixed.append(blocking)
+    return None
+
+
+def _ordered_sum(values):
+    """A float sum added left to right from 0, as the package adds."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total

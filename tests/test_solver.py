@@ -162,18 +162,34 @@ _NO_ERROR_16 = math.log2(sum(qbinom(16, u, 16) for u in range(17)))
 
 
 class TestTimingLog:
-    def test_maximize_logs_where_time_went(self, caplog):
-        params = _params(2, 3, 3, "iid:t=1")
+    @staticmethod
+    def _logged_solve(channel, caplog, monkeypatch):
+        """maximize on the channel at the benchmark's cap, with the Newton
+        attempts it makes and its one gammacap.solver log message."""
+        attempts = []
+        newton_point = solver._newton_point
+        monkeypatch.setattr(
+            solver, "_newton_point", lambda *args: attempts.append(args) or newton_point(*args)
+        )
         with caplog.at_level(logging.INFO, logger="gammacap.solver"):
-            res = maximize(params)
+            res = maximize(_params(*channel), SolverConfig(max_iterations=500))
         (record,) = [r for r in caplog.records if r.name == "gammacap.solver"]
         assert record.levelno == logging.INFO
-        message = record.getMessage()
+        return res, len(attempts), record.getMessage()
+
+    def test_maximize_logs_where_time_went(self, caplog, monkeypatch):
+        res, attempts, message = self._logged_solve((2, 3, 3, "iid:t=1"), caplog, monkeypatch)
         assert "workspace build " in message and " s, solve " in message
         assert f"{res.iterations} iterations" in message
         assert f"gap {res.optimality_gap_bits:.3e} bits" in message
-        assert f"newton_steps={res.newton_steps}" in message
+        assert f"newton_steps={res.newton_steps}, newton_attempts={attempts}," in message
         assert message.endswith(f"converged={res.converged}")
+
+    def test_maximize_logs_newton_attempts_kept_or_refused(self, caplog, monkeypatch):
+        channel = (16, 9, 12, "constant:t=1")
+        res, attempts, message = self._logged_solve(channel, caplog, monkeypatch)
+        assert attempts > res.newton_steps > 0
+        assert f"newton_steps={res.newton_steps}, newton_attempts={attempts}," in message
 
 
 def _channel_id(channel):
@@ -356,6 +372,8 @@ _POLISHED = TestRegressionPins.BENCHMARK_CAP_CASES + TestRegressionPins.SHRINKIN
     # SQUAREM alone stopped at a 5.6e-3-bit gap; a Newton point here puts a
     # rank at 0.0 before the underflow floor lifts it.
     (16, 9, 12, "constant:t=1"),
+    # Each Newton attempt fixes 10 to 13 of the 25 ranks, one at a time.
+    (2, 24, 24, "constant:t=12"),
 ]
 # Blahut-Arimoto used to underflow ranks here to exactly 0.  It certifies
 # without a Newton step, so it is not among the channels that polish.
@@ -392,6 +410,44 @@ class TestNewtonPolish:
         if point is not None:
             assert len(point) == ws.size and all(map(math.isfinite, point))
             assert min(point) > 0
+
+    @pytest.mark.parametrize("channel", _POLISHED, ids=_channel_id)
+    def test_factored_step_is_the_eliminated_step(self, channel, monkeypatch):
+        """Every Newton attempt of the solve, replayed through _newton_point
+        and through reference.newton_point, which eliminates the whole KKT
+        system afresh each time it fixes a rank: both give no step, or both
+        fix the same ranks and give the same point.  Both solves are
+        backward stable, with backward errors of order k 2^-52 (Higham,
+        Accuracy and Stability of Numerical Algorithms, ch. 9 and 10), so
+        each lies within about k cond(M) 2^-52 of the exact step, and
+        cond(M) <= k (1 + mu) / mu for M of unit diagonal damped by mu; each
+        entry of the two points may differ by that much."""
+        attempts = []
+        newton_point = solver._newton_point
+        monkeypatch.setattr(
+            solver, "_newton_point", lambda *args: attempts.append(args) or newton_point(*args)
+        )
+        maximize(_params(*channel), SolverConfig(max_iterations=500))
+        unnormalized = []
+        normalized = solver._normalized
+        monkeypatch.setattr(
+            solver, "_normalized", lambda y: unnormalized.append(y) or normalized(y)
+        )
+        assert attempts
+        for ws, x, grad, mu in attempts:
+            expected = reference.newton_point(ws.rows, ws.output_probs(x), x, grad, mu)
+            point = newton_point(ws, x, grad, mu)
+            assert (point is None) == (expected is None)
+            if point is None:
+                continue
+            expected_point, expected_fixed = expected
+            # A fixed rank's entry of the point before normalizing is exactly
+            # x_a + (_FLOOR - 1) x_a.
+            y = unnormalized.pop()
+            fixed = [a for a, p in enumerate(x) if y[a] == p + (solver._FLOOR - 1) * p]
+            assert fixed == sorted(expected_fixed)
+            bound = ws.size ** 2 * (1 + mu) / mu * 2.0 ** -52
+            assert max(abs(a - b) for a, b in zip(point, expected_point)) <= bound
 
     @pytest.mark.parametrize(
         "channel", [(2, 2, 2, "iid:t=2"), (16, 16, 16, "constant:t=0"), (2, 15, 8, "constant:t=8")],
