@@ -119,11 +119,8 @@ class ChannelParams:
     exactly), since a float P(rB) / N_rB overflows once N_rB leaves the
     float range.
 
-    ``_numerators`` and ``_log_f0`` are :func:`h_r`'s store: the numerator
-    sum_rB c_rB f1(u, v, h; rB) of a class by (u, v, h) with u >= v, and
-    log2 f0(v) by v.  ``_workspace`` holds solver._workspace's tables.  All
-    three start empty, fill on first use and are freed with the channel;
-    like ``support`` they take no part in equality, hashing or repr.
+    ``_workspace`` holds solver._workspace's tables from the channel's first
+    use on; like ``support`` it takes no part in equality, hashing or repr.
     """
 
     q: int
@@ -132,8 +129,6 @@ class ChannelParams:
     error_dist: RankDistribution
     support: Tuple[Tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     denominator: int = field(init=False, repr=False, compare=False)
-    _numerators: Dict[Tuple[int, int, int], int] = field(init=False, repr=False, compare=False)
-    _log_f0: Dict[int, float] = field(init=False, repr=False, compare=False)
     _workspace: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -159,8 +154,6 @@ class ChannelParams:
         )
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "_numerators", {})
-        object.__setattr__(self, "_log_f0", {})
 
     @property
     def max_rank(self) -> int:
@@ -226,10 +219,11 @@ def output_rank_distribution(
     )
 
 
-def h_r(r: int, params: ChannelParams) -> float:
-    """Output entropy H(A(M+B)) in bits for a fixed input M of rank r.
+def h_r(params: ChannelParams) -> Tuple[float, ...]:
+    """Output entropies H(A(M+B)) in bits for a fixed input M of each rank
+    r = 0..min(n, m): the vector (h_0, ..., h_min(n, m)).
 
-    The sum runs over row-space classes of the output, labelled by
+    The sum for rank r runs over row-space classes of the output, labelled by
     (v, h) = (dim V, dim((U+V)/V)) against U = row(M): each class holds
     weight-many spaces V, each reached with the same probability p(v, h),
     and conditioned on row(A(M+B)) = V the output is uniform over the
@@ -244,54 +238,56 @@ def h_r(r: int, params: ChannelParams) -> float:
     it stands and for v > r by the mirror identity, as the integer
     f0(v) / f0(r) times the numerator of (v, r, v - r + h), whose band is
     the same.  So h_r asks f1 only for u >= v, each numerator once per
-    mirror pair and channel, and log2 f0(v) once per rank and channel: both
-    are kept in the channel's store.
+    mirror pair, and log2 f0(v) once per rank: both are kept for the call.
     """
-    _check_rank(params, r)
     q, n, m = params.q, params.n, params.m
     support, denominator = params.support, params.denominator
     lo, hi = support[0][0], support[-1][0]
-    numerators, log_f0 = params._numerators, params._log_f0
-    # The class weight q^((v - r + h) h) [m - r, v - r + h]_q [r, r - h]_q:
-    # its two Gaussian binomials by j = v - r + h and by h.
-    outer = [qbinom_ext(m - r, j, q) for j in range(m - r + 1)]
-    inner = [qbinom_ext(r, r - h, q) for h in range(r + 1)]
-    total = 0.0
-    for v in range(params.max_rank + 1):
-        # h = dim((U+V)/V) is at least r - v (dim(U cap V) <= v) and at most
-        # r, with v + h <= m; every such class has positive weight.  The band
-        # meets [lo, hi] iff lo <= v + h, h <= hi and v + h - r <= hi.
-        h_lo, h_hi = max(0, r - v, lo - v), min(r, m - v, hi, hi + r - v)
-        if h_lo > h_hi:
-            continue
-        mirror = _falling(n, v - r, q, r) if v > r else 1
-        log_f0_v = log_f0.get(v)
-        for h in range(h_lo, h_hi + 1):
-            key = (r, v, h) if v <= r else (v, r, v - r + h)
-            numerator = numerators.get(key)
-            if numerator is None:
-                # The band of (r, v, h), which its mirror shares.
-                numerator, band_lo = 0, max(h, v + h - r)
-                for rB, c in support:
-                    if band_lo <= rB <= v + h:
-                        numerator += c * f1(*key, rB, n, m, q)
-                numerators[key] = numerator
-            if numerator == 0:
+    numerators: Dict[Tuple[int, int, int], int] = {}
+    log_f0: Dict[int, float] = {}
+    h_vec = []
+    for r in range(params.rank_count):
+        # The class weight q^((v - r + h) h) [m - r, v - r + h]_q [r, r - h]_q:
+        # its two Gaussian binomials by j = v - r + h and by h.
+        outer = [qbinom_ext(m - r, j, q) for j in range(m - r + 1)]
+        inner = [qbinom_ext(r, r - h, q) for h in range(r + 1)]
+        total = 0.0
+        for v in range(params.rank_count):
+            # h = dim((U+V)/V) is at least r - v (dim(U cap V) <= v) and at most r,
+            # with v + h <= m; every such class has positive weight.  The band
+            # meets [lo, hi] iff lo <= v + h, h <= hi and v + h - r <= hi.
+            h_lo, h_hi = max(0, r - v, lo - v), min(r, m - v, hi, hi + r - v)
+            if h_lo > h_hi:
                 continue
-            if log_f0_v is None:
-                log_f0_v = log_f0[v] = math.log2(f0(v, n, m, q))
-            numerator *= mirror
-            j = v - r + h
-            weight = q ** (j * h) * outer[j] * inner[h]
-            # log2 p(v, h) from its numerator and denominator in lowest
-            # terms; the Fraction is never built.  The class mass
-            # weight * p(v, h) by one correctly rounded integer division:
-            # weight alone can pass the float range.
-            g = math.gcd(numerator, denominator)
-            log_p_vh = math.log2(numerator // g) - math.log2(denominator // g)
-            mass = (weight * numerator) / denominator
-            total += mass * (log_f0_v - log_p_vh)
-    return total
+            mirror = _falling(n, v - r, q, r) if v > r else 1
+            log_f0_v = log_f0.get(v)
+            for h in range(h_lo, h_hi + 1):
+                key = (r, v, h) if v <= r else (v, r, v - r + h)
+                numerator = numerators.get(key)
+                if numerator is None:
+                    # The band of (r, v, h), which its mirror shares.
+                    numerator, band_lo = 0, max(h, v + h - r)
+                    for rB, c in support:
+                        if band_lo <= rB <= v + h:
+                            numerator += c * f1(*key, rB, n, m, q)
+                    numerators[key] = numerator
+                if numerator == 0:
+                    continue
+                if log_f0_v is None:
+                    log_f0_v = log_f0[v] = math.log2(f0(v, n, m, q))
+                numerator *= mirror
+                j = v - r + h
+                weight = q ** (j * h) * outer[j] * inner[h]
+                # log2 p(v, h) from its numerator and denominator in lowest
+                # terms; the Fraction is never built.  The class mass
+                # weight * p(v, h) by one correctly rounded integer division:
+                # weight alone can pass the float range.
+                g = math.gcd(numerator, denominator)
+                log_p_vh = math.log2(numerator // g) - math.log2(denominator // g)
+                mass = (weight * numerator) / denominator
+                total += mass * (log_f0_v - log_p_vh)
+        h_vec.append(total)
+    return tuple(h_vec)
 
 
 def constant_rank_model(rank: int, n: int, m: int) -> RankDistribution:

@@ -80,8 +80,9 @@ def _conditional_entropy(input_ranks, params):
     """H(Y | X) in bits; depends on the input only through its ranks."""
     if len(input_ranks) != params.rank_count:
         raise ValueError("input distribution length mismatch")
+    h_vec = h_r(params)
     return ordered_sum(
-        float(input_ranks[r]) * h_r(r, params)
+        float(input_ranks[r]) * h_vec[r]
         for r in range(params.rank_count)
         if input_ranks[r] != 0
     )

@@ -2,9 +2,10 @@
 
 Gauss-Jordan elimination over a prime field (rank, canonical RREF basis),
 a census of subspaces by their meets with a fixed pair, the rank transition
-probability of one error rank and of a whole error law, the uniform input
-rank law, log2 of an exact rational beyond the float range, and the
-solver's Newton step by plain elimination.  Nothing
+probability of one error rank and of a whole error law, the conditional
+output entropy of each input rank, the uniform input rank law, log2 of an
+exact rational beyond the float range, and the solver's Newton step by
+plain elimination.  Nothing
 here imports gammacap, so a check against this module compares the package
 with an independent computation:
 
@@ -16,6 +17,9 @@ with an independent computation:
   from Delsarte's eigenvalues, where matrixfn sums f1 terms;
 - the rank transition of a whole error law from the eigenvalues of that
   law, where channel sums f2 over its error ranks;
+- H(Y | rank X = r) from one table Phi of the error law, each output class
+  by Moebius inversion over the subspaces of its row space, where channel
+  sums f1 over the error ranks of each class and mirrors half the classes;
 - the active-set Newton step by eliminating its whole KKT system afresh for
   each rank fixed, where the solver updates one Cholesky factor.
 """
@@ -179,6 +183,85 @@ def rank_transition(r, rX, eigenvalues, params):
         for l, lam in enumerate(eigenvalues)
     )
     return total / (q ** (n * m) * _eigenvalue(rX, 0, d, e, q))
+
+
+def _falling(n, lo, hi, q):
+    """prod_{lo <= i < hi} (q^n - q^i)."""
+    out = 1
+    for i in range(lo, hi):
+        out *= q**n - q**i
+    return out
+
+
+def _meets(N, k, d, a, q):
+    """The d-spaces of an N-space meeting a fixed k-space in dimension a:
+    q^((d-a)(k-a)) [N-k, d-a]_q [k, a]_q."""
+    return q ** ((d - a) * (k - a)) * _gauss(N - k, d - a, q) * _gauss(k, a, q)
+
+
+@lru_cache(maxsize=None)
+def _moebius_terms(v, i, q):
+    """(w, a, c) for the subspaces V'' of a v-space V, grouped by w = dim V''
+    and a = dim(V'' cap I) for a fixed i-space I <= V: c is the Moebius
+    function (-1)^(v-w) q^C(v-w, 2) of the lattice of subspaces times the
+    number of such V''."""
+    return tuple(
+        (w, a, (-1) ** (v - w) * q ** ((v - w) * (v - w - 1) // 2) * _meets(v, i, w, a, q))
+        for a in range(i + 1)
+        for w in range(a, a + v - i + 1)
+    )
+
+
+def conditional_entropies(law, params):
+    """H(A(M+B)) in bits for a fixed M of each rank r = 0..min(n, m), with B
+    of the rank law ``law``, uniform within each rank class, over the n x m
+    matrices of ``params`` (read for q, n and m).
+
+    phi(w; s, rB) = q^(s(w - rB + s)) [w, rB - s]_q prod_{s <= i < rB}
+    (q^n - q^i) counts the rank-rB matrices whose image in the quotient of
+    F_q^m by a w-space is a fixed matrix of rank s, and
+    Phi(w, s) = sum_rB c_rB phi(w; s, rB), with c_rB = R(rB) / N_rB over one
+    common denominator.  The rank-rB B with row(M + B) inside a w-space V''
+    are those whose image cancels that of M, of rank r - dim(U cap V'') for
+    U = row M.  So the output row space is V with probability
+    sum over V'' <= V of mu(V'', V) Phi(dim V'', r - dim(U cap V'')), by
+    Moebius inversion, which depends on V only through v = dim V and
+    h = dim((U + V)/V).  The class (v, h) holds _meets(m, r, v, r - h) such
+    V, and A(M + B) given its row space V is uniform over the
+    prod_{i < v} (q^n - q^i) matrices with that row space.  Classes add in
+    the order of v, then h; each mass and log is taken from the reduced
+    probability, by one correctly rounded division and two logs of ints."""
+    q, n, m = params.q, params.n, params.m
+    d = min(n, m)
+    weights = {
+        rB: Fraction(p) / (_gauss(m, rB, q) * _falling(n, 0, rB, q))
+        for rB, p in enumerate(law) if p
+    }
+    den = math.lcm(*(w.denominator for w in weights.values()))
+    c = {rB: w.numerator * (den // w.denominator) for rB, w in weights.items()}
+
+    @lru_cache(maxsize=None)
+    def phi_sum(w, s):
+        return sum(
+            c[rB] * q ** (s * (w - rB + s)) * _gauss(w, rB - s, q) * _falling(n, s, rB, q)
+            for rB in c if s <= rB <= s + w
+        )
+
+    entropies = []
+    for r in range(d + 1):
+        total = 0.0
+        for v in range(d + 1):
+            log_f0 = math.log2(_falling(n, 0, v, q))
+            for h in range(max(0, r - v), min(r, m - v) + 1):
+                numerator = sum(
+                    mu * phi_sum(w, r - a) for w, a, mu in _moebius_terms(v, r - h, q)
+                )
+                if numerator:
+                    p = Fraction(numerator, den)
+                    mass = (_meets(m, r, v, r - h, q) * p.numerator) / p.denominator
+                    total += mass * (log_f0 - log2_exact(p))
+        entropies.append(total)
+    return entropies
 
 
 def uniform_rank_distribution(n, m):

@@ -58,43 +58,6 @@ def _oracle_mutual_information(law, input_rank_probs, q):
     return total
 
 
-def _rho_avg_every_rank(r, rx, params):
-    """rho_avg summed over every error rank, zero-probability ones included."""
-    return sum(
-        params.error_dist[rb] * reference.rho_given_ranks(r, rx, rb, params)
-        for rb in range(params.rank_count)
-    )
-
-
-def _h_r_every_rank(r, params):
-    """h_r with each p(v, h) summed over every error rank, in the float
-    operation order of the channel module."""
-    q, n, m, mn = params.q, params.n, params.m, params.max_rank
-    total = 0.0
-    for v in range(mn + 1):
-        for h in range(max(0, r - v), r + 1):
-            if v + h > m:
-                continue
-            weight = (
-                q ** ((v - r + h) * h)
-                * qbinom_ext(m - r, v - r + h, q)
-                * qbinom_ext(r, r - h, q)
-            )
-            if weight == 0:
-                continue
-            p_vh = 0
-            for rb in range(h, min(mn, v + h) + 1):
-                p = params.error_dist[rb]
-                p = Fraction(p) if isinstance(p, (int, Fraction)) else p
-                p_vh += p * f1(r, v, h, rb, n, m, q) / count_rank_matrices(n, m, rb, q)
-            if p_vh == 0:
-                continue
-            total += float(weight * p_vh) * (
-                log2_exact(f0(v, n, m, q)) - log2_exact(p_vh)
-            )
-    return total
-
-
 def _rho_avg_exact_weights(r, rx, params):
     """rho_avg as a sum of per-rank Fraction terms P(rB) f2 / N_rB over every
     error rank (a float P(rB) converted exactly)."""
@@ -105,8 +68,8 @@ def _rho_avg_exact_weights(r, rx, params):
 
 
 def _h_r_exact_weights(r, params):
-    """h_r with each p(v, h) a sum of per-rank Fraction terms over every
-    error rank, in the float operation order of the channel module."""
+    """Entry r of h_r, with each p(v, h) a sum of per-rank Fraction terms over
+    every error rank, in the float operation order of the channel module."""
     q, n, m, mn = params.q, params.n, params.m, params.max_rank
     total = 0.0
     for v in range(mn + 1):
@@ -257,8 +220,8 @@ class TestTransitionLaw:
     @pytest.mark.parametrize(
         "call, message",
         [
-            (lambda p: h_r(True, p), "r must be an int, got True"),
-            (lambda p: h_r(4, p), "r = 4 exceeds min(n, m) = 3"),
+            (lambda p: rho_avg(True, 0, p), "r must be an int, got True"),
+            (lambda p: rho_avg(4, 0, p), "r = 4 exceeds min(n, m) = 3"),
             (lambda p: rho_avg(0, -1, p), "rX must be non-negative, got -1"),
             (lambda p: rho_avg(0, 4, p), "rX = 4 exceeds min(n, m) = 3"),
             (lambda p: rank_class_size(p, 65), "r = 65 exceeds MAX_DIMENSION = 64"),
@@ -274,7 +237,7 @@ class TestTransitionLaw:
         params = _params(2, 2, 2, "binomial:T=2,p=0.3")
         for rx in range(3):
             for r in range(3):
-                assert rho_avg(r, rx, params) == _rho_avg_every_rank(r, rx, params)
+                assert rho_avg(r, rx, params) == _rho_avg_exact_weights(r, rx, params)
 
 
 class TestOutputRankLaw:
@@ -346,9 +309,8 @@ class TestConditionalEntropy:
         for spec in ("constant:t=1", "iid:t=1", "iid:t=2", "binomial:T=2,p=0.3"):
             params = _params(2, 2, 2, spec)
             law = channel_laws(params)
-            for r in range(3):
-                want = row_entropy_bits(law, law.ranks.index(r))
-                assert h_r(r, params) == pytest.approx(want, abs=1e-10), (spec, r)
+            want = [row_entropy_bits(law, law.ranks.index(r)) for r in range(3)]
+            assert h_r(params) == pytest.approx(want, abs=1e-10), spec
 
     def test_output_classes_outside_input_span(self, channel_laws, row_entropy_bits):
         """Errors can move the output row space off the input row space
@@ -356,7 +318,7 @@ class TestConditionalEntropy:
         rank-1 input under an exactly-one-error model sits above 3.9 bits,
         while a summation truncated to the input span gives about 3.56."""
         params = _params(2, 2, 2, "constant:t=1")
-        value = h_r(1, params)
+        value = h_r(params)[1]
         assert value > 3.9
         law = channel_laws(params)
         assert value == pytest.approx(row_entropy_bits(law, law.ranks.index(1)), abs=1e-10)
@@ -364,13 +326,13 @@ class TestConditionalEntropy:
     def test_no_error_reduction_is_exact(self):
         for q, n, m in ((2, 2, 2), (2, 3, 3), (3, 2, 2)):
             params = _params(q, n, m, "constant:t=0")
-            for r in range(min(n, m) + 1):
-                assert h_r(r, params) == log2_exact(Fraction(f0(r, n, m, q)))
+            ranks = range(min(n, m) + 1)
+            assert h_r(params) == tuple(log2_exact(Fraction(f0(r, n, m, q))) for r in ranks)
 
     def test_conditional_entropy_averages_h_r(self, conditional_entropy):
         params = _params(2, 2, 2, "iid:t=1")
         dist = RankDistribution([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
-        want = sum(float(dist[r]) * h_r(r, params) for r in range(3))
+        want = sum(float(dist[r]) * h for r, h in enumerate(h_r(params)))
         assert conditional_entropy(dist, params) == pytest.approx(want, abs=1e-14)
 
 
@@ -418,18 +380,21 @@ class TestSupportPruning:
     )
     def test_exact_laws_match_every_rank_sum(self, shape, spec):
         params = _params(*shape, spec)
-        for r in range(params.rank_count):
-            assert h_r(r, params) == _h_r_every_rank(r, params)
-            for rx in range(params.rank_count):
-                assert rho_avg(r, rx, params) == _rho_avg_every_rank(r, rx, params)
+        ranks = range(params.rank_count)
+        assert h_r(params) == tuple(_h_r_exact_weights(r, params) for r in ranks)
+        for r in ranks:
+            for rx in ranks:
+                assert rho_avg(r, rx, params) == _rho_avg_exact_weights(r, rx, params)
 
     def test_float_law_matches_every_rank_sum(self):
         params = ChannelParams(2, 5, 7, empirical_model([0.25, 0.0, 0.0, 0.75], 5, 7))
-        for r in range(params.rank_count):
-            assert h_r(r, params) == pytest.approx(_h_r_every_rank(r, params), abs=1e-12)
-            for rx in range(params.rank_count):
-                want = _rho_avg_every_rank(r, rx, params)
-                assert rho_avg(r, rx, params) == pytest.approx(want, abs=1e-12)
+        ranks = range(params.rank_count)
+        assert [float.hex(h) for h in h_r(params)] == [
+            float.hex(_h_r_exact_weights(r, params)) for r in ranks
+        ]
+        for r in ranks:
+            for rx in ranks:
+                assert rho_avg(r, rx, params) == _rho_avg_exact_weights(r, rx, params)
 
     def test_float_law_beyond_float_range(self):
         """Rank classes of a 33 x 33 binary matrix pass 2^1024, so a float
@@ -453,8 +418,10 @@ class TestSupportPruning:
         """Numerators over one denominator give the same Fraction as per-rank
         Fraction weights, for a float law too."""
         ranks = range(params.rank_count)
+        assert [float.hex(h) for h in h_r(params)] == [
+            float.hex(_h_r_exact_weights(r, params)) for r in ranks
+        ]
         for r in ranks:
-            assert float.hex(h_r(r, params)) == float.hex(_h_r_exact_weights(r, params))
             for rx in ranks:
                 got, want = rho_avg(r, rx, params), _rho_avg_exact_weights(r, rx, params)
                 assert type(got) is type(want) is Fraction
@@ -526,8 +493,8 @@ class TestSupportPruning:
 
         monkeypatch.setattr(channel, "f1", recording(channel.f1))
         monkeypatch.setattr(channel, "f2", recording(channel.f2))
+        h_r(params)
         for r in range(params.rank_count):
-            h_r(r, params)
             for rx in range(params.rank_count):
                 rho_avg(r, rx, params)
         assert values
@@ -634,7 +601,8 @@ class TestWorkspacePruning:
 
 class TestClassStore:
     """h_r keeps each class numerator per mirror pair and log2 f0(v) per rank
-    in the channel's store; every answer keeps its bits."""
+    for the call, and leaves nothing on the channel; every answer keeps its
+    bits."""
 
     @staticmethod
     def _record(monkeypatch):
@@ -653,40 +621,33 @@ class TestClassStore:
 
     @pytest.mark.parametrize("params", _PRUNED_CHANNELS)
     def test_each_count_is_asked_once(self, monkeypatch, params):
-        params = dataclasses.replace(params)
+        """A second call asks for the same counts again, in the same order,
+        and gives the same bits: nothing is kept between calls."""
         calls = self._record(monkeypatch)
-        for r in range(params.rank_count):
-            h_r(r, params)
+        first = [float.hex(h) for h in h_r(params)]
         assert calls["f1"]
         assert all(u >= v for u, v, *_ in calls["f1"])
         f1_keys = [args[:4] for args in calls["f1"]]
         assert len(f1_keys) == len(set(f1_keys))
         ranks = [args[0] for args in calls["f0"]]
         assert len(ranks) == len(set(ranks))
-
-    @pytest.mark.parametrize("params", _PRUNED_CHANNELS)
-    def test_second_call_reads_the_store(self, monkeypatch, params):
-        params = dataclasses.replace(params)
-        first = [float.hex(h_r(r, params)) for r in range(params.rank_count)]
-        calls = self._record(monkeypatch)
-        assert [float.hex(h_r(r, params)) for r in range(params.rank_count)] == first
-        assert calls == {"f0": [], "f1": []}
+        asked = {name: list(args) for name, args in calls.items()}
+        assert [float.hex(h) for h in h_r(params)] == first
+        assert calls == {name: args + args for name, args in asked.items()}
 
     @pytest.mark.parametrize("params", _PRUNED_CHANNELS)
     def test_equal_channel_starts_empty(self, params):
-        """An equal or replaced channel shares neither the store nor the
-        solver workspace, and gives the same bits."""
-        ranks = range(params.rank_count)
-        want = [float.hex(h_r(r, params)) for r in ranks]
+        """An equal or replaced channel does not share the solver workspace,
+        and gives the same bits."""
+        want = [float.hex(h) for h in h_r(params)]
         result = repr(solver.maximize(params))
-        assert params._numerators and params._log_f0 and params._workspace is not None
+        assert params._workspace is not None
         equal = ChannelParams(params.q, params.n, params.m, params.error_dist)
         for fresh in (equal, dataclasses.replace(params)):
             assert fresh == params and hash(fresh) == hash(params)
             assert repr(fresh) == repr(params)
-            assert fresh._numerators == {} and fresh._log_f0 == {}
             assert fresh._workspace is None
-            assert [float.hex(h_r(r, fresh)) for r in ranks] == want
+            assert [float.hex(h) for h in h_r(fresh)] == want
             assert repr(solver.maximize(fresh)) == result
             assert fresh._workspace is not params._workspace
 

@@ -159,7 +159,7 @@ class TestArgumentCheckDigest:
 
     BAD = (True, -1, 65, 3.0, "3", None, 5)
     FIELDS = (2, 6, True, 4.0, None)
-    DIGEST = "3060bfb983ab7910a98992174664f0c6570a563d22fa22b39da9eb435ba006a3"
+    DIGEST = "ddd48ba0343d3eef9219f1b2b862f027b42a9ddb6d841dbaf71243def161a218"
 
     @staticmethod
     def _entries():
@@ -177,7 +177,6 @@ class TestArgumentCheckDigest:
             ("ChannelParams", channel.ChannelParams, (2, 2, 2, law), (1, 2), 0),
             ("rank_class_size", channel.rank_class_size, (params, 1), (1,), None),
             ("rho_avg", channel.rho_avg, (1, 1, params), range(2), None),
-            ("h_r", channel.h_r, (1, params), (0,), None),
             ("constant_rank_model", channel.constant_rank_model, (1, 3, 3), range(3), None),
             ("iid_vectors_model", channel.iid_vectors_model, (1, 2, 3, 3), (0, 2, 3), 1),
             (

@@ -16,6 +16,7 @@ from gammacap.channel import (
     ChannelParams,
     RankDistribution,
     constant_rank_model,
+    h_r,
     ordered_sum,
     parse_error_model,
     rho_avg,
@@ -449,6 +450,20 @@ class TestNewtonPolish:
             bound = ws.size ** 2 * (1 + mu) / mu * 2.0 ** -52
             assert max(abs(a - b) for a, b in zip(point, expected_point)) <= bound
 
+    def test_damping_stops_at_its_floor(self, monkeypatch):
+        """Unfloored, mu fell tenfold on each of the 10 steps kept here, to
+        1e-12, where the factored and the eliminated steps differ by 9e-4 of a
+        point entry; with the floor it stops at _MU_MIN and the solve
+        certifies in 25 iterations, not 26."""
+        damping = []
+        newton_point = solver._newton_point
+        monkeypatch.setattr(
+            solver, "_newton_point", lambda *args: damping.append(args[3]) or newton_point(*args)
+        )
+        res = maximize(_params(4, 6, 4, "constant:t=4"), SolverConfig(max_iterations=500))
+        assert res.converged and res.iterations == 25
+        assert min(damping) == solver._MU_MIN
+
     @pytest.mark.parametrize(
         "channel", [(2, 2, 2, "iid:t=2"), (16, 16, 16, "constant:t=0"), (2, 15, 8, "constant:t=8")],
         ids=_channel_id,
@@ -852,6 +867,24 @@ class TestDelsarteKernel:
         assert reference.error_eigenvalues(both, params) == [
             a * b for a, b in zip(eigenvalues, reference.error_eigenvalues(other, params))
         ]
+
+
+class TestPhiEntropies:
+    """h_r against reference.conditional_entropies, which reads no count of
+    the package: each output class probability by Moebius inversion over the
+    subspaces of the output row space, from one table Phi(w, s) of the error
+    law, with no mirror pairing and no band pruning."""
+
+    @pytest.mark.parametrize(
+        "channel",
+        # The uniform-matrix law N_r / q^(nm), which reaches every class.
+        TestWorkspaceBits.CHANNELS + [(2, 24, 24, "iid:t=24")],
+        ids=_channel_id,
+    )
+    def test_h_vector_is_the_phi_form(self, channel):
+        params = _params(*channel)
+        want = reference.conditional_entropies(params.error_dist, params)
+        assert [h.hex() for h in h_r(params)] == [h.hex() for h in want]
 
 
 class TestWorkspaceLifetime:
