@@ -17,7 +17,7 @@ import decimal
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .exactcomb import (
     count_rank_matrices,
@@ -30,6 +30,7 @@ from .exactcomb import (
 from .matrixfn import f0, f1, f2
 
 Numeric = Union[int, float, Fraction]
+Kernel = Tuple[Tuple[Tuple[int, ...], int], ...]
 
 _SUM_TOLERANCE = 1e-12
 
@@ -164,36 +165,45 @@ class ChannelParams:
         return self.max_rank + 1
 
 
-def _check_rank(params: ChannelParams, *ranks: int) -> None:
-    for name, value in zip(("r", "rX"), ranks):
-        if type(value) is not int or not 0 <= value <= params.max_rank:
-            _check_args(_NO_FIELD, name, value)
-            if value > params.max_rank:
-                raise ValueError(f"{name} = {value} exceeds min(n, m) = {params.max_rank}")
-
-
-def rank_class_size(params: ChannelParams, r: int) -> int:
-    """Number of n x m matrices of rank r over F_q."""
-    _check_rank(params, r)
-    return count_rank_matrices(params.n, params.m, r, params.q)
-
-
-def rho_avg(r: int, rX: int, params: ChannelParams) -> Fraction:
-    """P(rank(X+B) = r) for fixed rank(X) = rX, averaged over error ranks.
-
-    Exact for every error law, since the weights in ``params.support`` are
-    exact even for a float law.  Rank is a metric (|rank X - rank B| <=
-    rank(X+B) <= rank X + rank B), so f2 is 0 unless |r - rX| <= rB <= r + rX
-    and the sum runs over those error ranks only.
-    """
-    _check_rank(params, r, rX)
+def rank_class_size(params: ChannelParams) -> Tuple[int, ...]:
+    """(N_0, ..., N_min(n, m)): the number of n x m matrices of each rank."""
     q, n, m = params.q, params.n, params.m
-    lo, hi = abs(r - rX), r + rX
-    numerator = 0
-    for rB, c in params.support:
-        if lo <= rB <= hi:
-            numerator += c * f2(r, rX, rB, n, m, q)
-    return Fraction(numerator, params.denominator)
+    return tuple(count_rank_matrices(n, m, r, q) for r in range(params.rank_count))
+
+
+def _joint_numerator(ry: int, rx: int, params: ChannelParams, sizes: Sequence[int]) -> int:
+    """denominator * N_rx * T(ry | rx), symmetric in ry and rx.
+
+    P(X + B = Y) depends on rank(Y - X) only, so the kernel is reversible,
+    N_rx T(ry | rx) = N_ry T(rx | ry) (Delsarte's bilinear-forms scheme):
+    both are N_b sum_rB c_rB f2(a, b, rB), a = min and b = max of ry, rx,
+    whose f2 terms are f1 entries u >= v, as in h_r.  Rank is a metric, so
+    f2 is 0 unless b - a <= rB <= a + b: only those rB are summed.
+    """
+    q, n, m = params.q, params.n, params.m
+    a, b = min(ry, rx), max(ry, rx)
+    return sizes[b] * sum(
+        c * f2(a, b, rB, n, m, q) for rB, c in params.support if b - a <= rB <= a + b
+    )
+
+
+def rho_avg(params: ChannelParams, sizes: Optional[Sequence[int]] = None) -> Kernel:
+    """The rank transition kernel T(ry | rx) = P(rank(X+B) = ry | rank X = rx),
+    averaged over error ranks, exactly: per input rank rx the column
+    (numerators, denominator), T(ry | rx) = numerators[ry] / denominator
+    and denominator = params.denominator * N_rx, with N = sizes, by
+    default rank_class_size(params).  Exact for every error law, as
+    ``params.support`` is.  The numerators J[ry][rx] are symmetric (see
+    _joint_numerator): each pair ry <= rx is computed once, and column rx
+    is row rx of J.
+    """
+    k = params.rank_count
+    sizes = rank_class_size(params) if sizes is None else sizes
+    joint = [[0] * k for _ in range(k)]
+    for rx in range(k):
+        for ry in range(rx + 1):
+            joint[ry][rx] = joint[rx][ry] = _joint_numerator(ry, rx, params, sizes)
+    return tuple((tuple(col), params.denominator * size) for col, size in zip(joint, sizes))
 
 
 def output_rank_distribution(
@@ -202,21 +212,23 @@ def output_rank_distribution(
     """Rank distribution of the channel output A(X+B).
 
     A is invertible so rank(Y) = rank(X+B); the output law is the input law
-    pushed through the rank transition kernel.  Input ranks of probability 0
-    are skipped: their terms are exact zeros.  For a float error law each
-    kernel entry is rounded to a float before it is weighted.
+    pushed through rho_avg's kernel, built only for the input ranks of
+    positive probability (the other terms are exact zeros).  For a float
+    error law each entry is one correctly rounded division before weighting.
     """
     if len(input_ranks) != params.rank_count:
         raise ValueError(
             f"input distribution has {len(input_ranks)} entries, "
             f"need {params.rank_count}"
         )
-    support = [(rX, p) for rX, p in enumerate(input_ranks.probs) if p != 0]
-    rho = rho_avg if params.error_dist.is_exact else lambda *args: float(rho_avg(*args))
-    return RankDistribution(
-        ordered_sum(p * rho(r, rX, params) for rX, p in support)
-        for r in range(params.rank_count)
-    )
+    k, sizes, den = params.rank_count, rank_class_size(params), params.denominator
+    ratio = Fraction if params.error_dist.is_exact else lambda a, b: a / b
+    columns = [
+        (p, [ratio(_joint_numerator(ry, rx, params, sizes), den * sizes[rx]) for ry in range(k)])
+        for rx, p in enumerate(input_ranks.probs)
+        if p != 0
+    ]
+    return RankDistribution(ordered_sum(p * col[r] for p, col in columns) for r in range(k))
 
 
 def h_r(params: ChannelParams) -> Tuple[float, ...]:

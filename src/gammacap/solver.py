@@ -101,34 +101,20 @@ class CapacityResult:
 class _Workspace:
     """One channel's h_r vector and rank transition kernel, kept on the channel.
 
-    Only nonzero kernel entries are kept, as (index, T) pairs by output row
-    and by input column; sums keep their order and differ from dense ones
-    only by exact 0.0 terms, so every value is unchanged.  Rank is a metric,
-    so T(ry | rx) is 0 unless some supported error rank lies in
-    |ry - rx| <= rB <= ry + rx; rho_avg is asked for those entries only.
-    The kernel is reversible, N_rx T(ry | rx) = N_ry T(rx | ry) with N_r the
-    rank class size, so rho_avg, exact for every law, is asked only for
-    ry <= rx, whose f2 terms are the f1 entries u >= v that h_r has already
-    cached.  T(rx | ry) is then one correctly rounded integer division, the
-    same bits as float() of its Fraction."""
+    The kernel comes exact from rho_avg, on rank_class_size's class sizes;
+    each numerator over its column's denominator is one correctly rounded
+    integer division, the same bits as float() of its Fraction.
+    Only nonzero entries are kept, as (index, T) pairs by output row and by
+    input column; sums keep their order and differ from dense ones only by
+    exact 0.0 terms, so every value is unchanged."""
 
     def __init__(self, params: ChannelParams):
-        k = self.size = params.rank_count
+        self.size = params.rank_count
         self.h_vec = h_r(params)
-        sizes = [rank_class_size(params, r) for r in range(k)]
-        # least[s]: the least supported error rank >= s, or 2k if there is none.
-        least = [min((rB for rB, _ in params.support if rB >= s), default=2 * k) for s in range(k)]
-        kernel = [[0.0] * k for _ in range(k)]
-        for rx in range(k):
-            for ry in range(rx + 1):
-                if least[rx - ry] > ry + rx:
-                    continue
-                t = rho_avg(ry, rx, params)
-                kernel[ry][rx] = float(t)
-                if ry < rx:
-                    kernel[rx][ry] = (t.numerator * sizes[rx]) / (t.denominator * sizes[ry])
-        self.rows = [[(a, t) for a, t in enumerate(row) if t] for row in kernel]
-        self.columns = [[(ry, t) for ry, t in enumerate(col) if t] for col in zip(*kernel)]
+        sizes = rank_class_size(params)
+        columns = [[num / den for num in nums] for nums, den in rho_avg(params, sizes)]
+        self.columns = [[(ry, t) for ry, t in enumerate(col) if t] for col in columns]
+        self.rows = [[(a, t) for a, t in enumerate(row) if t] for row in zip(*columns)]
         self.log_class = tuple(map(math.log2, sizes))
 
     def output_probs(self, x: Sequence[float]) -> List[float]:

@@ -98,11 +98,9 @@ def _output_entropy(input_ranks, params):
     """
     out = output_rank_distribution(input_ranks, params)
     total = 0.0
-    for r in range(params.rank_count):
-        p = out[r]
+    for p, size in zip(out.probs, rank_class_size(params)):
         if p == 0:
             continue
-        size = rank_class_size(params, r)
         if isinstance(p, float):
             log_ratio = math.log2(p) - math.log2(size)
         else:

@@ -2,8 +2,10 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import itertools
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -56,6 +58,12 @@ def _oracle_mutual_information(law, input_rank_probs, q):
             if pr:
                 total += float(w * pr) * log2_exact(pr / marginal[y])
     return total
+
+
+def _kernel(params):
+    """rho_avg's exact kernel as Fractions, T[ry][rx] = T(ry | rx)."""
+    columns = [[Fraction(num, den) for num in nums] for nums, den in rho_avg(params)]
+    return [list(row) for row in zip(*columns)]
 
 
 def _rho_avg_exact_weights(r, rx, params):
@@ -205,8 +213,7 @@ class TestChannelParams:
 class TestTransitionLaw:
     def test_rank_class_sizes(self):
         params = _params(2, 2, 2, "constant:t=0")
-        for r in range(3):
-            assert rank_class_size(params, r) == count_rank_matrices(2, 2, r, 2)
+        assert rank_class_size(params) == tuple(count_rank_matrices(2, 2, r, 2) for r in range(3))
 
     def test_rho_rows_sum_to_one(self):
         params = _params(2, 3, 2, "constant:t=0")
@@ -217,27 +224,12 @@ class TestTransitionLaw:
                 )
                 assert total == 1
 
-    @pytest.mark.parametrize(
-        "call, message",
-        [
-            (lambda p: rho_avg(True, 0, p), "r must be an int, got True"),
-            (lambda p: rho_avg(4, 0, p), "r = 4 exceeds min(n, m) = 3"),
-            (lambda p: rho_avg(0, -1, p), "rX must be non-negative, got -1"),
-            (lambda p: rho_avg(0, 4, p), "rX = 4 exceeds min(n, m) = 3"),
-            (lambda p: rank_class_size(p, 65), "r = 65 exceeds MAX_DIMENSION = 64"),
-        ],
-        ids=["bool", "above-min", "negative", "rX-above-min", "above-max-dimension"],
-    )
-    def test_rank_argument_messages(self, call, message):
-        with pytest.raises(ValueError) as refused:
-            call(_params(2, 3, 3, "iid:t=1"))
-        assert str(refused.value) == message
-
     def test_rho_avg_mixes_error_ranks(self):
         params = _params(2, 2, 2, "binomial:T=2,p=0.3")
+        kernel = _kernel(params)
         for rx in range(3):
             for r in range(3):
-                assert rho_avg(r, rx, params) == _rho_avg_exact_weights(r, rx, params)
+                assert kernel[r][rx] == _rho_avg_exact_weights(r, rx, params)
 
 
 class TestOutputRankLaw:
@@ -267,28 +259,33 @@ class TestOutputRankLaw:
         "law", [[Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)], [0.5, 0.3, 0.2]]
     )
     def test_zero_input_ranks_cost_nothing(self, monkeypatch, law):
-        """A point-mass input needs one kernel column, k rho_avg calls, and
-        skipping the other columns changes no value, exact or float."""
+        """A point-mass input needs one kernel column: every f2 count asked
+        for is one of that column's, and each of its in-band counts is asked
+        once.  Skipping the other columns changes no value, exact or float."""
         params = ChannelParams(2, 3, 2, empirical_model(law, 3, 2))
         k = params.rank_count
         inputs = [
             RankDistribution([Fraction(0), Fraction(1), Fraction(0)]),
             RankDistribution([0.0, 0.25, 0.75]),
         ]
-        rho = rho_avg if params.error_dist.is_exact else lambda *a: float(rho_avg(*a))
+        kernel = _kernel(params)
+        rho = (lambda t: t) if params.error_dist.is_exact else float
         every_column = [
-            [sum(x[rx] * rho(r, rx, params) for rx in range(k)) for r in range(k)]
+            [sum(x[rx] * rho(kernel[r][rx]) for rx in range(k)) for r in range(k)]
             for x in inputs
         ]
         calls = []
 
-        def counting(r, rx, p):
-            calls.append((r, rx))
-            return rho_avg(r, rx, p)
+        def counting(a, b, rb, *shape):
+            calls.append((a, b, rb))
+            return f2(a, b, rb, *shape)
 
-        monkeypatch.setattr(channel, "rho_avg", counting)
+        monkeypatch.setattr(channel, "f2", counting)
         output_rank_distribution(inputs[0], params)
-        assert sorted(calls) == [(r, 1) for r in range(k)]
+        assert sorted(calls) == sorted(
+            (min(r, 1), max(r, 1), rb)
+            for r in range(k) for rb, _ in params.support if abs(r - 1) <= rb <= r + 1
+        )
         for x, want in zip(inputs, every_column):
             got = list(output_rank_distribution(x, params).probs)
             assert [type(p) for p in got] == [type(p) for p in want]
@@ -382,9 +379,10 @@ class TestSupportPruning:
         params = _params(*shape, spec)
         ranks = range(params.rank_count)
         assert h_r(params) == tuple(_h_r_exact_weights(r, params) for r in ranks)
+        kernel = _kernel(params)
         for r in ranks:
             for rx in ranks:
-                assert rho_avg(r, rx, params) == _rho_avg_exact_weights(r, rx, params)
+                assert kernel[r][rx] == _rho_avg_exact_weights(r, rx, params)
 
     def test_float_law_matches_every_rank_sum(self):
         params = ChannelParams(2, 5, 7, empirical_model([0.25, 0.0, 0.0, 0.75], 5, 7))
@@ -392,17 +390,18 @@ class TestSupportPruning:
         assert [float.hex(h) for h in h_r(params)] == [
             float.hex(_h_r_exact_weights(r, params)) for r in ranks
         ]
+        kernel = _kernel(params)
         for r in ranks:
             for rx in ranks:
-                assert rho_avg(r, rx, params) == _rho_avg_exact_weights(r, rx, params)
+                assert kernel[r][rx] == _rho_avg_exact_weights(r, rx, params)
 
     def test_float_law_beyond_float_range(self):
         """Rank classes of a 33 x 33 binary matrix pass 2^1024, so a float
         weight P(rB) / N_rB would overflow."""
         law = empirical_model([0.5] + [0.0] * 32 + [0.5], 33, 33)
         params = ChannelParams(2, 33, 33, law)
-        assert rho_avg(0, 0, params) == 0.5
-        assert rho_avg(33, 0, params) == 0.5
+        kernel = _kernel(params)
+        assert kernel[0][0] == kernel[33][0] == 0.5
 
     @pytest.mark.parametrize(
         "params",
@@ -421,11 +420,13 @@ class TestSupportPruning:
         assert [float.hex(h) for h in h_r(params)] == [
             float.hex(_h_r_exact_weights(r, params)) for r in ranks
         ]
-        for r in ranks:
-            for rx in ranks:
-                got, want = rho_avg(r, rx, params), _rho_avg_exact_weights(r, rx, params)
-                assert type(got) is type(want) is Fraction
-                assert got == want
+        for rx, (nums, den) in enumerate(rho_avg(params)):
+            assert den == params.denominator * count_rank_matrices(
+                params.n, params.m, rx, params.q
+            )
+            for r in ranks:
+                assert all(type(v) is int for v in (nums[r], den))
+                assert Fraction(nums[r], den) == _rho_avg_exact_weights(r, rx, params)
 
     def test_float_output_entropy_beyond_float_range(self, output_entropy, mutual_information):
         """N_16 of a 16 x 64 matrix over F_256 passes 2^1024, and output_entropy
@@ -445,9 +446,9 @@ class TestSupportPruning:
     def test_common_denominator_beyond_float_range(self):
         law = empirical_model([0.5] + [0.0] * 32 + [0.5], 33, 33)
         params = ChannelParams(2, 33, 33, law)
+        kernel = _kernel(params)
         for r in (0, 1, 32, 33):
-            want = _rho_avg_exact_weights(r, 0, params)
-            assert rho_avg(r, 0, params) == want
+            assert kernel[r][0] == _rho_avg_exact_weights(r, 0, params)
 
     def test_workspace_calls_no_zero_weight_rank(self, monkeypatch):
         params = _params(*_STALL_CHANNEL)
@@ -494,9 +495,7 @@ class TestSupportPruning:
         monkeypatch.setattr(channel, "f1", recording(channel.f1))
         monkeypatch.setattr(channel, "f2", recording(channel.f2))
         h_r(params)
-        for r in range(params.rank_count):
-            for rx in range(params.rank_count):
-                rho_avg(r, rx, params)
+        rho_avg(params)
         assert values
         assert 0 not in values
 
@@ -571,18 +570,18 @@ class TestWorkspacePruning:
 
     @pytest.mark.parametrize("params", _PRUNED_CHANNELS)
     def test_kernel_asks_only_for_reachable_entries(self, monkeypatch, params):
-        """rho_avg(ry, rx) is asked only where a supported error rank lies in
-        |ry - rx| <= rB <= ry + rx, and for exactly those entries with
-        ry <= rx, exact and float laws alike: the kernel's reversibility gives
-        the rest.  Each entry skipped is exactly 0 or has its transpose asked
+        """The entry (ry, rx) asks f2 only for the supported error ranks in
+        |ry - rx| <= rB <= ry + rx, and only for ry <= rx, each count once,
+        exact and float laws alike: the kernel's reversibility gives the
+        rest.  Each entry skipped is exactly 0 or has its transpose asked
         for."""
-        requested = []
+        calls = []
 
-        def recording(ry, rx, p):
-            requested.append((ry, rx))
-            return rho_avg(ry, rx, p)
+        def recording(ry, rx, rb, *shape):
+            calls.append((ry, rx, rb))
+            return f2(ry, rx, rb, *shape)
 
-        monkeypatch.setattr(solver, "rho_avg", recording)
+        monkeypatch.setattr(channel, "f2", recording)
         solver._Workspace(params)
         support = [rb for rb, _ in params.support]
         ranks = range(params.rank_count)
@@ -590,11 +589,14 @@ class TestWorkspacePruning:
             (ry, rx) for ry, rx in itertools.product(ranks, ranks)
             if any(abs(ry - rx) <= rb <= ry + rx for rb in support)
         }
-        assert sorted(requested) == sorted((ry, rx) for ry, rx in in_band if ry <= rx)
-        skipped = set(itertools.product(ranks, ranks)) - set(requested)
-        assert all(
-            rho_avg(ry, rx, params) == 0 or (rx, ry) in requested for ry, rx in skipped
+        assert sorted(calls) == sorted(
+            (ry, rx, rb) for ry, rx in in_band if ry <= rx
+            for rb in support if abs(ry - rx) <= rb <= ry + rx
         )
+        requested = {(ry, rx) for ry, rx, _ in calls}
+        skipped = set(itertools.product(ranks, ranks)) - requested
+        kernel = _kernel(params)
+        assert all(kernel[ry][rx] == 0 or (rx, ry) in requested for ry, rx in skipped)
         if len(support) < params.rank_count:
             assert skipped - in_band
 
@@ -659,9 +661,42 @@ _KERNEL_CHANNELS = (
     (16, 12, 12, "binomial:T=3,p=0.2"),
 )
 
+def _benchmark_catalogue():
+    """The benchmark's capacity catalogue, rounds 0 and 1 at seed 1, read
+    from perfbench/workloads.py so that it follows the benchmark."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return tuple(item for r in (0, 1) for item in workloads.make_round("capacity", 1, r))
+
+
+# The catalogue, and the uniform-matrix law at d = 24, which supports every
+# error rank.
+_CATALOGUE = _benchmark_catalogue() + ((2, 24, 24, "iid:t=24"),)
+
 
 class TestExactLawAtScale:
     """Exact-law identities beyond the oracle's enumeration budget."""
+
+    @pytest.mark.parametrize(
+        "channel_args", _CATALOGUE, ids=lambda args: ",".join(map(str, args))
+    )
+    def test_kernel_band_and_class_sizes(self, channel_args):
+        """rho_avg's column rx is integer numerators over D N_rx; an entry
+        whose band |ry - rx| <= rB <= ry + rx holds no supported error rank
+        is 0, since rank is a metric; and the class sizes add to q^(nm)."""
+        params = _params(*channel_args)
+        q, n, m = params.q, params.n, params.m
+        sizes = rank_class_size(params)
+        assert sum(sizes) == q ** (n * m)
+        support = [rb for rb, _ in params.support]
+        for rx, (nums, den) in enumerate(rho_avg(params)):
+            assert den == params.denominator * sizes[rx]
+            for ry, num in enumerate(nums):
+                assert type(num) is int
+                if not any(abs(ry - rx) <= rb <= ry + rx for rb in support):
+                    assert num == 0, (ry, rx)
 
     def test_partition_identity(self):
         q, n, m, _ = _STALL_CHANNEL
@@ -674,36 +709,47 @@ class TestExactLawAtScale:
                 total = sum(f2(r, rx, rb, n, m, q) for r in ranks)
                 assert total == count_rank_matrices(n, m, rb, q)
 
-    def test_kernel_columns_sum_to_one(self):
-        params = _params(*_STALL_CHANNEL)
-        ranks = range(params.rank_count)
-        for rx in ranks:
-            assert sum(rho_avg(r, rx, params) for r in ranks) == 1
-
     @pytest.mark.parametrize(
-        "channel_args", _KERNEL_CHANNELS, ids=lambda args: ",".join(map(str, args))
+        "channel_args",
+        _KERNEL_CHANNELS + _CATALOGUE,
+        ids=lambda args: ",".join(map(str, args)),
     )
     def test_every_kernel_column_sums_to_one(self, channel_args):
         params = _params(*channel_args)
-        ranks = range(params.rank_count)
-        for rx in ranks:
-            assert sum(rho_avg(ry, rx, params) for ry in ranks) == 1, rx
+        for rx, (nums, den) in enumerate(rho_avg(params)):
+            assert sum(nums) == den, rx
 
     @pytest.mark.parametrize(
-        "channel_args", _KERNEL_CHANNELS, ids=lambda args: ",".join(map(str, args))
+        "channel_args",
+        _KERNEL_CHANNELS + _CATALOGUE,
+        ids=lambda args: ",".join(map(str, args)),
     )
     def test_kernel_is_reversible(self, channel_args):
         """P(X + B = Y) depends on rank(Y - X) only, so it is symmetric in
         X and Y, and summed over the rank classes it gives
-        N_rx T(ry | rx) = N_ry T(rx | ry) for T(ry | rx) = rho_avg(ry, rx)."""
+        N_rx T(ry | rx) = N_ry T(rx | ry).  T is taken straight from f2 for
+        every ry and rx, so the r > rX route of f2 (and _f1's mirror branch)
+        is checked against the r <= rX one; rho_avg, which computes only
+        ry <= rx, must give every entry of it."""
         params = _params(*channel_args)
+        q, n, m = params.q, params.n, params.m
         ranks = range(params.rank_count)
-        size = [rank_class_size(params, r) for r in ranks]
+
+        def direct(ry, rx):
+            return Fraction(
+                sum(
+                    c * f2(ry, rx, rb, n, m, q)
+                    for rb, c in params.support
+                    if abs(ry - rx) <= rb <= ry + rx
+                ),
+                params.denominator,
+            )
+
+        size, kernel = rank_class_size(params), _kernel(params)
         for rx in ranks:
             for ry in ranks:
-                assert size[rx] * rho_avg(ry, rx, params) == size[ry] * rho_avg(
-                    rx, ry, params
-                ), (rx, ry)
+                assert kernel[ry][rx] == direct(ry, rx), (ry, rx)
+                assert size[rx] * direct(ry, rx) == size[ry] * direct(rx, ry), (rx, ry)
 
     def test_mutual_information_matches_solver_objective(self, mutual_information):
         params = _params(*_STALL_CHANNEL)

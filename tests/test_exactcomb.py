@@ -159,12 +159,11 @@ class TestArgumentCheckDigest:
 
     BAD = (True, -1, 65, 3.0, "3", None, 5)
     FIELDS = (2, 6, True, 4.0, None)
-    DIGEST = "ddd48ba0343d3eef9219f1b2b862f027b42a9ddb6d841dbaf71243def161a218"
+    DIGEST = "ac850fb07ad72f40ea8c6b1f98706f6da3cb48425c4e44ff9a06562732873f8d"
 
     @staticmethod
     def _entries():
         """(name, function, good arguments, checked positions, index of q)."""
-        params = channel.ChannelParams(2, 3, 3, channel.iid_vectors_model(1, 2, 3, 3))
         law = channel.RankDistribution([Fraction(1), Fraction(0), Fraction(0)])
         half = Fraction(1, 2)
         return [
@@ -175,8 +174,6 @@ class TestArgumentCheckDigest:
             ("f2", matrixfn.f2, (1, 1, 0, 3, 3, 2), range(5), 5),
             ("c_prime", matrixfn.c_prime, (1, 1, 1, 0, 0, 1, 0, 1, 1, 1, 2, 2), range(11), 11),
             ("ChannelParams", channel.ChannelParams, (2, 2, 2, law), (1, 2), 0),
-            ("rank_class_size", channel.rank_class_size, (params, 1), (1,), None),
-            ("rho_avg", channel.rho_avg, (1, 1, params), range(2), None),
             ("constant_rank_model", channel.constant_rank_model, (1, 3, 3), range(3), None),
             ("iid_vectors_model", channel.iid_vectors_model, (1, 2, 3, 3), (0, 2, 3), 1),
             (

@@ -667,7 +667,8 @@ class _DenseWorkspace:
         ws = solver._workspace(params)
         k = self.size = params.rank_count
         self.h_vec, self.log_class = ws.h_vec, ws.log_class
-        self.kernel = [[float(rho_avg(ry, rx, params)) for rx in range(k)] for ry in range(k)]
+        columns = [[float(Fraction(num, den)) for num in nums] for nums, den in rho_avg(params)]
+        self.kernel = [list(row) for row in zip(*columns)]
         # Every (input rank, T) pair by output row, for the Newton Hessian.
         self.rows = [list(enumerate(row)) for row in self.kernel]
 
@@ -835,16 +836,21 @@ class TestDelsarteKernel:
 
     @pytest.mark.parametrize("channel", _DELSARTE_CHANNELS, ids=_channel_id)
     def test_kernel_is_the_eigenvalue_form(self, channel):
-        """Every kept entry is float(T) bit for bit, by output row and by
+        """Every entry of rho_avg's exact kernel is T exactly.  Every kept
+        entry of the workspace is float(T) bit for bit, by output row and by
         input column, and an entry is absent exactly where float(T) is 0,
         so every T = 0 is absent."""
         params = _delsarte_params(*channel)
         eigenvalues = reference.error_eigenvalues(params.error_dist, params)
         k = params.rank_count
-        kernel = [
-            [float(reference.rank_transition(ry, rx, eigenvalues, params)) for rx in range(k)]
+        exact = [
+            [reference.rank_transition(ry, rx, eigenvalues, params) for rx in range(k)]
             for ry in range(k)
         ]
+        assert [
+            [Fraction(num, den) for num in nums] for nums, den in rho_avg(params)
+        ] == [list(column) for column in zip(*exact)]
+        kernel = [[float(t) for t in row] for row in exact]
         ws = solver._workspace(params)
         for got, want in ((ws.rows, kernel), (ws.columns, list(zip(*kernel)))):
             assert [[(i, t.hex()) for i, t in line] for line in got] == [
@@ -1024,3 +1030,47 @@ class TestCapacityBeyondOracle:
         upper = float(t) * _upper(params) + float(1 - t) * _upper(other)
         res = _certified(ChannelParams(q, n, m, mixed))
         assert res.capacity_bits <= upper + _slack(params)
+
+
+def _degradation_pairs(count=100, beyond=10, seed=19):
+    """Seeded channels (q, n, m, spec of R, spec of R'): ``beyond`` of them
+    past the oracle's budget (n, m in 10..16, q up to 256), the rest at tiny
+    shapes (n, m in 1..4), where a wrong h vector shows most."""
+    rng = random.Random(seed)
+    pairs = []
+    for i in range(count):
+        if i < beyond:
+            q, n, m = rng.choice((2, 16, 256)), rng.randint(10, 16), rng.randint(10, 16)
+        else:
+            q, n, m = rng.choice((2, 3, 4, 5, 7, 8, 16)), rng.randint(1, 4), rng.randint(1, 4)
+        specs = ("iid:t=1", "constant:t=1", f"binomial:T={min(n, 2)},p=0.1")
+        pairs.append((q, n, m, rng.choice(specs), rng.choice(specs)))
+    return pairs
+
+
+class TestDegradationOrder:
+    def test_composed_law_is_degraded(self):
+        """C(R*R') <= min(C(R), C(R')) on 100 seeded pairs of error laws.
+
+        Let B ~ R and B' ~ R' be independent, each uniform given its rank.
+        B + B' is then uniform given its rank, with rank law R*R'
+        (_composed_by_f2), so A(X + B + B') is the channel of R*R'.  It
+        equals Y + B'' for Y = A(X + B) and B'' = AB'.  A law uniform given
+        the rank is invariant under B' -> AB' for invertible A, so B'' has
+        law R' whatever (X, A, B) is: B'' is independent of (X, Y), and
+        X -> Y -> Y + B'' is a Markov chain.  By data processing (Cover and
+        Thomas, Thm 2.8.1) I(X; Y + B'') <= I(X; Y) <= C(R) for every input,
+        so C(R*R') <= C(R); as B + B' = B' + B, also C(R*R') <= C(R').  The
+        solver's capacity_bits is at most the capacity and capacity_bits +
+        gap at least it, so capacity_bits(R*R') <= capacity_bits(R) +
+        gap(R), up to the 64-ulp rounding slack of TestCapacityBeyondOracle.
+        """
+        broken = []
+        for q, n, m, first, second in _degradation_pairs():
+            params, other = _params(q, n, m, first), _params(q, n, m, second)
+            law = _composed_by_f2(params.error_dist, other.error_dist, params)
+            both = _certified(ChannelParams(q, n, m, RankDistribution(law))).capacity_bits
+            for one in (params, other):
+                if both > _upper(one) + _slack(one):
+                    broken.append((q, n, m, one.error_dist, first, second))
+        assert not broken
