@@ -17,14 +17,13 @@ import decimal
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exactcomb import (
     count_rank_matrices,
     qbinom_ext,
     validate_field_order,
     _check_args,
-    _falling,
     _NO_FIELD,
 )
 from .matrixfn import f0, f1, f2
@@ -181,10 +180,12 @@ def _joint_numerator(ry: int, rx: int, params: ChannelParams, sizes: Sequence[in
     f2 is 0 unless b - a <= rB <= a + b: only those rB are summed.
     """
     q, n, m = params.q, params.n, params.m
-    a, b = min(ry, rx), max(ry, rx)
-    return sizes[b] * sum(
-        c * f2(a, b, rB, n, m, q) for rB, c in params.support if b - a <= rB <= a + b
-    )
+    a, b = (ry, rx) if ry < rx else (rx, ry)
+    total = 0
+    for rB, c in params.support:
+        if b - a <= rB <= a + b:
+            total += c * f2(a, b, rB, n, m, q)
+    return sizes[b] * total
 
 
 def rho_avg(params: ChannelParams, sizes: Optional[Sequence[int]] = None) -> Kernel:
@@ -213,8 +214,9 @@ def output_rank_distribution(
 
     A is invertible so rank(Y) = rank(X+B); the output law is the input law
     pushed through rho_avg's kernel, built only for the input ranks of
-    positive probability (the other terms are exact zeros).  For a float
-    error law each entry is one correctly rounded division before weighting.
+    positive probability (exact zeros otherwise), each numerator pair ry <= rx
+    once.  For a float error law each entry is one correctly rounded
+    division before weighting.
     """
     if len(input_ranks) != params.rank_count:
         raise ValueError(
@@ -223,11 +225,15 @@ def output_rank_distribution(
         )
     k, sizes, den = params.rank_count, rank_class_size(params), params.denominator
     ratio = Fraction if params.error_dist.is_exact else lambda a, b: a / b
-    columns = [
-        (p, [ratio(_joint_numerator(ry, rx, params, sizes), den * sizes[rx]) for ry in range(k)])
-        for rx, p in enumerate(input_ranks.probs)
-        if p != 0
-    ]
+    joint = [[None] * k for _ in range(k)]
+    columns = []
+    for rx, p in enumerate(input_ranks.probs):
+        if p != 0:
+            col = joint[rx]
+            for ry in range(k):
+                if col[ry] is None:
+                    col[ry] = joint[ry][rx] = _joint_numerator(ry, rx, params, sizes)
+            columns.append((p, [ratio(num, den * sizes[rx]) for num in col]))
     return RankDistribution(ordered_sum(p * col[r] for p, col in columns) for r in range(k))
 
 
@@ -248,40 +254,47 @@ def h_r(params: ChannelParams) -> Tuple[float, ...]:
 
     The class numerator sum_rB c_rB f1(r, v, h; rB) is taken for v <= r as
     it stands and for v > r by the mirror identity, as the integer
-    f0(v) / f0(r) times the numerator of (v, r, v - r + h), whose band is
-    the same.  So h_r asks f1 only for u >= v, each numerator once per
-    mirror pair, and log2 f0(v) once per rank: both are kept for the call.
+    f0(v) / f0(r) = prod_{r <= i < v} (q^n - q^i), one factor per v, times
+    the numerator of (v, r, v - r + h), whose band is the same.  So h_r asks
+    f1 only for u >= v, each numerator once per mirror pair, and log2 f0(v)
+    once per rank: both are kept for the call.
     """
-    q, n, m = params.q, params.n, params.m
+    q, n, m, k = params.q, params.n, params.m, params.rank_count
     support, denominator = params.support, params.denominator
-    lo, hi = support[0][0], support[-1][0]
+    lo, hi, qn = support[0][0], support[-1][0], q**n
     numerators: Dict[Tuple[int, int, int], int] = {}
-    log_f0: Dict[int, float] = {}
+    log_f0: List[Optional[float]] = [None] * k
     h_vec = []
-    for r in range(params.rank_count):
+    for r in range(k):
         # The class weight q^((v - r + h) h) [m - r, v - r + h]_q [r, r - h]_q:
         # its two Gaussian binomials by j = v - r + h and by h.
         outer = [qbinom_ext(m - r, j, q) for j in range(m - r + 1)]
         inner = [qbinom_ext(r, r - h, q) for h in range(r + 1)]
-        total = 0.0
-        for v in range(params.rank_count):
+        total, mirror = 0.0, 1
+        for v in range(k):
             # h = dim((U+V)/V) is at least r - v (dim(U cap V) <= v) and at most r,
             # with v + h <= m; every such class has positive weight.  The band
             # meets [lo, hi] iff lo <= v + h, h <= hi and v + h - r <= hi.
-            h_lo, h_hi = max(0, r - v, lo - v), min(r, m - v, hi, hi + r - v)
+            if v > r:
+                mirror *= qn - q ** (v - 1)
+                h_lo, h_hi = lo - v if lo > v else 0, hi + r - v if hi < v else r
+            else:
+                h_lo, h_hi = lo - v if lo > r else r - v, hi if hi < r else r
+            if h_hi > m - v:
+                h_hi = m - v
             if h_lo > h_hi:
                 continue
-            mirror = _falling(n, v - r, q, r) if v > r else 1
-            log_f0_v = log_f0.get(v)
+            log_f0_v = log_f0[v]
             for h in range(h_lo, h_hi + 1):
                 key = (r, v, h) if v <= r else (v, r, v - r + h)
                 numerator = numerators.get(key)
                 if numerator is None:
-                    # The band of (r, v, h), which its mirror shares.
-                    numerator, band_lo = 0, max(h, v + h - r)
+                    # The band of (r, v, h), which its mirror shares:
+                    # key[2] = max(h, v + h - r).
+                    numerator, band_lo, band_hi = 0, key[2], v + h
                     for rB, c in support:
-                        if band_lo <= rB <= v + h:
-                            numerator += c * f1(*key, rB, n, m, q)
+                        if band_lo <= rB <= band_hi:
+                            numerator += c * f1(key[0], key[1], key[2], rB, n, m, q)
                     numerators[key] = numerator
                 if numerator == 0:
                     continue
@@ -289,14 +302,13 @@ def h_r(params: ChannelParams) -> Tuple[float, ...]:
                     log_f0_v = log_f0[v] = math.log2(f0(v, n, m, q))
                 numerator *= mirror
                 j = v - r + h
-                weight = q ** (j * h) * outer[j] * inner[h]
                 # log2 p(v, h) from its numerator and denominator in lowest
                 # terms; the Fraction is never built.  The class mass
                 # weight * p(v, h) by one correctly rounded integer division:
                 # weight alone can pass the float range.
                 g = math.gcd(numerator, denominator)
                 log_p_vh = math.log2(numerator // g) - math.log2(denominator // g)
-                mass = (weight * numerator) / denominator
+                mass = q ** (j * h) * outer[j] * inner[h] * numerator / denominator
                 total += mass * (log_f0_v - log_p_vh)
         h_vec.append(total)
     return tuple(h_vec)
@@ -334,7 +346,8 @@ def binomial_packets_model(
 
     Each of num_packets packets is corrupted independently with probability
     p; the corrupted packets contribute uniform i.i.d. error vectors, so
-    R(r) = sum_t C(T, t) p^t (1-p)^(T-t) N_r(t x m) / q^(mt).
+    R(r) = sum_t C(T, t) p^t (1-p)^(T-t) N_r(t x m) / q^(mt), summed as
+    integer numerators over b^T q^(mT) for p = a / b.
     """
     _check_args(q, "num_packets n m", num_packets, n, m)
     if isinstance(p, float):
@@ -346,17 +359,17 @@ def binomial_packets_model(
             f"num_packets = {num_packets} exceeds n = {n}; the error matrix "
             f"has only n rows"
         )
-    probs = [Fraction(0)] * (min(n, m) + 1)
+    a, b = p.numerator, p.denominator
+    numerators = [0] * (min(n, m) + 1)
     for t in range(num_packets + 1):
-        weight = Fraction(
-            math.comb(num_packets, t) * p**t * (1 - p) ** (num_packets - t),
-            q ** (m * t),
-        )
+        left = num_packets - t
+        weight = math.comb(num_packets, t) * a**t * (b - a) ** left * q ** (m * left)
         if weight == 0:
             continue
         for r in range(min(t, m) + 1):
-            probs[r] += weight * count_rank_matrices(t, m, r, q)
-    return RankDistribution(probs)
+            numerators[r] += weight * count_rank_matrices(t, m, r, q)
+    denominator = b**num_packets * q ** (m * num_packets)
+    return RankDistribution(Fraction(c, denominator) for c in numerators)
 
 
 def empirical_model(probs: Sequence[Numeric], n: int, m: int) -> RankDistribution:

@@ -219,11 +219,14 @@ def _f1_terms(v: int, duv: int, q: int) -> Tuple[Tuple[Tuple[int, int], ...], ..
     are kept.  _f1 multiplies entry (w, c) of group a by entry w of the
     :func:`_phi_row` row of s = u - a.  An entry is
     sign[v-w] q^((w-a)(duv-a)) outer[w-a] [duv, a]_q, from two lists,
-    sign[j] = (-1)^j q^C(j,2) and outer[j] = [v - duv, j]_q, and a power of
-    q that grows by q^(duv-a) per w, so each factor of _meet_count is
-    evaluated once per table or group.
+    sign[j] = (-1)^j q^C(j,2), one factor -q^(j-1) per j, and
+    outer[j] = [v - duv, j]_q, and a power of q that grows by q^(duv-a) per
+    w, so each factor of _meet_count is evaluated once per table or group.
     """
-    sign = [(-1) ** (j % 2) * q ** (j * (j - 1) // 2) for j in range(v + 1)]
+    sign, step = [1], -1
+    for _ in range(v):
+        sign.append(sign[-1] * step)
+        step *= q
     outer = [qbinom_ext(v - duv, j, q) for j in range(v - duv + 1)]
     table = []
     for a in range(duv + 1):
@@ -238,10 +241,10 @@ def _f1_terms(v: int, duv: int, q: int) -> Tuple[Tuple[Tuple[int, int], ...], ..
 
 @lru_cache(maxsize=None)
 def _f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:
-    mn = min(n, m)
+    mn = n if n < m else m
     if u > mn or v > mn or r > mn:
         return 0
-    if h > u or v + h > m or v < u - h or r < max(h, v + h - u) or r > v + h:
+    if h > u or v + h > m or v < u - h or r < h or r + u < v + h or r > v + h:
         return 0
     if u < v:
         # f0(u) f1(u, v, h; r) = f0(v) f1(v, u, v - u + h; r): both sides count
@@ -251,11 +254,11 @@ def _f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:
         return _falling(n, v - u, q, u) * _f1(v, u, v - u + h, r, n, m, q)
     # phi(w; s = u - a) is 0 unless u - r <= a and r - u + a <= w.
     terms = _f1_terms(v, u - h, q)
-    skip = max(0, r - u)
+    skip = r - u
     total = 0
-    for a in range(max(0, u - r), len(terms)):
+    for a in range(0 if skip > 0 else -skip, len(terms)):
         row = _phi_row(n, m, u - a, r, q)
-        for w, c in terms[a][skip:]:
+        for w, c in terms[a][skip:] if skip > 0 else terms[a]:
             total += c * row[w]
     return total
 
@@ -295,9 +298,13 @@ def f2(r: int, rX: int, rB: int, n: int, m: int, q: int) -> int:
     |r - rX| <= rB <= r + rX, and only that hp range is summed.
     """
     _check_args(q, "r rX rB n m", r, rX, rB, n, m)
-    if max(r, rX, rB) > min(n, m):
+    mn = n if n < m else m
+    if r > mn or rX > mn or rB > mn:
         return 0
+    small, big = (r, rX) if r < rX else (rX, r)
+    hp_lo = big - rB if big - rB > r + rX - m else r + rX - m
+    hp_hi = small if small < r + rX - rB else r + rX - rB
     total = 0
-    for hp in range(max(0, r + rX - m, max(r, rX) - rB), min(r, rX, r + rX - rB) + 1):
+    for hp in range(hp_lo if hp_lo > 0 else 0, hp_hi + 1):
         total += _meet_count(m, rX, r, hp, q) * _f1(rX, r, rX - hp, rB, n, m, q)
     return total

@@ -291,6 +291,24 @@ class TestOutputRankLaw:
             assert [type(p) for p in got] == [type(p) for p in want]
             assert got == want
 
+    def test_full_support_input_computes_each_pair_once(self, monkeypatch):
+        """The numerators are symmetric, so a full-support input asks for
+        each pair ry <= rx once: k(k + 1) / 2 of them, not k^2."""
+        params = _params(2, 5, 4, "empirical:1/5,1/5,1/5,1/5,1/5")
+        k = params.rank_count
+        uniform = RankDistribution([Fraction(1, k)] * k)
+        want = output_rank_distribution(uniform, params)
+        pairs = []
+
+        def counting(ry, rx, *rest):
+            pairs.append((min(ry, rx), max(ry, rx)))
+            return numerator(ry, rx, *rest)
+
+        numerator = channel._joint_numerator
+        monkeypatch.setattr(channel, "_joint_numerator", counting)
+        assert output_rank_distribution(uniform, params) == want
+        assert sorted(pairs) == [(a, b) for a in range(k) for b in range(a, k)]
+
     def test_delta_input_delta_error(self):
         """A zero input under exactly-t errors outputs rank t surely."""
         params = _params(2, 2, 2, "constant:t=1")
@@ -757,6 +775,60 @@ class TestExactLawAtScale:
         assert mutual_information(uniform, params) == pytest.approx(
             solver.objective(uniform, params), abs=1e-9
         )
+
+
+class TestCatalogueWorkspace:
+    """The workspace builds of the benchmark catalogue (capacity rounds 0 and
+    1, 33 channels): every float pinned, and the counts they ask for at the
+    channel's matrixfn boundary fixed."""
+
+    CHANNELS = _benchmark_catalogue()
+    # Recorded before the count loops of h_r, f1 and f2 were last rewritten.
+    DIGEST = "e2804d4db4d6bb454f98477f2d44b95d47c313e76c92e80ac2a3512ef61a4c3f"
+
+    def test_workspace_hex_digest(self):
+        """h, rows, columns and log class sizes in hex, as
+        tests/test_solver.py::TestWorkspaceBits pins them."""
+        texts = []
+        for channel_args in self.CHANNELS:
+            ws = solver._Workspace(_params(*channel_args))
+            texts.append(repr((
+                [h.hex() for h in ws.h_vec],
+                [[(a, t.hex()) for a, t in row] for row in ws.rows],
+                [[(ry, t.hex()) for ry, t in col] for col in ws.columns],
+                [x.hex() for x in ws.log_class],
+            )))
+        assert len(texts) == 33
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == self.DIGEST
+
+    def test_boundary_calls(self, monkeypatch):
+        """The benchmark's tracer wraps channel.f0, f1 and f2 and reads the
+        error rank at argument 3 of f1 and 2 of f2: the build must call them
+        through those names, as often as before, and only at supported
+        error ranks."""
+        calls = {"f0": 0, "f1": 0, "f2": 0}
+        ranks = []
+
+        def counting(name, rank_arg):
+            fn = getattr(channel, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                if rank_arg is not None:
+                    ranks.append(args[rank_arg])
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(channel, "f0", counting("f0", None))
+        monkeypatch.setattr(channel, "f1", counting("f1", 3))
+        monkeypatch.setattr(channel, "f2", counting("f2", 2))
+        for channel_args in self.CHANNELS:
+            params = _params(*channel_args)
+            ranks.clear()
+            solver._Workspace(params)
+            assert set(ranks) <= {rb for rb, _ in params.support}, channel_args
+        assert calls == {"f0": 265, "f1": 3054, "f2": 1627}
 
 
 def _all_tuples(q, dim, t):
