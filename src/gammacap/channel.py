@@ -20,13 +20,14 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exactcomb import (
-    count_rank_matrices,
     qbinom_ext,
     validate_field_order,
     _check_args,
+    _count_rank_matrices as count_rank_matrices,
     _NO_FIELD,
 )
-from .matrixfn import f0, f1, f2
+# Unchecked kernels: ChannelParams validates q, n and m; every rank is loop-bounded.
+from .matrixfn import _f0 as f0, _f1 as f1, _f2 as f2
 
 Numeric = Union[int, float, Fraction]
 Kernel = Tuple[Tuple[Tuple[int, ...], int], ...]

@@ -162,6 +162,8 @@ def qbinom_ext(m: int, d: int, q: int) -> int:
 def count_rank_matrices(n: int, m: int, r: int, q: int) -> int:
     """Number of n x m matrices of rank exactly r over F_q."""
     _check_args(q, "n m r", n, m, r)
-    if r > min(n, m):
-        return 0
-    return qbinom_ext(m, r, q) * _falling(n, r, q)
+    return _count_rank_matrices(n, m, r, q)
+
+
+def _count_rank_matrices(n: int, m: int, r: int, q: int) -> int:
+    return qbinom_ext(m, r, q) * _falling(n, r, q) if r <= min(n, m) else 0

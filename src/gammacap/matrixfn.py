@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence, Tuple
 
-from .exactcomb import qbinom_ext, _check_args, _falling
+from .exactcomb import MAX_DIMENSION, qbinom_ext, _check_args, _falling
 
 
 @lru_cache(maxsize=None)
@@ -179,6 +179,10 @@ def f0(u: int, n: int, m: int, q: int) -> int:
     _check_args(q, "u n m", u, n, m)
     if u > min(n, m):
         raise ValueError(f"u = {u} exceeds min(n, m) = {min(n, m)}")
+    return _f0(u, n, m, q)
+
+
+def _f0(u: int, n: int, m: int, q: int) -> int:
     return _falling(n, u, q)
 
 
@@ -193,8 +197,8 @@ def _phi_row(n: int, m: int, s: int, r: int, q: int) -> Tuple[int, ...]:
     w < r - s and for every w when s > r or r > m.  The product does not
     depend on w, so it is evaluated once per row.  f1 reads the rows
     s <= r <= min(n, m), (k + 1)(k + 2) / 2 of them for k = min(n, m):
-    2 145 at n = m = MAX_DIMENSION = 64.  The 4096 most recent rows are
-    kept, so a channel of any shape builds each of its rows once.
+    2 145 at n = m = MAX_DIMENSION = 64, by :func:`_phi_block`; the 4096
+    most recent rows are kept.
     """
     size, k = m - s + 1, r - s
     if not 0 <= k < size:
@@ -203,6 +207,14 @@ def _phi_row(n: int, m: int, s: int, r: int, q: int) -> Tuple[int, ...]:
     return (0,) * k + tuple(
         q ** (s * (w - k)) * qbinom_ext(w, k, q) * scale for w in range(k, size)
     )
+
+
+@lru_cache(maxsize=MAX_DIMENSION + 1)
+def _phi_block(n: int, m: int, r: int, q: int) -> Tuple[Tuple[int, ...], ...]:
+    """The :func:`_phi_row` rows of rank r for s = 0..r, indexed by s: all
+    the rows an f1 sum reads, in one lookup.  A channel reads one block per
+    error rank, so the MAX_DIMENSION + 1 most recent are kept."""
+    return tuple(_phi_row(n, m, s, r, q) for s in range(r + 1))
 
 
 @lru_cache(maxsize=None)
@@ -253,11 +265,11 @@ def _f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:
         # and f0(v) / f0(u) = prod_{u <= i < v} (q^n - q^i) is exact.
         return _falling(n, v - u, q, u) * _f1(v, u, v - u + h, r, n, m, q)
     # phi(w; s = u - a) is 0 unless u - r <= a and r - u + a <= w.
-    terms = _f1_terms(v, u - h, q)
+    terms, rows = _f1_terms(v, u - h, q), _phi_block(n, m, r, q)
     skip = r - u
     total = 0
     for a in range(0 if skip > 0 else -skip, len(terms)):
-        row = _phi_row(n, m, u - a, r, q)
+        row = rows[u - a]
         for w, c in terms[a][skip:] if skip > 0 else terms[a]:
             total += c * row[w]
     return total
@@ -280,7 +292,7 @@ def f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:
     Each term is a Moebius coefficient from :func:`_f1_terms` times the
     count of rank-r matrices with a fixed rank-(u - a) image in the quotient
     by V'', read from the row of :func:`_phi_row` for (n, m, u - a, r, q)
-    at w = dim V''.  That table keeps its 4096 most recent rows.
+    at w = dim V''; all rows of rank r come in one :func:`_phi_block`.
     """
     _check_args(q, "u v h r n m", u, v, h, r, n, m)
     return _f1(u, v, h, r, n, m, q)
@@ -298,6 +310,10 @@ def f2(r: int, rX: int, rB: int, n: int, m: int, q: int) -> int:
     |r - rX| <= rB <= r + rX, and only that hp range is summed.
     """
     _check_args(q, "r rX rB n m", r, rX, rB, n, m)
+    return _f2(r, rX, rB, n, m, q)
+
+
+def _f2(r: int, rX: int, rB: int, n: int, m: int, q: int) -> int:
     mn = n if n < m else m
     if r > mn or rX > mn or rB > mn:
         return 0

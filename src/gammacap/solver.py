@@ -15,7 +15,8 @@ fixes then costs O(k^2), a Givens update of that factor and one back
 substitution.  The Frank-Wolfe duality gap
 max_a grad_a - grad . x certifies the result.  Every iterate's value is read
 off the gradient the loop already has, I(x) = x . grad + log2 e on the
-simplex, so the objective is assembled once, for the point returned.
+simplex, so the objective is assembled once, for the point returned; the
+value and the gap share one sum x . grad per iterate.
 
 The objective and gradient accept plain float vectors in addition to
 RankDistribution values: finite-difference checks evaluate them slightly
@@ -138,13 +139,16 @@ class _Workspace:
         # underflows to 0.0 takes the smallest positive float, as masses do.
         # One that no such rank reaches takes -inf: every rank reaching it
         # gets +inf, since kernel entries are positive and no term is +inf.
-        log_terms = [
-            (math.log2(p) - log_class + _LOG2E) if p > 0
-            else (math.log2(_MIN_MASS) - log_class + _LOG2E)
-            if p == 0 and any(x[a] > 0 for a, _ in row)
-            else -math.inf
-            for p, row, log_class in zip(self.output_probs(x), self.rows, self.log_class)
-        ]
+        log_terms = []
+        for row, log_class in zip(self.rows, self.log_class):
+            p = 0.0
+            for a, t in row:
+                p += t * x[a]
+            log_terms.append(
+                (math.log2(p) - log_class + _LOG2E) if p > 0
+                else (math.log2(_MIN_MASS) - log_class + _LOG2E)
+                if p == 0 and any(x[a] > 0 for a, _ in row) else -math.inf
+            )
         grad = []
         for h, column in zip(self.h_vec, self.columns):
             acc = 0.0
@@ -201,40 +205,55 @@ def _ba_step(x: Sequence[float], grad: Sequence[float]) -> List[float]:
     """Blahut-Arimoto update x_a <- x_a 2^{grad_a - top}, renormalized; top is
     the largest gradient over the support, so no inf - inf arises."""
     top = max(g for g, p in zip(grad, x) if p > 0)
-    return _normalized([p * 2.0 ** (g - top) if p > 0 else 0.0 for g, p in zip(grad, x)])
+    y, total = [], 0.0
+    for g, p in zip(grad, x):
+        w = p * 2.0 ** (g - top) if p > 0 else 0.0
+        y.append(w)
+        total += w
+    return _normalized(y, total)
 
 
-def _normalized(y: Sequence[float]) -> List[float]:
+def _normalized(y: Sequence[float], total: Optional[float] = None) -> List[float]:
     """y / sum(y), with every entry at least the smallest positive float: a
     Blahut-Arimoto factor 2^{grad_a - top} can underflow a tiny mass to 0."""
-    total = ordered_sum(y)
+    if total is None:
+        total = ordered_sum(y)
     return [_MIN_MASS if (q := v / total) < _MIN_MASS else q for v in y]
 
 
-def _gap(grad: Sequence[float], x: Sequence[float]) -> float:
-    return max(grad) - ordered_sum(g * p for g, p in zip(grad, x) if p > 0)
+def _value_and_gap(x: Sequence[float], grad: Sequence[float]) -> Tuple[float, float]:
+    """I(x) and the Frank-Wolfe gap max_a grad_a - grad . x at a point x of
+    the simplex, from one sum x . grad (x has full support, so no term is
+    0 * inf).  Weighted by x_a, the components of :func:`gradient` add to
+    H(Y) - x . h - log2 e sum_y p_y, and sum_y p_y = sum_a x_a = 1, so
+    I(x) = x . grad + log2 e."""
+    dot = ordered_sum(map(operator.mul, x, grad))
+    return dot + _LOG2E, max(grad) - dot
 
 
 def _value(x: Sequence[float], grad: Sequence[float]) -> float:
-    """I(x) at a point x of the simplex, from its gradient.  Weighted by x_a,
-    the components of :func:`gradient` add to H(Y) - x . h - log2 e sum_y p_y,
-    and sum_y p_y = sum_a x_a = 1, so I(x) = x . grad + log2 e."""
-    return ordered_sum(map(operator.mul, x, grad)) + _LOG2E
+    return _value_and_gap(x, grad)[0]
+
+
+def _gap(grad: Sequence[float], x: Sequence[float]) -> float:
+    return _value_and_gap(x, grad)[1]
 
 
 def _squarem_step(
     ws: _Workspace, x: List[float], grad: List[float], value: float
-) -> Tuple[List[float], List[float], float]:
+) -> Tuple[List[float], List[float], float, float]:
     """SQUAREM: two Blahut-Arimoto steps x1, x2 from x, extrapolated along
-    them (alpha = -1 gives x2); returns the point taken with its gradient and
-    value.  The clamp keeps full support.  The safeguard of Varadhan and
-    Roland keeps the extrapolated point when its value is at least the value
-    of x, the current iterate, and otherwise falls back to x2, which a
+    them (alpha = -1 gives x2); returns the point taken with its gradient,
+    value and gap.  The clamp keeps full support.  The safeguard of Varadhan
+    and Roland keeps the extrapolated point when its value is at least the
+    value of x, the current iterate, and otherwise falls back to x2, which a
     Blahut-Arimoto step never takes below x."""
     x1 = _ba_step(x, grad)
     x2 = _ba_step(x1, ws.gradient(x1))
-    r = [b - a for a, b in zip(x, x1)]
-    v = [c - 2 * b + a for a, b, c in zip(x, x1, x2)]
+    r, v = [], []
+    for a, b, c in zip(x, x1, x2):
+        r.append(b - a)
+        v.append(c - 2 * b + a)
     norm_r, norm_v = math.hypot(*r), math.hypot(*v)
     if norm_r > norm_v > 0:
         alpha = -norm_r / norm_v
@@ -243,11 +262,11 @@ def _squarem_step(
             for a, dr, dv, c in zip(x, r, v, x2)
         ])
         point_grad = ws.gradient(point)
-        point_value = _value(point, point_grad)
+        point_value, point_gap = _value_and_gap(point, point_grad)
         if point_value >= value:
-            return point, point_grad, point_value
+            return point, point_grad, point_value, point_gap
     grad2 = ws.gradient(x2)
-    return x2, grad2, _value(x2, grad2)
+    return (x2, grad2, *_value_and_gap(x2, grad2))
 
 
 def _newton_point(
@@ -285,25 +304,42 @@ def _newton_point(
     for a in free:
         row: List[float] = []
         line, sa = curv[a], scale[a]
-        for b, lower in zip(free, chol):
-            row.append((line[b] * sa * scale[b] - _dot(row, lower)) / lower[-1])
-        pivot = 1 + mu - _dot(row, row)
+        rr = ru = rv = 0.0  # row . row, row . u and row . v, left to right
+        for b, lower, ub, vb in zip(free, chol, u, v):
+            acc = 0.0
+            for ri, li in zip(row, lower):
+                acc += ri * li
+            t = (line[b] * sa * scale[b] - acc) / lower[-1]
+            row.append(t)
+            rr, ru, rv = rr + t * t, ru + t * ub, rv + t * vb
+        pivot = 1 + mu - rr
         if not pivot > _PIVOT_MIN:
             return None
         row.append(math.sqrt(pivot))
         chol.append(row)
-        u.append((grad[a] * scale[a] - _dot(row, u)) / row[-1])
-        v.append((scale[a] - _dot(row, v)) / row[-1])
+        u.append((grad[a] * scale[a] - ru) / row[-1])
+        v.append((scale[a] - rv) / row[-1])
     step, fixed_sum = [0.0] * k, 0.0
     while free:
         # M z + w nu = S (grad - C d_fixed), w' z = -fixed_sum, d_a = scale_a z_a.
-        schur = _dot(v, v)
+        schur = ordered_sum(map(operator.mul, v, v))
         if not schur > _PIVOT_MIN:
             return None
-        nu = (_dot(u, v) + fixed_sum) / schur
-        for a, za in zip(free, _back_solve(chol, [ua - nu * va for ua, va in zip(u, v)])):
+        nu = (ordered_sum(map(operator.mul, u, v)) + fixed_sum) / schur
+        z = [ua - nu * va for ua, va in zip(u, v)]
+        # Back substitution for L' z = u - nu v: column i of L' is row i of L.
+        for i in reversed(range(len(z))):
+            row = chol[i]
+            zi = z[i] = z[i] / row[-1]
+            for j in range(i):
+                z[j] -= row[j] * zi
+        for a, za in zip(free, z):
             step[a] = za * scale[a]
-        blocking = min(free, key=lambda a: step[a] / x[a])
+        blocking = least = None
+        for a in free:
+            ratio = step[a] / x[a]
+            if least is None or ratio < least:
+                blocking, least = a, ratio
         if step[blocking] >= -x[blocking]:
             point = [p + d for p, d in zip(x, step)]
             return _normalized(point) if all(map(math.isfinite, point)) else None
@@ -317,21 +353,6 @@ def _newton_point(
         u[:j + 1] = [ua - f * t for ua, t in zip(u, lost)]
         _fold(chol, j, (u, v))
     return None
-
-
-def _dot(u: Sequence[float], v: Sequence[float]) -> float:
-    """Dot product over the shorter of u and v, added left to right."""
-    return ordered_sum(map(operator.mul, u, v))
-
-
-def _back_solve(chol: List[List[float]], y: List[float]) -> List[float]:
-    """z with L' z = y, written over y; L is lower triangular by rows, and
-    the rows of L are the columns of L', taken from the last."""
-    for i in reversed(range(len(y))):
-        row = chol[i]
-        zi = y[i] = y[i] / row[-1]
-        y[:i] = [yj - t * zi for yj, t in zip(y[:i], row)]
-    return y
 
 
 def _fold(chol: List[List[float]], j: int, vectors: Sequence[List[float]]) -> None:
@@ -390,11 +411,10 @@ def maximize(
         x = [1.0 / k] * k
 
     grad = ws.gradient(x)
-    value = _value(x, grad)
+    value, gap = _value_and_gap(x, grad)
     gaps: List[float] = []
     mu, newton_steps, newton_attempts, polished = _MU_START, 0, 0, False
     for iterations in range(1, config.max_iterations + 1):
-        gap = _gap(grad, x)
         if gap <= config.tolerance_bits:
             if observer is not None:
                 observer(iterations, value, gap)
@@ -411,19 +431,20 @@ def maximize(
         point = _newton_point(ws, x, grad, mu) if attempt else None
         if point is not None:
             point_grad = ws.gradient(point)
-            polished = _gap(point_grad, point) < gap
+            point_value, point_gap = _value_and_gap(point, point_grad)
+            polished = point_gap < gap
         if polished:
-            x, value, grad = point, _value(point, point_grad), point_grad
+            x, grad, value, next_gap = point, point_grad, point_value, point_gap
             mu, newton_steps = max(mu / 10, _MU_MIN), newton_steps + 1
         else:
             if attempt:
                 mu, gaps = mu * 10, []
-            x, grad, value = _squarem_step(ws, x, grad, value)
+            x, grad, value, next_gap = _squarem_step(ws, x, grad, value)
         if observer is not None:
             observer(iterations, value, gap)
+        # At the cap the last step has moved x: the gap reported is its own.
+        gap = next_gap
 
-    # At the cap the last step has moved x: report the gap of the point returned.
-    gap = _gap(grad, x)
     converged = gap <= config.tolerance_bits
     log.info(
         "workspace build %.6f s, solve %.6f s, %d iterations, newton_steps=%d, "

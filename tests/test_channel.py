@@ -25,7 +25,7 @@ from gammacap.channel import (
     rank_class_size,
     rho_avg,
 )
-from gammacap.exactcomb import _falling, count_rank_matrices, qbinom, qbinom_ext
+from gammacap.exactcomb import _check_args, _falling, count_rank_matrices, qbinom, qbinom_ext
 from gammacap.matrixfn import f0, f1, f2
 from reference import log2_exact
 
@@ -829,6 +829,84 @@ class TestCatalogueWorkspace:
             solver._Workspace(params)
             assert set(ranks) <= {rb for rb, _ in params.support}, channel_args
         assert calls == {"f0": 265, "f1": 3054, "f2": 1627}
+
+
+class TestChecksOncePerChannel:
+    """channel calls the unchecked kernels of the counts under their public
+    names f0, f1, f2 and count_rank_matrices: ChannelParams validates q, n
+    and m, and every rank passed comes from a loop bounded by the channel's
+    rank count.  So every call must pass the public function's own argument
+    check, here run first by a checker around each name."""
+
+    CHANNELS = _benchmark_catalogue()
+    CHECKS = {
+        "f0": "u n m",
+        "f1": "u v h r n m",
+        "f2": "r rX rB n m",
+        "count_rank_matrices": "n m r",
+    }
+
+    @classmethod
+    def _install_checkers(cls, monkeypatch):
+        calls = dict.fromkeys(cls.CHECKS, 0)
+
+        def checker(name, names):
+            kernel = getattr(channel, name)
+
+            def wrapper(*args):
+                *values, q = args
+                _check_args(q, names, *values)
+                if name == "f0" and values[0] > min(values[1:]):
+                    raise ValueError(f"u = {values[0]} exceeds min(n, m)")
+                calls[name] += 1
+                return kernel(*args)
+
+            return wrapper
+
+        for name, names in cls.CHECKS.items():
+            monkeypatch.setattr(channel, name, checker(name, names))
+        return calls
+
+    def test_every_count_gets_checked_arguments(self, monkeypatch):
+        calls = self._install_checkers(monkeypatch)
+        for channel_args in self.CHANNELS:
+            solver._Workspace(_params(*channel_args))
+        # count_rank_matrices as often as before the checks moved.
+        assert calls == {"f0": 265, "f1": 3054, "f2": 1627, "count_rank_matrices": 460}
+
+        calls.update(dict.fromkeys(calls, 0))
+        for channel_args in self.CHANNELS:
+            params = _params(*channel_args)
+            k = params.rank_count
+            for probs in ([0] * (k - 1) + [1], [Fraction(1, k)] * k):
+                output_rank_distribution(RankDistribution(probs), params)
+        assert calls == {"f0": 0, "f1": 0, "f2": 1892, "count_rank_matrices": 725}
+
+        calls.update(dict.fromkeys(calls, 0))
+        for spec in ("constant:t=2", "iid:t=3", "binomial:T=3,p=0.1", "empirical:1/2,1/4,1/4"):
+            parse_error_model(spec, 5, 6, 7)
+        assert calls == {"f0": 0, "f1": 0, "f2": 0, "count_rank_matrices": 14}
+
+
+class TestCatalogueSolves:
+    """The solves of the benchmark catalogue (capacity rounds 0 and 1, 33
+    channels) at the benchmark's cap of 500: capacity and gap as hex floats,
+    iterations and Newton steps, pinned by one digest."""
+
+    CHANNELS = _benchmark_catalogue()
+    # Recorded before the solver came to sum x . grad once per iterate.
+    DIGEST = "0aeec529c89667c5542967e1b11ce8f3fe27827244fc51011e6c08c8c94b3f9d"
+
+    def test_solve_digest(self):
+        texts = []
+        for channel_args in self.CHANNELS:
+            res = solver.maximize(_params(*channel_args), solver.SolverConfig(max_iterations=500))
+            texts.append(repr((
+                res.capacity_bits.hex(), res.optimality_gap_bits.hex(),
+                res.iterations, res.newton_steps,
+            )))
+        assert len(texts) == 33
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == self.DIGEST
 
 
 def _all_tuples(q, dim, t):

@@ -368,6 +368,22 @@ class TestStallsAtBenchmarkCap:
         res = maximize(_params(*channel), SolverConfig(max_iterations=500))
         assert res.converged and res.stop_reason == "certified"
 
+class TestZigzagGap:
+    """(2, 16, 7, iid:t=1), a channel of the benchmark catalogue, took 10
+    iterations before SQUAREM came to compare its extrapolated point with the
+    current iterate, and takes 33 since.  SQUAREM keeps nearly every
+    extrapolated point and the gap zigzags, so a gap below half the stall
+    window's first always turns up and the stall test never calls the
+    Newton polish.  Pinned as an expected failure until one solver loop
+    certifies it as fast as before."""
+
+    @pytest.mark.xfail(strict=True, reason="the gap zigzags past the stall test: 33 iterations")
+    def test_certifies_within_twelve_iterations(self):
+        res = maximize(_params(2, 16, 7, "iid:t=1"), SolverConfig(max_iterations=500))
+        assert res.converged and res.stop_reason == "certified"
+        assert res.iterations <= 12
+
+
 _POLISHED = TestRegressionPins.BENCHMARK_CAP_CASES + TestRegressionPins.SHRINKING_GAP_CASES + [
     (3, 6, 10, "iid:t=3"),
     # SQUAREM alone stopped at a 5.6e-3-bit gap; a Newton point here puts a
