@@ -4,6 +4,8 @@ The three top-level counts:
 
 - :func:`f0` — matrices with a fixed row space,
 - :func:`f1` — rank-r matrices B with row(M+B) equal to a fixed space V,
+  a Moebius sum whose counts come one error rank at a time from
+  :func:`_phi_block`,
 - :func:`f2` — rank-rB matrices B with rank(X+B) = r for a fixed X,
 
 plus :func:`c_prime`, which counts subspace pairs (V', W') by one sum over
@@ -186,35 +188,25 @@ def _f0(u: int, n: int, m: int, q: int) -> int:
     return _falling(n, u, q)
 
 
-@lru_cache(maxsize=4096)
-def _phi_row(n: int, m: int, s: int, r: int, q: int) -> Tuple[int, ...]:
-    """Rank-r matrices with a fixed rank-s image in the quotient by a w-space,
-    for w = 0..m - s.
-
-    Entry w counts the n x m matrices B of rank r whose induced matrix in
-    F_q^m / V'' equals a fixed matrix of rank s, where dim V'' = w:
-    q^(s(w - (r - s))) [w, r - s]_q prod_{s <= i < r} (q^n - q^i), 0 for
-    w < r - s and for every w when s > r or r > m.  The product does not
-    depend on w, so it is evaluated once per row.  f1 reads the rows
-    s <= r <= min(n, m), (k + 1)(k + 2) / 2 of them for k = min(n, m):
-    2 145 at n = m = MAX_DIMENSION = 64, by :func:`_phi_block`; the 4096
-    most recent rows are kept.
-    """
-    size, k = m - s + 1, r - s
-    if not 0 <= k < size:
-        return (0,) * size
-    scale = _falling(n, k, q, s)
-    return (0,) * k + tuple(
-        q ** (s * (w - k)) * qbinom_ext(w, k, q) * scale for w in range(k, size)
-    )
-
-
 @lru_cache(maxsize=MAX_DIMENSION + 1)
 def _phi_block(n: int, m: int, r: int, q: int) -> Tuple[Tuple[int, ...], ...]:
-    """The :func:`_phi_row` rows of rank r for s = 0..r, indexed by s: all
-    the rows an f1 sum reads, in one lookup.  A channel reads one block per
-    error rank, so the MAX_DIMENSION + 1 most recent are kept."""
-    return tuple(_phi_row(n, m, s, r, q) for s in range(r + 1))
+    """The phi rows of rank r for s = 0..r, indexed by s: all the rows an f1
+    sum reads, in one lookup.
+
+    Entry w = 0..m - s of row s counts the n x m matrices B of rank r whose
+    induced matrix in F_q^m / V'' equals a fixed matrix of rank s, where
+    dim V'' = w: q^(s(w - (r - s))) [w, r - s]_q prod_{s <= i < r} (q^n - q^i),
+    0 for w < r - s.  The product does not depend on w, so it is evaluated
+    once per row.  f1 asks only for r <= min(n, m).  A channel reads one
+    block per error rank, so the MAX_DIMENSION + 1 most recent are kept.
+    """
+    rows = []
+    for s in range(r + 1):
+        k = r - s
+        scale = _falling(n, k, q, s)
+        tail = (q ** (s * (w - k)) * qbinom_ext(w, k, q) * scale for w in range(k, m - s + 1))
+        rows.append((0,) * k + tuple(tail))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -229,7 +221,7 @@ def _f1_terms(v: int, duv: int, q: int) -> Tuple[Tuple[Tuple[int, int], ...], ..
     keys are the (v, duv) with duv <= v <= min(n, m) and 2v - duv <= m: 81 at
     n = m = 16.  A channel's workspace cycles through all of them, so all
     are kept.  _f1 multiplies entry (w, c) of group a by entry w of the
-    :func:`_phi_row` row of s = u - a.  An entry is
+    :func:`_phi_block` row of s = u - a.  An entry is
     sign[v-w] q^((w-a)(duv-a)) outer[w-a] [duv, a]_q, from two lists,
     sign[j] = (-1)^j q^C(j,2), one factor -q^(j-1) per j, and
     outer[j] = [v - duv, j]_q, and a power of q that grows by q^(duv-a) per
@@ -291,8 +283,8 @@ def f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:
 
     Each term is a Moebius coefficient from :func:`_f1_terms` times the
     count of rank-r matrices with a fixed rank-(u - a) image in the quotient
-    by V'', read from the row of :func:`_phi_row` for (n, m, u - a, r, q)
-    at w = dim V''; all rows of rank r come in one :func:`_phi_block`.
+    by V'', read at w = dim V'' from row u - a of the :func:`_phi_block` of
+    (n, m, r, q), which holds every row of rank r.
     """
     _check_args(q, "u v h r n m", u, v, h, r, n, m)
     return _f1(u, v, h, r, n, m, q)

@@ -231,14 +231,6 @@ def _value_and_gap(x: Sequence[float], grad: Sequence[float]) -> Tuple[float, fl
     return dot + _LOG2E, max(grad) - dot
 
 
-def _value(x: Sequence[float], grad: Sequence[float]) -> float:
-    return _value_and_gap(x, grad)[0]
-
-
-def _gap(grad: Sequence[float], x: Sequence[float]) -> float:
-    return _value_and_gap(x, grad)[1]
-
-
 def _squarem_step(
     ws: _Workspace, x: List[float], grad: List[float], value: float
 ) -> Tuple[List[float], List[float], float, float]:
@@ -388,7 +380,7 @@ def maximize(
 
     ``observer``, when given, is called after every iteration with
     (iteration, objective_bits, gap_bits), objective_bits read off the
-    iterate's gradient (see _value); capacity_bits alone comes from
+    iterate's gradient (see _value_and_gap); capacity_bits alone comes from
     _Workspace.objective, once, at the point returned.  Where the time went
     (workspace build, near 0 for a channel already built, and solve) is
     logged at INFO on the ``gammacap.solver`` logger, with the Newton steps

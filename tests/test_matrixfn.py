@@ -376,36 +376,34 @@ class TestSupportBands:
 
 
 class TestPhiRows:
-    """f1 reads its phi counts from one row per (n, m, s, r, q), indexed by
-    w = 0..m - s."""
+    """f1 reads its phi counts from one block per (n, m, r, q): row s of the
+    block, for s = 0..r, is indexed by w = 0..m - s."""
 
     @pytest.mark.parametrize("q", [2, 3, 16])
     @pytest.mark.parametrize("n, m", [(3, 6), (6, 3), (5, 5)])
     def test_rows_match_closed_form(self, q, n, m):
         edges = 0
-        for r in range(min(n, m) + 2):
-            for s in range(m + 1):
-                row = matrixfn._phi_row.__wrapped__(n, m, s, r, q)
+        for r in range(min(n, m) + 1):
+            block = matrixfn._phi_block.__wrapped__(n, m, r, q)
+            assert len(block) == r + 1
+            for s, row in enumerate(block):
                 assert row == tuple(_phi(n, m, w, s, r, q) for w in range(m - s + 1))
-                if s > r:
-                    assert not any(row), (s, r)
                 # The last entry is the edge w = m - s.
                 edges += row[-1] != 0
         assert edges
 
-    def test_row_table_is_bounded_and_holds_a_full_channel(self):
-        """A (2,64,64) channel's f1 sums read the rows s <= r <= 64, 2 145
-        of them; all fit at once, so a second pass reads every row again
-        without a miss."""
-        table = matrixfn._phi_row
+    def test_block_table_is_bounded_and_holds_a_full_channel(self):
+        """A (2,64,64) channel's f1 sums read the blocks r = 0..64, 65 of
+        them holding 2 145 rows; all fit at once, so a second pass reads
+        every block again without a miss."""
+        table = matrixfn._phi_block
         assert table.cache_info().maxsize is not None
-        keys = [(64, 64, s, r, 2) for r in range(65) for s in range(r + 1)]
-        assert len(keys) == 2145
+        keys = [(64, 64, r, 2) for r in range(65)]
         table.cache_clear()
         try:
-            for _ in range(2):
-                for key in keys:
-                    table(*key)
+            assert sum(len(table(*key)) for key in keys) == 2145
+            for key in keys:
+                table(*key)
             info = table.cache_info()
             assert info.misses == info.currsize == len(keys)
         finally:

@@ -658,7 +658,7 @@ class TestValueFromGradient:
         for _ in range(5):
             raw = [rng.uniform(0.01, 1) for _ in range(ws.size)]
             x = [v / ordered_sum(raw) for v in raw]
-            value = solver._value(x, gradient(x, params))
+            value, _ = solver._value_and_gap(x, gradient(x, params))
             assert abs(value - objective(x, params)) <= self._rounding_bound(ws, x)
 
     def test_maximize_evaluates_the_objective_once(self, monkeypatch):
@@ -955,7 +955,7 @@ class TestSummationRule:
         assert solver._normalized([1.0, 1e-16, 1e-16])[0] == 1.0
 
     def test_gap(self):
-        assert solver._gap([1.0, 1e-16, 1e-16], [1.0, 1.0, 1.0]) == 0.0
+        assert solver._value_and_gap([1.0, 1.0, 1.0], [1.0, 1e-16, 1e-16])[1] == 0.0
 
 
 # Shapes beyond the oracle's budget, each with two error laws to compose and
