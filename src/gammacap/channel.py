@@ -111,23 +111,26 @@ class RankDistribution:
 class ChannelParams:
     """Field order, matrix shape and error rank distribution of a channel.
 
-    ``support`` holds (rB, c_rB) for every error rank rB of positive
-    probability: the weight P(rB) / N_rB (N_rB the rank class size) is the
-    integer numerator c_rB over the common denominator ``denominator``, the
-    lcm of the weights' denominators.  Law sums run over it only, since a
-    term of probability 0 is an exact zero, and add integers before making
-    one Fraction.  Weights are exact even for a float law (a float converts
+    ``sizes`` holds the rank class sizes N_0, ..., N_min(n, m), each counted
+    once per channel.  ``support`` holds (rB, c_rB) for every error rank rB
+    of positive probability: the weight P(rB) / N_rB is the integer
+    numerator c_rB over the common denominator ``denominator``, the lcm of
+    the weights' denominators.  Law sums run over it only, since a term of
+    probability 0 is an exact zero, and add integers before making one
+    Fraction.  Weights are exact even for a float law (a float converts
     exactly), since a float P(rB) / N_rB overflows once N_rB leaves the
     float range.
 
     ``_workspace`` holds solver._workspace's tables from the channel's first
-    use on; like ``support`` it takes no part in equality, hashing or repr.
+    use on; like ``sizes`` and ``support`` it takes no part in equality,
+    hashing or repr.
     """
 
     q: int
     n: int
     m: int
     error_dist: RankDistribution
+    sizes: Tuple[int, ...] = field(init=False, repr=False, compare=False)
     support: Tuple[Tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     denominator: int = field(init=False, repr=False, compare=False)
     _workspace: object = field(default=None, init=False, repr=False, compare=False)
@@ -144,15 +147,14 @@ class ChannelParams:
                 f"error distribution has {len(self.error_dist)} entries, "
                 f"need min(n, m) + 1 = {self.rank_count}"
             )
-        weights = [
-            (rB, Fraction(p) / count_rank_matrices(self.n, self.m, rB, self.q))
-            for rB, p in enumerate(self.error_dist)
-            if p != 0
-        ]
+        q, n, m = self.q, self.n, self.m
+        sizes = tuple(count_rank_matrices(n, m, r, q) for r in range(self.rank_count))
+        weights = [(rB, Fraction(p) / sizes[rB]) for rB, p in enumerate(self.error_dist) if p != 0]
         denominator = math.lcm(*(w.denominator for _, w in weights))
         support = tuple(
             (rB, w.numerator * (denominator // w.denominator)) for rB, w in weights
         )
+        object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "denominator", denominator)
 
@@ -167,12 +169,13 @@ class ChannelParams:
 
 def rank_class_size(params: ChannelParams) -> Tuple[int, ...]:
     """(N_0, ..., N_min(n, m)): the number of n x m matrices of each rank."""
-    q, n, m = params.q, params.n, params.m
-    return tuple(count_rank_matrices(n, m, r, q) for r in range(params.rank_count))
+    return params.sizes
 
 
-def _joint_numerator(ry: int, rx: int, params: ChannelParams, sizes: Sequence[int]) -> int:
-    """denominator * N_rx * T(ry | rx), symmetric in ry and rx.
+def _joint(params: ChannelParams, ranks: Iterable[int]) -> List[List[Optional[int]]]:
+    """The numerators J[ry][rx] = denominator * N_rx * T(ry | rx) of the
+    columns rx in ``ranks``, each symmetric pair once; entries that no
+    column in ``ranks`` needs stay None.  Column rx is row rx of J.
 
     P(X + B = Y) depends on rank(Y - X) only, so the kernel is reversible,
     N_rx T(ry | rx) = N_ry T(rx | ry) (Delsarte's bilinear-forms scheme):
@@ -180,31 +183,30 @@ def _joint_numerator(ry: int, rx: int, params: ChannelParams, sizes: Sequence[in
     whose f2 terms are f1 entries u >= v, as in h_r.  Rank is a metric, so
     f2 is 0 unless b - a <= rB <= a + b: only those rB are summed.
     """
-    q, n, m = params.q, params.n, params.m
-    a, b = (ry, rx) if ry < rx else (rx, ry)
-    total = 0
-    for rB, c in params.support:
-        if b - a <= rB <= a + b:
-            total += c * f2(a, b, rB, n, m, q)
-    return sizes[b] * total
+    q, n, m, k = params.q, params.n, params.m, params.rank_count
+    joint: List[List[Optional[int]]] = [[None] * k for _ in range(k)]
+    for rx in ranks:
+        col = joint[rx]
+        for ry in range(k):
+            if col[ry] is None:
+                a, b = (ry, rx) if ry < rx else (rx, ry)
+                total = 0
+                for rB, c in params.support:
+                    if b - a <= rB <= a + b:
+                        total += c * f2(a, b, rB, n, m, q)
+                col[ry] = joint[ry][rx] = params.sizes[b] * total
+    return joint
 
 
-def rho_avg(params: ChannelParams, sizes: Optional[Sequence[int]] = None) -> Kernel:
+def rho_avg(params: ChannelParams) -> Kernel:
     """The rank transition kernel T(ry | rx) = P(rank(X+B) = ry | rank X = rx),
     averaged over error ranks, exactly: per input rank rx the column
     (numerators, denominator), T(ry | rx) = numerators[ry] / denominator
-    and denominator = params.denominator * N_rx, with N = sizes, by
-    default rank_class_size(params).  Exact for every error law, as
-    ``params.support`` is.  The numerators J[ry][rx] are symmetric (see
-    _joint_numerator): each pair ry <= rx is computed once, and column rx
-    is row rx of J.
+    and denominator = params.denominator * N_rx, N = params.sizes.  Exact
+    for every error law, as ``params.support`` is.  The numerators are
+    _joint's, every column.
     """
-    k = params.rank_count
-    sizes = rank_class_size(params) if sizes is None else sizes
-    joint = [[0] * k for _ in range(k)]
-    for rx in range(k):
-        for ry in range(rx + 1):
-            joint[ry][rx] = joint[rx][ry] = _joint_numerator(ry, rx, params, sizes)
+    joint, sizes = _joint(params, range(params.rank_count)), params.sizes
     return tuple((tuple(col), params.denominator * size) for col, size in zip(joint, sizes))
 
 
@@ -214,27 +216,21 @@ def output_rank_distribution(
     """Rank distribution of the channel output A(X+B).
 
     A is invertible so rank(Y) = rank(X+B); the output law is the input law
-    pushed through rho_avg's kernel, built only for the input ranks of
-    positive probability (exact zeros otherwise), each numerator pair ry <= rx
-    once.  For a float error law each entry is one correctly rounded
-    division before weighting.
+    pushed through rho_avg's kernel, whose numerators _joint builds only for
+    the input ranks of positive probability (exact zeros otherwise).  For a
+    float error law each entry is one correctly rounded division before
+    weighting.
     """
     if len(input_ranks) != params.rank_count:
         raise ValueError(
             f"input distribution has {len(input_ranks)} entries, "
             f"need {params.rank_count}"
         )
-    k, sizes, den = params.rank_count, rank_class_size(params), params.denominator
+    k, sizes, den, probs = params.rank_count, params.sizes, params.denominator, input_ranks.probs
+    ranks = [rx for rx, p in enumerate(probs) if p != 0]
+    joint = _joint(params, ranks)
     ratio = Fraction if params.error_dist.is_exact else lambda a, b: a / b
-    joint = [[None] * k for _ in range(k)]
-    columns = []
-    for rx, p in enumerate(input_ranks.probs):
-        if p != 0:
-            col = joint[rx]
-            for ry in range(k):
-                if col[ry] is None:
-                    col[ry] = joint[ry][rx] = _joint_numerator(ry, rx, params, sizes)
-            columns.append((p, [ratio(num, den * sizes[rx]) for num in col]))
+    columns = [(probs[rx], [ratio(num, den * sizes[rx]) for num in joint[rx]]) for rx in ranks]
     return RankDistribution(ordered_sum(p * col[r] for p, col in columns) for r in range(k))
 
 

@@ -102,9 +102,9 @@ class CapacityResult:
 class _Workspace:
     """One channel's h_r vector and rank transition kernel, kept on the channel.
 
-    The kernel comes exact from rho_avg, on rank_class_size's class sizes;
-    each numerator over its column's denominator is one correctly rounded
-    integer division, the same bits as float() of its Fraction.
+    The kernel comes exact from rho_avg, on the class sizes ChannelParams
+    counted; each numerator over its column's denominator is one correctly
+    rounded integer division, the same bits as float() of its Fraction.
     Only nonzero entries are kept, as (index, T) pairs by output row and by
     input column; sums keep their order and differ from dense ones only by
     exact 0.0 terms, so every value is unchanged."""
@@ -112,11 +112,10 @@ class _Workspace:
     def __init__(self, params: ChannelParams):
         self.size = params.rank_count
         self.h_vec = h_r(params)
-        sizes = rank_class_size(params)
-        columns = [[num / den for num in nums] for nums, den in rho_avg(params, sizes)]
+        columns = [[num / den for num in nums] for nums, den in rho_avg(params)]
         self.columns = [[(ry, t) for ry, t in enumerate(col) if t] for col in columns]
         self.rows = [[(a, t) for a, t in enumerate(row) if t] for row in zip(*columns)]
-        self.log_class = tuple(map(math.log2, sizes))
+        self.log_class = tuple(map(math.log2, rank_class_size(params)))
 
     def output_probs(self, x: Sequence[float]) -> List[float]:
         probs = []
@@ -140,10 +139,7 @@ class _Workspace:
         # One that no such rank reaches takes -inf: every rank reaching it
         # gets +inf, since kernel entries are positive and no term is +inf.
         log_terms = []
-        for row, log_class in zip(self.rows, self.log_class):
-            p = 0.0
-            for a, t in row:
-                p += t * x[a]
+        for p, row, log_class in zip(self.output_probs(x), self.rows, self.log_class):
             log_terms.append(
                 (math.log2(p) - log_class + _LOG2E) if p > 0
                 else (math.log2(_MIN_MASS) - log_class + _LOG2E)
@@ -203,21 +199,17 @@ def gradient(input_ranks: InputVector, params: ChannelParams) -> List[float]:
 
 def _ba_step(x: Sequence[float], grad: Sequence[float]) -> List[float]:
     """Blahut-Arimoto update x_a <- x_a 2^{grad_a - top}, renormalized; top is
-    the largest gradient over the support, so no inf - inf arises."""
-    top = max(g for g, p in zip(grad, x) if p > 0)
-    y, total = [], 0.0
-    for g, p in zip(grad, x):
-        w = p * 2.0 ** (g - top) if p > 0 else 0.0
-        y.append(w)
-        total += w
-    return _normalized(y, total)
+    the largest gradient.  x has full support, as every iterate has, so no
+    component is +inf and no inf - inf arises."""
+    top = max(grad)
+    return _normalized([p * 2.0 ** (g - top) for g, p in zip(grad, x)])
 
 
-def _normalized(y: Sequence[float], total: Optional[float] = None) -> List[float]:
-    """y / sum(y), with every entry at least the smallest positive float: a
-    Blahut-Arimoto factor 2^{grad_a - top} can underflow a tiny mass to 0."""
-    if total is None:
-        total = ordered_sum(y)
+def _normalized(y: Sequence[float]) -> List[float]:
+    """y / sum(y), the sum added left to right, with every entry at least the
+    smallest positive float: a Blahut-Arimoto factor 2^{grad_a - top} can
+    underflow a tiny mass to 0."""
+    total = ordered_sum(y)
     return [_MIN_MASS if (q := v / total) < _MIN_MASS else q for v in y]
 
 
@@ -269,9 +261,9 @@ def _newton_point(
 
     Maximizes grad . d - d C d / 2 subject to sum_a d_a = 0, C = -H the
     curvature, scaled to unit diagonal (Jacobi) as M = S C S with diagonal
-    1 + mu; ranks at 0 stay fixed.  While d_a < -x_a for some rank, the first
-    to hit that bound (least d_a / x_a) is fixed at d_a = (_FLOOR - 1) x_a and
-    the rest is solved again; _normalized lifts a mass that rounds to 0 to
+    1 + mu; a rank of zero curvature stays fixed.  While d_a < -x_a for some
+    rank, the first to hit that bound (least d_a / x_a) is fixed at
+    d_a = (_FLOOR - 1) x_a and the rest is solved again; _normalized lifts a mass that rounds to 0 to
     the smallest positive float.  M = L L' is factored once, by Cholesky
     (positive definite for mu > 0), with u = L^-1 S grad and v = L^-1 S 1, and
     the constraint is met through its Schur complement v . v: each solve is
@@ -289,7 +281,7 @@ def _newton_point(
                 for b, tb in row[:i + 1]:
                     line[b] += w * tb
     scale = [1 / math.sqrt(line[a]) if line[a] > 0 else 0.0 for a, line in enumerate(curv)]
-    free = [a for a in range(k) if x[a] > 0 and scale[a] > 0]
+    free = [a for a in range(k) if scale[a] > 0]
     chol: List[List[float]] = []  # the rows of L, each ending on its diagonal
     u: List[float] = []
     v: List[float] = []

@@ -1,8 +1,10 @@
 """Channel law, conditional entropy and error models versus the oracle."""
 
+import contextlib
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import itertools
 import math
 import pathlib
@@ -11,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import reference
-from gammacap import channel, matrixfn, oracle, solver
+from gammacap import channel, cli, matrixfn, oracle, solver
 from gammacap.channel import (
     ChannelParams,
     RankDistribution,
@@ -215,6 +217,25 @@ class TestTransitionLaw:
         params = _params(2, 2, 2, "constant:t=0")
         assert rank_class_size(params) == tuple(count_rank_matrices(2, 2, r, 2) for r in range(3))
 
+    def test_class_sizes_counted_once_while_params_are_built(self, monkeypatch):
+        """ChannelParams counts each class size N_r once; the workspace,
+        rho_avg and the output laws read them and count none again."""
+        calls = []
+        count = channel.count_rank_matrices
+        monkeypatch.setattr(
+            channel, "count_rank_matrices", lambda *args: calls.append(args) or count(*args)
+        )
+        q, n, m = 3, 5, 4
+        params = ChannelParams(q, n, m, empirical_model([Fraction(1, 5)] * 5, n, m))
+        k = params.rank_count
+        assert calls == [(n, m, r, q) for r in range(k)]
+        calls.clear()
+        solver._Workspace(params)
+        rho_avg(params)
+        for probs in ([1] + [0] * (k - 1), [0] * (k - 1) + [1], [Fraction(1, k)] * k):
+            output_rank_distribution(RankDistribution(probs), params)
+        assert calls == []
+
     def test_rho_rows_sum_to_one(self):
         params = _params(2, 3, 2, "constant:t=0")
         for rx in range(3):
@@ -292,22 +313,24 @@ class TestOutputRankLaw:
             assert got == want
 
     def test_full_support_input_computes_each_pair_once(self, monkeypatch):
-        """The numerators are symmetric, so a full-support input asks for
-        each pair ry <= rx once: k(k + 1) / 2 of them, not k^2."""
+        """The numerators are symmetric, so a full-support input asks f2 for
+        the pairs a <= b only, k(k + 1) / 2 of them, not k^2: every such pair
+        is asked for, and each count f2(a, b, rB) once."""
         params = _params(2, 5, 4, "empirical:1/5,1/5,1/5,1/5,1/5")
         k = params.rank_count
         uniform = RankDistribution([Fraction(1, k)] * k)
         want = output_rank_distribution(uniform, params)
-        pairs = []
+        calls = []
 
-        def counting(ry, rx, *rest):
-            pairs.append((min(ry, rx), max(ry, rx)))
-            return numerator(ry, rx, *rest)
+        def counting(a, b, rb, *shape):
+            calls.append((a, b, rb))
+            return f2(a, b, rb, *shape)
 
-        numerator = channel._joint_numerator
-        monkeypatch.setattr(channel, "_joint_numerator", counting)
+        monkeypatch.setattr(channel, "f2", counting)
         assert output_rank_distribution(uniform, params) == want
-        assert sorted(pairs) == [(a, b) for a in range(k) for b in range(a, k)]
+        assert len(set(calls)) == len(calls)
+        pairs = sorted({(a, b) for a, b, _ in calls})
+        assert pairs == [(a, b) for a in range(k) for b in range(a, k)]
 
     def test_delta_input_delta_error(self):
         """A zero input under exactly-t errors outputs rank t surely."""
@@ -679,14 +702,15 @@ _KERNEL_CHANNELS = (
     (16, 12, 12, "binomial:T=3,p=0.2"),
 )
 
-def _benchmark_catalogue():
-    """The benchmark's capacity catalogue, rounds 0 and 1 at seed 1, read
-    from perfbench/workloads.py so that it follows the benchmark."""
+def _benchmark_catalogue(workload="capacity", rounds=(0, 1)):
+    """The benchmark's catalogue of a workload at seed 1, by default capacity
+    rounds 0 and 1, read from perfbench/workloads.py so that it follows the
+    benchmark."""
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("_benchmark_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return tuple(item for r in (0, 1) for item in workloads.make_round("capacity", 1, r))
+    return tuple(item for r in rounds for item in workloads.make_round(workload, 1, r))
 
 
 # The catalogue, and the uniform-matrix law at d = 24, which supports every
@@ -871,8 +895,8 @@ class TestChecksOncePerChannel:
         calls = self._install_checkers(monkeypatch)
         for channel_args in self.CHANNELS:
             solver._Workspace(_params(*channel_args))
-        # count_rank_matrices as often as before the checks moved.
-        assert calls == {"f0": 265, "f1": 3054, "f2": 1627, "count_rank_matrices": 460}
+        # count_rank_matrices once per class size, while ChannelParams is built.
+        assert calls == {"f0": 265, "f1": 3054, "f2": 1627, "count_rank_matrices": 370}
 
         calls.update(dict.fromkeys(calls, 0))
         for channel_args in self.CHANNELS:
@@ -880,7 +904,7 @@ class TestChecksOncePerChannel:
             k = params.rank_count
             for probs in ([0] * (k - 1) + [1], [Fraction(1, k)] * k):
                 output_rank_distribution(RankDistribution(probs), params)
-        assert calls == {"f0": 0, "f1": 0, "f2": 1892, "count_rank_matrices": 725}
+        assert calls == {"f0": 0, "f1": 0, "f2": 1892, "count_rank_matrices": 370}
 
         calls.update(dict.fromkeys(calls, 0))
         for spec in ("constant:t=2", "iid:t=3", "binomial:T=3,p=0.1", "empirical:1/2,1/4,1/4"):
@@ -907,6 +931,40 @@ class TestCatalogueSolves:
             )))
         assert len(texts) == 33
         assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == self.DIGEST
+
+
+class TestBenchmarkAnswerBits:
+    """Every answer of the benchmark's capacity rounds 0-13 (225 channels)
+    and verify rounds 0-3 (64 shapes) at seed 1, pinned by one SHA-256 per
+    workload: a change that keeps these digests keeps every answer's bits,
+    on each CPython the tests run on."""
+
+    # Both recorded before ChannelParams came to count the class sizes.
+    CAPACITY_DIGEST = "2e656fa0153eac732b096f850bc1182e39155ba9310a622aab00c7fee4972bad"
+    VERIFY_DIGEST = "a7128f25302599d9792fc573ce979ad4b7289dc54e522eb9521d97d0cbe510ca"
+
+    def test_capacity_answers(self):
+        """repr of each CapacityResult at the benchmark's tolerance and cap."""
+        texts = [
+            repr(solver.maximize(_params(*args), solver.SolverConfig(1e-9, 500)))
+            for args in _benchmark_catalogue("capacity", range(14))
+        ]
+        assert len(texts) == 225
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == self.CAPACITY_DIGEST
+
+    def test_verify_reports(self):
+        """Exit code and stdout of each in-process cli verify, as the
+        benchmark's verify workload runs it."""
+        texts = []
+        for q, n, m, spec in _benchmark_catalogue("verify", range(4)):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(
+                    ["verify", "--q", str(q), "--n", str(n), "--m", str(m), "--error", spec]
+                )
+            texts.append(f"{code}\n{out.getvalue()}")
+        assert len(texts) == 64
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == self.VERIFY_DIGEST
 
 
 def _all_tuples(q, dim, t):
