@@ -17,7 +17,7 @@ import decimal
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exactcomb import (
     qbinom_ext,
@@ -244,70 +244,62 @@ def h_r(params: ChannelParams) -> Tuple[float, ...]:
     and conditioned on row(A(M+B)) = V the output is uniform over the
     f0(v) matrices with that row space.  A class is reached only by error
     ranks max(h, v + h - r) <= rB <= v + h: row B lies in U + V, while
-    U <= V + row B and V <= U + row B; f1 is 0 for every other rB.  So only
-    the classes whose band meets [lo, hi], the least and greatest supported
-    error ranks, are walked, and a class whose band falls in a gap of the
-    support is skipped as an exact zero.
+    U <= V + row B and V <= U + row B; f1 is 0 for every other rB.
 
-    The class numerator sum_rB c_rB f1(r, v, h; rB) is taken for v <= r as
-    it stands and for v > r by the mirror identity, as the integer
-    f0(v) / f0(r) = prod_{r <= i < v} (q^n - q^i), one factor per v, times
-    the numerator of (v, r, v - r + h), whose band is the same.  So h_r asks
-    f1 only for u >= v, each numerator once per mirror pair, and log2 f0(v)
-    once per rank: both are kept for the call.
+    Classes come in mirror pairs, f0(u) f1(u, v, h) = f0(v) f1(v, u,
+    v - u + h), whose bands are the same.  So the walk visits each key
+    (u, v, h) with u >= v once, by u, then v, then h, and forms its
+    numerator sum_rB c_rB f1(u, v, h; rB) once, over the band
+    h <= rB <= v + h.  The key is class (v, h) of input rank u; for v < u
+    its mirror, class (u, h - u + v) of input rank v, gets the numerator
+    times the integer f0(u) / f0(v) = prod_{v <= i < u} (q^n - q^i).
+    Entry r gets its own classes at step r and then its mirror classes at
+    the steps u > r, in the order of a rank-by-rank walk, so its float sum
+    keeps its bits.  Only the keys whose band
+    meets [lo, hi], the least and greatest supported error ranks, are
+    walked: max(u - v, lo - v) <= h <= min(u, m - v, hi), since
+    dim(U cap V) <= v and v + h <= m; one whose band falls in a gap of the
+    support is skipped as an exact zero.
     """
     q, n, m, k = params.q, params.n, params.m, params.rank_count
     support, denominator = params.support, params.denominator
     lo, hi, qn = support[0][0], support[-1][0], q**n
-    numerators: Dict[Tuple[int, int, int], int] = {}
-    log_f0: List[Optional[float]] = [None] * k
-    h_vec = []
-    for r in range(k):
-        # The class weight q^((v - r + h) h) [m - r, v - r + h]_q [r, r - h]_q:
-        # its two Gaussian binomials by j = v - r + h and by h.
-        outer = [qbinom_ext(m - r, j, q) for j in range(m - r + 1)]
-        inner = [qbinom_ext(r, r - h, q) for h in range(r + 1)]
-        total, mirror = 0.0, 1
-        for v in range(k):
-            # h = dim((U+V)/V) is at least r - v (dim(U cap V) <= v) and at most r,
-            # with v + h <= m; every such class has positive weight.  The band
-            # meets [lo, hi] iff lo <= v + h, h <= hi and v + h - r <= hi.
-            if v > r:
-                mirror *= qn - q ** (v - 1)
-                h_lo, h_hi = lo - v if lo > v else 0, hi + r - v if hi < v else r
-            else:
-                h_lo, h_hi = lo - v if lo > r else r - v, hi if hi < r else r
-            if h_hi > m - v:
-                h_hi = m - v
-            if h_lo > h_hi:
-                continue
-            log_f0_v = log_f0[v]
-            for h in range(h_lo, h_hi + 1):
-                key = (r, v, h) if v <= r else (v, r, v - r + h)
-                numerator = numerators.get(key)
-                if numerator is None:
-                    # The band of (r, v, h), which its mirror shares:
-                    # key[2] = max(h, v + h - r).
-                    numerator, band_lo, band_hi = 0, key[2], v + h
-                    for rB, c in support:
-                        if band_lo <= rB <= band_hi:
-                            numerator += c * f1(key[0], key[1], key[2], rB, n, m, q)
-                    numerators[key] = numerator
-                if numerator == 0:
-                    continue
-                if log_f0_v is None:
-                    log_f0_v = log_f0[v] = math.log2(f0(v, n, m, q))
-                numerator *= mirror
-                j = v - r + h
-                # log2 p(v, h) from its numerator and denominator in lowest
-                # terms; the Fraction is never built.  The class mass
-                # weight * p(v, h) by one correctly rounded integer division:
-                # weight alone can pass the float range.
-                g = math.gcd(numerator, denominator)
-                log_p_vh = math.log2(numerator // g) - math.log2(denominator // g)
-                mass = q ** (j * h) * outer[j] * inner[h] * numerator / denominator
-                total += mass * (log_f0_v - log_p_vh)
-        h_vec.append(total)
+    log_f0 = [math.log2(f0(v, n, m, q)) for v in range(k)]
+    h_vec = [0.0] * k
+    weights: List[Tuple[List[int], List[int]]] = []
+    factors: List[int] = []
+
+    def add(r: int, v: int, h: int, numerator: int) -> None:
+        # The class weight q^(j h) [m - r, j]_q [r, r - h]_q, j = v - r + h.
+        # log2 p(v, h) from its numerator and denominator in lowest terms;
+        # the Fraction is never built.  The class mass weight * p(v, h) by
+        # one correctly rounded integer division: weight alone can pass the
+        # float range.
+        outer, inner = weights[r]
+        j = v - r + h
+        g = math.gcd(numerator, denominator)
+        log_p_vh = math.log2(numerator // g) - math.log2(denominator // g)
+        mass = q ** (j * h) * outer[j] * inner[h] * numerator / denominator
+        h_vec[r] += mass * (log_f0[v] - log_p_vh)
+
+    for u in range(k):
+        # The class weight's two Gaussian binomials, by j and by h.
+        weights.append((
+            [qbinom_ext(m - u, j, q) for j in range(m - u + 1)],
+            [qbinom_ext(u, u - h, q) for h in range(u + 1)],
+        ))
+        # factors[v] = f0(u) / f0(v).
+        factors = [f * (qn - q ** (u - 1)) for f in factors] + [1]
+        for v in range(u + 1):
+            for h in range(max(u - v, lo - v), min(u, m - v, hi) + 1):
+                numerator = 0
+                for rB, c in support:
+                    if h <= rB <= v + h:
+                        numerator += c * f1(u, v, h, rB, n, m, q)
+                if numerator:
+                    add(u, v, h, numerator)
+                    if v < u:
+                        add(v, u, h - u + v, numerator * factors[v])
     return tuple(h_vec)
 
 

@@ -365,14 +365,11 @@ def _to_csv(payload: Dict) -> str:
         writer.writerow(scalars)
         writer.writerow([result[key] for key in scalars])
         return buf.getvalue()
+    # Every list holds one entry per rank 0..min(n, m).
     writer.writerow(["rank"] + lists + scalars)
-    length = max(len(result[key]) for key in lists)
-    for rank in range(length):
-        row: List[Any] = [rank]
-        for key in lists:
-            row.append(result[key][rank] if rank < len(result[key]) else "")
-        row.extend(result[key] for key in scalars)
-        writer.writerow(row)
+    tail = [result[key] for key in scalars]
+    for rank, entries in enumerate(zip(*(result[key] for key in lists))):
+        writer.writerow([rank, *entries, *tail])
     return buf.getvalue()
 
 

@@ -643,9 +643,9 @@ class TestWorkspacePruning:
 
 
 class TestClassStore:
-    """h_r keeps each class numerator per mirror pair and log2 f0(v) per rank
-    for the call, and leaves nothing on the channel; every answer keeps its
-    bits."""
+    """h_r forms each class numerator once per mirror pair and takes
+    log2 f0(v) once per rank, and keeps nothing between calls or on the
+    channel; every answer keeps its bits."""
 
     @staticmethod
     def _record(monkeypatch):
@@ -693,6 +693,30 @@ class TestClassStore:
             assert [float.hex(h) for h in h_r(fresh)] == want
             assert repr(solver.maximize(fresh)) == result
             assert fresh._workspace is not params._workspace
+
+    # Recorded before h_r came to walk each mirror pair once.
+    LARGE_SHAPES = {
+        # 41 ranks.
+        (2, 40, 40, "constant:t=20"):
+            "78033cf0e0233d117ec4753ef818fd0b869aed888dfb2bfb41c8cb96a0ad2fb8",
+        # 65 ranks: mirror factors f0(u) / f0(v) over 64 ranks.
+        (2, 64, 64, "constant:t=3"):
+            "79ccba813a98a1c47630187110db41f0d796ace239ee18c0a3611d412874dd2b",
+        # Class weights past the float range.
+        (256, 16, 64, "binomial:T=4,p=0.1"):
+            "56d3a0f4ff78cf1542fe324fbe3486bd1cc2ab15a2148540d829d87967a4385d",
+    }
+
+    def test_large_shapes_keep_their_bits(self):
+        """h_r past the catalogue's 25 ranks, as the SHA-256 of its
+        newline-joined float.hex entries."""
+        digests = {
+            args: hashlib.sha256(
+                "\n".join(float.hex(h) for h in h_r(_params(*args))).encode()
+            ).hexdigest()
+            for args in self.LARGE_SHAPES
+        }
+        assert digests == self.LARGE_SHAPES
 
 
 # Channels beyond the oracle's budget with two, one and four supported error ranks.
