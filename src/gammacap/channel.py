@@ -381,6 +381,14 @@ def empirical_model(probs: Sequence[Numeric], n: int, m: int) -> RankDistributio
     return RankDistribution(entries)
 
 
+def _exact_numbers(text: str, source: str) -> List[Fraction]:
+    """The comma-separated tokens of ``text`` as exact Fractions (0.1 is 1/10)."""
+    try:
+        return [Fraction(token.strip()) for token in text.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed number in {source} ({exc})") from None
+
+
 def parse_error_model(spec: str, q: int, n: int, m: int) -> RankDistribution:
     """Build an error model from its compact text form.
 
@@ -398,11 +406,7 @@ def parse_error_model(spec: str, q: int, n: int, m: int) -> RankDistribution:
     if kind == "empirical":
         if not argpart:
             raise ValueError("empirical model needs probabilities")
-        try:
-            values = [Fraction(tok.strip()) for tok in argpart.split(",")]
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"probabilities must be numbers in {spec!r}") from None
-        return empirical_model(values, n, m)
+        return empirical_model(_exact_numbers(argpart, repr(spec)), n, m)
     kwargs = {}
     if argpart:
         for tok in argpart.split(","):
@@ -432,10 +436,7 @@ def parse_error_model(spec: str, q: int, n: int, m: int) -> RankDistribution:
         big_t = _take_int("T")
         if "p" not in kwargs:
             raise ValueError(f"binomial model needs p= in {spec!r}")
-        try:
-            p = Fraction(kwargs.pop("p"))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"p must be a number in {spec!r}") from None
+        (p,) = _exact_numbers(kwargs.pop("p"), repr(spec))
         result = binomial_packets_model(big_t, p, q, n, m)
     else:
         raise ValueError(

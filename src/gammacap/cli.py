@@ -53,6 +53,7 @@ from .channel import (
     empirical_model,
     output_rank_distribution,
     parse_error_model,
+    _exact_numbers,
 )
 from .solver import CapacityResult, SolverConfig, maximize
 
@@ -107,9 +108,7 @@ def _int_str(k: int) -> str:
     return str(decimal.Decimal(k))
 
 
-def _fraction_str(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
+def _fraction_str(x: Union[int, Fraction]) -> str:
     x = Fraction(x)
     if x.denominator == 1:
         return _int_str(x.numerator)
@@ -180,16 +179,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_probabilities(text: str) -> List[Fraction]:
-    parts = [piece.strip() for piece in text.split(",")]
-    if not parts or any(piece == "" for piece in parts):
-        raise ValueError(f"malformed probability list: {text!r}")
-    try:
-        return [Fraction(piece) for piece in parts]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed probability list: {text!r} ({exc})") from exc
-
-
 def _params_block(
     args: argparse.Namespace, params: Optional[ChannelParams], solver: Optional[SolverConfig]
 ) -> Dict[str, Any]:
@@ -246,7 +235,8 @@ def _cmd_matrixfn(args: argparse.Namespace, params: None, solver: None) -> _Repo
 
 
 def _cmd_ranks(args: argparse.Namespace, params: ChannelParams, solver: None) -> _Report:
-    input_ranks = empirical_model(_parse_probabilities(args.input), params.n, params.m)
+    probs = _exact_numbers(args.input, f"--input {args.input!r}")
+    input_ranks = empirical_model(probs, params.n, params.m)
     out = output_rank_distribution(input_ranks, params)
     result = {
         "input_ranks": [_fraction_str(p) for p in input_ranks.probs],

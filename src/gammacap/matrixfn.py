@@ -217,10 +217,10 @@ def _f1_terms(v: int, duv: int, q: int) -> Tuple[Tuple[Tuple[int, int], ...], ..
     U cap V in dimension a, for w = a..a + v - duv in order; the coefficient
     is (-1)^(v-w) q^C(v-w,2) _meet_count(v, duv, w, a).  It depends on neither
     the error rank nor the matrix shape, so one table serves every f1 call.
-    _f1 asks only for v = min(dim U, dim V), with U + V inside F_q^m, so the
-    keys are the (v, duv) with duv <= v <= min(n, m) and 2v - duv <= m: 81 at
-    n = m = 16.  A channel's workspace cycles through all of them, so all
-    are kept.  _f1 multiplies entry (w, c) of group a by entry w of the
+    A channel's workspace asks only for u >= v (h_r's walk; f2's (rX, r),
+    rX >= r), with U + V inside F_q^m: the keys with duv <= v <= min(n, m)
+    and 2v - duv <= m, 81 at n = m = 16, all cycled through, so all are
+    kept.  _f1 multiplies entry (w, c) of group a by entry w of the
     :func:`_phi_block` row of s = u - a.  An entry is
     sign[v-w] q^((w-a)(duv-a)) outer[w-a] [duv, a]_q, from two lists,
     sign[j] = (-1)^j q^C(j,2), one factor -q^(j-1) per j, and
@@ -250,12 +250,6 @@ def _f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:
         return 0
     if h > u or v + h > m or v < u - h or r < h or r + u < v + h or r > v + h:
         return 0
-    if u < v:
-        # f0(u) f1(u, v, h; r) = f0(v) f1(v, u, v - u + h; r): both sides count
-        # the pairs (M, Y) with row M = U, row Y = V and rank(Y - M) = r.  The
-        # mirror's Moebius sum runs over the subspaces of the smaller space U,
-        # and f0(v) / f0(u) = prod_{u <= i < v} (q^n - q^i) is exact.
-        return _falling(n, v - u, q, u) * _f1(v, u, v - u + h, r, n, m, q)
     # phi(w; s = u - a) is 0 unless u - r <= a and r - u + a <= w.
     terms, rows = _f1_terms(v, u - h, q), _phi_block(n, m, r, q)
     skip = r - u
@@ -277,9 +271,9 @@ def f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:
     those whose image in F_q^m / V'' cancels the image of M, a fixed matrix of
     rank u - dim(U cap V'').  Zero unless max(h, v + h - u) <= r <= v + h
     (row B <= U + V, U <= V + row B, V <= U + row B); within that band only
-    the (V'', a) terms whose count can be nonzero are summed.  For u < v the
-    sum runs over the subspaces of U instead, by the mirror identity
-    f0(u) f1(u, v, h; r) = f0(v) f1(v, u, v - u + h; r).
+    the (V'', a) terms whose count can be nonzero are summed.  The same sum
+    serves every (u, v); the mirror identity
+    f0(u) f1(u, v, h; r) = f0(v) f1(v, u, v - u + h; r) is left to h_r.
 
     Each term is a Moebius coefficient from :func:`_f1_terms` times the
     count of rank-r matrices with a fixed rank-(u - a) image in the quotient

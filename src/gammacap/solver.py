@@ -371,12 +371,13 @@ def maximize(
     (converged=False unless that gap meets the tolerance).
 
     ``observer``, when given, is called after every iteration with
-    (iteration, objective_bits, gap_bits), objective_bits read off the
-    iterate's gradient (see _value_and_gap); capacity_bits alone comes from
-    _Workspace.objective, once, at the point returned.  Where the time went
-    (workspace build, near 0 for a channel already built, and solve) is
-    logged at INFO on the ``gammacap.solver`` logger, with the Newton steps
-    kept and the Newton attempts made, kept or refused.
+    (iteration, objective_bits, gap_bits) of the iterate it ends at, both
+    read off its gradient (see _value_and_gap); a run that certifies before
+    the cap repeats the last pair at the check that stops it.  capacity_bits
+    alone comes from _Workspace.objective, once, at the point returned.
+    Where the time went (workspace build, near 0 for a channel already
+    built, and solve) is logged at INFO on the ``gammacap.solver`` logger,
+    with the Newton steps kept and the Newton attempts made, kept or refused.
     """
     if config is None:
         config = SolverConfig()
@@ -424,10 +425,10 @@ def maximize(
             if attempt:
                 mu, gaps = mu * 10, []
             x, grad, value, next_gap = _squarem_step(ws, x, grad, value)
-        if observer is not None:
-            observer(iterations, value, gap)
         # At the cap the last step has moved x: the gap reported is its own.
         gap = next_gap
+        if observer is not None:
+            observer(iterations, value, gap)
 
     converged = gap <= config.tolerance_bits
     log.info(

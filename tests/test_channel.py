@@ -794,9 +794,9 @@ class TestExactLawAtScale:
         """P(X + B = Y) depends on rank(Y - X) only, so it is symmetric in
         X and Y, and summed over the rank classes it gives
         N_rx T(ry | rx) = N_ry T(rx | ry).  T is taken straight from f2 for
-        every ry and rx, so the r > rX route of f2 (and _f1's mirror branch)
-        is checked against the r <= rX one; rho_avg, which computes only
-        ry <= rx, must give every entry of it."""
+        every ry and rx, so the r > rX route of f2 (and _f1's sums with
+        u < v) is checked against the r <= rX one; rho_avg, which computes
+        only ry <= rx, must give every entry of it."""
         params = _params(*channel_args)
         q, n, m = params.q, params.n, params.m
         ranks = range(params.rank_count)

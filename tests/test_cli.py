@@ -349,6 +349,25 @@ class TestRanksCommand:
         assert code == 2
         assert "malformed" in stderr_diagnostic(err)["error"]
 
+    @pytest.mark.parametrize(
+        "option,value",
+        [("--input", text) for text in ("1,,0", "", "1/0,1", "a")]
+        + [("--error", spec) for spec in (
+            "binomial:T=2,p=x", "binomial:T=2,p=1/0", "empirical:1/2,x", "empirical:1/2,,1/2",
+        )],
+    )
+    def test_every_malformed_number_exit_2(self, capsys, option, value):
+        """--input, empirical: and p= share one number parser, whose message
+        names the source of the bad text."""
+        flags = {"--error": "constant:t=0", "--input": "1", option: value}
+        code, out, err = run_cli(
+            capsys, "ranks", "--q", "2", "--n", "2", "--m", "2",
+            *(word for flag in flags.items() for word in flag),
+        )
+        message = stderr_diagnostic(err)["error"]
+        assert code == 2 and out == ""
+        assert "malformed" in message and repr(value) in message
+
 
 class TestErrormodelCommand:
     def test_exact_fractions_reported(self, capsys):

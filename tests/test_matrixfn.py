@@ -8,6 +8,7 @@ be checked case by case; c_prime is also pinned at ambient dimensions 6 to
 """
 
 import dataclasses
+import hashlib
 import itertools
 import random
 import types
@@ -285,7 +286,7 @@ class TestF1TermTable:
                 assert matrixfn._f1_terms.__wrapped__(v, duv, q) == want, (v, duv)
 
     def test_workspace_misses_once_per_key(self):
-        """_f1 sums over the subspaces of the smaller of U and V, so a key is
+        """The workspace asks _f1 only for dim U >= dim V, so a key is
         (v, dim(U cap V)) with v = min(dim U, dim V), and U + V fits in
         F_q^m: 2v - dim(U cap V) <= m.  A 17-rank workspace with a
         full-support error law reads all 81 such keys with v <= 16, and the
@@ -321,7 +322,7 @@ class TestF1Mirror:
     def test_f1_mirror_identity(self, q):
         """f0(u) f1(u, v, h; r) = f0(v) f1(v, u, v - u + h; r): both sides
         count the pairs (M, Y) with row M = U, row Y = V and rank(Y - M) = r.
-        f1 evaluates the side whose Moebius sum runs over the smaller space."""
+        h_r credits a mirror class by it; here each side is its own sum."""
         nonzero = 0
         for n in range(1, 8):
             for m in range(1, 8):
@@ -333,6 +334,39 @@ class TestF1Mirror:
                         assert lhs == rhs, (u, v, h, r, n, m)
                         nonzero += lhs != 0
         assert nonzero
+
+
+class TestF1AboveDiagonal:
+    """The public f1 and f2 on the keys with dim U < dim V and rX < r, which
+    the capacity path never asks for: one Moebius sum over the subspaces of
+    V gives them, pinned by value."""
+
+    DIGEST = "33de13380e505138fa2a369e3f65e86b771e39b28812076319b4f6527e141170"
+
+    def test_values_digest(self):
+        """f1 for every u < v, h and r, then f2 for every rx < r and rb, at
+        three shapes, as one SHA-256 of the lines "{key}:{value}\n"."""
+        lines = []
+        for q, n, m in ((3, 10, 12), (16, 8, 8), (2, 16, 24)):
+            ranks = range(min(n, m) + 1)
+            for u, v in itertools.combinations(ranks, 2):
+                for h, r in itertools.product(range(u + 1), ranks):
+                    lines.append(f"{q},{n},{m},{u},{v},{h},{r}:{f1(u, v, h, r, n, m, q)}\n")
+            for r in ranks:
+                for rx, rb in itertools.product(range(r), ranks):
+                    lines.append(f"f2 {q},{n},{m},{r},{rx},{rb}:{f2(r, rx, rb, n, m, q)}\n")
+        assert len(lines) == 20613
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == self.DIGEST
+
+    @pytest.mark.parametrize("u,v,h,r", [
+        (2, 40, 2, 40), (5, 60, 3, 61), (17, 47, 9, 50), (0, 64, 0, 64), (31, 33, 2, 20),
+    ])
+    def test_mirror_identity_at_the_largest_shape(self, u, v, h, r):
+        """f0(u) f1(u, v, h; r) = f0(v) f1(v, u, v - u + h; r) != 0 at
+        (2, 64, 64), where each side is its own Moebius sum."""
+        n = m = 64
+        lhs = f0(u, n, m, 2) * f1(u, v, h, r, n, m, 2)
+        assert lhs == f0(v, n, m, 2) * f1(v, u, v - u + h, r, n, m, 2) != 0
 
 
 class TestSupportBands:

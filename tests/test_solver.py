@@ -142,6 +142,29 @@ class TestCertificates:
         for earlier, later in zip(values, values[1:]):
             assert later >= earlier - 1e-12
 
+    def test_observer_pairs_each_value_with_its_own_gap(self):
+        """Each observer call carries one iterate's value and gap.  Each call
+        used to pair the new iterate's value with the gap of the one before:
+        here iteration 32 reported the final value with a gap of 5.26e-8
+        bits, against that point's own 2.02e-10, which came one call late."""
+        params = _params(2, 16, 7, "iid:t=1")
+        seen = []
+        res = maximize(
+            params,
+            SolverConfig(max_iterations=500),
+            observer=lambda it, val, gap: seen.append((val, gap)),
+        )
+        assert res.converged
+        assert seen[-2] == seen[-1] and seen[-1][1] == res.optimality_gap_bits
+        capped = []
+        res = maximize(
+            params,
+            SolverConfig(max_iterations=3),
+            observer=lambda it, val, gap: capped.append((it, gap)),
+        )
+        assert res.stop_reason == "iteration_cap"
+        assert capped[-1] == (3, res.optimality_gap_bits)
+
     def test_deterministic(self):
         params = _params(3, 2, 2, "iid:t=1")
         first = maximize(params)
