@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
@@ -381,12 +382,21 @@ def empirical_model(probs: Sequence[Numeric], n: int, m: int) -> RankDistributio
     return RankDistribution(entries)
 
 
+#: The one grammar of a spec's numbers, alike on every CPython: a sign, then
+#: a/b with b > 0 or a decimal, in ASCII digits.  Fraction() alone also takes
+#: non-ASCII digits, 1_0 from 3.11 on and 1 / 2 from 3.12 on.
+_EXACT_NUMBER = re.compile(r"[+-]?(\d+/0*[1-9]\d*|(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?)", re.ASCII)
+_DIGITS = re.compile(r"\d+", re.ASCII)  # t=, T= and the CLI's integer flags
+
+
 def _exact_numbers(text: str, source: str) -> List[Fraction]:
-    """The comma-separated tokens of ``text`` as exact Fractions (0.1 is 1/10)."""
-    try:
-        return [Fraction(token.strip()) for token in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed number in {source} ({exc})") from None
+    """The comma-separated tokens of ``text``, trimmed at their ends, as exact
+    Fractions (0.1 is 1/10); each must match :data:`_EXACT_NUMBER`."""
+    tokens = [token.strip() for token in text.split(",")]
+    for token in tokens:
+        if not _EXACT_NUMBER.fullmatch(token):
+            raise ValueError(f"malformed number {token!r} in {source}")
+    return [Fraction(token) for token in tokens]
 
 
 def parse_error_model(spec: str, q: int, n: int, m: int) -> RankDistribution:
@@ -404,8 +414,6 @@ def parse_error_model(spec: str, q: int, n: int, m: int) -> RankDistribution:
     kind, _, argpart = spec.partition(":")
     kind = kind.strip()
     if kind == "empirical":
-        if not argpart:
-            raise ValueError("empirical model needs probabilities")
         return empirical_model(_exact_numbers(argpart, repr(spec)), n, m)
     kwargs = {}
     if argpart:
@@ -421,17 +429,15 @@ def parse_error_model(spec: str, q: int, n: int, m: int) -> RankDistribution:
     def _take_int(key: str) -> int:
         if key not in kwargs:
             raise ValueError(f"{kind} model needs {key}= in {spec!r}")
-        try:
-            return int(kwargs.pop(key))
-        except ValueError:
-            raise ValueError(f"{key} must be an integer in {spec!r}") from None
+        value = kwargs.pop(key)
+        if not _DIGITS.fullmatch(value):
+            raise ValueError(f"{key} takes ASCII digits only, got {value!r} in {spec!r}")
+        return int(value)
 
     if kind == "constant":
-        t = _take_int("t")
-        result = constant_rank_model(t, n, m)
+        result = constant_rank_model(_take_int("t"), n, m)
     elif kind == "iid":
-        t = _take_int("t")
-        result = iid_vectors_model(t, q, n, m)
+        result = iid_vectors_model(_take_int("t"), q, n, m)
     elif kind == "binomial":
         big_t = _take_int("T")
         if "p" not in kwargs:

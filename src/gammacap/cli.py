@@ -54,6 +54,7 @@ from .channel import (
     output_rank_distribution,
     parse_error_model,
     _exact_numbers,
+    _DIGITS,
 )
 from .solver import CapacityResult, SolverConfig, maximize
 
@@ -108,6 +109,14 @@ def _int_str(k: int) -> str:
     return str(decimal.Decimal(k))
 
 
+def _int_flag(text: str) -> int:
+    """An integer flag, read as t= and T= of an error model are: ASCII digits
+    only, where argparse's int would also take 1_6 and non-ASCII digits."""
+    if not _DIGITS.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"takes ASCII digits only, got {text!r}")
+    return int(text)
+
+
 def _fraction_str(x: Union[int, Fraction]) -> str:
     x = Fraction(x)
     if x.denominator == 1:
@@ -130,9 +139,9 @@ def _build_parser() -> _Parser:
         (required when True, else its default) and --tol/--max-iters when
         ``solver``."""
         p = subparsers.add_parser(name, help=help)
-        p.add_argument("--q", type=int, required=True, help="field order, a prime power")
-        p.add_argument("--n", type=int, required=True, help="number of matrix rows")
-        p.add_argument("--m", type=int, required=True, help="number of matrix columns")
+        p.add_argument("--q", type=_int_flag, required=True, help="field order, a prime power")
+        p.add_argument("--n", type=_int_flag, required=True, help="number of matrix rows")
+        p.add_argument("--m", type=_int_flag, required=True, help="number of matrix columns")
         if error is True:
             p.add_argument("--error", required=True, help="error model spec, e.g. iid:t=2")
         elif error:
@@ -143,7 +152,7 @@ def _build_parser() -> _Parser:
                 help="solver gap tolerance in bits",
             )
             p.add_argument(
-                "--max-iters", type=int, default=SolverConfig.max_iterations,
+                "--max-iters", type=_int_flag, default=SolverConfig.max_iterations,
                 help="solver iteration cap",
             )
         p.add_argument(
@@ -163,7 +172,7 @@ def _build_parser() -> _Parser:
     for name, keys in _MATRIXFN_ARGS.items():
         p = add_command(functions, name, f"evaluate {name} exactly")
         for key in keys:
-            p.add_argument("--" + key, type=int, required=True, help=_MATRIXFN_HELP[key])
+            p.add_argument("--" + key, type=_int_flag, required=True, help=_MATRIXFN_HELP[key])
 
     p_ranks = add_command(sub, "ranks", "output rank law for a given input law", error=True)
     p_ranks.add_argument(

@@ -9,6 +9,8 @@ Conventions:
   :data:`_MR_EXACT_BELOW`, about 3.3e24).
 - Combinatorially impossible but well-formed requests return 0, because the
   higher-level summations rely on out-of-range terms vanishing.
+- The kernels qbinom_ext (filled by the q-Pascal rule, with no division)
+  and _count_rank_matrices check nothing; the public functions check first.
 """
 
 from __future__ import annotations
@@ -147,16 +149,14 @@ def qbinom_ext(m: int, d: int, q: int) -> int:
 
     Interior summations index over wide ranges and rely on impossible
     configurations contributing nothing, so negative or oversized arguments
-    give 0 instead of raising.  In range it evaluates the telescoping product
-    prod_{i<d} (q^m - q^i)/(q^d - q^i) with a single exact final division.
+    give 0 instead of raising.  In range it fills its cache by the q-Pascal
+    rule [m, d] = [m-1, d-1] + q^d [m-1, d], with no division.
     """
-    if d < 0 or m < 0 or d > m:
+    if d < 0 or d > m:
         return 0
-    d = min(d, m - d)
-    quotient, remainder = divmod(_falling(m, d, q), _falling(d, d, q))
-    if remainder:
-        raise AssertionError("Gaussian binomial division must be exact")
-    return quotient
+    if d == 0 or d == m:
+        return 1
+    return qbinom_ext(m - 1, d - 1, q) + q**d * qbinom_ext(m - 1, d, q)
 
 
 def count_rank_matrices(n: int, m: int, r: int, q: int) -> int:
@@ -166,4 +166,5 @@ def count_rank_matrices(n: int, m: int, r: int, q: int) -> int:
 
 
 def _count_rank_matrices(n: int, m: int, r: int, q: int) -> int:
-    return qbinom_ext(m, r, q) * _falling(n, r, q) if r <= min(n, m) else 0
+    # Past min(n, m) one of the two factors is 0.
+    return qbinom_ext(m, r, q) * _falling(n, r, q)

@@ -16,7 +16,9 @@ Everything is exact integer arithmetic.  Well-formed but combinatorially
 impossible profiles count zero configurations and return 0; negative
 dimensions are programming errors and raise.  :func:`c_prime` checks once,
 at entry, that the triple profile is realizable; below that its sum counts
-0 for every other infeasible profile unfiltered.
+0 for every other infeasible profile unfiltered.  The kernels ``_f0``,
+``_f1`` and ``_f2`` check nothing: they expect ranks within min(n, m), and
+``_f1`` a key in f1's band, as the public f0, f1 and f2 check on entry.
 
 ``h`` throughout is the quotient dimension dim((U+V)/V), so dim(U cap V) is
 u - h.
@@ -245,11 +247,7 @@ def _f1_terms(v: int, duv: int, q: int) -> Tuple[Tuple[Tuple[int, int], ...], ..
 
 @lru_cache(maxsize=None)
 def _f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:
-    mn = n if n < m else m
-    if u > mn or v > mn or r > mn:
-        return 0
-    if h > u or v + h > m or v < u - h or r < h or r + u < v + h or r > v + h:
-        return 0
+    # Unchecked: u, v, r <= min(n, m) and (u, v, h, r) inside f1's band.
     # phi(w; s = u - a) is 0 unless u - r <= a and r - u + a <= w.
     terms, rows = _f1_terms(v, u - h, q), _phi_block(n, m, r, q)
     skip = r - u
@@ -281,7 +279,9 @@ def f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:
     (n, m, r, q), which holds every row of rank r.
     """
     _check_args(q, "u v h r n m", u, v, h, r, n, m)
-    return _f1(u, v, h, r, n, m, q)
+    if max(u, v, r) > min(n, m) or h > u or v + h > m or v < u - h:
+        return 0
+    return _f1(u, v, h, r, n, m, q) if max(h, v + h - u) <= r <= v + h else 0
 
 
 def f2(r: int, rX: int, rB: int, n: int, m: int, q: int) -> int:
@@ -296,13 +296,11 @@ def f2(r: int, rX: int, rB: int, n: int, m: int, q: int) -> int:
     |r - rX| <= rB <= r + rX, and only that hp range is summed.
     """
     _check_args(q, "r rX rB n m", r, rX, rB, n, m)
-    return _f2(r, rX, rB, n, m, q)
+    return _f2(r, rX, rB, n, m, q) if max(r, rX, rB) <= min(n, m) else 0
 
 
 def _f2(r: int, rX: int, rB: int, n: int, m: int, q: int) -> int:
-    mn = n if n < m else m
-    if r > mn or rX > mn or rB > mn:
-        return 0
+    # Unchecked: r, rX, rB <= min(n, m).  Off f2's band the hp range is empty.
     small, big = (r, rX) if r < rX else (rX, r)
     hp_lo = big - rB if big - rB > r + rX - m else r + rX - m
     hp_hi = small if small < r + rX - rB else r + rX - rB

@@ -27,7 +27,9 @@ from gammacap.channel import (
     rank_class_size,
     rho_avg,
 )
-from gammacap.exactcomb import _check_args, _falling, count_rank_matrices, qbinom, qbinom_ext
+from gammacap.exactcomb import (
+    MAX_DIMENSION, _check_args, _falling, count_rank_matrices, qbinom, qbinom_ext,
+)
 from gammacap.matrixfn import f0, f1, f2
 from reference import log2_exact
 
@@ -934,6 +936,56 @@ class TestChecksOncePerChannel:
         for spec in ("constant:t=2", "iid:t=3", "binomial:T=3,p=0.1", "empirical:1/2,1/4,1/4"):
             parse_error_model(spec, 5, 6, 7)
         assert calls == {"f0": 0, "f1": 0, "f2": 0, "count_rank_matrices": 14}
+
+    # The range and band that the public f0, f1, f2 and count_rank_matrices
+    # check on entry, with the dimensions' sign and bound; their kernels
+    # check nothing.
+    IN_BAND = {
+        "f0": lambda u, n, m: u <= min(n, m),
+        "f1": lambda u, v, h, r, n, m: (
+            max(u, v, r) <= min(n, m) and h <= u and v + h <= m and u - h <= v
+            and max(h, v + h - u) <= r <= v + h
+        ),
+        "f2": lambda r, rX, rB, n, m: (
+            max(r, rX, rB) <= min(n, m) and abs(r - rX) <= rB <= r + rX
+        ),
+        "count_rank_matrices": lambda n, m, r: r <= min(n, m),
+    }
+
+    def test_every_kernel_call_is_in_band(self, monkeypatch):
+        """The kernels hold no range guard, so the workspace builds and an
+        output law must ask each of them only for what its public function
+        would pass on: channel's f0, f1, f2 and count_rank_matrices, and
+        matrixfn._f1, which _f2 reads, each in its range and band."""
+        calls, outside = {}, []
+
+        def in_band(module, attr, band):
+            kernel = getattr(module, attr)
+            calls[attr] = 0
+
+            def wrapper(*args):
+                *values, q = args
+                calls[attr] += 1
+                if min(values) < 0 or max(values) > MAX_DIMENSION or not band(*values):
+                    outside.append((attr, args))
+                return kernel(*args)
+
+            monkeypatch.setattr(module, attr, wrapper)
+
+        for name, band in self.IN_BAND.items():
+            in_band(channel, name, band)
+        in_band(matrixfn, "_f1", self.IN_BAND["f1"])
+        for channel_args in self.CHANNELS:
+            solver._Workspace(_params(*channel_args))
+        params = _params(2, 24, 24, "iid:t=24")
+        output_rank_distribution(RankDistribution([Fraction(1, 25)] * 25), params)
+        assert outside == []
+        # The output law adds 25 class sizes for its error law and 25 for
+        # its ChannelParams, and 4 147 f2 calls for its 325 kernel entries.
+        assert calls == {
+            "f0": 265, "f1": 3054, "f2": 1627 + 4147, "count_rank_matrices": 370 + 50,
+            "_f1": 18433,
+        }
 
 
 class TestCatalogueSolves:

@@ -565,6 +565,29 @@ class TestFlagsPerCommand:
         assert diagnostic["exit_code"] == 2
         assert "unrecognized arguments" in diagnostic["error"]
 
+    @pytest.mark.parametrize("value", ["1_6", "\N{ARABIC-INDIC DIGIT ONE}", "-1", "+2", "0x2"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("capacity", flag) for flag in ("--q", "--n", "--m", "--max-iters")]
+        + [("verify", "--max-iters")]
+        + [(name, "--" + key) for name, keys in cli._MATRIXFN_ARGS.items() for key in keys],
+    )
+    def test_integer_flags_take_ascii_digits_only(self, capsys, command, flag, value):
+        """Every integer flag reads ASCII digits only, as the error model's
+        t= and T= do: argparse's int would take 1_6 and non-ASCII digits."""
+        if command in cli._MATRIXFN_ARGS:
+            keys = cli._MATRIXFN_ARGS[command]
+            args = ["matrixfn", command, *self.SHAPE, *(w for k in keys for w in ("--" + k, "1"))]
+        else:
+            args = self.COMMANDS[command] + ["--max-iters", "5"]
+        args[args.index(flag) + 1] = value
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert stderr_diagnostic(err) == {
+            "error": f"argument {flag}: takes ASCII digits only, got {value!r}",
+            "exit_code": 2,
+        }
+
 
 class TestFormatsAndOutput:
     def test_csv_one_row_per_rank(self, capsys):

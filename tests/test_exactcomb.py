@@ -232,6 +232,14 @@ class TestQbinom:
                         rhs = qbinom(m - 1, d - 1, q) + q**d * qbinom(m - 1, d, q)
                         assert lhs == rhs
 
+    @pytest.mark.parametrize("q", [2, 5, 256])
+    def test_recurrence_matches_product_form_up_to_max_dimension(self, q):
+        """qbinom_ext fills its cache by the q-Pascal rule; the reference
+        divides the product form prod_{i<d} (q^(m-i) - 1)/(q^(i+1) - 1)."""
+        for m in range(exactcomb.MAX_DIMENSION + 1):
+            for d in range(m + 1):
+                assert qbinom_ext(m, d, q) == reference._gauss(m, d, q), (m, d)
+
     def test_domain(self):
         assert qbinom(2, 5, 2) == 0
         with pytest.raises(ValueError):
