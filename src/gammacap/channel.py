@@ -8,12 +8,14 @@ rank(X), so the model works with distributions over ranks 0..min(n, m).
 
 Probabilities derived from counts are exact `fractions.Fraction` values;
 entropies are evaluated in bits at the last step.  The 0*log(0) = 0
-convention applies throughout.
+convention applies throughout.  An exact sum adds integer numerators over
+one common denominator and makes one Fraction per result entry: the error
+weights of ChannelParams, rho_avg's kernel, output_rank_distribution for an
+exact law and input, and the check that an exact RankDistribution sums to 1.
 """
 
 from __future__ import annotations
 
-import decimal
 import math
 import re
 from dataclasses import dataclass, field
@@ -46,17 +48,55 @@ def ordered_sum(values: Iterable[Numeric]) -> Numeric:
     return total
 
 
-def _sum_str(total: Union[int, Fraction]) -> str:
-    """An exact sum as a short string: itself when its numerator and
-    denominator are below 10**40, else 1 plus or minus its distance from 1
-    to 6 significant digits.  str() of a Fraction with thousands of digits
-    would raise the interpreter's int-to-str digit limit instead."""
-    if max(total.numerator, total.denominator) < 10**40:
-        return str(total)
-    with decimal.localcontext() as ctx:
-        ctx.prec = 6
-        excess = decimal.Decimal(total.numerator - total.denominator) / total.denominator
-    return f"1 {'-' if excess < 0 else '+'} {abs(excess)}"
+def _short_str(value: Union[int, Fraction], near: int = 0) -> str:
+    """An exact value as a short string: itself when its numerator and
+    denominator are below 10**40, else near plus or minus its distance from
+    near (the signed distance alone when near is 0), as :func:`_sig6` prints
+    it.  str() of a Fraction with thousands of digits would raise the
+    interpreter's int-to-str digit limit instead."""
+    a, b = value.numerator, value.denominator
+    if max(abs(a), b) < 10**40:
+        return str(value)
+    a -= near * b
+    shown = _sig6(abs(a), b)
+    if near:
+        return f"{near} {'-' if a < 0 else '+'} {shown}"
+    return f"-{shown}" if a < 0 else shown
+
+
+def _sig6(a: int, b: int) -> str:
+    """a / b > 0 to 6 significant digits, rounded half to even, in the
+    digits decimal.Decimal(a) / b prints at precision 6: an exact quotient
+    drops its trailing zeros after the point, and the E form is used when
+    the exponent is positive or the value is below 1e-6.  Every division
+    has a quotient of 6 digits, so it costs time linear in the ints' size;
+    Decimal of a huge int is quadratic."""
+    e = math.floor(math.log10(a) - math.log10(b)) - 5  # the 6th digit's place
+    while True:
+        num, den = (a * 10**-e, b) if e < 0 else (a, b * 10**e)
+        c, r = divmod(num, den)
+        if c < 10**5:
+            e -= 1
+        elif c >= 10**6:
+            e += 1
+        else:
+            break
+    if r == 0:
+        while e < 0 and c % 10 == 0:
+            c, e = c // 10, e + 1
+    elif 2 * r > den or 2 * r == den and c % 2:
+        c += 1
+        if c == 10**6:
+            c, e = 10**5, e + 1
+    digits = str(c)
+    point = len(digits) + e  # digits before the decimal point
+    if e == 0:
+        return digits
+    if e < 0 and point > -6:
+        return digits[:point] + "." + digits[point:] if point > 0 else (
+            "0." + "0" * -point + digits
+        )
+    return digits[0] + ("." + digits[1:] if len(digits) > 1 else "") + f"E{point - 1:+d}"
 
 
 def _is_exact(value: Numeric) -> bool:
@@ -79,20 +119,34 @@ class RankDistribution:
         object.__setattr__(self, "probs", tuple(probs))
         if not self.probs:
             raise ValueError("rank distribution must have at least one entry")
+        exact = True
         for i, p in enumerate(self.probs):
-            if isinstance(p, bool) or not isinstance(p, (int, float, Fraction)):
+            if isinstance(p, float):
+                if not math.isfinite(p):
+                    raise ValueError(f"entry {i} is not finite: {p}")
+                exact, negative = False, p < 0
+            elif _is_exact(p):
+                # A Fraction's sign is its numerator's: no Fraction comparison.
+                negative = p.numerator < 0
+            else:
                 raise ValueError(f"entry {i} is not a number: {p!r}")
-            if isinstance(p, float) and not math.isfinite(p):
-                raise ValueError(f"entry {i} is not finite: {p}")
-            if p < 0:
+            if negative:
                 raise ValueError(f"entry {i} is negative: {p}")
-        total = ordered_sum(self.probs)
-        object.__setattr__(self, "is_exact", all(_is_exact(p) for p in self.probs))
-        if self.is_exact:
-            if total != 1:
-                raise ValueError(f"exact probabilities sum to {_sum_str(total)}, not 1")
-        elif abs(total - 1) > _SUM_TOLERANCE:
-            raise ValueError(f"probabilities sum to {float(total)!r}, not 1")
+        object.__setattr__(self, "is_exact", exact)
+        if exact:
+            # Integer numerators over the lcm of the denominators, which sum
+            # to it exactly when the law sums to 1; the Fraction total is
+            # formed only to word a refusal.
+            lcm = math.lcm(*(p.denominator for p in self.probs))
+            total = sum(p.numerator * (lcm // p.denominator) for p in self.probs)
+            if total != lcm:
+                raise ValueError(
+                    f"exact probabilities sum to {_short_str(Fraction(total, lcm), 1)}, not 1"
+                )
+        else:
+            total = ordered_sum(self.probs)
+            if abs(total - 1) > _SUM_TOLERANCE:
+                raise ValueError(f"probabilities sum to {float(total)!r}, not 1")
 
     @property
     def max_rank(self) -> int:
@@ -218,9 +272,12 @@ def output_rank_distribution(
 
     A is invertible so rank(Y) = rank(X+B); the output law is the input law
     pushed through rho_avg's kernel, whose numerators _joint builds only for
-    the input ranks of positive probability (exact zeros otherwise).  For a
-    float error law each entry is one correctly rounded division before
-    weighting.
+    the input ranks of positive probability (exact zeros otherwise).  For an
+    exact law and input, P(rx) / N_rx = a_rx / b_rx, not reduced, is the
+    integer w_rx = a_rx L / b_rx over the lcm L of the b_rx, and output rank
+    ry is the one Fraction sum_rx w_rx J[ry][rx] / (L * params.denominator).
+    Otherwise each kernel entry is one correctly rounded float division
+    before it is weighted.
     """
     if len(input_ranks) != params.rank_count:
         raise ValueError(
@@ -228,10 +285,18 @@ def output_rank_distribution(
             f"need {params.rank_count}"
         )
     k, sizes, den, probs = params.rank_count, params.sizes, params.denominator, input_ranks.probs
-    ranks = [rx for rx, p in enumerate(probs) if p != 0]
+    ranks = [rx for rx, p in enumerate(probs) if p]
     joint = _joint(params, ranks)
-    ratio = Fraction if params.error_dist.is_exact else lambda a, b: a / b
-    columns = [(probs[rx], [ratio(num, den * sizes[rx]) for num in joint[rx]]) for rx in ranks]
+    if params.error_dist.is_exact and input_ranks.is_exact:
+        weights = [
+            (joint[rx], probs[rx].numerator, probs[rx].denominator * sizes[rx]) for rx in ranks
+        ]
+        lcm = math.lcm(*(b for _, _, b in weights))
+        scaled = [(col, a * (lcm // b)) for col, a, b in weights]
+        return RankDistribution(
+            Fraction(sum(c * col[ry] for col, c in scaled), lcm * den) for ry in range(k)
+        )
+    columns = [(probs[rx], [num / (den * sizes[rx]) for num in joint[rx]]) for rx in ranks]
     return RankDistribution(ordered_sum(p * col[r] for p, col in columns) for r in range(k))
 
 
@@ -343,7 +408,7 @@ def binomial_packets_model(
     if isinstance(p, float):
         p = Fraction(str(p))
     if not 0 <= p <= 1:
-        raise ValueError(f"packet corruption probability {p} not in [0, 1]")
+        raise ValueError(f"packet corruption probability {_short_str(p)} not in [0, 1]")
     if num_packets > n:
         raise ValueError(
             f"num_packets = {num_packets} exceeds n = {n}; the error matrix "
@@ -384,8 +449,10 @@ def empirical_model(probs: Sequence[Numeric], n: int, m: int) -> RankDistributio
 
 #: The one grammar of a spec's numbers, alike on every CPython: a sign, then
 #: a/b with b > 0 or a decimal, in ASCII digits.  Fraction() alone also takes
-#: non-ASCII digits, 1_0 from 3.11 on and 1 / 2 from 3.12 on.
-_EXACT_NUMBER = re.compile(r"[+-]?(\d+/0*[1-9]\d*|(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?)", re.ASCII)
+#: non-ASCII digits, 1_0 from 3.11 on and 1 / 2 from 3.12 on.  The decimals
+#: alone are the CLI's --tol, where float() would take 1_0 and inf as well.
+_DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
+_EXACT_NUMBER = re.compile(r"[+-]?\d+/0*[1-9]\d*|" + _DECIMAL.pattern, re.ASCII)
 _DIGITS = re.compile(r"\d+", re.ASCII)  # t=, T= and the CLI's integer flags
 
 

@@ -54,6 +54,7 @@ from .channel import (
     output_rank_distribution,
     parse_error_model,
     _exact_numbers,
+    _DECIMAL,
     _DIGITS,
 )
 from .solver import CapacityResult, SolverConfig, maximize
@@ -117,6 +118,17 @@ def _int_flag(text: str) -> int:
     return int(text)
 
 
+def _float_flag(text: str) -> float:
+    """--tol, read by the decimal rule of an error model's numbers: ASCII
+    digits, where float() would also take 1_0, non-ASCII digits, inf and
+    nan.  SolverConfig then checks that the value is positive and finite."""
+    if not _DECIMAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(
+            f"takes a finite decimal number in ASCII digits, got {text!r}"
+        )
+    return float(text)
+
+
 def _fraction_str(x: Union[int, Fraction]) -> str:
     x = Fraction(x)
     if x.denominator == 1:
@@ -148,7 +160,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--error", default=error, help=f"error model spec (default {error})")
         if solver:
             p.add_argument(
-                "--tol", type=float, default=SolverConfig.tolerance_bits,
+                "--tol", type=_float_flag, default=SolverConfig.tolerance_bits,
                 help="solver gap tolerance in bits",
             )
             p.add_argument(
@@ -286,16 +298,17 @@ def _verify_checks(p: ChannelParams, solver: SolverConfig) -> List[Tuple[str, in
     marg_dev = 0.0
     marg_cases = 0
     trial_inputs = [
-        [Fraction(1 if i == 0 else 0) for i in range(rank_count)],
-        [Fraction(1 if i == rank_count - 1 else 0) for i in range(rank_count)],
-        [Fraction(1, rank_count) for _ in range(rank_count)],
+        [int(i == 0) for i in range(rank_count)],
+        [int(i == rank_count - 1) for i in range(rank_count)],
+        [Fraction(1, rank_count)] * rank_count,
     ]
     for probs in trial_inputs:
         want = oracle.rank_marginal(kernel, probs)
         got = output_rank_distribution(RankDistribution(probs), p)
         for r in range(rank_count):
             marg_cases += 1
-            marg_dev = max(marg_dev, abs(float(got[r] - want[r])))
+            if got[r] != want[r]:
+                marg_dev = max(marg_dev, abs(float(got[r] - want[r])))
     checks.append(("output rank law vs enumeration", marg_cases, marg_dev, marg_dev == 0.0))
 
     # Blahut-Arimoto starts from the solver's optimum spread uniformly over

@@ -9,13 +9,14 @@ Conventions:
   :data:`_MR_EXACT_BELOW`, about 3.3e24).
 - Combinatorially impossible but well-formed requests return 0, because the
   higher-level summations rely on out-of-range terms vanishing.
-- The kernels qbinom_ext (filled by the q-Pascal rule, with no division)
+- The kernels qbinom_ext (the q-Pascal rule, with no division)
   and _count_rank_matrices check nothing; the public functions check first.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Dict, Tuple
 
 #: Dimensions above this are refused so exponents like q**(n*m) stay tractable.
 MAX_DIMENSION = 64
@@ -149,14 +150,40 @@ def qbinom_ext(m: int, d: int, q: int) -> int:
 
     Interior summations index over wide ranges and rely on impossible
     configurations contributing nothing, so negative or oversized arguments
-    give 0 instead of raising.  In range it fills its cache by the q-Pascal
-    rule [m, d] = [m-1, d-1] + q^d [m-1, d], with no division.
+    give 0 instead of raising.  In range it reads [m, d] from
+    :func:`_q_pascal`.
     """
     if d < 0 or d > m:
         return 0
-    if d == 0 or d == m:
-        return 1
-    return qbinom_ext(m - 1, d - 1, q) + q**d * qbinom_ext(m - 1, d, q)
+    return _q_pascal(m, d, q)
+
+
+#: Every [m, d]_q that _q_pascal has formed, keyed by (m, d, q).
+_PASCAL: Dict[Tuple[int, int, int], int] = {}
+
+
+def _q_pascal(m: int, d: int, q: int) -> int:
+    """[m, d]_q for 0 <= d <= m by the q-Pascal rule
+    [m, d] = [m-1, d-1] + q^d [m-1, d], with no division.  A stack of the
+    entries still to form stands in for recursion: it goes down a row only
+    to an entry not yet in _PASCAL, so a cold call of any m forms each
+    missing entry once, as the recursion did, and recurses not at all."""
+    todo = [(m, d)]
+    while todo:
+        k, j = todo[-1]
+        if 0 < j < k:
+            low, high = _PASCAL.get((k - 1, j - 1, q)), _PASCAL.get((k - 1, j, q))
+            if low is None:
+                todo.append((k - 1, j - 1))
+                continue
+            if high is None:
+                todo.append((k - 1, j))
+                continue
+            _PASCAL[k, j, q] = low + q**j * high
+        else:
+            _PASCAL[k, j, q] = 1
+        todo.pop()
+    return _PASCAL[m, d, q]
 
 
 def count_rank_matrices(n: int, m: int, r: int, q: int) -> int:

@@ -37,12 +37,13 @@ as the indices of its rows.  A channel law (:class:`ChannelLaw`) keeps that
 indexing: each matrix's rank, read off the size of its span, and per input
 the integer numerators of its outputs over one shared denominator.  Its
 readers sum integers and divide once: the exact rank transition of
-:func:`rank_kernel`, from which every output rank law of a rank-uniform
-input follows, makes one Fraction per cell, and Blahut-Arimoto one float
-per distinct numerator.  Work whose result would be thrown away is not
-done: Blahut-Arimoto computes one divergence per set of exactly equal rows,
-over their nonzero entries only, and starts where its caller says, such as
-at a known optimum.
+:func:`rank_kernel` makes one Fraction per cell; :func:`rank_marginal`,
+which pushes a rank-uniform input law through it, sums its products as
+integers over one denominator and makes one Fraction per output rank; and
+Blahut-Arimoto makes one float per distinct numerator.  Work whose result
+would be thrown away is not done: Blahut-Arimoto computes one divergence
+per set of exactly equal rows, over their nonzero entries only, and starts
+where its caller says, such as at a known optimum.
 """
 
 from __future__ import annotations
@@ -521,15 +522,18 @@ def rank_kernel(law: ChannelLaw) -> Dict[int, List[Fraction]]:
     one reached.  Numerators are summed as integers, one Fraction per cell.
     """
     ranks = law.ranks
-    width = max((ranks[y] for row in law.rows for y in row), default=0) + 1
     sizes = Counter(ranks)
-    sums: Dict[int, List[int]] = {}
+    sums = {rx: [0] * (max(sizes) + 1) for rx in sizes}
     for rx, row in zip(ranks, law.rows):
-        cells = sums.setdefault(rx, [0] * width)
+        cells = sums[rx]
         for y, num in row.items():
             cells[ranks[y]] += num
+    # Every numerator is positive, so a rank is reached when its sum is not 0.
+    width = 1 + max(
+        (ry for cells in sums.values() for ry, num in enumerate(cells) if num), default=0
+    )
     return {
-        rx: [Fraction(num, law.den * sizes[rx]) for num in cells]
+        rx: [Fraction(num, law.den * sizes[rx]) for num in cells[:width]]
         for rx, cells in sums.items()
     }
 
@@ -537,15 +541,21 @@ def rank_kernel(law: ChannelLaw) -> Dict[int, List[Fraction]]:
 def rank_marginal(
     kernel: Dict[int, List[Fraction]], input_rank_probs: Sequence
 ) -> List[Fraction]:
-    """Exact output rank law of a rank-uniform input through a rank_kernel."""
+    """Exact output rank law of a rank-uniform input through a rank_kernel:
+    each product P(rx) K[rx][ry] as an integer numerator over the lcm L of
+    the products' denominators, summed, and one Fraction per output rank."""
     width = max((len(row) for row in kernel.values()), default=1)
-    out = [Fraction(0)] * max(len(input_rank_probs), width)
+    products: List[List[Tuple[int, int]]] = []
     for rx, p in enumerate(input_rank_probs):
-        if p == 0 or rx not in kernel:
-            continue
-        for ry, k in enumerate(kernel[rx]):
-            out[ry] += Fraction(p) * k
-    return out
+        if p and rx in kernel:
+            a, b = Fraction(p).as_integer_ratio()
+            products.append([(a * k.numerator, b * k.denominator) for k in kernel[rx]])
+    lcm = math.lcm(*(b for row in products for _, b in row))
+    sums = [0] * max(len(input_rank_probs), width)
+    for row in products:
+        for ry, (a, b) in enumerate(row):
+            sums[ry] += a * (lcm // b)
+    return [Fraction(num, lcm) for num in sums]
 
 
 def channel_output_rank_marginal(

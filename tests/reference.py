@@ -2,10 +2,10 @@
 
 Gauss-Jordan elimination over a prime field (rank, canonical RREF basis),
 a census of subspaces by their meets with a fixed pair, the rank transition
-probability of one error rank and of a whole error law, the conditional
-output entropy of each input rank, the uniform input rank law, log2 of an
-exact rational beyond the float range, and the solver's Newton step by
-plain elimination.  Nothing
+probability of one error rank and of a whole error law, the output rank law
+of an input rank law, the conditional output entropy of each input rank,
+the uniform input rank law, log2 of an exact rational beyond the float
+range, and the solver's Newton step by plain elimination.  Nothing
 here imports gammacap, so a check against this module compares the package
 with an independent computation:
 
@@ -17,6 +17,9 @@ with an independent computation:
   from Delsarte's eigenvalues, where matrixfn sums f1 terms;
 - the rank transition of a whole error law from the eigenvalues of that
   law, where channel sums f2 over its error ranks;
+- the output rank law of an input rank law from the same eigenvalues, and
+  through an oracle rank kernel, each added Fraction by Fraction, where
+  channel and the oracle add integer numerators over one denominator;
 - H(Y | rank X = r) from one table Phi of the error law, each output class
   by Moebius inversion over the subspaces of its row space, where channel
   sums f1 over the error ranks of each class and mirrors half the classes;
@@ -183,6 +186,46 @@ def rank_transition(r, rX, eigenvalues, params):
         for l, lam in enumerate(eigenvalues)
     )
     return total / (q ** (n * m) * _eigenvalue(rX, 0, d, e, q))
+
+
+def output_rank_law(input_law, error_law, params):
+    """P(rank Y = r) for r = 0..min(n, m), for an input whose rank follows
+    ``input_law`` and which is uniform within its rank class, through the
+    channel of the error rank law ``error_law`` over the n x m matrices of
+    ``params``.  Summed over the input ranks, rank_transition's T(r | rX)
+    gives sum_l v_l lambda_l P_r(l) mu_l / q^(nm), with
+    mu_l = sum_rX P(rX) P_rX(l) / v_rX, added Fraction by Fraction."""
+    q, n, m = params.q, params.n, params.m
+    d, e = min(n, m), max(n, m)
+    eigenvalues = error_eigenvalues(error_law, params)
+    mu = []
+    for l in range(d + 1):
+        total = Fraction(0)
+        for rX, p in enumerate(input_law):
+            if p:
+                total += Fraction(p) * _eigenvalue(rX, l, d, e, q) / _eigenvalue(rX, 0, d, e, q)
+        mu.append(total)
+    out = []
+    for r in range(d + 1):
+        total = Fraction(0)
+        for l, (lam, mu_l) in enumerate(zip(eigenvalues, mu)):
+            total += _eigenvalue(l, 0, d, e, q) * lam * _eigenvalue(r, l, d, e, q) * mu_l
+        out.append(total / q ** (n * m))
+    return out
+
+
+def rank_marginal(kernel, input_law):
+    """sum_rx P(rx) K[rx][ry] for a rank kernel {rx: [K[rx][0], ...]}, as
+    the oracle's rank_kernel returns it, added Fraction by Fraction: one
+    entry per output rank the kernel reaches or input rank, whichever are
+    more."""
+    width = max(len(row) for row in kernel.values())
+    out = [Fraction(0)] * max(len(input_law), width)
+    for rx, p in enumerate(input_law):
+        if p and rx in kernel:
+            for ry, k in enumerate(kernel[rx]):
+                out[ry] += Fraction(p) * k
+    return out
 
 
 def _falling(n, lo, hi, q):

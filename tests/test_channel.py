@@ -2,12 +2,14 @@
 
 import contextlib
 import dataclasses
+import decimal
 import hashlib
 import importlib.util
 import io
 import itertools
 import math
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -129,6 +131,27 @@ class TestRankDistribution:
         with pytest.raises(ValueError) as refused:
             RankDistribution(probs)
         assert str(refused.value) == f"exact probabilities sum to {shown}, not 1"
+
+    def test_short_form_prints_as_decimal_does(self):
+        """The short form of a huge Fraction is built from ints alone, and
+        reads as decimal.Decimal(a) / b at precision 6 did: half-even ties,
+        exact quotients without trailing zeros, plain notation down to
+        1e-6 and for exponent 0."""
+        rng = random.Random(46)
+        pairs = [
+            (1, 10**5000), (10**50, 3), (1234565, 10), (1234575, 10), (9999995, 1),
+            (999999500, 1000), (1, 8), (3, 10**7), (12, 10**7), (123, 1), (10**100, 1),
+        ]
+        for _ in range(3000):
+            a = rng.randint(1, 10 ** rng.randint(1, 60))
+            b = rng.randint(1, 10 ** rng.randint(1, 60))
+            pairs.append((a, b))
+            pairs.append((a % 10**7 + 1, 10 ** rng.randint(0, 50) * rng.choice([1, 2, 8, 25])))
+        for a, b in pairs:
+            with decimal.localcontext() as ctx:
+                ctx.prec = 6
+                expected = str(decimal.Decimal(a) / b)
+            assert channel._sig6(a, b) == expected, (a, b)
 
     def test_float_sum_tolerance(self):
         RankDistribution([0.5, 0.5 + 1e-13])
@@ -827,6 +850,76 @@ class TestExactLawAtScale:
         )
 
 
+# Capacity rounds 0-3 and verify rounds 0-3, which hold every verify shape,
+# each distinct channel once.
+_VERIFY_CATALOGUE = tuple(dict.fromkeys(_benchmark_catalogue("verify", rounds=(0, 1, 2, 3))))
+_OUTPUT_LAW_CHANNELS = tuple(
+    dict.fromkeys(_benchmark_catalogue(rounds=(0, 1, 2, 3)) + _VERIFY_CATALOGUE)
+)
+
+
+def _trial_inputs(k):
+    """The rank-0, top-rank and uniform input laws that verify pushes through
+    the channel, and one empirical law with every rank in it."""
+    return [
+        [Fraction(int(i == 0)) for i in range(k)],
+        [Fraction(int(i == k - 1)) for i in range(k)],
+        [Fraction(1, k)] * k,
+        [Fraction(2 * i + 1, k * k) for i in range(k)],
+    ]
+
+
+class TestExactSumsAgainstFractionReference:
+    """The exact output law and rank marginal add integer numerators over one
+    denominator; the reference adds Fraction by Fraction, through Delsarte's
+    eigenvalues or an enumerated rank kernel, and gets the same Fractions."""
+
+    @pytest.mark.parametrize(
+        "channel_args", _OUTPUT_LAW_CHANNELS, ids=lambda args: ",".join(map(str, args))
+    )
+    def test_output_law_matches_reference(self, channel_args):
+        params = _params(*channel_args)
+        for probs in _trial_inputs(params.rank_count):
+            got = output_rank_distribution(RankDistribution(probs), params).probs
+            want = reference.output_rank_law(probs, params.error_dist.probs, params)
+            assert [type(p) for p in got] == [Fraction] * params.rank_count
+            assert list(got) == want, probs
+
+    @pytest.mark.parametrize(
+        "channel_args", _VERIFY_CATALOGUE, ids=lambda args: ",".join(map(str, args))
+    )
+    def test_rank_marginal_matches_reference(self, channel_args, channel_laws):
+        params = _params(*channel_args)
+        kernel = oracle.rank_kernel(channel_laws(params))
+        for probs in _trial_inputs(params.rank_count):
+            got = oracle.rank_marginal(kernel, probs)
+            assert got == reference.rank_marginal(kernel, probs), probs
+            assert got == reference.output_rank_law(probs, params.error_dist.probs, params)
+
+    def test_float_law_or_float_input_gives_floats(self):
+        """Only an exact law with an exact input takes the integer sums; a
+        float law, or an exact law with a float or mixed input, divides
+        each kernel entry once in floats and gives floats."""
+        exact_law = _params(2, 2, 2, "iid:t=1")
+        float_law = ChannelParams(2, 2, 2, RankDistribution([0.5, 0.25, 0.25]))
+        exact = RankDistribution([Fraction(1, 3)] * 3)
+        floats = RankDistribution([0.25, 0.25, 0.5])
+        mixed = RankDistribution([Fraction(1, 2), 0.5, Fraction(0)])
+        for params, x in (
+            (float_law, exact), (float_law, floats), (exact_law, floats), (exact_law, mixed),
+        ):
+            out = output_rank_distribution(x, params)
+            assert not out.is_exact
+            assert [type(p) for p in out.probs] == [float] * 3
+
+    @pytest.mark.parametrize("sign, shown", [(1, "+"), (-1, "-")])
+    def test_law_off_by_a_tiny_amount_is_refused(self, sign, shown):
+        off = Fraction(sign, 10**50)
+        with pytest.raises(ValueError) as refused:
+            RankDistribution([Fraction(1, 3), Fraction(2, 3) + off])
+        assert str(refused.value) == f"exact probabilities sum to 1 {shown} 1E-50, not 1"
+
+
 class TestCatalogueWorkspace:
     """The workspace builds of the benchmark catalogue (capacity rounds 0 and
     1, 33 channels): every float pinned, and the counts they ask for at the
@@ -1155,6 +1248,24 @@ class TestErrorModels:
             binomial_packets_model(2, Fraction(11, 10), 2, 2, 2)
         with pytest.raises(ValueError):
             binomial_packets_model(2, -0.1, 2, 2, 2)
+
+    @pytest.mark.parametrize(
+        "p, shown",
+        [
+            (Fraction(11, 10), "11/10"),
+            (Fraction(10**100000), "1.00000E+100000"),
+            (-Fraction(10**100000), "-1.00000E+100000"),
+            (Fraction(10**60 + 1, 10**20), "1.00000E+40"),
+        ],
+        ids=["short", "huge", "huge-negative", "ratio"],
+    )
+    def test_binomial_refusal_names_p_within_the_digit_limit(self, p, shown):
+        """str() of a p past the interpreter's 4 300-digit limit raised that
+        limit's message in place of this refusal; past 40 digits p is shown
+        to 6 significant digits, as the sum check shows its distance."""
+        with pytest.raises(ValueError) as refused:
+            binomial_packets_model(1, p, 2, 2, 2)
+        assert str(refused.value) == f"packet corruption probability {shown} not in [0, 1]"
 
     def test_empirical_pads_and_validates(self):
         dist = empirical_model([Fraction(1)], 3, 3)

@@ -167,6 +167,22 @@ class TestCapacityCommand:
         assert diagnostic["exit_code"] == 2
         assert "finite" in diagnostic["error"]
 
+    @pytest.mark.parametrize(
+        "tolerance", ["1_0e-9", "\N{ARABIC-INDIC DIGIT ONE}e-9"], ids=["separator", "arabic"]
+    )
+    def test_tolerance_off_the_ascii_rule_exit_2(self, capsys, tolerance):
+        """float() read --tol 1_0e-9 as 1e-08 and ran at that tolerance."""
+        code, out, err = run_cli(
+            capsys, "capacity", "--q", "2", "--n", "2", "--m", "2",
+            "--error", "iid:t=1", "--tol", tolerance,
+        )
+        assert code == 2 and out == ""
+        assert stderr_diagnostic(err) == {
+            "error": f"argument --tol: takes a finite decimal number in ASCII digits, "
+                     f"got {tolerance!r}",
+            "exit_code": 2,
+        }
+
     def test_float_overflow_exit_2(self, capsys, monkeypatch):
         """An OverflowError used to escape main: a traceback and exit 1,
         the code of a verify mismatch."""

@@ -240,6 +240,17 @@ class TestQbinom:
             for d in range(m + 1):
                 assert qbinom_ext(m, d, q) == reference._gauss(m, d, q), (m, d)
 
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_cold_cache_past_the_recursion_limit(self, q):
+        """Filled by recursion one row per level, a cold [1200, 3]_2 raised
+        RecursionError; a stack now stands in for the recursion, and every
+        entry near either edge of row 1200 is the product form's, read at
+        d <= 3 by the symmetry [m, d] = [m, m - d]."""
+        qbinom_ext.cache_clear()
+        exactcomb._PASCAL.clear()
+        for d in (1, 2, 3, 1197, 1198, 1199):
+            assert qbinom_ext(1200, d, q) == reference._gauss(1200, min(d, 1200 - d), q), d
+
     def test_domain(self):
         assert qbinom(2, 5, 2) == 0
         with pytest.raises(ValueError):

@@ -1,21 +1,24 @@
-"""The error-model spec's number grammar: one outcome per spelling, on every
-CPython.
+"""The number grammar of the error-model spec and of --tol: one outcome per
+spelling, on every CPython.
 
 Fraction() and int() alone take more on a later interpreter than on an
 earlier one (digit separators from 3.11, spaces around the slash from 3.12),
-and non-ASCII digits on all of them.  The spec checks each token against one
-grammar first, so a spelling is read, or refused, the same everywhere.  The
-table runs under pytest and also as a plain script, for an interpreter
-without pytest:
+and non-ASCII digits on all of them; float() takes digit separators, non-ASCII
+digits, inf and nan.  The spec checks each token against one grammar first,
+and --tol against its decimals, so a spelling is read, or refused, the same
+everywhere.  The table runs under pytest and also as a plain script, for an
+interpreter without pytest:
 
     PYTHONPATH=src python tests/test_number_grammar.py
 """
 
+import argparse
 import itertools
 import sys
 from fractions import Fraction
 
 from gammacap.channel import _EXACT_NUMBER, _exact_numbers, parse_error_model
+from gammacap.cli import _float_flag
 
 
 def _number(token):
@@ -26,6 +29,14 @@ def _number(token):
 def _constant_rank(spec):
     """The rank of a constant error law on 16 x 16 matrices over F_2."""
     return parse_error_model(spec, 2, 16, 16).probs.index(1)
+
+
+def _tolerance(text):
+    """--tol as the CLI reads it, a refusal raised as a ValueError."""
+    try:
+        return _float_flag(text)
+    except argparse.ArgumentTypeError as refused:
+        raise ValueError(refused) from None
 
 
 # (reader, spelling, what it reads as, or None where it is refused)
@@ -45,6 +56,16 @@ SPELLINGS = (
     (_constant_rank, "constant:t=3", 3),
     (_constant_rank, "constant:t=1_0", None),
     (_constant_rank, "constant:t=\N{ARABIC-INDIC DIGIT THREE}", None),
+    (_tolerance, "1e-9", 1e-9),
+    (_tolerance, "1E-9", 1e-9),
+    (_tolerance, "0.0001", 1e-4),
+    (_tolerance, ".5", 0.5),
+    (_tolerance, "1_0e-9", None),
+    (_tolerance, "\N{ARABIC-INDIC DIGIT ONE}e-9", None),
+    (_tolerance, "1/2", None),
+    (_tolerance, " 1e-9", None),
+    (_tolerance, "inf", None),
+    (_tolerance, "nan", None),
 )
 
 
