@@ -177,8 +177,9 @@ class ChannelParams:
     float range.
 
     ``_workspace`` holds solver._workspace's tables from the channel's first
-    use on; like ``sizes`` and ``support`` it takes no part in equality,
-    hashing or repr.
+    use on, and ``_joint_table`` the kernel numerators that _joint has
+    formed so far; like ``sizes`` and ``support`` they take no part in
+    equality, hashing or repr.
     """
 
     q: int
@@ -189,6 +190,7 @@ class ChannelParams:
     support: Tuple[Tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     denominator: int = field(init=False, repr=False, compare=False)
     _workspace: object = field(default=None, init=False, repr=False, compare=False)
+    _joint_table: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         validate_field_order(self.q)
@@ -229,8 +231,10 @@ def rank_class_size(params: ChannelParams) -> Tuple[int, ...]:
 
 def _joint(params: ChannelParams, ranks: Iterable[int]) -> List[List[Optional[int]]]:
     """The numerators J[ry][rx] = denominator * N_rx * T(ry | rx) of the
-    columns rx in ``ranks``, each symmetric pair once; entries that no
-    column in ``ranks`` needs stay None.  Column rx is row rx of J.
+    columns rx in ``ranks``, each symmetric pair once.  Column rx is row rx
+    of J.  J is kept on the channel and filled column by column, so each
+    entry is formed once per channel, by the first call whose columns need
+    it; entries that no call has needed yet are None.
 
     P(X + B = Y) depends on rank(Y - X) only, so the kernel is reversible,
     N_rx T(ry | rx) = N_ry T(rx | ry) (Delsarte's bilinear-forms scheme):
@@ -239,7 +243,10 @@ def _joint(params: ChannelParams, ranks: Iterable[int]) -> List[List[Optional[in
     f2 is 0 unless b - a <= rB <= a + b: only those rB are summed.
     """
     q, n, m, k = params.q, params.n, params.m, params.rank_count
-    joint: List[List[Optional[int]]] = [[None] * k for _ in range(k)]
+    joint: List[List[Optional[int]]] = params._joint_table
+    if joint is None:
+        joint = [[None] * k for _ in range(k)]
+        object.__setattr__(params, "_joint_table", joint)
     for rx in ranks:
         col = joint[rx]
         for ry in range(k):
@@ -271,11 +278,12 @@ def output_rank_distribution(
     """Rank distribution of the channel output A(X+B).
 
     A is invertible so rank(Y) = rank(X+B); the output law is the input law
-    pushed through rho_avg's kernel, whose numerators _joint builds only for
-    the input ranks of positive probability (exact zeros otherwise).  For an
-    exact law and input, P(rx) / N_rx = a_rx / b_rx, not reduced, is the
-    integer w_rx = a_rx L / b_rx over the lcm L of the b_rx, and output rank
-    ry is the one Fraction sum_rx w_rx J[ry][rx] / (L * params.denominator).
+    pushed through rho_avg's kernel, whose numerators _joint forms, once per
+    channel, only for the input ranks of positive probability (exact zeros
+    otherwise).  For an exact law and input, P(rx) / N_rx = a_rx / b_rx,
+    not reduced, is the integer w_rx = a_rx L / b_rx over the lcm L of the
+    b_rx, and output rank ry is the one Fraction
+    sum_rx w_rx J[ry][rx] / (L * params.denominator).
     Otherwise each kernel entry is one correctly rounded float division
     before it is weighted.
     """

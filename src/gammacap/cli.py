@@ -440,7 +440,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _print_error(EXIT_BUDGET, str(exc))
         return EXIT_BUDGET
     except AssertionError as exc:
-        # An oracle table that is not well defined fails verification.
+        # An oracle table that is not well defined, or GL image classes that
+        # do not partition the outputs, fail verification.
         _print_error(EXIT_VERIFY_FAILED, str(exc))
         return EXIT_VERIFY_FAILED
     except (ValueError, TypeError) as exc:

@@ -22,25 +22,33 @@ trial-divides only up to 2**10.  GL(n, q) is built row by row, each row
 drawn from outside the span of the rows before it.  Nothing here reduces
 a matrix: ranks and row spaces come from spans.  Work shared
 between terms (the images A*Z of one matrix Z, the row spaces reached from
-one representative M) is enumerated once per call.  What depends on the
-shape alone is kept for the life of the process, keyed by the ints
-(n, m, q): the f-tables of :func:`brute_f_functions` and the GL image
-tallies of :func:`build_channel`.  Every refusal is made before either
-memo is read, nothing that depends on an error law is kept, and each
-caller gets containers of its own.
+one representative M, the class keys of one representative U) is
+enumerated once per call.  What depends on the shape alone is kept for the
+life of the process, keyed by the ints (n, m, q): the f-tables of
+:func:`brute_f_functions` and the GL image classes of
+:func:`build_channel`.  Every refusal is made before either memo is read,
+nothing that depends on an error law is kept, and each caller gets
+containers of its own.
 The inner loops read matrices by their index in enumerate_matrices order:
 adding a fixed matrix, such as one supported error matrix B to every input
 at once, is a permutation of those indices (:func:`_translation`), built
 entry by entry with no matrix formed, and the index of A*Z is read
 off the indices of the row combinations a*Z, one table per Z, with A held
-as the indices of its rows.  A channel law (:class:`ChannelLaw`) keeps that
-indexing: each matrix's rank, read off the size of its span, and per input
-the integer numerators of its outputs over one shared denominator.  Its
+as the indices of its rows.  Matrices whose tallies of images A*Z over GL
+are exactly equal form one class, and the class tallies are checked to
+partition the outputs, so a channel law is built from class weights: each
+supported B's translation is mapped to the classes of X + B, every input
+adds B's integer numerator to the weight of its class, and the rows are
+written in one pass over the outputs in increasing index.  A channel law
+(:class:`ChannelLaw`) keeps that indexing: each matrix's rank, read off the
+size of its span, and per input the integer numerators of its outputs, in
+increasing output index, over one shared denominator.  Its
 readers sum integers and divide once: the exact rank transition of
 :func:`rank_kernel` makes one Fraction per cell; :func:`rank_marginal`,
 which pushes a rank-uniform input law through it, sums its products as
 integers over one denominator and makes one Fraction per output rank; and
-Blahut-Arimoto makes one float per distinct numerator.  Work whose result
+Blahut-Arimoto makes one float per distinct numerator and reads the rows
+in the order they are kept.  Work whose result
 would be thrown away is not done: Blahut-Arimoto computes one divergence
 per set of exactly equal rows, over their nonzero entries only, and starts
 where its caller says, such as at a known optimum.
@@ -174,11 +182,13 @@ def enumerate_subspaces(m: int, q: int, dim: int | None = None) -> List[Matrix]:
 def _translation(M: Matrix, q: int) -> List[int]:
     """``perm[i]`` is the index of M + Z for the matrix Z of index i, both in
     enumerate_matrices order, built one entry of M at a time; read at the
-    index of X it is also X + M, as addition commutes."""
+    index of X it is also X + M, as addition commutes.  Entries are taken
+    last first, each the leading digit of the indices built so far."""
     perm = [0]
-    for x in itertools.chain.from_iterable(M):
-        digits = [(x + d) % q for d in range(q)]
-        perm = [p * q + s for p in perm for s in digits]
+    place = 1
+    for x in reversed(tuple(itertools.chain.from_iterable(M))):
+        perm = [s + p for s in [(x + d) % q * place for d in range(q)] for p in perm]
+        place *= q
     return perm
 
 
@@ -270,15 +280,19 @@ def _f_tables(n: int, m: int, q: int) -> Tuple[Tuple[str, tuple], ...]:
     f0 = {u: len(by_rowspace[space_dim.index(u)]) for u in range(mn + 1)}
 
     # f1: every row space V, read from the tally of each representative M of
-    # each representative U, with h = u - dim(U cap V).
+    # each representative U; the class key (u, v, h), h = u - dim(U cap V),
+    # is formed once per U.
     f1: Dict[Tuple[int, int, int, int], int] = {}
     for u in range(mn + 1):
         reps_U = [U for U, d in enumerate(space_dim) if d == u][:REPRESENTATIVES_PER_CLASS]
         for U in reps_U:
+            keys = [
+                (u, space_dim[V], u - dim_of[len(spaces[U] & span_V)])
+                for V, span_V in enumerate(spaces)
+            ]
             for M in by_rowspace[U][:REPRESENTATIVES_PER_CLASS]:
                 counts = tally(M)
-                for V, span_V in enumerate(spaces):
-                    key3 = (u, space_dim[V], u - dim_of[len(spaces[U] & span_V)])
+                for V, key3 in enumerate(keys):
                     for r in range(mn + 1):
                         record("f1", f1, key3 + (r,), counts[V, r])
 
@@ -424,7 +438,7 @@ class ChannelLaw:
     ``matrices`` is F_q^{n x m} in enumerate_matrices order and ``ranks[i]``
     the rank of ``matrices[i]``.  P(Y | X) for X = matrices[i] and
     Y = matrices[j] is ``rows[i][j] / den``: each row maps the index of every
-    output it reaches to an integer numerator, in order of first appearance,
+    output it reaches to an integer numerator, in increasing output index,
     and all rows share the one denominator.
     """
 
@@ -438,10 +452,15 @@ class ChannelLaw:
 def _gl_images(n: int, m: int, q: int) -> tuple:
     """The part of build_channel's work that depends on (n, m, q) alone:
     (|GL(n, q)|, the matrices of F_q^{n x m} in enumerate_matrices order,
-    the rank of each, ``images``, ``by_rank``), all tuples.  ``images[z]``
-    holds (index of Y, #{A in GL : A*Z = Y}) for Z = matrices[z], in order
-    of first appearance; ``by_rank[r]`` the indices of the matrices of rank
-    r.  Callers check the budgets first."""
+    the rank of each, ``class_of``, ``outputs``, ``by_rank``), all tuples.
+    Matrices Z whose tallies of images, (index of Y, #{A in GL : A*Z = Y})
+    in increasing Y, are exactly equal share a class, numbered in order of
+    first appearance: ``class_of[z]`` is the class of Z = matrices[z].
+    ``outputs[y]`` is (class, multiplicity) for the one class whose tally
+    reaches Y = matrices[y]; an AssertionError is raised unless the class
+    tallies partition the outputs, each reached by exactly one class.
+    ``by_rank[r]`` holds the indices of the matrices of rank r.  Callers
+    check the budgets first."""
     gl = list(enumerate_gl(n, q))
     all_mats = tuple(enumerate_matrices(n, m, q))
     # gl_rows[i][g]: index of row i of the g-th A in GL among the q**n
@@ -450,7 +469,8 @@ def _gl_images(n: int, m: int, q: int) -> tuple:
     gl_rows = [[vector_index[row] for row in rows] for rows in zip(*gl)]
     # Row i of A*Z is the combination A_i*Z of the rows of Z, so
     # index(A*Z) = sum_i comb[A_i] * q**(m*(n-1-i)).
-    images: List[Tuple[Tuple[int, int], ...]] = []
+    class_id: Dict[Tuple[int, ...], int] = {}
+    class_of: List[int] = []
     ranks: List[int] = []
     rank_of_size = {q**r: r for r in range(n + 1)}
     row_count = q**m
@@ -461,11 +481,23 @@ def _gl_images(n: int, m: int, q: int) -> tuple:
         ys = [0] * len(gl)
         for rows in gl_rows:
             ys = [y * row_count + comb[a] for y, a in zip(ys, rows)]
-        images.append(tuple(Counter(ys).items()))
+        # The sorted images are the tally as a multiset: equal exactly when
+        # the tallies are.
+        class_of.append(class_id.setdefault(tuple(sorted(ys)), len(class_id)))
+    outputs: List[Tuple[int, int] | None] = [None] * len(all_mats)
+    for c, images in enumerate(class_id):
+        for y, mult in Counter(images).items():
+            if outputs[y] is not None:
+                raise AssertionError(
+                    f"GL image classes {outputs[y][0]} and {c} both reach output {y}"
+                )
+            outputs[y] = (c, mult)
+    if None in outputs:
+        raise AssertionError(f"no GL image class reaches output {outputs.index(None)}")
     by_rank = tuple(
         tuple(i for i, r in enumerate(ranks) if r == rank) for rank in range(max(ranks) + 1)
     )
-    return len(gl), all_mats, tuple(ranks), tuple(images), by_rank
+    return len(gl), all_mats, tuple(ranks), tuple(class_of), tuple(outputs), by_rank
 
 
 def build_channel(params) -> ChannelLaw:
@@ -476,15 +508,17 @@ def build_channel(params) -> ChannelLaw:
     P(Y|X) = (1/|GL|) * sum_rB R(rB)/N_rB * sum_{B of rank rB} #{A in GL : A(X+B) = Y}.
     A non-prime q, an inexact law and a shape over the channel budget are
     refused before GL is enumerated or the memo read.
-    The images A*Z over all of GL are tallied once per matrix Z and shape
-    (:func:`_gl_images`, kept for the life of the process), by output
-    index, each index summed from one lookup per row of A in a table of the
-    row combinations of Z.  Each supported error matrix B is translated
-    once, and every row X adds the tally of X+B times the integer numerator
-    of B's rank, so no error matrix of probability 0 is translated and each
-    row meets its terms in (rB, B) order.  The rank of Z is read off its
-    row combinations, its row space of q**rank vectors, so no matrix is
-    reduced.  Each law gets lists of its own.
+    The images A*Z over all of GL are tallied once per matrix Z and shape,
+    and matrices with equal tallies form one class (:func:`_gl_images`,
+    kept for the life of the process, which checks that the class tallies
+    partition the outputs).  Each supported error matrix B is translated
+    once and mapped to the classes of X+B for every input X; each input
+    adds the integer numerator of B's rank to the weight of the class of
+    X+B, so no error matrix of probability 0 is translated.  The rows are
+    then written in one pass over the outputs Y in increasing index: every
+    input that weights the class of Y gets weight times multiplicity.  The
+    rank of Z is read off its row combinations, its row space of q**rank
+    vectors, so no matrix is reduced.  Each law gets lists of its own.
     """
     q, n, m = params.q, params.n, params.m
     _require_prime(q)
@@ -495,7 +529,7 @@ def build_channel(params) -> ChannelLaw:
                 "oracle channel law needs exact rational error probabilities"
             )
     _check_channel(n, m, q)
-    gl_size, all_mats, ranks, images, by_rank = _gl_images(n, m, q)
+    gl_size, all_mats, ranks, class_of, outputs, by_rank = _gl_images(n, m, q)
     # R(rB) / (N_rB * |GL|) as integer numerators over one denominator.
     per_term = {
         rb: Fraction(w) / (len(by_rank[rb]) * gl_size)
@@ -503,14 +537,20 @@ def build_channel(params) -> ChannelLaw:
         if w != 0 and rb < len(by_rank)
     }
     den = math.lcm(*(t.denominator for t in per_term.values()))
-    rows: List[Dict[int, int]] = [{} for _ in all_mats]
+    # class_weights[c][x]: the sum of the numerators of the B with X+B in
+    # class c.
+    class_weights: List[Dict[int, int]] = [{} for _ in range(max(class_of) + 1)]
     for rb, t in per_term.items():
         num = t.numerator * (den // t.denominator)
         for b in by_rank[rb]:
             # index(X + B) = index(B + X): B's translation, read at X.
-            for counts, z in zip(rows, _translation(all_mats[b], q)):
-                for y, mult in images[z]:
-                    counts[y] = counts.get(y, 0) + num * mult
+            for x, z in enumerate(_translation(all_mats[b], q)):
+                cw = class_weights[class_of[z]]
+                cw[x] = cw.get(x, 0) + num
+    rows: List[Dict[int, int]] = [{} for _ in all_mats]
+    for y, (c, mult) in enumerate(outputs):
+        for x, w in class_weights[c].items():
+            rows[x][y] = w * mult
     return ChannelLaw(list(all_mats), list(ranks), den, rows)
 
 
@@ -584,8 +624,9 @@ def blahut_arimoto(
     ``tol`` that is not a positive and finite int or float (a bool is
     neither), a ``max_iter`` that is not an int of at least 1, or a
     ``start`` of the wrong length, with a negative or non-finite entry or no
-    positive mass, raises ValueError.  Logs its pass count and final bracket
-    at INFO.
+    positive mass, raises ValueError.  Each row of ``law`` is read in the
+    order it keeps, increasing output index, which is the order the float
+    sums add in.  Logs its pass count and final bracket at INFO.
     """
     if type(tol) is bool or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
         raise ValueError("tol must be a positive and finite number")
@@ -607,24 +648,30 @@ def blahut_arimoto(
             )
         p = [w / total for w in weights]
     den = law.den
-    # Each row as its (y, P(y|x)) pairs with P > 0 in output index order: a
-    # zero entry adds pi * 0.0 to qy[y] and nothing to d, so skipping it
-    # changes no float.  Inputs with exactly equal rows share one divergence.
-    # Each distinct numerator is converted once, by int true division, which
+    # Inputs with exactly equal rows (the same outputs and numerators) share
+    # one row of floats and one divergence.  Each distinct row is read in
+    # the increasing output index order the law keeps, so none is sorted,
+    # as its (y, P(y|x)) pairs with P > 0: a zero entry adds pi * 0.0 to
+    # qy[y] and nothing to d, so skipping it changes no float.  Each
+    # distinct numerator is converted once, by int true division, which
     # rounds as float(Fraction(num, den)) does.
+    distinct: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
+    group = [
+        distinct.setdefault((tuple(row), tuple(row.values())), len(distinct))
+        for row in law.rows
+    ]
     floats: Dict[int, float] = {}
-    rows: List[Tuple[Tuple[int, float], ...]] = []
-    for row in law.rows:
+    shared: List[Tuple[Tuple[int, float], ...]] = []
+    for ys, nums in distinct:
         entries = []
-        for y, num in sorted(row.items()):
+        for y, num in zip(ys, nums):
             pyx = floats.get(num)
             if pyx is None:
                 pyx = floats[num] = num / den
             if pyx > 0.0:
                 entries.append((y, pyx))
-        rows.append(tuple(entries))
-    distinct: Dict[Tuple[Tuple[int, float], ...], int] = {}
-    group = [distinct.setdefault(row, len(distinct)) for row in rows]
+        shared.append(tuple(entries))
+    rows = [shared[g] for g in group]
     for passes in range(1, max_iter + 1):
         qy = [0.0] * len(law.matrices)
         for pi, row in zip(p, rows):
@@ -633,7 +680,7 @@ def blahut_arimoto(
             for j, pyx in row:
                 qy[j] += pi * pyx
         d_row = []
-        for row in distinct:
+        for row in shared:
             acc = 0.0
             for j, pyx in row:
                 acc += pyx * math.log2(pyx / qy[j])

@@ -327,6 +327,9 @@ class TestOutputRankLaw:
             return f2(a, b, rb, *shape)
 
         monkeypatch.setattr(channel, "f2", counting)
+        # _kernel filled params' kernel numerators; an equal fresh channel
+        # forms them afresh.
+        params = ChannelParams(2, 3, 2, empirical_model(law, 3, 2))
         output_rank_distribution(inputs[0], params)
         assert sorted(calls) == sorted(
             (min(r, 1), max(r, 1), rb)
@@ -352,6 +355,8 @@ class TestOutputRankLaw:
             return f2(a, b, rb, *shape)
 
         monkeypatch.setattr(channel, "f2", counting)
+        # A fresh channel: the first law kept its numerators on params.
+        params = _params(2, 5, 4, "empirical:1/5,1/5,1/5,1/5,1/5")
         assert output_rank_distribution(uniform, params) == want
         assert len(set(calls)) == len(calls)
         pairs = sorted({(a, b) for a, b, _ in calls})
@@ -640,7 +645,9 @@ class TestWorkspacePruning:
         |ry - rx| <= rB <= ry + rx, and only for ry <= rx, each count once,
         exact and float laws alike: the kernel's reversibility gives the
         rest.  Each entry skipped is exactly 0 or has its transpose asked
-        for."""
+        for.  The channel is a fresh copy, since other tests share params
+        and its kernel numerators are kept on it."""
+        params = ChannelParams(params.q, params.n, params.m, params.error_dist)
         calls = []
 
         def recording(ry, rx, rb, *shape):
@@ -1023,7 +1030,10 @@ class TestChecksOncePerChannel:
             k = params.rank_count
             for probs in ([0] * (k - 1) + [1], [Fraction(1, k)] * k):
                 output_rank_distribution(RankDistribution(probs), params)
-        assert calls == {"f0": 0, "f1": 0, "f2": 1892, "count_rank_matrices": 370}
+        # The kernel numerators are kept on the channel, so the uniform law
+        # forms only the entries the top-rank law did not: every entry once,
+        # as many f2 calls as the workspace builds make.
+        assert calls == {"f0": 0, "f1": 0, "f2": 1627, "count_rank_matrices": 370}
 
         calls.update(dict.fromkeys(calls, 0))
         for spec in ("constant:t=2", "iid:t=3", "binomial:T=3,p=0.1", "empirical:1/2,1/4,1/4"):

@@ -550,8 +550,9 @@ class TestAgainstPerTermReferences:
 
     @pytest.mark.parametrize("shape", VERIFY_SHAPES + CI_SHAPES, ids=_SHAPE_IDS)
     def test_build_channel(self, shape, channel_laws):
-        """Every entry equals the per-term sum, outputs in order of first
-        appearance, and every matrix carries its rank."""
+        """Every entry equals the per-term sum, outputs in increasing index
+        (the lexicographic order of enumerate_matrices), and every matrix
+        carries its rank."""
         q, n, m = shape
         all_mats = list(oracle.enumerate_matrices(n, m, q))
         ranks = [reference.rank_of(X, q) for X in all_mats]
@@ -569,7 +570,7 @@ class TestAgainstPerTermReferences:
             got = _law_table(law)
             want = _per_term_channel(params, inputs)
             for X, row in want.items():
-                assert list(got[X].items()) == list(row.items()), params.error_dist
+                assert list(got[X].items()) == sorted(row.items()), params.error_dist
 
     @pytest.mark.parametrize("shape", VERIFY_SHAPES + CI_SHAPES, ids=_SHAPE_IDS)
     def test_brute_f_functions(self, shape):
@@ -666,6 +667,69 @@ class TestAgainstPerTermReferences:
             got = oracle.blahut_arimoto(law, tol=1e-9, max_iter=500)
             want = _dense_blahut_arimoto(_law_table(law), tol=1e-9, max_iter=500)
             assert got == want, params.error_dist
+
+
+def _drop_first_gl_matrix(enumerate_gl):
+    """A mutant of ``enumerate_gl`` that leaves out the first matrix of
+    GL(n, q), so the images A*Z no longer run over a group."""
+    return lambda n, q: itertools.islice(enumerate_gl(n, q), 1, None)
+
+
+# What build_channel reports at (q, n, m) = (2, 2, 3) under
+# _drop_first_gl_matrix.
+_NOT_A_PARTITION = "GL image classes 1 and 8 both reach output 1"
+
+
+class TestGLImageClasses:
+    """build_channel's classes of matrices with exactly equal image tallies,
+    and the check that their tallies partition the outputs."""
+
+    @pytest.mark.parametrize("shape", VERIFY_SHAPES + CI_SHAPES, ids=_SHAPE_IDS)
+    def test_classes_partition_the_matrices(self, shape):
+        """Every matrix is in exactly one class, classes are numbered in
+        order of first appearance, and each class is the matrices of one
+        row space.  Each class reaches exactly its own members as outputs,
+        each by |GL| / |class| of GL, so every output is reached once."""
+        q, n, m = shape
+        gl_size, mats, ranks, class_of, outputs, by_rank = oracle._gl_images(n, m, q)
+        assert len(class_of) == len(outputs) == len(mats) == q ** (n * m)
+        members = {}
+        for z, c in enumerate(class_of):
+            members.setdefault(c, []).append(z)
+        assert list(members) == list(range(len(members)))
+        reached = {}
+        for y, (c, mult) in enumerate(outputs):
+            reached.setdefault(c, []).append(y)
+            assert mult * len(members[c]) == gl_size
+        assert reached == members
+        row_spaces = [{reference.rref_basis(mats[z], q) for z in cls} for cls in members.values()]
+        assert all(len(spaces) == 1 for spaces in row_spaces)
+        assert len(set().union(*row_spaces)) == len(members)
+
+    def test_dropped_gl_matrix_is_refused(self, cold_oracle, monkeypatch):
+        """Without one matrix of GL(2, 2) the images of one row space's
+        matrices differ, so their classes overlap in the outputs they reach:
+        the partition check raises, with no assumption that GL is a group."""
+        monkeypatch.setattr(oracle, "enumerate_gl", _drop_first_gl_matrix(oracle.enumerate_gl))
+        params = ChannelParams(2, 2, 3, parse_error_model("binomial:T=2,p=1/10", 2, 2, 3))
+        with pytest.raises(AssertionError) as refused:
+            oracle.build_channel(params)
+        assert str(refused.value) == _NOT_A_PARTITION
+
+    def test_verify_reports_dropped_gl_matrix(self, cold_oracle, monkeypatch, capsys):
+        """cli verify reports the failed partition as one JSON error line
+        and exit 1, a verification failure."""
+        from gammacap import cli
+
+        monkeypatch.setattr(oracle, "enumerate_gl", _drop_first_gl_matrix(oracle.enumerate_gl))
+        code = cli.main(
+            ["verify", "--q", "2", "--n", "2", "--m", "3", "--error", "binomial:T=2,p=1/10"]
+        )
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            json.dumps({"error": _NOT_A_PARTITION, "exit_code": 1}, sort_keys=True)
+        ]
 
 
 def _rank_uniform_start(inputs, q, rank_probs):
