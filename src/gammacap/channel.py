@@ -12,12 +12,17 @@ convention applies throughout.  An exact sum adds integer numerators over
 one common denominator and makes one Fraction per result entry: the error
 weights of ChannelParams, rho_avg's kernel, output_rank_distribution for an
 exact law and input, and the check that an exact RankDistribution sums to 1.
+
+Outside text is checked where it enters, by _exact_numbers and _int_token,
+against one grammar and one size rule before Fraction or int sees a token.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
@@ -36,6 +41,7 @@ Numeric = Union[int, float, Fraction]
 Kernel = Tuple[Tuple[Tuple[int, ...], int], ...]
 
 _SUM_TOLERANCE = 1e-12
+_SIX_DIGITS = decimal.Context(prec=6, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
 def ordered_sum(values: Iterable[Numeric]) -> Numeric:
@@ -51,52 +57,17 @@ def ordered_sum(values: Iterable[Numeric]) -> Numeric:
 def _short_str(value: Union[int, Fraction], near: int = 0) -> str:
     """An exact value as a short string: itself when its numerator and
     denominator are below 10**40, else near plus or minus its distance from
-    near (the signed distance alone when near is 0), as :func:`_sig6` prints
-    it.  str() of a Fraction with thousands of digits would raise the
-    interpreter's int-to-str digit limit instead."""
+    near (the signed distance alone when near is 0), to 6 significant digits
+    as decimal prints them, at any exponent.  str() of a Fraction with
+    thousands of digits would raise the interpreter's int-to-str limit."""
     a, b = value.numerator, value.denominator
     if max(abs(a), b) < 10**40:
         return str(value)
     a -= near * b
-    shown = _sig6(abs(a), b)
+    shown = str(_SIX_DIGITS.divide(abs(a), b))
     if near:
         return f"{near} {'-' if a < 0 else '+'} {shown}"
     return f"-{shown}" if a < 0 else shown
-
-
-def _sig6(a: int, b: int) -> str:
-    """a / b > 0 to 6 significant digits, rounded half to even, in the
-    digits decimal.Decimal(a) / b prints at precision 6: an exact quotient
-    drops its trailing zeros after the point, and the E form is used when
-    the exponent is positive or the value is below 1e-6.  Every division
-    has a quotient of 6 digits, so it costs time linear in the ints' size;
-    Decimal of a huge int is quadratic."""
-    e = math.floor(math.log10(a) - math.log10(b)) - 5  # the 6th digit's place
-    while True:
-        num, den = (a * 10**-e, b) if e < 0 else (a, b * 10**e)
-        c, r = divmod(num, den)
-        if c < 10**5:
-            e -= 1
-        elif c >= 10**6:
-            e += 1
-        else:
-            break
-    if r == 0:
-        while e < 0 and c % 10 == 0:
-            c, e = c // 10, e + 1
-    elif 2 * r > den or 2 * r == den and c % 2:
-        c += 1
-        if c == 10**6:
-            c, e = 10**5, e + 1
-    digits = str(c)
-    point = len(digits) + e  # digits before the decimal point
-    if e == 0:
-        return digits
-    if e < 0 and point > -6:
-        return digits[:point] + "." + digits[point:] if point > 0 else (
-            "0." + "0" * -point + digits
-        )
-    return digits[0] + ("." + digits[1:] if len(digits) > 1 else "") + f"E{point - 1:+d}"
 
 
 def _is_exact(value: Numeric) -> bool:
@@ -459,19 +430,43 @@ def empirical_model(probs: Sequence[Numeric], n: int, m: int) -> RankDistributio
 #: a/b with b > 0 or a decimal, in ASCII digits.  Fraction() alone also takes
 #: non-ASCII digits, 1_0 from 3.11 on and 1 / 2 from 3.12 on.  The decimals
 #: alone are the CLI's --tol, where float() would take 1_0 and inf as well.
+#: _exact_numbers checks it and _MAX_DIGITS before a token reaches Fraction.
 _DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 _EXACT_NUMBER = re.compile(r"[+-]?\d+/0*[1-9]\d*|" + _DECIMAL.pattern, re.ASCII)
-_DIGITS = re.compile(r"\d+", re.ASCII)  # t=, T= and the CLI's integer flags
+
+#: The size rule: one outside text's numbers (an error spec, ranks --input)
+#: hold at most this many digits in all, and an integer token at most this
+#: many.  It is the interpreter's int-to-str limit, 4 300, so every number
+#: parsed, and the lcm of a law's denominators, prints back in a moment.
+_MAX_DIGITS = sys.int_info.default_max_str_digits
 
 
 def _exact_numbers(text: str, source: str) -> List[Fraction]:
     """The comma-separated tokens of ``text``, trimmed at their ends, as exact
-    Fractions (0.1 is 1/10); each must match :data:`_EXACT_NUMBER`."""
+    Fractions (0.1 is 1/10); each must match :data:`_EXACT_NUMBER`.  Together
+    they hold at most :data:`_MAX_DIGITS` digits, a decimal adding the
+    magnitude of its exponent, read to one digit more than the bound has."""
     tokens = [token.strip() for token in text.split(",")]
+    size = 0
     for token in tokens:
         if not _EXACT_NUMBER.fullmatch(token):
             raise ValueError(f"malformed number {token!r} in {source}")
+        digits, _, exponent = token.lower().partition("e")
+        exponent = exponent.lstrip("+-0")[: len(str(_MAX_DIGITS)) + 1] or 0
+        size += sum(map(str.isdigit, digits)) + int(exponent)
+    if size > _MAX_DIGITS:
+        raise ValueError(f"numbers in {source} hold more than {_MAX_DIGITS} digits in all")
     return [Fraction(token) for token in tokens]
+
+
+def _int_token(text: str) -> int:
+    """t=, T= or a CLI integer flag: ASCII digits only, where int() would also
+    take 1_6 and non-ASCII digits, and at most :data:`_MAX_DIGITS` of them."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"takes ASCII digits only, got {text!r}")
+    if len(text) > _MAX_DIGITS:
+        raise ValueError(f"takes at most {_MAX_DIGITS} digits, got {len(text)}")
+    return int(text)
 
 
 def parse_error_model(spec: str, q: int, n: int, m: int) -> RankDistribution:
@@ -504,10 +499,10 @@ def parse_error_model(spec: str, q: int, n: int, m: int) -> RankDistribution:
     def _take_int(key: str) -> int:
         if key not in kwargs:
             raise ValueError(f"{kind} model needs {key}= in {spec!r}")
-        value = kwargs.pop(key)
-        if not _DIGITS.fullmatch(value):
-            raise ValueError(f"{key} takes ASCII digits only, got {value!r} in {spec!r}")
-        return int(value)
+        try:
+            return _int_token(kwargs.pop(key))
+        except ValueError as refused:
+            raise ValueError(f"{key} {refused} in {spec!r}") from None
 
     if kind == "constant":
         result = constant_rank_model(_take_int("t"), n, m)

@@ -54,8 +54,8 @@ from .channel import (
     output_rank_distribution,
     parse_error_model,
     _exact_numbers,
+    _int_token,
     _DECIMAL,
-    _DIGITS,
 )
 from .solver import CapacityResult, SolverConfig, maximize
 
@@ -111,11 +111,12 @@ def _int_str(k: int) -> str:
 
 
 def _int_flag(text: str) -> int:
-    """An integer flag, read as t= and T= of an error model are: ASCII digits
-    only, where argparse's int would also take 1_6 and non-ASCII digits."""
-    if not _DIGITS.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"takes ASCII digits only, got {text!r}")
-    return int(text)
+    """An integer flag, read by :func:`channel._int_token`, whose refusal
+    argparse prints as it stands when raised as an ArgumentTypeError."""
+    try:
+        return _int_token(text)
+    except ValueError as refused:
+        raise argparse.ArgumentTypeError(str(refused)) from None
 
 
 def _float_flag(text: str) -> float:

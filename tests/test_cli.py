@@ -12,6 +12,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -399,15 +400,17 @@ class TestErrormodelCommand:
 
     def test_sum_past_the_int_digit_limit_is_reported(self, capsys):
         """The message used to be the interpreter's 4 300-digit limit, raised
-        while the 5 001-digit sum was put into it."""
-        code, out, err = run_cli(
-            capsys, "errormodel", "--q", "2", "--n", "2", "--m", "2",
-            "--error", "empirical:1e-5000,1",
-        )
-        assert code == 2 and out == ""
-        assert stderr_diagnostic(err)["error"] == (
-            "exact probabilities sum to 1 + 1E-5000, not 1"
-        )
+        while the 5 001-digit sum was put into it.  Those 5 001 digits are now
+        past the size rule; a sum of 4 001 digits still gets its short form."""
+        for spec, message in (
+            ("empirical:1e-5000,1", "numbers in 'empirical:1e-5000,1' hold more than 4300 digits in all"),
+            ("empirical:1e-4000,1", "exact probabilities sum to 1 + 1E-4000, not 1"),
+        ):
+            code, out, err = run_cli(
+                capsys, "errormodel", "--q", "2", "--n", "2", "--m", "2", "--error", spec,
+            )
+            assert code == 2 and out == ""
+            assert stderr_diagnostic(err)["error"] == message
 
     def test_unknown_kind_exit_2(self, capsys):
         code, _, err = run_cli(
@@ -416,6 +419,58 @@ class TestErrormodelCommand:
         )
         assert code == 2
         assert "unknown" in stderr_diagnostic(err)["error"]
+
+    @pytest.mark.parametrize(
+        "shape, spec",
+        [
+            ((2, 2), "empirical:1e-300000,1"),
+            ((2, 2), "empirical:1e-3000000,1"),
+            ((2, 2), "binomial:T=1,p=1e100000"),
+            ((2, 2), "binomial:T=1,p=1e3000000"),
+            ((4, 4), "binomial:T=4,p=1e-30000"),
+            ((64, 64), "empirical:" + ",".join(f"1/{10**4299 + i}" for i in range(65))),
+        ],
+        ids=["sum-1e-300000", "sum-1e-3000000", "p-1e100000", "p-1e3000000", "p-1e-30000",
+             "65-tokens"],
+    )
+    def test_numbers_past_the_size_rule_are_refused_at_once(self, capsys, shape, spec):
+        """Each spelling holds more than 4 300 digits in all, a decimal
+        counting its exponent.  Fraction used to build 10**3000000 before
+        the refusal (about 2 s); p=1e-30000 was accepted, and a capacity run
+        took 4.8 s to print the capacity of p=1e-1000; the 65 tokens, whose
+        denominators have an lcm of about 280 000 digits, took 3 s to be
+        refused as not summing to 1."""
+        n, m = map(str, shape)
+        start = time.process_time()
+        code, out, err = run_cli(capsys, "errormodel", "--q", "2", "--n", n, "--m", m, "--error", spec)
+        cpu = time.process_time() - start
+        assert code == 2 and out == ""
+        assert stderr_diagnostic(err)["error"] == (
+            f"numbers in {spec!r} hold more than 4300 digits in all"
+        )
+        assert cpu < 0.1
+
+    def test_numbers_within_the_size_rule_keep_their_law(self, capsys):
+        """p = 1e-4000 holds 4 001 digits; its law is read as before: the
+        rank-0 probability is (1 - p + p/16)^4 at (2, 4, 4)."""
+        code, doc = run_json(
+            capsys, "errormodel", "--q", "2", "--n", "4", "--m", "4",
+            "--error", "binomial:T=4,p=1e-4000",
+        )
+        p = Fraction(1, 10**4000)
+        assert code == 0
+        assert doc["result"]["rank_probabilities_exact"][0] == cli._fraction_str(
+            (1 - p + p / 16) ** 4
+        )
+
+    def test_integer_token_past_the_limit_is_refused(self, capsys):
+        """int() refused 5 000 digits with the interpreter's own message."""
+        spec = "constant:t=" + "9" * 5000
+        code, out, err = run_cli(capsys, "errormodel", "--q", "2", "--n", "2", "--m", "2", "--error", spec)
+        assert code == 2 and out == ""
+        assert stderr_diagnostic(err)["error"] == (
+            f"t takes at most 4300 digits, got 5000 in {spec!r}"
+        )
 
 
 class TestVerifyCommand:
@@ -621,6 +676,18 @@ class TestFlagsPerCommand:
         assert code == 2 and out == ""
         assert stderr_diagnostic(err) == {
             "error": f"argument {flag}: takes ASCII digits only, got {value!r}",
+            "exit_code": 2,
+        }
+
+    def test_integer_flag_past_the_limit_is_refused(self, capsys):
+        """int() raised a plain ValueError inside argparse, whose message
+        named the private type function: "invalid _int_flag value"."""
+        code, out, err = run_cli(
+            capsys, "capacity", "--q", "9" * 5000, "--n", "2", "--m", "2", "--error", "iid:t=1",
+        )
+        assert code == 2 and out == ""
+        assert stderr_diagnostic(err) == {
+            "error": "argument --q: takes at most 4300 digits, got 5000",
             "exit_code": 2,
         }
 

@@ -6,8 +6,9 @@ earlier one (digit separators from 3.11, spaces around the slash from 3.12),
 and non-ASCII digits on all of them; float() takes digit separators, non-ASCII
 digits, inf and nan.  The spec checks each token against one grammar first,
 and --tol against its decimals, so a spelling is read, or refused, the same
-everywhere.  The table runs under pytest and also as a plain script, for an
-interpreter without pytest:
+everywhere.  It also pins the size rule: the numbers of one text hold at most
+4 300 digits in all, and an integer token at most 4 300.  The table runs under
+pytest and also as a plain script, for an interpreter without pytest:
 
     PYTHONPATH=src python tests/test_number_grammar.py
 """
@@ -18,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from gammacap.channel import _EXACT_NUMBER, _exact_numbers, parse_error_model
-from gammacap.cli import _float_flag
+from gammacap.cli import _float_flag, _int_flag
 
 
 def _number(token):
@@ -29,6 +30,24 @@ def _number(token):
 def _constant_rank(spec):
     """The rank of a constant error law on 16 x 16 matrices over F_2."""
     return parse_error_model(spec, 2, 16, 16).probs.index(1)
+
+
+def _numbers(text):
+    """The numbers of one comma-separated text, as ranks --input reads them."""
+    return tuple(_exact_numbers(text, "--input"))
+
+
+def _rank_zero(spec):
+    """P(rank 0) of an error law on 4 x 4 matrices over F_2."""
+    return parse_error_model(spec, 2, 4, 4).probs[0]
+
+
+def _integer_flag(text):
+    """An integer flag as the CLI reads it, a refusal raised as a ValueError."""
+    try:
+        return _int_flag(text)
+    except argparse.ArgumentTypeError as refused:
+        raise ValueError(refused) from None
 
 
 def _tolerance(text):
@@ -53,9 +72,36 @@ SPELLINGS = (
     (_number, "1/0", None),
     (_number, "0x10", None),
     (_number, "", None),
+    # The size rule: at most 4 300 digits in one text, a decimal counting
+    # the magnitude of its exponent, an a/b token both halves.
+    (_number, "1e-4000", Fraction(1, 10**4000)),
+    (_number, "1e-000000000000000000001", Fraction(1, 10)),
+    (_number, "1e-30000", None),
+    (_number, "1e-300000", None),
+    (_number, "1e-3000000", None),
+    (_number, "1e100000", None),
+    (_number, "1e3000000", None),
+    (_number, "1e-" + "9" * 5000, None),
+    (_numbers, "1/" + "7" * 4299, (Fraction(1, int("7" * 4299)),)),
+    (_numbers, "1/" + "7" * 4300, None),
+    (_numbers, ",".join(f"1/{10**4299 + i}" for i in range(65)), None),
+    (_numbers, "1e-2149,1e-2149", (Fraction(1, 10**2149),) * 2),
+    (_numbers, "1e-2150,1e-2149", None),
+    (_rank_zero, "binomial:T=4,p=1e-4000", (1 - Fraction(15, 16 * 10**4000)) ** 4),
+    (_rank_zero, "binomial:T=4,p=1e-30000", None),
+    (_rank_zero, "binomial:T=1,p=1e100000", None),
+    (_rank_zero, "binomial:T=1,p=1e3000000", None),
+    (_rank_zero, "empirical:1e-4000,1", None),
+    (_rank_zero, "empirical:1e-300000,1", None),
+    (_rank_zero, "empirical:1e-3000000,1", None),
     (_constant_rank, "constant:t=3", 3),
     (_constant_rank, "constant:t=1_0", None),
     (_constant_rank, "constant:t=\N{ARABIC-INDIC DIGIT THREE}", None),
+    (_constant_rank, "constant:t=" + "0" * 4299 + "3", 3),
+    (_constant_rank, "constant:t=" + "9" * 5000, None),
+    (_integer_flag, "16", 16),
+    (_integer_flag, "9" * 4300, int("9" * 4300)),
+    (_integer_flag, "9" * 5000, None),
     (_tolerance, "1e-9", 1e-9),
     (_tolerance, "1E-9", 1e-9),
     (_tolerance, "0.0001", 1e-4),
