@@ -15,6 +15,8 @@ exact law and input, and the check that an exact RankDistribution sums to 1.
 
 Outside text is checked where it enters, by _exact_numbers and _int_token,
 against one grammar and one size rule before Fraction or int sees a token.
+A refusal quotes outside text through exactcomb._excerpt: whole up to 60
+characters, else its first 60 and its length.
 """
 
 from __future__ import annotations
@@ -27,15 +29,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
+# qbinom_ext is unused here; perfbench/tracing.py counts calls through this name.
 from .exactcomb import (
     qbinom_ext,
     validate_field_order,
     _check_args,
+    _excerpt,
     _count_rank_matrices as count_rank_matrices,
     _NO_FIELD,
 )
 # Unchecked kernels: ChannelParams validates q, n and m; every rank is loop-bounded.
-from .matrixfn import _f0 as f0, _f1 as f1, _f2 as f2
+from .matrixfn import _f0 as f0, _f1 as f1, _f2 as f2, _meet_count as meet_count
 
 Numeric = Union[int, float, Fraction]
 Kernel = Tuple[Tuple[Tuple[int, ...], int], ...]
@@ -284,11 +288,14 @@ def h_r(params: ChannelParams) -> Tuple[float, ...]:
     r = 0..min(n, m): the vector (h_0, ..., h_min(n, m)).
 
     The sum for rank r runs over row-space classes of the output, labelled by
-    (v, h) = (dim V, dim((U+V)/V)) against U = row(M): each class holds
-    weight-many spaces V, each reached with the same probability p(v, h),
-    and conditioned on row(A(M+B)) = V the output is uniform over the
-    f0(v) matrices with that row space.  A class is reached only by error
-    ranks max(h, v + h - r) <= rB <= v + h: row B lies in U + V, while
+    (v, h) = (dim V, dim((U+V)/V)) against U = row(M).  Class (v, h) holds
+    the spaces V that meet U in dimension r - h, q^(j h) [m - r, j]_q
+    [r, r - h]_q of them with j = v - r + h: its weight, read from
+    matrixfn._meet_count(m, r, v, r - h), whose entries f2 reads again.
+    Each V is reached with the same probability p(v, h), and conditioned on
+    row(A(M+B)) = V the output is uniform over the f0(v) matrices with that
+    row space.  A class is reached only by error ranks
+    max(h, v + h - r) <= rB <= v + h: row B lies in U + V, while
     U <= V + row B and V <= U + row B; f1 is 0 for every other rB.
 
     Classes come in mirror pairs, f0(u) f1(u, v, h) = f0(v) f1(v, u,
@@ -311,28 +318,19 @@ def h_r(params: ChannelParams) -> Tuple[float, ...]:
     lo, hi, qn = support[0][0], support[-1][0], q**n
     log_f0 = [math.log2(f0(v, n, m, q)) for v in range(k)]
     h_vec = [0.0] * k
-    weights: List[Tuple[List[int], List[int]]] = []
     factors: List[int] = []
 
     def add(r: int, v: int, h: int, numerator: int) -> None:
-        # The class weight q^(j h) [m - r, j]_q [r, r - h]_q, j = v - r + h.
         # log2 p(v, h) from its numerator and denominator in lowest terms;
         # the Fraction is never built.  The class mass weight * p(v, h) by
         # one correctly rounded integer division: weight alone can pass the
         # float range.
-        outer, inner = weights[r]
-        j = v - r + h
         g = math.gcd(numerator, denominator)
         log_p_vh = math.log2(numerator // g) - math.log2(denominator // g)
-        mass = q ** (j * h) * outer[j] * inner[h] * numerator / denominator
+        mass = meet_count(m, r, v, r - h, q) * numerator / denominator
         h_vec[r] += mass * (log_f0[v] - log_p_vh)
 
     for u in range(k):
-        # The class weight's two Gaussian binomials, by j and by h.
-        weights.append((
-            [qbinom_ext(m - u, j, q) for j in range(m - u + 1)],
-            [qbinom_ext(u, u - h, q) for h in range(u + 1)],
-        ))
         # factors[v] = f0(u) / f0(v).
         factors = [f * (qn - q ** (u - 1)) for f in factors] + [1]
         for v in range(u + 1):
@@ -445,12 +443,13 @@ def _exact_numbers(text: str, source: str) -> List[Fraction]:
     """The comma-separated tokens of ``text``, trimmed at their ends, as exact
     Fractions (0.1 is 1/10); each must match :data:`_EXACT_NUMBER`.  Together
     they hold at most :data:`_MAX_DIGITS` digits, a decimal adding the
-    magnitude of its exponent, read to one digit more than the bound has."""
+    magnitude of its exponent, read to one digit more than the bound has.
+    A refusal names the text by ``source``, as the caller quotes it."""
     tokens = [token.strip() for token in text.split(",")]
     size = 0
     for token in tokens:
         if not _EXACT_NUMBER.fullmatch(token):
-            raise ValueError(f"malformed number {token!r} in {source}")
+            raise ValueError(f"malformed number {_excerpt(repr(token))} in {source}")
         digits, _, exponent = token.lower().partition("e")
         exponent = exponent.lstrip("+-0")[: len(str(_MAX_DIGITS)) + 1] or 0
         size += sum(map(str.isdigit, digits)) + int(exponent)
@@ -463,7 +462,7 @@ def _int_token(text: str) -> int:
     """t=, T= or a CLI integer flag: ASCII digits only, where int() would also
     take 1_6 and non-ASCII digits, and at most :data:`_MAX_DIGITS` of them."""
     if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"takes ASCII digits only, got {text!r}")
+        raise ValueError(f"takes ASCII digits only, got {_excerpt(repr(text))}")
     if len(text) > _MAX_DIGITS:
         raise ValueError(f"takes at most {_MAX_DIGITS} digits, got {len(text)}")
     return int(text)
@@ -481,28 +480,29 @@ def parse_error_model(spec: str, q: int, n: int, m: int) -> RankDistribution:
 
     Decimal arguments are parsed exactly (0.1 means 1/10).
     """
+    source = _excerpt(repr(spec))
     kind, _, argpart = spec.partition(":")
     kind = kind.strip()
     if kind == "empirical":
-        return empirical_model(_exact_numbers(argpart, repr(spec)), n, m)
+        return empirical_model(_exact_numbers(argpart, source), n, m)
     kwargs = {}
     if argpart:
         for tok in argpart.split(","):
             key, eq, val = tok.partition("=")
             if not eq:
-                raise ValueError(f"malformed argument {tok!r} in {spec!r}")
+                raise ValueError(f"malformed argument {_excerpt(repr(tok))} in {source}")
             key = key.strip()
             if key in kwargs:
-                raise ValueError(f"duplicate argument {key!r} in {spec!r}")
+                raise ValueError(f"duplicate argument {_excerpt(repr(key))} in {source}")
             kwargs[key] = val.strip()
 
     def _take_int(key: str) -> int:
         if key not in kwargs:
-            raise ValueError(f"{kind} model needs {key}= in {spec!r}")
+            raise ValueError(f"{kind} model needs {key}= in {source}")
         try:
             return _int_token(kwargs.pop(key))
         except ValueError as refused:
-            raise ValueError(f"{key} {refused} in {spec!r}") from None
+            raise ValueError(f"{key} {refused} in {source}") from None
 
     if kind == "constant":
         result = constant_rank_model(_take_int("t"), n, m)
@@ -511,15 +511,15 @@ def parse_error_model(spec: str, q: int, n: int, m: int) -> RankDistribution:
     elif kind == "binomial":
         big_t = _take_int("T")
         if "p" not in kwargs:
-            raise ValueError(f"binomial model needs p= in {spec!r}")
-        (p,) = _exact_numbers(kwargs.pop("p"), repr(spec))
+            raise ValueError(f"binomial model needs p= in {source}")
+        (p,) = _exact_numbers(kwargs.pop("p"), source)
         result = binomial_packets_model(big_t, p, q, n, m)
     else:
         raise ValueError(
-            f"unknown error model kind {kind!r}; expected constant, iid, "
+            f"unknown error model kind {_excerpt(repr(kind))}; expected constant, iid, "
             f"binomial or empirical"
         )
     if kwargs:
-        raise ValueError(f"unknown arguments {sorted(kwargs)} in {spec!r}")
+        raise ValueError(f"unknown arguments {_excerpt(str(sorted(kwargs)))} in {source}")
     return result
 

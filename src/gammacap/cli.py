@@ -57,6 +57,7 @@ from .channel import (
     _int_token,
     _DECIMAL,
 )
+from .exactcomb import _excerpt
 from .solver import CapacityResult, SolverConfig, maximize
 
 log = logging.getLogger("gammacap.cli")
@@ -125,7 +126,7 @@ def _float_flag(text: str) -> float:
     nan.  SolverConfig then checks that the value is positive and finite."""
     if not _DECIMAL.fullmatch(text):
         raise argparse.ArgumentTypeError(
-            f"takes a finite decimal number in ASCII digits, got {text!r}"
+            f"takes a finite decimal number in ASCII digits, got {_excerpt(repr(text))}"
         )
     return float(text)
 
@@ -257,7 +258,7 @@ def _cmd_matrixfn(args: argparse.Namespace, params: None, solver: None) -> _Repo
 
 
 def _cmd_ranks(args: argparse.Namespace, params: ChannelParams, solver: None) -> _Report:
-    probs = _exact_numbers(args.input, f"--input {args.input!r}")
+    probs = _exact_numbers(args.input, f"--input {_excerpt(repr(args.input))}")
     input_ranks = empirical_model(probs, params.n, params.m)
     out = output_rank_distribution(input_ranks, params)
     result = {

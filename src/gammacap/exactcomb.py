@@ -9,14 +9,16 @@ Conventions:
   :data:`_MR_EXACT_BELOW`, about 3.3e24).
 - Combinatorially impossible but well-formed requests return 0, because the
   higher-level summations rely on out-of-range terms vanishing.
-- The kernels qbinom_ext (the q-Pascal rule, with no division)
-  and _count_rank_matrices check nothing; the public functions check first.
+- The kernels qbinom_ext (the q-Pascal rule, with no division, each
+  [m, d]_q formed once and kept only in the dict _PASCAL) and
+  _count_rank_matrices check nothing; the public functions check first.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 #: Dimensions above this are refused so exponents like q**(n*m) stay tractable.
 MAX_DIMENSION = 64
@@ -25,6 +27,19 @@ MAX_DIMENSION = 64
 #: below this bound (Sorenson and Webster, 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+#: How many characters of an outside text a refusal quotes.
+_QUOTED_CHARS = 60
+
+
+def _excerpt(text: str) -> str:
+    """``text`` as a refusal quotes it: whole when at most
+    :data:`_QUOTED_CHARS` long, else its first _QUOTED_CHARS characters and
+    then its length, so that a refusal is one short line whatever the input."""
+    if len(text) <= _QUOTED_CHARS:
+        return text
+    return f"{text[:_QUOTED_CHARS]}... ({len(text)} characters)"
 
 
 def _iroot(q: int, k: int) -> int:
@@ -60,27 +75,63 @@ def _is_prime(r: int) -> bool:
             return False
     if r >= _MR_EXACT_BELOW:
         raise ValueError(
-            f"cannot certify that {r} is prime: Miller-Rabin is exact only below {_MR_EXACT_BELOW}"
+            f"cannot certify that {_excerpt(str(r))} is prime: "
+            f"Miller-Rabin is exact only below {_MR_EXACT_BELOW}"
         )
     return True
+
+
+#: The least prime not in :data:`_MR_BASES`: every root of a q that no base
+#: divides is at least this.
+_LEAST_ROOT = 43
+
+
+def _exact_root(q: int, k: int) -> Optional[int]:
+    """The k-th root of q when q is an exact k-th power, else None, for a
+    prime k.  A k-th power is a k-th power residue modulo every prime
+    p = 1 (mod k), so three such p screen q first, each by one pow modulo
+    p; only a q that passes all three pays for the integer root."""
+    found, p = 0, 1
+    while found < 3:
+        p += 2 * k
+        if _is_prime(p):
+            found += 1
+            if pow(q % p, (p - 1) // k, p) > 1:
+                return None
+    r = _iroot(q, k)
+    return r if r**k == q else None
 
 
 @lru_cache(maxsize=256)
 def is_prime_power(q: int) -> bool:
     """True iff q = p**k for a prime p and k >= 1.
 
-    q = p**k exactly when the root r of the largest k for which q is an
-    exact k-th power is prime (r = p); any other q has a root with two
-    prime factors.  So the cost is polynomial in log q: one integer root
-    per k <= log2 q and one primality test, which refuses a probable prime
-    root it cannot certify (:func:`_is_prime`).  Memoized: every exact count
-    validates its field order on entry."""
+    If a prime p of :data:`_MR_BASES` divides q, q is a prime power exactly
+    when it is a power of p.  Otherwise every root of q is at least
+    :data:`_LEAST_ROOT`, and q is replaced by its k-th root while it is an
+    exact k-th power for a prime k with _LEAST_ROOT**k <= q
+    (:func:`_exact_root`).  What is left is the root of q that is no exact
+    power, and q = p**k exactly when that root is prime.  So the cost is
+    polynomial in log q: a residue screen per prime exponent, an integer
+    root only where the screen passes, and one primality test, which
+    refuses a probable prime root it cannot certify (:func:`_is_prime`).
+    Memoized: every exact count validates its field order on entry."""
     if q < 2:
         return False
-    for k in range(q.bit_length() - 1, 1, -1):
-        r = _iroot(q, k)
-        if r**k == q:
-            return _is_prime(r)
+    for p in _MR_BASES:
+        if q % p == 0:
+            # A power of p is p**e with e the rounded log; floats are off by
+            # far less than 1/2 for every e that fits in memory.
+            return p ** round(math.log(q, p)) == q
+    k = 2
+    while _LEAST_ROOT**k <= q:
+        root = _exact_root(q, k)
+        if root is not None:
+            q = root
+            continue
+        k += 1
+        while not _is_prime(k):
+            k += 1
     return _is_prime(q)
 
 
@@ -89,7 +140,7 @@ def validate_field_order(q: int) -> int:
     if not isinstance(q, int) or isinstance(q, bool):
         raise ValueError(f"field order must be an int, got {q!r}")
     if not is_prime_power(q):
-        raise ValueError(f"field order must be a prime power >= 2, got {q}")
+        raise ValueError(f"field order must be a prime power >= 2, got {_excerpt(str(q))}")
     return q
 
 
@@ -142,32 +193,30 @@ def qbinom(m: int, d: int, q: int) -> int:
     return qbinom_ext(m, d, q)
 
 
-@lru_cache(maxsize=None)
+#: Every [m, d]_q that qbinom_ext has formed, keyed by (m, d, q): the one
+#: cache of the Gaussian binomials.
+_PASCAL: Dict[Tuple[int, int, int], int] = {}
+
+
 def qbinom_ext(m: int, d: int, q: int) -> int:
     """The Gaussian binomial [m, d]_q, extended by 0 to every out-of-range
-    argument, and cached.  It checks no argument: qbinom and
-    count_rank_matrices check theirs before they read it.
+    argument.  It checks no argument: qbinom and count_rank_matrices check
+    theirs before they read it.
 
     Interior summations index over wide ranges and rely on impossible
     configurations contributing nothing, so negative or oversized arguments
     give 0 instead of raising.  In range it reads [m, d] from
-    :func:`_q_pascal`.
-    """
-    if d < 0 or d > m:
-        return 0
-    return _q_pascal(m, d, q)
-
-
-#: Every [m, d]_q that _q_pascal has formed, keyed by (m, d, q).
-_PASCAL: Dict[Tuple[int, int, int], int] = {}
-
-
-def _q_pascal(m: int, d: int, q: int) -> int:
-    """[m, d]_q for 0 <= d <= m by the q-Pascal rule
+    :data:`_PASCAL`, and on a miss fills it by the q-Pascal rule
     [m, d] = [m-1, d-1] + q^d [m-1, d], with no division.  A stack of the
     entries still to form stands in for recursion: it goes down a row only
     to an entry not yet in _PASCAL, so a cold call of any m forms each
-    missing entry once, as the recursion did, and recurses not at all."""
+    missing entry once and recurses not at all.
+    """
+    if d < 0 or d > m:
+        return 0
+    value = _PASCAL.get((m, d, q))
+    if value is not None:
+        return value
     todo = [(m, d)]
     while todo:
         k, j = todo[-1]

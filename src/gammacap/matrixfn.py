@@ -38,9 +38,10 @@ def _meet_count(N: int, k: int, d: int, a: int, q: int) -> int:
 
     q^((d-a)(k-a)) * qbinom(N-k, d-a) * qbinom(k, a): the a-dim meet inside
     the k-space, the (d-a)-dim image in the quotient by the k-space, and one
-    of q^((d-a)(k-a)) lifts of that image.  Callers keep 0 <= a <= min(d, k).
-    Cached as qbinom_ext is: f2 asks for the same count once per supported
-    error rank.
+    of q^((d-a)(k-a)) lifts of that image.  Callers keep 0 <= a <= min(d, k)
+    and d - a <= N - k.  Cached: it is the class weight of channel.h_r,
+    _meet_count(m, r, v, r - h) for class (v, h) at input rank r, and f2
+    then asks for the same counts once per supported error rank.
     """
     return q ** ((d - a) * (k - a)) * qbinom_ext(N - k, d - a, q) * qbinom_ext(k, a, q)
 

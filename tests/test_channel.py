@@ -1030,13 +1030,15 @@ class TestChecksOncePerChannel:
             max(r, rX, rB) <= min(n, m) and abs(r - rX) <= rB <= r + rX
         ),
         "count_rank_matrices": lambda n, m, r: r <= min(n, m),
+        "meet_count": lambda N, k, d, a: 0 <= a <= min(d, k) and d - a <= N - k,
     }
 
     def test_every_kernel_call_is_in_band(self, monkeypatch):
         """The kernels hold no range guard, so the workspace builds and an
         output law must ask each of them only for what its public function
-        would pass on: channel's f0, f1, f2 and count_rank_matrices, and
-        matrixfn._f1, which _f2 reads, each in its range and band."""
+        would pass on: channel's f0, f1, f2 and count_rank_matrices,
+        h_r's class weights meet_count, and matrixfn._f1 and _meet_count,
+        which _f2 reads, each in its range and band."""
         calls, outside = {}, []
 
         def in_band(module, attr, band):
@@ -1055,6 +1057,7 @@ class TestChecksOncePerChannel:
         for name, band in self.IN_BAND.items():
             in_band(channel, name, band)
         in_band(matrixfn, "_f1", self.IN_BAND["f1"])
+        in_band(matrixfn, "_meet_count", self.IN_BAND["meet_count"])
         for channel_args in self.CHANNELS:
             solver._Workspace(_params(*channel_args))
         params = _params(2, 24, 24, "iid:t=24")
@@ -1062,9 +1065,11 @@ class TestChecksOncePerChannel:
         assert outside == []
         # The output law adds 25 class sizes for its error law and 25 for
         # its ChannelParams, and 4 147 f2 calls for its 325 kernel entries.
+        # h_r reads one class weight per class it adds, and _f2 one meet
+        # count per _f1 term.
         assert calls == {
             "f0": 265, "f1": 3054, "f2": 1627 + 4147, "count_rank_matrices": 370 + 50,
-            "_f1": 18433,
+            "_f1": 18433, "meet_count": 2751, "_meet_count": 18433,
         }
 
 

@@ -46,6 +46,13 @@ def env_with_this_gammacap():
     return env
 
 
+def quoted(text):
+    """A spec as a refusal quotes it: its repr, or past 60 characters the
+    repr's first 60 and then the repr's length."""
+    shown = repr(text)
+    return shown if len(shown) <= 60 else f"{shown[:60]}... ({len(shown)} characters)"
+
+
 def stderr_diagnostic(err):
     lines = err.strip().splitlines()
     assert len(lines) == 1
@@ -446,7 +453,7 @@ class TestErrormodelCommand:
         cpu = time.process_time() - start
         assert code == 2 and out == ""
         assert stderr_diagnostic(err)["error"] == (
-            f"numbers in {spec!r} hold more than 4300 digits in all"
+            f"numbers in {quoted(spec)} hold more than 4300 digits in all"
         )
         assert cpu < 0.1
 
@@ -469,7 +476,8 @@ class TestErrormodelCommand:
         code, out, err = run_cli(capsys, "errormodel", "--q", "2", "--n", "2", "--m", "2", "--error", spec)
         assert code == 2 and out == ""
         assert stderr_diagnostic(err)["error"] == (
-            f"t takes at most 4300 digits, got 5000 in {spec!r}"
+            "t takes at most 4300 digits, got 5000 in 'constant:t="
+            + "9" * 48 + "... (5013 characters)"
         )
 
 
@@ -610,6 +618,114 @@ class TestVerifyCommand:
             "error": "|GL|*q^(2nm) = 86586540687360 exceeds the channel budget 16777216",
             "exit_code": 4,
         }
+
+
+class TestRefusalsQuoteABoundedPrefix:
+    """Outside text that a refusal quotes is cut after 60 characters and
+    followed by its length, so every refusal is one short stderr line.  The
+    65-token refusal used to be one line of 279 781 bytes, and the field
+    order refusal printed all 4 300 digits of q."""
+
+    _SHAPE = ("--q", "2", "--n", "2", "--m", "2")
+    _TOKENS = ",".join(f"1/{10**4299 + i}" for i in range(65))
+    _NINES = "9" * 4300
+    _X = "x" * 5000
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("errormodel", "--q", "2", "--n", "64", "--m", "64",
+                 "--error", "empirical:" + _TOKENS),
+                f"numbers in {quoted('empirical:' + _TOKENS)} hold more than 4300 digits"
+                " in all",
+            ),
+            (
+                ("errormodel", *_SHAPE, "--error", "empirical:" + "1_0" * 2000),
+                "malformed number '" + "1_0" * 19 + "1_... (6002 characters) in 'empirical:"
+                + "1_0" * 16 + "1... (6012 characters)",
+            ),
+            (
+                ("errormodel", "--q", _NINES, "--n", "2", "--m", "2", "--error", "constant:t=1"),
+                "field order must be a prime power >= 2, got " + "9" * 60
+                + "... (4300 characters)",
+            ),
+            (
+                ("errormodel", *_SHAPE, "--error", "constant:t=" + _X),
+                "t takes ASCII digits only, got '" + "x" * 59 + "... (5002 characters) in "
+                "'constant:t=" + "x" * 48 + "... (5013 characters)",
+            ),
+            (
+                ("errormodel", *_SHAPE, "--error", _X),
+                "unknown error model kind '" + "x" * 59 + "... (5002 characters); expected "
+                "constant, iid, binomial or empirical",
+            ),
+            (
+                ("errormodel", "--q", "2", "--n", _X, "--m", "2", "--error", "constant:t=1"),
+                "argument --n: takes ASCII digits only, got '" + "x" * 59
+                + "... (5002 characters)",
+            ),
+            (
+                ("ranks", *_SHAPE, "--error", "constant:t=1", "--input", "1_0" * 2000),
+                "malformed number '" + "1_0" * 19 + "1_... (6002 characters) in --input '"
+                + "1_0" * 19 + "1_... (6002 characters)",
+            ),
+            (
+                ("capacity", *_SHAPE, "--error", "constant:t=1", "--tol", _X),
+                "argument --tol: takes a finite decimal number in ASCII digits, got '"
+                + "x" * 59 + "... (5002 characters)",
+            ),
+        ],
+        ids=["65-tokens", "malformed-number", "field-order", "integer-token", "kind",
+             "integer-flag", "ranks-input", "tolerance"],
+    )
+    def test_long_input_is_quoted_by_a_prefix(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.encode()) < 300
+        assert stderr_diagnostic(err)["error"] == message
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("errormodel", *_SHAPE, "--error", "empirical:1_0/2_0,1/2"),
+                "malformed number '1_0/2_0' in 'empirical:1_0/2_0,1/2'",
+            ),
+            (
+                ("errormodel", "--q", "6", "--n", "2", "--m", "2", "--error", "constant:t=1"),
+                "field order must be a prime power >= 2, got 6",
+            ),
+            (
+                ("errormodel", *_SHAPE, "--error", "constant:t=1_6"),
+                "t takes ASCII digits only, got '1_6' in 'constant:t=1_6'",
+            ),
+            (
+                ("errormodel", "--q", "2", "--n", "1_6", "--m", "2", "--error", "constant:t=1"),
+                "argument --n: takes ASCII digits only, got '1_6'",
+            ),
+            (
+                ("capacity", *_SHAPE, "--error", "constant:t=1", "--tol", "1_0e-9"),
+                "argument --tol: takes a finite decimal number in ASCII digits, got '1_0e-9'",
+            ),
+            # A repr of 60 characters is quoted whole, one of 61 is cut.
+            (
+                ("errormodel", *_SHAPE, "--error", "empirical:" + "x" * 48),
+                "malformed number '" + "x" * 48 + "' in 'empirical:" + "x" * 48 + "'",
+            ),
+            (
+                ("errormodel", *_SHAPE, "--error", "empirical:" + "x" * 49),
+                "malformed number '" + "x" * 49 + "' in 'empirical:" + "x" * 49
+                + "... (61 characters)",
+            ),
+        ],
+        ids=["malformed-number", "field-order", "integer-token", "integer-flag", "tolerance",
+             "60-characters", "61-characters"],
+    )
+    def test_short_input_is_quoted_whole(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert stderr_diagnostic(err)["error"] == message
 
 
 class TestFlagsPerCommand:

@@ -7,6 +7,7 @@ otherwise.
 
 import enum
 import hashlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,38 @@ class TestFieldOrder:
     def test_large_field_orders_answer_at_once(self, q, want):
         """Trial division up to sqrt(q) would run for hours on these."""
         assert is_prime_power.__wrapped__(q) is want
+
+    def test_powers_of_primes_past_the_bases(self):
+        """Where no base divides q, each prime exponent is screened by
+        residues before its root is taken: no power of a prime from 43 on
+        may fail the screen, and no power of a product of two may pass."""
+        decide = is_prime_power.__wrapped__
+        primes = [43, 47, 53, 101, 211, 1009, 2**31 - 1]
+        for p, p2 in zip(primes, primes[1:]):
+            for e in range(1, 61):
+                assert decide(p**e), (p, e)
+                assert not decide((p * p2) ** e), (p, p2, e)
+                assert not decide(p**e * p2), (p, p2, e)
+
+    @pytest.mark.parametrize(
+        "q, want, seconds",
+        [
+            (10**4300 - 1, False, 0.1),
+            (2**14000, True, 1.0),
+            (3**9000, True, 1.0),
+            (43**2600, True, 1.0),
+            ((47 * 53) ** 300, False, 1.0),
+        ],
+        ids=["4300-nines", "2^14000", "3^9000", "43^2600", "(47*53)^300"],
+    )
+    def test_orders_of_thousands_of_digits_answer_at_once(self, q, want, seconds):
+        """One integer root per k below log2 q took 17.8 s to refuse the
+        4 300 nines.  A q with a prime factor below 43 is a power of that
+        prime or no prime power; otherwise only prime exponents k with
+        43**k <= q are tried, each screened by residues before its root."""
+        start = time.process_time()
+        assert is_prime_power.__wrapped__(q) is want
+        assert time.process_time() - start < seconds
 
     @pytest.mark.parametrize(
         "q", [2**127 - 1, (2**89 - 1) ** 2], ids=["mersenne-127", "square-of-mersenne-89"]
@@ -246,7 +279,6 @@ class TestQbinom:
         RecursionError; a stack now stands in for the recursion, and every
         entry near either edge of row 1200 is the product form's, read at
         d <= 3 by the symmetry [m, d] = [m, m - d]."""
-        qbinom_ext.cache_clear()
         exactcomb._PASCAL.clear()
         for d in (1, 2, 3, 1197, 1198, 1199):
             assert qbinom_ext(1200, d, q) == reference._gauss(1200, min(d, 1200 - d), q), d
