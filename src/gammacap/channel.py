@@ -15,8 +15,9 @@ exact law and input, and the check that an exact RankDistribution sums to 1.
 
 Outside text is checked where it enters, by _exact_numbers and _int_token,
 against one grammar and one size rule before Fraction or int sees a token.
-A refusal quotes outside text through exactcomb._excerpt: whole up to 60
-characters, else its first 60 and its length.
+A refusal hands each value it names, raw, to exactcomb._excerpt, which
+quotes an int by its digits at any size and anything else by its repr:
+whole up to 60 characters, else its first 60 and its length.
 """
 
 from __future__ import annotations
@@ -98,15 +99,15 @@ class RankDistribution:
         for i, p in enumerate(self.probs):
             if isinstance(p, float):
                 if not math.isfinite(p):
-                    raise ValueError(f"entry {i} is not finite: {p}")
+                    raise ValueError(f"entry {i} is not finite: {_excerpt(p)}")
                 exact, negative = False, p < 0
             elif _is_exact(p):
                 # A Fraction's sign is its numerator's: no Fraction comparison.
                 negative = p.numerator < 0
             else:
-                raise ValueError(f"entry {i} is not a number: {p!r}")
+                raise ValueError(f"entry {i} is not a number: {_excerpt(p)}")
             if negative:
-                raise ValueError(f"entry {i} is negative: {p}")
+                raise ValueError(f"entry {i} is negative: {_excerpt(p)}")
         object.__setattr__(self, "is_exact", exact)
         if exact:
             # Integer numerators over the lcm of the denominators, which sum
@@ -121,7 +122,7 @@ class RankDistribution:
         else:
             total = ordered_sum(self.probs)
             if abs(total - 1) > _SUM_TOLERANCE:
-                raise ValueError(f"probabilities sum to {float(total)!r}, not 1")
+                raise ValueError(f"probabilities sum to {float(total)}, not 1")
 
     @property
     def max_rank(self) -> int:
@@ -449,7 +450,7 @@ def _exact_numbers(text: str, source: str) -> List[Fraction]:
     size = 0
     for token in tokens:
         if not _EXACT_NUMBER.fullmatch(token):
-            raise ValueError(f"malformed number {_excerpt(repr(token))} in {source}")
+            raise ValueError(f"malformed number {_excerpt(token)} in {source}")
         digits, _, exponent = token.lower().partition("e")
         exponent = exponent.lstrip("+-0")[: len(str(_MAX_DIGITS)) + 1] or 0
         size += sum(map(str.isdigit, digits)) + int(exponent)
@@ -462,7 +463,7 @@ def _int_token(text: str) -> int:
     """t=, T= or a CLI integer flag: ASCII digits only, where int() would also
     take 1_6 and non-ASCII digits, and at most :data:`_MAX_DIGITS` of them."""
     if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"takes ASCII digits only, got {_excerpt(repr(text))}")
+        raise ValueError(f"takes ASCII digits only, got {_excerpt(text)}")
     if len(text) > _MAX_DIGITS:
         raise ValueError(f"takes at most {_MAX_DIGITS} digits, got {len(text)}")
     return int(text)
@@ -480,7 +481,7 @@ def parse_error_model(spec: str, q: int, n: int, m: int) -> RankDistribution:
 
     Decimal arguments are parsed exactly (0.1 means 1/10).
     """
-    source = _excerpt(repr(spec))
+    source = _excerpt(spec)
     kind, _, argpart = spec.partition(":")
     kind = kind.strip()
     if kind == "empirical":
@@ -490,10 +491,10 @@ def parse_error_model(spec: str, q: int, n: int, m: int) -> RankDistribution:
         for tok in argpart.split(","):
             key, eq, val = tok.partition("=")
             if not eq:
-                raise ValueError(f"malformed argument {_excerpt(repr(tok))} in {source}")
+                raise ValueError(f"malformed argument {_excerpt(tok)} in {source}")
             key = key.strip()
             if key in kwargs:
-                raise ValueError(f"duplicate argument {_excerpt(repr(key))} in {source}")
+                raise ValueError(f"duplicate argument {_excerpt(key)} in {source}")
             kwargs[key] = val.strip()
 
     def _take_int(key: str) -> int:
@@ -516,10 +517,10 @@ def parse_error_model(spec: str, q: int, n: int, m: int) -> RankDistribution:
         result = binomial_packets_model(big_t, p, q, n, m)
     else:
         raise ValueError(
-            f"unknown error model kind {_excerpt(repr(kind))}; expected constant, iid, "
+            f"unknown error model kind {_excerpt(kind)}; expected constant, iid, "
             f"binomial or empirical"
         )
     if kwargs:
-        raise ValueError(f"unknown arguments {_excerpt(str(sorted(kwargs)))} in {source}")
+        raise ValueError(f"unknown arguments {_excerpt(sorted(kwargs))} in {source}")
     return result
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import decimal
 import functools
 import io
 import json
@@ -57,7 +56,7 @@ from .channel import (
     _int_token,
     _DECIMAL,
 )
-from .exactcomb import _excerpt
+from .exactcomb import _digits, _excerpt
 from .solver import CapacityResult, SolverConfig, maximize
 
 log = logging.getLogger("gammacap.cli")
@@ -104,13 +103,6 @@ def _configure_logging() -> None:
     )
 
 
-def _int_str(k: int) -> str:
-    """The decimal digits of ``k``.  str() of an int refuses more digits than
-    sys.get_int_max_str_digits() allows (4 300 by default); an exact law's
-    entries can have more, and Decimal converts them without that limit."""
-    return str(decimal.Decimal(k))
-
-
 def _int_flag(text: str) -> int:
     """An integer flag, read by :func:`channel._int_token`, whose refusal
     argparse prints as it stands when raised as an ArgumentTypeError."""
@@ -126,7 +118,7 @@ def _float_flag(text: str) -> float:
     nan.  SolverConfig then checks that the value is positive and finite."""
     if not _DECIMAL.fullmatch(text):
         raise argparse.ArgumentTypeError(
-            f"takes a finite decimal number in ASCII digits, got {_excerpt(repr(text))}"
+            f"takes a finite decimal number in ASCII digits, got {_excerpt(text)}"
         )
     return float(text)
 
@@ -134,8 +126,8 @@ def _float_flag(text: str) -> float:
 def _fraction_str(x: Union[int, Fraction]) -> str:
     x = Fraction(x)
     if x.denominator == 1:
-        return _int_str(x.numerator)
-    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
+        return _digits(x.numerator)
+    return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
 
 
 @functools.lru_cache(maxsize=1)
@@ -258,7 +250,7 @@ def _cmd_matrixfn(args: argparse.Namespace, params: None, solver: None) -> _Repo
 
 
 def _cmd_ranks(args: argparse.Namespace, params: ChannelParams, solver: None) -> _Report:
-    probs = _exact_numbers(args.input, f"--input {_excerpt(repr(args.input))}")
+    probs = _exact_numbers(args.input, f"--input {_excerpt(args.input)}")
     input_ranks = empirical_model(probs, params.n, params.m)
     out = output_rank_distribution(input_ranks, params)
     result = {
@@ -461,7 +453,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _emit(payload, args.format, args.out)
     except OSError as exc:
-        _print_error(EXIT_BAD_INPUT, f"cannot write report: {exc}")
+        where = "stdout" if args.out is None else _excerpt(args.out)
+        _print_error(EXIT_BAD_INPUT, f"cannot write report to {where}: {exc.strerror}")
         return EXIT_BAD_INPUT
     return code
 

@@ -6,7 +6,9 @@ Conventions:
 - Public functions raise ``ValueError`` on malformed input (negative
   dimensions, non-prime-power q, dimensions beyond :data:`MAX_DIMENSION`)
   and on a q whose prime root cannot be certified (at least
-  :data:`_MR_EXACT_BELOW`, about 3.3e24).
+  :data:`_MR_EXACT_BELOW`, about 3.3e24).  Every refusal of the package
+  quotes the value it names through :func:`_excerpt`, which prints an int
+  of any size by its digits (:func:`_digits`) and cuts at 60 characters.
 - Combinatorially impossible but well-formed requests return 0, because the
   higher-level summations rely on out-of-range terms vanishing.
 - The kernels qbinom_ext (the q-Pascal rule, with no division, each
@@ -16,6 +18,7 @@ Conventions:
 
 from __future__ import annotations
 
+import decimal
 import math
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
@@ -29,14 +32,20 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
-#: How many characters of an outside text a refusal quotes.
+#: How many characters of a value a refusal quotes.
 _QUOTED_CHARS = 60
 
 
-def _excerpt(text: str) -> str:
-    """``text`` as a refusal quotes it: whole when at most
-    :data:`_QUOTED_CHARS` long, else its first _QUOTED_CHARS characters and
-    then its length, so that a refusal is one short line whatever the input."""
+def _digits(k: int) -> str:
+    """``k`` in decimal digits, through Decimal, which lacks str()'s 4 300-digit limit."""
+    return str(decimal.Decimal(k))
+
+
+def _excerpt(value: object) -> str:
+    """``value`` as a refusal quotes it, an int (not a bool) by its _digits
+    and anything else by its repr: whole up to :data:`_QUOTED_CHARS`
+    characters, else its first _QUOTED_CHARS and then its length."""
+    text = _digits(value) if type(value) is not bool and isinstance(value, int) else repr(value)
     if len(text) <= _QUOTED_CHARS:
         return text
     return f"{text[:_QUOTED_CHARS]}... ({len(text)} characters)"
@@ -75,7 +84,7 @@ def _is_prime(r: int) -> bool:
             return False
     if r >= _MR_EXACT_BELOW:
         raise ValueError(
-            f"cannot certify that {_excerpt(str(r))} is prime: "
+            f"cannot certify that {_excerpt(r)} is prime: "
             f"Miller-Rabin is exact only below {_MR_EXACT_BELOW}"
         )
     return True
@@ -138,9 +147,9 @@ def is_prime_power(q: int) -> bool:
 def validate_field_order(q: int) -> int:
     """Return q unchanged if it is a prime power, else raise ValueError."""
     if not isinstance(q, int) or isinstance(q, bool):
-        raise ValueError(f"field order must be an int, got {q!r}")
+        raise ValueError(f"field order must be an int, got {_excerpt(q)}")
     if not is_prime_power(q):
-        raise ValueError(f"field order must be a prime power >= 2, got {_excerpt(str(q))}")
+        raise ValueError(f"field order must be a prime power >= 2, got {_excerpt(q)}")
     return q
 
 
@@ -165,12 +174,13 @@ def _check_args(q: int, names: str, *values: int) -> None:
         else:
             return
     for name, value in zip(names.split(), values):
+        shown = _excerpt(value)
         if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an int, got {value!r}")
+            raise ValueError(f"{name} must be an int, got {shown}")
         if value < 0:
-            raise ValueError(f"{name} must be non-negative, got {value}")
+            raise ValueError(f"{name} must be non-negative, got {shown}")
         if value > MAX_DIMENSION:
-            raise ValueError(f"{name} = {value} exceeds MAX_DIMENSION = {MAX_DIMENSION}")
+            raise ValueError(f"{name} = {shown} exceeds MAX_DIMENSION = {MAX_DIMENSION}")
     if q is not _NO_FIELD:
         validate_field_order(q)
 

@@ -82,19 +82,28 @@ class BudgetExceededError(RuntimeError):
     """Raised when an enumeration would exceed the oracle's hard budget."""
 
 
+def _shown(size: int) -> str:
+    """A size as a budget refusal prints it: whole below 10**20, else by its
+    bit length, so that the refusal stays one short line."""
+    return str(size) if size < 10**20 else f"a {size.bit_length()}-bit number"
+
+
 def _require_prime(q: int) -> None:
     # No grid of one entry or more fits a larger q, so trial division never
     # runs past sqrt(MATRIX_ENUM_BUDGET).
     if q > MATRIX_ENUM_BUDGET:
-        raise BudgetExceededError(f"q = {q} exceeds the enumeration budget {MATRIX_ENUM_BUDGET}")
+        raise BudgetExceededError(
+            f"q = {_shown(q)} exceeds the enumeration budget {MATRIX_ENUM_BUDGET}"
+        )
     if q < 2 or any(q % d == 0 for d in range(2, int(math.isqrt(q)) + 1)):
         raise ValueError(f"oracle requires a prime field order, got q={q}")
 
 
 def _check_grid(rows: int, cols: int, q: int, label: str) -> None:
-    if q ** (rows * cols) > MATRIX_ENUM_BUDGET:
+    size = q ** (rows * cols)
+    if size > MATRIX_ENUM_BUDGET:
         raise BudgetExceededError(
-            f"{label} = {q ** (rows * cols)} exceeds the enumeration budget {MATRIX_ENUM_BUDGET}"
+            f"{label} = {_shown(size)} exceeds the enumeration budget {MATRIX_ENUM_BUDGET}"
         )
 
 
@@ -103,7 +112,7 @@ def _check_channel(n: int, m: int, q: int) -> None:
     n_terms = count_gl(n, q) * q ** (2 * n * m)
     if n_terms > CHANNEL_TERM_BUDGET:
         raise BudgetExceededError(
-            f"|GL|*q^(2nm) = {n_terms} exceeds the channel budget {CHANNEL_TERM_BUDGET}"
+            f"|GL|*q^(2nm) = {_shown(n_terms)} exceeds the channel budget {CHANNEL_TERM_BUDGET}"
         )
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -629,6 +630,7 @@ class TestRefusalsQuoteABoundedPrefix:
     _SHAPE = ("--q", "2", "--n", "2", "--m", "2")
     _TOKENS = ",".join(f"1/{10**4299 + i}" for i in range(65))
     _NINES = "9" * 4300
+    _NINES_QUOTED = "9" * 60 + "... (4300 characters)"
     _X = "x" * 5000
 
     @pytest.mark.parametrize(
@@ -675,15 +677,68 @@ class TestRefusalsQuoteABoundedPrefix:
                 "argument --tol: takes a finite decimal number in ASCII digits, got '"
                 + "x" * 59 + "... (5002 characters)",
             ),
+            (
+                ("errormodel", "--q", "2", "--n", _NINES, "--m", "2", "--error", "constant:t=1"),
+                f"n = {_NINES_QUOTED} exceeds MAX_DIMENSION = 64",
+            ),
+            (
+                ("matrixfn", "f0", *_SHAPE, "--u", _NINES),
+                f"u = {_NINES_QUOTED} exceeds MAX_DIMENSION = 64",
+            ),
+            (
+                ("errormodel", *_SHAPE, "--error", "constant:t=" + _NINES),
+                f"rank = {_NINES_QUOTED} exceeds MAX_DIMENSION = 64",
+            ),
+            (
+                ("errormodel", *_SHAPE, "--error", "iid:t=" + _NINES),
+                f"num_vectors = {_NINES_QUOTED} exceeds MAX_DIMENSION = 64",
+            ),
+            (
+                ("errormodel", *_SHAPE, "--error", f"binomial:T={_NINES},p=1/2"),
+                f"num_packets = {_NINES_QUOTED} exceeds MAX_DIMENSION = 64",
+            ),
         ],
         ids=["65-tokens", "malformed-number", "field-order", "integer-token", "kind",
-             "integer-flag", "ranks-input", "tolerance"],
+             "integer-flag", "ranks-input", "tolerance", "dimension-flag", "matrixfn-u",
+             "constant-t", "iid-t", "binomial-T"],
     )
     def test_long_input_is_quoted_by_a_prefix(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert len(err.encode()) < 300
         assert stderr_diagnostic(err)["error"] == message
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("verify", "--q", str(3**9000), "--n", "1", "--m", "1"),
+                "q = a 14265-bit number exceeds the enumeration budget 1048576",
+            ),
+            # q^(n*m) has 24 660 digits: more than str() of an int prints.
+            (
+                ("verify", "--q", "1048573", "--n", "64", "--m", "64"),
+                "q^(n*m) = a 81920-bit number exceeds the enumeration budget 1048576",
+            ),
+        ],
+        ids=["field-order", "matrix-grid"],
+    )
+    def test_budget_refusal_names_a_long_size_by_its_bits(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4 and out == ""
+        assert len(err.encode()) < 300
+        assert stderr_diagnostic(err)["error"] == message
+
+    def test_report_path_is_quoted_by_a_prefix(self, capsys, tmp_path):
+        path = str(tmp_path / self._X)
+        code, out, err = run_cli(
+            capsys, "errormodel", *self._SHAPE, "--error", "constant:t=1", "--out", path
+        )
+        assert code == 2 and out == ""
+        assert len(err.encode()) < 300
+        assert stderr_diagnostic(err)["error"] == (
+            f"cannot write report to {quoted(path)}: {os.strerror(errno.ENAMETOOLONG)}"
+        )
 
     @pytest.mark.parametrize(
         "argv, message",

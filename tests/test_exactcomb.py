@@ -183,6 +183,41 @@ class TestEntryChecks:
             matrixfn.f1(1, 1, 0, 1, 2, 2, 6)
 
 
+#: An int past the interpreter's 4 300-digit int-to-str limit, and its quote.
+_BIG = 10**5000
+_BIG_QUOTED = "1" + "0" * 59 + "... (5001 characters)"
+
+
+class TestIntsPastTheStrLimit:
+    """A library call with an int of more than 4 300 digits is refused with
+    gammacap's own message, which quotes the int's first 60 digits and then
+    its length, not with the interpreter's "Exceeds the limit"."""
+
+    @pytest.mark.parametrize(
+        "fn, args, message",
+        [
+            (validate_field_order, (_BIG,),
+             f"field order must be a prime power >= 2, got {_BIG_QUOTED}"),
+            (validate_field_order, (-_BIG,),
+             "field order must be a prime power >= 2, got -1" + "0" * 58
+             + "... (5002 characters)"),
+            (matrixfn.f0, (_BIG, 2, 2, 2), f"u = {_BIG_QUOTED} exceeds MAX_DIMENSION = 64"),
+            (count_rank_matrices, (2, 2, 1, _BIG),
+             f"field order must be a prime power >= 2, got {_BIG_QUOTED}"),
+            (channel.empirical_model, ([1], 2, _BIG),
+             f"m = {_BIG_QUOTED} exceeds MAX_DIMENSION = 64"),
+            (channel.RankDistribution, ([-_BIG, _BIG + 1],),
+             f"entry 0 is negative: -{_BIG_QUOTED[:59]}... (5002 characters)"),
+        ],
+        ids=["field-order", "negative-field-order", "f0", "count_rank_matrices",
+             "empirical_model", "rank-distribution"],
+    )
+    def test_refusal_quotes_a_prefix(self, fn, args, message):
+        with pytest.raises(ValueError) as refused:
+            fn(*args)
+        assert str(refused.value) == message
+
+
 class TestArgumentCheckDigest:
     """Every public entry that checks its arguments, called with each bad
     value in each checked position and under each field order.  The lines
