@@ -270,20 +270,38 @@ def _cmd_errormodel(args: argparse.Namespace, params: ChannelParams, solver: Non
     return result, {"exact": dist.is_exact}, EXIT_OK
 
 
-def _verify_checks(p: ChannelParams, solver: SolverConfig) -> List[Tuple[str, int, float, bool]]:
-    """Each check of ``verify`` as (name, cases, max_deviation, passed)."""
-    # A shape over budget is refused before any enumeration starts.
-    oracle.check_budgets(p.n, p.m, p.q)
-    tables = oracle.brute_f_functions(p.n, p.m, p.q)
+@functools.lru_cache(maxsize=None, typed=True)
+def _matrix_function_verdict(n: int, m: int, q: int, f0, f1, f2) -> Tuple[int, int]:
+    """(cases, mismatches) of the matrix functions ``f0``, ``f1`` and ``f2``
+    against the oracle's tables of (n, m, q), one case per table entry.  It
+    depends on the shape and the three functions alone, so it is kept for
+    the life of the process, keyed by both, and the tables are enumerated
+    on a miss only."""
+    tables = oracle.brute_f_functions(n, m, q)
     mismatches = 0
     cases = 0
-    for name in ("f0", "f1", "f2"):
-        # Read from the module at run time, so a wrapper installed there sees the calls.
-        fn = getattr(matrixfn, name)
+    for name, fn in (("f0", f0), ("f1", f1), ("f2", f2)):
         for key, want in tables[name].items():
             cases += 1
             args = key if isinstance(key, tuple) else (key,)
-            mismatches += fn(*args, p.n, p.m, p.q) != want
+            mismatches += fn(*args, n, m, q) != want
+    return cases, mismatches
+
+
+def _verify_checks(p: ChannelParams, solver: SolverConfig) -> List[Tuple[str, int, float, bool]]:
+    """Each check of ``verify`` as (name, cases, max_deviation, passed).
+
+    The first check's verdict is kept per shape and per the functions
+    ``matrixfn.f0``, ``f1`` and ``f2``, read from the module on every call,
+    so a wrapper or mutant installed there is checked afresh.  The oracle
+    keeps the channel law's shape work (:func:`oracle.build_channel`), so
+    a repeated shape pays for its error law, the solver and Blahut-Arimoto
+    only."""
+    # A shape over budget is refused before any enumeration starts.
+    oracle.check_budgets(p.n, p.m, p.q)
+    cases, mismatches = _matrix_function_verdict(
+        p.n, p.m, p.q, matrixfn.f0, matrixfn.f1, matrixfn.f2
+    )
     checks = [("matrix functions vs enumeration", cases, float(mismatches), mismatches == 0)]
 
     law = oracle.build_channel(p)

@@ -7,8 +7,9 @@ Conventions:
   dimensions, non-prime-power q, dimensions beyond :data:`MAX_DIMENSION`)
   and on a q whose prime root cannot be certified (at least
   :data:`_MR_EXACT_BELOW`, about 3.3e24).  Every refusal of the package
-  quotes the value it names through :func:`_excerpt`, which prints an int
-  of any size by its digits (:func:`_digits`) and cuts at 60 characters.
+  quotes the value it names through :func:`_excerpt`, which cuts at 60
+  characters and formats only the leading digits of an int of any size,
+  or of a Fraction's numerator and denominator.
 - Combinatorially impossible but well-formed requests return 0, because the
   higher-level summations rely on out-of-range terms vanishing.
 - The kernels qbinom_ext (the q-Pascal rule, with no division, each
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import decimal
 import math
+from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
@@ -35,20 +37,57 @@ _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 #: How many characters of a value a refusal quotes.
 _QUOTED_CHARS = 60
 
+#: log10(2), by which an int's bit length sizes its decimal text.
+_LOG10_2 = math.log10(2)
+
 
 def _digits(k: int) -> str:
     """``k`` in decimal digits, through Decimal, which lacks str()'s 4 300-digit limit."""
     return str(decimal.Decimal(k))
 
 
+def _leading_digits(k: int) -> Tuple[str, int]:
+    """The start of ``k``'s decimal text, whole for a k of up to about 120
+    digits and else its first 120 or so characters, and the length of the
+    whole text.  Only the leading digits are formatted: k // 10**s drops
+    exactly s digits, for an s sized from k's bit length."""
+    shift = max(0, int(k.bit_length() * _LOG10_2) - 2 * _QUOTED_CHARS)
+    head = str(abs(k) // 10**shift)
+    sign = "-" if k < 0 else ""
+    return sign + head, len(sign) + len(head) + shift
+
+
 def _excerpt(value: object) -> str:
-    """``value`` as a refusal quotes it, an int (not a bool) by its _digits
-    and anything else by its repr: whole up to :data:`_QUOTED_CHARS`
-    characters, else its first _QUOTED_CHARS and then its length."""
-    text = _digits(value) if type(value) is not bool and isinstance(value, int) else repr(value)
-    if len(text) <= _QUOTED_CHARS:
+    """``value`` as a refusal quotes it, an int (not a bool) by its decimal
+    digits and anything else by its repr: whole up to :data:`_QUOTED_CHARS`
+    characters, else its first _QUOTED_CHARS and then its length.  A
+    Fraction whose repr raises ValueError (one of its ints is past the
+    interpreter's 4 300-digit limit) is quoted as its repr would read, from
+    the digits of its numerator and denominator, and any other such value,
+    such as a list holding that int, by its type name."""
+    if type(value) is not bool and isinstance(value, int):
+        text, size = _leading_digits(value)
+    else:
+        try:
+            text = repr(value)
+        except ValueError:
+            if isinstance(value, Fraction):
+                (num, num_size), (den, den_size) = map(
+                    _leading_digits, (value.numerator, value.denominator)
+                )
+                text, size = f"Fraction({num}, {den})", 12 + num_size + den_size
+            else:
+                text = f"<{type(value).__name__} object>"
+                size = len(text)
+        else:
+            # A short repr, such as every error model spec that a query
+            # parses, returns here.
+            if len(text) <= _QUOTED_CHARS:
+                return text
+            size = len(text)
+    if size <= _QUOTED_CHARS:
         return text
-    return f"{text[:_QUOTED_CHARS]}... ({len(text)} characters)"
+    return f"{text[:_QUOTED_CHARS]}... ({size} characters)"
 
 
 def _iroot(q: int, k: int) -> int:

@@ -26,9 +26,10 @@ one representative M, the class keys of one representative U) is
 enumerated once per call.  What depends on the shape alone is kept for the
 life of the process, keyed by the ints (n, m, q): the f-tables of
 :func:`brute_f_functions` and the GL image classes of
-:func:`build_channel`.  Every refusal is made before either memo is read,
+:func:`build_channel`, with the sum classes of each error matrix that a law
+has supported.  Every refusal is made before either memo is read,
 nothing that depends on an error law is kept, and each caller gets
-containers of its own.
+containers of its own.  Only a shape that repeats in one process gains.
 The inner loops read matrices by their index in enumerate_matrices order:
 adding a fixed matrix, such as one supported error matrix B to every input
 at once, is a permutation of those indices (:func:`_translation`), built
@@ -36,10 +37,11 @@ entry by entry with no matrix formed, and the index of A*Z is read
 off the indices of the row combinations a*Z, one table per Z, with A held
 as the indices of its rows.  Matrices whose tallies of images A*Z over GL
 are exactly equal form one class, and the class tallies are checked to
-partition the outputs, so a channel law is built from class weights: each
-supported B's translation is mapped to the classes of X + B, every input
-adds B's integer numerator to the weight of its class, and the rows are
-written in one pass over the outputs in increasing index.  A channel law
+partition the outputs, so a channel law is built from class weights: the
+first law at a shape that supports B maps B's translation to the classes
+of X + B and keeps them with the shape, every input adds B's integer
+numerator to the weight of its class, and the rows are written in one
+pass over the outputs in increasing index.  A channel law
 (:class:`ChannelLaw`) keeps that indexing: each matrix's rank, read off the
 size of its span, and per input the integer numerators of its outputs, in
 increasing output index, over one shared denominator.  Its
@@ -47,8 +49,9 @@ readers sum integers and divide once: the exact rank transition of
 :func:`rank_kernel` makes one Fraction per cell; :func:`rank_marginal`,
 which pushes a rank-uniform input law through it, sums its products as
 integers over one denominator and makes one Fraction per output rank; and
-Blahut-Arimoto makes one float per distinct numerator and reads the rows
-in the order they are kept.  Work whose result
+Blahut-Arimoto makes one float per distinct numerator, converts each
+distinct row by one map, and reads the rows in the order they are kept.
+Work whose result
 would be thrown away is not done: Blahut-Arimoto computes one divergence
 per set of exactly equal rows, over their nonzero entries only, and starts
 where its caller says, such as at a known optimum.
@@ -468,8 +471,12 @@ def _gl_images(n: int, m: int, q: int) -> tuple:
     ``outputs[y]`` is (class, multiplicity) for the one class whose tally
     reaches Y = matrices[y]; an AssertionError is raised unless the class
     tallies partition the outputs, each reached by exactly one class.
-    ``by_rank[r]`` holds the indices of the matrices of rank r.  Callers
-    check the budgets first."""
+    ``by_rank[r]`` maps the index b of each matrix B of rank r, in
+    increasing order, to the sum classes of B: None until build_channel
+    first meets B in a law's support, then the tuple of ``class_of`` of
+    X + B for every input X, in index order.  That dict is the one mutable
+    part of the entry, so its sum classes are emptied with the classes they
+    index.  Callers check the budgets first."""
     gl = list(enumerate_gl(n, q))
     all_mats = tuple(enumerate_matrices(n, m, q))
     # gl_rows[i][g]: index of row i of the g-th A in GL among the q**n
@@ -504,7 +511,7 @@ def _gl_images(n: int, m: int, q: int) -> tuple:
     if None in outputs:
         raise AssertionError(f"no GL image class reaches output {outputs.index(None)}")
     by_rank = tuple(
-        tuple(i for i, r in enumerate(ranks) if r == rank) for rank in range(max(ranks) + 1)
+        {i: None for i, r in enumerate(ranks) if r == rank} for rank in range(max(ranks) + 1)
     )
     return len(gl), all_mats, tuple(ranks), tuple(class_of), tuple(outputs), by_rank
 
@@ -520,10 +527,11 @@ def build_channel(params) -> ChannelLaw:
     The images A*Z over all of GL are tallied once per matrix Z and shape,
     and matrices with equal tallies form one class (:func:`_gl_images`,
     kept for the life of the process, which checks that the class tallies
-    partition the outputs).  Each supported error matrix B is translated
-    once and mapped to the classes of X+B for every input X; each input
+    partition the outputs).  The first law at the shape that supports an
+    error matrix B translates B once and keeps with the shape the class of
+    X+B for every input X, so a later law only adds integers: each input
     adds the integer numerator of B's rank to the weight of the class of
-    X+B, so no error matrix of probability 0 is translated.  The rows are
+    X+B.  No error matrix of probability 0 is translated.  The rows are
     then written in one pass over the outputs Y in increasing index: every
     input that weights the class of Y gets weight times multiplicity.  The
     rank of Z is read off its row combinations, its row space of q**rank
@@ -551,10 +559,15 @@ def build_channel(params) -> ChannelLaw:
     class_weights: List[Dict[int, int]] = [{} for _ in range(max(class_of) + 1)]
     for rb, t in per_term.items():
         num = t.numerator * (den // t.denominator)
-        for b in by_rank[rb]:
-            # index(X + B) = index(B + X): B's translation, read at X.
-            for x, z in enumerate(_translation(all_mats[b], q)):
-                cw = class_weights[class_of[z]]
+        sums = by_rank[rb]
+        for b in sums:
+            classes = sums[b]
+            if classes is None:
+                # index(X + B) = index(B + X): B's translation, read at X.
+                translation = _translation(all_mats[b], q)
+                classes = sums[b] = tuple(map(class_of.__getitem__, translation))
+            for x, c in enumerate(classes):
+                cw = class_weights[c]
                 cw[x] = cw.get(x, 0) + num
     rows: List[Dict[int, int]] = [{} for _ in all_mats]
     for y, (c, mult) in enumerate(outputs):
@@ -633,9 +646,11 @@ def blahut_arimoto(
     ``tol`` that is not a positive and finite int or float (a bool is
     neither), a ``max_iter`` that is not an int of at least 1, or a
     ``start`` of the wrong length, with a negative or non-finite entry or no
-    positive mass, raises ValueError.  Each row of ``law`` is read in the
-    order it keeps, increasing output index, which is the order the float
-    sums add in.  Logs its pass count and final bracket at INFO.
+    positive mass, raises ValueError.  Each distinct row of ``law`` is held
+    as its output indices and its probabilities, converted by one map over
+    a numerator-to-float dict of the law, and read in the order the law
+    keeps, increasing output index, which is the order the float sums add
+    in.  Logs its pass count and final bracket at INFO.
     """
     if type(tol) is bool or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
         raise ValueError("tol must be a positive and finite number")
@@ -656,43 +671,47 @@ def blahut_arimoto(
                 f"start must have {k} finite non-negative weights with a positive sum"
             )
         p = [w / total for w in weights]
-    den = law.den
     # Inputs with exactly equal rows (the same outputs and numerators) share
-    # one row of floats and one divergence.  Each distinct row is read in
-    # the increasing output index order the law keeps, so none is sorted,
-    # as its (y, P(y|x)) pairs with P > 0: a zero entry adds pi * 0.0 to
-    # qy[y] and nothing to d, so skipping it changes no float.  Each
-    # distinct numerator is converted once, by int true division, which
-    # rounds as float(Fraction(num, den)) does.
+    # one row of floats and one divergence.  Each distinct row is held as its
+    # output indices and their probabilities, in the increasing output index
+    # order the law keeps, so none is sorted.  Each distinct numerator is
+    # converted once, by int true division, which rounds as
+    # float(Fraction(num, den)) does, and a row's probabilities are read off
+    # that dict by one map.  A probability that rounds to 0.0 adds pi * 0.0
+    # to qy[y] and nothing to d, so a row holding one keeps only its positive
+    # entries, which changes no float; rows are searched for one only when
+    # some numerator rounds to 0.0.
     distinct: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
     group = [
         distinct.setdefault((tuple(row), tuple(row.values())), len(distinct))
         for row in law.rows
     ]
-    floats: Dict[int, float] = {}
-    shared: List[Tuple[Tuple[int, float], ...]] = []
+    den = law.den
+    floats = {
+        num: num / den for num in set(itertools.chain.from_iterable(nums for _, nums in distinct))
+    }
+    underflow = 0.0 in floats.values()
+    shared: List[Tuple[Tuple[int, ...], Tuple[float, ...]]] = []
     for ys, nums in distinct:
-        entries = []
-        for y, num in zip(ys, nums):
-            pyx = floats.get(num)
-            if pyx is None:
-                pyx = floats[num] = num / den
-            if pyx > 0.0:
-                entries.append((y, pyx))
-        shared.append(tuple(entries))
+        probs = tuple(map(floats.__getitem__, nums))
+        if underflow and 0.0 in probs:
+            kept = [(y, pyx) for y, pyx in zip(ys, probs) if pyx > 0.0]
+            ys, probs = tuple(y for y, _ in kept), tuple(pyx for _, pyx in kept)
+        shared.append((ys, probs))
     rows = [shared[g] for g in group]
+    log2 = math.log2
     for passes in range(1, max_iter + 1):
         qy = [0.0] * len(law.matrices)
-        for pi, row in zip(p, rows):
+        for pi, (ys, probs) in zip(p, rows):
             if pi == 0.0:
                 continue
-            for j, pyx in row:
+            for j, pyx in zip(ys, probs):
                 qy[j] += pi * pyx
         d_row = []
-        for row in shared:
+        for ys, probs in shared:
             acc = 0.0
-            for j, pyx in row:
-                acc += pyx * math.log2(pyx / qy[j])
+            for j, pyx in zip(ys, probs):
+                acc += pyx * log2(pyx / qy[j])
             d_row.append(acc)
         d = [d_row[g] for g in group]
         # Float sums add left to right from 0.0, as the solver's do: the

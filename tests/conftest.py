@@ -18,15 +18,17 @@ from fractions import Fraction
 
 import pytest
 
-from gammacap import oracle
+from gammacap import cli, oracle
 from gammacap.channel import h_r, ordered_sum, output_rank_distribution, rank_class_size
 from reference import log2_exact
 
 
 def clear_oracle_memo():
-    """Empty the oracle's per-shape memos, so the next call enumerates."""
+    """Empty the oracle's per-shape memos and verify's matrix-function
+    verdicts, so the next call enumerates and checks afresh."""
     oracle._f_tables.cache_clear()
     oracle._gl_images.cache_clear()
+    cli._matrix_function_verdict.cache_clear()
 
 
 @pytest.fixture

@@ -991,13 +991,31 @@ class TestOracleMemo:
         cold_first = run_cli(capsys, *first)
         warm_second = run_cli(capsys, *second)
         warm_first = run_cli(capsys, *first)
-        assert cli.oracle._f_tables.cache_info().hits == 2
+        assert cli._matrix_function_verdict.cache_info().hits == 2
         assert cli.oracle._gl_images.cache_info().hits == 2
         cold_oracle()
         cold_second = run_cli(capsys, *second)
         assert warm_first == cold_first and warm_second == cold_second
         assert warm_first[0] == warm_second[0] == 0
         assert warm_first[1] != warm_second[1]
+
+    def test_mutant_after_a_kept_verdict_is_checked(self, capsys, monkeypatch, cold_oracle):
+        """The matrix-function verdict of (2, 2, 2) is kept for the real f1;
+        a mutant f1 installed in matrixfn afterwards is checked afresh and
+        fails verify at that shape, and the real f1 passes again after it."""
+        argv = self.RUNS[0]
+        first = run_json(capsys, *argv)
+        assert first[0] == 0
+        f1 = cli.matrixfn.f1
+        monkeypatch.setattr(cli.matrixfn, "f1", lambda *args: f1(*args) + 1)
+        code, doc = run_json(capsys, *argv)
+        assert code == 1 and doc["result"]["passed"] is False
+        checked = doc["result"]["checks"][0]
+        assert checked["name"] == "matrix functions vs enumeration"
+        assert checked["passed"] is False and checked["max_deviation"] > 0
+        monkeypatch.undo()
+        assert run_json(capsys, *argv) == first
+        assert cli._matrix_function_verdict.cache_info().hits == 1
 
 
 class TestInstalledEntryPoint:

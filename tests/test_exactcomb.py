@@ -7,8 +7,12 @@ otherwise.
 
 import enum
 import hashlib
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +220,46 @@ class TestIntsPastTheStrLimit:
         with pytest.raises(ValueError) as refused:
             fn(*args)
         assert str(refused.value) == message
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            (Fraction(_BIG), "Fraction(" + _BIG_QUOTED[:51] + "... (5014 characters)"),
+            (Fraction(-1, _BIG), "Fraction(-1, " + _BIG_QUOTED[:47] + "... (5015 characters)"),
+            ([_BIG], "<list object>"),
+        ],
+        ids=["fraction", "fraction-denominator", "list"],
+    )
+    def test_value_whose_repr_raises(self, value, shown):
+        """The repr of a Fraction or a list holding an int past the limit
+        raises the interpreter's "Exceeds the limit"; the Fraction is quoted
+        as its repr would read and the list by its type name."""
+        with pytest.raises(ValueError) as refused:
+            qbinom(value, 1, 2)
+        assert str(refused.value) == f"m must be an int, got {shown}"
+
+    def test_million_digit_int_is_quoted_at_once(self):
+        """Only the leading digits are formatted: the refusal of a
+        1 000 001-digit field order took 16.5 s of CPU when every digit
+        was converted to keep 60."""
+        code = "\n".join([
+            "from gammacap.exactcomb import validate_field_order",
+            "try:",
+            "    validate_field_order(10**10**6)",
+            "except ValueError as refused:",
+            "    print(refused)",
+        ])
+        env = dict(os.environ)
+        src = str(Path(exactcomb.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == (
+            f"field order must be a prime power >= 2, got {_BIG_QUOTED[:60]}"
+            "... (1000001 characters)\n"
+        )
 
 
 class TestArgumentCheckDigest:

@@ -315,10 +315,21 @@ class TestConfigurations:
                 build(d1, 3, 4)
 
 
+def _count_translations(monkeypatch):
+    """The list of matrices that oracle._translation is asked for from now on."""
+    translated = []
+    translate = oracle._translation
+    monkeypatch.setattr(
+        oracle, "_translation", lambda M, p: translated.append(M) or translate(M, p)
+    )
+    return translated
+
+
 class TestOneTranslationPerErrorMatrix:
-    """build_channel translates each supported error matrix once, in (rB, B)
-    order, and no input matrix: 1 + 42 of the 64 matrices of F_2^{2 x 3}
-    for a law with a rank of probability 0 between its supported ones."""
+    """build_channel translates each supported error matrix once per shape,
+    in (rB, B) order, and no input matrix: 1 + 42 of the 64 matrices of
+    F_2^{2 x 3} for a law with a rank of probability 0 between its supported
+    ones, and none that an earlier law at the shape has translated."""
 
     @pytest.mark.parametrize(
         "spec, supported, calls",
@@ -328,19 +339,35 @@ class TestOneTranslationPerErrorMatrix:
             ("empirical:1/2,0,1/2", (0, 2), 43),
         ],
     )
-    def test_translations(self, spec, supported, calls, monkeypatch):
+    def test_translations(self, spec, supported, calls, monkeypatch, cold_oracle):
         q, n, m = 2, 2, 3
-        translated = []
-        translate = oracle._translation
-        monkeypatch.setattr(
-            oracle, "_translation", lambda M, p: translated.append(M) or translate(M, p)
-        )
+        translated = _count_translations(monkeypatch)
         oracle.build_channel(ChannelParams(q, n, m, parse_error_model(spec, q, n, m)))
         all_mats = list(oracle.enumerate_matrices(n, m, q))
         assert translated == [
             B for rb in supported for B in all_mats if reference.rank_of(B, q) == rb
         ]
         assert len(translated) == calls
+
+    def test_later_laws_translate_only_new_error_matrices(self, monkeypatch, cold_oracle):
+        """Three laws in a row at one shape: the rank-1 matrices, then the
+        rank-0 and rank-2 ones that the first law left, then nothing, as a
+        full-support law finds every sum class kept.  Each law still equals
+        the one built at a cold shape."""
+        q, n, m = 2, 2, 3
+        translated = _count_translations(monkeypatch)
+        laws = []
+        counts = []
+        for spec in ("constant:t=1", "empirical:1/2,0,1/2", "iid:t=1"):
+            params = ChannelParams(q, n, m, parse_error_model(spec, q, n, m))
+            before = len(translated)
+            laws.append((params, oracle.build_channel(params)))
+            counts.append(len(translated) - before)
+        assert counts == [21, 43, 0]
+        assert len(set(translated)) == len(translated) == 64
+        for params, law in laws:
+            cold_oracle()
+            assert oracle.build_channel(params) == law
 
 
 # The benchmark's verify shapes (q, n, m) at q in {2, 3, 5}, plus the two
@@ -757,6 +784,30 @@ class TestWarmStartedBlahutArimoto:
             assert got == want, params.error_dist
             assert oracle.blahut_arimoto(law, max_iter=1, start=start) == got
             assert abs(got[0] - res.capacity_bits) <= 1e-9, params.error_dist
+
+
+class TestUnderflowingProbabilities:
+    """At (2, 1, 6) with the error law (1 - 10**-400, 10**-400), every output
+    Y other than X itself has P(Y | X) = 10**-400 / 63, which rounds to
+    0.0 as a float: the rows that Blahut-Arimoto filters."""
+
+    def test_sparse_loop_matches_the_dense_one(self, channel_laws):
+        """From the uniform law and from the solver's point, the sparse loop
+        equals the dense one float for float."""
+        q, n, m = 2, 1, 6
+        spec = "empirical:0." + "9" * 400 + ",1e-400"
+        params = ChannelParams(q, n, m, parse_error_model(spec, q, n, m))
+        law = channel_laws(params)
+        table = _law_table(law)
+        assert [sum(float(pyx) == 0.0 for pyx in row.values()) for row in table.values()] == [
+            63
+        ] * 64
+        res = maximize(params)
+        start = _rank_uniform_start(law.matrices, q, res.optimal_input.as_floats())
+        for kwargs in ({}, {"start": start}):
+            got = oracle.blahut_arimoto(law, **kwargs)
+            assert got == _dense_blahut_arimoto(table, **kwargs), kwargs
+            assert got[0] == 6.0
 
 
 def _per_entry_rank_kernel(table, q):
