@@ -79,11 +79,21 @@ _MATRIXFN_HELP = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Parser whose usage errors match the single-line JSON error contract."""
+    """Parser whose usage errors match the single-line JSON error contract.
+    A value outside a flag's choices, or an unknown subcommand, is quoted
+    through :func:`exactcomb._excerpt`, so its refusal stays one short line
+    however long the value."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
         _print_error(EXIT_BAD_INPUT, message)
         raise SystemExit(EXIT_BAD_INPUT)
+
+    def _check_value(self, action: argparse.Action, value: Any) -> None:
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {_excerpt(value)} (choose from {choices})"
+            )
 
 
 def _print_error(code: int, message: str) -> None:

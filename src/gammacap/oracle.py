@@ -36,22 +36,29 @@ at once, is a permutation of those indices (:func:`_translation`), built
 entry by entry with no matrix formed, and the index of A*Z is read
 off the indices of the row combinations a*Z, one table per Z, with A held
 as the indices of its rows.  Matrices whose tallies of images A*Z over GL
-are exactly equal form one class, and the class tallies are checked to
-partition the outputs, so a channel law is built from class weights: the
-first law at a shape that supports B maps B's translation to the classes
-of X + B and keeps them with the shape, every input adds B's integer
-numerator to the weight of its class, and the rows are written in one
-pass over the outputs in increasing index.  A channel law
+are exactly equal form one class, the matrices of one row space, and the
+class tallies are checked to partition the outputs.  The law is
+invariant under X -> A0*X for A0 in GL, so every input of a class has the
+row of the class's first member, its representative; the oracle checks
+that at up to REPRESENTATIVES_PER_CLASS members of each class, as it
+checks the f-tables, rather than assume it.  So the per-law work grows
+with the number of classes, not of matrices: the first law at a shape
+that supports B maps B's translation to the classes of representative +
+B and keeps them with the shape, every representative adds B's integer
+numerator to the weight of its sum's class, and the class rows are
+written in one pass over the outputs in increasing index.  A channel law
 (:class:`ChannelLaw`) keeps that indexing: each matrix's rank, read off the
 size of its span, and per input the integer numerators of its outputs, in
-increasing output index, over one shared denominator.  Its
+increasing output index, over one shared denominator, in one dict that
+every input of its class holds.  Its
 readers sum integers and divide once: the exact rank transition of
-:func:`rank_kernel` makes one Fraction per cell; :func:`rank_marginal`,
+:func:`rank_kernel` reads each row dict once, times the inputs that hold
+it, and makes one Fraction per cell; :func:`rank_marginal`,
 which pushes a rank-uniform input law through it, sums its products as
 integers over one denominator and makes one Fraction per output rank; and
-Blahut-Arimoto makes one float per distinct numerator, converts each
-distinct row by one map, and reads the rows in the order they are kept.
-Work whose result
+Blahut-Arimoto keys each row dict once, makes one float per distinct
+numerator, converts each distinct row by one map, and reads the rows in
+the order they are kept.  Work whose result
 would be thrown away is not done: Blahut-Arimoto computes one divergence
 per set of exactly equal rows, over their nonzero entries only, and starts
 where its caller says, such as at a known optimum.
@@ -77,7 +84,9 @@ MATRIX_ENUM_BUDGET = 2**20
 #: Hard cap on |GL(n,q)| * q**(2*n*m) elementary channel terms.
 CHANNEL_TERM_BUDGET = 2**24
 #: Row spaces U of each dimension, matrices M of each such U, and matrices X
-#: of each rank that brute_f_functions counts and checks against each other.
+#: of each rank that brute_f_functions counts and checks against each other;
+#: and the members of each GL image class, its representative first, whose
+#: sums build_channel checks against the representative's.
 REPRESENTATIVES_PER_CLASS = 3
 
 
@@ -451,7 +460,9 @@ class ChannelLaw:
     the rank of ``matrices[i]``.  P(Y | X) for X = matrices[i] and
     Y = matrices[j] is ``rows[i][j] / den``: each row maps the index of every
     output it reaches to an integer numerator, in increasing output index,
-    and all rows share the one denominator.
+    and all rows share the one denominator.  The inputs of one GL image
+    class, which have one row space and so one rank, hold one shared row
+    dict (``rows[i] is rows[k]``); readers do not mutate the rows.
     """
 
     matrices: List[Matrix]
@@ -464,19 +475,22 @@ class ChannelLaw:
 def _gl_images(n: int, m: int, q: int) -> tuple:
     """The part of build_channel's work that depends on (n, m, q) alone:
     (|GL(n, q)|, the matrices of F_q^{n x m} in enumerate_matrices order,
-    the rank of each, ``class_of``, ``outputs``, ``by_rank``), all tuples.
+    the rank of each, ``class_of``, ``reps``, ``outputs``, ``by_rank``,
+    ``sums``), all tuples but the last.
     Matrices Z whose tallies of images, (index of Y, #{A in GL : A*Z = Y})
     in increasing Y, are exactly equal share a class, numbered in order of
-    first appearance: ``class_of[z]`` is the class of Z = matrices[z].
-    ``outputs[y]`` is (class, multiplicity) for the one class whose tally
-    reaches Y = matrices[y]; an AssertionError is raised unless the class
-    tallies partition the outputs, each reached by exactly one class.
-    ``by_rank[r]`` maps the index b of each matrix B of rank r, in
-    increasing order, to the sum classes of B: None until build_channel
-    first meets B in a law's support, then the tuple of ``class_of`` of
-    X + B for every input X, in index order.  That dict is the one mutable
-    part of the entry, so its sum classes are emptied with the classes they
-    index.  Callers check the budgets first."""
+    first appearance: ``class_of[z]`` is the class of Z = matrices[z] and
+    ``reps[c]`` the index of the first member of class c, its
+    representative.  ``outputs[y]`` is (class, multiplicity) for the one
+    class whose tally reaches Y = matrices[y]; an AssertionError is raised
+    unless the class tallies partition the outputs, each reached by exactly
+    one class.  ``by_rank[r]`` holds the indices of the matrices of rank r,
+    in increasing order.  ``sums`` maps each error rank r that a law has
+    supported to the sum classes of the B of rank r, in that order, each
+    the tuple of the classes of reps[c] + B over the classes c
+    (:func:`_sum_classes`).  That dict is the one mutable part of the
+    entry, so its sum classes are emptied with the classes they index.
+    Callers check the budgets first."""
     gl = list(enumerate_gl(n, q))
     all_mats = tuple(enumerate_matrices(n, m, q))
     # gl_rows[i][g]: index of row i of the g-th A in GL among the q**n
@@ -487,10 +501,11 @@ def _gl_images(n: int, m: int, q: int) -> tuple:
     # index(A*Z) = sum_i comb[A_i] * q**(m*(n-1-i)).
     class_id: Dict[Tuple[int, ...], int] = {}
     class_of: List[int] = []
+    reps: List[int] = []
     ranks: List[int] = []
     rank_of_size = {q**r: r for r in range(n + 1)}
     row_count = q**m
-    for Z in all_mats:
+    for z, Z in enumerate(all_mats):
         # comb[a]: index in F_q^m of a*Z; its values are the row space of Z.
         comb = _combinations(Z, q)
         ranks.append(rank_of_size[len(set(comb))])
@@ -499,7 +514,10 @@ def _gl_images(n: int, m: int, q: int) -> tuple:
             ys = [y * row_count + comb[a] for y, a in zip(ys, rows)]
         # The sorted images are the tally as a multiset: equal exactly when
         # the tallies are.
-        class_of.append(class_id.setdefault(tuple(sorted(ys)), len(class_id)))
+        c = class_id.setdefault(tuple(sorted(ys)), len(class_id))
+        if c == len(reps):
+            reps.append(z)
+        class_of.append(c)
     outputs: List[Tuple[int, int] | None] = [None] * len(all_mats)
     for c, images in enumerate(class_id):
         for y, mult in Counter(images).items():
@@ -511,9 +529,51 @@ def _gl_images(n: int, m: int, q: int) -> tuple:
     if None in outputs:
         raise AssertionError(f"no GL image class reaches output {outputs.index(None)}")
     by_rank = tuple(
-        {i: None for i, r in enumerate(ranks) if r == rank} for rank in range(max(ranks) + 1)
+        tuple(i for i, r in enumerate(ranks) if r == rank) for rank in range(max(ranks) + 1)
     )
-    return len(gl), all_mats, tuple(ranks), tuple(class_of), tuple(outputs), by_rank
+    return (
+        len(gl), all_mats, tuple(ranks), tuple(class_of), tuple(reps), tuple(outputs), by_rank, {}
+    )
+
+
+def _sum_classes(
+    all_mats: Sequence[Matrix], class_of: Sequence[int], reps: Sequence[int],
+    errors: Sequence[int], q: int,
+) -> Tuple[Tuple[int, ...], ...]:
+    """Per error matrix B of index in ``errors``, the classes of
+    reps[c] + B for every class c, each B translated once.
+
+    Every input X of class c is given the representative's row of the
+    channel law, which holds when the classes of X + B over these B tally
+    as those of reps[c] + B do.  That is checked, not assumed, as
+    brute_f_functions checks its classes: the first
+    REPRESENTATIVES_PER_CLASS members of each class are read off the same
+    translations, and an AssertionError is raised unless each one's tally
+    equals its representative's.  Classes of one member, such as every
+    class at q = 2 and n = 1, have nothing to check."""
+    members: List[List[int]] = [[] for _ in reps]
+    for x, c in enumerate(class_of):
+        if len(members[c]) < REPRESENTATIVES_PER_CLASS:
+            members[c].append(x)
+    others = [x for c, cls in enumerate(members) for x in cls if x != reps[c]]
+    sums = []
+    seen = []
+    for b in errors:
+        # index(X + B) = index(B + X): B's translation, read at X.
+        perm = _translation(all_mats[b], q)
+        sums.append(tuple([class_of[perm[x]] for x in reps]))
+        seen.append([class_of[perm[x]] for x in others])
+    if others:
+        # Sorted, the classes of a column are its tally as a multiset.
+        want = [sorted(column) for column in zip(*sums)]
+        for x, column in zip(others, zip(*seen)):
+            c = class_of[x]
+            if sorted(column) != want[c]:
+                raise AssertionError(
+                    f"input {x} of GL image class {c} does not share the row of its "
+                    f"representative {reps[c]}: their sums reach different classes"
+                )
+    return tuple(sums)
 
 
 def build_channel(params) -> ChannelLaw:
@@ -525,17 +585,24 @@ def build_channel(params) -> ChannelLaw:
     A non-prime q, an inexact law and a shape over the channel budget are
     refused before GL is enumerated or the memo read.
     The images A*Z over all of GL are tallied once per matrix Z and shape,
-    and matrices with equal tallies form one class (:func:`_gl_images`,
-    kept for the life of the process, which checks that the class tallies
-    partition the outputs).  The first law at the shape that supports an
-    error matrix B translates B once and keeps with the shape the class of
-    X+B for every input X, so a later law only adds integers: each input
-    adds the integer numerator of B's rank to the weight of the class of
-    X+B.  No error matrix of probability 0 is translated.  The rows are
-    then written in one pass over the outputs Y in increasing index: every
-    input that weights the class of Y gets weight times multiplicity.  The
-    rank of Z is read off its row combinations, its row space of q**rank
-    vectors, so no matrix is reduced.  Each law gets lists of its own.
+    and matrices with equal tallies form one class, the matrices of one
+    row space (:func:`_gl_images`, kept for the life of the process, which
+    checks that the class tallies partition the outputs).  The law is
+    invariant under X -> A0*X for A0 in GL, so the inputs of one class
+    share one row: it is built at the class's representative, and every
+    input of the class holds that one dict.  The first law at the shape
+    that supports an error rank translates each B of that rank once and
+    keeps with the shape the class of representative + B for every class,
+    one small int per (class, B), after checking the sharing at up to
+    REPRESENTATIVES_PER_CLASS members of each class (:func:`_sum_classes`);
+    so a later law only adds integers: each representative adds the
+    integer numerator of B's rank to the weight of the class of its sum.
+    No error matrix of probability 0 is translated.  The rows are then
+    written in one pass over the outputs Y in increasing index: every
+    representative that weights the class of Y gets weight times
+    multiplicity.  The rank of Z is read off its row combinations, its row
+    space of q**rank vectors, so no matrix is reduced.  Each law gets lists
+    and row dicts of its own.
     """
     q, n, m = params.q, params.n, params.m
     _require_prime(q)
@@ -546,7 +613,7 @@ def build_channel(params) -> ChannelLaw:
                 "oracle channel law needs exact rational error probabilities"
             )
     _check_channel(n, m, q)
-    gl_size, all_mats, ranks, class_of, outputs, by_rank = _gl_images(n, m, q)
+    gl_size, all_mats, ranks, class_of, reps, outputs, by_rank, sums = _gl_images(n, m, q)
     # R(rB) / (N_rB * |GL|) as integer numerators over one denominator.
     per_term = {
         rb: Fraction(w) / (len(by_rank[rb]) * gl_size)
@@ -554,26 +621,22 @@ def build_channel(params) -> ChannelLaw:
         if w != 0 and rb < len(by_rank)
     }
     den = math.lcm(*(t.denominator for t in per_term.values()))
-    # class_weights[c][x]: the sum of the numerators of the B with X+B in
-    # class c.
-    class_weights: List[Dict[int, int]] = [{} for _ in range(max(class_of) + 1)]
+    # class_weights[c][k]: the sum of the numerators of the B with
+    # reps[k] + B in class c.
+    class_weights: List[Dict[int, int]] = [{} for _ in reps]
     for rb, t in per_term.items():
         num = t.numerator * (den // t.denominator)
-        sums = by_rank[rb]
-        for b in sums:
-            classes = sums[b]
-            if classes is None:
-                # index(X + B) = index(B + X): B's translation, read at X.
-                translation = _translation(all_mats[b], q)
-                classes = sums[b] = tuple(map(class_of.__getitem__, translation))
-            for x, c in enumerate(classes):
+        if rb not in sums:
+            sums[rb] = _sum_classes(all_mats, class_of, reps, by_rank[rb], q)
+        for classes in sums[rb]:
+            for k, c in enumerate(classes):
                 cw = class_weights[c]
-                cw[x] = cw.get(x, 0) + num
-    rows: List[Dict[int, int]] = [{} for _ in all_mats]
+                cw[k] = cw.get(k, 0) + num
+    rows: List[Dict[int, int]] = [{} for _ in reps]
     for y, (c, mult) in enumerate(outputs):
-        for x, w in class_weights[c].items():
-            rows[x][y] = w * mult
-    return ChannelLaw(list(all_mats), list(ranks), den, rows)
+        for k, w in class_weights[c].items():
+            rows[k][y] = w * mult
+    return ChannelLaw(list(all_mats), list(ranks), den, [rows[c] for c in class_of])
 
 
 def rank_kernel(law: ChannelLaw) -> Dict[int, List[Fraction]]:
@@ -582,14 +645,28 @@ def rank_kernel(law: ChannelLaw) -> Dict[int, List[Fraction]]:
     rank ry.  Keyed by the input ranks present, in order of first
     appearance; every row has one entry per output rank up to the largest
     one reached.  Numerators are summed as integers, one Fraction per cell.
+    A row dict that several inputs hold, the inputs of one GL image class
+    and so of one rank, is read once, at its first holder's rank, and its
+    sums are added times the number of its holders.
     """
     ranks = law.ranks
     sizes = Counter(ranks)
     sums = {rx: [0] * (max(sizes) + 1) for rx in sizes}
+    # held[id(row)]: [its first holder's rank, row, number of holders].
+    held: Dict[int, list] = {}
     for rx, row in zip(ranks, law.rows):
-        cells = sums[rx]
+        entry = held.get(id(row))
+        if entry is None:
+            held[id(row)] = [rx, row, 1]
+        else:
+            entry[2] += 1
+    for rx, row, times in held.values():
+        cells = sums[rx] if times == 1 else [0] * len(sums[rx])
         for y, num in row.items():
             cells[ranks[y]] += num
+        if times > 1:
+            for ry, num in enumerate(cells):
+                sums[rx][ry] += num * times
     # Every numerator is positive, so a rank is reached when its sum is not 0.
     width = 1 + max(
         (ry for cells in sums.values() for ry, num in enumerate(cells) if num), default=0
@@ -646,7 +723,10 @@ def blahut_arimoto(
     ``tol`` that is not a positive and finite int or float (a bool is
     neither), a ``max_iter`` that is not an int of at least 1, or a
     ``start`` of the wrong length, with a negative or non-finite entry or no
-    positive mass, raises ValueError.  Each distinct row of ``law`` is held
+    positive mass, raises ValueError.  Each row dict of ``law`` is keyed
+    once, however many inputs of its GL image class hold it, and exactly
+    equal rows of different classes are merged by content, so a law whose
+    rows are all equal keeps one divergence.  Each distinct row is held
     as its output indices and its probabilities, converted by one map over
     a numerator-to-float dict of the law, and read in the order the law
     keeps, increasing output index, which is the order the float sums add
@@ -681,11 +761,18 @@ def blahut_arimoto(
     # to qy[y] and nothing to d, so a row holding one keeps only its positive
     # entries, which changes no float; rows are searched for one only when
     # some numerator rounds to 0.0.
+    # A row dict that several inputs hold, as the inputs of one GL image
+    # class do, is keyed once; equal rows of other classes meet by content.
     distinct: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
-    group = [
-        distinct.setdefault((tuple(row), tuple(row.values())), len(distinct))
-        for row in law.rows
-    ]
+    held: Dict[int, int] = {}
+    group = []
+    for row in law.rows:
+        g = held.get(id(row))
+        if g is None:
+            g = held[id(row)] = distinct.setdefault(
+                (tuple(row), tuple(row.values())), len(distinct)
+            )
+        group.append(g)
     den = law.den
     floats = {
         num: num / den for num in set(itertools.chain.from_iterable(nums for _, nums in distinct))

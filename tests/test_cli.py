@@ -697,10 +697,27 @@ class TestRefusalsQuoteABoundedPrefix:
                 ("errormodel", *_SHAPE, "--error", f"binomial:T={_NINES},p=1/2"),
                 f"num_packets = {_NINES_QUOTED} exceeds MAX_DIMENSION = 64",
             ),
+            # argparse echoed these whole: 5 103 and 5 136 bytes.
+            (
+                ("errormodel", *_SHAPE, "--error", "constant:t=1", "--format", "y" * 5000),
+                "argument --format: invalid choice: '" + "y" * 59 + "... (5002 characters)"
+                " (choose from 'json', 'csv', 'text')",
+            ),
+            (
+                ("y" * 5000, *_SHAPE),
+                "argument command: invalid choice: '" + "y" * 59 + "... (5002 characters)"
+                " (choose from 'capacity', 'matrixfn', 'ranks', 'errormodel', 'verify')",
+            ),
+            (
+                ("matrixfn", "y" * 5000, *_SHAPE),
+                "argument function: invalid choice: '" + "y" * 59 + "... (5002 characters)"
+                " (choose from 'f0', 'f1', 'f2')",
+            ),
         ],
         ids=["65-tokens", "malformed-number", "field-order", "integer-token", "kind",
              "integer-flag", "ranks-input", "tolerance", "dimension-flag", "matrixfn-u",
-             "constant-t", "iid-t", "binomial-T"],
+             "constant-t", "iid-t", "binomial-T", "format-choice", "subcommand",
+             "matrixfn-function"],
     )
     def test_long_input_is_quoted_by_a_prefix(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -763,6 +780,10 @@ class TestRefusalsQuoteABoundedPrefix:
                 ("capacity", *_SHAPE, "--error", "constant:t=1", "--tol", "1_0e-9"),
                 "argument --tol: takes a finite decimal number in ASCII digits, got '1_0e-9'",
             ),
+            (
+                ("errormodel", *_SHAPE, "--error", "constant:t=1", "--format", "yaml"),
+                "argument --format: invalid choice: 'yaml' (choose from 'json', 'csv', 'text')",
+            ),
             # A repr of 60 characters is quoted whole, one of 61 is cut.
             (
                 ("errormodel", *_SHAPE, "--error", "empirical:" + "x" * 48),
@@ -775,7 +796,7 @@ class TestRefusalsQuoteABoundedPrefix:
             ),
         ],
         ids=["malformed-number", "field-order", "integer-token", "integer-flag", "tolerance",
-             "60-characters", "61-characters"],
+             "format-choice", "60-characters", "61-characters"],
     )
     def test_short_input_is_quoted_whole(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

@@ -714,16 +714,18 @@ class TestGLImageClasses:
     @pytest.mark.parametrize("shape", VERIFY_SHAPES + CI_SHAPES, ids=_SHAPE_IDS)
     def test_classes_partition_the_matrices(self, shape):
         """Every matrix is in exactly one class, classes are numbered in
-        order of first appearance, and each class is the matrices of one
-        row space.  Each class reaches exactly its own members as outputs,
-        each by |GL| / |class| of GL, so every output is reached once."""
+        order of first appearance, each kept with its first member, and
+        each class is the matrices of one row space.  Each class
+        reaches exactly its own members as outputs, each by |GL| / |class|
+        of GL, so every output is reached once."""
         q, n, m = shape
-        gl_size, mats, ranks, class_of, outputs, by_rank = oracle._gl_images(n, m, q)
+        gl_size, mats, _, class_of, reps, outputs, _, _ = oracle._gl_images(n, m, q)
         assert len(class_of) == len(outputs) == len(mats) == q ** (n * m)
         members = {}
         for z, c in enumerate(class_of):
             members.setdefault(c, []).append(z)
         assert list(members) == list(range(len(members)))
+        assert list(reps) == [cls[0] for cls in members.values()]
         reached = {}
         for y, (c, mult) in enumerate(outputs):
             reached.setdefault(c, []).append(y)
@@ -756,6 +758,78 @@ class TestGLImageClasses:
         assert code == 1 and out == ""
         assert err.splitlines() == [
             json.dumps({"error": _NOT_A_PARTITION, "exit_code": 1}, sort_keys=True)
+        ]
+
+
+def _move_input(gl_images, x, c):
+    """A mutant of ``gl_images`` whose entries put input ``x`` in class ``c``
+    and keep no sum classes between calls."""
+
+    def moved(n, m, q):
+        entry = list(gl_images(n, m, q))
+        class_of = list(entry[3])
+        class_of[x] = c
+        entry[3], entry[-1] = tuple(class_of), {}
+        return tuple(entry)
+
+    return moved
+
+
+# What build_channel reports at (q, n, m) = (2, 2, 3) when input 16, the
+# second member of the line <(0, 1, 0)>, is put in the class of the plane
+# whose first members are 10 and 11.  Input 16 is also the sum 8 + B for a
+# B of rank 1, so the first member whose tally is found wrong is input 8 of
+# the line <(0, 0, 1)>, ahead of 16 itself.
+_NOT_SHARED = (
+    "input 8 of GL image class 1 does not share the row of its representative 1: "
+    "their sums reach different classes"
+)
+
+
+class TestOneRowPerInputClass:
+    """The law is invariant under X -> A*X, so build_channel writes one row
+    per GL image class of inputs, checked at up to REPRESENTATIVES_PER_CLASS
+    members of each class."""
+
+    @pytest.mark.parametrize("shape, classes", [((2, 2, 3), 15), ((3, 1, 3), 14)])
+    def test_inputs_of_a_row_space_share_one_row(self, shape, classes, channel_laws):
+        """Two inputs hold the same row dict exactly when their row spaces
+        are equal, and every row is still the per-term reference's."""
+        q, n, m = shape
+        for params in _every_kind(q, n, m):
+            law = channel_laws(params)
+            holders = {}
+            for X, row in zip(law.matrices, law.rows):
+                holders.setdefault(id(row), set()).add(reference.rref_basis(X, q))
+            assert len(law.rows) == q ** (n * m) and len(holders) == classes
+            assert all(len(spaces) == 1 for spaces in holders.values())
+            got = _law_table(law)
+            for X, row in _per_term_channel(params).items():
+                assert list(got[X].items()) == sorted(row.items()), params.error_dist
+
+    def test_input_in_the_wrong_class_is_refused(self, cold_oracle, monkeypatch):
+        """An input put in another class changes the tallies of the sums
+        that reach it, at error rank 1, so the shared rows are refused
+        rather than written."""
+        monkeypatch.setattr(oracle, "_gl_images", _move_input(oracle._gl_images, 16, 8))
+        params = ChannelParams(2, 2, 3, parse_error_model("binomial:T=2,p=1/10", 2, 2, 3))
+        with pytest.raises(AssertionError) as refused:
+            oracle.build_channel(params)
+        assert str(refused.value) == _NOT_SHARED
+
+    def test_verify_reports_input_in_the_wrong_class(self, cold_oracle, monkeypatch, capsys):
+        """cli verify reports the refused row as one JSON error line and
+        exit 1, a verification failure."""
+        from gammacap import cli
+
+        monkeypatch.setattr(oracle, "_gl_images", _move_input(oracle._gl_images, 16, 8))
+        code = cli.main(
+            ["verify", "--q", "2", "--n", "2", "--m", "3", "--error", "binomial:T=2,p=1/10"]
+        )
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            json.dumps({"error": _NOT_SHARED, "exit_code": 1}, sort_keys=True)
         ]
 
 
