@@ -80,13 +80,23 @@ _MATRIXFN_HELP = {
 
 class _Parser(argparse.ArgumentParser):
     """Parser whose usage errors match the single-line JSON error contract.
-    A value outside a flag's choices, or an unknown subcommand, is quoted
-    through :func:`exactcomb._excerpt`, so its refusal stays one short line
-    however long the value."""
+    A value outside a flag's choices, an unknown subcommand and leftover
+    arguments are quoted through :func:`exactcomb._excerpt`, so each refusal
+    stays one short line however long or many the values."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
         _print_error(EXIT_BAD_INPUT, message)
         raise SystemExit(EXIT_BAD_INPUT)
+
+    def parse_args(self, args=None, namespace=None):  # type: ignore[override]
+        # Leftovers that _excerpt quotes whole are printed as argparse
+        # prints them, joined by spaces without quotes.
+        namespace, extras = self.parse_known_args(args, namespace)
+        if extras:
+            text = " ".join(extras)
+            shown = _excerpt(text)
+            self.error(f"unrecognized arguments: {text if shown == repr(text) else shown}")
+        return namespace
 
     def _check_value(self, action: argparse.Action, value: Any) -> None:
         if action.choices is not None and value not in action.choices:

@@ -23,13 +23,14 @@ drawn from outside the span of the rows before it.  Nothing here reduces
 a matrix: ranks and row spaces come from spans.  Work shared
 between terms (the images A*Z of one matrix Z, the row spaces reached from
 one representative M, the class keys of one representative U) is
-enumerated once per call.  What depends on the shape alone is kept for the
-life of the process, keyed by the ints (n, m, q): the f-tables of
-:func:`brute_f_functions` and the GL image classes of
-:func:`build_channel`, with the sum classes of each error matrix that a law
-has supported.  Every refusal is made before either memo is read,
-nothing that depends on an error law is kept, and each caller gets
-containers of its own.  Only a shape that repeats in one process gains.
+enumerated once per call.  What depends on the shape alone and a law
+needs is kept for the life of the process, keyed by the ints (n, m, q):
+the GL image classes of :func:`build_channel`, with the sum classes of
+each error matrix that a law has supported.  Every refusal is made before
+that memo is read, nothing that depends on an error law is kept, and each
+caller gets containers of its own.  Only a shape that repeats in one
+process gains.  :func:`brute_f_functions` keeps nothing: each call
+enumerates and checks its tables afresh.
 The inner loops read matrices by their index in enumerate_matrices order:
 adding a fixed matrix, such as one supported error matrix B to every input
 at once, is a permutation of those indices (:func:`_translation`), built
@@ -48,17 +49,16 @@ B and keeps them with the shape, every representative adds B's integer
 numerator to the weight of its sum's class, and the class rows are
 written in one pass over the outputs in increasing index.  A channel law
 (:class:`ChannelLaw`) keeps that indexing: each matrix's rank, read off the
-size of its span, and per input the integer numerators of its outputs, in
-increasing output index, over one shared denominator, in one dict that
-every input of its class holds.  Its
-readers sum integers and divide once: the exact rank transition of
-:func:`rank_kernel` reads each row dict once, times the inputs that hold
-it, and makes one Fraction per cell; :func:`rank_marginal`,
+size of its span, and its class, and per class the integer numerators of
+its row's outputs, in increasing output index, over one shared
+denominator.  Its readers sum integers and divide once: the exact rank
+transition of :func:`rank_kernel` sums each class row once, times the
+class size, and makes one Fraction per cell; :func:`rank_marginal`,
 which pushes a rank-uniform input law through it, sums its products as
 integers over one denominator and makes one Fraction per output rank; and
-Blahut-Arimoto keys each row dict once, makes one float per distinct
-numerator, converts each distinct row by one map, and reads the rows in
-the order they are kept.  Work whose result
+Blahut-Arimoto keys each class row once by content, makes one float per
+distinct numerator, converts each distinct row by one map, and reads the
+rows in the order they are kept.  Work whose result
 would be thrown away is not done: Blahut-Arimoto computes one divergence
 per set of exactly equal rows, over their nonzero entries only, and starts
 where its caller says, such as at a known optimum.
@@ -249,25 +249,12 @@ def brute_f_functions(n: int, m: int, q: int) -> Dict[str, Dict]:
     AssertionError if any two counts of one class disagree, which checks
     the well-definedness claim rather than assuming it.  Likewise f2 is
     checked across the first REPRESENTATIVES_PER_CLASS matrices X of each
-    rank.  The tables depend on (n, m, q) alone, so a shape is enumerated,
-    and these checks run, on its first call in a process; each call returns
-    dicts of its own, copied from the memo.  A non-prime q and a shape over
-    MATRIX_ENUM_BUDGET are refused before the memo is read, and the memo is
-    keyed by type as well as value, so a float dimension still raises
-    TypeError after the equal int shape is kept.
+    rank.  Each call enumerates and checks afresh, and a non-prime q or a
+    shape over MATRIX_ENUM_BUDGET is refused before anything is enumerated.
 
     ``h`` here is dim((U+V)/V) = u - dim(U cap V), matching the closed-form
     convention.
     """
-    _require_prime(q)
-    _check_grid(n, m, q, "q^(n*m)")
-    return {name: dict(table) for name, table in _f_tables(n, m, q)}
-
-
-@functools.lru_cache(maxsize=None, typed=True)
-def _f_tables(n: int, m: int, q: int) -> Tuple[Tuple[str, tuple], ...]:
-    """brute_f_functions' three tables of one shape, each as its (key,
-    count) pairs in insertion order."""
     mn = min(n, m)
     all_mats = list(enumerate_matrices(n, m, q))
     dim_of = {q**d: d for d in range(mn + 1)}
@@ -329,9 +316,7 @@ def _f_tables(n: int, m: int, q: int) -> Tuple[Tuple[str, tuple], ...]:
                 for rb in range(mn + 1):
                     record("f2", f2, (r, rx, rb), by_ranks[r, rb])
 
-    return tuple(
-        (name, tuple(table.items())) for name, table in (("f0", f0), ("f1", f1), ("f2", f2))
-    )
+    return {"f0": f0, "f1": f1, "f2": f2}
 
 
 def _subspaces_of_span(basis: Matrix, m: int, q: int) -> List[Matrix]:
@@ -457,18 +442,22 @@ class ChannelLaw:
     """Exact transition law of a channel over its whole matrix alphabet.
 
     ``matrices`` is F_q^{n x m} in enumerate_matrices order and ``ranks[i]``
-    the rank of ``matrices[i]``.  P(Y | X) for X = matrices[i] and
-    Y = matrices[j] is ``rows[i][j] / den``: each row maps the index of every
-    output it reaches to an integer numerator, in increasing output index,
-    and all rows share the one denominator.  The inputs of one GL image
-    class, which have one row space and so one rank, hold one shared row
-    dict (``rows[i] is rows[k]``); readers do not mutate the rows.
+    the rank of ``matrices[i]``.  The law is invariant under X -> A0*X for
+    A0 in GL, so it keeps one row per GL image class of inputs, the
+    matrices of one row space and so of one rank: ``class_of[i]`` is the
+    class of ``matrices[i]``, classes numbered in order of first
+    appearance, and ``rows[c]`` the row of class c.  P(Y | X) for
+    X = matrices[i] and Y = matrices[j] is ``rows[class_of[i]][j] / den``:
+    each row maps the index of every output it reaches to an integer
+    numerator, in increasing output index, and all rows share the one
+    denominator.
     """
 
     matrices: List[Matrix]
     ranks: List[int]
     den: int
     rows: List[Dict[int, int]]
+    class_of: List[int]
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -589,8 +578,8 @@ def build_channel(params) -> ChannelLaw:
     row space (:func:`_gl_images`, kept for the life of the process, which
     checks that the class tallies partition the outputs).  The law is
     invariant under X -> A0*X for A0 in GL, so the inputs of one class
-    share one row: it is built at the class's representative, and every
-    input of the class holds that one dict.  The first law at the shape
+    share one row: the law keeps one row per class, built at the class's
+    representative.  The first law at the shape
     that supports an error rank translates each B of that rank once and
     keeps with the shape the class of representative + B for every class,
     one small int per (class, B), after checking the sharing at up to
@@ -636,7 +625,7 @@ def build_channel(params) -> ChannelLaw:
     for y, (c, mult) in enumerate(outputs):
         for k, w in class_weights[c].items():
             rows[k][y] = w * mult
-    return ChannelLaw(list(all_mats), list(ranks), den, [rows[c] for c in class_of])
+    return ChannelLaw(list(all_mats), list(ranks), den, rows, list(class_of))
 
 
 def rank_kernel(law: ChannelLaw) -> Dict[int, List[Fraction]]:
@@ -645,28 +634,21 @@ def rank_kernel(law: ChannelLaw) -> Dict[int, List[Fraction]]:
     rank ry.  Keyed by the input ranks present, in order of first
     appearance; every row has one entry per output rank up to the largest
     one reached.  Numerators are summed as integers, one Fraction per cell.
-    A row dict that several inputs hold, the inputs of one GL image class
-    and so of one rank, is read once, at its first holder's rank, and its
-    sums are added times the number of its holders.
+    The row of each GL image class is summed once and added times the
+    class size, at the rank of its members.
     """
     ranks = law.ranks
     sizes = Counter(ranks)
+    class_sizes = Counter(law.class_of)
+    class_rank = dict(zip(law.class_of, ranks))
     sums = {rx: [0] * (max(sizes) + 1) for rx in sizes}
-    # held[id(row)]: [its first holder's rank, row, number of holders].
-    held: Dict[int, list] = {}
-    for rx, row in zip(ranks, law.rows):
-        entry = held.get(id(row))
-        if entry is None:
-            held[id(row)] = [rx, row, 1]
-        else:
-            entry[2] += 1
-    for rx, row, times in held.values():
-        cells = sums[rx] if times == 1 else [0] * len(sums[rx])
+    for c, row in enumerate(law.rows):
+        total = sums[class_rank[c]]
+        cells = [0] * len(total)
         for y, num in row.items():
             cells[ranks[y]] += num
-        if times > 1:
-            for ry, num in enumerate(cells):
-                sums[rx][ry] += num * times
+        for ry, num in enumerate(cells):
+            total[ry] += num * class_sizes[c]
     # Every numerator is positive, so a rank is reached when its sum is not 0.
     width = 1 + max(
         (ry for cells in sums.values() for ry, num in enumerate(cells) if num), default=0
@@ -723,10 +705,10 @@ def blahut_arimoto(
     ``tol`` that is not a positive and finite int or float (a bool is
     neither), a ``max_iter`` that is not an int of at least 1, or a
     ``start`` of the wrong length, with a negative or non-finite entry or no
-    positive mass, raises ValueError.  Each row dict of ``law`` is keyed
-    once, however many inputs of its GL image class hold it, and exactly
-    equal rows of different classes are merged by content, so a law whose
-    rows are all equal keeps one divergence.  Each distinct row is held
+    positive mass, raises ValueError.  Each class row of ``law`` is keyed
+    once by its content, so exactly equal rows of different classes are
+    merged and a law whose rows are all equal keeps one divergence; each
+    input reads the row of its class.  Each distinct row is held
     as its output indices and its probabilities, converted by one map over
     a numerator-to-float dict of the law, and read in the order the law
     keeps, increasing output index, which is the order the float sums add
@@ -736,7 +718,7 @@ def blahut_arimoto(
         raise ValueError("tol must be a positive and finite number")
     if type(max_iter) is not int or max_iter < 1:
         raise ValueError("max_iter must be an int of at least 1")
-    k = len(law.rows)
+    k = len(law.class_of)
     if start is None:
         p = [1.0 / k] * k
     else:
@@ -761,18 +743,12 @@ def blahut_arimoto(
     # to qy[y] and nothing to d, so a row holding one keeps only its positive
     # entries, which changes no float; rows are searched for one only when
     # some numerator rounds to 0.0.
-    # A row dict that several inputs hold, as the inputs of one GL image
-    # class do, is keyed once; equal rows of other classes meet by content.
     distinct: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
-    held: Dict[int, int] = {}
-    group = []
-    for row in law.rows:
-        g = held.get(id(row))
-        if g is None:
-            g = held[id(row)] = distinct.setdefault(
-                (tuple(row), tuple(row.values())), len(distinct)
-            )
-        group.append(g)
+    keyed = [
+        distinct.setdefault((tuple(row), tuple(row.values())), len(distinct))
+        for row in law.rows
+    ]
+    group = [keyed[c] for c in law.class_of]
     den = law.den
     floats = {
         num: num / den for num in set(itertools.chain.from_iterable(nums for _, nums in distinct))

@@ -3,10 +3,12 @@ memo reset, and the entropy references.
 
 Building a full channel law is the expensive part of the oracle
 cross-checks, and several test modules need the same channels, so each law
-is cached for the whole session.  The oracle itself keeps what depends on
-the shape alone, the f-tables and the GL image tallies, for the life of
-the process; ``cold_oracle`` empties both memos around a test that must
-see them enumerated afresh.
+is cached for the whole session.  Two memos keep what depends on the
+shape alone for the life of the process: the oracle's GL image classes,
+with the sum classes of the error matrices a law has supported, and
+verify's matrix-function verdicts; ``cold_oracle`` empties both around a
+test that must see them enumerated afresh.  The oracle's f-tables are
+enumerated on every call and kept nowhere.
 
 The mutual information of a rank-uniform input is also assembled here, as
 H(Y) from the output rank law less H(Y | X) from h_r: a second route to the
@@ -24,16 +26,15 @@ from reference import log2_exact
 
 
 def clear_oracle_memo():
-    """Empty the oracle's per-shape memos and verify's matrix-function
+    """Empty the oracle's per-shape memo and verify's matrix-function
     verdicts, so the next call enumerates and checks afresh."""
-    oracle._f_tables.cache_clear()
     oracle._gl_images.cache_clear()
     cli._matrix_function_verdict.cache_clear()
 
 
 @pytest.fixture
 def cold_oracle():
-    """The oracle's memos emptied before the test and again after it, so a
+    """The per-shape memos emptied before the test and again after it, so a
     mutant installed by the test meets a cold memo and leaves nothing
     behind."""
     clear_oracle_memo()
@@ -73,7 +74,7 @@ def row_entropy_bits():
     """Factory: (ChannelLaw, input index x) -> entropy in bits of P(. | X_x)."""
 
     def get(law, x):
-        return _entropy_bits(Fraction(num, law.den) for num in law.rows[x].values())
+        return _entropy_bits(Fraction(num, law.den) for num in law.rows[law.class_of[x]].values())
 
     return get
 

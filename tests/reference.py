@@ -5,8 +5,9 @@ a census of subspaces by their meets with a fixed pair, the rank transition
 probability of one error rank and of a whole error law, the output rank law
 of an input rank law, the conditional output entropy of each input rank,
 the uniform input rank law, log2 of an exact rational beyond the float
-range, and the solver's Newton step by plain elimination.  Nothing
-here imports gammacap, so a check against this module compares the package
+range, the solver's Newton step by plain elimination, and the benchmark's
+query catalogue, read from its workload file.  Nothing here imports
+gammacap, so a check against this module compares the package
 with an independent computation:
 
 - ranks and row spaces by elimination, where the oracle reads them off
@@ -27,10 +28,13 @@ with an independent computation:
   each rank fixed, where the solver updates one Cholesky factor.
 """
 
+import importlib.util
 import itertools
 import math
+import pathlib
 from fractions import Fraction
 from functools import lru_cache
+
 
 
 def _require_prime(q):
@@ -391,3 +395,14 @@ def _ordered_sum(values):
     for value in values:
         total += value
     return total
+
+
+def benchmark_catalogue(workload="capacity", rounds=(0, 1)):
+    """The benchmark's catalogue of a workload at seed 1, by default capacity
+    rounds 0 and 1, read from perfbench/workloads.py so that it follows the
+    benchmark."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return tuple(item for r in rounds for item in workloads.make_round(workload, 1, r))

@@ -3,11 +3,9 @@
 import contextlib
 import dataclasses
 import hashlib
-import importlib.util
 import io
 import itertools
 import math
-import pathlib
 from fractions import Fraction
 
 import pytest
@@ -31,7 +29,7 @@ from gammacap.exactcomb import (
     MAX_DIMENSION, _check_args, _falling, count_rank_matrices, qbinom, qbinom_ext,
 )
 from gammacap.matrixfn import f0, f1, f2
-from reference import log2_exact
+from reference import benchmark_catalogue, log2_exact
 
 
 def _params(q, n, m, spec):
@@ -50,7 +48,8 @@ def _oracle_mutual_information(law, input_rank_probs, q):
         for x in by_rank[r]:
             weights[x] = Fraction(p) / len(by_rank[r])
     rows = {
-        x: {y: Fraction(num, law.den) for y, num in law.rows[x].items()} for x in weights
+        x: {y: Fraction(num, law.den) for y, num in law.rows[law.class_of[x]].items()}
+        for x in weights
     }
     marginal = {}
     for x, w in weights.items():
@@ -735,20 +734,9 @@ _KERNEL_CHANNELS = (
     (16, 12, 12, "binomial:T=3,p=0.2"),
 )
 
-def _benchmark_catalogue(workload="capacity", rounds=(0, 1)):
-    """The benchmark's catalogue of a workload at seed 1, by default capacity
-    rounds 0 and 1, read from perfbench/workloads.py so that it follows the
-    benchmark."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_benchmark_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return tuple(item for r in rounds for item in workloads.make_round(workload, 1, r))
-
-
 # The catalogue, and the uniform-matrix law at d = 24, which supports every
 # error rank.
-_CATALOGUE = _benchmark_catalogue() + ((2, 24, 24, "iid:t=24"),)
+_CATALOGUE = benchmark_catalogue() + ((2, 24, 24, "iid:t=24"),)
 
 
 class TestExactLawAtScale:
@@ -836,9 +824,9 @@ class TestExactLawAtScale:
 
 # Capacity rounds 0-3 and verify rounds 0-3, which hold every verify shape,
 # each distinct channel once.
-_VERIFY_CATALOGUE = tuple(dict.fromkeys(_benchmark_catalogue("verify", rounds=(0, 1, 2, 3))))
+_VERIFY_CATALOGUE = tuple(dict.fromkeys(benchmark_catalogue("verify", rounds=(0, 1, 2, 3))))
 _OUTPUT_LAW_CHANNELS = tuple(
-    dict.fromkeys(_benchmark_catalogue(rounds=(0, 1, 2, 3)) + _VERIFY_CATALOGUE)
+    dict.fromkeys(benchmark_catalogue(rounds=(0, 1, 2, 3)) + _VERIFY_CATALOGUE)
 )
 
 
@@ -909,7 +897,7 @@ class TestCatalogueWorkspace:
     1, 33 channels): every float pinned, and the counts they ask for at the
     channel's matrixfn boundary fixed."""
 
-    CHANNELS = _benchmark_catalogue()
+    CHANNELS = benchmark_catalogue()
     # Recorded before the count loops of h_r, f1 and f2 were last rewritten.
     DIGEST = "e2804d4db4d6bb454f98477f2d44b95d47c313e76c92e80ac2a3512ef61a4c3f"
 
@@ -965,7 +953,7 @@ class TestChecksOncePerChannel:
     rank count.  So every call must pass the public function's own argument
     check, here run first by a checker around each name."""
 
-    CHANNELS = _benchmark_catalogue()
+    CHANNELS = benchmark_catalogue()
     CHECKS = {
         "f0": "u n m",
         "f1": "u v h r n m",
@@ -1078,7 +1066,7 @@ class TestCatalogueSolves:
     channels) at the benchmark's cap of 500: capacity and gap as hex floats,
     iterations and Newton steps, pinned by one digest."""
 
-    CHANNELS = _benchmark_catalogue()
+    CHANNELS = benchmark_catalogue()
     # Recorded before the solver came to sum x . grad once per iterate.
     DIGEST = "0aeec529c89667c5542967e1b11ce8f3fe27827244fc51011e6c08c8c94b3f9d"
 
@@ -1108,7 +1096,7 @@ class TestBenchmarkAnswerBits:
         """repr of each CapacityResult at the benchmark's tolerance and cap."""
         texts = [
             repr(solver.maximize(_params(*args), solver.SolverConfig(1e-9, 500)))
-            for args in _benchmark_catalogue("capacity", range(14))
+            for args in benchmark_catalogue("capacity", range(14))
         ]
         assert len(texts) == 225
         assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == self.CAPACITY_DIGEST
@@ -1117,7 +1105,7 @@ class TestBenchmarkAnswerBits:
         """Exit code and stdout of each in-process cli verify, as the
         benchmark's verify workload runs it."""
         texts = []
-        for q, n, m, spec in _benchmark_catalogue("verify", range(4)):
+        for q, n, m, spec in benchmark_catalogue("verify", range(4)):
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = cli.main(

@@ -23,6 +23,7 @@ import gammacap
 from gammacap import cli
 from gammacap.channel import parse_error_model
 from gammacap.solver import SolverConfig
+from reference import benchmark_catalogue
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -713,11 +714,20 @@ class TestRefusalsQuoteABoundedPrefix:
                 "argument function: invalid choice: '" + "y" * 59 + "... (5002 characters)"
                 " (choose from 'f0', 'f1', 'f2')",
             ),
+            # argparse echoed the leftovers whole: 5 054 and 10 054 bytes.
+            (
+                ("verify", "--q", "2", "--n", "1", "--m", "1", "y" * 5000),
+                "unrecognized arguments: '" + "y" * 59 + "... (5002 characters)",
+            ),
+            (
+                ("verify", "--q", "2", "--n", "1", "--m", "1", *["y"] * 5000),
+                "unrecognized arguments: '" + " ".join(["y"] * 30) + "... (10001 characters)",
+            ),
         ],
         ids=["65-tokens", "malformed-number", "field-order", "integer-token", "kind",
              "integer-flag", "ranks-input", "tolerance", "dimension-flag", "matrixfn-u",
              "constant-t", "iid-t", "binomial-T", "format-choice", "subcommand",
-             "matrixfn-function"],
+             "matrixfn-function", "long-leftover", "many-leftovers"],
     )
     def test_long_input_is_quoted_by_a_prefix(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -794,9 +804,23 @@ class TestRefusalsQuoteABoundedPrefix:
                 "malformed number '" + "x" * 49 + "' in 'empirical:" + "x" * 49
                 + "... (61 characters)",
             ),
+            # Leftovers that _excerpt quotes whole keep argparse's text, unquoted.
+            (
+                ("verify", "--q", "2", "--n", "1", "--m", "1", "extra1", "extra2"),
+                "unrecognized arguments: extra1 extra2",
+            ),
+            (
+                ("verify", "--q", "2", "--n", "1", "--m", "1", "x" * 58),
+                "unrecognized arguments: " + "x" * 58,
+            ),
+            (
+                ("verify", "--q", "2", "--n", "1", "--m", "1", "x" * 59),
+                "unrecognized arguments: '" + "x" * 59 + "... (61 characters)",
+            ),
         ],
         ids=["malformed-number", "field-order", "integer-token", "integer-flag", "tolerance",
-             "format-choice", "60-characters", "61-characters"],
+             "format-choice", "60-characters", "61-characters", "leftovers",
+             "58-character-leftover", "59-character-leftover"],
     )
     def test_short_input_is_quoted_whole(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -1037,6 +1061,30 @@ class TestOracleMemo:
         monkeypatch.undo()
         assert run_json(capsys, *argv) == first
         assert cli._matrix_function_verdict.cache_info().hits == 1
+
+    def test_benchmark_rounds_enumerate_each_shape_once(self, capsys, monkeypatch):
+        """The benchmark's verify rounds 0-3, 64 queries over 16 shapes, from
+        cold memos: the f-tables are enumerated once per shape, on the
+        verdict's miss, and the other 48 queries read the GL image classes
+        and the matrix-function verdict from their memos.  The memos are
+        left warm, so a verify digest run after this test meets every
+        shape kept."""
+        cli.oracle._gl_images.cache_clear()
+        cli._matrix_function_verdict.cache_clear()
+        shapes = []
+        brute_f_functions = cli.oracle.brute_f_functions
+        monkeypatch.setattr(
+            cli.oracle, "brute_f_functions",
+            lambda *shape: shapes.append(shape) or brute_f_functions(*shape),
+        )
+        queries = benchmark_catalogue("verify", range(4))
+        for q, n, m, spec in queries:
+            argv = ("verify", "--q", str(q), "--n", str(n), "--m", str(m), "--error", spec)
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 0 and err == ""
+        assert len(queries) == 64 and len(shapes) == len(set(shapes)) == 16
+        assert cli.oracle._gl_images.cache_info().hits == 48
+        assert cli._matrix_function_verdict.cache_info().hits == 48
 
 
 class TestInstalledEntryPoint:

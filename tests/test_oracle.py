@@ -169,12 +169,13 @@ class TestEnumeration:
 
 
 class TestShapeMemo:
-    """brute_f_functions and build_channel keep what depends on (n, m, q)
-    alone for the life of the process, and no caller can tell."""
+    """build_channel keeps what depends on (n, m, q) alone for the life of
+    the process, brute_f_functions keeps nothing, and no caller can tell."""
 
     def test_callers_get_containers_of_their_own(self, cold_oracle):
-        """Mutating a returned f-table or a ChannelLaw list changes nothing
-        that the next call, served from the memo, returns."""
+        """Mutating a returned f-table changes nothing that the next call
+        returns, and mutating a ChannelLaw list changes nothing that the
+        next call, served from the memo, returns."""
         tables = oracle.brute_f_functions(2, 2, 2)
         want_tables = copy.deepcopy(tables)
         tables["f0"][0] = -1
@@ -187,27 +188,33 @@ class TestShapeMemo:
         want_law = copy.deepcopy(law)
         law.matrices.reverse()
         law.ranks[0] = -1
+        law.class_of[0] = -1
         law.rows[0].clear()
         law.rows.pop()
         assert oracle.build_channel(params) == want_law
-        assert oracle._f_tables.cache_info().hits == 1
         assert oracle._gl_images.cache_info().hits == 1
 
     @pytest.mark.parametrize("shape", [(2.0, 2, 2), (2, 2.0, 2), (2, 2, 2.0)])
     def test_float_dimension_refused_after_the_int_shape(self, cold_oracle, shape):
-        """The memo tells 2.0 from 2, so a float shape is not served the
-        tables of the equal int shape."""
+        """A float shape is refused after the equal int shape has been
+        enumerated: nothing kept from the int shape serves it."""
         oracle.brute_f_functions(2, 2, 2)
         with pytest.raises(TypeError):
             oracle.brute_f_functions(*shape)
 
     def test_refusals_come_before_the_memo(self, monkeypatch):
-        """Every refusal is made before either memo is read."""
+        """Every refusal is made before the memo is read or, in
+        brute_f_functions, before any subspace or translation is
+        enumerated."""
 
         def read_memo(*args):
             raise AssertionError("memo read")
 
-        monkeypatch.setattr(oracle, "_f_tables", read_memo)
+        def enumerate_any(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(oracle, "enumerate_subspaces", enumerate_any)
+        monkeypatch.setattr(oracle, "_translation", enumerate_any)
         monkeypatch.setattr(oracle, "_gl_images", read_memo)
         with pytest.raises(oracle.BudgetExceededError, match="enumeration budget"):
             oracle.brute_f_functions(3, 3, 5)
@@ -219,8 +226,8 @@ class TestShapeMemo:
             oracle.build_channel(ChannelParams(4, 1, 1, constant_rank_model(0, 1, 1)))
         with pytest.raises(ValueError, match="exact rational"):
             oracle.build_channel(ChannelParams(2, 1, 1, RankDistribution([0.5, 0.5])))
-        # A shape within budget does read the memo.
-        with pytest.raises(AssertionError, match="memo read"):
+        # A shape within budget does enumerate, and does read the memo.
+        with pytest.raises(AssertionError, match="enumerated"):
             oracle.brute_f_functions(2, 2, 2)
         with pytest.raises(AssertionError, match="memo read"):
             oracle.build_channel(ChannelParams(2, 2, 2, constant_rank_model(0, 2, 2)))
@@ -230,7 +237,7 @@ class TestChannelTable:
     def test_rows_are_exact_distributions(self, channel_laws):
         params = ChannelParams(2, 2, 2, parse_error_model("iid:t=1", 2, 2, 2))
         law = channel_laws(params)
-        assert len(law.rows) == 2 ** 4
+        assert len(law.class_of) == 2 ** 4
         for row in law.rows:
             assert sum(row.values()) == law.den
 
@@ -399,8 +406,8 @@ def _law_table(law):
     outputs in the law's order: the form the references below build."""
     mats = law.matrices
     return {
-        mats[x]: {mats[y]: Fraction(num, law.den) for y, num in row.items()}
-        for x, row in enumerate(law.rows)
+        mats[x]: {mats[y]: Fraction(num, law.den) for y, num in law.rows[c].items()}
+        for x, c in enumerate(law.class_of)
     }
 
 
@@ -793,15 +800,16 @@ class TestOneRowPerInputClass:
 
     @pytest.mark.parametrize("shape, classes", [((2, 2, 3), 15), ((3, 1, 3), 14)])
     def test_inputs_of_a_row_space_share_one_row(self, shape, classes, channel_laws):
-        """Two inputs hold the same row dict exactly when their row spaces
+        """Two inputs read the same class row exactly when their row spaces
         are equal, and every row is still the per-term reference's."""
         q, n, m = shape
         for params in _every_kind(q, n, m):
             law = channel_laws(params)
             holders = {}
-            for X, row in zip(law.matrices, law.rows):
-                holders.setdefault(id(row), set()).add(reference.rref_basis(X, q))
-            assert len(law.rows) == q ** (n * m) and len(holders) == classes
+            for X, c in zip(law.matrices, law.class_of):
+                holders.setdefault(c, set()).add(reference.rref_basis(X, q))
+            assert len(law.class_of) == q ** (n * m)
+            assert len(law.rows) == len(holders) == classes
             assert all(len(spaces) == 1 for spaces in holders.values())
             got = _law_table(law)
             for X, row in _per_term_channel(params).items():
