@@ -41,6 +41,7 @@ from .exactcomb import (
 )
 # Unchecked kernels: ChannelParams validates q, n and m; every rank is loop-bounded.
 from .matrixfn import _f0 as f0, _f1 as f1, _f2 as f2, _meet_count as meet_count
+from .matrixfn import _hold_shape
 
 Numeric = Union[int, float, Fraction]
 Kernel = Tuple[Tuple[Tuple[int, ...], int], ...]
@@ -154,7 +155,8 @@ class ChannelParams:
 
     ``_workspace`` holds solver._workspace's tables from the channel's first
     use on, and ``_joint_table`` the kernel numerators that _joint has
-    formed so far; like ``sizes`` and ``support`` they take no part in
+    formed so far, until solver._workspace has read them all and sets it
+    back to None; like ``sizes`` and ``support`` they take no part in
     equality, hashing or repr.
     """
 
@@ -209,8 +211,11 @@ def _joint(params: ChannelParams, ranks: Iterable[int]) -> List[List[Optional[in
     """The numerators J[ry][rx] = denominator * N_rx * T(ry | rx) of the
     columns rx in ``ranks``, each symmetric pair once.  Column rx is row rx
     of J.  J is kept on the channel and filled column by column, so each
-    entry is formed once per channel, by the first call whose columns need
-    it; entries that no call has needed yet are None.
+    entry is formed once while J is kept, by the first call whose columns
+    need it; entries that no call has needed yet are None.  The solver's
+    workspace drops J once it has read every column, and a later call
+    forms the same exact entries again.  The counts come from matrixfn's
+    tables of the channel's shape (matrixfn._hold_shape).
 
     P(X + B = Y) depends on rank(Y - X) only, so the kernel is reversible,
     N_rx T(ry | rx) = N_ry T(rx | ry) (Delsarte's bilinear-forms scheme):
@@ -219,6 +224,7 @@ def _joint(params: ChannelParams, ranks: Iterable[int]) -> List[List[Optional[in
     f2 is 0 unless b - a <= rB <= a + b: only those rB are summed.
     """
     q, n, m, k = params.q, params.n, params.m, params.rank_count
+    _hold_shape(q, n, m)
     joint: List[List[Optional[int]]] = params._joint_table
     if joint is None:
         joint = [[None] * k for _ in range(k)]
@@ -315,6 +321,7 @@ def h_r(params: ChannelParams) -> Tuple[float, ...]:
     support is skipped as an exact zero.
     """
     q, n, m, k = params.q, params.n, params.m, params.rank_count
+    _hold_shape(q, n, m)
     support, denominator = params.support, params.denominator
     lo, hi, qn = support[0][0], support[-1][0], q**n
     log_f0 = [math.log2(f0(v, n, m, q)) for v in range(k)]

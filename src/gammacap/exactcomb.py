@@ -5,11 +5,12 @@ Conventions:
 
 - Public functions raise ``ValueError`` on malformed input (negative
   dimensions, non-prime-power q, dimensions beyond :data:`MAX_DIMENSION`)
-  and on a q whose prime root cannot be certified (at least
-  :data:`_MR_EXACT_BELOW`, about 3.3e24).  Every refusal of the package
-  quotes the value it names through :func:`_excerpt`, which cuts at 60
-  characters and formats only the leading digits of an int of any size,
-  or of a Fraction's numerator and denominator.
+  and on a q whose root is not certified prime or composite (one at
+  least :data:`_MR_EXACT_BELOW`, about 3.3e24, with no prime factor up
+  to 41).  Every refusal of the package quotes the value it names
+  through :func:`_excerpt`, which cuts at 60 characters and formats only
+  the leading digits of an int of any size, or of a Fraction's numerator
+  and denominator.
 - Combinatorially impossible but well-formed requests return 0, because the
   higher-level summations rely on out-of-range terms vanishing.
 - The kernels qbinom_ext (the q-Pascal rule, with no division, each
@@ -101,13 +102,20 @@ def _iroot(q: int, k: int) -> int:
 
 
 def _is_prime(r: int) -> bool:
-    """Whether r >= 2 is prime: Miller-Rabin on :data:`_MR_BASES`, whose
-    "composite" is always right and whose "prime" is exact below
-    :data:`_MR_EXACT_BELOW`.  A larger probable prime cannot be certified
-    here and is refused with ValueError."""
+    """Whether r >= 2 is prime: Miller-Rabin on :data:`_MR_BASES`, which
+    decides exactly below :data:`_MR_EXACT_BELOW`.  From that bound on no
+    outcome could be accepted: a composite is no prime power's root, and a
+    probable prime cannot be certified.  So an r there that no base divides
+    is refused with ValueError before any round, which for an r of
+    thousands of digits would take seconds each."""
     for p in _MR_BASES:
         if r % p == 0:
             return r == p
+    if r >= _MR_EXACT_BELOW:
+        raise ValueError(
+            f"cannot certify whether {_excerpt(r)} is prime: "
+            f"Miller-Rabin is exact only below {_MR_EXACT_BELOW}"
+        )
     d, s = r - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -121,11 +129,6 @@ def _is_prime(r: int) -> bool:
                 break
         else:
             return False
-    if r >= _MR_EXACT_BELOW:
-        raise ValueError(
-            f"cannot certify that {_excerpt(r)} is prime: "
-            f"Miller-Rabin is exact only below {_MR_EXACT_BELOW}"
-        )
     return True
 
 
@@ -162,7 +165,8 @@ def is_prime_power(q: int) -> bool:
     power, and q = p**k exactly when that root is prime.  So the cost is
     polynomial in log q: a residue screen per prime exponent, an integer
     root only where the screen passes, and one primality test, which
-    refuses a probable prime root it cannot certify (:func:`_is_prime`).
+    refuses a root past what it certifies before any Miller-Rabin round
+    (:func:`_is_prime`).
     Memoized: every exact count validates its field order on entry."""
     if q < 2:
         return False

@@ -22,14 +22,24 @@ at entry, that the triple profile is realizable; below that its sum counts
 
 ``h`` throughout is the quotient dimension dim((U+V)/V), so dim(U cap V) is
 u - h.
+
+The tables of one shape: ``_f1``, ``_meet_count`` and ``_phi_block`` keep
+the law-free counts of the (q, n, m) of the latest build and no other.  A
+build is ``channel.h_r``, ``channel._joint`` or a public :func:`f1` or
+:func:`f2` call past its argument checks; each first calls
+:func:`_hold_shape`, which empties the three whenever the shape differs
+from the one before.  So every law asked at one shape shares them, and a
+new shape frees the old one's.  ``_f1_terms`` and the Gaussian binomials
+of ``exactcomb._PASCAL`` are keyed by field alone, and every shape of that
+field reads them, so they are kept.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from .exactcomb import MAX_DIMENSION, qbinom_ext, _check_args, _falling
+from .exactcomb import qbinom_ext, _check_args, _falling
 
 
 @lru_cache(maxsize=None)
@@ -39,9 +49,10 @@ def _meet_count(N: int, k: int, d: int, a: int, q: int) -> int:
     q^((d-a)(k-a)) * qbinom(N-k, d-a) * qbinom(k, a): the a-dim meet inside
     the k-space, the (d-a)-dim image in the quotient by the k-space, and one
     of q^((d-a)(k-a)) lifts of that image.  Callers keep 0 <= a <= min(d, k)
-    and d - a <= N - k.  Cached: it is the class weight of channel.h_r,
-    _meet_count(m, r, v, r - h) for class (v, h) at input rank r, and f2
-    then asks for the same counts once per supported error rank.
+    and d - a <= N - k.  Cached for one shape (see :func:`_hold_shape`): it
+    is the class weight of channel.h_r, _meet_count(m, r, v, r - h) for
+    class (v, h) at input rank r, and f2 then asks for the same counts once
+    per supported error rank.
     """
     return q ** ((d - a) * (k - a)) * qbinom_ext(N - k, d - a, q) * qbinom_ext(k, a, q)
 
@@ -191,7 +202,7 @@ def _f0(u: int, n: int, m: int, q: int) -> int:
     return _falling(n, u, q)
 
 
-@lru_cache(maxsize=MAX_DIMENSION + 1)
+@lru_cache(maxsize=None)
 def _phi_block(n: int, m: int, r: int, q: int) -> Tuple[Tuple[int, ...], ...]:
     """The phi rows of rank r for s = 0..r, indexed by s: all the rows an f1
     sum reads, in one lookup.
@@ -201,7 +212,8 @@ def _phi_block(n: int, m: int, r: int, q: int) -> Tuple[Tuple[int, ...], ...]:
     dim V'' = w: q^(s(w - (r - s))) [w, r - s]_q prod_{s <= i < r} (q^n - q^i),
     0 for w < r - s.  The product does not depend on w, so it is evaluated
     once per row.  f1 asks only for r <= min(n, m).  A channel reads one
-    block per error rank, so the MAX_DIMENSION + 1 most recent are kept.
+    block per error rank, and the blocks of one shape are kept (see
+    :func:`_hold_shape`), at most min(n, m) + 1 of them.
     """
     rows = []
     for s in range(r + 1):
@@ -249,6 +261,8 @@ def _f1_terms(v: int, duv: int, q: int) -> Tuple[Tuple[Tuple[int, int], ...], ..
 @lru_cache(maxsize=None)
 def _f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:
     # Unchecked: u, v, r <= min(n, m) and (u, v, h, r) inside f1's band.
+    # Cached for one shape (see _hold_shape): f2 reads again the entries
+    # that h_r's walk formed, and every law at the shape reads the same.
     # phi(w; s = u - a) is 0 unless u - r <= a and r - u + a <= w.
     terms, rows = _f1_terms(v, u - h, q), _phi_block(n, m, r, q)
     skip = r - u
@@ -258,6 +272,23 @@ def _f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:
         for w, c in terms[a][skip:] if skip > 0 else terms[a]:
             total += c * row[w]
     return total
+
+
+#: The three tables of one shape, held here so that _hold_shape empties
+#: the caches themselves even while a caller has wrapped a module name.
+_SHAPE_TABLES = (_f1, _meet_count, _phi_block)
+_shape: Optional[Tuple[int, int, int]] = None
+
+
+def _hold_shape(q: int, n: int, m: int) -> None:
+    """Keep the tables of shape (q, n, m) only: empty :data:`_SHAPE_TABLES`
+    when the shape differs from the latest build's.  A process that
+    alternates two shapes rebuilds their tables at every switch."""
+    global _shape
+    if (q, n, m) != _shape:
+        _shape = (q, n, m)
+        for table in _SHAPE_TABLES:
+            table.cache_clear()
 
 
 def f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:
@@ -280,6 +311,7 @@ def f1(u: int, v: int, h: int, r: int, n: int, m: int, q: int) -> int:
     (n, m, r, q), which holds every row of rank r.
     """
     _check_args(q, "u v h r n m", u, v, h, r, n, m)
+    _hold_shape(q, n, m)
     if max(u, v, r) > min(n, m) or h > u or v + h > m or v < u - h:
         return 0
     return _f1(u, v, h, r, n, m, q) if max(h, v + h - u) <= r <= v + h else 0
@@ -297,6 +329,7 @@ def f2(r: int, rX: int, rB: int, n: int, m: int, q: int) -> int:
     |r - rX| <= rB <= r + rX, and only that hp range is summed.
     """
     _check_args(q, "r rX rB n m", r, rX, rB, n, m)
+    _hold_shape(q, n, m)
     return _f2(r, rX, rB, n, m, q) if max(r, rX, rB) <= min(n, m) else 0
 
 

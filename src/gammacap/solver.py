@@ -107,7 +107,9 @@ class _Workspace:
     rounded integer division, the same bits as float() of its Fraction.
     Only nonzero entries are kept, as (index, T) pairs by output row and by
     input column; sums keep their order and differ from dense ones only by
-    exact 0.0 terms, so every value is unchanged."""
+    exact 0.0 terms, so every value is unchanged.  Once built it holds all
+    the solver reads, so _workspace drops the channel's kernel numerators
+    (ChannelParams._joint_table)."""
 
     def __init__(self, params: ChannelParams):
         self.size = params.rank_count
@@ -157,6 +159,7 @@ class _Workspace:
 def _workspace(params: ChannelParams) -> _Workspace:
     if params._workspace is None:
         object.__setattr__(params, "_workspace", _Workspace(params))
+        object.__setattr__(params, "_joint_table", None)
     return params._workspace
 
 

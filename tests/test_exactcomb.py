@@ -65,12 +65,14 @@ class TestFieldOrder:
             (2**61 - 1, True),
             ((2**31 - 1) ** 2, True),
             (2**100, True),
-            ((2**61 - 1) * (2**31 - 1), False),
+            ((2**61 - 1) * (2**19 - 1), False),
         ],
         ids=["mersenne-61", "square-of-mersenne-31", "2^100", "two-mersenne-primes"],
     )
     def test_large_field_orders_answer_at_once(self, q, want):
-        """Trial division up to sqrt(q) would run for hours on these."""
+        """Trial division up to sqrt(q) would run for hours on these.  The
+        product of two Mersenne primes is below exactcomb._MR_EXACT_BELOW,
+        so Miller-Rabin decides it."""
         assert is_prime_power.__wrapped__(q) is want
 
     def test_powers_of_primes_past_the_bases(self):
@@ -83,7 +85,13 @@ class TestFieldOrder:
             for e in range(1, 61):
                 assert decide(p**e), (p, e)
                 assert not decide((p * p2) ** e), (p, p2, e)
-                assert not decide(p**e * p2), (p, p2, e)
+                # No exact root: q itself is the root that must be prime,
+                # decided below the bound and refused from it on.
+                if p**e * p2 < exactcomb._MR_EXACT_BELOW:
+                    assert not decide(p**e * p2), (p, p2, e)
+                else:
+                    with pytest.raises(ValueError, match="cannot certify"):
+                        decide(p**e * p2)
 
     @pytest.mark.parametrize(
         "q, want, seconds",
@@ -117,6 +125,21 @@ class TestFieldOrder:
             is_prime_power.__wrapped__(q)
         with pytest.raises(ValueError, match="cannot certify"):
             validate_field_order(q)
+
+    @pytest.mark.parametrize(
+        "q", [10**4299 + 7, (2**61 - 1) * (2**31 - 1)], ids=["10^4299+7", "two-mersenne-primes"]
+    )
+    def test_refuses_any_root_past_the_bound_before_miller_rabin(self, q):
+        """From exactcomb._MR_EXACT_BELOW on, Miller-Rabin's "composite"
+        would refuse q as no prime power and its "prime" could not be
+        certified, so a root there is refused before any round, whichever
+        it is.  10^4299 + 7 has no prime factor up to 41 and no exact root;
+        one round on it took 6.1 s of CPU."""
+        bound = "exact only below 3317044064679887385961981"
+        start = time.process_time()
+        with pytest.raises(ValueError, match=f"cannot certify whether .* is prime: .*{bound}"):
+            validate_field_order(q)
+        assert time.process_time() - start < 0.1
 
 
 class TestEntryChecks:

@@ -31,6 +31,10 @@ def _phi(n, m, w, s, r, q):
     return q ** (s * (w - (r - s))) * qbinom_ext(w, r - s, q) * _falling(n, r - s, q, s)
 
 
+def _params(q, n, m, spec):
+    return ChannelParams(q, n, m, parse_error_model(spec, q, n, m))
+
+
 def _overlapping_pair(dU, dV, dUV, m):
     """Bases of (U, V) in F_q^m with dim(U cap V) = dUV, coordinate-aligned."""
     assert dUV <= min(dU, dV) and dU + dV - dUV <= m
@@ -427,22 +431,77 @@ class TestPhiRows:
                 edges += row[-1] != 0
         assert edges
 
-    def test_block_table_is_bounded_and_holds_a_full_channel(self):
+    def test_block_table_holds_a_full_channel_and_empties_on_a_new_shape(self):
         """A (2,64,64) channel's f1 sums read the blocks r = 0..64, 65 of
         them holding 2 145 rows; all fit at once, so a second pass reads
-        every block again without a miss."""
+        every block again without a miss.  A block of another shape, asked
+        for through f1, empties them: the table holds one shape's blocks."""
         table = matrixfn._phi_block
-        assert table.cache_info().maxsize is not None
         keys = [(64, 64, r, 2) for r in range(65)]
+        assert f1(0, 0, 0, 0, 64, 64, 2) == 1
         table.cache_clear()
-        try:
-            assert sum(len(table(*key)) for key in keys) == 2145
-            for key in keys:
-                table(*key)
-            info = table.cache_info()
-            assert info.misses == info.currsize == len(keys)
-        finally:
+        assert sum(len(table(*key)) for key in keys) == 2145
+        for key in keys:
+            table(*key)
+        info = table.cache_info()
+        assert info.misses == info.currsize == len(keys)
+        assert f1(1, 1, 1, 1, 3, 3, 2) == _f1_unpruned(1, 1, 1, 1, 3, 3, 2)
+        assert table.cache_info().currsize == 1
+
+
+class TestShapeTables:
+    """_f1, _meet_count and _phi_block keep the tables of the latest
+    build's (q, n, m) only, where a build is h_r, the kernel numerators or
+    a public f1 or f2 call past its argument checks."""
+
+    TABLES = (matrixfn._f1, matrixfn._meet_count, matrixfn._phi_block)
+
+    def _sizes(self):
+        return [table.cache_info().currsize for table in self.TABLES]
+
+    def _misses(self):
+        return [table.cache_info().misses for table in self.TABLES]
+
+    def test_a_new_shape_keeps_only_its_own_entries(self):
+        """A second law at a shape misses no f1 entry; a new shape leaves
+        the tables exactly as a cold build of its channel alone would."""
+        small = (2, 3, 3, "iid:t=1")
+        for table in self.TABLES:
             table.cache_clear()
+        solver._workspace(_params(*small))
+        alone = self._sizes()
+        assert all(alone)
+
+        solver._workspace(_params(2, 16, 16, "iid:t=16"))
+        misses = matrixfn._f1.cache_info().misses
+        solver._workspace(_params(2, 16, 16, "binomial:T=8,p=1/4"))
+        assert matrixfn._f1.cache_info().misses == misses
+
+        solver._workspace(_params(*small))
+        assert self._sizes() == alone
+        # Every entry of the cold build is there: a third build misses none.
+        misses = self._misses()
+        solver._workspace(_params(*small))
+        assert self._misses() == misses
+
+    def test_public_counts_switch_the_tables(self):
+        """A public f1 or f2 at another shape empties the tables before it
+        counts; one that its argument check refuses leaves them."""
+        solver._workspace(_params(2, 4, 4, "iid:t=4"))
+        sizes = self._sizes()
+        with pytest.raises(ValueError):
+            f1(1, 1, 1, 1, 3, 3, 6)
+        assert self._sizes() == sizes
+        count = f1(1, 1, 1, 1, 3, 3, 2)
+        # One f1 entry, read from one block, and no meet count.
+        assert self._sizes() == [1, 0, 1]
+        assert count == _f1_unpruned(1, 1, 1, 1, 3, 3, 2)
+        count = f2(1, 1, 1, 2, 2, 3)
+        sizes = self._sizes()
+        for table in self.TABLES:
+            table.cache_clear()
+        assert f2(1, 1, 1, 2, 2, 3) == count
+        assert self._sizes() == sizes
 
 
 class TestRowSpaceCount:

@@ -18,6 +18,7 @@ from gammacap.channel import (
     constant_rank_model,
     h_r,
     ordered_sum,
+    output_rank_distribution,
     parse_error_model,
     rho_avg,
 )
@@ -945,6 +946,30 @@ class TestWorkspaceLifetime:
         assert len(builds) == 1 and builds[0] is params
         assert params._workspace is solver._workspace(params)
         assert repr(first) == repr(second)
+
+    @pytest.mark.parametrize(
+        "channel", [(3, 4, 5, "binomial:T=3,p=1/10"), (2, 6, 6, "iid:t=6")],
+        ids=["(3,4,5,binomial)", "(2,6,6,iid)"],
+    )
+    def test_kernel_numerators_end_with_the_workspace(self, channel):
+        """The workspace holds all the solver reads, so once it is built the
+        channel keeps no kernel numerators.  An output law asked afterwards
+        forms them again: for the uniform input, a top-rank point mass and
+        a float input it equals, exactly and by type, a fresh channel's."""
+        params = _params(*channel)
+        maximize(params)
+        assert params._joint_table is None
+        k = params.rank_count
+        inputs = [
+            RankDistribution([Fraction(1, k)] * k),
+            RankDistribution([Fraction(0)] * (k - 1) + [Fraction(1)]),
+            RankDistribution([0.5] + [0.5 / (k - 1)] * (k - 1)),
+        ]
+        for x in inputs:
+            got = output_rank_distribution(x, params).probs
+            want = output_rank_distribution(x, _params(*channel)).probs
+            assert [type(p) for p in got] == [type(p) for p in want]
+            assert got == want
 
     def test_dropped_channel_is_collected(self):
         params = _params(3, 4, 4, "iid:t=2")
