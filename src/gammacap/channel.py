@@ -155,9 +155,9 @@ class ChannelParams:
 
     ``_workspace`` holds solver._workspace's tables from the channel's first
     use on, and ``_joint_table`` the kernel numerators that _joint has
-    formed so far, until solver._workspace has read them all and sets it
-    back to None; like ``sizes`` and ``support`` they take no part in
-    equality, hashing or repr.
+    formed so far, until rho_avg has read them all and sets it back to
+    None; like ``sizes`` and ``support`` they take no part in equality,
+    hashing or repr.
     """
 
     q: int
@@ -212,10 +212,10 @@ def _joint(params: ChannelParams, ranks: Iterable[int]) -> List[List[Optional[in
     columns rx in ``ranks``, each symmetric pair once.  Column rx is row rx
     of J.  J is kept on the channel and filled column by column, so each
     entry is formed once while J is kept, by the first call whose columns
-    need it; entries that no call has needed yet are None.  The solver's
-    workspace drops J once it has read every column, and a later call
-    forms the same exact entries again.  The counts come from matrixfn's
-    tables of the channel's shape (matrixfn._hold_shape).
+    need it; entries that no call has needed yet are None.  rho_avg drops
+    J once it has read every column, and a later call forms the same exact
+    entries again.  The counts come from matrixfn's tables of the channel's
+    shape (matrixfn._hold_shape).
 
     P(X + B = Y) depends on rank(Y - X) only, so the kernel is reversible,
     N_rx T(ry | rx) = N_ry T(rx | ry) (Delsarte's bilinear-forms scheme):
@@ -248,9 +248,12 @@ def rho_avg(params: ChannelParams) -> Kernel:
     (numerators, denominator), T(ry | rx) = numerators[ry] / denominator
     and denominator = params.denominator * N_rx, N = params.sizes.  Exact
     for every error law, as ``params.support`` is.  The numerators are
-    _joint's, every column.
+    _joint's, every column; having read them all, rho_avg drops them from
+    the channel (ChannelParams._joint_table), since the kernel it returns
+    holds every one.
     """
     joint, sizes = _joint(params, range(params.rank_count)), params.sizes
+    object.__setattr__(params, "_joint_table", None)
     return tuple((tuple(col), params.denominator * size) for col, size in zip(joint, sizes))
 
 
@@ -260,11 +263,12 @@ def output_rank_distribution(
     """Rank distribution of the channel output A(X+B).
 
     A is invertible so rank(Y) = rank(X+B); the output law is the input law
-    pushed through rho_avg's kernel, whose numerators _joint forms, once per
-    channel, only for the input ranks of positive probability (exact zeros
-    otherwise).  For an exact law and input, P(rx) / N_rx = a_rx / b_rx,
-    not reduced, is the integer w_rx = a_rx L / b_rx over the lcm L of the
-    b_rx, and output rank ry is the one Fraction
+    pushed through rho_avg's kernel, whose numerators _joint forms, once
+    while the channel keeps them, only for the input ranks of positive
+    probability (exact zeros otherwise).  For an exact law and input,
+    P(rx) / N_rx = a_rx / b_rx, not reduced, is the integer
+    w_rx = a_rx L / b_rx over the lcm L of the b_rx, and output rank ry is
+    the one Fraction
     sum_rx w_rx J[ry][rx] / (L * params.denominator).
     Otherwise each kernel entry is one correctly rounded float division
     before it is weighted.
@@ -387,11 +391,17 @@ def binomial_packets_model(
     Each of num_packets packets is corrupted independently with probability
     p; the corrupted packets contribute uniform i.i.d. error vectors, so
     R(r) = sum_t C(T, t) p^t (1-p)^(T-t) N_r(t x m) / q^(mt), summed as
-    integer numerators over b^T q^(mT) for p = a / b.
+    integer numerators over b^T q^(mT) for p = a / b.  p is an int (not a
+    bool), a Fraction or a finite float, read as the decimal its str gives.
     """
     _check_args(q, "num_packets n m", num_packets, n, m)
-    if isinstance(p, float):
+    if isinstance(p, float) and math.isfinite(p):
         p = Fraction(str(p))
+    elif not _is_exact(p):
+        raise ValueError(
+            f"packet corruption probability must be an int, a Fraction or a finite "
+            f"float, got {_excerpt(p)}"
+        )
     if not 0 <= p <= 1:
         raise ValueError(f"packet corruption probability {_short_str(p)} not in [0, 1]")
     if num_packets > n:

@@ -107,9 +107,10 @@ class _Workspace:
     rounded integer division, the same bits as float() of its Fraction.
     Only nonzero entries are kept, as (index, T) pairs by output row and by
     input column; sums keep their order and differ from dense ones only by
-    exact 0.0 terms, so every value is unchanged.  Once built it holds all
-    the solver reads, so _workspace drops the channel's kernel numerators
-    (ChannelParams._joint_table)."""
+    exact 0.0 terms, so every value is unchanged.  rho_avg drops the
+    channel's kernel numerators (ChannelParams._joint_table) once it has
+    read them, so once built the workspace is all the channel keeps of the
+    kernel."""
 
     def __init__(self, params: ChannelParams):
         self.size = params.rank_count
@@ -159,7 +160,6 @@ class _Workspace:
 def _workspace(params: ChannelParams) -> _Workspace:
     if params._workspace is None:
         object.__setattr__(params, "_workspace", _Workspace(params))
-        object.__setattr__(params, "_joint_table", None)
     return params._workspace
 
 

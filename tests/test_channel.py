@@ -895,15 +895,15 @@ class TestExactSumsAgainstFractionReference:
 class TestCatalogueWorkspace:
     """The workspace builds of the benchmark catalogue (capacity rounds 0 and
     1, 33 channels): every float pinned, and the counts they ask for at the
-    channel's matrixfn boundary fixed."""
+    channel's matrixfn and exactcomb boundary fixed.  This class alone pins
+    both: tests/test_solver.py's six slow workspaces are among the 33."""
 
     CHANNELS = benchmark_catalogue()
     # Recorded before the count loops of h_r, f1 and f2 were last rewritten.
     DIGEST = "e2804d4db4d6bb454f98477f2d44b95d47c313e76c92e80ac2a3512ef61a4c3f"
 
     def test_workspace_hex_digest(self):
-        """h, rows, columns and log class sizes in hex, as
-        tests/test_solver.py::TestWorkspaceBits pins them."""
+        """h, rows, columns and log class sizes in hex."""
         texts = []
         for channel_args in self.CHANNELS:
             ws = solver._Workspace(_params(*channel_args))
@@ -917,11 +917,12 @@ class TestCatalogueWorkspace:
         assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == self.DIGEST
 
     def test_boundary_calls(self, monkeypatch):
-        """The benchmark's tracer wraps channel.f0, f1 and f2 and reads the
-        error rank at argument 3 of f1 and 2 of f2: the build must call them
-        through those names, as often as before, and only at supported
-        error ranks."""
-        calls = {"f0": 0, "f1": 0, "f2": 0}
+        """The benchmark's tracer wraps channel.f0, f1, f2 and
+        count_rank_matrices and reads the error rank at argument 3 of f1 and
+        2 of f2: the channel and its workspace must be built through those
+        names, as often as before, and call f1 and f2 only at supported
+        error ranks.  The benchmark's CI step greps the same four totals."""
+        calls = {"f0": 0, "f1": 0, "f2": 0, "count_rank_matrices": 0}
         ranks = []
 
         def counting(name, rank_arg):
@@ -938,12 +939,15 @@ class TestCatalogueWorkspace:
         monkeypatch.setattr(channel, "f0", counting("f0", None))
         monkeypatch.setattr(channel, "f1", counting("f1", 3))
         monkeypatch.setattr(channel, "f2", counting("f2", 2))
+        monkeypatch.setattr(channel, "count_rank_matrices", counting("count_rank_matrices", None))
         for channel_args in self.CHANNELS:
             params = _params(*channel_args)
             ranks.clear()
             solver._Workspace(params)
             assert set(ranks) <= {rb for rb, _ in params.support}, channel_args
-        assert calls == {"f0": 265, "f1": 3054, "f2": 1627}
+        # count_rank_matrices: 265 class sizes while ChannelParams is built,
+        # and 105 in the iid and binomial error laws that _params parses.
+        assert calls == {"f0": 265, "f1": 3054, "f2": 1627, "count_rank_matrices": 370}
 
 
 class TestChecksOncePerChannel:
@@ -951,7 +955,9 @@ class TestChecksOncePerChannel:
     names f0, f1, f2 and count_rank_matrices: ChannelParams validates q, n
     and m, and every rank passed comes from a loop bounded by the channel's
     rank count.  So every call must pass the public function's own argument
-    check, here run first by a checker around each name."""
+    check, here run first by a checker around each name.  How often the
+    workspace builds call each name is pinned in TestCatalogueWorkspace
+    alone."""
 
     CHANNELS = benchmark_catalogue()
     CHECKS = {
@@ -986,8 +992,7 @@ class TestChecksOncePerChannel:
         calls = self._install_checkers(monkeypatch)
         for channel_args in self.CHANNELS:
             solver._Workspace(_params(*channel_args))
-        # count_rank_matrices once per class size, while ChannelParams is built.
-        assert calls == {"f0": 265, "f1": 3054, "f2": 1627, "count_rank_matrices": 370}
+        assert all(calls.values()), calls
 
         calls.update(dict.fromkeys(calls, 0))
         for channel_args in self.CHANNELS:
@@ -1048,38 +1053,21 @@ class TestChecksOncePerChannel:
         in_band(matrixfn, "_meet_count", self.IN_BAND["meet_count"])
         for channel_args in self.CHANNELS:
             solver._Workspace(_params(*channel_args))
+        built = dict(calls)
         params = _params(2, 24, 24, "iid:t=24")
         output_rank_distribution(RankDistribution([Fraction(1, 25)] * 25), params)
         assert outside == []
+        assert all(built.values()), built
         # The output law adds 25 class sizes for its error law and 25 for
         # its ChannelParams, and 4 147 f2 calls for its 325 kernel entries.
+        assert {name: calls[name] - built[name] for name in self.CHECKS} == {
+            "f0": 0, "f1": 0, "f2": 4147, "count_rank_matrices": 50,
+        }
         # h_r reads one class weight per class it adds, and _f2 one meet
         # count per _f1 term.
-        assert calls == {
-            "f0": 265, "f1": 3054, "f2": 1627 + 4147, "count_rank_matrices": 370 + 50,
+        assert {name: calls[name] for name in ("_f1", "meet_count", "_meet_count")} == {
             "_f1": 18433, "meet_count": 2751, "_meet_count": 18433,
         }
-
-
-class TestCatalogueSolves:
-    """The solves of the benchmark catalogue (capacity rounds 0 and 1, 33
-    channels) at the benchmark's cap of 500: capacity and gap as hex floats,
-    iterations and Newton steps, pinned by one digest."""
-
-    CHANNELS = benchmark_catalogue()
-    # Recorded before the solver came to sum x . grad once per iterate.
-    DIGEST = "0aeec529c89667c5542967e1b11ce8f3fe27827244fc51011e6c08c8c94b3f9d"
-
-    def test_solve_digest(self):
-        texts = []
-        for channel_args in self.CHANNELS:
-            res = solver.maximize(_params(*channel_args), solver.SolverConfig(max_iterations=500))
-            texts.append(repr((
-                res.capacity_bits.hex(), res.optimality_gap_bits.hex(),
-                res.iterations, res.newton_steps,
-            )))
-        assert len(texts) == 33
-        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == self.DIGEST
 
 
 class TestBenchmarkAnswerBits:
@@ -1228,6 +1216,22 @@ class TestErrorModels:
             binomial_packets_model(2, Fraction(11, 10), 2, 2, 2)
         with pytest.raises(ValueError):
             binomial_packets_model(2, -0.1, 2, 2, 2)
+
+    @pytest.mark.parametrize(
+        "p, shown",
+        [(True, "True"), (float("nan"), "nan"), (float("inf"), "inf"), ("0.5", "'0.5'")],
+        ids=["bool", "nan", "inf", "str"],
+    )
+    def test_binomial_refuses_a_p_that_is_not_a_number(self, p, shown):
+        """p is an int that is not a bool, a Fraction or a finite float, as
+        a RankDistribution entry is: True is not read as 1, and nan, inf and
+        a string get this refusal, not Fraction's or a comparison's."""
+        with pytest.raises(ValueError) as refused:
+            binomial_packets_model(2, p, 2, 2, 2)
+        assert str(refused.value) == (
+            "packet corruption probability must be an int, a Fraction or a finite "
+            f"float, got {shown}"
+        )
 
     @pytest.mark.parametrize(
         "p, shown",

@@ -2,10 +2,12 @@
 
 The package keeps no private helper that only tests read, and the oracle
 and the test references import only the standard library, so that their
-agreement with the package is evidence, not circularity.
+agreement with the package is evidence, not circularity.  Every test the
+README names exists.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -128,3 +130,56 @@ class TestReferenceIndependence:
         roots = _imported_roots(path)
         assert roots
         assert sorted(roots - sys.stdlib_module_names) == []
+
+
+_NODE_ID = re.compile(r"\btests/\w+\.py(?:::\w+)+")
+_TEST_CLASS = re.compile(r"\bTest[A-Z]\w*")
+
+
+def _test_names():
+    """The node id of every test file, class and test under tests/:
+    ``tests/test_x.py``, ``tests/test_x.py::TestA`` and
+    ``tests/test_x.py::TestA::test_b``."""
+    names = set()
+    for path in (ROOT / "tests").glob("test_*.py"):
+        prefix = f"tests/{path.name}"
+        names.add(prefix)
+        for node in _parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(f"{prefix}::{node.name}")
+            if isinstance(node, ast.ClassDef):
+                names.update(
+                    f"{prefix}::{node.name}::{item.name}" for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                )
+    return names
+
+
+def _unresolved_test_names(text):
+    """Every node id and Test class name in text that names no test file,
+    class or test under tests/, in order of first appearance."""
+    names = _test_names()
+    classes = {name.split("::")[1] for name in names if name.count("::") == 1}
+    unresolved = [node for node in _NODE_ID.findall(text) if node not in names]
+    unresolved += [name for name in _TEST_CLASS.findall(text) if name not in classes]
+    return list(dict.fromkeys(unresolved))
+
+
+class TestReadmeNamesTests:
+    """The README points readers at the tests that check what it states:
+    every node id and Test class it names exists under tests/."""
+
+    def test_every_named_test_exists(self):
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        assert _NODE_ID.search(text) and _TEST_CLASS.search(text)
+        assert _unresolved_test_names(text) == []
+
+    def test_a_retired_test_is_flagged(self):
+        text = (
+            "`tests/test_channel.py::TestCatalogueWorkspace::test_boundary_calls`, "
+            "`tests/test_channel.py::TestGone::test_digest`, `TestPhiEntropies` and "
+            "`TestGone`"
+        )
+        assert _unresolved_test_names(text) == [
+            "tests/test_channel.py::TestGone::test_digest", "TestGone",
+        ]
