@@ -153,11 +153,9 @@ class ChannelParams:
     exactly), since a float P(rB) / N_rB overflows once N_rB leaves the
     float range.
 
-    ``_workspace`` holds solver._workspace's tables from the channel's first
-    use on, and ``_joint_table`` the kernel numerators that _joint has
-    formed so far, until rho_avg has read them all and sets it back to
-    None; like ``sizes`` and ``support`` they take no part in equality,
-    hashing or repr.
+    ``_workspace``, the one private slot, holds solver._workspace's tables
+    from the channel's first use on; like ``sizes`` and ``support`` it takes
+    no part in equality, hashing or repr.
     """
 
     q: int
@@ -168,7 +166,6 @@ class ChannelParams:
     support: Tuple[Tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     denominator: int = field(init=False, repr=False, compare=False)
     _workspace: object = field(default=None, init=False, repr=False, compare=False)
-    _joint_table: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         validate_field_order(self.q)
@@ -209,13 +206,11 @@ def rank_class_size(params: ChannelParams) -> Tuple[int, ...]:
 
 def _joint(params: ChannelParams, ranks: Iterable[int]) -> List[List[Optional[int]]]:
     """The numerators J[ry][rx] = denominator * N_rx * T(ry | rx) of the
-    columns rx in ``ranks``, each symmetric pair once.  Column rx is row rx
-    of J.  J is kept on the channel and filled column by column, so each
-    entry is formed once while J is kept, by the first call whose columns
-    need it; entries that no call has needed yet are None.  rho_avg drops
-    J once it has read every column, and a later call forms the same exact
-    entries again.  The counts come from matrixfn's tables of the channel's
-    shape (matrixfn._hold_shape).
+    columns rx in ``ranks``, each symmetric pair formed once per call.
+    Column rx is row rx of J; entries of no column asked for are None.
+    J is the caller's, so every call forms its columns afresh and nothing
+    is kept on the channel.  The counts come from matrixfn's tables of the
+    channel's shape (matrixfn._hold_shape).
 
     P(X + B = Y) depends on rank(Y - X) only, so the kernel is reversible,
     N_rx T(ry | rx) = N_ry T(rx | ry) (Delsarte's bilinear-forms scheme):
@@ -225,10 +220,7 @@ def _joint(params: ChannelParams, ranks: Iterable[int]) -> List[List[Optional[in
     """
     q, n, m, k = params.q, params.n, params.m, params.rank_count
     _hold_shape(q, n, m)
-    joint: List[List[Optional[int]]] = params._joint_table
-    if joint is None:
-        joint = [[None] * k for _ in range(k)]
-        object.__setattr__(params, "_joint_table", joint)
+    joint: List[List[Optional[int]]] = [[None] * k for _ in range(k)]
     for rx in ranks:
         col = joint[rx]
         for ry in range(k):
@@ -248,12 +240,10 @@ def rho_avg(params: ChannelParams) -> Kernel:
     (numerators, denominator), T(ry | rx) = numerators[ry] / denominator
     and denominator = params.denominator * N_rx, N = params.sizes.  Exact
     for every error law, as ``params.support`` is.  The numerators are
-    _joint's, every column; having read them all, rho_avg drops them from
-    the channel (ChannelParams._joint_table), since the kernel it returns
-    holds every one.
+    _joint's, every column, formed by this call; each pair ry <= rx is
+    formed once.
     """
     joint, sizes = _joint(params, range(params.rank_count)), params.sizes
-    object.__setattr__(params, "_joint_table", None)
     return tuple((tuple(col), params.denominator * size) for col, size in zip(joint, sizes))
 
 
@@ -263,9 +253,9 @@ def output_rank_distribution(
     """Rank distribution of the channel output A(X+B).
 
     A is invertible so rank(Y) = rank(X+B); the output law is the input law
-    pushed through rho_avg's kernel, whose numerators _joint forms, once
-    while the channel keeps them, only for the input ranks of positive
-    probability (exact zeros otherwise).  For an exact law and input,
+    pushed through rho_avg's kernel, whose numerators _joint forms, each
+    pair once per call, only for the input ranks of positive probability
+    (exact zeros otherwise).  For an exact law and input,
     P(rx) / N_rx = a_rx / b_rx, not reduced, is the integer
     w_rx = a_rx L / b_rx over the lcm L of the b_rx, and output rank ry is
     the one Fraction

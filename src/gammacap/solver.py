@@ -107,10 +107,10 @@ class _Workspace:
     rounded integer division, the same bits as float() of its Fraction.
     Only nonzero entries are kept, as (index, T) pairs by output row and by
     input column; sums keep their order and differ from dense ones only by
-    exact 0.0 terms, so every value is unchanged.  rho_avg drops the
-    channel's kernel numerators (ChannelParams._joint_table) once it has
-    read them, so once built the workspace is all the channel keeps of the
-    kernel."""
+    exact 0.0 terms, so every value is unchanged.  rho_avg keeps nothing on
+    the channel, so the workspace, in ChannelParams._workspace, is all the
+    channel keeps of the kernel; solver._workspace is the one writer on a
+    built channel."""
 
     def __init__(self, params: ChannelParams):
         self.size = params.rank_count

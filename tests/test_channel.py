@@ -303,8 +303,8 @@ class TestOutputRankLaw:
             return f2(a, b, rb, *shape)
 
         monkeypatch.setattr(channel, "f2", counting)
-        # _kernel filled params' kernel numerators; an equal fresh channel
-        # forms them afresh.
+        # _joint keeps nothing on a channel, so an equal fresh channel asks
+        # for the same counts as params would.
         params = ChannelParams(2, 3, 2, empirical_model(law, 3, 2))
         output_rank_distribution(inputs[0], params)
         assert sorted(calls) == sorted(
@@ -331,7 +331,8 @@ class TestOutputRankLaw:
             return f2(a, b, rb, *shape)
 
         monkeypatch.setattr(channel, "f2", counting)
-        # A fresh channel: the first law kept its numerators on params.
+        # _joint keeps nothing on a channel, so an equal fresh channel asks
+        # for the same counts as params would.
         params = _params(2, 5, 4, "empirical:1/5,1/5,1/5,1/5,1/5")
         assert output_rank_distribution(uniform, params) == want
         assert len(set(calls)) == len(calls)
@@ -621,9 +622,7 @@ class TestWorkspacePruning:
         |ry - rx| <= rB <= ry + rx, and only for ry <= rx, each count once,
         exact and float laws alike: the kernel's reversibility gives the
         rest.  Each entry skipped is exactly 0 or has its transpose asked
-        for.  The channel is a fresh copy, since other tests share params
-        and its kernel numerators are kept on it."""
-        params = ChannelParams(params.q, params.n, params.m, params.error_dist)
+        for."""
         calls = []
 
         def recording(ry, rx, rb, *shape):
@@ -1000,10 +999,9 @@ class TestChecksOncePerChannel:
             k = params.rank_count
             for probs in ([0] * (k - 1) + [1], [Fraction(1, k)] * k):
                 output_rank_distribution(RankDistribution(probs), params)
-        # The kernel numerators are kept on the channel, so the uniform law
-        # forms only the entries the top-rank law did not: every entry once,
-        # as many f2 calls as the workspace builds make.
-        assert calls == {"f0": 0, "f1": 0, "f2": 1627, "count_rank_matrices": 370}
+        # Each law forms its own columns: the top-rank law its one column,
+        # the uniform law every entry once, so the top-rank column twice.
+        assert calls == {"f0": 0, "f1": 0, "f2": 1892, "count_rank_matrices": 370}
 
         calls.update(dict.fromkeys(calls, 0))
         for spec in ("constant:t=2", "iid:t=3", "binomial:T=3,p=0.1", "empirical:1/2,1/4,1/4"):

@@ -577,26 +577,6 @@ class TestVerifyCommand:
         assert code == 0 and doc["result"]["passed"] is True and passes > 1
         assert check["passed"] is True and check["max_deviation"] <= 1e-6
 
-    def test_each_kernel_entry_formed_once(self, capsys, monkeypatch):
-        """The three trial output laws and the solver's workspace share the
-        kernel numerators kept on the channel, so one verify asks for each
-        in-band count f2(a, b, rB), a <= b, of a supported error rank once.
-        The kernel columns used to be formed four times over."""
-        from gammacap import channel
-
-        calls = []
-        f2 = channel.f2
-        monkeypatch.setattr(channel, "f2", lambda *args: calls.append(args[:3]) or f2(*args))
-        spec = "binomial:T=2,p=1/10"
-        code, doc = run_json(capsys, "verify", "--q", "2", "--n", "2", "--m", "3", "--error", spec)
-        assert code == 0 and doc["result"]["passed"] is True
-        support = [rb for rb, p in enumerate(parse_error_model(spec, 2, 2, 3)) if p]
-        assert support == [0, 1, 2]
-        assert sorted(calls) == [
-            (a, b, rb)
-            for a in range(3) for b in range(a, 3) for rb in support if b - a <= rb <= a + b
-        ]
-
     def test_budget_refusal_exit_4(self, capsys):
         code, out, err = run_cli(
             capsys, "verify", "--q", "5", "--n", "3", "--m", "3",

@@ -1,5 +1,6 @@
 """Capacity solver: certificates, closed forms and cross-checks."""
 
+import dataclasses
 import gc
 import logging
 import math
@@ -931,38 +932,62 @@ class TestWorkspaceLifetime:
         assert params._workspace is solver._workspace(params)
         assert repr(first) == repr(second)
 
-    @pytest.mark.parametrize(
+    CHANNELS = pytest.mark.parametrize(
         "channel", [(3, 4, 5, "binomial:T=3,p=1/10"), (2, 6, 6, "iid:t=6")],
         ids=["(3,4,5,binomial)", "(2,6,6,iid)"],
     )
-    def test_kernel_numerators_end_with_the_workspace(self, channel):
-        """The workspace holds all the solver reads, so once it is built the
-        channel keeps no kernel numerators.  An output law asked afterwards
-        forms them again: for the uniform input, a top-rank point mass and
-        a float input it equals, exactly and by type, a fresh channel's."""
-        params = _params(*channel)
-        maximize(params)
-        assert params._joint_table is None
-        k = params.rank_count
-        inputs = [
+
+    @staticmethod
+    def _inputs(k):
+        """The uniform input, a top-rank point mass and a float input."""
+        return [
             RankDistribution([Fraction(1, k)] * k),
             RankDistribution([Fraction(0)] * (k - 1) + [Fraction(1)]),
             RankDistribution([0.5] + [0.5 / (k - 1)] * (k - 1)),
         ]
-        for x in inputs:
+
+    @staticmethod
+    def _fields(params):
+        return {f.name: getattr(params, f.name) for f in dataclasses.fields(params)}
+
+    @CHANNELS
+    def test_channel_laws_leave_the_channel_as_built(self, channel):
+        """h_r, rho_avg and the output laws are functions of the channel
+        alone: afterwards every field, private slots included, equals a
+        fresh equal channel's.  maximize then writes its workspace slot and
+        nothing else."""
+        params = _params(*channel)
+        h_r(params)
+        rho_avg(params)
+        for x in self._inputs(params.rank_count):
+            output_rank_distribution(x, params)
+        assert self._fields(params) == self._fields(_params(*channel))
+        maximize(params)
+        got, fresh = self._fields(params), self._fields(_params(*channel))
+        assert [name for name in got if got[name] != fresh[name]] == ["_workspace"]
+
+    @CHANNELS
+    def test_kernel_numerators_end_with_the_workspace(self, channel):
+        """The workspace holds all the solver reads of the kernel.  An output
+        law asked after a solve forms its columns afresh: for the uniform
+        input, a top-rank point mass and a float input it equals, exactly
+        and by type, a fresh channel's."""
+        params = _params(*channel)
+        maximize(params)
+        for x in self._inputs(params.rank_count):
             got = output_rank_distribution(x, params).probs
             want = output_rank_distribution(x, _params(*channel)).probs
             assert [type(p) for p in got] == [type(p) for p in want]
             assert got == want
 
     def test_rho_avg_alone_drops_the_kernel_numerators(self):
-        """rho_avg reads every kernel column, so it drops the numerators
-        itself, with no workspace built.  An output law asked afterwards
-        forms them again and equals a fresh channel's, exactly and by type."""
+        """rho_avg builds no workspace and keeps no numerators.  An output
+        law asked afterwards equals a fresh channel's, exactly and by
+        type."""
         channel = (3, 4, 5, "binomial:T=3,p=1/10")
         params = _params(*channel)
         assert rho_avg(params) == rho_avg(_params(*channel))
-        assert params._joint_table is None and params._workspace is None
+        assert params._workspace is None
         k = params.rank_count
         inputs = [
             RankDistribution([Fraction(1, k)] * k),

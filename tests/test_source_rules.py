@@ -3,7 +3,8 @@
 The package keeps no private helper that only tests read, and the oracle
 and the test references import only the standard library, so that their
 agreement with the package is evidence, not circularity.  Every test the
-README names exists.
+README names exists.  Nothing but the solver's workspace is written on a
+built value.
 """
 
 import ast
@@ -106,6 +107,52 @@ class TestNoTestOnlyHelpers:
             "b": ast.parse("from .a import _k as k\nfrom . import a\nk()\na._m()\n"),
         }
         assert _unread_private_names(trees) == ["a._unused"]
+
+
+def _setattr_sites(trees):
+    """module.qualname of the function around every ``__setattr__`` call of
+    the package, once per call, by module and then in source order."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (
+                isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "__setattr__"
+            ):
+                sites.append(".".join(scope))
+            visit(child, scope)
+
+    for module, tree in sorted(trees.items()):
+        visit(tree, [module])
+    return sites
+
+
+class TestFrozenAfterConstruction:
+    """The frozen dataclasses set their own fields in their constructors,
+    and after that only solver._workspace writes on a built channel, its
+    one private slot: no other per-channel cache can creep back."""
+
+    CONSTRUCTORS = ("channel.RankDistribution.__init__", "channel.ChannelParams.__post_init__")
+
+    def _writers(self, trees):
+        return [site for site in _setattr_sites(trees) if site not in self.CONSTRUCTORS]
+
+    def test_only_the_solver_workspace_writes_on_a_built_channel(self):
+        assert self._writers(_trees()) == ["solver._workspace"]
+
+    def test_a_cache_on_the_channel_is_flagged(self):
+        trees = _trees()
+        cache = ast.parse(
+            "def _memo(params):\n"
+            "    if params._memo is None:\n"
+            "        object.__setattr__(params, '_memo', {})\n"
+        )
+        trees["channel"].body += cache.body
+        assert self._writers(trees) == ["channel._memo", "solver._workspace"]
 
 
 def _imported_roots(path):
